@@ -1,0 +1,248 @@
+"""Golden pins: artifacts that must not move *across* commits.
+
+Every other determinism test in the suite is a same-commit double run
+— it proves a run is a pure function of its seed, not that a refactor
+left the function alone. These pins close that gap: each case below
+builds one artifact the way users do (a ``repro check`` trial, a
+fail-over trace, a scale fingerprint, a sharded run artifact), hashes
+its canonical JSON, and compares hash and ``events_fired`` against the
+values recorded in :data:`GOLDEN`.
+
+A pure re-assembly (moving code, merging builders) may not move any of
+them. A deliberate behaviour change regenerates the table::
+
+    PYTHONPATH=src python tests/test_golden_artifacts.py
+
+prints the freshly computed table as a dict literal to paste over
+:data:`GOLDEN` — in its own commit, with the reason in the message
+(see docs/TESTING.md, "Golden pins").
+"""
+
+import hashlib
+import json
+import pprint
+
+import pytest
+
+from repro.apps.routercluster import RouterClusterScenario
+from repro.apps.scalecluster import ScaleClusterScenario, ShardedScaleScenario
+from repro.apps.webcluster import WebClusterScenario
+from repro.check import build_trial_spec, campaign_params, run_trial
+from repro.gcs.config import SpreadConfig
+from repro.sim.shard.merge import artifact_bytes
+
+
+def _sha(value):
+    if not isinstance(value, bytes):
+        value = json.dumps(value, sort_keys=True).encode("utf-8")
+    return hashlib.sha256(value).hexdigest()
+
+
+def _trace_pin(scenario, extra):
+    sim = scenario.sim
+    lines = [repr(record) for record in sim.trace.records]
+    return {
+        "sha256": _sha({"trace": lines, "extra": extra}),
+        "events_fired": sim.scheduler.events_fired,
+    }
+
+
+# ----------------------------------------------------------------------
+# the cases
+
+
+def _check_trial(repertoire, index, **overrides):
+    flags = {} if repertoire == "standard" else {repertoire: True}
+    flags.update(overrides)
+    params = campaign_params(
+        base_seed=2004,
+        trials=3,
+        n_servers=5,
+        n_vips=10,
+        horizon=60.0,
+        events_per_trial=12,
+        **flags
+    )
+    result = run_trial(build_trial_spec(params, index))
+    return {
+        "sha256": _sha(result),
+        "events_fired": result.get("events_fired"),
+        "verdict": result["verdict"],
+    }
+
+
+def _web_nic_down():
+    scenario = WebClusterScenario(
+        seed=2004,
+        n_servers=4,
+        n_vips=10,
+        spread_config=SpreadConfig.tuned(),
+        wackamole_overrides={"maturity_timeout": 1.0},
+        flow_users=5003,
+    ).start()
+    assert scenario.run_until_stable(timeout=30.0)
+    probe = scenario.start_probe()
+    scenario.sim.run_for(0.5)
+    fault_time = scenario.sim.now
+    victim = scenario.kill_owner_of(scenario.vips[0], mode="nic_down")
+    scenario.sim.run_for(6.0)
+    scenario.faults.nic_up(victim.host.nic_on(scenario.lan))
+    assert scenario.run_until_stable(timeout=30.0)
+    return _trace_pin(
+        scenario,
+        {
+            "interruption": probe.failover_interruption(after=fault_time),
+            "coverage": scenario.coverage(),
+            "flow": scenario.flow_engine.fingerprint(),
+        },
+    )
+
+
+def _router_fail_active():
+    scenario = RouterClusterScenario(
+        seed=2004, n_routers=2, routing_mode="static", flow_users=1001
+    ).start()
+    assert scenario.run_until_stable(timeout=60.0)
+    probe = scenario.start_probe()
+    scenario.sim.run_for(0.5)
+    fault_time = scenario.sim.now
+    victim = scenario.fail_active()
+    scenario.sim.run_for(6.0)
+    assert scenario.run_until_stable(timeout=60.0)
+    return _trace_pin(
+        scenario,
+        {
+            "interruption": probe.failover_interruption(after=fault_time),
+            "victim": victim.host.name,
+            "active": scenario.active_router().host.name,
+            "flow": scenario.flow_engine.fingerprint(),
+        },
+    )
+
+
+def _scale_kill_revive(**extra):
+    scenario = ScaleClusterScenario(
+        seed=7, n_hosts=64, n_vips=512, segment_size=16, **extra
+    ).start()
+    assert scenario.settle()
+    leader = 0
+    scenario.kill(leader)
+    assert scenario.settle()
+    scenario.revive(leader)
+    assert scenario.settle()
+    fingerprint = scenario.fingerprint()
+    if scenario.flow_engine is not None:
+        fingerprint["flow"] = scenario.flow_engine.fingerprint()
+    fingerprint["moved_vips"] = scenario.moved_vips()
+    return {
+        "sha256": _sha(fingerprint),
+        "events_fired": scenario.sim.scheduler.events_fired,
+    }
+
+
+def _sharded(shards):
+    scenario = ShardedScaleScenario(
+        seed=7,
+        n_hosts=64,
+        n_vips=512,
+        segment_size=16,
+        shards=shards,
+        flow_users=10007,
+        kills=[(3.0, 0), (3.5, 21)],
+        revives=[(7.0, 0)],
+        metrics_enabled=True,
+    )
+    artifact = scenario.run()
+    return {
+        "sha256": _sha(artifact_bytes(artifact)),
+        "events_fired": artifact["events_fired"],
+    }
+
+
+CASES = {
+    "sharded/shards=1": lambda: _sharded(1),
+    "sharded/shards=2": lambda: _sharded(2),
+    "scale/kill-revive": _scale_kill_revive,
+    "scale/kill-revive+flow": lambda: _scale_kill_revive(flow_users=10007),
+    "web/nic-down": _web_nic_down,
+    "router/static-fail-active": _router_fail_active,
+    "trial/standard+flow/0": lambda: _check_trial("standard", 0, flow_users=1003),
+    # The failure path (trace tail, violation list) through a planted bug.
+    "trial/broken-balance/0": lambda: _check_trial(
+        "standard", 0, fixture="broken-balance"
+    ),
+    "trial/gray+broken-balance/1": lambda: _check_trial(
+        "gray", 1, fixture="broken-balance"
+    ),
+}
+for _repertoire in ("standard", "gray", "corrupt"):
+    for _index in range(3):
+        CASES["trial/{}/{}".format(_repertoire, _index)] = (
+            lambda r=_repertoire, i=_index: _check_trial(r, i)
+        )
+
+
+#: Recorded on the parent of the PR that introduced this file (d67d1ed).
+GOLDEN = {'router/static-fail-active': {'events_fired': 4478,
+                               'sha256': '7b681f72c2634ad9dc27ebf11e13548d4ff6a2ff81cb287896ecda9203d4a77e'},
+ 'scale/kill-revive': {'events_fired': 1806,
+                       'sha256': 'e32d63905c71b21309e41bc7f6bda51e7fb22e7bea8a5b1a5d769bf865587896'},
+ 'scale/kill-revive+flow': {'events_fired': 1866,
+                            'sha256': '55904c7eee5c689ae4f0f8abb51f746f0b7201178cb9f2b3e44112b4229bc38b'},
+ 'sharded/shards=1': {'events_fired': 7657,
+                      'sha256': 'ec7c8ca5e276e5b2361d6d16098d1c8abaaad2dd4867501cf834df851d312bd9'},
+ 'sharded/shards=2': {'events_fired': 7657,
+                      'sha256': 'ec7c8ca5e276e5b2361d6d16098d1c8abaaad2dd4867501cf834df851d312bd9'},
+ 'trial/broken-balance/0': {'events_fired': None,
+                            'sha256': '5d40256adc4ce7628c4051ad7ef708a1a80b96bdbb41196ba66f67e244489b0a',
+                            'verdict': 'violation'},
+ 'trial/corrupt/0': {'events_fired': 10717,
+                     'sha256': 'e9c649edca53857339a757aa951033c58fef187e53d7883cd663e551a40ad1c6',
+                     'verdict': 'pass'},
+ 'trial/corrupt/1': {'events_fired': 15373,
+                     'sha256': '695710fbd8974e87acec318356a0626ffcb94334a1016c9412945e3b8b641893',
+                     'verdict': 'pass'},
+ 'trial/corrupt/2': {'events_fired': 17041,
+                     'sha256': '1b3256020d1241b248f9b03691e821c73b301462e97eb0ccd30a999737139e02',
+                     'verdict': 'pass'},
+ 'trial/gray+broken-balance/1': {'events_fired': None,
+                                 'sha256': '82a07e43dc099dafcae581ba352bf5cc9f30c2d7758d7b5c123a97fd5484aace',
+                                 'verdict': 'violation'},
+ 'trial/gray/0': {'events_fired': 19894,
+                  'sha256': '59d5d135247299961d9f32e6ab85d8b0796a8636d0177b4713d9f28da5595007',
+                  'verdict': 'pass'},
+ 'trial/gray/1': {'events_fired': 22047,
+                  'sha256': '31526bd57cbaaf404aa3d55cf157cd24cfa444675423d6f098b8ce339f1b23b0',
+                  'verdict': 'pass'},
+ 'trial/gray/2': {'events_fired': 13598,
+                  'sha256': 'bb26ede20ae4eb8e3c794e11328b0bbbfeb80c1b08ed3ad785c8a6ed9bf8fd21',
+                  'verdict': 'pass'},
+ 'trial/standard+flow/0': {'events_fired': 8713,
+                           'sha256': '476fcb1ba02a22f768db41e7863d5de89b4bf148a838d8e3d47566e0986d0992',
+                           'verdict': 'pass'},
+ 'trial/standard/0': {'events_fired': 7485,
+                      'sha256': '75a689df47f4a3fb6474b071982d5551ac69a3e3a16a7f52ffe928ee803d3edb',
+                      'verdict': 'pass'},
+ 'trial/standard/1': {'events_fired': 10360,
+                      'sha256': 'f40fc580cdffbdc98be07a6fa90ba389004da4cbba1588001878394604796e9f',
+                      'verdict': 'pass'},
+ 'trial/standard/2': {'events_fired': 9865,
+                      'sha256': '51bfce7d8b52a6377abc13719dfcb26e556989c8a87024223078e266b9e44700',
+                      'verdict': 'pass'},
+ 'web/nic-down': {'events_fired': 3606,
+                  'sha256': 'f83d1de04160cb4bfbc9e9ad4ee8e9eda33b5daa2bb6149b960ae79d015db3be'}}
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_golden_pin(name):
+    assert CASES[name]() == GOLDEN[name]
+
+
+def test_sharded_pins_agree():
+    # Shard parity, cross-commit: the two pins are one artifact.
+    assert GOLDEN["sharded/shards=1"] == GOLDEN["sharded/shards=2"]
+
+
+if __name__ == "__main__":
+    print("GOLDEN = ", end="")
+    pprint.pprint({name: CASES[name]() for name in sorted(CASES)}, width=88)
