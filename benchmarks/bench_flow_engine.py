@@ -1,42 +1,14 @@
-"""Wall-clock cost of the flow-level traffic plane (§6 at scale).
+"""Wall-clock cost of the flow plane's pure-python fallback.
 
 The flow engine's promise is that a million modeled clients cost
-O(pools + VIPs) per tick, not O(users). These benches time the same
-workload the ``flow_engine_ticks`` kernel bench records in
-BENCH_kernel.json — half the pools served, half blackholed, so
-resolution, the vectorized advance, and loss accounting all run every
-tick — at 10^5 users (the CI quick scale) and 10^6 users (the full
-scale), and additionally pin the pure-python fallback so a numpy-less
-deployment's cost is tracked too.
+O(pools + VIPs) per tick, not O(users); ``repro bench`` records that
+(``flow_engine_ticks`` in BENCH_kernel.json, at 10^5 and 10^6 users)
+on the default numpy backend. What the trajectory does not time is the
+advance path a numpy-less deployment pays, so this bench pins it.
 """
 
-from repro.bench.suite import build_workload
 from repro.flow import FlowEngine, FlowPool
 from repro.sim.simulation import Simulation
-
-
-def _check_pool_ticks(pool_ticks, scale):
-    # run(until=T) stops before firing at exactly T, and the 0.05 tick
-    # accumulates float error, so the boundary tick may or may not
-    # land: N or N-1 ticks per pool are both exact behaviour.
-    n = int(round(scale["duration"] / 0.05))
-    assert pool_ticks in (n * scale["pools"], (n - 1) * scale["pools"])
-
-
-def bench_flow_ticks_100k_users(benchmark):
-    run, unit, scale = build_workload("flow_engine_ticks", mode="quick")
-    pool_ticks = benchmark(run)
-    _check_pool_ticks(pool_ticks, scale)
-    benchmark.extra_info["users"] = scale["users"]
-    benchmark.extra_info["unit"] = unit
-
-
-def bench_flow_ticks_1m_users(benchmark):
-    run, unit, scale = build_workload("flow_engine_ticks", mode="full")
-    pool_ticks = benchmark.pedantic(run, rounds=1, iterations=1)
-    _check_pool_ticks(pool_ticks, scale)
-    benchmark.extra_info["users"] = scale["users"]
-    benchmark.extra_info["unit"] = unit
 
 
 class _AlwaysServe:

@@ -9,8 +9,9 @@ drain the server gracefully.
 Run:  python examples/admin_console.py
 """
 
-from repro.core import AdminConsole, WackamoleConfig, WackamoleDaemon
-from repro.gcs import SpreadConfig, SpreadDaemon
+from repro.apps.cluster import ServerGroup
+from repro.core import AdminConsole, WackamoleConfig
+from repro.gcs import SpreadConfig
 from repro.net import Host, Lan
 from repro.sim import Simulation
 
@@ -30,16 +31,14 @@ def main():
     vips = ["10.0.0.{}".format(100 + i) for i in range(4)]
     config = WackamoleConfig.for_vips(vips, maturity_timeout=1.0, balance_timeout=2.0)
 
-    wacks = []
+    group = ServerGroup(sim, lan, SpreadConfig.tuned(), config)
     for index in range(3):
         host = Host(sim, "server{}".format(index + 1))
         host.add_nic(lan, "10.0.0.{}".format(10 + index))
-        spread = SpreadDaemon(host, lan, SpreadConfig.tuned())
-        wack = WackamoleDaemon(host, spread, config)
-        sim.after(0.05 * index, spread.start)
-        sim.after(0.05 * index + 0.01, wack.start)
-        wacks.append(wack)
+        group.add(host)
+    wacks = group.wacks
 
+    group.start()
     sim.run_for(8.0)
     console = AdminConsole(wacks[0])
     issue(console, "help")

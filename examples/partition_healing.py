@@ -11,8 +11,9 @@ releases) and the representative re-balances the allocation.
 Run:  python examples/partition_healing.py
 """
 
-from repro.core import CoverageAuditor, WackamoleConfig, WackamoleDaemon
-from repro.gcs import SpreadConfig, SpreadDaemon
+from repro.apps.cluster import ServerGroup
+from repro.core import WackamoleConfig
+from repro.gcs import SpreadConfig
 from repro.net import FaultInjector, Host, Lan
 from repro.sim import Simulation
 
@@ -36,19 +37,15 @@ def main():
     vips = ["10.0.0.{}".format(100 + i) for i in range(4)]
     config = WackamoleConfig.for_vips(vips, maturity_timeout=2.0, balance_timeout=3.0)
 
-    hosts, wacks = [], []
+    group = ServerGroup(sim, lan, SpreadConfig.tuned(), config)
     for index in range(4):
         host = Host(sim, "node{}".format(index + 1))
         host.add_nic(lan, "10.0.0.{}".format(10 + index))
-        spread = SpreadDaemon(host, lan, SpreadConfig.tuned())
-        wack = WackamoleDaemon(host, spread, config)
-        sim.after(0.05 * index, spread.start)
-        sim.after(0.05 * index + 0.01, wack.start)
-        hosts.append(host)
-        wacks.append(wack)
+        group.add(host)
+    hosts, wacks, auditor = group.hosts, group.wacks, group.auditor
 
-    auditor = CoverageAuditor(wacks)
     faults = FaultInjector(sim)
+    group.start()
     sim.run_for(10.0)
     show("healthy cluster: each VIP covered once", wacks, vips)
 

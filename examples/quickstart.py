@@ -1,15 +1,16 @@
 #!/usr/bin/env python3
 """Quickstart: a three-server Wackamole cluster in ~40 lines.
 
-Builds a simulated LAN, runs a GCS daemon plus a Wackamole daemon on
-each server, lets the cluster allocate six virtual IP addresses, then
+Builds a simulated LAN, lets a ServerGroup put a GCS daemon plus a
+Wackamole daemon on each server, lets the cluster allocate six virtual IP addresses, then
 crashes a server and watches the survivors take its addresses over.
 
 Run:  python examples/quickstart.py
 """
 
-from repro.core import CoverageAuditor, WackamoleConfig, WackamoleDaemon
-from repro.gcs import SpreadConfig, SpreadDaemon
+from repro.apps.cluster import ServerGroup
+from repro.core import WackamoleConfig
+from repro.gcs import SpreadConfig
 from repro.net import FaultInjector, Host, Lan
 from repro.sim import Simulation
 
@@ -34,18 +35,14 @@ def main():
     vips = ["10.0.0.{}".format(100 + i) for i in range(6)]
     config = WackamoleConfig.for_vips(vips, maturity_timeout=2.0)
 
-    hosts, wacks = [], []
+    group = ServerGroup(sim, lan, SpreadConfig.tuned(), config)
     for index in range(3):
         host = Host(sim, "server{}".format(index + 1))
         host.add_nic(lan, "10.0.0.{}".format(10 + index))
-        spread = SpreadDaemon(host, lan, SpreadConfig.tuned())
-        wack = WackamoleDaemon(host, spread, config)
-        sim.after(0.05 * index, spread.start)
-        sim.after(0.05 * index + 0.01, wack.start)
-        hosts.append(host)
-        wacks.append(wack)
+        group.add(host)
+    hosts, wacks, auditor = group.hosts, group.wacks, group.auditor
 
-    auditor = CoverageAuditor(wacks)
+    group.start()
     sim.run_for(10.0)
     show("after boot: every VIP covered exactly once", wacks)
     assert auditor.check() == [], "coverage violated!"

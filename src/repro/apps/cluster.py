@@ -1,0 +1,359 @@
+"""The cluster kit: the two building blocks every scenario is made of.
+
+The paper describes one thing — N servers on a LAN, each running a GCS
+daemon and a Wackamole daemon over a shared VIP pool — and every
+scenario in the repo is that thing plus extras (a router and a probe,
+RIP speakers, a fault schedule). This module holds the thing itself,
+once per protocol stack:
+
+* :class:`ServerGroup` — the faithful stack. ``add(host)`` puts a
+  Spread + Wackamole pair (and, when the profile asks, a
+  :class:`~repro.core.supervisor.DaemonSupervisor`) on a host the
+  caller already wired to the LAN; ``start`` boots them staggered;
+  ``settled`` is the one "cluster is up" predicate; ``restart`` brings
+  the pair back after a host recovery.
+* :class:`ScaleCell` — the scale stack. One LAN's hosts, each running
+  a :class:`~repro.gcs.segments.SegmentNode` + :class:`ScaleVipManager`
+  pair over one shared rendezvous map. The serial scale scenario is one
+  cell spanning the fleet; the sharded one is a cell per segment with
+  placement scoped to the cell.
+
+Scenarios own everything that differs between them — the simulation,
+LANs and address plans, the hosts themselves, clients and traffic.
+The faithful scenarios and the check harness subclass
+:class:`ServerGroup`, the serial scale scenario subclasses
+:class:`ScaleCell`, and a shard world holds a dict of cells.
+"""
+
+import functools
+
+from repro.core.audit import CoverageAuditor
+from repro.core.config import SUPERVISOR_PROFILES
+from repro.core.daemon import WackamoleDaemon
+from repro.core.placement import RendezvousMap
+from repro.core.state import RUN
+from repro.core.supervisor import DaemonSupervisor
+from repro.flow import DirectResolver, FlowEngine
+from repro.gcs.daemon import SpreadDaemon
+from repro.gcs.segments import SegmentNode
+from repro.sim.process import Process
+
+
+def run_until(sim, predicate, timeout, step, extra=0.0):
+    """Advance ``sim`` in ``step``-second strides until ``predicate()``.
+
+    Returns True — after ``extra`` more seconds of quiet running — at
+    the first stride boundary where the predicate holds, or False once
+    ``timeout`` has elapsed without it.
+    """
+    deadline = sim.now + timeout
+    while sim.now < deadline:
+        sim.run_for(step)
+        if predicate():
+            if extra:
+                sim.run_for(extra)
+            return True
+    return False
+
+
+def servers_settled(wacks, auditor):
+    """Every live daemon RUN, mature, connected — and coverage exact."""
+    live = [w for w in wacks if w.alive]
+    return bool(
+        live
+        and all(w.machine.state == RUN and w.mature for w in live)
+        and all(
+            w.client is not None and w.client.connected and w.view is not None
+            for w in live
+        )
+        and not auditor.check()
+    )
+
+
+# ----------------------------------------------------------------------
+# the faithful stack
+
+
+class ServerGroup:
+    """N servers of one LAN running Spread + Wackamole over one VIP pool.
+
+    The four columns (``hosts``, ``spreads``, ``wacks``,
+    ``supervisors``) are index-aligned and always name the *current*
+    daemon generation: restarts — by :meth:`restart` or by a supervisor
+    — replace entries in place. ``supervisors`` stays empty under the
+    unsupervised ``paper`` profile. The auditor holds its own copy of
+    the daemon column; :meth:`refresh_auditor` (which :meth:`settled`
+    calls) re-points it after replacements.
+    """
+
+    def __init__(
+        self,
+        sim,
+        lan,
+        spread_config,
+        wackamole_config,
+        daemon_cls=WackamoleDaemon,
+        profile="paper",
+        realtime=False,
+    ):
+        self.sim = sim
+        self.lan = lan
+        self.spread_config = spread_config
+        self.wackamole_config = wackamole_config
+        self.daemon_cls = daemon_cls
+        self.supervision = SUPERVISOR_PROFILES[profile]
+        self.realtime = realtime
+        self.hosts = []
+        self.spreads = []
+        self.wacks = []
+        self.supervisors = []
+        self.restarts = 0
+        self.auditor = CoverageAuditor(())
+
+    def add(self, host):
+        """Give ``host`` (already on the LAN) its daemon pair."""
+        index = len(self.hosts)
+        spread, wack = self._pair(host)
+        self.hosts.append(host)
+        self.spreads.append(spread)
+        self.wacks.append(wack)
+        self.auditor.daemons.append(wack)
+        if self.supervision is not None:
+            self.supervisors.append(self._supervisor(index, wack))
+        return wack
+
+    def _pair(self, host, daemon_id=None):
+        spread = SpreadDaemon(
+            host,
+            self.lan,
+            self.spread_config,
+            daemon_id=daemon_id,
+            realtime=self.realtime,
+        )
+        return spread, self.daemon_cls(host, spread, self.wackamole_config)
+
+    def _supervisor(self, index, wack):
+        supervisor = DaemonSupervisor(
+            self.hosts[index],
+            on_restart=functools.partial(self._on_restart, index),
+            **self.supervision
+        )
+        supervisor.watch_wackamole(wack)
+        return supervisor
+
+    def _on_restart(self, index, kind, old, new):
+        column = self.spreads if kind == "spread" else self.wacks
+        if column[index] is old:
+            column[index] = new
+
+    def start(self, stagger=0.05):
+        """Boot the daemons with a small start stagger (like real init)."""
+        for index, (spread, wack) in enumerate(zip(self.spreads, self.wacks)):
+            self.sim.after(stagger * index, spread.start)
+            self.sim.after(stagger * index + 0.01, wack.start)
+        for supervisor in self.supervisors:
+            supervisor.start()
+        return self
+
+    def restart(self, index):
+        """Boot a fresh daemon pair on a host that just recovered.
+
+        The crash killed every service on the machine, the supervisor
+        included; the rebooted host gets new ones under a new daemon id.
+        """
+        host = self.hosts[index]
+        self.restarts += 1
+        spread, wack = self._pair(
+            host, daemon_id="{}-r{}".format(host.name, self.restarts)
+        )
+        spread.start()
+        wack.start()
+        self.spreads[index] = spread
+        self.wacks[index] = wack
+        if self.supervision is not None:
+            self.supervisors[index] = self._supervisor(index, wack)
+            self.supervisors[index].start()
+
+    def refresh_auditor(self):
+        """Point the auditor at the current daemon generation."""
+        self.auditor.daemons = list(self.wacks)
+        return self.auditor
+
+    def settled(self):
+        """:func:`servers_settled` over the current daemon generation."""
+        return servers_settled(self.wacks, self.refresh_auditor())
+
+
+# ----------------------------------------------------------------------
+# the scale stack
+
+
+class ScaleVipManager(Process):
+    """Binds one host's rendezvous share of the VIP pool.
+
+    On every adopted :class:`~repro.gcs.segments.GlobalView` the manager
+    looks up its slot set in the shared placement map and diffs it
+    against the interface: new slots are bound, lost slots released. A
+    node absent from the view (declared dead while actually alive)
+    releases everything — the scale-tier analogue of the paper's rule
+    that a partitioned minority must drop its addresses.
+    """
+
+    def __init__(self, host, lan, placement, member_scope=None):
+        super().__init__(host.sim, "svip@{}".format(host.name))
+        self.host = host
+        self.nic = host.nic_on(lan)
+        self.placement = placement
+        # When set, HRW candidates are the view members inside this
+        # scope only — the sharded tier scopes each placement map to
+        # its segment so a VIP never leaves its cell (membership still
+        # travels the whole fleet; only placement is local).
+        self.member_scope = frozenset(member_scope) if member_scope is not None else None
+        self.bound = set()
+        self.binds = 0
+        self.unbinds = 0
+        self.view = None
+        host.register_service(self)
+
+    def apply_view(self, view):
+        """Rebind to the HRW share implied by ``view``."""
+        if not self.alive:
+            return
+        self.view = view
+        members = view.members
+        if self.member_scope is not None:
+            members = tuple(name for name in members if name in self.member_scope)
+        if self.host.name in members:
+            owned = set(self.placement.owned_index_for(members).get(self.host.name, ()))
+        else:
+            owned = set()
+        for vip in sorted(self.bound - owned):
+            self.nic.unbind_ip(vip)
+            self.unbinds += 1
+        for vip in sorted(owned - self.bound):
+            self.nic.bind_ip(vip)
+            self.binds += 1
+        self.bound = owned
+
+    def reset_counters(self):
+        self.binds = 0
+        self.unbinds = 0
+
+
+class ScaleCell:
+    """One LAN of scale-tier hosts sharing one rendezvous placement.
+
+    Membership is fleet-wide either way (``fleet`` names every host of
+    the cluster and nodes are addressed by fleet index); what a cell
+    owns is a LAN, the hosts on it, and the VIPs placed among them.
+    ``member_scope`` restricts HRW candidates to the cell's own members
+    — set by the sharded tier, where a VIP never leaves its segment.
+    The columns (``hosts``, ``nodes``, ``managers``) are index-aligned
+    in :meth:`add` order and always hold the current generation.
+    """
+
+    def __init__(self, lan, fleet, config, vips, faults, member_scope=None):
+        self.lan = lan
+        self.fleet = fleet
+        self.config = config
+        self.vips = vips
+        self.faults = faults
+        self.member_scope = member_scope
+        self.placement = RendezvousMap(vips)
+        self.hosts = []
+        self.nodes = []
+        self.managers = []
+        self.flow_engine = None
+        self._slot = {}
+
+    def add(self, host, index):
+        """Give fleet member ``index`` (``host``, already on the LAN) its pair."""
+        node, manager = self._pair(host, index)
+        self._slot[index] = len(self.hosts)
+        self.hosts.append(host)
+        self.nodes.append(node)
+        self.managers.append(manager)
+
+    def _pair(self, host, index):
+        manager = ScaleVipManager(
+            host, self.lan, self.placement, member_scope=self.member_scope
+        )
+        node = SegmentNode(
+            host,
+            self.lan,
+            index,
+            self.fleet,
+            self.config,
+            on_global_view=manager.apply_view,
+        )
+        return node, manager
+
+    def attach_flow(self, name, users, of, offset, rate, tick, use_numpy):
+        """Aggregate clients over this cell's VIPs (see add_uniform_pools).
+
+        Clients are not modeled at this size, so pools resolve through
+        a DirectResolver over the live managers' bound sets — a VIP
+        serves iff some live manager currently binds it.
+        """
+        self.flow_engine = FlowEngine(
+            self.lan.sim,
+            resolver=DirectResolver(self.live_bindings, lan=self.lan),
+            tick=tick,
+            name=name,
+            use_numpy=use_numpy,
+        )
+        self.flow_engine.add_uniform_pools(
+            self.vips, users, rate=rate, label="pool-{:04d}", offset=offset, of=of
+        )
+        return self.flow_engine
+
+    def start(self):
+        """Boot every node (heartbeat phases are per-node jittered)."""
+        for node in self.nodes:
+            node.start()
+        if self.flow_engine is not None:
+            self.flow_engine.start()
+        return self
+
+    def kill(self, index):
+        """Fail-stop one member's host."""
+        self.faults.crash_host(self.hosts[self._slot[index]])
+
+    def revive(self, index):
+        """Reboot a crashed member and start a fresh daemon pair on it."""
+        slot = self._slot[index]
+        host = self.hosts[slot]
+        self.faults.recover_host(host)
+        self.nodes[slot], self.managers[slot] = self._pair(host, index)
+        self.nodes[slot].start()
+
+    # ------------------------------------------------------------------
+    # inspection
+
+    def live_nodes(self):
+        return [node for node in self.nodes if node.alive]
+
+    def live_bindings(self):
+        """(vip, owner host) pairs over live managers, for the resolver."""
+        for manager in self.managers:
+            if manager.alive:
+                for vip in manager.bound:
+                    yield vip, manager.host
+
+    def bindings(self):
+        """Sorted (vip, host name) pairs over live managers' bound sets."""
+        return sorted((vip, host.name) for vip, host in self.live_bindings())
+
+    def coverage_violations(self):
+        """(uncovered vips, duplicated vips) among live managers."""
+        owners = {}
+        for vip, name in self.bindings():
+            owners.setdefault(vip, []).append(name)
+        uncovered = sorted(vip for vip in self.vips if vip not in owners)
+        duplicated = sorted(vip for vip, names in owners.items() if len(names) > 1)
+        return uncovered, duplicated
+
+    def moves(self):
+        """(binds, unbinds) summed over live managers."""
+        live = [manager for manager in self.managers if manager.alive]
+        return sum(m.binds for m in live), sum(m.unbinds for m in live)

@@ -18,14 +18,12 @@ Three routing modes reproduce §5.2:
   Wackamole reconfiguration.
 """
 
+from repro.apps.cluster import ServerGroup, run_until
 from repro.apps.routing import RipSpeaker
 from repro.apps.workload import ProbeClient, UdpEchoServer
 from repro.flow import ArpViewResolver, FlowEngine, FlowPool
-from repro.core.audit import CoverageAuditor
 from repro.core.config import VipGroup, WackamoleConfig
-from repro.core.daemon import WackamoleDaemon
 from repro.gcs.config import SpreadConfig
-from repro.gcs.daemon import SpreadDaemon
 from repro.net.fault import FaultInjector
 from repro.net.host import Host
 from repro.net.lan import Lan
@@ -80,8 +78,8 @@ def _routable_gate(routing_mode):
     return routable
 
 
-class RouterClusterScenario:
-    """Builds and runs one virtual-router deployment."""
+class RouterClusterScenario(ServerGroup):
+    """One virtual-router deployment: a ServerGroup of routers on three LANs."""
 
     def __init__(
         self,
@@ -104,7 +102,6 @@ class RouterClusterScenario:
             raise ValueError("unknown routing mode {!r}".format(routing_mode))
         self.routing_mode = routing_mode
         self.sim = Simulation(seed=seed, trace_enabled=trace_enabled)
-        self.spread_config = spread_config or SpreadConfig.tuned()
         self.faults = FaultInjector(self.sim)
 
         self.external = Lan(self.sim, "external", EXTERNAL_SUBNET)
@@ -145,11 +142,14 @@ class RouterClusterScenario:
         vip_group = VipGroup(
             VIRTUAL_ROUTER_SLOT, [EXTERNAL_VIP, VISIBLE_VIP, PRIVATE_VIP]
         )
-        self.wackamole_config = WackamoleConfig([vip_group], **overrides)
-
-        self.routers = []
-        self.spreads = []
-        self.wacks = []
+        # The daemons talk over the private network.
+        super().__init__(
+            self.sim,
+            self.private,
+            spread_config or SpreadConfig.tuned(),
+            WackamoleConfig([vip_group], **overrides),
+        )
+        self.routers = self.hosts
         self.speakers = []
         self.controllers = []
         for index in range(n_routers):
@@ -157,15 +157,9 @@ class RouterClusterScenario:
             router.add_nic(self.external, "198.51.100.{}".format(2 + index))
             router.add_nic(self.visible, "203.0.113.{}".format(102 + index))
             router.add_nic(self.private, "192.168.0.{}".format(2 + index))
-            spread = SpreadDaemon(router, self.private, self.spread_config)
-            wack = WackamoleDaemon(router, spread, self.wackamole_config)
-            self.routers.append(router)
-            self.spreads.append(spread)
-            self.wacks.append(wack)
-            self._setup_routing(router)
+            self._setup_routing(router, self.add(router))
 
         self._setup_upstream_routing()
-        self.auditor = CoverageAuditor(self.wacks)
         self.probe = None
 
         # The flow plane: internal populations behind each served LAN
@@ -206,7 +200,7 @@ class RouterClusterScenario:
     # ------------------------------------------------------------------
     # routing plumbing
 
-    def _setup_routing(self, router):
+    def _setup_routing(self, router, wack):
         if self.routing_mode == "static":
             router.add_route(INTERNET_SUBNET, "198.51.100.254")
             return
@@ -224,10 +218,7 @@ class RouterClusterScenario:
         )
         self.speakers.append(speaker)
         if self.routing_mode == "naive":
-            controller = _OwnershipController(
-                self.wacks[self.routers.index(router)], [speaker]
-            )
-            self.controllers.append(controller)
+            self.controllers.append(_OwnershipController(wack, [speaker]))
 
     def _setup_upstream_routing(self):
         if self.routing_mode == "advertise_all":
@@ -258,9 +249,7 @@ class RouterClusterScenario:
 
     def start(self, stagger=0.05):
         """Boot every daemon (GCS, Wackamole, routing, controllers)."""
-        for index, (spread, wack) in enumerate(zip(self.spreads, self.wacks)):
-            self.sim.after(stagger * index, spread.start)
-            self.sim.after(stagger * index + 0.01, wack.start)
+        super().start(stagger)
         for speaker in self.speakers:
             self.sim.after(0.02, speaker.start)
         if self.upstream_speaker is not None:
@@ -282,22 +271,14 @@ class RouterClusterScenario:
 
     def run_until_stable(self, timeout=120.0, extra=0.5):
         """Run until the virtual router is owned once and all RUN."""
-        from repro.core.state import RUN
-
-        deadline = self.sim.now + timeout
         step = max(self.spread_config.heartbeat_timeout / 2.0, 0.1)
-        while self.sim.now < deadline:
-            self.sim.run_for(step)
-            live = [w for w in self.wacks if w.alive]
-            if (
-                live
-                and all(w.machine.state == RUN and w.mature for w in live)
-                and not self.auditor.check()
-                and self._routing_ready()
-            ):
-                self.sim.run_for(extra)
-                return True
-        return False
+        return run_until(
+            self.sim,
+            lambda: self.settled() and self._routing_ready(),
+            timeout,
+            step,
+            extra,
+        )
 
     def _routing_ready(self):
         active = self.active_router()

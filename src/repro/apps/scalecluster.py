@@ -20,12 +20,10 @@ binds interfaces and counts moves; the ARP-spoofing/notification
 machinery stays in the faithful tier where clients are modeled.
 """
 
-import functools
 import hashlib
 
-from repro.core.placement import RendezvousMap
-from repro.flow import DirectResolver, FlowEngine, FlowPool
-from repro.gcs.segments import Fleet, SegmentConfig, SegmentNode
+from repro.apps.cluster import ScaleCell, run_until
+from repro.gcs.segments import Fleet, SegmentConfig
 from repro.net.addresses import IPAddress
 from repro.net.fault import FaultInjector
 from repro.net.host import Host
@@ -36,66 +34,17 @@ from repro.net.partition import (
     ShardPlan,
     UplinkHost,
 )
-from repro.sim.process import Process
 from repro.sim.shard import ShardedKernel, merge_artifacts
 from repro.sim.shard.merge import view_digest
 from repro.sim.simulation import Simulation
 
 
-class ScaleVipManager(Process):
-    """Binds one host's rendezvous share of the VIP pool.
+class ScaleClusterScenario(ScaleCell):
+    """One segmented scale-tier cluster: a single cell spanning the fleet.
 
-    On every adopted :class:`~repro.gcs.segments.GlobalView` the manager
-    looks up its slot set in the shared placement map and diffs it
-    against the interface: new slots are bound, lost slots released. A
-    node absent from the view (declared dead while actually alive)
-    releases everything — the scale-tier analogue of the paper's rule
-    that a partitioned minority must drop its addresses.
+    Every host sits on the one LAN and HRW places VIPs over the whole
+    membership.
     """
-
-    def __init__(self, host, lan, placement, member_scope=None):
-        super().__init__(host.sim, "svip@{}".format(host.name))
-        self.host = host
-        self.nic = host.nic_on(lan)
-        self.placement = placement
-        # When set, HRW candidates are the view members inside this
-        # scope only — the sharded tier scopes each placement map to
-        # its segment so a VIP never leaves its cell (membership still
-        # travels the whole fleet; only placement is local).
-        self.member_scope = frozenset(member_scope) if member_scope is not None else None
-        self.bound = set()
-        self.binds = 0
-        self.unbinds = 0
-        self.view = None
-        host.register_service(self)
-
-    def apply_view(self, view):
-        """Rebind to the HRW share implied by ``view``."""
-        if not self.alive:
-            return
-        self.view = view
-        members = view.members
-        if self.member_scope is not None:
-            members = tuple(name for name in members if name in self.member_scope)
-        if self.host.name in members:
-            owned = set(self.placement.owned_index_for(members).get(self.host.name, ()))
-        else:
-            owned = set()
-        for vip in sorted(self.bound - owned):
-            self.nic.unbind_ip(vip)
-            self.unbinds += 1
-        for vip in sorted(owned - self.bound):
-            self.nic.bind_ip(vip)
-            self.binds += 1
-        self.bound = owned
-
-    def reset_counters(self):
-        self.binds = 0
-        self.unbinds = 0
-
-
-class ScaleClusterScenario:
-    """Builds and drives one segmented scale-tier cluster."""
 
     SUBNET = "10.32.0.0/16"
 
@@ -123,8 +72,6 @@ class ScaleClusterScenario:
             trace_capacity=trace_capacity,
             metrics_enabled=metrics_enabled,
         )
-        self.lan = Lan(self.sim, "scale", self.SUBNET)
-        self.faults = FaultInjector(self.sim)
         self.segment_config = segment_config or SegmentConfig(segment_size=segment_size)
 
         # Address plan: hosts fill 10.32.1.x upward, VIPs fill
@@ -132,47 +79,21 @@ class ScaleClusterScenario:
         entries = [
             (self._host_name(index), self._host_ip(index)) for index in range(n_hosts)
         ]
-        self.fleet = Fleet(entries, self.segment_config.segment_size)
-        self.vips = [self._vip_ip(index) for index in range(n_vips)]
-        self.placement = RendezvousMap(self.vips)
-
-        self.hosts = []
-        self.nodes = []
-        self.managers = []
+        super().__init__(
+            Lan(self.sim, "scale", self.SUBNET),
+            Fleet(entries, self.segment_config.segment_size),
+            self.segment_config,
+            [self._vip_ip(index) for index in range(n_vips)],
+            FaultInjector(self.sim),
+        )
         for index, (name, ip) in enumerate(entries):
             host = Host(self.sim, name)
             host.add_nic(self.lan, ip)
-            self.hosts.append(host)
-            self._attach(index)
-
-        # The flow plane, scale tier: clients are not modeled at this
-        # size, so pools resolve through a DirectResolver over the live
-        # managers' bound sets — a VIP serves iff some live manager
-        # currently binds it.
-        self.flow_engine = None
+            self.add(host, index)
         if flow_users:
-            resolver = DirectResolver(self._flow_bindings, lan=self.lan)
-            self.flow_engine = FlowEngine(
-                self.sim,
-                resolver=resolver,
-                tick=flow_tick,
-                name="scale",
-                use_numpy=flow_use_numpy,
+            self.attach_flow(
+                "scale", flow_users, n_vips, 0, flow_rate, flow_tick, flow_use_numpy
             )
-            share, remainder = divmod(int(flow_users), n_vips)
-            for index, vip in enumerate(self.vips):
-                users = share + (1 if index < remainder else 0)
-                if users:
-                    self.flow_engine.add_pool(
-                        FlowPool("pool-{:04d}".format(index), vip, users, rate=flow_rate)
-                    )
-
-    def _flow_bindings(self):
-        """(vip, owner host) pairs over live managers, for the resolver."""
-        for manager in self.managers:
-            if manager.alive:
-                for vip in manager.bound:
-                    yield vip, manager.host
 
     @staticmethod
     def _host_name(index):
@@ -186,87 +107,15 @@ class ScaleClusterScenario:
     def _vip_ip(index):
         return "10.32.{}.{}".format(128 + index // 250, 1 + index % 250)
 
-    def _attach(self, index):
-        """Create (or re-create after revival) a host's daemon pair."""
-        host = self.hosts[index]
-        manager = ScaleVipManager(host, self.lan, self.placement)
-        node = SegmentNode(
-            host,
-            self.lan,
-            index,
-            self.fleet,
-            self.segment_config,
-            on_global_view=manager.apply_view,
-        )
-        if index < len(self.nodes):
-            self.nodes[index] = node
-            self.managers[index] = manager
-        else:
-            self.nodes.append(node)
-            self.managers.append(manager)
-        return node, manager
-
     # ------------------------------------------------------------------
-    # lifecycle
-
-    def start(self):
-        """Boot every node (heartbeat phases are per-node jittered)."""
-        for node in self.nodes:
-            node.start()
-        if self.flow_engine is not None:
-            self.flow_engine.start()
-        return self
 
     def settle(self, timeout=30.0, step=0.5):
         """Run until :meth:`converged`, or until ``timeout`` elapses."""
-        deadline = self.sim.now + timeout
-        while self.sim.now < deadline:
-            self.sim.run_for(step)
-            if self.converged():
-                return True
-        return self.converged()
-
-    # ------------------------------------------------------------------
-    # faults
-
-    def kill(self, index):
-        """Fail-stop one host."""
-        self.faults.crash_host(self.hosts[index])
-
-    def revive(self, index):
-        """Reboot a crashed host and restart its daemons."""
-        host = self.hosts[index]
-        self.faults.recover_host(host)
-        node, _manager = self._attach(index)
-        node.start()
-
-    # ------------------------------------------------------------------
-    # inspection
-
-    def live_nodes(self):
-        return [node for node in self.nodes if node.alive]
+        return run_until(self.sim, self.converged, timeout, step)
 
     def live_views(self):
         """The set of distinct global views held by live nodes."""
-        return {node.global_view for node in self.nodes if node.alive}
-
-    def bindings(self):
-        """Sorted (vip, host) pairs over live managers' bound sets."""
-        pairs = []
-        for manager in self.managers:
-            if manager.alive:
-                for vip in manager.bound:
-                    pairs.append((vip, manager.host.name))
-        return sorted(pairs)
-
-    def coverage_violations(self):
-        """(uncovered vips, duplicated vips) among live managers."""
-        owners = {}
-        for vip, name in self.bindings():
-            owners.setdefault(vip, []).append(name)
-        uncovered = sorted(vip for vip in self.vips if vip not in owners)
-        duplicated = sorted(vip for vip, names in owners.items() if len(names) > 1)
-        return uncovered, duplicated
+        return {node.global_view for node in self.live_nodes()}
 
     def converged(self):
         """One shared view naming exactly the live hosts, full single-owner coverage."""
@@ -282,7 +131,7 @@ class ScaleClusterScenario:
 
     def moved_vips(self):
         """Total rebinds since the last :meth:`reset_move_counters`."""
-        return sum(m.binds for m in self.managers if m.alive)
+        return self.moves()[0]
 
     def reset_move_counters(self):
         for manager in self.managers:
@@ -403,125 +252,61 @@ class ScaleShardWorld:
             },
         )
         all_vips = [ScaleClusterScenario._vip_ip(index) for index in range(n_vips)]
+        faults = FaultInjector(self.sim)
 
-        self._hosts = {}
-        self._nodes = {}
-        self._managers = {}
-        self._cell_indexes = {}
-        self._cell_lan = {}
-        self._cell_placement = {}
-        self._cell_scope = {}
-        self._cell_vips = {}
-        self._cell_engine = {}
+        self._cells = {}
         self._source_cell = {}
 
         kills = [(float(t), int(i)) for t, i in merged["kills"]]
         revives = [(float(t), int(i)) for t, i in merged["revives"]]
 
-        for cell in self.cells:
-            lan = Lan(self.sim, "seg{:02d}".format(cell), ScaleClusterScenario.SUBNET)
-            members = self.fleet.segment_members(cell)
-            scope = frozenset(members)
-            start, count = _vip_slice(n_vips, n_segments, cell)
-            cell_vips = all_vips[start : start + count]
-            placement = RendezvousMap(cell_vips)
-            indexes = []
-            self._cell_lan[cell] = lan
-            self._cell_scope[cell] = scope
-            self._cell_placement[cell] = placement
-            self._cell_vips[cell] = cell_vips
+        for cell_id in self.cells:
+            lan = Lan(self.sim, "seg{:02d}".format(cell_id), ScaleClusterScenario.SUBNET)
+            members = self.fleet.segment_members(cell_id)
+            start, count = _vip_slice(n_vips, n_segments, cell_id)
+            cell = ScaleCell(
+                lan,
+                self.fleet,
+                self.config,
+                all_vips[start : start + count],
+                faults,
+                member_scope=frozenset(members),
+            )
+            self._cells[cell_id] = cell
             for name in members:
-                index = self.fleet.index_of[name]
-                indexes.append(index)
-                host = UplinkHost(self.sim, name, self.uplink, cell)
+                host = UplinkHost(self.sim, name, self.uplink, cell_id)
                 host.add_nic(lan, self.fleet.ip_of[name])
                 self.uplink.attach_host(host, self.fleet.ip_of[name])
-                self._hosts[index] = host
-                self._attach(index)
-                self._source_cell[name] = cell
-                self._source_cell["seg@" + name] = cell
-                self._source_cell["svip@" + name] = cell
-            self._cell_indexes[cell] = tuple(indexes)
+                cell.add(host, self.fleet.index_of[name])
+                self._source_cell[name] = cell_id
+                self._source_cell["seg@" + name] = cell_id
+                self._source_cell["svip@" + name] = cell_id
 
-            engine = None
             if merged["flow_users"]:
-                resolver = DirectResolver(
-                    functools.partial(self._iter_cell_bindings, cell), lan=lan
+                engine = cell.attach_flow(
+                    lan.name,
+                    merged["flow_users"],
+                    n_vips,
+                    start,
+                    merged["flow_rate"],
+                    merged["flow_tick"],
+                    merged["flow_use_numpy"],
                 )
-                engine = FlowEngine(
-                    self.sim,
-                    resolver=resolver,
-                    tick=merged["flow_tick"],
-                    name="seg{:02d}".format(cell),
-                    use_numpy=merged["flow_use_numpy"],
-                )
-                share, remainder = divmod(int(merged["flow_users"]), n_vips)
-                for offset, vip in enumerate(cell_vips):
-                    global_index = start + offset
-                    users = share + (1 if global_index < remainder else 0)
-                    if users:
-                        engine.add_pool(
-                            FlowPool(
-                                "pool-{:04d}".format(global_index),
-                                vip,
-                                users,
-                                rate=merged["flow_rate"],
-                            )
-                        )
-                self._source_cell[engine.name] = cell
-            self._cell_engine[cell] = engine
+                self._source_cell[engine.name] = cell_id
 
             # Faults are pre-scheduled at build time (the fixed-horizon
             # script keeps run control grouping-invariant), per cell in
             # (time, index) order so sequence numbers are too.
-            for time, index in sorted(k for k in kills if self._cell_of_index(k[1]) == cell):
-                self.sim.at(time, self._kill, index)
-            for time, index in sorted(r for r in revives if self._cell_of_index(r[1]) == cell):
-                self.sim.at(time, self._revive, index)
+            for time, index in sorted(k for k in kills if self._cell_of_index(k[1]) == cell_id):
+                self.sim.at(time, cell.kill, index)
+            for time, index in sorted(r for r in revives if self._cell_of_index(r[1]) == cell_id):
+                self.sim.at(time, cell.revive, index)
 
-        for cell in self.cells:
-            for index in self._cell_indexes[cell]:
-                self._nodes[index].start()
-            if self._cell_engine[cell] is not None:
-                self._cell_engine[cell].start()
+        for cell_id in self.cells:
+            self._cells[cell_id].start()
 
     def _cell_of_index(self, index):
         return self.fleet.segment_of_index(int(index))
-
-    def _attach(self, index):
-        host = self._hosts[index]
-        cell = self._cell_of_index(index)
-        manager = ScaleVipManager(
-            host,
-            self._cell_lan[cell],
-            self._cell_placement[cell],
-            member_scope=self._cell_scope[cell],
-        )
-        node = SegmentNode(
-            host,
-            self._cell_lan[cell],
-            index,
-            self.fleet,
-            self.config,
-            on_global_view=manager.apply_view,
-        )
-        self._managers[index] = manager
-        self._nodes[index] = node
-        return node
-
-    def _iter_cell_bindings(self, cell):
-        for index in self._cell_indexes[cell]:
-            manager = self._managers[index]
-            if manager.alive:
-                for vip in manager.bound:
-                    yield vip, manager.host
-
-    def _kill(self, index):
-        self._hosts[index].crash()
-
-    def _revive(self, index):
-        self._hosts[index].recover()
-        self._attach(index).start()
 
     # ------------------------------------------------------------------
     # the kernel's world protocol
@@ -541,27 +326,14 @@ class ScaleShardWorld:
     def artifacts(self):
         """This world's share of the run artifact (see shard.merge)."""
         cells_out = {}
-        for cell in self.cells:
-            indexes = self._cell_indexes[cell]
-            live_nodes = [
-                self._nodes[index] for index in indexes if self._nodes[index].alive
-            ]
-            bindings = []
-            binds = unbinds = 0
-            for index in indexes:
-                manager = self._managers[index]
-                if manager.alive:
-                    binds += manager.binds
-                    unbinds += manager.unbinds
-                    for vip in manager.bound:
-                        bindings.append((str(vip), manager.host.name))
-            bindings.sort()
-            owners = {}
-            for vip, name in bindings:
-                owners.setdefault(vip, []).append(name)
-            cell_vips = [str(vip) for vip in self._cell_vips[cell]]
-            engine = self._cell_engine[cell]
-            cells_out[cell] = {
+        for cell_id in self.cells:
+            cell = self._cells[cell_id]
+            live_nodes = cell.live_nodes()
+            bindings = cell.bindings()
+            binds, unbinds = cell.moves()
+            uncovered, duplicated = cell.coverage_violations()
+            engine = cell.flow_engine
+            cells_out[cell_id] = {
                 "live": sorted(node.node_name for node in live_nodes),
                 "views": [
                     list(view)
@@ -572,16 +344,16 @@ class ScaleShardWorld:
                         }
                     )
                 ],
-                "n_vips": len(cell_vips),
-                "uncovered": sum(1 for vip in cell_vips if vip not in owners),
-                "duplicated": sum(1 for names in owners.values() if len(names) > 1),
+                "n_vips": len(cell.vips),
+                "uncovered": len(uncovered),
+                "duplicated": len(duplicated),
                 "binds": binds,
                 "unbinds": unbinds,
                 "bindings_sha256": hashlib.sha256(
                     ";".join("=".join(pair) for pair in bindings).encode("utf-8")
                 ).hexdigest(),
                 "flow": engine.totals() if engine is not None else None,
-                "uplink": self.uplink.counters(cell),
+                "uplink": self.uplink.counters(cell_id),
             }
         trace_out = {cell: [] for cell in self.cells}
         for record in self.sim.trace.records:

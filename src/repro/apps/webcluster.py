@@ -6,13 +6,11 @@ an echo service stands in for the web server; a probe client on the
 same segment measures availability exactly as in §6.
 """
 
+from repro.apps.cluster import ServerGroup, run_until
 from repro.apps.workload import ProbeClient, UdpEchoServer
-from repro.flow import ArpViewResolver, FlowEngine, FlowPool
-from repro.core.audit import CoverageAuditor
+from repro.flow import ArpViewResolver, FlowEngine
 from repro.core.config import WackamoleConfig
-from repro.core.daemon import WackamoleDaemon
 from repro.gcs.config import SpreadConfig
-from repro.gcs.daemon import SpreadDaemon
 from repro.net.fault import FaultInjector
 from repro.net.host import Host
 from repro.net.lan import Lan
@@ -20,8 +18,8 @@ from repro.net.router import Router
 from repro.sim.simulation import Simulation
 
 
-class WebClusterScenario:
-    """Builds and runs one simulated web cluster."""
+class WebClusterScenario(ServerGroup):
+    """One simulated web cluster: a ServerGroup behind a router, probed."""
 
     SUBNET = "198.51.100.0/24"
 
@@ -43,6 +41,11 @@ class WebClusterScenario:
         metrics_enabled=True,
         sim=None,
     ):
+        # Address plan: servers .10 up, VIPs .150 up, clients .200/.201.
+        if n_servers > 140:
+            raise ValueError("n_servers exceeds the address plan (at most 140)")
+        if n_vips > 50:
+            raise ValueError("n_vips exceeds the address plan (at most 50)")
         self.sim = sim if sim is not None else Simulation(
             seed=seed,
             trace_enabled=trace_enabled,
@@ -50,7 +53,6 @@ class WebClusterScenario:
             metrics_enabled=metrics_enabled,
         )
         self.lan = Lan(self.sim, "cluster", self.SUBNET)
-        self.spread_config = spread_config or SpreadConfig.default()
         self.faults = FaultInjector(self.sim)
 
         self.router = Router(self.sim, "router")
@@ -64,21 +66,19 @@ class WebClusterScenario:
             # the departed server's VIPs; the default stays the paper's
             # linear levelling pass.
             overrides["placement_strategy"] = placement_strategy
-        self.wackamole_config = WackamoleConfig.for_vips(self.vips, **overrides)
+        super().__init__(
+            self.sim,
+            self.lan,
+            spread_config or SpreadConfig.default(),
+            WackamoleConfig.for_vips(self.vips, **overrides),
+        )
 
-        self.hosts = []
-        self.spreads = []
-        self.wacks = []
         self.echo_servers = []
         for index in range(n_servers):
             host = Host(self.sim, "web{}".format(index + 1))
             host.add_nic(self.lan, "198.51.100.{}".format(10 + index))
             host.set_default_gateway("198.51.100.1")
-            spread = SpreadDaemon(host, self.lan, self.spread_config)
-            wack = WackamoleDaemon(host, spread, self.wackamole_config)
-            self.hosts.append(host)
-            self.spreads.append(spread)
-            self.wacks.append(wack)
+            self.add(host)
             self.echo_servers.append(UdpEchoServer(host))
 
         self.client_host = Host(self.sim, "client")
@@ -86,7 +86,6 @@ class WebClusterScenario:
         self.client_host.set_default_gateway("198.51.100.1")
         self.probe = None
         self.probe_interval = probe_interval
-        self.auditor = CoverageAuditor(self.wacks)
 
         # The flow plane: ``flow_users`` aggregate clients spread evenly
         # across the VIPs, resolved through a dedicated client host's
@@ -106,21 +105,13 @@ class WebClusterScenario:
                 name="web",
                 use_numpy=flow_use_numpy,
             )
-            share, remainder = divmod(int(flow_users), len(self.vips))
-            for index, vip in enumerate(self.vips):
-                users = share + (1 if index < remainder else 0)
-                if users:
-                    self.flow_engine.add_pool(
-                        FlowPool("pool-{}".format(index), vip, users, rate=flow_rate)
-                    )
+            self.flow_engine.add_uniform_pools(self.vips, flow_users, rate=flow_rate)
 
     # ------------------------------------------------------------------
 
     def start(self, stagger=0.05):
         """Boot daemons with a small start stagger (like real init)."""
-        for index, (spread, wack) in enumerate(zip(self.spreads, self.wacks)):
-            self.sim.after(stagger * index, spread.start)
-            self.sim.after(stagger * index + 0.01, wack.start)
+        super().start(stagger)
         if self.flow_engine is not None:
             self.flow_engine.start()
         return self
@@ -136,21 +127,8 @@ class WebClusterScenario:
 
     def run_until_stable(self, timeout=60.0, extra=0.5):
         """Run until every daemon reaches RUN and coverage is complete."""
-        from repro.core.state import RUN
-
-        deadline = self.sim.now + timeout
         step = max(self.spread_config.heartbeat_timeout / 2.0, 0.1)
-        while self.sim.now < deadline:
-            self.sim.run_for(step)
-            live = [w for w in self.wacks if w.alive]
-            if (
-                live
-                and all(w.machine.state == RUN and w.mature for w in live)
-                and not self.auditor.check()
-            ):
-                self.sim.run_for(extra)
-                return True
-        return False
+        return run_until(self.sim, self.settled, timeout, step, extra)
 
     # ------------------------------------------------------------------
     # convenience accessors

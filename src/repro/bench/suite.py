@@ -237,7 +237,18 @@ def make_burst_loss_failover(scale):
     This prices the whole gray stack — link model draws, retry timers,
     supervisors — on the same trial machinery the campaigns use.
     """
-    from repro.check.schedule import BURST_LOSS, CRASH, FaultEvent, FaultSchedule
+    from repro.check.schedule import BURST_LOSS, CRASH, FaultEvent
+
+    events = [
+        FaultEvent(BURST_LOSS, 1.0, duration=12.0, param=0.8),
+        FaultEvent(CRASH, 4.0, host=1, duration=6.0),
+    ]
+    return _directed_trials(scale, "burst-loss fail-over", 31000, events, gray=True)
+
+
+def _directed_trials(scale, label, base_seed, events, **spec_flags):
+    """``scale["trials"]`` runs of one scripted schedule; all must pass."""
+    from repro.check.schedule import FaultSchedule
     from repro.check.trial import make_spec, run_trial
 
     trials = scale["trials"]
@@ -245,17 +256,11 @@ def make_burst_loss_failover(scale):
 
     def run():
         for index in range(trials):
-            schedule = FaultSchedule(
-                [
-                    FaultEvent(BURST_LOSS, 1.0, duration=12.0, param=0.8),
-                    FaultEvent(CRASH, 4.0, host=1, duration=6.0),
-                ],
-                horizon=horizon,
-            )
-            result = run_trial(make_spec(31000 + index, schedule, gray=True))
+            schedule = FaultSchedule(events, horizon=horizon)
+            result = run_trial(make_spec(base_seed + index, schedule, **spec_flags))
             if result["verdict"] != "pass":
                 raise RuntimeError(
-                    "burst-loss fail-over bench produced {}".format(result["verdict"])
+                    "{} bench produced {}".format(label, result["verdict"])
                 )
         return trials
 
@@ -473,33 +478,16 @@ def make_stabilize_after_corruption(scale):
         CORRUPT_SEQUENCE,
         CORRUPT_VIP_TABLE,
         FaultEvent,
-        FaultSchedule,
     )
-    from repro.check.trial import make_spec, run_trial
 
-    trials = scale["trials"]
-    horizon = scale["horizon"]
-
-    def run():
-        for index in range(trials):
-            schedule = FaultSchedule(
-                [
-                    FaultEvent(CORRUPT_VIP_TABLE, 1.0, host=0),
-                    FaultEvent(CORRUPT_MEMBERSHIP, 3.0, host=1),
-                    FaultEvent(BURST_LOSS, 5.0, duration=6.0, param=0.7),
-                    FaultEvent(CORRUPT_SEQUENCE, 8.0, host=2),
-                    FaultEvent(CORRUPT_EPOCH, 11.0, host=3),
-                ],
-                horizon=horizon,
-            )
-            result = run_trial(make_spec(47000 + index, schedule, corrupt=True))
-            if result["verdict"] != "pass":
-                raise RuntimeError(
-                    "corruption stabilize bench produced {}".format(result["verdict"])
-                )
-        return trials
-
-    return run, "trials"
+    events = [
+        FaultEvent(CORRUPT_VIP_TABLE, 1.0, host=0),
+        FaultEvent(CORRUPT_MEMBERSHIP, 3.0, host=1),
+        FaultEvent(BURST_LOSS, 5.0, duration=6.0, param=0.7),
+        FaultEvent(CORRUPT_SEQUENCE, 8.0, host=2),
+        FaultEvent(CORRUPT_EPOCH, 11.0, host=3),
+    ]
+    return _directed_trials(scale, "corruption stabilize", 47000, events, corrupt=True)
 
 
 BENCHES = {

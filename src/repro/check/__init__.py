@@ -9,7 +9,8 @@ package *searches* for schedules that break them:
   fault schedules (NIC flaps, crashes, partitions, graceful leaves),
   serialized as replayable JSON.
 * :mod:`repro.check.trial` — one trial: fresh simulation, fresh
-  cluster, continuous invariant sampling, end-of-trial convergence.
+  cluster, continuous invariant sampling, end-of-trial convergence;
+  also the scale-tier and shard-parity trial shapes.
 * :mod:`repro.check.campaign` — fan trials across worker processes
   with per-trial forked RNG seeds; shrink and archive failures.
 * :mod:`repro.check.shrink` — delta-debugging minimization of a

@@ -8,56 +8,25 @@ appliers depends only on simulated state, so the whole trial stays a
 pure function of (seed, schedule).
 """
 
-from repro.core.audit import CoverageAuditor
+from repro.apps.cluster import ServerGroup, run_until
 from repro.core.config import WackamoleConfig
-from repro.core.state import RUN
-from repro.core.supervisor import DaemonSupervisor
 from repro.gcs.config import SpreadConfig
-from repro.gcs.daemon import SpreadDaemon
 from repro.net.fault import FaultInjector
 from repro.net.host import Host
 from repro.net.lan import Lan
 from repro.net.linkfault import GilbertElliott
-from repro.stabilization import StabilizationConfig
 
 from repro.check import schedule as sched
 
-#: Audit cadence for corrupt clusters: fast enough that a corruption is
-#: caught well inside CORRUPT_VIOLATION_GRACE, slow enough that the
-#: audit itself stays background noise against the fast Table 1 ratios.
-CORRUPT_STABILIZE_INTERVAL = 0.5
-
-
-def fast_spread_config(suspicion_misses=1, stabilization=None):
-    """The test suite's aggressive timeouts (Table 1 ratios preserved)."""
-    return SpreadConfig(
-        fault_detection_timeout=0.5,
-        heartbeat_timeout=0.2,
-        discovery_timeout=0.5,
-        join_interval=0.02,
-        form_timeout=0.3,
-        install_timeout=0.3,
-        suspicion_misses=suspicion_misses,
-        stabilization=stabilization,
-    )
-
-
-#: Wackamole hardening applied by gray clusters (docs/FAULTS.md): ARP
-#: retries + periodic re-announcement, conflict re-ARP and wire-level
-#: conflict resolution, and a fast reconnect cycle for supervised
-#: daemon restarts.
-GRAY_WACK_OVERRIDES = {
-    "arp_announce_retries": 2,
-    "arp_announce_backoff": 0.3,
-    "arp_reannounce_interval": 2.0,
-    "conflict_reannounce": True,
-    "arp_conflict_resolution": True,
-    "arp_conflict_holddown": 0.5,
-    "reconnect_interval": 0.5,
+#: Corruptions of a host's GCS daemon state, by schedule kind.
+_GCS_CORRUPTIONS = {
+    sched.CORRUPT_MEMBERSHIP: FaultInjector.corrupt_membership,
+    sched.CORRUPT_SEQUENCE: FaultInjector.corrupt_sequence,
+    sched.CORRUPT_EPOCH: FaultInjector.corrupt_epoch,
 }
 
 
-class CheckCluster:
+class CheckCluster(ServerGroup):
     """One LAN of ``n`` fail-over servers, built for a single trial."""
 
     SUBNET = "10.9.0.0/24"
@@ -72,55 +41,32 @@ class CheckCluster:
         gray=False,
         corrupt=False,
     ):
-        self.sim = sim
-        self.daemon_cls = daemon_cls
+        # Address plan: servers .10 up, VIPs .100 up, flow clients .200.
+        if n_servers > 90:
+            raise ValueError("n_servers exceeds the address plan (at most 90)")
+        if n_vips > 100:
+            raise ValueError("n_vips exceeds the address plan (at most 100)")
         # Corruption trials need every gray hardening (supervisors catch
         # wedges, K-miss detection rides out burst loss) plus the
         # periodic self-stabilization audits that notice corrupted state.
-        self.corrupt = bool(corrupt)
-        self.gray = gray = bool(gray) or self.corrupt
-        stabilization = (
-            StabilizationConfig(interval=CORRUPT_STABILIZE_INTERVAL)
-            if self.corrupt
-            else None
-        )
-        self.lan = Lan(sim, "check", self.SUBNET)
-        self.spread_config = fast_spread_config(
-            suspicion_misses=2 if gray else 1, stabilization=stabilization
-        )
+        profile = "stabilizing" if corrupt else "hardened" if gray else "paper"
         self.vips = ["10.9.0.{}".format(100 + i) for i in range(n_vips)]
         overrides = {"maturity_timeout": 0.5, "balance_timeout": 1.5}
-        if gray:
-            overrides.update(GRAY_WACK_OVERRIDES)
-        if stabilization is not None:
-            overrides["stabilization"] = stabilization
+        overrides.update(WackamoleConfig.profile(profile))
         overrides.update(wack_overrides or {})
-        self.wconfig = WackamoleConfig.for_vips(self.vips, **overrides)
+        super().__init__(
+            sim,
+            Lan(sim, "check", self.SUBNET),
+            SpreadConfig.fast(**SpreadConfig.profile(profile)),
+            WackamoleConfig.for_vips(self.vips, **overrides),
+            daemon_cls,
+            profile,
+        )
         self.faults = FaultInjector(sim)
-        self.hosts, self.spreads, self.wacks = [], [], []
-        self.supervisors = []
         for index in range(n_servers):
             host = Host(sim, "s{}".format(index))
             host.add_nic(self.lan, "10.9.0.{}".format(10 + index))
-            spread = SpreadDaemon(host, self.lan, self.spread_config)
-            wack = daemon_cls(host, spread, self.wconfig)
-            self.hosts.append(host)
-            self.spreads.append(spread)
-            self.wacks.append(wack)
-            if gray:
-                supervisor = DaemonSupervisor(
-                    host,
-                    check_interval=0.5,
-                    stall_checks=3,
-                    restart_backoff=0.5,
-                    backoff_cap=4.0,
-                    stable_after=5.0,
-                    on_restart=self._make_on_restart(index),
-                )
-                supervisor.watch_wackamole(wack)
-                self.supervisors.append(supervisor)
-        self.auditor = CoverageAuditor(self.wacks)
-        self.restarts = 0
+            self.add(host)
         self.flow_engine = None
         self.flow_host = None
 
@@ -131,76 +77,25 @@ class CheckCluster:
         dedicated client host's ARP view, so the trial's flow totals
         price exactly the outage windows its fault schedule opens.
         """
-        from repro.flow import ArpViewResolver, FlowEngine, FlowPool
+        from repro.flow import ArpViewResolver, FlowEngine
 
         self.flow_host = Host(self.sim, "flowclients")
         self.flow_host.add_nic(self.lan, "10.9.0.200")
         resolver = ArpViewResolver(self.lan, self.flow_host, self.hosts)
         self.flow_engine = FlowEngine(self.sim, resolver=resolver, tick=tick, name="check")
-        share, remainder = divmod(int(flow_users), len(self.vips))
-        for index, vip in enumerate(self.vips):
-            users = share + (1 if index < remainder else 0)
-            if users:
-                self.flow_engine.add_pool(
-                    FlowPool("pool-{}".format(index), vip, users, rate=flow_rate)
-                )
+        self.flow_engine.add_uniform_pools(self.vips, flow_users, rate=flow_rate)
         return self.flow_engine
 
     def start(self, stagger=0.03):
         """Boot every daemon with a small start stagger."""
-        for index, (spread, wack) in enumerate(zip(self.spreads, self.wacks)):
-            self.sim.after(stagger * index, spread.start)
-            self.sim.after(stagger * index + 0.01, wack.start)
-        for supervisor in self.supervisors:
-            supervisor.start()
+        super().start(stagger)
         if self.flow_engine is not None:
             self.flow_engine.start()
         return self
 
-    def _make_on_restart(self, index):
-        def on_restart(kind, old, new):
-            # Keep the harness's daemon lists pointing at the current
-            # generation so sampling and settling see live daemons.
-            if kind == "spread":
-                if self.spreads[index] is old:
-                    self.spreads[index] = new
-            elif kind == "wackamole":
-                if self.wacks[index] is old:
-                    self.wacks[index] = new
-
-        return on_restart
-
-    # ------------------------------------------------------------------
-    # invariant plumbing
-
-    def refresh_auditor(self):
-        """Point the auditor at the current daemon generation."""
-        self.auditor.daemons = list(self.wacks)
-        return self.auditor
-
-    def is_settled(self):
-        """Every live daemon RUN, mature, connected — and coverage exact."""
-        self.refresh_auditor()
-        live = [w for w in self.wacks if w.alive]
-        return bool(
-            live
-            and all(w.machine.state == RUN and w.mature for w in live)
-            and all(
-                w.client is not None and w.client.connected and w.view is not None
-                for w in live
-            )
-            and not self.auditor.check()
-        )
-
     def settle(self, timeout=30.0, step=0.2):
-        """Run until :meth:`is_settled` holds (True) or timeout (False)."""
-        deadline = self.sim.now + timeout
-        while self.sim.now < deadline:
-            self.sim.run_for(step)
-            if self.is_settled():
-                self.sim.run_for(step)
-                return True
-        return False
+        """Run until :meth:`settled` holds (True) or timeout (False)."""
+        return run_until(self.sim, self.settled, timeout, step, extra=step)
 
     # ------------------------------------------------------------------
     # schedule application
@@ -273,18 +168,10 @@ class CheckCluster:
             if not wack.alive or not wack.host.alive:
                 return
             self.faults.corrupt_vip_table(wack)
-        elif event.kind == sched.CORRUPT_MEMBERSHIP:
+        elif event.kind in _GCS_CORRUPTIONS:
             spread = self._corruptible_spread(event.host)
             if spread is not None:
-                self.faults.corrupt_membership(spread)
-        elif event.kind == sched.CORRUPT_SEQUENCE:
-            spread = self._corruptible_spread(event.host)
-            if spread is not None:
-                self.faults.corrupt_sequence(spread)
-        elif event.kind == sched.CORRUPT_EPOCH:
-            spread = self._corruptible_spread(event.host)
-            if spread is not None:
-                self.faults.corrupt_epoch(spread)
+                _GCS_CORRUPTIONS[event.kind](self.faults, spread)
 
     def _corruptible_spread(self, index):
         """The host's live, unwedged GCS daemon, or None.
@@ -328,38 +215,12 @@ class CheckCluster:
         if host.alive:
             return
         self.faults.recover_host(host)
-        self.restarts += 1
-        spread = SpreadDaemon(
-            host,
-            self.lan,
-            self.spread_config,
-            daemon_id="{}-r{}".format(host.name, self.restarts),
-        )
-        wack = self.daemon_cls(host, spread, self.wconfig)
-        spread.start()
-        wack.start()
-        self.spreads[index] = spread
-        self.wacks[index] = wack
-        if self.gray:
-            # The host crash killed the supervisor with every other
-            # service; the rebooted machine gets a fresh one.
-            supervisor = DaemonSupervisor(
-                host,
-                check_interval=0.5,
-                stall_checks=3,
-                restart_backoff=0.5,
-                backoff_cap=4.0,
-                stable_after=5.0,
-                on_restart=self._make_on_restart(index),
-            )
-            supervisor.watch_wackamole(wack)
-            supervisor.start()
-            self.supervisors[index] = supervisor
+        self.restart(index)
 
     def _rejoin(self, index):
         host = self.hosts[index]
         if not host.alive or self.wacks[index].alive:
             return
-        wack = self.daemon_cls(host, host.spread_daemon, self.wconfig)
+        wack = self.daemon_cls(host, host.spread_daemon, self.wackamole_config)
         wack.start()
         self.wacks[index] = wack

@@ -2,17 +2,32 @@
 
 Specs and results are JSON-compatible dicts so trials can cross
 process boundaries (``concurrent.futures``) and land in replayable
-artifacts unchanged. ``run_trial`` is a pure function of its spec:
+artifacts unchanged. Every runner here is a pure function of its spec:
 the simulation seed, the schedule, and every harness guard depend only
 on simulated state, never on wall-clock or process identity.
+
+Three trial shapes share this module and its two helpers (the spec
+defaults merge and the persistence-grace sampling loop):
+
+* :func:`run_trial` — the faithful 4–8 server cluster under a
+  generated :class:`~repro.check.schedule.FaultSchedule`;
+* :func:`run_scale_trial` — the 64–1024-host segmented cluster
+  (:mod:`repro.apps.scalecluster`) under seed-derived kill/revive
+  pairs, checked for single-owner coverage and convergence;
+* :func:`run_shard_parity_trial` — one fixed-horizon scale script run
+  serially and sharded, compared byte for byte.
 """
 
+import time
+
+from repro.apps.scalecluster import ScaleClusterScenario, ShardedScaleScenario
 from repro.check.fixtures import daemon_class
 from repro.check.harness import CheckCluster
 from repro.check.schedule import FaultSchedule
-from repro.obs.degraded import degraded_spans_as_dicts
 from repro.obs.episodes import episodes_as_dicts
-from repro.obs.stabilization import stabilization_spans_as_dicts
+from repro.obs.spans import degraded_spans_as_dicts, stabilization_spans_as_dicts
+from repro.sim.rng import RngRegistry
+from repro.sim.shard.merge import artifact_bytes
 from repro.sim.simulation import Simulation
 
 SPEC_DEFAULTS = {
@@ -49,16 +64,51 @@ GRAY_VIOLATION_GRACE = 1.5
 CORRUPT_VIOLATION_GRACE = 2.5
 
 
+def _merge_spec(defaults, seed, overrides, label="spec"):
+    """``defaults`` overlaid with ``overrides`` plus the seed.
+
+    Unknown fields fail loudly: a misspelt knob silently falling back
+    to its default would make a campaign test something else.
+    """
+    unknown = set(overrides) - set(defaults)
+    if unknown:
+        raise ValueError("unknown {} fields: {}".format(label, sorted(unknown)))
+    spec = dict(defaults)
+    spec.update(overrides)
+    spec["seed"] = int(seed)
+    return spec
+
+
+def _first_persistent(sim, end, interval, grace, sample):
+    """Sample every ``interval`` until ``end``; stop at a persistent violation.
+
+    ``sample()`` lists what is violated right now as ``(key, item)``
+    pairs. A key fails the run only once it has been violated at every
+    sample for ``grace`` seconds — faults legitimately open bounded
+    windows (a view still propagating, an ARP repair in flight) while
+    real protocol bugs persist indefinitely; ``grace=0`` fails on
+    first sight. Returns the persistent items of the failing sample,
+    or an empty list when ``end`` is reached clean.
+    """
+    first_seen = {}
+    while sim.now < end - 1e-9:
+        sim.run_for(min(interval, end - sim.now))
+        current = sample()
+        now = sim.now
+        first_seen = {key: first_seen.get(key, now) for key, _item in current}
+        persistent = [
+            item for key, item in current if now - first_seen[key] >= grace - 1e-9
+        ]
+        if persistent:
+            return persistent
+    return []
+
+
 def make_spec(seed, schedule, **overrides):
     """Build a trial spec dict; ``schedule`` is a FaultSchedule or dict."""
     if isinstance(schedule, FaultSchedule):
         schedule = schedule.to_dict()
-    spec = dict(SPEC_DEFAULTS)
-    unknown = set(overrides) - set(SPEC_DEFAULTS)
-    if unknown:
-        raise ValueError("unknown spec fields: {}".format(sorted(unknown)))
-    spec.update(overrides)
-    spec["seed"] = int(seed)
+    spec = _merge_spec(SPEC_DEFAULTS, seed, overrides)
     spec["schedule"] = schedule
     return spec
 
@@ -97,93 +147,286 @@ def run_trial(spec):
 
     start = sim.now
     cluster.apply_schedule(schedule, start)
-    end = start + schedule.horizon
-    interval = spec["sample_interval"]
-    # Gray trials debounce the continuous check: a violation fails the
-    # trial only once the same (kind, slot) has been violated at every
-    # sample for GRAY_VIOLATION_GRACE seconds. Gray faults legitimately
-    # open bounded windows — a singleton that handed addresses back
-    # during ARP conflict repair and was then isolated needs one
-    # failure-detection + regather cycle (~1s with the hardened fast
-    # config) to take them all back — while real protocol bugs persist
-    # indefinitely. Fail-stop trials keep the historical instant-fail
-    # semantics.
-    debounce = spec["gray"] or spec["corrupt"]
-    grace = CORRUPT_VIOLATION_GRACE if spec["corrupt"] else GRAY_VIOLATION_GRACE
-    first_seen = {}
-    while sim.now < end - 1e-9:
-        sim.run_for(min(interval, end - sim.now))
-        cluster.refresh_auditor()
-        violations = cluster.auditor.check_by_view()
-        if violations and not debounce:
-            return _failure(spec, sim, cluster, "violation", violations)
-        first_seen = {
-            (v.kind, v.slot): first_seen.get((v.kind, v.slot), sim.now)
-            for v in violations
-        }
-        persistent = [
-            v
-            for v in violations
-            if sim.now - first_seen[(v.kind, v.slot)] >= grace - 1e-9
-        ]
-        if persistent:
-            return _failure(spec, sim, cluster, "violation", persistent)
+    # Gray and corruption trials debounce the continuous check per
+    # (kind, slot): gray faults legitimately open bounded windows — a
+    # singleton that handed addresses back during ARP conflict repair
+    # and was then isolated needs one failure-detection + regather
+    # cycle (~1s with the hardened fast config) to take them all back.
+    # Fail-stop trials keep the historical instant-fail semantics.
+    if spec["corrupt"]:
+        grace = CORRUPT_VIOLATION_GRACE
+    elif spec["gray"]:
+        grace = GRAY_VIOLATION_GRACE
+    else:
+        grace = 0.0
+    persistent = _first_persistent(
+        sim,
+        start + schedule.horizon,
+        spec["sample_interval"],
+        grace,
+        lambda: [
+            ((v.kind, v.slot), v)
+            for v in cluster.refresh_auditor().check_by_view()
+        ],
+    )
+    if persistent:
+        return _failure(spec, sim, cluster, "violation", persistent)
 
     # Let every event's own healing action fire, then demand convergence.
     tail = start + schedule.tail_time() + 1.0
     if sim.now < tail:
         sim.run_for(tail - sim.now)
     if not cluster.settle(timeout=spec["settle_timeout"]):
-        cluster.refresh_auditor()
         return _failure(spec, sim, cluster, "no_convergence", cluster.auditor.check())
-    result = {
-        "verdict": "pass",
-        "seed": spec["seed"],
-        "sim_time": round(sim.now, 6),
-        "events_fired": sim.scheduler.events_fired,
-        "restarts": cluster.restarts,
-        "metrics": sim.metrics.totals(),
-        "episodes": episodes_as_dicts(sim.trace.records),
-        "fault_log": cluster.faults.log_as_dicts(),
-        "degraded": degraded_spans_as_dicts(sim.trace.records),
-    }
-    _attach_flow_totals(result, cluster)
-    _attach_stabilization(result, spec, sim)
-    return result
+    return _result(
+        spec,
+        sim,
+        cluster,
+        "pass",
+        events_fired=sim.scheduler.events_fired,
+        restarts=cluster.restarts,
+    )
 
 
-def _attach_flow_totals(result, cluster):
-    # Only trials that ran a flow plane carry the key, so historical
-    # artifacts (no "flow" on either side) still replay-compare clean.
+def _result(spec, sim, cluster, verdict, **specifics):
+    """The dict every outcome shares, ``specifics`` after the header."""
+    records = sim.trace.records
+    result = {"verdict": verdict, "seed": spec["seed"], "sim_time": round(sim.now, 6)}
+    result.update(specifics)
+    result["metrics"] = sim.metrics.totals()
+    result["episodes"] = episodes_as_dicts(records)
+    result["fault_log"] = cluster.faults.log_as_dicts()
+    result["degraded"] = degraded_spans_as_dicts(records)
+    # Only trials that ran a flow plane carry its key, and only corrupt
+    # trials carry time-to-stabilize spans, so historical artifacts
+    # (neither key on either side) still replay-compare clean.
     if cluster.flow_engine is not None:
         result["flow"] = cluster.flow_engine.fingerprint()
-
-
-def _attach_stabilization(result, spec, sim):
-    # Same conditional-key convention as the flow plane: only corrupt
-    # trials carry time-to-stabilize spans.
     if spec.get("corrupt"):
-        result["stabilization"] = stabilization_spans_as_dicts(sim.trace.records)
+        result["stabilization"] = stabilization_spans_as_dicts(records)
+    return result
 
 
 def _failure(spec, sim, cluster, verdict, violations):
-    result = {
-        "verdict": verdict,
-        "seed": spec["seed"],
-        "sim_time": round(sim.now, 6),
-        "violations": sorted(repr(v) for v in violations),
-        "violation_kinds": sorted({v.kind for v in violations}),
-        "trace_tail": [repr(r) for r in sim.trace.tail(spec["trace_tail"])],
-        "metrics": sim.metrics.totals(),
-        "episodes": episodes_as_dicts(sim.trace.records),
-        "fault_log": cluster.faults.log_as_dicts(),
-        "degraded": degraded_spans_as_dicts(sim.trace.records),
-    }
-    _attach_flow_totals(result, cluster)
-    _attach_stabilization(result, spec, sim)
-    return result
+    return _result(
+        spec,
+        sim,
+        cluster,
+        verdict,
+        violations=sorted(repr(v) for v in violations),
+        violation_kinds=sorted({v.kind for v in violations}),
+        trace_tail=[repr(r) for r in sim.trace.tail(spec["trace_tail"])],
+    )
 
 
 def result_signature(result):
     """What must match for two failures to count as "the same bug"."""
     return (result["verdict"], tuple(result.get("violation_kinds", ())))
+
+
+# ----------------------------------------------------------------------
+# scale-tier trials: the segmented cluster under kill/revive pairs
+#
+# Invariants checked:
+#
+# * single-owner coverage — at every sample, no VIP may be bound by
+#   more than one *live* manager for longer than ``duplicate_grace``
+#   seconds;
+# * convergence — after the last fault heals, all live nodes must
+#   install one global view naming exactly the live hosts, with every
+#   VIP bound exactly once.
+#
+# The fault schedule is generated from the seed: ``n_faults``
+# kill/revive pairs against distinct victims, never more than half of
+# any segment at once, so the leader-succession chain always has a
+# survivor.
+
+SCALE_SPEC_DEFAULTS = {
+    "n_hosts": 64,
+    "n_vips": 512,
+    "segment_size": 16,
+    "n_faults": 3,
+    "fault_spacing": 4.0,
+    "revive_after": 6.0,
+    "settle_timeout": 30.0,
+    "sample_interval": 0.5,
+    "duplicate_grace": 3.0,
+}
+
+
+def make_scale_spec(seed, **overrides):
+    """Build a scale-trial spec dict (see SCALE_SPEC_DEFAULTS)."""
+    return _merge_spec(SCALE_SPEC_DEFAULTS, seed, overrides, "scale spec")
+
+
+def _pick_victims(spec):
+    """Deterministic victim indices: distinct, at most half a segment.
+
+    Derived from the spec seed through a named RNG stream, so the
+    schedule is part of the trial's pure function.
+    """
+    rng = RngRegistry(spec["seed"]).stream("scale-victims")
+    segment_size = spec["segment_size"]
+    per_segment_cap = max(1, segment_size // 2)
+    victims = []
+    used_per_segment = {}
+    candidates = list(range(spec["n_hosts"]))
+    while len(victims) < spec["n_faults"] and candidates:
+        index = candidates.pop(rng.randrange(len(candidates)))
+        segment = index // segment_size
+        if used_per_segment.get(segment, 0) >= per_segment_cap:
+            continue
+        used_per_segment[segment] = used_per_segment.get(segment, 0) + 1
+        victims.append(index)
+    return victims
+
+
+def run_scale_trial(spec):
+    """Run one scale trial; returns a JSON-stable verdict dict.
+
+    Verdicts: ``pass``, ``setup_failed``, ``violation`` (a duplicate
+    binding persisted past the grace window), ``no_convergence``.
+    """
+    scenario = ScaleClusterScenario(
+        seed=spec["seed"],
+        n_hosts=spec["n_hosts"],
+        n_vips=spec["n_vips"],
+        segment_size=spec["segment_size"],
+    )
+    sim = scenario.sim
+    scenario.start()
+    if not scenario.settle(timeout=spec["settle_timeout"]):
+        return _scale_result(spec, scenario, "setup_failed")
+
+    victims = _pick_victims(spec)
+    spacing = spec["fault_spacing"]
+    for order, victim in enumerate(victims):
+        sim.after(spacing * (order + 1), scenario.kill, victim)
+        sim.after(spacing * (order + 1) + spec["revive_after"], scenario.revive, victim)
+    horizon = spacing * len(victims) + spec["revive_after"]
+
+    # Single-owner check: a bounded duplicate window during view
+    # propagation is legitimate, a persistent one is a protocol bug.
+    persistent = _first_persistent(
+        sim,
+        sim.now + horizon,
+        spec["sample_interval"],
+        spec["duplicate_grace"],
+        lambda: [(vip, vip) for vip in scenario.coverage_violations()[1]],
+    )
+    if persistent:
+        return _scale_result(spec, scenario, "violation", persistent=persistent)
+
+    if not scenario.settle(timeout=spec["settle_timeout"]):
+        return _scale_result(spec, scenario, "no_convergence")
+    return _scale_result(spec, scenario, "pass")
+
+
+SHARD_PARITY_DEFAULTS = {
+    "n_hosts": 256,
+    "n_vips": 2048,
+    "segment_size": 32,
+    "shards": 4,
+    "workers": 4,
+    "n_faults": 2,
+    "fault_spacing": 3.0,
+    "revive_after": 4.0,
+    "flow_users": 100000,
+    "trace_enabled": True,
+    "metrics_enabled": True,
+}
+
+
+def make_shard_spec(seed, **overrides):
+    """Build a shard-parity spec dict (see SHARD_PARITY_DEFAULTS)."""
+    return _merge_spec(SHARD_PARITY_DEFAULTS, seed, overrides, "shard spec")
+
+
+def run_shard_parity_trial(spec):
+    """Serial-vs-sharded replay of one fixed-horizon scale scenario.
+
+    Runs the identical :class:`ShardedScaleScenario` script twice —
+    once on the serial kernel (``shards=1, workers=0``), once
+    partitioned across ``spec["shards"]`` shards with
+    ``spec["workers"]`` worker processes — and compares the two merged
+    artifacts byte-for-byte. Verdicts: ``pass``,
+    ``parity_mismatch``, ``no_convergence``. The two artifact dicts
+    ride along in the result so callers (the CLI, the CI
+    ``shard-parity`` job) can write them out and ``cmp`` the files.
+    """
+    victims = _pick_victims(spec)
+    spacing = spec["fault_spacing"]
+    kills = [(spacing * (order + 1), victim) for order, victim in enumerate(victims)]
+    revives = [(t + spec["revive_after"], victim) for t, victim in kills]
+    last_fault = max([t for t, _ in revives] or [0.0])
+    horizon = last_fault + 2 * spec["revive_after"]
+    common = dict(
+        seed=spec["seed"],
+        n_hosts=spec["n_hosts"],
+        n_vips=spec["n_vips"],
+        segment_size=spec["segment_size"],
+        horizon=horizon,
+        kills=kills,
+        revives=revives,
+        flow_users=spec["flow_users"],
+        trace_enabled=spec["trace_enabled"],
+        metrics_enabled=spec["metrics_enabled"],
+    )
+    serial = ShardedScaleScenario(shards=1, workers=0, **common)
+    serial_artifact, serial_wall = _timed_run(serial)
+    sharded = ShardedScaleScenario(
+        shards=spec["shards"], workers=spec["workers"], **common
+    )
+    sharded_artifact, sharded_wall = _timed_run(sharded)
+
+    parity = artifact_bytes(serial_artifact) == artifact_bytes(sharded_artifact)
+    if not parity:
+        verdict = "parity_mismatch"
+    elif not serial_artifact["converged"]:
+        verdict = "no_convergence"
+    else:
+        verdict = "pass"
+    return {
+        "verdict": verdict,
+        "parity": parity,
+        "seed": spec["seed"],
+        "n_hosts": spec["n_hosts"],
+        "shards": spec["shards"],
+        "workers": sharded.workers_used,
+        "epochs": sharded.epochs,
+        "horizon": horizon,
+        "events_fired": serial_artifact["events_fired"],
+        "serial_wall_s": round(serial_wall, 4),
+        "sharded_wall_s": round(sharded_wall, 4),
+        "speedup": round(serial_wall / sharded_wall, 3) if sharded_wall else None,
+        "serial_artifact": serial_artifact,
+        "sharded_artifact": sharded_artifact,
+    }
+
+
+def _timed_run(scenario):
+    # Wall-clock is fine here: the timings are reported to the operator
+    # only and never feed a verdict or an artifact.
+    started = time.perf_counter()  # repro: allow det001
+    artifact = scenario.run()
+    return artifact, time.perf_counter() - started  # repro: allow det001
+
+
+def _scale_result(spec, scenario, verdict, persistent=()):
+    uncovered, duplicated = scenario.coverage_violations()
+    result = {
+        "verdict": verdict,
+        "seed": spec["seed"],
+        "n_hosts": spec["n_hosts"],
+        "n_vips": spec["n_vips"],
+        "sim_time": round(scenario.sim.now, 6),
+        "events_fired": scenario.sim.scheduler.events_fired,
+        "fault_log": scenario.faults.log_as_dicts(),
+        "uncovered": len(uncovered),
+        "duplicated": len(duplicated),
+        "moved_vips": scenario.moved_vips(),
+        "fingerprint": scenario.fingerprint(),
+    }
+    if persistent:
+        result["persistent_duplicates"] = list(persistent)
+    return result

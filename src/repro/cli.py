@@ -321,7 +321,7 @@ def _run_availability(args, out):
 def _run_shard_parity(args, out):
     import os
 
-    from repro.check.scaletrial import make_shard_spec, run_shard_parity_trial
+    from repro.check.trial import make_shard_spec, run_shard_parity_trial
     from repro.sim.shard.merge import artifact_bytes
 
     spec = make_shard_spec(args.seed, shards=args.shards, workers=args.workers)

@@ -2,7 +2,38 @@
 
 from repro.core.placement import PLACEMENT_LINEAR, PLACEMENT_STRATEGIES
 from repro.net.addresses import IPAddress
-from repro.stabilization import StabilizationConfig
+from repro.stabilization import STABILIZING, StabilizationConfig, profile_overrides
+
+#: Wackamole hardening of the ``hardened`` profile (docs/FAULTS.md): ARP
+#: retries + periodic re-announcement, conflict re-ARP and wire-level
+#: conflict resolution, and a fast reconnect cycle for supervised
+#: daemon restarts.
+_HARDENED = {
+    "arp_announce_retries": 2,
+    "arp_announce_backoff": 0.3,
+    "arp_reannounce_interval": 2.0,
+    "conflict_reannounce": True,
+    "arp_conflict_resolution": True,
+    "arp_conflict_holddown": 0.5,
+    "reconnect_interval": 0.5,
+}
+
+_PROFILES = {
+    "paper": {},
+    "hardened": _HARDENED,
+    "stabilizing": dict(_HARDENED, stabilization=STABILIZING),
+}
+
+#: :class:`repro.core.supervisor.DaemonSupervisor` settings per profile;
+#: None means the profile runs unsupervised, as the paper's servers do.
+_SUPERVISED = {
+    "check_interval": 0.5,
+    "stall_checks": 3,
+    "restart_backoff": 0.5,
+    "backoff_cap": 4.0,
+    "stable_after": 5.0,
+}
+SUPERVISOR_PROFILES = {"paper": None, "hardened": _SUPERVISED, "stabilizing": _SUPERVISED}
 
 
 class VipGroup:
@@ -191,30 +222,19 @@ class WackamoleConfig:
                 return group
         raise KeyError(group_id)
 
+    @staticmethod
+    def profile(name):
+        """Keyword overrides for a named hardening profile."""
+        return profile_overrides(_PROFILES, name)
+
     def copy_for(self, **overrides):
         """A copy with selected fields replaced (used by scenario builders)."""
+        # Every constructor parameter is stored under its own name, so
+        # the parameter list *is* the field list.
+        code = WackamoleConfig.__init__.__code__
         fields = {
-            "vip_groups": self.vip_groups,
-            "group_name": self.group_name,
-            "balance_enabled": self.balance_enabled,
-            "balance_timeout": self.balance_timeout,
-            "maturity_timeout": self.maturity_timeout,
-            "prefer": self.prefer,
-            "notify_ips": self.notify_ips,
-            "arp_share_interval": self.arp_share_interval,
-            "arp_share_ttl": self.arp_share_ttl,
-            "eager_conflict_resolution": self.eager_conflict_resolution,
-            "reconnect_interval": self.reconnect_interval,
-            "representative_allocation": self.representative_allocation,
-            "weight": self.weight,
-            "placement_strategy": self.placement_strategy,
-            "arp_announce_retries": self.arp_announce_retries,
-            "arp_announce_backoff": self.arp_announce_backoff,
-            "arp_reannounce_interval": self.arp_reannounce_interval,
-            "conflict_reannounce": self.conflict_reannounce,
-            "arp_conflict_resolution": self.arp_conflict_resolution,
-            "arp_conflict_holddown": self.arp_conflict_holddown,
-            "stabilization": self.stabilization,
+            name: getattr(self, name)
+            for name in code.co_varnames[1 : code.co_argcount]
         }
         fields.update(overrides)
         return WackamoleConfig(**fields)

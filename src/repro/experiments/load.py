@@ -13,11 +13,10 @@ counts spurious reconfigurations of a healthy cluster as load grows,
 with and without real-time priority for the GCS daemons.
 """
 
+from repro.apps.cluster import ServerGroup
 from repro.core.config import WackamoleConfig
-from repro.core.daemon import WackamoleDaemon
 from repro.experiments.report import format_table, mean
 from repro.gcs.config import SpreadConfig
-from repro.gcs.daemon import SpreadDaemon
 from repro.net.host import Host
 from repro.net.lan import Lan
 from repro.sim.simulation import Simulation
@@ -51,21 +50,19 @@ class LoadedClusterExperiment:
             maturity_timeout=1.0,
             balance_enabled=False,
         )
-        spreads = []
+        group = ServerGroup(sim, lan, self.spread_config, config, realtime=realtime)
         for index in range(self.cluster_size):
             host = Host(sim, "node{}".format(index))
             host.add_nic(lan, "10.0.0.{}".format(10 + index))
-            spread = SpreadDaemon(host, lan, self.spread_config, realtime=realtime)
-            WackamoleDaemon(host, spread, config).start()
-            sim.after(0.02 * index, spread.start)
-            spreads.append(spread)
+            group.add(host)
         # Boot on an unloaded machine, then the load arrives.
+        group.start(stagger=0.02)
         sim.run_for(15.0)
-        for spread in spreads:
-            spread.host.set_load(load)
-        baseline = sum(s.membership.views_installed for s in spreads)
+        for host in group.hosts:
+            host.set_load(load)
+        baseline = sum(s.membership.views_installed for s in group.spreads)
         sim.run_for(self.duration)
-        return sum(s.membership.views_installed for s in spreads) - baseline
+        return sum(s.membership.views_installed for s in group.spreads) - baseline
 
     def run(self):
         """{priority: {load: mean spurious reconfigurations}}."""

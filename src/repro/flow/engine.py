@@ -21,6 +21,7 @@ two Simulations never share state or couple their draw sequences.
 
 import math
 
+from repro.flow.pool import FlowPool
 from repro.sim.process import Process
 
 try:
@@ -70,6 +71,21 @@ class FlowEngine(Process):
         self.pools.append(pool)
         self._compiled = False
         return pool
+
+    def add_uniform_pools(self, vips, users, rate=1.0, label="pool-{}", offset=0, of=None):
+        """Spread ``users`` evenly across VIPs, one pool per VIP.
+
+        The first ``users mod n`` VIPs carry one extra user; VIPs left
+        with none get no pool. ``vips`` may be a contiguous slice of a
+        larger list — ``of`` is then the whole list's length and
+        ``offset`` the slice's position in it — so a partitioned
+        cluster names and sizes its pools exactly as the whole would.
+        """
+        share, remainder = divmod(int(users), len(vips) if of is None else int(of))
+        for index, vip in enumerate(vips, offset):
+            count = share + (1 if index < remainder else 0)
+            if count:
+                self.add_pool(FlowPool(label.format(index), vip, count, rate=rate))
 
     def total_users(self):
         """Sum of users across attached pools."""

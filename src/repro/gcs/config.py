@@ -13,7 +13,16 @@ client IPC latency) that the paper folds into the "minor overhead of
 Spread's group membership procedure".
 """
 
-from repro.stabilization import StabilizationConfig
+from repro.stabilization import STABILIZING, StabilizationConfig, profile_overrides
+
+#: What each named profile (:data:`repro.stabilization.PROFILES`)
+#: changes in the GCS layer: hardened clusters ride out burst loss and
+#: slowed-but-alive hosts with a two-miss detector.
+_PROFILES = {
+    "paper": {},
+    "hardened": {"suspicion_misses": 2},
+    "stabilizing": {"suspicion_misses": 2, "stabilization": STABILIZING},
+}
 
 
 class SpreadConfig:
@@ -85,6 +94,29 @@ class SpreadConfig:
         return cls(
             fault_detection_timeout=1.0, heartbeat_timeout=0.4, discovery_timeout=1.4
         )
+
+    @classmethod
+    def fast(cls, **overrides):
+        """Aggressively small timeouts (Table 1 ratios preserved).
+
+        What the check campaigns and the test suite run, so protocol
+        rounds take milliseconds of simulated time.
+        """
+        settings = {
+            "fault_detection_timeout": 0.5,
+            "heartbeat_timeout": 0.2,
+            "discovery_timeout": 0.5,
+            "join_interval": 0.02,
+            "form_timeout": 0.3,
+            "install_timeout": 0.3,
+        }
+        settings.update(overrides)
+        return cls(**settings)
+
+    @staticmethod
+    def profile(name):
+        """Keyword overrides for a named hardening profile."""
+        return profile_overrides(_PROFILES, name)
 
     def detection_window(self):
         """(min, max) delay from failure to start of reconfiguration.

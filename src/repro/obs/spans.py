@@ -1,0 +1,268 @@
+"""Fault spans: how long an injected fault stayed in force.
+
+Fail-stop faults produce :mod:`repro.obs.episodes` — the cluster's
+*reaction*. Gray and corruption faults additionally have a *window*
+that opens at the injector's onset record and closes at the first later
+record that ends it. One pairing loop (:func:`pair_spans`) stitches
+both families out of the trace, each described by a rule table — the
+onset events that open a span, and the (record pattern → ``end_cause``)
+rules that close one:
+
+* **degraded spans** — the exposure window of a gray fault: the
+  interval during which a link was bursty, a host slow, a clock skewed,
+  a direction blocked, or a daemon wedged. A span closes on its own
+  healing record, on a host crash (for host-scoped faults — the reboot
+  resets a slowdown, and a wedged daemon dies with its host), or on the
+  supervisor restart that replaced the wedged daemon.
+
+* **stabilization spans** — time-to-stabilize of a state corruption
+  (``docs/FAULTS.md``, "State corruption"), which has no healing action
+  of its own: the cluster is expected to *notice* the corrupted state
+  through its periodic audits. A span closes on the first
+  ``stabilize/repair`` record emitted by the corrupted process. The
+  audit is not the only repair path: a corrupted view, counter or
+  epoch is also rewritten wholesale when the daemon installs a fresh
+  view — a dropped member's own heartbeats trigger a gather through
+  ``on_foreign_traffic`` before any audit tick fires — so those spans
+  also close on the daemon's next ``membership/install`` record
+  (``end_cause="view_change"``). A supervisor restart replaces the
+  daemon, corrupted state and all (``"supervisor_restart"``), and a
+  host crash does the same the hard way (``"crash"``).
+
+Spans can legitimately stay open (``end=None``): the trace ended
+first; a ``poison_arp`` mutation is repaired on the *client* side by
+the owner's periodic gratuitous re-announcement, which emits no
+stabilization record. A ``noop`` mutation found nothing to corrupt and
+opens no span at all.
+
+Like episode extraction this is a pure function of the trace, so the
+span lists ride along in check artifacts and must replay
+byte-identically (``repro check --replay`` compares them).
+"""
+
+import collections
+
+
+def _round(value):
+    """Stable rounding for serialised times/durations (ns resolution)."""
+    return None if value is None else round(value, 9)
+
+
+class Span:
+    """One fault window: opened by an onset record, closed by a later one.
+
+    Subclasses name their extra fields: ``ONSET`` fields are fixed when
+    the span opens and serialise after ``target``; ``CLOSING`` fields
+    are read off the closing record's details and serialise last.
+    """
+
+    __slots__ = ("kind", "target", "start", "end", "end_cause")
+    ONSET = ()
+    CLOSING = ()
+
+    def __init__(self, kind, target, start, **onset):
+        self.kind = kind
+        self.target = target
+        self.start = start
+        self.end = None
+        self.end_cause = None
+        for name in self.ONSET:
+            setattr(self, name, onset[name])
+        for name in self.CLOSING:
+            setattr(self, name, None)
+
+    @property
+    def duration(self):
+        if self.end is None:
+            return None
+        return self.end - self.start
+
+    def close(self, time, cause, details):
+        """End the span; ``details`` are the closing record's."""
+        self.end = time
+        self.end_cause = cause
+        for name in self.CLOSING:
+            setattr(self, name, details.get(name))
+
+    def to_dict(self):
+        out = {"kind": self.kind, "target": self.target}
+        for name in self.ONSET:
+            out[name] = getattr(self, name)
+        out["start"] = _round(self.start)
+        out["end"] = _round(self.end)
+        out["duration"] = _round(self.duration)
+        out["end_cause"] = self.end_cause
+        for name in self.CLOSING:
+            out[name] = getattr(self, name)
+        return out
+
+    def __repr__(self):
+        return "{}({}, {}, {:.4f}..{})".format(
+            type(self).__name__,
+            self.kind,
+            self.target,
+            self.start,
+            "open" if self.end is None else "{:.4f}".format(self.end),
+        )
+
+
+class DegradedSpan(Span):
+    """One gray-fault exposure window."""
+
+    __slots__ = ONSET = ("param",)
+
+
+class StabilizationSpan(Span):
+    """One corruption's detect-and-repair window."""
+
+    __slots__ = ("mutation", "invariant")
+    ONSET = ("mutation",)
+    CLOSING = ("invariant",)
+
+
+#: What opens and what closes one family of spans. ``onset`` maps an
+#: opening record to the span's ``ONSET`` fields, or to None when the
+#: record opens nothing. ``close`` rows are ``(category, event,
+#: end_cause, matches)``: a record of that category (and event, unless
+#: None) closes every open span for which ``matches(span, record)``;
+#: ``end_cause=None`` means the closing event's own name.
+SpanRules = collections.namedtuple("SpanRules", "span_cls open_events onset close")
+
+
+def pair_spans(records, rules):
+    """Stitch the trace into ``rules.span_cls`` spans, in onset order.
+
+    Spans open on injector fault records only; ``fault``-category close
+    rules likewise see injector records only. Spans still open at the
+    end of the trace keep ``end=None``.
+    """
+    spans = []
+    open_spans = []
+    for record in records:
+        category = record.category
+        if category == "fault":
+            if record.source != "injector":
+                continue
+            if record.event in rules.open_events:
+                onset = rules.onset(record)
+                if onset is not None:
+                    span = rules.span_cls(
+                        record.event, record.details.get("target"), record.time, **onset
+                    )
+                    spans.append(span)
+                    open_spans.append(span)
+                continue
+        for rule_category, event, cause, matches in rules.close:
+            if category != rule_category or event not in (None, record.event):
+                continue
+            closed = [span for span in open_spans if matches(span, record)]
+            if closed:
+                for span in closed:
+                    span.close(record.time, cause or record.event, record.details)
+                open_spans = [span for span in open_spans if span not in closed]
+    return spans
+
+
+# ----------------------------------------------------------------------
+# the rule tables
+
+
+def _host_of(name):
+    """The host part of a daemon name ("spread@s2-r1" -> "s2")."""
+    return name.split("@", 1)[-1].split("-", 1)[0]
+
+
+def _daemon_replaced(span, record):
+    return span.target == "spread@{}".format(record.details.get("old"))
+
+
+#: gray onset event -> the injector event that ends the span.
+_HEAL_OF = {
+    "asym_partition": "asym_heal",
+    "burst_loss_on": "burst_loss_off",
+    "slow_host": "unslow_host",
+    "clock_skew": "clock_unskew",
+    "daemon_wedge": "daemon_unwedge",
+}
+
+
+def _healed(span, record):
+    if _HEAL_OF[span.kind] != record.event:
+        return False
+    target = record.details.get("target")
+    if span.kind == "asym_partition":
+        # Onset target is "<lan>:<deaf hosts>"; the heal names the LAN.
+        return span.target.split(":", 1)[0] == target
+    return span.target == target
+
+
+def _degraded_host_died(span, record):
+    # A crash ends every host-scoped degradation (slowdown dies with
+    # the software; the wedged daemon dies too).
+    target = record.details.get("target")
+    if span.kind == "slow_host":
+        return span.target == target
+    return span.kind == "daemon_wedge" and _host_of(span.target) == target
+
+
+DEGRADED_RULES = SpanRules(
+    DegradedSpan,
+    open_events=_HEAL_OF,
+    onset=lambda record: {"param": record.details.get("param")},
+    close=(
+        ("fault", None, None, _healed),
+        ("fault", "crash", "crash", _degraded_host_died),
+        ("supervisor", "restart_spread", "supervisor_restart", _daemon_replaced),
+    ),
+)
+
+CORRUPTION_EVENTS = (
+    "corrupt_vip_table",
+    "corrupt_membership",
+    "corrupt_sequence",
+    "corrupt_epoch",
+)
+
+#: Corruptions of GCS state that a fresh view install rewrites wholesale.
+_VIEW_SCOPED = ("corrupt_membership", "corrupt_sequence", "corrupt_epoch")
+
+
+def _mutation(record):
+    mutation = (record.details.get("param") or {}).get("mutation")
+    return None if mutation == "noop" else {"mutation": mutation}
+
+
+STABILIZATION_RULES = SpanRules(
+    StabilizationSpan,
+    open_events=CORRUPTION_EVENTS,
+    onset=_mutation,
+    close=(
+        ("fault", "crash", "crash",
+         lambda span, record: _host_of(span.target) == record.details.get("target")),
+        ("stabilize", "repair", "repair",
+         lambda span, record: span.target == record.source),
+        ("membership", "install", "view_change",
+         lambda span, record: span.kind in _VIEW_SCOPED and span.target == record.source),
+        ("supervisor", "restart_spread", "supervisor_restart", _daemon_replaced),
+    ),
+)
+
+
+def degraded_spans(records):
+    """The trace's gray-fault exposure windows (:class:`DegradedSpan`)."""
+    return pair_spans(records, DEGRADED_RULES)
+
+
+def degraded_spans_as_dicts(records):
+    """``degraded_spans`` serialised — the replayable artifact form."""
+    return [span.to_dict() for span in degraded_spans(records)]
+
+
+def stabilization_spans(records):
+    """The trace's corruption repair windows (:class:`StabilizationSpan`)."""
+    return pair_spans(records, STABILIZATION_RULES)
+
+
+def stabilization_spans_as_dicts(records):
+    """``stabilization_spans`` serialised — the replayable artifact form."""
+    return [span.to_dict() for span in stabilization_spans(records)]

@@ -15,9 +15,28 @@ One :class:`StabilizationConfig` instance rides on each layer's config
 :class:`repro.gcs.config.SpreadConfig`,
 :class:`repro.gcs.segments.SegmentConfig`). The default —
 ``interval=0`` — disables the audit entirely, reproducing historical
-behaviour byte-for-byte; the check harness switches it on in
-``--corrupt`` campaigns.
+behaviour byte-for-byte; the ``stabilizing`` profile (what ``--corrupt``
+campaigns run) switches it on.
+
+The config classes share one vocabulary of named hardening profiles,
+:data:`PROFILES`: ``paper`` is the daemon the paper describes (every
+hardening knob off), ``hardened`` adds the gray-failure defences of
+``docs/FAULTS.md`` (K-miss suspicion, ARP retries and conflict
+resolution, daemon supervisors), ``stabilizing`` adds the periodic
+audits on top. Each class keeps its own table of what a profile means
+for it and answers ``<Config>.profile(name)`` with keyword overrides.
 """
+
+PROFILES = ("paper", "hardened", "stabilizing")
+
+
+def profile_overrides(table, name):
+    """A fresh copy of ``table[name]``; unknown names fail loudly."""
+    if name not in table:
+        raise ValueError(
+            "unknown profile {!r}; choose from {}".format(name, list(PROFILES))
+        )
+    return dict(table[name])
 
 
 class StabilizationConfig:
@@ -49,3 +68,10 @@ class StabilizationConfig:
         return "StabilizationConfig(interval={}, escalate={})".format(
             self.interval, self.escalate
         )
+
+
+#: The audit the ``stabilizing`` profile runs in every layer: fast
+#: enough that a corruption is caught well inside the check trials'
+#: corruption grace window, slow enough that the audit itself stays
+#: background noise against the fast Table 1 ratios.
+STABILIZING = StabilizationConfig(interval=0.5)

@@ -95,3 +95,21 @@ def test_scenario_scales_to_larger_cluster():
     counts = [len(w.iface.owned_slots()) for w in scenario.wacks]
     assert sum(counts) == 10
     assert max(counts) - min(counts) <= 1
+
+
+@pytest.mark.parametrize(
+    "sizes, limit",
+    [({"n_vips": 51}, "at most 50"), ({"n_servers": 141}, "at most 140")],
+)
+def test_address_plan_collisions_fail_loudly(sizes, limit):
+    # VIP .200/.201 would also be the probe and flow clients' addresses;
+    # server .150 would also be the first VIP.
+    with pytest.raises(ValueError, match=limit):
+        WebClusterScenario(**sizes)
+
+
+def test_address_plan_limits_themselves_are_buildable():
+    scenario = WebClusterScenario(n_servers=2, n_vips=50, flow_users=100)
+    machines = scenario.hosts + [scenario.client_host, scenario.flow_host]
+    taken = {str(ip) for host in machines for ip in host.local_ips()}
+    assert not taken & set(scenario.vips)

@@ -11,7 +11,7 @@ import json
 
 import pytest
 
-from repro.check.scaletrial import (
+from repro.check.trial import (
     SCALE_SPEC_DEFAULTS,
     make_scale_spec,
     run_scale_trial,

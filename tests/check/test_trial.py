@@ -72,6 +72,18 @@ def test_unknown_spec_field_rejected():
         make_spec(1, FaultSchedule([], 10.0), bogus_field=1)
 
 
+@pytest.mark.parametrize(
+    "sizes, limit",
+    [({"n_vips": 101}, "at most 100"), ({"n_servers": 91}, "at most 90")],
+)
+def test_address_plan_collisions_fail_loudly(sizes, limit):
+    # VIP .200 would also be the flow clients' address; server .100
+    # would also be the first VIP.
+    spec = make_spec(1, FaultSchedule([], 10.0), **sizes)
+    with pytest.raises(ValueError, match=limit):
+        run_trial(spec)
+
+
 # ----------------------------------------------------------------------
 # gray trials (hardened cluster vs the gray repertoire)
 

@@ -79,3 +79,54 @@ def test_stabilization_defaults_off_and_rides_copy_for():
         StabilizationConfig(interval=-1.0)
     with pytest.raises(TypeError):
         WackamoleConfig.for_vips(["10.0.0.1"], stabilization=0.5)
+
+
+def test_copy_for_round_trips_every_attribute():
+    # A field added to __init__ but forgotten by copy_for would revert
+    # to its default here; every value below is a non-default.
+    from repro.stabilization import StabilizationConfig
+
+    config = WackamoleConfig(
+        [VipGroup("g1", ["10.0.0.1", "10.0.1.1"]), VipGroup("g2", ["10.0.0.2"])],
+        group_name="pool",
+        balance_enabled=False,
+        balance_timeout=3.0,
+        maturity_timeout=1.5,
+        prefer=("g2",),
+        notify_ips=("10.0.0.254",),
+        arp_share_interval=4.0,
+        arp_share_ttl=60.0,
+        eager_conflict_resolution=False,
+        reconnect_interval=0.7,
+        representative_allocation=True,
+        weight=2.5,
+        placement_strategy="rendezvous",
+        arp_announce_retries=3,
+        arp_announce_backoff=0.2,
+        arp_reannounce_interval=1.5,
+        conflict_reannounce=True,
+        arp_conflict_resolution=True,
+        arp_conflict_holddown=0.25,
+        stabilization=StabilizationConfig(interval=0.5),
+    )
+    defaults = vars(WackamoleConfig(config.vip_groups))
+    fields = vars(config)
+    assert all(fields[name] != defaults[name] for name in fields if name != "vip_groups")
+    assert vars(config.copy_for()) == fields
+
+
+@pytest.mark.parametrize("name", ["paper", "hardened", "stabilizing"])
+def test_named_profiles_build_valid_configs(name):
+    from repro.core.config import SUPERVISOR_PROFILES
+
+    config = WackamoleConfig.for_vips(["10.0.0.1"], **WackamoleConfig.profile(name))
+    assert config.stabilization.enabled == (name == "stabilizing")
+    assert (config.arp_announce_retries > 0) == (name != "paper")
+    assert (SUPERVISOR_PROFILES[name] is None) == (name == "paper")
+
+
+def test_profile_returns_a_private_copy_and_rejects_unknown_names():
+    WackamoleConfig.profile("hardened")["arp_announce_retries"] = 99
+    assert WackamoleConfig.profile("hardened")["arp_announce_retries"] == 2
+    with pytest.raises(ValueError, match="paper"):
+        WackamoleConfig.profile("gray")

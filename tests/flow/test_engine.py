@@ -189,3 +189,33 @@ def test_direct_resolver_follows_live_bindings():
     totals = engine.totals()
     assert totals["lost_by_reason"] == {"no_owner": totals["lost"]}
     assert totals["lost"] > 0
+
+
+def test_uniform_pools_spread_users_with_remainder_first():
+    _sim, engine, _ = build_engine()
+    vips = ["10.0.0.{}".format(1 + i) for i in range(4)]
+    engine.add_uniform_pools(vips, 10, rate=2.0)
+    assert [(p.name, p.users, p.rate) for p in engine.pools] == [
+        ("pool-0", 3, 2.0),
+        ("pool-1", 3, 2.0),
+        ("pool-2", 2, 2.0),
+        ("pool-3", 2, 2.0),
+    ]
+    # Fewer users than VIPs: the empty VIPs get no pool at all.
+    _sim, sparse, _ = build_engine()
+    sparse.add_uniform_pools(vips, 2)
+    assert [p.name for p in sparse.pools] == ["pool-0", "pool-1"]
+
+
+def test_uniform_pools_over_slices_equal_the_whole():
+    vips = ["10.0.0.{}".format(1 + i) for i in range(7)]
+    _sim, whole, _ = build_engine()
+    whole.add_uniform_pools(vips, 1000, label="pool-{:04d}")
+    _sim, parts, _ = build_engine()
+    for start, stop in ((0, 3), (3, 5), (5, 7)):
+        parts.add_uniform_pools(
+            vips[start:stop], 1000, label="pool-{:04d}", offset=start, of=len(vips)
+        )
+    shape = lambda engine: [(p.name, str(p.vip), p.users) for p in engine.pools]  # noqa: E731
+    assert shape(parts) == shape(whole)
+    assert whole.total_users() == 1000

@@ -50,3 +50,21 @@ def test_describe_lists_the_three_table1_timeouts():
 
 def test_repr_mentions_timeouts():
     assert "fd=5.0" in repr(SpreadConfig.default())
+
+
+def test_fast_preset_keeps_table1_ratios_and_takes_overrides():
+    fast = SpreadConfig.fast()
+    assert (fast.fault_detection_timeout, fast.heartbeat_timeout) == (0.5, 0.2)
+    assert fast.discovery_timeout == 0.5
+    assert fast.suspicion_misses == 1
+    assert SpreadConfig.fast(discovery_timeout=0.6).discovery_timeout == 0.6
+
+
+def test_named_profiles():
+    assert SpreadConfig.profile("paper") == {}
+    hardened = SpreadConfig.fast(**SpreadConfig.profile("hardened"))
+    assert hardened.suspicion_misses == 2 and not hardened.stabilization.enabled
+    stabilizing = SpreadConfig.fast(**SpreadConfig.profile("stabilizing"))
+    assert stabilizing.suspicion_misses == 2 and stabilizing.stabilization.enabled
+    with pytest.raises(ValueError, match="stabilizing"):
+        SpreadConfig.profile("corrupt")

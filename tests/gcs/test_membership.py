@@ -1,7 +1,8 @@
 """Integration tests for the daemon membership protocol."""
 
-from helpers import build_gcs_cluster, fast_spread_config, settle_gcs
+from helpers import build_gcs_cluster, settle_gcs
 
+from repro.gcs.config import SpreadConfig
 from repro.gcs.membership import OPERATIONAL
 
 
@@ -154,7 +155,7 @@ def test_nic_up_merges_isolated_daemon_back():
 
 def test_detection_time_respects_default_ratios():
     """With a slower config, the install still lands in the window."""
-    config = fast_spread_config(
+    config = SpreadConfig.fast(
         fault_detection_timeout=1.0, heartbeat_timeout=0.4, discovery_timeout=1.4
     )
     cluster = settle_gcs(build_gcs_cluster(3, config=config), duration=8.0)

@@ -4,8 +4,7 @@ The integration tests exercise whole clusters; these pin down the
 engine's decisions message by message through a stub daemon.
 """
 
-from helpers import fast_spread_config
-
+from repro.gcs.config import SpreadConfig
 from repro.gcs.membership import ACK_SENT, FORM_SENT, GATHER, OPERATIONAL, MembershipEngine
 from repro.gcs.messages import (
     AckMsg,
@@ -26,7 +25,7 @@ class EngineHarness(Process):
     def __init__(self, sim, daemon_id="bbb", config=None):
         super().__init__(sim, "stub@{}".format(daemon_id))
         self.daemon_id = daemon_id
-        self.config = config or fast_spread_config()
+        self.config = config or SpreadConfig.fast()
         self.broadcasts = []
         self.unicasts = []
         self.installed = []

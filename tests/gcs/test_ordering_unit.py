@@ -1,7 +1,6 @@
 """Unit tests driving the ViewOrderer with synthetic messages."""
 
-from helpers import fast_spread_config
-
+from repro.gcs.config import SpreadConfig
 from repro.gcs.messages import NackMsg, OrderedMsg, SubmitMsg
 from repro.gcs.ordering import ViewOrderer
 from repro.gcs.views import DaemonView, ViewId
@@ -15,7 +14,7 @@ class OrdererHarness(Process):
     def __init__(self, sim, daemon_id, config=None):
         super().__init__(sim, "stub@{}".format(daemon_id))
         self.daemon_id = daemon_id
-        self.config = config or fast_spread_config()
+        self.config = config or SpreadConfig.fast()
         self.broadcasts = []
         self.unicasts = []
         self.applied = []

@@ -2,32 +2,14 @@
 
 import collections
 
-from repro.core.audit import CoverageAuditor
+from repro.apps.cluster import ServerGroup, run_until, servers_settled
 from repro.core.config import WackamoleConfig
-from repro.core.daemon import WackamoleDaemon
-from repro.core.state import RUN
 from repro.gcs.config import SpreadConfig
 from repro.gcs.daemon import SpreadDaemon
 from repro.net.fault import FaultInjector
 from repro.net.host import Host
 from repro.net.lan import Lan
 from repro.sim.simulation import Simulation
-
-
-def fast_spread_config(**overrides):
-    """Aggressively small timeouts so protocol tests run in milliseconds
-    of simulated time (the Table 1 ratios are preserved)."""
-    settings = {
-        "fault_detection_timeout": 0.5,
-        "heartbeat_timeout": 0.2,
-        "discovery_timeout": 0.5,
-        "join_interval": 0.02,
-        "form_timeout": 0.3,
-        "install_timeout": 0.3,
-    }
-    settings.update(overrides)
-    return SpreadConfig(**settings)
-
 
 GcsCluster = collections.namedtuple(
     "GcsCluster", "sim lan hosts daemons faults config"
@@ -38,7 +20,7 @@ def build_gcs_cluster(n, seed=0, config=None, subnet="10.0.0.0/24", stagger=0.02
     """A LAN of n hosts each running one GCS daemon (started, staggered)."""
     sim = Simulation(seed=seed)
     lan = Lan(sim, "lan0", subnet)
-    config = config or fast_spread_config()
+    config = config or SpreadConfig.fast()
     hosts, daemons = [], []
     for index in range(n):
         host = Host(sim, "node{}".format(index))
@@ -74,25 +56,27 @@ def build_wack_cluster(
     """A LAN of n hosts each running GCS + Wackamole daemons (started)."""
     sim = Simulation(seed=seed)
     lan = Lan(sim, "lan0", subnet)
-    config = config or fast_spread_config()
+    config = config or SpreadConfig.fast()
     vips = ["10.0.0.{}".format(100 + i) for i in range(n_vips)]
     overrides = {"maturity_timeout": 0.5, "balance_timeout": 1.0}
     overrides.update(wack_overrides or {})
     wconfig = WackamoleConfig.for_vips(vips, **overrides)
-    hosts, spreads, wacks = [], [], []
+    group = ServerGroup(sim, lan, config, wconfig)
     for index in range(n):
         host = Host(sim, "node{}".format(index))
         host.add_nic(lan, "10.0.0.{}".format(10 + index))
-        spread = SpreadDaemon(host, lan, config)
-        wack = WackamoleDaemon(host, spread, wconfig)
-        sim.after(stagger * index, spread.start)
-        sim.after(stagger * index + 0.005, wack.start)
-        hosts.append(host)
-        spreads.append(spread)
-        wacks.append(wack)
-    auditor = CoverageAuditor(wacks)
+        group.add(host)
+    group.start(stagger)
     return WackCluster(
-        sim, lan, hosts, spreads, wacks, FaultInjector(sim), auditor, config, wconfig
+        sim,
+        lan,
+        group.hosts,
+        group.spreads,
+        group.wacks,
+        FaultInjector(sim),
+        group.auditor,
+        config,
+        wconfig,
     )
 
 
@@ -130,20 +114,10 @@ def assert_allocation_ok(allocation, members, slots):
 
 def settle_wack(cluster, timeout=20.0):
     """Run until every live daemon is RUN, mature, and coverage is clean."""
-    deadline = cluster.sim.now + timeout
-    while cluster.sim.now < deadline:
-        cluster.sim.run_for(0.2)
-        live = [w for w in cluster.wacks if w.alive]
-        if (
-            live
-            and all(w.machine.state == RUN and w.mature for w in live)
-            and all(
-                w.client is not None and w.client.connected and w.view is not None
-                for w in live
-            )
-            and not cluster.auditor.check()
-        ):
-            cluster.sim.run_for(0.2)
-            return True
-    return False
-
+    return run_until(
+        cluster.sim,
+        lambda: servers_settled(cluster.wacks, cluster.auditor),
+        timeout,
+        step=0.2,
+        extra=0.2,
+    )

@@ -19,8 +19,9 @@ is a real protocol bug, reproducible from (loss, seed).
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import build_wack_cluster, fast_spread_config, settle_wack
+from helpers import build_wack_cluster, settle_wack
 
+from repro.gcs.config import SpreadConfig
 from repro.core.config import WackamoleConfig
 from repro.core.iface import InterfaceManager
 from repro.core.notify import ArpNotifier
@@ -127,7 +128,7 @@ def test_conflict_resolution_single_owner_after_asym_heal(deaf, duration, seed):
         3,
         seed=seed,
         n_vips=4,
-        config=fast_spread_config(**GRAY_SPREAD),
+        config=SpreadConfig.fast(**GRAY_SPREAD),
         wack_overrides=dict(GRAY_WACK, maturity_timeout=0.5),
     )
     assert settle_wack(cluster, timeout=30.0)
@@ -162,7 +163,7 @@ def test_single_owner_after_asym_heal_under_burst_loss(loss_bad, duration, seed)
         3,
         seed=seed,
         n_vips=4,
-        config=fast_spread_config(**GRAY_SPREAD),
+        config=SpreadConfig.fast(**GRAY_SPREAD),
         wack_overrides=dict(GRAY_WACK, maturity_timeout=0.5),
     )
     assert settle_wack(cluster, timeout=30.0)

@@ -1,6 +1,6 @@
 """Unit tests for degraded-mode span extraction from trace records."""
 
-from repro.obs.degraded import degraded_spans, degraded_spans_as_dicts
+from repro.obs.spans import degraded_spans, degraded_spans_as_dicts
 from repro.sim.trace import TraceRecord
 
 

@@ -1,6 +1,6 @@
 """Unit tests for time-to-stabilize span extraction from trace records."""
 
-from repro.obs.stabilization import stabilization_spans, stabilization_spans_as_dicts
+from repro.obs.spans import stabilization_spans, stabilization_spans_as_dicts
 from repro.sim.trace import TraceRecord
 
 

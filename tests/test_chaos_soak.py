@@ -8,8 +8,9 @@ sampled continuously. At the end the cluster must quiesce back to full
 coverage with sane availability.
 """
 
-from helpers import fast_spread_config, settle_wack
+from helpers import settle_wack
 
+from repro.gcs.config import SpreadConfig
 from repro.apps.workload import ProbeClient, UdpEchoServer
 from repro.core.audit import CoverageAuditor
 from repro.core.config import WackamoleConfig
@@ -105,7 +106,7 @@ pytestmark = pytest.mark.soak
 def test_ten_minute_chaos_soak(representative):
     sim = Simulation(seed=4242, trace_enabled=False)
     lan = Lan(sim, "lan", "10.0.0.0/24")
-    spread_config = fast_spread_config(
+    spread_config = SpreadConfig.fast(
         fault_detection_timeout=1.0, heartbeat_timeout=0.4, discovery_timeout=1.4
     )
     vips = ["10.0.0.{}".format(100 + i) for i in range(N_VIPS)]

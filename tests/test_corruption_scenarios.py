@@ -8,24 +8,21 @@ repairs it through the ordinary protocol paths. They double as
 executable documentation for the repertoire.
 """
 
-from helpers import build_wack_cluster, fast_spread_config, settle_wack
+from helpers import build_wack_cluster, settle_wack
 
-from repro.check.harness import GRAY_WACK_OVERRIDES
-from repro.stabilization import StabilizationConfig
-
-#: Fast audit cadence so scenarios resolve in a few simulated seconds.
-STABILIZE = StabilizationConfig(interval=0.5)
+from repro.gcs.config import SpreadConfig
+from repro.core.config import WackamoleConfig
 
 
 def build_stabilizing_cluster(n=3, seed=7, n_vips=6, **wack_overrides):
     """The gray-hardened shape plus periodic self-stabilization audits."""
-    overrides = dict(GRAY_WACK_OVERRIDES, maturity_timeout=0.5, stabilization=STABILIZE)
+    overrides = dict(WackamoleConfig.profile("stabilizing"), maturity_timeout=0.5)
     overrides.update(wack_overrides)
     return build_wack_cluster(
         n,
         seed=seed,
         n_vips=n_vips,
-        config=fast_spread_config(suspicion_misses=2, stabilization=STABILIZE),
+        config=SpreadConfig.fast(**SpreadConfig.profile("stabilizing")),
         wack_overrides=overrides,
     )
 

@@ -18,9 +18,9 @@ import statistics
 
 import pytest
 
-from helpers import fast_spread_config, settle_wack
+from helpers import settle_wack
 
-from repro.check.harness import GRAY_WACK_OVERRIDES
+from repro.gcs.config import SpreadConfig
 from repro.core.audit import CoverageAuditor
 from repro.core.config import WackamoleConfig
 from repro.core.daemon import WackamoleDaemon
@@ -28,7 +28,7 @@ from repro.gcs.daemon import SpreadDaemon
 from repro.net.fault import FaultInjector
 from repro.net.host import Host
 from repro.net.lan import Lan
-from repro.obs.stabilization import stabilization_spans
+from repro.obs.spans import stabilization_spans
 from repro.sim.simulation import Simulation
 from repro.stabilization import StabilizationConfig
 
@@ -133,7 +133,7 @@ def test_ten_minute_corruption_soak():
         trace_categories=("fault", "stabilize", "membership", "supervisor"),
     )
     lan = Lan(sim, "lan", "10.0.0.0/24")
-    spread_config = fast_spread_config(
+    spread_config = SpreadConfig.fast(
         fault_detection_timeout=1.0,
         heartbeat_timeout=0.4,
         discovery_timeout=1.4,
@@ -146,7 +146,7 @@ def test_ten_minute_corruption_soak():
         maturity_timeout=1.0,
         balance_timeout=3.0,
         stabilization=stabilization,
-        **GRAY_WACK_OVERRIDES
+        **WackamoleConfig.profile("hardened")
     )
     hosts, spreads, wacks = [], [], []
     for index in range(N_SERVERS):

@@ -20,7 +20,6 @@ prints the freshly computed table as a dict literal to paste over
 
 import hashlib
 import json
-import pprint
 
 import pytest
 
@@ -183,54 +182,92 @@ for _repertoire in ("standard", "gray", "corrupt"):
 
 
 #: Recorded on the parent of the PR that introduced this file (d67d1ed).
-GOLDEN = {'router/static-fail-active': {'events_fired': 4478,
-                               'sha256': '7b681f72c2634ad9dc27ebf11e13548d4ff6a2ff81cb287896ecda9203d4a77e'},
- 'scale/kill-revive': {'events_fired': 1806,
-                       'sha256': 'e32d63905c71b21309e41bc7f6bda51e7fb22e7bea8a5b1a5d769bf865587896'},
- 'scale/kill-revive+flow': {'events_fired': 1866,
-                            'sha256': '55904c7eee5c689ae4f0f8abb51f746f0b7201178cb9f2b3e44112b4229bc38b'},
- 'sharded/shards=1': {'events_fired': 7657,
-                      'sha256': 'ec7c8ca5e276e5b2361d6d16098d1c8abaaad2dd4867501cf834df851d312bd9'},
- 'sharded/shards=2': {'events_fired': 7657,
-                      'sha256': 'ec7c8ca5e276e5b2361d6d16098d1c8abaaad2dd4867501cf834df851d312bd9'},
- 'trial/broken-balance/0': {'events_fired': None,
-                            'sha256': '5d40256adc4ce7628c4051ad7ef708a1a80b96bdbb41196ba66f67e244489b0a',
-                            'verdict': 'violation'},
- 'trial/corrupt/0': {'events_fired': 10717,
-                     'sha256': 'e9c649edca53857339a757aa951033c58fef187e53d7883cd663e551a40ad1c6',
-                     'verdict': 'pass'},
- 'trial/corrupt/1': {'events_fired': 15373,
-                     'sha256': '695710fbd8974e87acec318356a0626ffcb94334a1016c9412945e3b8b641893',
-                     'verdict': 'pass'},
- 'trial/corrupt/2': {'events_fired': 17041,
-                     'sha256': '1b3256020d1241b248f9b03691e821c73b301462e97eb0ccd30a999737139e02',
-                     'verdict': 'pass'},
- 'trial/gray+broken-balance/1': {'events_fired': None,
-                                 'sha256': '82a07e43dc099dafcae581ba352bf5cc9f30c2d7758d7b5c123a97fd5484aace',
-                                 'verdict': 'violation'},
- 'trial/gray/0': {'events_fired': 19894,
-                  'sha256': '59d5d135247299961d9f32e6ab85d8b0796a8636d0177b4713d9f28da5595007',
-                  'verdict': 'pass'},
- 'trial/gray/1': {'events_fired': 22047,
-                  'sha256': '31526bd57cbaaf404aa3d55cf157cd24cfa444675423d6f098b8ce339f1b23b0',
-                  'verdict': 'pass'},
- 'trial/gray/2': {'events_fired': 13598,
-                  'sha256': 'bb26ede20ae4eb8e3c794e11328b0bbbfeb80c1b08ed3ad785c8a6ed9bf8fd21',
-                  'verdict': 'pass'},
- 'trial/standard+flow/0': {'events_fired': 8713,
-                           'sha256': '476fcb1ba02a22f768db41e7863d5de89b4bf148a838d8e3d47566e0986d0992',
-                           'verdict': 'pass'},
- 'trial/standard/0': {'events_fired': 7485,
-                      'sha256': '75a689df47f4a3fb6474b071982d5551ac69a3e3a16a7f52ffe928ee803d3edb',
-                      'verdict': 'pass'},
- 'trial/standard/1': {'events_fired': 10360,
-                      'sha256': 'f40fc580cdffbdc98be07a6fa90ba389004da4cbba1588001878394604796e9f',
-                      'verdict': 'pass'},
- 'trial/standard/2': {'events_fired': 9865,
-                      'sha256': '51bfce7d8b52a6377abc13719dfcb26e556989c8a87024223078e266b9e44700',
-                      'verdict': 'pass'},
- 'web/nic-down': {'events_fired': 3606,
-                  'sha256': 'f83d1de04160cb4bfbc9e9ad4ee8e9eda33b5daa2bb6149b960ae79d015db3be'}}
+GOLDEN = {
+    "router/static-fail-active": {
+        "events_fired": 4478,
+        "sha256": "7b681f72c2634ad9dc27ebf11e13548d4ff6a2ff81cb287896ecda9203d4a77e",
+    },
+    "scale/kill-revive": {
+        "events_fired": 1806,
+        "sha256": "e32d63905c71b21309e41bc7f6bda51e7fb22e7bea8a5b1a5d769bf865587896",
+    },
+    "scale/kill-revive+flow": {
+        "events_fired": 1866,
+        "sha256": "55904c7eee5c689ae4f0f8abb51f746f0b7201178cb9f2b3e44112b4229bc38b",
+    },
+    "sharded/shards=1": {
+        "events_fired": 7657,
+        "sha256": "ec7c8ca5e276e5b2361d6d16098d1c8abaaad2dd4867501cf834df851d312bd9",
+    },
+    "sharded/shards=2": {
+        "events_fired": 7657,
+        "sha256": "ec7c8ca5e276e5b2361d6d16098d1c8abaaad2dd4867501cf834df851d312bd9",
+    },
+    "trial/broken-balance/0": {
+        "events_fired": None,
+        "sha256": "5d40256adc4ce7628c4051ad7ef708a1a80b96bdbb41196ba66f67e244489b0a",
+        "verdict": "violation",
+    },
+    "trial/corrupt/0": {
+        "events_fired": 10717,
+        "sha256": "e9c649edca53857339a757aa951033c58fef187e53d7883cd663e551a40ad1c6",
+        "verdict": "pass",
+    },
+    "trial/corrupt/1": {
+        "events_fired": 15373,
+        "sha256": "695710fbd8974e87acec318356a0626ffcb94334a1016c9412945e3b8b641893",
+        "verdict": "pass",
+    },
+    "trial/corrupt/2": {
+        "events_fired": 17041,
+        "sha256": "1b3256020d1241b248f9b03691e821c73b301462e97eb0ccd30a999737139e02",
+        "verdict": "pass",
+    },
+    "trial/gray+broken-balance/1": {
+        "events_fired": None,
+        "sha256": "82a07e43dc099dafcae581ba352bf5cc9f30c2d7758d7b5c123a97fd5484aace",
+        "verdict": "violation",
+    },
+    "trial/gray/0": {
+        "events_fired": 19894,
+        "sha256": "59d5d135247299961d9f32e6ab85d8b0796a8636d0177b4713d9f28da5595007",
+        "verdict": "pass",
+    },
+    "trial/gray/1": {
+        "events_fired": 22047,
+        "sha256": "31526bd57cbaaf404aa3d55cf157cd24cfa444675423d6f098b8ce339f1b23b0",
+        "verdict": "pass",
+    },
+    "trial/gray/2": {
+        "events_fired": 13598,
+        "sha256": "bb26ede20ae4eb8e3c794e11328b0bbbfeb80c1b08ed3ad785c8a6ed9bf8fd21",
+        "verdict": "pass",
+    },
+    "trial/standard+flow/0": {
+        "events_fired": 8713,
+        "sha256": "476fcb1ba02a22f768db41e7863d5de89b4bf148a838d8e3d47566e0986d0992",
+        "verdict": "pass",
+    },
+    "trial/standard/0": {
+        "events_fired": 7485,
+        "sha256": "75a689df47f4a3fb6474b071982d5551ac69a3e3a16a7f52ffe928ee803d3edb",
+        "verdict": "pass",
+    },
+    "trial/standard/1": {
+        "events_fired": 10360,
+        "sha256": "f40fc580cdffbdc98be07a6fa90ba389004da4cbba1588001878394604796e9f",
+        "verdict": "pass",
+    },
+    "trial/standard/2": {
+        "events_fired": 9865,
+        "sha256": "51bfce7d8b52a6377abc13719dfcb26e556989c8a87024223078e266b9e44700",
+        "verdict": "pass",
+    },
+    "web/nic-down": {
+        "events_fired": 3606,
+        "sha256": "f83d1de04160cb4bfbc9e9ad4ee8e9eda33b5daa2bb6149b960ae79d015db3be",
+    },
+}
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
@@ -244,5 +281,10 @@ def test_sharded_pins_agree():
 
 
 if __name__ == "__main__":
-    print("GOLDEN = ", end="")
-    pprint.pprint({name: CASES[name]() for name in sorted(CASES)}, width=88)
+    print("GOLDEN = {")
+    for _name in sorted(CASES):
+        print('    "{}": {{'.format(_name))
+        for _key, _value in sorted(CASES[_name]().items()):
+            print('        "{}": {},'.format(_key, json.dumps(_value).replace("null", "None")))
+        print("    },")
+    print("}")

@@ -7,24 +7,20 @@ exact single-owner VIP coverage at the end. They double as executable
 documentation for the repertoire.
 """
 
-from helpers import build_wack_cluster, fast_spread_config, settle_wack
+from helpers import build_wack_cluster, settle_wack
 
-from repro.check.harness import GRAY_WACK_OVERRIDES
+from repro.gcs.config import SpreadConfig
+from repro.core.config import WackamoleConfig
 from repro.core.supervisor import DaemonSupervisor
 from repro.net.linkfault import GilbertElliott
 
 #: The hardened shape the gray check harness runs: lenient detection
 #: relative to the induced faults, two-miss suspicion.
-GRAY_SPREAD = dict(
-    fault_detection_timeout=0.5,
-    heartbeat_timeout=0.2,
-    discovery_timeout=0.5,
-    suspicion_misses=2,
-)
+GRAY_SPREAD = SpreadConfig.profile("hardened")
 
 
 def build_gray_cluster(n=3, seed=7, n_vips=6, spread_overrides=None, **wack_overrides):
-    overrides = dict(GRAY_WACK_OVERRIDES, maturity_timeout=0.5)
+    overrides = dict(WackamoleConfig.profile("hardened"), maturity_timeout=0.5)
     overrides.update(wack_overrides)
     spread = dict(GRAY_SPREAD)
     spread.update(spread_overrides or {})
@@ -32,7 +28,7 @@ def build_gray_cluster(n=3, seed=7, n_vips=6, spread_overrides=None, **wack_over
         n,
         seed=seed,
         n_vips=n_vips,
-        config=fast_spread_config(**spread),
+        config=SpreadConfig.fast(**spread),
         wack_overrides=overrides,
     )
 

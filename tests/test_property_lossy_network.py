@@ -10,14 +10,9 @@ protocol must absorb as ordinary cascading view changes.
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import (
-    build_gcs_cluster,
-    build_wack_cluster,
-    fast_spread_config,
-    settle_gcs,
-    settle_wack,
-)
+from helpers import build_gcs_cluster, build_wack_cluster, settle_gcs, settle_wack
 
+from repro.gcs.config import SpreadConfig
 from repro.core.state import RUN
 
 # Keep fault detection lenient relative to loss so clusters can settle.
@@ -31,7 +26,7 @@ LOSSY_CONFIG = dict(
 @given(st.floats(0.0, 0.15), st.integers(0, 2**16))
 @settings(max_examples=15, deadline=None)
 def test_gcs_total_order_survives_loss(loss, seed):
-    cluster = build_gcs_cluster(3, seed=seed, config=fast_spread_config(**LOSSY_CONFIG))
+    cluster = build_gcs_cluster(3, seed=seed, config=SpreadConfig.fast(**LOSSY_CONFIG))
     cluster.lan.loss = loss
     settle_gcs(cluster)
     settle_gcs(cluster)
@@ -73,7 +68,7 @@ def test_wackamole_properties_survive_loss(loss, seed):
         3,
         seed=seed,
         n_vips=4,
-        config=fast_spread_config(**LOSSY_CONFIG),
+        config=SpreadConfig.fast(**LOSSY_CONFIG),
         wack_overrides={"maturity_timeout": 0.5, "balance_enabled": False},
     )
     cluster.lan.loss = loss

@@ -10,6 +10,7 @@ through crashes, partitions and merges.
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.gcs.config import SpreadConfig
 from repro.core.audit import CoverageAuditor
 from repro.core.config import VipGroup, WackamoleConfig
 from repro.core.daemon import WackamoleDaemon
@@ -20,7 +21,6 @@ from repro.net.host import Host
 from repro.net.lan import Lan
 from repro.sim.simulation import Simulation
 
-from helpers import fast_spread_config
 
 SUBNETS = ("10.0.0.0/24", "10.1.0.0/24", "10.2.0.0/24")
 
@@ -43,7 +43,7 @@ def build_router_cluster(seed, n_groups, addresses_per_group, n_routers=3):
         host = Host(sim, "r{}".format(index))
         for lan_index, lan in enumerate(lans[:addresses_per_group]):
             host.add_nic(lan, "10.{}.0.{}".format(lan_index, 2 + index))
-        spread = SpreadDaemon(host, lans[0], fast_spread_config())
+        spread = SpreadDaemon(host, lans[0], SpreadConfig.fast())
         wack = WackamoleDaemon(host, spread, config)
         sim.after(0.02 * index, spread.start)
         sim.after(0.02 * index + 0.005, wack.start)

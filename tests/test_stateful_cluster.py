@@ -18,12 +18,12 @@ from hypothesis import settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, rule
 
-from helpers import build_wack_cluster, fast_spread_config, settle_wack
+from helpers import build_wack_cluster, settle_wack
 
-from repro.check.harness import GRAY_WACK_OVERRIDES
+from repro.gcs.config import SpreadConfig
+from repro.core.config import WackamoleConfig
 from repro.check.trial import CORRUPT_VIOLATION_GRACE
 from repro.core.state import RUN
-from repro.stabilization import StabilizationConfig
 
 N = 4
 
@@ -124,17 +124,12 @@ class StabilizingClusterMachine(RuleBasedStateMachine):
 
     @initialize(seed=st.integers(0, 2**16))
     def boot(self, seed):
-        stabilization = StabilizationConfig(interval=0.5)
-        overrides = dict(
-            GRAY_WACK_OVERRIDES, maturity_timeout=0.5, stabilization=stabilization
-        )
+        overrides = dict(WackamoleConfig.profile("stabilizing"), maturity_timeout=0.5)
         self.cluster = build_wack_cluster(
             N,
             seed=seed,
             n_vips=5,
-            config=fast_spread_config(
-                suspicion_misses=2, stabilization=stabilization
-            ),
+            config=SpreadConfig.fast(**SpreadConfig.profile("stabilizing")),
             wack_overrides=overrides,
         )
         assert settle_wack(self.cluster)
