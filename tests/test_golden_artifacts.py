@@ -152,9 +152,14 @@ def _sharded(shards):
         metrics_enabled=True,
     )
     artifact = scenario.run()
+    # The event count is pinned as its own field, so it is hashed out
+    # of the artifact (both places it appears): an order-identical
+    # batching change moves the count and nothing else.
+    events_fired = artifact.pop("events_fired")
+    assert artifact["metrics"].pop("sim.events_fired") == events_fired
     return {
         "sha256": _sha(artifact_bytes(artifact)),
-        "events_fired": artifact["events_fired"],
+        "events_fired": events_fired,
     }
 
 
@@ -197,11 +202,11 @@ GOLDEN = {
     },
     "sharded/shards=1": {
         "events_fired": 7657,
-        "sha256": "ec7c8ca5e276e5b2361d6d16098d1c8abaaad2dd4867501cf834df851d312bd9",
+        "sha256": "db1f114e17a0f53339eda4aa918389c658ef3d2dc22e98d85451eaf6b7244338",
     },
     "sharded/shards=2": {
         "events_fired": 7657,
-        "sha256": "ec7c8ca5e276e5b2361d6d16098d1c8abaaad2dd4867501cf834df851d312bd9",
+        "sha256": "db1f114e17a0f53339eda4aa918389c658ef3d2dc22e98d85451eaf6b7244338",
     },
     "trial/broken-balance/0": {
         "events_fired": None,
