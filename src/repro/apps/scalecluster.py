@@ -86,9 +86,9 @@ class ScaleClusterScenario(ScaleCell):
             [self._vip_ip(index) for index in range(n_vips)],
             FaultInjector(self.sim),
         )
-        for index, (name, ip) in enumerate(entries):
+        for index, name in enumerate(self.fleet.names):
             host = Host(self.sim, name)
-            host.add_nic(self.lan, ip)
+            host.add_nic(self.lan, self.fleet.ips[index])
             self.add(host, index)
         if flow_users:
             self.attach_flow(

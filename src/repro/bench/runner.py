@@ -110,7 +110,7 @@ class BenchRun:
         for name in sorted(self.benches):
             result = self.benches[name]
             lines.append(
-                "  {:<22} {:>10.4f}s {:>12,.0f}/s {:>8,}".format(
+                "  {:<22} {:>10.4f}s {:>12,.1f}/s {:>8,}".format(
                     name, result["median_s"], result["per_s"], result["units"]
                 )
             )

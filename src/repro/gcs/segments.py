@@ -43,6 +43,7 @@ pairs them with rendezvous-hash placement
 any node holding the same view computes the same VIP allocation.
 """
 
+from repro.net.addresses import IPAddress
 from repro.sim.process import Process
 from repro.stabilization import StabilizationConfig
 
@@ -94,7 +95,12 @@ class Fleet:  # repro: not-wire (static roster shared by reference, never sent)
     """The static roster: node names, addresses, segment assignment."""
 
     def __init__(self, entries, segment_size):
-        """``entries`` is the index-ordered list of (name, ip) pairs."""
+        """``entries`` is the index-ordered list of (name, ip) pairs.
+
+        Addresses are converted to :class:`IPAddress` once, here, so
+        the per-message send path never re-parses a dotted string.
+        """
+        entries = [(name, IPAddress(ip)) for name, ip in entries]
         self.names = tuple(name for name, _ip in entries)
         self.ips = tuple(ip for _name, ip in entries)
         if len(set(self.names)) != len(self.names):
@@ -241,6 +247,7 @@ class SegmentNode(Process):
         self.config = config or SegmentConfig()
         self.segment = fleet.segment_of_index(index)
         self.peers = fleet.segment_members(self.segment)
+        self._members = tuple(name for name in self.peers if name != self.node_name)
         self.on_global_view = on_global_view
         host.register_service(self)
         host.segment_node = self
@@ -327,13 +334,18 @@ class SegmentNode(Process):
     # transport
 
     def _unicast(self, peer_name, message):
-        if not self.alive:
+        self._fanout((peer_name,), message)
+
+    def _fanout(self, peer_names, message):
+        """One ``message`` to each of ``peer_names``, in order, as one burst."""
+        if not self.alive or not peer_names:
             return
-        self.messages_sent += 1
-        self._m_sent.inc()
-        self.host.send_udp(
+        self.messages_sent += len(peer_names)
+        self._m_sent.inc(len(peer_names))
+        ip_of = self.fleet.ip_of
+        self.host.send_udp_fanout(
             message,
-            self.fleet.ip_of[peer_name],
+            [ip_of[name] for name in peer_names],
             self.config.port,
             src_port=self.config.port,
         )
@@ -555,9 +567,7 @@ class SegmentNode(Process):
             view.version,
             view.members,
         )
-        for name in self.peers:
-            if name != self.node_name:
-                self._unicast(name, beacon)
+        self._fanout(self._members, beacon)
 
     def _gossip_message(self):
         records = tuple(
@@ -578,8 +588,7 @@ class SegmentNode(Process):
             }
             - {self.node_name}
         )
-        for target in targets:
-            self._unicast(target, digest)
+        self._fanout(targets, digest)
 
     # ------------------------------------------------------------------
     # self-stabilization (docs/FAULTS.md, "State corruption")

@@ -15,7 +15,13 @@ reply arrives — is identical.
 """
 
 from repro.net.addresses import BROADCAST_MAC, IPAddress
-from repro.net.packet import ARP_ETHERTYPE, ArpOp, ArpPacket, EthernetFrame
+from repro.net.packet import (
+    ARP_ETHERTYPE,
+    IP_ETHERTYPE,
+    ArpOp,
+    ArpPacket,
+    EthernetFrame,
+)
 
 
 class ArpEntry:
@@ -32,21 +38,31 @@ class ArpEntry:
 
 
 class ArpCache:
-    """Per-host ARP cache with entry lifetime."""
+    """Per-host ARP cache with entry lifetime.
 
-    def __init__(self, clock, lifetime=60.0):
-        self._clock = clock
+    Entries age on the owning host's *local* clock (simulated time plus
+    the host's skew, see :attr:`Host.local_time`). The cache reads the
+    scheduler's clock and the skew directly: every received ARP packet
+    and every routed datagram lands here, and going through the
+    property chain costs four calls per reading.
+    """
+
+    def __init__(self, host, lifetime=60.0):
+        self._host = host
+        self._scheduler = host.sim.scheduler
         self.lifetime = float(lifetime)
         self._entries = {}
         self.updates = 0
 
     def lookup(self, ip):
         """Return the cached MAC for ``ip``, or None if absent/expired."""
-        ip = IPAddress(ip)
+        if type(ip) is not IPAddress:
+            ip = IPAddress(ip)
         entry = self._entries.get(ip)
         if entry is None:
             return None
-        if self._clock() - entry.updated_at > self.lifetime:
+        now = self._scheduler._now + self._host.clock_skew
+        if now - entry.updated_at > self.lifetime:
             del self._entries[ip]
             return None
         return entry.mac
@@ -55,14 +71,15 @@ class ArpCache:
         """Create or refresh the entry for ``ip``."""
         if type(ip) is not IPAddress:
             ip = IPAddress(ip)
+        now = self._scheduler._now + self._host.clock_skew
         entry = self._entries.get(ip)
         if entry is None:
-            self._entries[ip] = ArpEntry(mac, self._clock())
+            self._entries[ip] = ArpEntry(mac, now)
         else:
             # Refresh in place: every received ARP packet lands here on
             # every host, and the entry objects need not be reallocated.
             entry.mac = mac
-            entry.updated_at = self._clock()
+            entry.updated_at = now
         self.updates += 1
 
     def drop(self, ip):
@@ -71,7 +88,7 @@ class ArpCache:
 
     def snapshot(self):
         """Dict copy {ip: mac} of non-expired entries."""
-        now = self._clock()
+        now = self._host.local_time
         return {
             ip: entry.mac
             for ip, entry in self._entries.items()
@@ -100,7 +117,7 @@ class ArpService:
 
     def __init__(self, host, cache_lifetime=60.0):
         self.host = host
-        self.cache = ArpCache(lambda: host.local_time, lifetime=cache_lifetime)
+        self.cache = ArpCache(host, lifetime=cache_lifetime)
         self._pending = {}
         self.requests_sent = 0
         self.replies_sent = 0
@@ -116,9 +133,11 @@ class ArpService:
         """Process an incoming ARP packet on ``nic``."""
         sender_ip = packet.sender_ip
         sender_mac = packet.sender_mac
+        # Ownership first: it is almost never true, so the MAC
+        # comparisons run only for the rare claimed-address packet.
         if (
-            sender_mac != nic.mac
-            and self.host.owns_ip(sender_ip)
+            self.host.owns_ip(sender_ip)
+            and sender_mac != nic.mac
             and all(other.mac != sender_mac for other in self.host.nics)
         ):
             # Someone else is advertising an address we have bound:
@@ -134,7 +153,8 @@ class ArpService:
                 self.on_vip_conflict(sender_ip, sender_mac)
         else:
             self.cache.store(sender_ip, sender_mac)
-            self._flush_pending(sender_ip)
+            if self._pending:
+                self._flush_pending(sender_ip)
         if packet.op == ArpOp.REQUEST and nic.owns_ip(packet.target_ip):
             self._send_reply(nic, packet)
 
@@ -145,7 +165,8 @@ class ArpService:
         packet and launches a (retried) ARP request. Packets are
         dropped if resolution fails after all retries.
         """
-        next_hop_ip = IPAddress(next_hop_ip)
+        if type(next_hop_ip) is not IPAddress:
+            next_hop_ip = IPAddress(next_hop_ip)
         mac = self.cache.lookup(next_hop_ip)
         if mac is not None:
             self._transmit_ip(nic, mac, ip_packet)
@@ -200,8 +221,6 @@ class ArpService:
         self.replies_sent += 1
 
     def _flush_pending(self, ip):
-        if not self._pending:
-            return
         queue = self._pending.pop(IPAddress(ip), None)
         if not queue:
             return
@@ -210,7 +229,5 @@ class ArpService:
             self._transmit_ip(nic, mac, ip_packet)
 
     def _transmit_ip(self, nic, dst_mac, ip_packet):
-        from repro.net.packet import IP_ETHERTYPE
-
         frame = EthernetFrame(nic.mac, dst_mac, IP_ETHERTYPE, ip_packet)
         nic.transmit(frame)

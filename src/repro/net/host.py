@@ -7,7 +7,7 @@ MACs — exactly the failure mode the paper's fail-over repairs).
 """
 
 from repro.net.addresses import BROADCAST_MAC, IPAddress
-from repro.net.arp import ArpService
+from repro.net.arp import ArpCache, ArpService
 from repro.net.nic import Nic
 from repro.net.packet import (
     ARP_ETHERTYPE,
@@ -176,7 +176,7 @@ class Host(Process):
         self.restart()
         self.time_scale = 1.0
         self._slow_delivery_lag = 0.0
-        self.arp.cache = type(self.arp.cache)(lambda: self.local_time)
+        self.arp.cache = ArpCache(self, lifetime=self.arp.cache.lifetime)
         for nic in self._nics:
             nic.reset()
         self.trace("host", "recover")
@@ -195,7 +195,12 @@ class Host(Process):
 
     def _handle_ip(self, nic, packet):
         dst = packet.dst_ip
-        if dst == nic.lan.subnet.broadcast_address or self.owns_ip(dst):
+        # The receiving NIC's own addresses first: the per-datagram case.
+        if (
+            dst in nic._bound
+            or dst == nic.lan.subnet.broadcast_address
+            or self.owns_ip(dst)
+        ):
             self._deliver_local(packet)
         elif self.ip_forwarding:
             self.forward_packet(packet)
@@ -267,24 +272,36 @@ class Host(Process):
 
     def send_udp(self, payload, dst_ip, dst_port, src_port=0, src_ip=None):
         """Build and route one UDP/IP packet."""
+        self.send_udp_fanout(payload, (dst_ip,), dst_port, src_port, src_ip)
+
+    def send_udp_fanout(self, payload, dst_ips, dst_port, src_port=0, src_ip=None):
+        """Send one payload to every address in ``dst_ips``, in list order.
+
+        Exactly what a loop of :meth:`send_udp` calls would put on the
+        wire, in the same order — but consecutive on-link unicasts
+        leave as one burst the LAN may deliver with a single scheduler
+        event (see :meth:`Lan.transmit_fanout`).
+        """
         if not self.alive:
             return
-        if type(dst_ip) is not IPAddress:
-            dst_ip = IPAddress(dst_ip)
         datagram = UdpDatagram(src_port, int(dst_port), payload)
-        nic = self._output_nic(dst_ip)
-        if nic is None:
-            self.packets_dropped += 1
-            self.trace("ip", "no_route", dst=str(dst_ip))
-            return
-        if src_ip is None:
-            src_ip = nic.primary_ip
-        if src_ip is None:
-            self.packets_dropped += 1
-            return
-        if type(src_ip) is not IPAddress:
-            src_ip = IPAddress(src_ip)
-        self.send_ip(IpPacket(src_ip, dst_ip, datagram))
+        routed = []
+        for dst_ip in dst_ips:
+            if type(dst_ip) is not IPAddress:
+                dst_ip = IPAddress(dst_ip)
+            nic, next_hop = self._route(dst_ip)
+            if nic is None:
+                self.packets_dropped += 1
+                self.trace("ip", "no_route", dst=str(dst_ip))
+                continue
+            source = nic.primary_ip if src_ip is None else src_ip
+            if source is None:
+                self.packets_dropped += 1
+                continue
+            if type(source) is not IPAddress:
+                source = IPAddress(source)
+            routed.append((nic, next_hop, IpPacket(source, dst_ip, datagram)))
+        self._transmit_routed(routed)
 
     # ------------------------------------------------------------------
     # IP output routing
@@ -294,17 +311,46 @@ class Host(Process):
         if not self.alive:
             return
         dst = packet.dst_ip
-        for nic in self._nics:
-            if nic.up and dst == nic.lan.subnet.broadcast_address:
-                frame = EthernetFrame(nic.mac, BROADCAST_MAC, IP_ETHERTYPE, packet)
-                nic.transmit(frame)
-                return
         nic, next_hop = self._route(dst)
         if nic is None:
             self.packets_dropped += 1
             self.trace("ip", "no_route", dst=str(dst))
             return
-        self.arp.resolve_and_send(nic, next_hop, packet)
+        self._transmit_routed(((nic, next_hop, packet),))
+
+    def _broadcast_nic(self, dst_ip):
+        """The up interface whose subnet broadcast address is ``dst_ip``."""
+        for nic in self._nics:
+            if nic.up and dst_ip == nic.lan.subnet.broadcast_address:
+                return nic
+        return None
+
+    def _transmit_routed(self, routed):
+        """Put routed packets — ``(nic, next_hop, packet)`` — on the wire, in order.
+
+        Resolved unicasts accumulate into a burst per outgoing NIC. A
+        subnet broadcast or an ARP miss first flushes the burst, then
+        takes the per-packet path, so frames (and the ARP request a
+        miss launches) keep the order a packet-at-a-time loop gives.
+        """
+        lookup = self.arp.cache.lookup
+        burst_nic = None
+        burst = []
+        for nic, next_hop, packet in routed:
+            out = self._broadcast_nic(packet.dst_ip)
+            mac = lookup(next_hop) if out is None else None
+            if burst and (mac is None or nic is not burst_nic):
+                burst_nic.transmit_fanout(burst)
+                burst = []
+            if mac is not None:
+                burst_nic = nic
+                burst.append(EthernetFrame(nic.mac, mac, IP_ETHERTYPE, packet))
+            elif out is not None:
+                out.transmit(EthernetFrame(out.mac, BROADCAST_MAC, IP_ETHERTYPE, packet))
+            else:
+                self.arp.resolve_and_send(nic, next_hop, packet)
+        if burst:
+            burst_nic.transmit_fanout(burst)
 
     def forward_packet(self, packet):
         """Router-style forwarding hook; overridden to consult route tables."""
@@ -324,7 +370,3 @@ class Host(Process):
                 if nic.up and self.default_gateway in nic.lan.subnet:
                     return nic, self.default_gateway
         return None, None
-
-    def _output_nic(self, dst_ip):
-        nic, _ = self._route(dst_ip)
-        return nic

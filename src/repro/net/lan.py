@@ -23,6 +23,7 @@ runs that never enable one replay the exact historical draw sequence.
 """
 
 from repro.net.addresses import Subnet
+from repro.net.packet import ARP_ETHERTYPE
 
 _NO_NICS = ()
 
@@ -218,11 +219,6 @@ class Lan:
             params=model.describe() if model is not None else None,
         )
 
-    @property
-    def link_model(self):
-        """The installed burst-loss model, or None."""
-        return self._link_model
-
     def set_duplication(self, probability):
         """Per-delivery probability that a frame arrives twice."""
         self.duplicate_prob = float(probability)
@@ -287,6 +283,15 @@ class Lan:
                 return
             groups = self._groups
             src_group = groups[src_nic]
+            if len(owners) == 1 and not (self._gray_active or self.loss or self.jitter):
+                # The per-datagram case — one owner, no knob to consult:
+                # straight to the delivery event, no recipient list.
+                nic = owners[0]
+                if nic is not src_nic and groups[nic] == src_group:
+                    self.frames_delivered += 1
+                    self._m_delivered.inc()
+                    self.sim.scheduler.after(self.latency, nic.deliver, frame)
+                return
             recipients = [
                 nic
                 for nic in owners
@@ -340,7 +345,63 @@ class Lan:
     @staticmethod
     def _deliver_batch(frame, recipients):
         """Deliver one frame to a frozen recipient list (batched event)."""
+        if frame.ethertype != ARP_ETHERTYPE:
+            for nic in recipients:
+                nic.deliver(frame)
+            return
+        # A broadcast ARP frame reaches every host on the segment (the
+        # O(N²) boot and cache-expiry storms): hand the packet to each
+        # host's ARP engine directly, with Nic.deliver's checks and
+        # counters but without its two dispatch hops.
+        packet = frame.payload
         for nic in recipients:
+            host = nic.host
+            if not nic.up or not host.alive:
+                nic._m_dropped.inc()
+                continue
+            nic._m_rx.inc()
+            host.arp.handle(nic, packet)
+
+    def transmit_fanout(self, frames, src_nic):
+        """Deliver unicast ``frames`` from ``src_nic``, in list order.
+
+        Same frames, counters and delivery order as one :meth:`transmit`
+        per frame. With no loss, jitter or gray knob active every frame
+        gets the identical delay and draws nothing, so the per-frame
+        events would hold consecutive sequence numbers at one instant:
+        a single event delivering them in list order at the first one's
+        ``(time, seq)`` slot is indistinguishable (the broadcast batch's
+        argument, DESIGN.md §8). With a knob active each frame takes
+        the per-frame path, which keeps every RNG draw where it was.
+        """
+        if self._gray_active or self.loss or self.jitter:
+            for frame in frames:
+                self.transmit(frame, src_nic)
+            return
+        sent = len(frames)
+        self.frames_sent += sent
+        self._m_sent.inc(sent)
+        index = self._mac_index
+        if index is None:
+            index = self._build_mac_index()
+        groups = self._groups
+        src_group = groups[src_nic]
+        deliveries = [
+            (nic, frame)
+            for frame in frames
+            for nic in index.get(frame.dst_mac, _NO_NICS)
+            if nic is not src_nic and groups[nic] == src_group
+        ]
+        if deliveries:
+            delivered = len(deliveries)
+            self.frames_delivered += delivered
+            self._m_delivered.inc(delivered)
+            self.sim.scheduler.after(self.latency, self._deliver_fanout, deliveries)
+
+    @staticmethod
+    def _deliver_fanout(deliveries):
+        """Deliver a burst's ``(nic, frame)`` pairs in order (batched event)."""
+        for nic, frame in deliveries:
             nic.deliver(frame)
 
     def _transmit_gray(self, frame, src_nic, recipients, after, loss, jitter, latency, rng):

@@ -8,6 +8,7 @@ management code of the real Wackamole.
 """
 
 from repro.net.addresses import IPAddress, MACAddress
+from repro.net.packet import IP_ETHERTYPE
 
 #: First locally-administered MAC handed out in every simulation.
 MAC_BASE = 0x020000000001
@@ -98,13 +99,30 @@ class Nic:
         self._m_tx.inc()
         self.lan.transmit(frame, self)
 
+    def transmit_fanout(self, frames):
+        """Send ``frames`` (unicasts, in order) as one burst; all dropped if down."""
+        if len(frames) == 1:
+            # A burst of one is a plain transmit: same event as ever.
+            self.transmit(frames[0])
+            return
+        if not self.up:
+            self._m_dropped.inc(len(frames))
+            return
+        self._m_tx.inc(len(frames))
+        self.lan.transmit_fanout(frames, self)
+
     def deliver(self, frame):
         """Called by the LAN when a frame arrives for this NIC."""
-        if not self.up or not self.host.alive:
+        host = self.host
+        if not self.up or not host.alive:
             self._m_dropped.inc()
             return
         self._m_rx.inc()
-        self.host.handle_frame(self, frame)
+        if frame.ethertype == IP_ETHERTYPE:
+            # The per-datagram case: skip the generic dispatch hop.
+            host._handle_ip(self, frame.payload)
+        else:
+            host.handle_frame(self, frame)
 
     def __repr__(self):
         return "Nic({}, mac={}, ips={}, {})".format(

@@ -210,21 +210,30 @@ class UplinkHost(Host):
         self.uplink = uplink
         self.cell = cell
 
-    def send_udp(self, payload, dst_ip, dst_port, src_port=0, src_ip=None):
+    def send_udp_fanout(self, payload, dst_ips, dst_port, src_port=0, src_ip=None):
         if not self.alive:
             return
-        if type(dst_ip) is not IPAddress:
-            dst_ip = IPAddress(dst_ip)
-        dst_cell = self.uplink.cell_of(dst_ip)
-        if dst_cell is not None and dst_cell != self.cell:
-            if src_ip is None:
+        cell_of = self.uplink.cell_of
+        local = []
+        for dst_ip in dst_ips:
+            if type(dst_ip) is not IPAddress:
+                dst_ip = IPAddress(dst_ip)
+            dst_cell = cell_of(dst_ip)
+            if dst_cell is None or dst_cell == self.cell:
+                local.append(dst_ip)
+                continue
+            source = src_ip
+            if source is None:
                 nics = self.nics
-                src_ip = nics[0].primary_ip if nics else None
-            if src_ip is None:
+                source = nics[0].primary_ip if nics else None
+            if source is None:
                 self.packets_dropped += 1
-                return
+                continue
             self.uplink.send(
-                self.cell, payload, dst_ip, dst_port, IPAddress(src_ip), src_port
+                self.cell, payload, dst_ip, dst_port, IPAddress(source), src_port
             )
-            return
-        super().send_udp(payload, dst_ip, dst_port, src_port=src_port, src_ip=src_ip)
+        # Envelopes never touch the scheduler (they are injected at the
+        # next barrier in key order), so sending them ahead of the
+        # intra-cell remainder reorders nothing observable.
+        if local:
+            super().send_udp_fanout(payload, local, dst_port, src_port, src_ip)

@@ -9,6 +9,7 @@ property over the victim), and the whole run must be deterministic —
 two identically-seeded clusters produce byte-identical fingerprints.
 """
 
+import hashlib
 import json
 import math
 
@@ -145,3 +146,55 @@ def test_n256_cluster_is_deterministic():
         return json.dumps(scenario.fingerprint(), sort_keys=True)
 
     assert run_once() == run_once()
+
+
+#: Recorded on the parent of the fan-out batching change (cb75915),
+#: where every beacon and digest was its own send_udp and its own event.
+PRE_BATCHING_N64 = {
+    "trace_lines": 282,
+    "trace_sha256": "f06230929c44eff2fc49a0c9d21382f5054effacd5905ddbb710a0eeb48cc396",
+    "fingerprint_sha256": "1aab088749ab8a90279383376968af047d9910259fe25fd3082afa605fbeee2d",
+    "totals_sha256": "e5fdb6c484f359aedbc8eb8c8c1d16fd1db2035999c4c6d06b8b59e74cd8832a",
+}
+
+
+def test_n64_run_across_arp_expiry_matches_the_unbatched_recording():
+    """Fan-out batching moves ``events_fired`` and nothing else.
+
+    Trace and metrics on; a leader kill, a member kill and a revival;
+    then past t = 60 s, where every ARP entry filled by the boot storm
+    expires and the beacons and digests of that interval hit misses in
+    the middle of their destination lists.
+    """
+    scenario = ScaleClusterScenario(
+        seed=3,
+        n_hosts=64,
+        n_vips=512,
+        segment_size=16,
+        trace_enabled=True,
+        metrics_enabled=True,
+    ).start()
+    assert scenario.settle()
+    scenario.kill(16)  # a segment leader
+    assert scenario.settle()
+    scenario.kill(37)  # a plain member
+    assert scenario.settle()
+    scenario.revive(16)
+    assert scenario.settle()
+    scenario.sim.run(until=66.0)
+    assert scenario.converged()
+
+    def sha(value):
+        text = json.dumps(value, sort_keys=True)
+        return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+    lines = [repr(record) for record in scenario.sim.trace.records]
+    totals = scenario.sim.metrics.totals()
+    del totals["sim.events_fired"]
+    assert totals["net.broadcasts"] > 64  # the expiry storm happened
+    assert {
+        "trace_lines": len(lines),
+        "trace_sha256": sha(lines),
+        "fingerprint_sha256": sha(scenario.fingerprint()),
+        "totals_sha256": sha(totals),
+    } == PRE_BATCHING_N64

@@ -18,6 +18,7 @@ from repro.gcs.segments import (
     SegmentNode,
     merge_digests,
 )
+from repro.net.addresses import IPAddress
 from repro.net.host import Host
 from repro.net.lan import Lan
 from repro.sim.simulation import Simulation
@@ -80,6 +81,13 @@ def test_fleet_segmentation():
     assert fleet.segment_members(2) == ("n8", "n9")
     assert fleet.initial_leader(1) == "n4"
     assert fleet.segment_of("n7") == 1
+
+
+def test_fleet_parses_addresses_once():
+    fleet = Fleet([("n0", "10.9.0.1"), ("n1", IPAddress("10.9.0.2"))], segment_size=2)
+    assert all(type(ip) is IPAddress for ip in fleet.ips)
+    assert fleet.ip_of["n0"] is fleet.ips[0]
+    assert fleet.ips == (IPAddress("10.9.0.1"), IPAddress("10.9.0.2"))
 
 
 # ----------------------------------------------------------------------
