@@ -37,6 +37,8 @@ instead of the O(V·N) full recomputation.
 
 import hashlib
 import math
+import struct
+from operator import itemgetter
 
 PLACEMENT_LINEAR = "linear"
 PLACEMENT_RENDEZVOUS = "rendezvous"
@@ -44,6 +46,9 @@ PLACEMENT_STRATEGIES = (PLACEMENT_LINEAR, PLACEMENT_RENDEZVOUS)
 
 _MASK64 = (1 << 64) - 1
 _PHI64 = 0x9E3779B97F4A7C15
+_MIX_A = 0xBF58476D1CE4E5B9
+_MIX_B = 0x94D049BB133111EB
+_U_MAX = math.nextafter(1.0, 0.0)
 
 
 def _key64(name):
@@ -56,9 +61,9 @@ def _mix64(x):
     """SplitMix64 finalizer: full-avalanche 64-bit mix."""
     x &= _MASK64
     x ^= x >> 30
-    x = (x * 0xBF58476D1CE4E5B9) & _MASK64
+    x = (x * _MIX_A) & _MASK64
     x ^= x >> 27
-    x = (x * 0x94D049BB133111EB) & _MASK64
+    x = (x * _MIX_B) & _MASK64
     x ^= x >> 31
     return x
 
@@ -80,7 +85,9 @@ def _weighted_score(raw_score, weight):
     argmax equals the unweighted one; unequal weights skew each
     member's expected share proportionally (Wang & Ravishankar).
     """
-    u = (raw_score + 0.5) / 18446744073709551616.0
+    # The top 1 025 raw scores round to exactly 1.0, whose log is 0:
+    # clamp to the largest double below 1 (still monotone, u > 0 always).
+    u = min((raw_score + 0.5) / 18446744073709551616.0, _U_MAX)
     return -weight / math.log(u)
 
 
@@ -183,6 +190,51 @@ def reallocate_ips_rendezvous(table, preferences=None, weights=None):
     return assignments
 
 
+class _ScoreLanes:
+    """:func:`hrw_score` of one slot key against N member keys at once.
+
+    The member terms ``(key + φ) mod 2⁶⁴`` sit in one Python int, one
+    128-bit lane each: 64 value bits under 64 zero bits of headroom.
+    :func:`_mix64` then runs on all lanes in one pass of big-int
+    operations. A lane's product with a 64-bit constant is below 2¹²⁸,
+    so it cannot carry into the next lane, and a right shift leaks only
+    into the neighbour's headroom; masking every step back to the low
+    halves therefore leaves in each lane exactly the scalar result.
+    """
+
+    def __init__(self, member_keys):
+        # Greatest name in lane 0: the *first* lane holding the maximum
+        # is then the winner of an exact tie, which is the tie rule of
+        # ``max(..., key=(score, name))`` in :func:`rendezvous_allocation`.
+        ranked = sorted(member_keys, key=itemgetter(0), reverse=True)
+        self._members = [member for member, _key in ranked]
+        lanes = len(ranked)
+        # Little-endian, 16 bytes a lane: the value, then the headroom.
+        self._layout = struct.Struct("<" + "Q8x" * lanes)
+        self._ones = int.from_bytes(b"\x01".ljust(16, b"\x00") * lanes, "little")
+        self._low = self._ones * _MASK64
+        self._terms = int.from_bytes(
+            b"".join(
+                ((key + _PHI64) & _MASK64).to_bytes(16, "little") for _member, key in ranked
+            ),
+            "little",
+        )
+
+    def best(self, slot_key):
+        """``(score, member)`` of the member scoring highest on ``slot_key``."""
+        low = self._low
+        x = self._terms ^ (slot_key * self._ones)
+        x ^= (x >> 30) & low
+        x = (x * _MIX_A) & low
+        x ^= (x >> 27) & low
+        x = (x * _MIX_B) & low
+        x ^= (x >> 31) & low
+        layout = self._layout
+        scores = layout.unpack(x.to_bytes(layout.size, "little"))
+        score = max(scores)
+        return score, self._members[scores.index(score)]
+
+
 class RendezvousMap:
     """Incrementally maintained HRW allocation over a fixed slot set.
 
@@ -275,10 +327,8 @@ class RendezvousMap:
         best = dict(base_best)
         if removed:
             gone = set(removed)
-            survivors = [(m, self._member_key(m)) for m in canonical]
-            for slot in self.slots:
-                if allocation[slot] in gone:
-                    allocation[slot], best[slot] = self._score_slot(slot, survivors)
+            orphaned = [slot for slot in self.slots if allocation[slot] in gone]
+            self._rescore(orphaned, canonical, allocation, best)
         for member in added:
             member_key = self._member_key(member)
             slot_keys = self._slot_keys
@@ -305,23 +355,19 @@ class RendezvousMap:
         return winner, self._memo[winner]
 
     def _full(self, canonical):
-        member_keys = [(m, self._member_key(m)) for m in canonical]
         allocation = {}
         best = {}
-        for slot in self.slots:
-            allocation[slot], best[slot] = self._score_slot(slot, member_keys)
+        self._rescore(self.slots, canonical, allocation, best)
         return allocation, best
 
-    def _score_slot(self, slot, member_keys):
-        """(owner, (score, owner)) for one slot over scored members."""
-        if not member_keys:
-            return None, (-1, "")
-        slot_key = self._slot_keys[slot]
-        best_score = -1
-        best_member = None
-        for member, member_key in member_keys:
-            score = hrw_score(slot_key, member_key)
-            if score > best_score or (score == best_score and member > best_member):
-                best_score = score
-                best_member = member
-        return best_member, (best_score, best_member)
+    def _rescore(self, slots, canonical, allocation, best):
+        """Give each of ``slots`` its HRW winner over ``canonical``."""
+        if not canonical:
+            for slot in slots:
+                allocation[slot], best[slot] = None, (-1, "")
+            return
+        lanes = _ScoreLanes([(m, self._member_key(m)) for m in canonical])
+        slot_keys = self._slot_keys
+        for slot in slots:
+            best[slot] = winner = lanes.best(slot_keys[slot])
+            allocation[slot] = winner[1]

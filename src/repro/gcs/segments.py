@@ -275,6 +275,9 @@ class SegmentNode(Process):
         self._peer_leaders = {
             segment: fleet.initial_leader(segment) for segment in fleet.segments()
         }
+        # sender -> (records, _seg_epoch, _seg_alive, copy of _digests) of
+        # its last digest whose merge changed nothing (see _on_digest).
+        self._idle_digests = {}
 
         self.global_view = merge_digests(self._digests)
         self.views_adopted = 0
@@ -401,15 +404,29 @@ class SegmentNode(Process):
     def _on_digest(self, message):
         if not self.is_leader:
             return
-        sender_segment = self.fleet.segment_of(message.sender)
+        sender = message.sender
+        sender_segment = self.fleet.segment_of(sender)
         if sender_segment != self.segment:
             # The sender speaks for its own segment: learn it as that
             # segment's leader and refresh the silence detector.
-            self._peer_leaders[sender_segment] = message.sender
+            self._peer_leaders[sender_segment] = sender
             self._digest_heard[sender_segment] = self.now
+        records = message.records
+        if self._idle_digests.get(sender) == (
+            records,
+            self._seg_epoch,
+            self._seg_alive,
+            self._digests,
+        ):
+            # The merge below is a function of the records and of these
+            # three pieces of *our* state, and with exactly these inputs
+            # it last changed nothing. The state is compared, not
+            # versioned: an epoch rewound behind our back (corruption)
+            # must see the peers' unchanged gossip echo the higher one.
+            return
         changed = False
         minted = False
-        for segment, leader, epoch, alive in message.records:
+        for segment, leader, epoch, alive in records:
             if segment == self.segment:
                 if epoch > self._seg_epoch:
                     # Epoch handoff: an abdicating predecessor (or a
@@ -439,10 +456,17 @@ class SegmentNode(Process):
                 self._digests[segment] = (epoch, alive)
                 self._peer_leaders[segment] = leader
                 changed = True
+        if not (changed or minted):
+            self._idle_digests[sender] = (
+                records,
+                self._seg_epoch,
+                self._seg_alive,
+                dict(self._digests),
+            )
+            return
         if minted:
             self._digests[self.segment] = (self._seg_epoch, self._seg_alive)
-        if changed or minted:
-            self._refresh_view()
+        self._refresh_view()
         if minted:
             self._send_digests()
             self._send_beacons()

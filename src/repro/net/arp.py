@@ -14,6 +14,8 @@ behaviour that matters here — stale entries persisting until a spoofed
 reply arrives — is identical.
 """
 
+import collections
+
 from repro.net.addresses import BROADCAST_MAC, IPAddress
 from repro.net.packet import (
     ARP_ETHERTYPE,
@@ -24,17 +26,15 @@ from repro.net.packet import (
 )
 
 
-class ArpEntry:
-    """One cached <IP, MAC> binding with its last refresh time."""
+class ArpEntry(collections.namedtuple("ArpEntry", "mac updated_at")):
+    """One cached <IP, MAC> binding with its last refresh time.
 
-    __slots__ = ("mac", "updated_at")
+    An immutable value: a refresh replaces a cache's entry instead of
+    changing it, so all the caches that learn a binding from one frame
+    can hold the same object (see :meth:`ArpService.receive`).
+    """
 
-    def __init__(self, mac, updated_at):
-        self.mac = mac
-        self.updated_at = updated_at
-
-    def __repr__(self):
-        return "ArpEntry({}, t={:.4f})".format(self.mac, self.updated_at)
+    __slots__ = ()
 
 
 class ArpCache:
@@ -71,15 +71,13 @@ class ArpCache:
         """Create or refresh the entry for ``ip``."""
         if type(ip) is not IPAddress:
             ip = IPAddress(ip)
-        now = self._scheduler._now + self._host.clock_skew
-        entry = self._entries.get(ip)
-        if entry is None:
-            self._entries[ip] = ArpEntry(mac, now)
-        else:
-            # Refresh in place: every received ARP packet lands here on
-            # every host, and the entry objects need not be reallocated.
-            entry.mac = mac
-            entry.updated_at = now
+        # Without skew the entry holds the scheduler's own float: a
+        # sum would allocate one per entry even when adding 0.0.
+        now = self._scheduler._now
+        skew = self._host.clock_skew
+        if skew:
+            now += skew
+        self._entries[ip] = ArpEntry(mac, now)
         self.updates += 1
 
     def drop(self, ip):
@@ -129,34 +127,67 @@ class ArpService:
         # partition heals. Wackamole daemons hook this for resolution.
         self.on_vip_conflict = None
 
-    def handle(self, nic, packet):
-        """Process an incoming ARP packet on ``nic``."""
+    @staticmethod
+    def receive(packet, nics):
+        """Process one incoming ARP frame on each of ``nics``, in order.
+
+        The whole ARP receive path, NIC-level checks and counters
+        included: the LAN hands a broadcast's full recipient tuple
+        here from one event, and a unicast frame is the one-NIC case
+        (:meth:`Nic.deliver`). What the packet says is read once; per
+        recipient the steps are those of a frame delivered alone.
+        Every recipient whose clock has no skew stores the same
+        immutable entry — same MAC, same instant — so an overheard
+        request costs the segment one entry, not one per host.
+        """
         sender_ip = packet.sender_ip
+        if type(sender_ip) is not IPAddress:
+            sender_ip = IPAddress(sender_ip)
         sender_mac = packet.sender_mac
-        # Ownership first: it is almost never true, so the MAC
-        # comparisons run only for the rare claimed-address packet.
-        if (
-            self.host.owns_ip(sender_ip)
-            and sender_mac != nic.mac
-            and all(other.mac != sender_mac for other in self.host.nics)
-        ):
-            # Someone else is advertising an address we have bound:
-            # duplicate-claim detection (always on; resolution is the
-            # hook's business). Do NOT poison our own cache with the
-            # foreign binding.
-            self.conflicts_seen += 1
-            # Note: the claimant MAC is deliberately not traced — MACs
-            # are allocated from a process-global counter, so their
-            # absolute values are not stable across replays.
-            self.host.trace("arp", "conflict", ip=str(sender_ip))
-            if self.on_vip_conflict is not None:
-                self.on_vip_conflict(sender_ip, sender_mac)
-        else:
-            self.cache.store(sender_ip, sender_mac)
-            if self._pending:
-                self._flush_pending(sender_ip)
-        if packet.op == ArpOp.REQUEST and nic.owns_ip(packet.target_ip):
-            self._send_reply(nic, packet)
+        target_ip = None
+        if packet.op == ArpOp.REQUEST:
+            target_ip = packet.target_ip
+            if type(target_ip) is not IPAddress:
+                target_ip = IPAddress(target_ip)
+        shared = None
+        for nic in nics:
+            host = nic.host
+            if not nic.up or not host.alive:
+                nic._m_dropped.inc()
+                continue
+            nic._m_rx.inc()
+            service = host.arp
+            # Ownership first: it is almost never true, so the MAC
+            # comparisons run only for the rare claimed-address packet.
+            if (
+                host.owns_ip(sender_ip)
+                and sender_mac != nic.mac
+                and all(other.mac != sender_mac for other in host.nics)
+            ):
+                # Someone else is advertising an address we have bound:
+                # duplicate-claim detection (always on; resolution is the
+                # hook's business). Do NOT poison our own cache with the
+                # foreign binding.
+                service.conflicts_seen += 1
+                # Note: the claimant MAC is deliberately not traced — MACs
+                # are allocated from a process-global counter, so their
+                # absolute values are not stable across replays.
+                host.trace("arp", "conflict", ip=str(sender_ip))
+                if service.on_vip_conflict is not None:
+                    service.on_vip_conflict(sender_ip, sender_mac)
+            else:
+                cache = service.cache
+                if host.clock_skew:
+                    cache.store(sender_ip, sender_mac)
+                else:
+                    if shared is None:
+                        shared = ArpEntry(sender_mac, cache._scheduler._now)
+                    cache._entries[sender_ip] = shared
+                    cache.updates += 1
+                if service._pending:
+                    service._flush_pending(sender_ip)
+            if target_ip is not None and target_ip in nic._bound:
+                service._send_reply(nic, packet)
 
     def resolve_and_send(self, nic, next_hop_ip, ip_packet):
         """Send ``ip_packet`` out of ``nic`` toward ``next_hop_ip``.

@@ -10,7 +10,6 @@ from repro.net.addresses import BROADCAST_MAC, IPAddress
 from repro.net.arp import ArpCache, ArpService
 from repro.net.nic import Nic
 from repro.net.packet import (
-    ARP_ETHERTYPE,
     IP_ETHERTYPE,
     EthernetFrame,
     IpPacket,
@@ -185,12 +184,14 @@ class Host(Process):
     # frame input
 
     def handle_frame(self, nic, frame):
-        """Dispatch an incoming frame from one of this host's NICs."""
+        """Dispatch an incoming non-ARP frame from one of this host's NICs.
+
+        ARP frames never get here: :meth:`Nic.deliver` hands them to
+        :meth:`ArpService.receive`.
+        """
         if not self.alive:
             return
-        if frame.ethertype == ARP_ETHERTYPE:
-            self.arp.handle(nic, frame.payload)
-        elif frame.ethertype == IP_ETHERTYPE:
+        if frame.ethertype == IP_ETHERTYPE:
             self._handle_ip(nic, frame.payload)
 
     def _handle_ip(self, nic, packet):

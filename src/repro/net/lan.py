@@ -23,6 +23,7 @@ runs that never enable one replay the exact historical draw sequence.
 """
 
 from repro.net.addresses import Subnet
+from repro.net.arp import ArpService
 from repro.net.packet import ARP_ETHERTYPE
 
 _NO_NICS = ()
@@ -345,22 +346,14 @@ class Lan:
     @staticmethod
     def _deliver_batch(frame, recipients):
         """Deliver one frame to a frozen recipient list (batched event)."""
-        if frame.ethertype != ARP_ETHERTYPE:
-            for nic in recipients:
-                nic.deliver(frame)
+        if frame.ethertype == ARP_ETHERTYPE:
+            # A broadcast ARP frame reaches every host on the segment
+            # (the O(N²) boot and cache-expiry storms): received once
+            # for the whole recipient list, not once per recipient.
+            ArpService.receive(frame.payload, recipients)
             return
-        # A broadcast ARP frame reaches every host on the segment (the
-        # O(N²) boot and cache-expiry storms): hand the packet to each
-        # host's ARP engine directly, with Nic.deliver's checks and
-        # counters but without its two dispatch hops.
-        packet = frame.payload
         for nic in recipients:
-            host = nic.host
-            if not nic.up or not host.alive:
-                nic._m_dropped.inc()
-                continue
-            nic._m_rx.inc()
-            host.arp.handle(nic, packet)
+            nic.deliver(frame)
 
     def transmit_fanout(self, frames, src_nic):
         """Deliver unicast ``frames`` from ``src_nic``, in list order.

@@ -8,7 +8,8 @@ management code of the real Wackamole.
 """
 
 from repro.net.addresses import IPAddress, MACAddress
-from repro.net.packet import IP_ETHERTYPE
+from repro.net.arp import ArpService
+from repro.net.packet import ARP_ETHERTYPE, IP_ETHERTYPE
 
 #: First locally-administered MAC handed out in every simulation.
 MAC_BASE = 0x020000000001
@@ -113,12 +114,18 @@ class Nic:
 
     def deliver(self, frame):
         """Called by the LAN when a frame arrives for this NIC."""
+        ethertype = frame.ethertype
+        if ethertype == ARP_ETHERTYPE:
+            # The one-recipient case of the per-frame ARP routine, which
+            # makes the up/alive checks and counts the frame itself.
+            ArpService.receive(frame.payload, (self,))
+            return
         host = self.host
         if not self.up or not host.alive:
             self._m_dropped.inc()
             return
         self._m_rx.inc()
-        if frame.ethertype == IP_ETHERTYPE:
+        if ethertype == IP_ETHERTYPE:
             # The per-datagram case: skip the generic dispatch hop.
             host._handle_ip(self, frame.payload)
         else:

@@ -148,6 +148,33 @@ def test_n256_cluster_is_deterministic():
     assert run_once() == run_once()
 
 
+@pytest.mark.scale
+def test_n1024_arp_storms_share_entries_and_fire_the_recorded_events():
+    """A count budget for the n1024 boot and its t = 60 s expiry storm.
+
+    Counts only, no wall clock. Every host overhears every leader's
+    ARP request, so the fleet holds about a million cache entries —
+    but one frame's receivers share one entry object, so the distinct
+    objects are bounded by the broadcasts, not by hosts x broadcasts.
+    ``events_fired`` at settle is the figure recorded before the
+    per-frame ARP routine (seed 1): receiving per frame moves no event.
+    """
+    scenario = ScaleClusterScenario(
+        seed=1, n_hosts=1024, n_vips=4096, segment_size=32, metrics_enabled=True
+    ).start()
+    assert scenario.settle()
+    assert scenario.sim.scheduler.events_fired == 8128
+    scenario.sim.run(until=61.0)
+    assert scenario.converged()
+    broadcasts = scenario.sim.metrics.totals()["net.broadcasts"]
+    assert broadcasts == 3968  # 1 984 leader requests at boot, again at expiry
+    entries = [
+        entry for host in scenario.hosts for entry in host.arp.cache._entries.values()
+    ]
+    assert len(entries) > 10**6
+    assert len(set(map(id, entries))) < 4 * broadcasts
+
+
 #: Recorded on the parent of the fan-out batching change (cb75915),
 #: where every beacon and digest was its own send_udp and its own event.
 PRE_BATCHING_N64 = {

@@ -12,6 +12,9 @@ The properties ISSUE 6 demands of the scale-tier strategy:
   direct :func:`rendezvous_allocation` computation.
 """
 
+import random
+
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -19,7 +22,10 @@ from helpers import assert_allocation_ok
 
 from repro.core.placement import (
     RendezvousMap,
+    _ScoreLanes,
+    _weighted_score,
     compute_rendezvous_allocation,
+    hrw_score,
     reallocate_ips_rendezvous,
     rendezvous_allocation,
     rendezvous_owner,
@@ -90,6 +96,56 @@ def test_rendezvous_map_agrees_with_direct_computation(slots, memberships):
         assert placement.allocation_for(members) == rendezvous_allocation(members, slots)
 
 
+@given(slots=slot_lists, data=st.data())
+@settings(max_examples=50)
+def test_rendezvous_map_full_leave_and_join_agree_with_direct(slots, data):
+    # Memberships big enough that a few leavers or joiners take the
+    # delta paths (under a quarter of the membership changes).
+    members = ["m{:02d}".format(i) for i in range(24)]
+    placement = RendezvousMap(slots)
+    assert placement.allocation_for(members) == rendezvous_allocation(members, slots)
+    leavers = data.draw(st.lists(st.sampled_from(members), min_size=1, max_size=4, unique=True))
+    survivors = [m for m in members if m not in leavers]
+    assert placement.allocation_for(survivors) == rendezvous_allocation(survivors, slots)
+    joined = survivors + leavers[:2] + ["m99"]
+    assert placement.allocation_for(joined) == rendezvous_allocation(joined, slots)
+
+
+MAX64 = 2**64 - 1
+keys64 = st.one_of(st.sampled_from([0, MAX64]), st.integers(0, MAX64))
+
+
+def scalar_best(slot_key, member_keys):
+    """The reference: scalar scores, ties toward the greater name."""
+    return max((hrw_score(slot_key, key), name) for name, key in member_keys)
+
+
+@pytest.mark.parametrize("lanes", [1, 2, 7, 33, 1024])
+@given(slot_key=keys64, seed=st.integers(0, 2**32))
+@settings(max_examples=25, deadline=None)
+def test_score_lanes_equal_scalar_scores_and_tie_rule(lanes, slot_key, seed):
+    rng = random.Random(seed)  # 1 024 drawn keys would swamp Hypothesis
+    keys = [
+        rng.choice((0, MAX64)) if rng.random() < 0.05 else rng.getrandbits(64)
+        for _ in range(lanes)
+    ]
+    member_keys = [("m{:04d}".format(i), key) for i, key in enumerate(keys)]
+    if lanes > 1:
+        # A forced exact tie at the top: a second name takes the
+        # winner's key (equal member terms, so equal scores).
+        _score, winner = scalar_best(slot_key, member_keys)
+        twin = rng.choice([i for i in range(lanes) if member_keys[i][0] != winner])
+        member_keys[twin] = (member_keys[twin][0], dict(member_keys)[winner])
+    rng.shuffle(member_keys)
+    assert _ScoreLanes(member_keys).best(slot_key) == scalar_best(slot_key, member_keys)
+
+
+def test_score_lanes_all_equal_terms_go_to_the_greatest_name():
+    member_keys = [(name, MAX64) for name in ("b", "d", "a", "c")]
+    for slot_key in (0, 1, MAX64):
+        assert _ScoreLanes(member_keys).best(slot_key) == (hrw_score(slot_key, MAX64), "d")
+
+
 @given(members=member_lists, slots=slot_lists)
 def test_rendezvous_map_owned_index_partitions_the_slots(members, slots):
     placement = RendezvousMap(slots)
@@ -152,3 +208,16 @@ def test_weighted_share_skews_toward_heavy_member():
     # heavy carries weight 3 of 6 : half the pool in expectation.
     assert counts["heavy"] > len(slots) // 3
     assert_allocation_ok(allocation, members, slots)
+
+
+def test_weighted_score_is_finite_and_monotone_at_both_ends():
+    # (raw + 0.5) / 2**64 rounds to 1.0 for the top 1 025 raw scores;
+    # ln(1.0) = 0 used to make the transform divide by zero there.
+    lowest = _weighted_score(0, 1.0)
+    highest = _weighted_score(MAX64, 1.0)
+    assert lowest == pytest.approx(1.0 / (65 * 0.6931471805599453))
+    assert highest == pytest.approx(2.0**53)
+    samples = [0, 1, 2**32, 2**63, MAX64 - 2048, MAX64 - 1024, MAX64 - 1, MAX64]
+    scores = [_weighted_score(raw, 1.0) for raw in samples]
+    assert scores == sorted(scores)
+    assert _weighted_score(MAX64, 3.0) == 3.0 * highest

@@ -15,10 +15,12 @@ from repro.gcs.segments import (
     Fleet,
     GlobalView,
     SegmentConfig,
+    SegmentDigest,
     SegmentNode,
     merge_digests,
 )
 from repro.net.addresses import IPAddress
+from repro.net.fault import FaultInjector
 from repro.net.host import Host
 from repro.net.lan import Lan
 from repro.sim.simulation import Simulation
@@ -183,6 +185,124 @@ def test_whole_segment_death_and_revival():
     views = live_views(nodes)
     assert len(views) == 1
     assert len(next(iter(views)).members) == 12
+
+
+# ----------------------------------------------------------------------
+# the idle-digest skip: a merge that provably does nothing is not redone
+
+
+class CountedRecords(tuple):
+    """A ``records`` tuple that counts the merges that walked it."""
+
+    walks = 0
+
+    def __iter__(self):
+        CountedRecords.walks += 1
+        return super().__iter__()
+
+
+class Forgetful(dict):
+    """An ``_idle_digests`` that remembers nothing: the skip never hits."""
+
+    def __setitem__(self, sender, value):
+        pass
+
+
+def scripted_leader(remember):
+    """n000 leading segment 0 of 12 nodes, its outbound messages recorded."""
+    sim, _lan, _fleet, _config, _hosts, nodes = build_segment_cluster(12, 4)
+    node = nodes[0]
+    if not remember:
+        node._idle_digests = Forgetful()
+    sent = []
+
+    def record(peer_names, message):
+        fields = [getattr(message, name) for name in type(message).__slots__]
+        sent.append((tuple(peer_names), type(message).__name__, fields))
+
+    node._fanout = record
+    return node, sent
+
+
+def digest_script(node):
+    """Digests crossing an epoch handoff and an equal-epoch conflict.
+
+    Every digest arrives three times, as a peer's unchanged gossip does
+    interval after interval; the last step rewinds the node's epoch
+    behind its back and replays a digest it had already found idle.
+    """
+    seg0, seg1, seg2 = (node.fleet.segment_members(s) for s in range(3))
+
+    def digest(sender, epoch0, alive0, epoch1, alive1):
+        return SegmentDigest(
+            sender,
+            CountedRecords(
+                [(0, "n000", epoch0, alive0), (1, "n004", epoch1, alive1), (2, "n008", 0, seg2)]
+            ),
+        )
+
+    script = [
+        digest("n004", 0, seg0, 0, seg1),  # boot gossip: nothing to do
+        digest("n004", 0, seg0, 1, seg1[:3]),  # segment 1 lost a member
+        digest("n001", 5, seg0[:2], 1, seg1[:3]),  # handoff: our segment at epoch 5
+        digest("n008", 6, seg0[1:], 1, seg1[:3]),  # equal epoch, different story
+    ]
+    for message in script:
+        for _ in range(3):
+            node._on_digest(message)
+            yield
+    # Corruption (FaultInjector.corrupt_epoch on a leader): the peer's
+    # unchanged record now carries a higher epoch than ours.
+    node._seg_epoch -= 3
+    node._digests[node.segment] = (node._seg_epoch, node._seg_alive)
+    node._on_digest(script[-1])
+    yield
+
+
+def test_idle_digest_skip_changes_nothing_but_the_work():
+    outcomes = []
+    for remember in (True, False):
+        node, sent = scripted_leader(remember)
+        CountedRecords.walks = 0
+        states = [
+            (node._seg_epoch, node._seg_alive, dict(node._digests), node.global_view, len(sent))
+            for _ in digest_script(node)
+        ]
+        outcomes.append((states, sent, dict(node._peer_leaders), CountedRecords.walks))
+    (states, sent, leaders, walks), (ref_states, ref_sent, ref_leaders, ref_walks) = outcomes
+    assert states == ref_states
+    assert sent == ref_sent
+    assert leaders == ref_leaders
+    # Boot gossip x3, then three steps that each change something once
+    # and are idle twice: the memo walks 1 + 2 x 3 of the 12 digests
+    # (a changing merge and the one after it), the reference all of
+    # them — and both walk the replay after the rewind.
+    assert (walks, ref_walks) == (8, 13)
+    epochs = [state[0] for state in states]
+    assert epochs == [0] * 6 + [6] * 3 + [7] * 3 + [7]
+    assert states[-1][3].version == 7 + 1 + 0
+
+
+def test_corrupted_epoch_is_reminted_from_gossip_that_has_long_been_idle():
+    sim, _lan, _fleet, config, hosts, nodes = build_segment_cluster(12, 4)
+    sim.run_for(5.0)
+    hosts[5].crash()  # segment 1 moves past epoch 0, so there is something to rewind
+    sim.run_for(8.0 + 10 * config.digest_interval)
+    leader = nodes[4]
+    was = leader._seg_epoch
+    assert was >= 1 and leader._idle_digests
+    version = leader.global_view.version
+    FaultInjector(sim).corrupt_epoch(leader, amount=1)
+    assert leader._seg_epoch == was - 1
+    # The peers' records have not changed for ten intervals; the very
+    # next one must still be merged, because *our* state changed.
+    sim.run_for(config.digest_interval + 0.01)
+    assert leader._seg_epoch == was + 1
+    assert leader._digests[leader.segment] == (was + 1, leader._seg_alive)
+    sim.run_for(2.0)
+    views = live_views(nodes)
+    assert len(views) == 1
+    assert next(iter(views)).version > version
 
 
 def test_segment_config_validation():

@@ -11,6 +11,7 @@ frame counters, the ``net.*`` metric totals and every RNG draw.
 import pytest
 
 from repro.net.addresses import IPAddress
+from repro.net.arp import ArpService
 from repro.net.host import Host
 from repro.net.lan import Lan
 from repro.net.linkfault import GilbertElliott
@@ -30,13 +31,34 @@ LAN_COUNTERS = (
 )
 
 
+#: Lan -> the log of the world built on it (see ``log_arp_arrivals``).
+WORLD_LOGS = {}
+
+
+@pytest.fixture(autouse=True)
+def log_arp_arrivals(monkeypatch):
+    """Log each ARP arrival, by wrapping the one ARP receive routine."""
+
+    def receive(packet, nics, receive=ArpService.receive):
+        for nic in nics:
+            if nic.up and nic.host.alive and nic.lan in WORLD_LOGS:
+                WORLD_LOGS[nic.lan].append(
+                    (nic.lan.sim.now, nic.host.name, "arp", packet.op)
+                )
+        receive(packet, nics)
+
+    monkeypatch.setattr(ArpService, "receive", staticmethod(receive))
+    yield
+    WORLD_LOGS.clear()
+
+
 class World:
     """One LAN, one sender (h0) and ``n - 1`` listening receivers."""
 
     def __init__(self, n=6, seed=5, **lan_kwargs):
         self.sim = Simulation(seed=seed)
         self.lan = Lan(self.sim, "lan0", "10.0.0.0/24", **lan_kwargs)
-        self.log = []
+        self.log = WORLD_LOGS[self.lan] = []
         self.hosts = []
         for index in range(n):
             host = Host(self.sim, "h{}".format(index))
@@ -50,12 +72,7 @@ class World:
         def on_datagram(payload, src, dst):
             self.log.append((self.sim.now, host.name, "udp", payload))
 
-        def on_arp(nic, packet, handle=host.arp.handle):
-            self.log.append((self.sim.now, host.name, "arp", packet.op))
-            handle(nic, packet)
-
         host.open_udp(PORT, on_datagram)
-        host.arp.handle = on_arp
 
     def warm_arp(self):
         """Resolve every receiver once, so later sends hit the cache."""
@@ -208,9 +225,9 @@ def test_arp_miss_mid_list_keeps_frame_order(how):
         if how == "dropped":
             cache.drop(world.ips[2])
         else:
-            for ip, entry in cache._entries.items():
-                if ip == world.ips[2]:
-                    entry.updated_at -= 1000.0
+            ip = IPAddress(world.ips[2])
+            entry = cache._entries[ip]
+            cache._entries[ip] = entry._replace(updated_at=entry.updated_at - 1000.0)
 
     batched, looped = twins(prepare=lose)
     assert batched.observed() == looped.observed()
