@@ -33,9 +33,7 @@ class Segment:
         self.sim = Simulation(seed=4)
         self.lan = Lan(self.sim, "lan0", "10.0.0.0/24")
         if per_recipient:
-            self.lan._deliver_batch = lambda frame, recipients: [
-                nic.deliver(frame) for nic in recipients
-            ]
+            self.lan._deliver_batch = self._deliver_one_by_one
         self.capture = PacketCapture(self.lan)
         self.hosts = []
         for index in range(8):
@@ -54,6 +52,11 @@ class Segment:
             )
         self.received = []
         self.hosts[1].open_udp(100, lambda p, s, d: self.received.append(p))
+
+    @staticmethod
+    def _deliver_one_by_one(frame, recipients):
+        for nic in recipients:
+            nic.deliver(frame)
 
     def run_script(self):
         h0, h1, h7 = self.hosts[0], self.hosts[1], self.hosts[7]
