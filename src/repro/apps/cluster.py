@@ -334,15 +334,14 @@ class ScaleCell:
         return [node for node in self.nodes if node.alive]
 
     def live_bindings(self):
-        """(vip, owner host) pairs over live managers, for the resolver."""
-        for manager in self.managers:
-            if manager.alive:
-                for vip in manager.bound:
-                    yield vip, manager.host
+        """(owner host, bound vips) per live manager, for the resolver."""
+        return [(manager.host, manager.bound) for manager in self.managers if manager.alive]
 
     def bindings(self):
         """Sorted (vip, host name) pairs over live managers' bound sets."""
-        return sorted((vip, host.name) for vip, host in self.live_bindings())
+        return sorted(
+            (vip, host.name) for host, vips in self.live_bindings() for vip in vips
+        )
 
     def coverage_violations(self):
         """(uncovered vips, duplicated vips) among live managers."""

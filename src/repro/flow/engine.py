@@ -1,11 +1,14 @@
 """The flow engine: batched, tick-driven aggregate traffic accounting.
 
 One :class:`FlowEngine` advances every attached
-:class:`~repro.flow.pool.FlowPool` on a coarse periodic tick. Per tick
-the work is O(pools + distinct VIPs), never O(users) — a million
-simulated clients cost exactly as much as their pool count — which is
-what lets the flow plane coexist with the exact per-packet prober at
-10^5–10^7 users without melting the event loop.
+:class:`~repro.flow.pool.FlowPool` on a coarse periodic tick. A tick is
+one vector pass over the pools, never O(users) — a million simulated
+clients cost exactly as much as their pool count — and its Python-level
+work is proportional to what changed: VIPs are resolved again only when
+a resolver reports that its inputs moved, and accounting visits only
+the pools that lost something. That is what lets the flow plane coexist
+with the exact per-packet prober at 10^5–10^7 users without melting the
+event loop.
 
 The per-tick inner loop (demand accrual, carry propagation, goodput
 scaling) runs over parallel arrays and has two interchangeable
@@ -68,6 +71,10 @@ class FlowEngine(Process):
         """Attach a pool; takes effect from the next tick."""
         if pool.resolver is None and self.resolver is None:
             raise ValueError("pool {} has no resolver and the engine has no default".format(pool.name))
+        # Flush before invalidating: the arrays hold every attached
+        # pool's carry and its counts since the last flush, and the
+        # recompile reads them back from the pool objects.
+        self._flush_carry()
         self.pools.append(pool)
         self._compiled = False
         return pool
@@ -112,7 +119,6 @@ class FlowEngine(Process):
 
     def _compile(self):
         """(Re)build the parallel arrays and resolution groups."""
-        self._flush_carry()
         n = len(self.pools)
         demand = [pool.users * pool.rate for pool in self.pools]
         carry = [pool.carry for pool in self.pools]
@@ -120,6 +126,7 @@ class FlowEngine(Process):
         # (resolver, vip) pair per tick, shared by every pool aimed at it.
         self._resolvers = []
         self._group_keys = []
+        self._group_pools = []
         group_index = {}
         pool_group = []
         for pool in self.pools:
@@ -130,10 +137,13 @@ class FlowEngine(Process):
                 index = len(self._group_keys)
                 group_index[key] = index
                 self._group_keys.append((resolver, pool.vip))
+                self._group_pools.append([])
                 if resolver not in self._resolvers:
                     self._resolvers.append(resolver)
+            self._group_pools[index].append(len(pool_group))
             pool_group.append(index)
         self._pool_group = pool_group
+        self._kept = None
         if self.use_numpy:
             self._demand = _numpy.array(demand, dtype=_numpy.float64)
             self._carry = _numpy.array(carry, dtype=_numpy.float64)
@@ -177,22 +187,37 @@ class FlowEngine(Process):
         self._account(offered, served, reasons)
 
     def _resolve_groups(self):
-        """Per-pool (factor, reason) via one resolve per distinct VIP."""
-        for resolver in self._resolvers:
-            resolver.begin_tick()
+        """Per-pool (factors, reasons) via one resolve per distinct VIP.
+
+        Last tick's pair — factors already in the backend's vector
+        type — is kept while every resolver's ``begin_tick()`` returns
+        true, its promise that each ``resolve`` would answer as before.
+        ``None`` (a resolver that makes no such promise) means resolve
+        again; the list makes every resolver begin its tick either way.
+        """
+        unchanged = all([resolver.begin_tick() for resolver in self._resolvers])
+        if unchanged and self._kept is not None:
+            return self._kept
         group_results = []
         for resolver, vip in self._group_keys:
             factor, reason, owner = resolver.resolve(vip)
             group_results.append((factor, reason, owner))
         factors = []
         reasons = []
+        gated = False
         for pool, group in zip(self.pools, self._pool_group):
             factor, reason, owner = group_results[group]
-            if factor > 0.0 and pool.require is not None:
-                if owner is None or not pool.require(owner):
+            if pool.require is not None:
+                gated = True
+                if factor > 0.0 and (owner is None or not pool.require(owner)):
                     factor, reason = 0.0, "no_route"
             factors.append(factor)
             reasons.append(reason)
+        if self.use_numpy:
+            factors = _numpy.array(factors, dtype=_numpy.float64)
+        # A require gate reads state no resolver vouches for, so a
+        # gated pool set is resolved afresh every tick.
+        self._kept = None if gated else (factors, reasons)
         return factors, reasons
 
     def _draw_jitter(self):
@@ -212,7 +237,7 @@ class FlowEngine(Process):
         raw = raw + self._carry
         offered_f = _numpy.floor(raw)
         self._carry = raw - offered_f
-        served_f = _numpy.floor(offered_f * _numpy.array(factors, dtype=_numpy.float64))
+        served_f = _numpy.floor(offered_f * factors)
         offered = offered_f.astype(_numpy.int64)
         served = served_f.astype(_numpy.int64)
         self._c_offered += offered
@@ -245,43 +270,38 @@ class FlowEngine(Process):
         return offered, served
 
     def _account(self, offered, served, reasons):
-        """Totals, per-reason metrics, and per-VIP loss trace records."""
-        offered_total = 0
-        served_total = 0
+        """Totals, per-reason metrics, and per-VIP loss trace records.
+
+        Only pools that lost something are visited, in ascending pool
+        order — the first-seen order of reasons and metric counters.
+        """
+        if self.use_numpy:
+            offered_total = int(offered.sum())
+            served_total = int(served.sum())
+            lossy = _numpy.flatnonzero(offered != served).tolist()
+            if lossy:
+                offered, served = offered.tolist(), served.tolist()
+        else:
+            offered_total = sum(offered)
+            served_total = sum(served)
+            lossy = [index for index, count in enumerate(offered) if count != served[index]]
         lost_groups = {}
-        group_totals = {}
-        for index, group in enumerate(self._pool_group):
-            offered_i = int(offered[index])
-            if not offered_i:
-                continue
-            served_i = int(served[index])
-            offered_total += offered_i
-            served_total += served_i
-            entry = group_totals.get(group)
-            if entry is None:
-                group_totals[group] = entry = [0, 0]
-            entry[0] += offered_i
-            entry[1] += served_i
-            lost_i = offered_i - served_i
-            if lost_i:
-                reason = reasons[index]
-                if reason is None:
-                    reason = "degraded"
-                self.lost_by_reason[reason] = (
-                    self.lost_by_reason.get(reason, 0) + lost_i
+        for index in lossy:
+            lost_i = offered[index] - served[index]
+            reason = reasons[index]
+            if reason is None:
+                reason = "degraded"
+            self.lost_by_reason[reason] = self.lost_by_reason.get(reason, 0) + lost_i
+            pool = self.pools[index]
+            pool.lost_by_reason[reason] = pool.lost_by_reason.get(reason, 0) + lost_i
+            counter = self._m_lost.get(reason)
+            if counter is None:
+                counter = self.sim.metrics.counter(
+                    "flow.requests_lost", node=self.name, reason=reason
                 )
-                pool = self.pools[index]
-                pool.lost_by_reason[reason] = (
-                    pool.lost_by_reason.get(reason, 0) + lost_i
-                )
-                counter = self._m_lost.get(reason)
-                if counter is None:
-                    counter = self.sim.metrics.counter(
-                        "flow.requests_lost", node=self.name, reason=reason
-                    )
-                    self._m_lost[reason] = counter
-                counter.inc(lost_i)
-                lost_groups.setdefault(group, reason)
+                self._m_lost[reason] = counter
+            counter.inc(lost_i)
+            lost_groups.setdefault(self._pool_group[index], reason)
         self.requests_offered += offered_total
         self.requests_served += served_total
         self.requests_lost += offered_total - served_total
@@ -290,7 +310,10 @@ class FlowEngine(Process):
         if served_total:
             self._m_served.inc(served_total)
         for group in sorted(lost_groups):
-            group_offered, group_served = group_totals[group]
+            # The record covers every pool aimed at the VIP, lossy or not.
+            pools = self._group_pools[group]
+            group_offered = sum(offered[index] for index in pools)
+            group_served = sum(served[index] for index in pools)
             _resolver, vip = self._group_keys[group]
             self.trace(
                 "flow",

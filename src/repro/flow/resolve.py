@@ -2,7 +2,10 @@
 
 Where the exact prober sends a real packet and waits, the flow engine
 asks a *resolver* what would happen to traffic aimed at a VIP right
-now, once per tick per distinct address. Two implementations:
+now: ``begin_tick()`` once per tick, then ``resolve`` once per distinct
+address — unless ``begin_tick()`` returned true, the resolver's promise
+that every answer is last tick's, in which case the engine keeps what
+it has. Two implementations:
 
 * :class:`ArpViewResolver` — the faithful tier. Resolution follows the
   same data path a real client's kernel follows: the client host's ARP
@@ -54,7 +57,12 @@ class ArpViewResolver:
         self._macs = {}
 
     def begin_tick(self):
-        """Snapshot live bindings and the MAC index for this tick."""
+        """Snapshot live bindings and the MAC index for this tick.
+
+        Returns None, never "unchanged": the answer also ages with the
+        client's ARP clock and a cold lookup stores an entry, so the
+        engine resolves through this view on every tick.
+        """
         owners = {}
         for host in self.hosts:
             if not host.alive:
@@ -109,21 +117,55 @@ class ArpViewResolver:
 class DirectResolver:
     """Scale-tier resolution: live binding lookup, no client modeling.
 
-    ``bindings`` is a zero-argument callable yielding ``(vip, host)``
-    pairs over the live population (e.g. the scale cluster's manager
-    bound-sets). Called once per tick; resolution is a dict lookup.
+    ``bindings`` is a zero-argument callable returning one ``(owner
+    host, bound vips)`` pair per live binder (e.g. the scale cluster's
+    managers and their bound sets). Called once per tick; resolution
+    is a dict lookup in an owner table that is rebuilt only on a tick
+    whose inputs differ from the previous tick's. "Previous" is the
+    previous ``begin_tick()`` call, so one instance serves one engine.
     """
 
     def __init__(self, bindings, lan=None):
         self.bindings = bindings
         self.lan = lan
         self._owners = {}
+        self._read = None
 
     def begin_tick(self):
+        """True iff every ``resolve`` answers as it did last tick.
+
+        Everything a resolution depends on — who binds what, owner
+        liveness and slowdown, the LAN's loss terms — is read and
+        compared with the previous tick's read. Compared, not
+        versioned: those inputs are written at six sites in three
+        packages (``ScaleVipManager.apply_view``, ``Host.crash`` /
+        ``recover`` / ``set_slowdown``, ``Lan.set_link_model`` and the
+        plain attribute ``lan.loss``, ``GilbertElliott.bad``), and a
+        missed hook would be a silently wrong request ledger.
+        """
+        binders = [(host, host.alive, host.time_scale, vips) for host, vips in self.bindings()]
+        loss_terms = None
+        if self.lan is not None:
+            model = self.lan.link_model
+            loss_terms = (
+                model,
+                model.expected_loss() if model is not None else None,
+                self.lan.loss,
+            )
+        if (binders, loss_terms) == self._read:
+            return True
         owners = {}
-        for vip, host in self.bindings():
-            owners.setdefault(IPAddress(vip), host)
+        for host, _alive, _scale, vips in binders:
+            for vip in vips:
+                owners.setdefault(IPAddress(vip), host)
         self._owners = owners
+        # The kept copy freezes each bound set, so the next compare is
+        # by value and an in-place mutation cannot hide behind identity.
+        self._read = (
+            [(host, alive, scale, frozenset(vips)) for host, alive, scale, vips in binders],
+            loss_terms,
+        )
+        return False
 
     def resolve(self, vip):
         owner = self._owners.get(IPAddress(vip))

@@ -9,6 +9,8 @@ byte-identically through the artifact comparison fields.
 
 import json
 
+import pytest
+
 from repro.apps.webcluster import WebClusterScenario
 from repro.check.replay import ReplayReport
 from repro.check.schedule import CRASH, FaultEvent, FaultSchedule
@@ -57,6 +59,8 @@ def test_numpy_and_pure_python_backends_agree():
 def test_backend_parity_with_demand_jitter():
     # Jitter draws from the engine's named stream; both backends must
     # consume the identical draw sequence and produce identical floats.
+    pytest.importorskip("numpy")
+
     def run(use_numpy):
         sim = Simulation(seed=21)
         engine = FlowEngine(

@@ -76,6 +76,27 @@ def test_fractional_demand_carries_between_ticks():
     assert pool.offered == 140
 
 
+def test_add_pool_mid_run_keeps_ledgers_and_carries(use_numpy):
+    # The arrays hold each pool's carry and its counts since the last
+    # flush; adding a pool must flush them before it invalidates them.
+    sim, engine, _ = build_engine(tick=0.05, use_numpy=use_numpy)
+    first = engine.add_pool(FlowPool("a", "10.0.0.1", users=103))
+    small = engine.add_pool(FlowPool("s", "10.0.0.2", users=7))
+    engine.start()
+    sim.run(until=1.01)
+    engine.add_pool(FlowPool("b", "10.0.0.3", users=10))
+    sim.run(until=2.01)
+    engine.fingerprint()
+    assert first.offered == 206
+    sim.run(until=20.01)
+    engine.fingerprint()
+    totals = engine.totals()
+    assert sum(pool.offered for pool in engine.pools) == totals["offered"]
+    assert sum(pool.served for pool in engine.pools) == totals["served"]
+    # 0.35 requests per tick: exact only if the carry survived too.
+    assert small.offered == 140
+
+
 def test_blackhole_counts_lost_with_reason():
     sim, engine, _ = build_engine(factor=0.0, reason="no_owner")
     engine.add_pool(FlowPool("p", "10.0.0.1", users=100, rate=1.0))
@@ -177,8 +198,10 @@ def test_direct_resolver_follows_live_bindings():
     lan = Lan(sim, "lan", "10.0.0.0/24")
     owner = Host(sim, "s0")
     owner.add_nic(lan, "10.0.0.1")
-    bindings = [("10.0.0.100", owner)]
-    resolver = DirectResolver(lambda: iter(bindings))
+    second = Host(sim, "s1")
+    second.add_nic(lan, "10.0.0.2")
+    bindings = [(owner, {"10.0.0.100"})]
+    resolver = DirectResolver(lambda: bindings)
     engine = FlowEngine(sim, resolver=resolver)
     engine.add_pool(FlowPool("p", "10.0.0.100", users=100, rate=1.0))
     engine.start()
@@ -189,6 +212,11 @@ def test_direct_resolver_follows_live_bindings():
     totals = engine.totals()
     assert totals["lost_by_reason"] == {"no_owner": totals["lost"]}
     assert totals["lost"] > 0
+    # Rebinding the VIP to a live host ends the loss.
+    bindings[:] = [(second, {"10.0.0.100"})]
+    sim.run(until=3.0)
+    assert engine.totals()["lost"] == totals["lost"]
+    assert engine.totals()["served"] > totals["served"]
 
 
 def test_uniform_pools_spread_users_with_remainder_first():

@@ -1,0 +1,380 @@
+"""A quiet flow tick costs a state compare, not a walk over every pool.
+
+``DirectResolver`` keeps its owner table while the state it read is
+unchanged, ``FlowEngine`` keeps its factors while every resolver says
+so, and accounting visits only lossy pools. These tests hold that to
+*counts* (``resolve`` calls, false ``begin_tick`` returns, address
+parses), never to wall clock, and to bit-identity with a resolver that
+forgets its last read — i.e. with resolving everything on every tick.
+"""
+
+import json
+
+import pytest
+
+from repro.apps.scalecluster import ScaleClusterScenario
+from repro.flow import DirectResolver, FlowEngine, FlowPool
+from repro.net.addresses import IPAddress
+from repro.net.linkfault import GilbertElliott
+from repro.sim.simulation import Simulation
+
+class Forgetful(DirectResolver):
+    """The reference: forgets its last read, so every tick rebuilds."""
+
+    def begin_tick(self):
+        self._read = None
+        return super().begin_tick()
+
+
+class Recorder:
+    """Counts what the engine asks of a scenario's resolver."""
+
+    def __init__(self, resolver):
+        self.begins = []
+        self.resolves = 0
+        begin_tick, resolve = resolver.begin_tick, resolver.resolve
+
+        def counted_begin():
+            self.begins.append(begin_tick())
+            return self.begins[-1]
+
+        def counted_resolve(vip):
+            self.resolves += 1
+            return resolve(vip)
+
+        resolver.begin_tick = counted_begin
+        resolver.resolve = counted_resolve
+
+    def false_ticks(self):
+        return sum(1 for unchanged in self.begins if not unchanged)
+
+    def reset(self):
+        self.begins = []
+        self.resolves = 0
+
+
+def build(n_hosts=64, n_vips=256, segment_size=16, resolver_class=None, **kwargs):
+    scenario = ScaleClusterScenario(
+        seed=5,
+        n_hosts=n_hosts,
+        n_vips=n_vips,
+        segment_size=segment_size,
+        flow_users=10_007,
+        **kwargs
+    )
+    if resolver_class is not None:
+        scenario.flow_engine.resolver = resolver_class(scenario.live_bindings, lan=scenario.lan)
+    recorder = Recorder(scenario.flow_engine.resolver)
+    scenario.start()
+    assert scenario.settle()
+    return scenario, recorder
+
+
+# ----------------------------------------------------------------------
+# (a) the twin: kept state vs. a resolver that forgets, both backends
+
+
+def run_fault_script(resolver_class, use_numpy):
+    """Every input a DirectResolver reads, written at least once."""
+    scenario, recorder = build(
+        resolver_class=resolver_class,
+        flow_use_numpy=use_numpy,
+        trace_enabled=True,
+        metrics_enabled=True,
+    )
+    sim, lan = scenario.sim, scenario.lan
+    sim.run_for(0.5)
+    scenario.kill(9)
+    sim.run_for(1.5)
+    scenario.hosts[20].set_slowdown(3.0)
+    sim.run_for(0.5)
+    scenario.hosts[20].set_slowdown(1.0)
+    sim.run_for(0.5)
+    lan.set_link_model(GilbertElliott(0.05, 0.25, loss_bad=0.5))
+    sim.run_for(0.5)
+    frozen = GilbertElliott(0.0, 0.0, loss_good=0.0, loss_bad=0.4)
+    lan.set_link_model(frozen)
+    sim.run_for(0.3)
+    frozen.bad = True
+    sim.run_for(0.3)
+    lan.set_link_model(None)
+    sim.run_for(0.3)
+    lan.loss = 0.1
+    sim.run_for(0.3)
+    lan.loss = 0.0
+    sim.run_for(0.3)
+    scenario.revive(9)
+    sim.run_for(3.0)
+    binder = next(m for m in scenario.managers if m.alive and m.bound)
+    binder.bound.discard(min(binder.bound))
+    sim.run_for(0.3)
+    # Everything a flow record says except which backend ran (flow/start).
+    flow_records = [
+        (
+            record.time,
+            record.source,
+            record.event,
+            {key: value for key, value in record.details.items() if key != "backend"},
+        )
+        for record in sim.trace.records
+        if record.category == "flow"
+    ]
+    return {
+        "fingerprint": json.dumps(scenario.flow_engine.fingerprint(), sort_keys=True),
+        "flow_records": flow_records,
+        "metrics": sim.metrics.totals(),
+        "ticks": scenario.flow_engine.ticks,
+        "resolves": recorder.resolves,
+    }
+
+
+@pytest.fixture(scope="module")
+def reference_run():
+    return run_fault_script(Forgetful, use_numpy=False)
+
+
+def test_forgetful_reference_resolves_every_vip_every_tick(reference_run):
+    assert reference_run["resolves"] == 256 * reference_run["ticks"]
+    lost = reference_run["metrics"]["flow.requests_lost"]
+    assert 0 < lost < reference_run["metrics"]["flow.requests_offered"]
+    assert len(reference_run["flow_records"]) > 100
+
+
+@pytest.mark.parametrize("resolver_class", [DirectResolver, Forgetful])
+def test_kept_state_is_bit_identical_to_resolving_every_tick(
+    reference_run, resolver_class, use_numpy
+):
+    run = run_fault_script(resolver_class, use_numpy)
+    for key in ("fingerprint", "flow_records", "metrics", "ticks"):
+        assert run[key] == reference_run[key], key
+    if resolver_class is DirectResolver:
+        assert run["resolves"] * 10 < reference_run["resolves"]
+
+
+# ----------------------------------------------------------------------
+# (b) the budget: quiet ticks resolve nothing, a fault costs a few ticks
+
+
+def check_budget(scenario, recorder):
+    engine = scenario.flow_engine
+
+    def ticks_during(seconds):
+        recorder.reset()
+        before = engine.ticks
+        scenario.sim.run_for(seconds)
+        # Kept factors or not, every tick is a tick and begins one.
+        assert engine.ticks - before == len(recorder.begins)
+        return len(recorder.begins)
+
+    assert ticks_during(10.02) >= 200
+    assert recorder.false_ticks() == 0
+    assert recorder.resolves == 0
+    for fault in (scenario.kill, scenario.revive):
+        fault(9)
+        assert ticks_during(5.0) >= 99
+        assert scenario.converged()
+        assert 1 <= recorder.false_ticks() <= 6
+        assert recorder.resolves == recorder.false_ticks() * len(engine.pools)
+
+
+def test_quiet_ticks_resolve_nothing_and_a_fault_costs_a_few_ticks():
+    check_budget(*build())
+
+
+@pytest.mark.scale
+def test_quiet_ticks_resolve_nothing_at_n256(monkeypatch):
+    scenario, recorder = build(n_hosts=256, n_vips=2048, segment_size=32)
+    parses = []
+    parse = IPAddress._parse
+    with monkeypatch.context() as patch:
+        patch.setattr(
+            IPAddress, "_parse", staticmethod(lambda text: parses.append(text) or parse(text))
+        )
+        scenario.sim.run_for(10.0)
+    assert parses == []
+    check_budget(scenario, recorder)
+
+
+# ----------------------------------------------------------------------
+# (c) each input alone is seen exactly once
+
+
+def test_each_input_flips_begin_tick_once():
+    scenario = ScaleClusterScenario(seed=3, n_hosts=16, n_vips=64, segment_size=8)
+    scenario.start()
+    assert scenario.settle()
+    lan = scenario.lan
+    resolver = DirectResolver(scenario.live_bindings, lan=lan)
+    assert resolver.begin_tick() is False  # nothing read yet
+    assert resolver.begin_tick() is True
+
+    def seen_once(what):
+        assert resolver.begin_tick() is False, what
+        assert resolver.begin_tick() is True, what
+
+    victim = scenario.managers[4]
+    vip = min(victim.bound)
+    assert resolver.resolve(vip) == (1.0, None, victim.host)
+
+    scenario.kill(4)
+    seen_once("owner crash")
+    assert resolver.resolve(vip) == (0.0, "no_owner", None)
+
+    assert scenario.settle()
+    seen_once("apply_view rebinding")
+    heir = resolver.resolve(vip)[2]
+    assert heir is not None and heir is not victim.host
+
+    heir.set_slowdown(4.0)
+    seen_once("set_slowdown")
+    assert resolver.resolve(vip) == (0.25, "degraded", heir)
+    heir.set_slowdown(1.0)
+    seen_once("slowdown cleared")
+
+    frozen = GilbertElliott(0.0, 0.0, loss_good=0.0, loss_bad=0.5)
+    lan.set_link_model(frozen)
+    seen_once("set_link_model")  # a new model, even one that loses nothing
+    assert resolver.resolve(vip) == (1.0, None, heir)
+    frozen.bad = True
+    seen_once("a frozen chain's bad flag")
+    assert resolver.resolve(vip) == (0.25, "degraded", heir)
+    lan.set_link_model(None)
+    seen_once("link model removed")
+
+    lan.loss = 0.5
+    seen_once("lan.loss")
+    assert resolver.resolve(vip) == (0.25, "degraded", heir)
+    lan.loss = 0.0
+    seen_once("lan.loss cleared")
+
+    binder = next(m for m in scenario.managers if m.host is heir)
+    binder.bound.discard(vip)
+    seen_once("in-place bound.discard")
+    assert resolver.resolve(vip) == (0.0, "no_owner", None)
+    binder.bound.add(vip)
+    seen_once("in-place bound.add")
+
+    scenario.revive(4)
+    seen_once("a revived host's new manager")
+    assert scenario.managers[4] is not victim
+    assert scenario.settle()
+    seen_once("the heirs releasing its share")
+    assert resolver.resolve(vip) == (1.0, None, victim.host)
+
+
+# ----------------------------------------------------------------------
+# (d) what the engine does with the answer
+
+
+class ScriptedResolver:
+    """Test double: per-VIP answers, scripted ``begin_tick`` returns."""
+
+    def __init__(self, answers, unchanged=()):
+        self.answers = {IPAddress(vip): answer for vip, answer in answers.items()}
+        self.unchanged = list(unchanged)
+        self.begins = 0
+        self.resolves = 0
+
+    def begin_tick(self):
+        self.begins += 1
+        return self.unchanged.pop(0) if self.unchanged else True
+
+    def resolve(self, vip):
+        self.resolves += 1
+        return self.answers[vip]
+
+
+def test_gated_pool_is_resolved_every_tick(use_numpy):
+    sim = Simulation(seed=1)
+    owner = object()
+    resolver = ScriptedResolver({"10.0.0.1": (1.0, None, owner)})
+    gate = {"open": True}
+    engine = FlowEngine(sim, resolver=resolver, use_numpy=use_numpy)
+    engine.add_pool(FlowPool("p", "10.0.0.1", users=200, require=lambda host: gate["open"]))
+    engine.start()
+    sim.run(until=0.051)
+    assert engine.totals()["lost"] == 0
+    gate["open"] = False
+    sim.run(until=0.101)  # the very next tick, though the resolver says "unchanged"
+    assert engine.totals()["lost_by_reason"] == {"no_route": 10}
+    gate["open"] = True
+    sim.run(until=0.151)
+    assert engine.totals()["lost"] == 10 and engine.totals()["served"] == 20
+    assert (resolver.begins, resolver.resolves) == (3, 3)
+
+
+def test_one_changed_resolver_re_resolves_everything(use_numpy):
+    sim = Simulation(seed=1)
+    # The changing resolver comes first: the other must still begin its
+    # tick (no short-circuit) and be asked again on the changed tick.
+    moving = ScriptedResolver({"10.0.0.1": (1.0, None, None)}, unchanged=[False, True, False, True])
+    steady = ScriptedResolver({"10.0.0.2": (1.0, None, None)})
+    engine = FlowEngine(sim, resolver=steady, use_numpy=use_numpy)
+    engine.add_pool(FlowPool("a", "10.0.0.1", users=100, resolver=moving))
+    engine.add_pool(FlowPool("b", "10.0.0.2", users=100))
+    engine.start()
+    seen = []
+    for tick in range(1, 5):
+        sim.run(until=0.05 * tick + 0.001)
+        seen.append((moving.begins, steady.begins, moving.resolves, steady.resolves))
+    assert seen == [(1, 1, 1, 1), (2, 2, 1, 1), (3, 3, 2, 2), (4, 4, 2, 2)]
+    # A double whose begin_tick returns nothing promises nothing.
+    moving.unchanged = [None, None]
+    sim.run(until=0.301)
+    assert (moving.resolves, steady.resolves) == (4, 4)
+
+
+# ----------------------------------------------------------------------
+# (e) accounting over lossy pools only
+
+
+def test_loss_record_sums_every_pool_of_the_vip_in_first_seen_order(use_numpy):
+    sim = Simulation(seed=1, metrics_enabled=True)
+    owner = object()
+    resolver = ScriptedResolver(
+        {
+            "10.0.0.1": (1.0, None, owner),
+            "10.0.0.2": (0.0, "stale_arp", None),
+            "10.0.0.3": (0.5, None, owner),
+            "10.0.0.4": (0.0, "no_owner", None),
+        }
+    )
+    engine = FlowEngine(sim, resolver=resolver, use_numpy=use_numpy)
+    engine.add_pool(FlowPool("served", "10.0.0.1", users=60))
+    engine.add_pool(FlowPool("stale", "10.0.0.2", users=40))
+    engine.add_pool(FlowPool("gated", "10.0.0.1", users=100, require=lambda host: False))
+    engine.add_pool(FlowPool("half", "10.0.0.3", users=80))
+    engine.add_pool(FlowPool("dark", "10.0.0.4", users=20))
+    engine.add_pool(FlowPool("idle", "10.0.0.4", users=0))
+    engine.start()
+    sim.run(until=0.051)
+    # Reasons in the order their first lossy pool was attached, not sorted.
+    assert list(engine.lost_by_reason.items()) == [
+        ("stale_arp", 2), ("no_route", 5), ("degraded", 2), ("no_owner", 1),
+    ]
+    lost_counters = {
+        dict(labels)["reason"]: instrument.value
+        for name, _node, labels, instrument in sim.metrics.collect()
+        if name == "flow.requests_lost"
+    }
+    assert lost_counters == dict(engine.lost_by_reason)
+    records = [
+        record.details for record in sim.trace.records
+        if record.category == "flow" and record.event == "loss"
+    ]
+    # One record per lossy VIP in first-pool order; 10.0.0.1's covers
+    # the served pool (3 of 3) as well as the gated one (0 of 5).
+    assert records == [
+        {"vip": "10.0.0.1", "offered": 8, "served": 3, "lost": 5, "reason": "no_route"},
+        {"vip": "10.0.0.2", "offered": 2, "served": 0, "lost": 2, "reason": "stale_arp"},
+        {"vip": "10.0.0.3", "offered": 4, "served": 2, "lost": 2, "reason": "degraded"},
+        {"vip": "10.0.0.4", "offered": 1, "served": 0, "lost": 1, "reason": "no_owner"},
+    ]
+    assert engine.totals()["offered"] == 15 and engine.totals()["served"] == 5
+    engine.fingerprint()
+    assert [(p.name, p.lost_by_reason) for p in engine.pools if p.lost] == [
+        ("stale", {"stale_arp": 2}),
+        ("gated", {"no_route": 5}),
+        ("half", {"degraded": 2}),
+        ("dark", {"no_owner": 1}),
+    ]

@@ -276,8 +276,22 @@ GOLDEN = {
 }
 
 
+#: Pins whose hashed trace holds the ``flow/start`` record, and with it
+#: ``backend=numpy|python``: they were recorded with numpy installed.
+NUMPY_PINS = {
+    "web/nic-down",
+    "router/static-fail-active",
+    "sharded/shards=1",
+    "sharded/shards=2",
+}
+
+
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_golden_pin(name):
+    if name in NUMPY_PINS:
+        pytest.importorskip(
+            "numpy", reason="pin recorded with backend=numpy in its flow/start trace record"
+        )
     assert CASES[name]() == GOLDEN[name]
 
 
