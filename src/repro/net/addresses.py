@@ -151,14 +151,14 @@ BROADCAST_MAC = MACAddress(0xFFFFFFFFFFFF)
 class Subnet:
     """An IPv4 subnet in CIDR form, e.g. ``Subnet('192.168.0.0/24')``."""
 
-    __slots__ = ("network", "prefix", "_mask", "_broadcast")
+    __slots__ = ("network", "prefix", "_mask", "broadcast_address")
 
     def __init__(self, cidr):
         if isinstance(cidr, Subnet):
             self.network = cidr.network
             self.prefix = cidr.prefix
             self._mask = cidr._mask
-            self._broadcast = cidr._broadcast
+            self.broadcast_address = cidr.broadcast_address
             return
         base, _, prefix_text = cidr.partition("/")
         if not prefix_text:
@@ -169,21 +169,17 @@ class Subnet:
         self.prefix = prefix
         self._mask = (0xFFFFFFFF << (32 - prefix)) & 0xFFFFFFFF if prefix else 0
         self.network = IPAddress(IPAddress(base).value & self._mask)
-        # Precomputed once: the broadcast address sits on the per-packet
-        # delivery path (every LAN broadcast compares against it), and a
-        # Subnet is immutable, so building a fresh IPAddress per lookup
-        # is pure allocation churn.
-        self._broadcast = IPAddress(self.network.value | (~self._mask & 0xFFFFFFFF))
+        #: The all-ones host address of this subnet. A plain attribute,
+        #: computed once: it sits on the per-packet send and receive
+        #: paths, where a property call per reading is measurable.
+        self.broadcast_address = IPAddress(
+            self.network.value | (~self._mask & 0xFFFFFFFF)
+        )
 
     def __contains__(self, address):
         if type(address) is not IPAddress:
             address = IPAddress(address)
         return (address._value & self._mask) == self.network._value
-
-    @property
-    def broadcast_address(self):
-        """The all-ones host address of this subnet."""
-        return self._broadcast
 
     def host(self, index):
         """The ``index``-th host address within the subnet."""

@@ -127,6 +127,18 @@ class ArpService:
         # partition heals. Wackamole daemons hook this for resolution.
         self.on_vip_conflict = None
 
+    def reset(self):
+        """Reboot: an empty cache and no resolution in flight.
+
+        The queued packets go with the cache. A queue that outlived the
+        crash would never be served — its retry chain runs through
+        ``host.after`` and died with the host — yet the next
+        :meth:`resolve_and_send` for that address would join it instead
+        of sending a request, blackholing the peer after recovery.
+        """
+        self.cache = ArpCache(self.host, lifetime=self.cache.lifetime)
+        self._pending.clear()
+
     @staticmethod
     def receive(packet, nics):
         """Process one incoming ARP frame on each of ``nics``, in order.

@@ -7,7 +7,7 @@ MACs — exactly the failure mode the paper's fail-over repairs).
 """
 
 from repro.net.addresses import BROADCAST_MAC, IPAddress
-from repro.net.arp import ArpCache, ArpService
+from repro.net.arp import ArpService
 from repro.net.nic import Nic
 from repro.net.packet import (
     IP_ETHERTYPE,
@@ -175,7 +175,7 @@ class Host(Process):
         self.restart()
         self.time_scale = 1.0
         self._slow_delivery_lag = 0.0
-        self.arp.cache = ArpCache(self, lifetime=self.arp.cache.lifetime)
+        self.arp.reset()
         for nic in self._nics:
             nic.reset()
         self.trace("host", "recover")
@@ -184,64 +184,105 @@ class Host(Process):
     # frame input
 
     def handle_frame(self, nic, frame):
-        """Dispatch an incoming non-ARP frame from one of this host's NICs.
+        """Hook for frames that are neither ARP nor IP; the default drops them.
 
-        ARP frames never get here: :meth:`Nic.deliver` hands them to
-        :meth:`ArpService.receive`.
+        :meth:`Nic.deliver` hands ARP frames to
+        :meth:`ArpService.receive` and IP frames to :meth:`receive_ip`,
+        after making the up/alive checks for everything else.
         """
-        if not self.alive:
-            return
-        if frame.ethertype == IP_ETHERTYPE:
-            self._handle_ip(nic, frame.payload)
 
-    def _handle_ip(self, nic, packet):
+    @staticmethod
+    def receive_ip(packet, nics, accepted=None):
+        """Receive one IP packet on each of ``nics``, in order.
+
+        The whole IP receive path — NIC-level checks and counters,
+        acceptance, forwarding, socket lookup and the hand-off to the
+        application — in the shape of :meth:`ArpService.receive`: the
+        LAN hands a broadcast's full recipient tuple here from one
+        event and a unicast frame is the one-NIC case
+        (:meth:`Nic.deliver`). What the *packet* says is read once —
+        its destination, whether it carries UDP, the port, the payload,
+        the two address pairs handlers are given (immutable, so one
+        pair serves every recipient) and, per LAN, whether the
+        destination is the subnet's broadcast address. What a
+        *recipient* says (NIC and host up, bound addresses, forwarding,
+        sockets, load and slowdown) is read at its turn, because a
+        handler earlier in the batch may have changed it (DESIGN.md §8).
+
+        ``accepted`` is the entry of a link that has no NIC (the
+        segment uplink): that host takes the packet as addressed to it
+        and ``nics`` is not consulted.
+        """
         dst = packet.dst_ip
-        # The receiving NIC's own addresses first: the per-datagram case.
-        if (
-            dst in nic._bound
-            or dst == nic.lan.subnet.broadcast_address
-            or self.owns_ip(dst)
-        ):
-            self._deliver_local(packet)
-        elif self.ip_forwarding:
-            self.forward_packet(packet)
-        else:
-            self.packets_dropped += 1
-
-    def _deliver_local(self, packet):
         datagram = packet.payload
-        if type(datagram) is not UdpDatagram:
-            self.packets_dropped += 1
-            return
-        dst_ip = packet.dst_ip
-        dst_port = datagram.dst_port
-        for socket in self._sockets:
-            if socket.matches(dst_ip, dst_port):
-                lag = self._slow_delivery_lag
-                if lag and not socket.realtime:
-                    self.sim.scheduler.after(
-                        lag,
-                        self._deliver_socket,
+        udp = type(datagram) is UdpDatagram
+        if udp:
+            dst_port = datagram.dst_port
+            payload = datagram.payload
+            src_pair = (packet.src_ip, datagram.src_port)
+            dst_pair = (dst, dst_port)
+        lan = None
+        for nic in nics if accepted is None else (None,):
+            if nic is None:
+                host = accepted
+            else:
+                host = nic.host
+                if not nic.up or not host.alive:
+                    nic._m_dropped.inc()
+                    continue
+                nic._m_rx.inc()
+                if nic.lan is not lan:
+                    lan = nic.lan
+                    broadcast = None  # not asked yet on this LAN
+                # Once a recipient has found the destination to be its
+                # LAN's broadcast address the rest of the batch take it
+                # without hashing an address; a unicast to an address
+                # the receiving NIC has bound never asks.
+                if not broadcast and dst not in nic._bound:
+                    if broadcast is None:
+                        broadcast = dst == lan.subnet.broadcast_address
+                    if not (broadcast or host.owns_ip(dst)):
+                        if host.ip_forwarding:
+                            host.forward_packet(packet)
+                        else:
+                            host.packets_dropped += 1
+                        continue
+            if not udp:
+                host.packets_dropped += 1
+                continue
+            for socket in host._sockets:
+                if (
+                    socket.port != dst_port
+                    or socket.closed
+                    or not (socket.bind_ip is None or socket.bind_ip == dst)
+                ):
+                    continue
+                if socket.realtime or not (
+                    host._slow_delivery_lag or host._load_mean_delay > 0
+                ):
+                    socket.received += 1
+                    socket.handler(payload, src_pair, dst_pair)
+                elif host._slow_delivery_lag:
+                    host.sim.scheduler.after(
+                        host._slow_delivery_lag,
+                        host._deliver_socket,
                         socket,
                         datagram,
                         packet,
                     )
-                elif self._load_mean_delay > 0 and not socket.realtime:
-                    delay = self._load_rng.expovariate(1.0 / self._load_mean_delay)
-                    self.sim.scheduler.after(
+                else:
+                    delay = host._load_rng.expovariate(1.0 / host._load_mean_delay)
+                    host.sim.scheduler.after(
                         delay,
                         socket.deliver,
-                        datagram.payload,
+                        payload,
                         packet.src_ip,
                         datagram.src_port,
-                        packet.dst_ip,
+                        dst,
                     )
-                else:
-                    socket.deliver(
-                        datagram.payload, packet.src_ip, datagram.src_port, packet.dst_ip
-                    )
-                return
-        self.packets_dropped += 1
+                break
+            else:
+                host.packets_dropped += 1
 
     def _deliver_socket(self, socket, datagram, packet):
         # Deferred user-space delivery on a slowed host; the socket may

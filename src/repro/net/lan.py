@@ -24,7 +24,8 @@ runs that never enable one replay the exact historical draw sequence.
 
 from repro.net.addresses import Subnet
 from repro.net.arp import ArpService
-from repro.net.packet import ARP_ETHERTYPE
+from repro.net.host import Host
+from repro.net.packet import ARP_ETHERTYPE, IP_ETHERTYPE
 
 _NO_NICS = ()
 
@@ -346,14 +347,17 @@ class Lan:
     @staticmethod
     def _deliver_batch(frame, recipients):
         """Deliver one frame to a frozen recipient list (batched event)."""
-        if frame.ethertype == ARP_ETHERTYPE:
-            # A broadcast ARP frame reaches every host on the segment
-            # (the O(N²) boot and cache-expiry storms): received once
-            # for the whole recipient list, not once per recipient.
+        # A broadcast reaches every host on the segment (heartbeats,
+        # the O(N²) ARP boot and cache-expiry storms): received once
+        # for the whole recipient list, not once per recipient.
+        ethertype = frame.ethertype
+        if ethertype == IP_ETHERTYPE:
+            Host.receive_ip(frame.payload, recipients)
+        elif ethertype == ARP_ETHERTYPE:
             ArpService.receive(frame.payload, recipients)
-            return
-        for nic in recipients:
-            nic.deliver(frame)
+        else:
+            for nic in recipients:
+                nic.deliver(frame)
 
     def transmit_fanout(self, frames, src_nic):
         """Deliver unicast ``frames`` from ``src_nic``, in list order.

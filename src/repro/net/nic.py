@@ -115,20 +115,19 @@ class Nic:
     def deliver(self, frame):
         """Called by the LAN when a frame arrives for this NIC."""
         ethertype = frame.ethertype
-        if ethertype == ARP_ETHERTYPE:
-            # The one-recipient case of the per-frame ARP routine, which
-            # makes the up/alive checks and counts the frame itself.
-            ArpService.receive(frame.payload, (self,))
-            return
         host = self.host
-        if not self.up or not host.alive:
-            self._m_dropped.inc()
-            return
-        self._m_rx.inc()
+        # ARP and IP: the one-recipient case of the per-frame receive
+        # routines, which make the up/alive checks and count the frame
+        # themselves. (``receive_ip`` is a static method of Host,
+        # reached through the instance: host.py imports this module.)
         if ethertype == IP_ETHERTYPE:
-            # The per-datagram case: skip the generic dispatch hop.
-            host._handle_ip(self, frame.payload)
+            host.receive_ip(frame.payload, (self,))
+        elif ethertype == ARP_ETHERTYPE:
+            ArpService.receive(frame.payload, (self,))
+        elif not self.up or not host.alive:
+            self._m_dropped.inc()
         else:
+            self._m_rx.inc()
             host.handle_frame(self, frame)
 
     def __repr__(self):

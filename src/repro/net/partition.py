@@ -184,7 +184,8 @@ class SegmentUplink:
             return
         self.frames_delivered[dst_cell] = self.frames_delivered.get(dst_cell, 0) + 1
         datagram = UdpDatagram(src_port, dst_port, payload)
-        host._deliver_local(IpPacket(IPAddress(src_ip), dst_ip, datagram))
+        # No NIC on this path: the host takes the datagram as accepted.
+        Host.receive_ip(IpPacket(IPAddress(src_ip), dst_ip, datagram), (), host)
 
     def counters(self, cell):
         """JSON-stable per-cell uplink counters (parity artifact field)."""

@@ -30,14 +30,13 @@ class UdpSocket:
         self.received = 0
         self.sent = 0
 
-    def matches(self, dst_ip, dst_port):
-        """True when a datagram addressed to (dst_ip, dst_port) lands here."""
-        if self.closed or dst_port != self.port:
-            return False
-        return self.bind_ip is None or self.bind_ip == dst_ip
-
     def deliver(self, payload, src_ip, src_port, dst_ip):
-        """Hand an incoming datagram to the application handler."""
+        """Hand a deferred datagram to the application handler.
+
+        The target of a slowed or loaded host's delayed delivery
+        (:meth:`Host.receive_ip` calls the handler itself otherwise);
+        the socket may have closed while the datagram waited.
+        """
         if self.closed:
             return
         self.received += 1

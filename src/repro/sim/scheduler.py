@@ -7,12 +7,20 @@ what message-passing protocols expect.
 
 Cancellation is lazy — a cancelled event stays in the heap with a flag
 set — but the scheduler tracks the dead-entry count and compacts the
-heap in bulk once cancelled entries dominate. Timer-heavy protocols
-(GCS heartbeat refreshes cancel a timeout per message received) would
-otherwise grow the heap with corpses that every push and pop pays log
-time for. Compaction filters the backing list in place and re-heapifies;
-because (time, seq) is a total order, the pop sequence — and therefore
-every trace, verdict, and metric — is byte-identical with or without it.
+heap in bulk once cancelled entries dominate, so a burst of real
+cancels (a reconfiguration tearing down every suspicion timer) does not
+leave corpses that every push and pop pays log time for. Compaction
+filters the backing list in place and re-heapifies; because (time, seq)
+is a total order, the pop sequence — and therefore every trace, verdict,
+and metric — is byte-identical with or without it.
+
+Postponement is lazier still: :meth:`Scheduler.defer` moves a pending
+event to a later key by rewriting the event alone. Its heap entry keeps
+the old, smaller key — *stale*, recognisable because the entry's ``seq``
+is no longer the event's — and is re-filed under the event's current
+key when it surfaces. A timeout refreshed per message received (the GCS
+failure detector) therefore costs no allocation, no heap operation and
+no corpse per refresh, and every event keeps exactly one heap entry.
 
 Heap entries are ``(time, seq, event)`` tuples rather than bare events:
 seq is unique, so sift comparisons are decided by the first two fields
@@ -129,6 +137,30 @@ class Scheduler:
         heapq.heappush(self._heap, (time, seq, event))
         return event
 
+    def defer(self, event, delay):
+        """Postpone a pending event to ``delay`` seconds from now.
+
+        Returns true when ``event`` now fires at ``now + delay``; false,
+        having changed nothing, when it has fired or been cancelled or
+        when the new deadline is *earlier* than its current one (the
+        caller cancels and schedules afresh). A deferred event takes the
+        time and the fresh sequence number its replacement would have
+        been given by cancel-and-reschedule, so it fires exactly where
+        the replacement would and every other event's ``seq`` is
+        unchanged. The heap is not touched: the entry is left under its
+        old key, which can only be smaller, and the run loop re-files it
+        when it reaches the top.
+        """
+        if event.callback is None or event.cancelled:
+            return False
+        time = self._now + delay
+        if time < event.time:
+            return False
+        event.time = time
+        event.seq = self._seq
+        self._seq += 1
+        return True
+
     def _note_cancel(self):
         # Called by Event.cancel for live heap entries. Once corpses
         # reach the adaptive threshold, rebuild the heap without them —
@@ -166,6 +198,7 @@ class Scheduler:
         self._running = True
         heap = self._heap
         pop = heapq.heappop
+        replace = heapq.heapreplace
         m_depth = self._m_depth
         base = self._events_fired
         fired = 0
@@ -174,10 +207,16 @@ class Scheduler:
             while heap:
                 if max_events is not None and fired >= max_events:
                     break
-                time, _seq, event = heap[0]
+                time, seq, event = heap[0]
                 if event.cancelled:
                     pop(heap)
                     self._cancelled -= 1
+                    continue
+                if seq != event.seq:
+                    # Stale entry of a deferred event: like a corpse it
+                    # neither fires nor moves the clock, but the event is
+                    # live, so it is re-filed under its current key.
+                    replace(heap, (event.time, event.seq, event))
                     continue
                 if until is not None and (
                     time > until or (exclusive and time == until)
@@ -216,9 +255,15 @@ class Scheduler:
     def next_event_time(self):
         """Time of the next live event, or None if the queue is idle."""
         heap = self._heap
-        while heap and heap[0][2].cancelled:
-            heapq.heappop(heap)
-            self._cancelled -= 1
-        if not heap:
-            return None
-        return heap[0][0]
+        while heap:
+            time, seq, event = heap[0]
+            if event.cancelled:
+                heapq.heappop(heap)
+                self._cancelled -= 1
+            elif seq != event.seq:
+                # A deferred event's stale entry names a time at which
+                # nothing fires; resolve it to the event's real key.
+                heapq.heapreplace(heap, (event.time, event.seq, event))
+            else:
+                return time
+        return None

@@ -4,22 +4,24 @@ Protocol code (heartbeats, fault-detection timeouts, balance timers)
 uses these instead of raw scheduler events so that restarting or
 cancelling a timeout is a one-line operation.
 
-Both timer classes recycle their Event objects through
-:meth:`Scheduler.reschedule` where possible: a periodic timer reuses
-the event that just ticked for the next tick, and a one-shot timer
-keeps its last fired event as a spare for the next ``start``. Events
-cancelled while still pending cannot be recycled (they remain lazily
-in the scheduler's heap), so refresh-heavy timeouts fall back to a
-fresh allocation — the scheduler's heap compaction keeps that pattern
-cheap.
+Neither timer class allocates in steady state. A periodic timer reuses
+the event that just ticked for the next tick and a one-shot timer keeps
+its last fired event as a spare for the next ``start``
+(:meth:`Scheduler.reschedule`); a one-shot timer refreshed while still
+pending — the failure detector's timeout, pushed back by every
+heartbeat heard — postpones its pending event in place
+(:meth:`Scheduler.defer`), which touches neither the allocator nor the
+heap. Only a refresh to an *earlier* deadline cancels the pending event
+(it stays lazily in the scheduler's heap, so it cannot be recycled) and
+arms a new one.
 """
 
 
 class Timer:
     """A restartable one-shot timer.
 
-    ``start`` (re)arms the timer; a second ``start`` cancels the first
-    deadline, which is how protocol timeouts are refreshed.
+    ``start`` (re)arms the timer; a second ``start`` supersedes the
+    first deadline, which is how protocol timeouts are refreshed.
 
     ``scale`` is an optional zero-argument callable returning a time
     multiplier sampled at each ``start``; a slowed host (gray-failure
@@ -49,9 +51,13 @@ class Timer:
 
     def start(self, delay):
         """Arm (or re-arm) the timer to fire after ``delay`` seconds."""
-        self.cancel()
         if self._scale is not None:
             delay *= self._scale()
+        event = self._event
+        if event is not None:
+            if self._scheduler.defer(event, delay):
+                return
+            event.cancel()
         spare = self._spare
         if spare is None:
             self._event = self._scheduler.after(delay, self._fire)

@@ -153,3 +153,31 @@ def test_drop_removes_entry():
     hosts[0].arp.cache.store("10.0.0.2", hosts[1].nics[0].mac)
     hosts[0].arp.cache.drop("10.0.0.2")
     assert hosts[0].arp.cache.lookup("10.0.0.2") is None
+
+
+def test_reboot_forgets_resolutions_in_flight():
+    # A host that crashed with a resolution in flight used to keep the
+    # queue: its retry chain had died with it, so after recovery the
+    # next packet for that peer joined the stale queue and no request
+    # was ever sent again — the peer was blackholed until an unrelated
+    # ARP frame from it happened by, which then also transmitted the
+    # pre-crash packet.
+    sim, lan, hosts = build(n=2)
+    a, b = hosts
+    got = []
+    b.open_udp(100, lambda p, s, d: got.append(p))
+    b.nics[0].set_up(False)
+    a.send_udp("before-crash", "10.0.0.2", 100, src_port=1)
+    sim.run(until=0.5)
+    assert a.arp.requests_sent == 1
+    a.crash()
+    sim.run(until=10.0)
+    a.recover()
+    b.nics[0].set_up(True)
+    a.send_udp("after-recovery", "10.0.0.2", 100, src_port=1)
+    sim.run(until=20.0)
+    # A fresh request went out, the new datagram arrived, and what was
+    # queued before the crash was lost with the machine.
+    assert a.arp.requests_sent == 2
+    assert got == ["after-recovery"]
+    assert a.arp._pending == {}

@@ -70,7 +70,11 @@ class World:
 
     def _listen(self, host):
         def on_datagram(payload, src, dst):
-            self.log.append((self.sim.now, host.name, "udp", payload))
+            # The address pairs ride along, so every comparison of two
+            # worlds' logs also compares what the handlers were shown.
+            self.log.append(
+                (self.sim.now, host.name, "udp", payload, (str(src[0]), src[1]), (str(dst[0]), dst[1]))
+            )
 
         host.open_udp(PORT, on_datagram)
 
@@ -125,6 +129,10 @@ def test_fanout_matches_loop_and_uses_one_event():
     batched, looped = twins()
     assert batched.observed() == looped.observed()
     assert [entry[1] for entry in batched.log] == ["h1", "h2", "h3", "h4", "h5"]
+    # Each handler was shown the sender and the address it was sent to.
+    assert [entry[4:] for entry in batched.log] == [
+        (("10.0.0.1", 9), (ip, PORT)) for ip in batched.ips
+    ]
     # Same deliveries, one scheduler event instead of one per frame.
     fired = batched.sim.scheduler.events_fired
     assert looped.sim.scheduler.events_fired - fired == len(batched.ips) - 1

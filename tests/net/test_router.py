@@ -4,6 +4,7 @@ import pytest
 
 from repro.net.host import Host
 from repro.net.lan import Lan
+from repro.net.packet import IP_ETHERTYPE, IpPacket
 from repro.net.router import Router, StaticRoute
 from repro.sim.simulation import Simulation
 
@@ -47,20 +48,31 @@ def test_bidirectional_path():
 
 def test_ttl_decrements_on_forward():
     sim, router, client, server = build_two_lans()
-    ttls = []
-    original = server._handle_ip
+    forwarded = []
+    original_forward = router.forward_packet
 
-    def spy(nic, packet):
-        ttls.append(packet.ttl)
-        original(nic, packet)
+    def spy_forward(packet):
+        forwarded.append(packet.ttl)
+        original_forward(packet)
 
-    server._handle_ip = spy
-    server.open_udp(100, lambda p, s, d: None)
+    router.forward_packet = spy_forward
+    arrived = []
+    server_nic = server.nics[0]
+    original_deliver = server_nic.deliver
+
+    def spy_deliver(frame):
+        if frame.ethertype == IP_ETHERTYPE:
+            arrived.append(frame.payload.ttl)
+        original_deliver(frame)
+
+    server_nic.deliver = spy_deliver
+    received = []
+    server.open_udp(100, lambda p, s, d: received.append(p))
     client.send_udp("x", "10.1.0.10", 100, src_port=1)
     sim.run_until_idle()
-    from repro.net.packet import IpPacket
-
-    assert ttls == [IpPacket.DEFAULT_TTL - 1]
+    assert received == ["x"]
+    assert forwarded == [IpPacket.DEFAULT_TTL]
+    assert arrived == [IpPacket.DEFAULT_TTL - 1]
 
 
 def test_static_route_to_remote_subnet():

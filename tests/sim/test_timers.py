@@ -126,17 +126,20 @@ def test_timer_restart_after_fire_reuses_event_object():
     assert fired == [1.0, 2.0]
 
 
-def test_timer_refresh_before_fire_allocates_fresh_event():
+def test_timer_refresh_before_fire_defers_the_pending_event():
     scheduler = Scheduler()
     fired = []
     timer = Timer(scheduler, lambda: fired.append(scheduler.now))
     timer.start(1.0)
     pending = timer._event
-    timer.start(1.0)  # refresh: the old event is still a live heap entry
-    assert timer._event is not pending
-    assert pending.cancelled
+    scheduler.after(0.5, timer.start, 1.0)  # refresh: later deadline
+    scheduler.run(until=0.75)
+    # The pending event was postponed in place, not cancelled and replaced.
+    assert timer._event is pending
+    assert not pending.cancelled
+    assert timer.deadline == 1.5
     scheduler.run()
-    assert fired == [1.0]
+    assert fired == [1.5]
 
 
 def test_periodic_timer_recycles_one_event_across_ticks():
