@@ -47,6 +47,29 @@ from repro.experiments.tuning import FalsePositiveExperiment, SensitivityExperim
 from repro.obs.observe import FAULT_MODES
 
 
+def _bounded(kind, accepts, requirement):
+    """An argparse ``type=``: a ``kind`` that ``accepts`` lets through."""
+
+    def parse(text):
+        value = kind(text)
+        if not accepts(value):
+            raise argparse.ArgumentTypeError(
+                "must be {}, got {}".format(requirement, text)
+            )
+        return value
+
+    parse.__name__ = kind.__name__  # argparse says "invalid int value: 'x'"
+    return parse
+
+
+_positive_int = _bounded(int, lambda value: value >= 1, "at least 1")
+_positive_float = _bounded(float, lambda value: value > 0.0, "positive")  # NaN is not
+#: A cluster a fault is injected into: the victim needs a survivor.
+_cluster_size = _bounded(int, lambda value: value >= 2, "at least 2")
+#: Zero events is a fault-free trial.
+_event_count = _bounded(int, lambda value: value >= 0, "at least 0")
+
+
 def build_parser():
     """The argparse tree for all subcommands."""
     parser = argparse.ArgumentParser(
@@ -57,18 +80,20 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     table1 = sub.add_parser("table1", help="Table 1 and the notification windows")
-    table1.add_argument("--trials", type=int, default=5)
-    table1.add_argument("--servers", type=int, default=4)
+    table1.add_argument("--trials", type=_positive_int, default=5)
+    table1.add_argument("--servers", type=_cluster_size, default=4)
 
     figure5 = sub.add_parser("figure5", help="Figure 5 cluster-size sweep")
-    figure5.add_argument("--sizes", type=int, nargs="+", default=[2, 4, 6, 8, 10, 12])
-    figure5.add_argument("--trials", type=int, default=3)
-    figure5.add_argument("--vips", type=int, default=10)
+    figure5.add_argument(
+        "--sizes", type=_cluster_size, nargs="+", default=[2, 4, 6, 8, 10, 12]
+    )
+    figure5.add_argument("--trials", type=_positive_int, default=3)
+    figure5.add_argument("--vips", type=_positive_int, default=10)
     figure5.add_argument("--chart", action="store_true", help="also print an ASCII chart")
 
     graceful = sub.add_parser("graceful", help="voluntary-leave interruption")
-    graceful.add_argument("--trials", type=int, default=10)
-    graceful.add_argument("--servers", type=int, default=4)
+    graceful.add_argument("--trials", type=_positive_int, default=10)
+    graceful.add_argument("--servers", type=_cluster_size, default=4)
 
     router = sub.add_parser("router", help="virtual-router fail-over (section 5.2)")
     router.add_argument("--trials", type=int, default=2)
@@ -94,13 +119,13 @@ def build_parser():
     check = sub.add_parser(
         "check", help="fault-schedule exploration campaign (repro.check)"
     )
-    check.add_argument("--trials", type=int, default=16)
-    check.add_argument("--workers", type=int, default=1)
+    check.add_argument("--trials", type=_positive_int, default=16)
+    check.add_argument("--workers", type=_positive_int, default=1)
     check.add_argument("--seed", type=int, default=0)
-    check.add_argument("--servers", type=int, default=4)
-    check.add_argument("--vips", type=int, default=8)
-    check.add_argument("--horizon", type=float, default=40.0)
-    check.add_argument("--events", type=int, default=8)
+    check.add_argument("--servers", type=_cluster_size, default=4)
+    check.add_argument("--vips", type=_positive_int, default=8)
+    check.add_argument("--horizon", type=_positive_float, default=40.0)
+    check.add_argument("--events", type=_event_count, default=8)
     check.add_argument("--fixture", default="standard", choices=sorted(FIXTURES))
     check.add_argument(
         "--gray", action="store_true",
@@ -125,10 +150,10 @@ def build_parser():
         help="replay a saved artifact instead of running a campaign",
     )
     check.add_argument(
-        "--repeat", type=int, default=1, help="replay the artifact N times"
+        "--repeat", type=_positive_int, default=1, help="replay the artifact N times"
     )
     check.add_argument(
-        "--shards", type=int, default=None, metavar="N",
+        "--shards", type=_positive_int, default=None, metavar="N",
         help="serial-vs-sharded parity trial instead of a campaign: run one "
         "n256 scale scenario on the serial kernel and again partitioned "
         "across N shard worker processes (pair with --workers N), write "
@@ -140,21 +165,22 @@ def build_parser():
         "flow", help="flow-level fail-over run: requests lost at 10^5-10^7 users"
     )
     flow.add_argument("--seed", type=int, default=7)
-    flow.add_argument("--servers", type=int, default=3)
-    flow.add_argument("--vips", type=int, default=10)
+    flow.add_argument("--servers", type=_cluster_size, default=3)
+    flow.add_argument("--vips", type=_positive_int, default=10)
     flow.add_argument(
-        "--users", type=int, default=1_000_000,
+        "--users", type=_positive_int, default=1_000_000,
         help="aggregate client population spread across the VIPs",
     )
     flow.add_argument(
-        "--rate", type=float, default=1.0, help="requests/second per user"
+        "--rate", type=_positive_float, default=1.0, help="requests/second per user"
     )
     flow.add_argument(
-        "--tick", type=float, default=0.05, help="flow engine tick (sim seconds)"
+        "--tick", type=_positive_float, default=0.05,
+        help="flow engine tick (sim seconds)",
     )
     flow.add_argument("--fault", default="nic_down", choices=("nic_down", "crash", "shutdown"))
     flow.add_argument(
-        "--observe", type=float, default=15.0,
+        "--observe", type=_positive_float, default=15.0,
         help="simulated seconds to run after the fault",
     )
     flow.add_argument(
@@ -167,15 +193,15 @@ def build_parser():
         "observe", help="instrumented fail-over run: metric catalog + episodes"
     )
     observe.add_argument("--seed", type=int, default=7)
-    observe.add_argument("--servers", type=int, default=3)
-    observe.add_argument("--vips", type=int, default=6)
+    observe.add_argument("--servers", type=_cluster_size, default=3)
+    observe.add_argument("--vips", type=_positive_int, default=6)
     observe.add_argument("--fault", default="crash", choices=FAULT_MODES)
     observe.add_argument(
-        "--settle", type=float, default=10.0,
+        "--settle", type=_positive_float, default=10.0,
         help="simulated seconds to converge before the fault",
     )
     observe.add_argument(
-        "--duration", type=float, default=10.0,
+        "--duration", type=_positive_float, default=10.0,
         help="simulated seconds to observe after the fault",
     )
     observe.add_argument("--format", choices=("text", "jsonl"), default="text")
@@ -350,7 +376,7 @@ def _run_check(args, out):
         return _run_shard_parity(args, out)
     if args.replay is not None:
         code = 0
-        for _ in range(max(args.repeat, 1)):
+        for _ in range(args.repeat):
             report = replay(args.replay)
             out(report.format())
             if not report.match:

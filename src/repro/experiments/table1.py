@@ -29,10 +29,11 @@ class Table1Experiment:
         self.trials = trials
         self.cluster_size = cluster_size
         self.base_seed = base_seed
-        self.configs = {
-            "Default Spread": SpreadConfig.default(),
-            "Tuned Spread": SpreadConfig.tuned(),
-        }
+        # Ordered (label, config) pairs: the column order of Table 1.
+        self.configs = (
+            ("Default Spread", SpreadConfig.default()),
+            ("Tuned Spread", SpreadConfig.tuned()),
+        )
 
     def parameter_rows(self):
         """The literal Table 1 rows."""
@@ -40,7 +41,7 @@ class Table1Experiment:
         for label, attribute in self.PARAMETERS:
             rows.append(
                 [label]
-                + [getattr(config, attribute) for config in self.configs.values()]
+                + [getattr(config, attribute) for _name, config in self.configs]
             )
         return rows
 
@@ -89,7 +90,7 @@ class Table1Experiment:
     def run(self):
         """Full results: the parameter table plus measured windows."""
         results = {"parameters": self.parameter_rows(), "measured": {}}
-        for name, config in self.configs.items():
+        for name, config in self.configs:
             times = self.measure_notification_times(config)
             lo, hi = config.notification_window()
             results["measured"][name] = {
@@ -106,7 +107,7 @@ class Table1Experiment:
         results = results or self.run()
         parts = [
             format_table(
-                ["Parameter Name"] + list(self.configs),
+                ["Parameter Name"] + [name for name, _config in self.configs],
                 results["parameters"],
                 title="Table 1. Spread timeout tuning (seconds)",
             ),

@@ -53,30 +53,81 @@ class ArpViewResolver:
             raise ValueError(
                 "client host {} has no NIC on LAN {}".format(client_host.name, lan.name)
             )
+        self._scheduler = lan.sim.scheduler
         self._owners = {}
         self._macs = {}
+        self._read = None
+        self._asked = {}
 
     def begin_tick(self):
-        """Snapshot live bindings and the MAC index for this tick.
+        """True iff every ``resolve`` answers as it did last tick.
 
-        Returns None, never "unchanged": the answer also ages with the
-        client's ARP clock and a cold lookup stores an entry, so the
-        engine resolves through this view on every tick.
+        Compared, not versioned, as in :class:`DirectResolver`. A
+        resolution reads the state of whichever interface the client's
+        cache points at — a spoofed entry may name any NIC on the
+        segment — so the read covers every NIC of the LAN, the cache
+        entries of the addresses asked on the last resolving tick
+        (:meth:`ArpCache.peek` — as stored, never aged) and the loss
+        terms. The one input a compare cannot see is time: an entry
+        ages out with no write, so "unchanged" also needs the oldest of
+        those entries to be inside its lifetime on the client's clock.
+
+        The baseline is the read of a resolving tick *before* its
+        resolves: what they then write (a cold lookup stores an entry,
+        an expired one is deleted) differs from it, which makes the
+        next tick a resolving one as well, after which the view is
+        quiet.
         """
+        lan = self.lan
+        client_nic = self._client_nic
+        cache = self.client_host.arp.cache
+        model = lan.link_model
+        nics = lan.nics
+        entries = [(ip, cache.peek(ip)) for ip in self._asked]
+        read = (
+            nics,
+            [
+                (
+                    nic.up,
+                    nic.host.alive,
+                    nic.host.time_scale,
+                    nic.bound_ips,
+                    lan.connected(client_nic, nic),
+                )
+                for nic in nics
+            ],
+            cache,
+            entries,
+            (model, model.expected_loss() if model is not None else None, lan.loss),
+        )
+        if read == self._read:
+            refreshed = [entry.updated_at for _ip, entry in entries if entry is not None]
+            # The comparison ``ArpCache.lookup`` makes, on the clock it
+            # reads (the scheduler's, plus the client's skew); if the
+            # oldest entry passes it, every entry does.
+            now = self._scheduler._now + self.client_host.clock_skew
+            if not refreshed or now - min(refreshed) <= cache.lifetime:
+                return True
         owners = {}
         for host in self.hosts:
             if not host.alive:
                 continue
             for nic in host.nics:
-                if nic.lan is self.lan and nic.up:
+                if nic.lan is lan and nic.up:
                     for ip in nic.bound_ips:
                         owners.setdefault(ip, nic)
         self._owners = owners
-        self._macs = {nic.mac: nic for nic in self.lan.nics}
+        self._macs = {nic.mac: nic for nic in nics}
+        self._read = read
+        self._asked = {}
+        return False
 
     def resolve(self, vip):
         """(factor, reason, owner_host) for traffic aimed at ``vip`` now."""
         vip = IPAddress(vip)
+        # A dict, so a gated engine asking again on every quiet tick
+        # leaves it at one key per distinct address.
+        self._asked[vip] = None
         owner_nic = self._owners.get(vip)
         mac = self.client_host.arp.cache.lookup(vip)
         if mac is None:

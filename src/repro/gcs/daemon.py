@@ -198,6 +198,19 @@ class SpreadDaemon(Process):
             return
         self._m_received.inc()
         kind = type(message)
+        if kind is Heartbeat:
+            # First and flat: N x (N - 1) of these are heard per
+            # heartbeat interval, against a handful of everything else.
+            sender = message.sender
+            if sender is not None and sender != self.daemon_id:
+                self._addr_book[sender] = src[0]
+                self.fd.heard_from(sender)
+            self.membership.on_foreign_traffic(sender)
+            if message.view_id is not None:
+                self.orderer.on_heartbeat(
+                    message.view_id, sender, message.top_seq, message.aru
+                )
+            return
         if kind is not OrderedMsg:
             # OrderedMsg carries the *originator*, not the broadcaster
             # (the sequencer); it must not feed the address book.
@@ -205,12 +218,7 @@ class SpreadDaemon(Process):
             if sender is not None and sender != self.daemon_id:
                 self._addr_book[sender] = src[0]
                 self.fd.heard_from(sender)
-        if kind is Heartbeat:
-            self.membership.on_foreign_traffic(message.sender)
-            if message.view_id is not None:
-                self.orderer.on_top_seq(message.view_id, message.top_seq)
-                self.orderer.on_aru(message.view_id, message.sender, message.aru)
-        elif kind is AruMsg:
+        if kind is AruMsg:
             self.orderer.on_aru(message.view_id, message.sender, message.aru)
         elif kind is JoinMsg:
             self.membership.on_join(message)

@@ -68,7 +68,7 @@ class FailureDetector:
         timer = self._timers.get(peer)
         if timer is None:
             return
-        if self._misses.pop(peer, None) is not None:
+        if self._misses and self._misses.pop(peer, None) is not None:
             self.misses_ridden_out += 1
         timer.start(self._daemon.config.fault_detection_timeout)
 

@@ -34,6 +34,11 @@ class ViewOrderer:
         self.members = view.members
         self.sequencer = view.members[0]
         self.log = {}
+        # Highest key of ``log``, kept beside it: raised where the log
+        # gains an entry (``_order``, ``on_ordered`` — the log never
+        # loses one) and re-derived by :meth:`stabilize_audit`, so the
+        # gap test a heard heartbeat makes never scans the log.
+        self._log_top = 0
         self.delivered_aru = 0
         self.advertised_top = 0
         self.frozen = False
@@ -123,6 +128,8 @@ class ViewOrderer:
             self.view_id, seq, origin, msg_id, kind, group, payload, service
         )
         self.log[seq] = ordered
+        if seq > self._log_top:
+            self._log_top = seq
         self._advance_recv_aru()
         self._daemon.broadcast(ordered)
         self._deliver_ready()
@@ -146,6 +153,8 @@ class ViewOrderer:
         if message.seq in self.log:
             return
         self.log[message.seq] = message
+        if message.seq > self._log_top:
+            self._log_top = message.seq
         if message.origin == self._daemon.daemon_id:
             self._pending.pop(message.msg_id, None)
         self._advance_recv_aru()
@@ -155,17 +164,28 @@ class ViewOrderer:
 
     def top_seq(self):
         """Highest sequence number known in this view."""
-        highest = max(self.log) if self.log else 0
-        return max(highest, self.delivered_aru, self.advertised_top)
+        return max(self._log_top, self.delivered_aru, self.advertised_top)
 
-    def on_top_seq(self, view_id, top_seq):
-        """A peer advertised its top sequence (tail-loss detection)."""
-        if self.frozen or view_id != self.view_id:
+    def on_heartbeat(self, view_id, sender, top_seq, aru):
+        """A peer's heartbeat: its top sequence, then its receipt point.
+
+        The advertised top exposes a lost *tail* broadcast (a gap after
+        the last message); the receipt point is :meth:`on_aru`'s. One
+        ``frozen`` / view test serves both: arming the NACK timer in
+        between neither freezes the orderer nor changes its view. An
+        install hands every member the same ``ViewId`` object, so
+        identity usually settles the view test.
+        """
+        if self.frozen or not (view_id is self.view_id or view_id == self.view_id):
             return
         if top_seq > self.advertised_top:
             self.advertised_top = top_seq
         if self._has_gap() and not self._nack_timer.armed:
             self._nack_timer.start(self._daemon.config.gap_nack_delay)
+        known = self._member_arus.get(sender)
+        if known is not None and aru > known:
+            self._member_arus[sender] = aru
+            self._deliver_ready()
 
     def _deliver_ready(self):
         while not self.frozen and (self.delivered_aru + 1) in self.log:
@@ -211,7 +231,9 @@ class ViewOrderer:
             self._deliver_ready()
 
     def _has_gap(self):
-        return self.top_seq() > self.delivered_aru
+        # top_seq() > delivered_aru, without the call or the maximum.
+        delivered = self.delivered_aru
+        return self._log_top > delivered or self.advertised_top > delivered
 
     def _send_nack(self):
         if self.frozen or not self._daemon.alive or not self._has_gap():
@@ -234,9 +256,10 @@ class ViewOrderer:
         """Re-derive the receipt/assignment counters from the log.
 
         The log is the authoritative record: ``recv_aru`` must equal its
-        contiguous prefix, the sequencer's next assignment must sit past
-        its top, and the delivery point can never be negative. Each of
-        those is repaired locally (the counters are pure derivations).
+        contiguous prefix, ``_log_top`` its highest key, the sequencer's
+        next assignment must sit past that, and the delivery point can
+        never be negative. Each of those is repaired locally (the
+        counters are pure derivations).
         A delivery point *ahead* of the contiguous prefix cannot be
         repaired locally — rolling it back would redeliver — so it is
         returned as an escalation reason for the daemon to resolve via a
@@ -261,11 +284,13 @@ class ViewOrderer:
             self._member_arus[self._daemon.daemon_id] = contiguous
             if self._announced_aru > contiguous:
                 self._announced_aru = contiguous
-        if self.is_sequencer and self.log:
-            top = max(self.log)
-            if self._next_assign <= top:
-                repairs.append(("next_assign", self._next_assign, top + 1))
-                self._next_assign = top + 1
+        top = max(self.log, default=0)
+        if self._log_top != top:
+            repairs.append(("log_top", self._log_top, top))
+            self._log_top = top
+        if self.is_sequencer and self._next_assign <= top:
+            repairs.append(("next_assign", self._next_assign, top + 1))
+            self._next_assign = top + 1
         escalate = None
         if self.delivered_aru > contiguous:
             escalate = "delivered_aru {} ahead of contiguous log {}".format(

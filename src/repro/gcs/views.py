@@ -47,11 +47,13 @@ class ViewId:
 class DaemonView:
     """One installed daemon membership: id plus uniquely ordered members."""
 
-    __slots__ = ("view_id", "members")
+    __slots__ = ("view_id", "members", "_member_set")
 
     def __init__(self, view_id, members):
         self.view_id = view_id
         self.members = tuple(sorted(members))
+        # Membership is tested once per heartbeat heard.
+        self._member_set = frozenset(self.members)
 
     @property
     def representative(self):
@@ -59,7 +61,7 @@ class DaemonView:
         return self.members[0]
 
     def __contains__(self, daemon_id):
-        return daemon_id in self.members
+        return daemon_id in self._member_set
 
     def __eq__(self, other):
         return (

@@ -67,6 +67,17 @@ class ArpCache:
             return None
         return entry.mac
 
+    def peek(self, ip):
+        """The entry stored for ``ip`` as it stands, or None.
+
+        Read-only, unlike :meth:`lookup`: the entry is neither aged nor
+        deleted, so a reader can compare what the cache holds from one
+        moment to the next without touching it.
+        """
+        if type(ip) is not IPAddress:
+            ip = IPAddress(ip)
+        return self._entries.get(ip)
+
     def store(self, ip, mac):
         """Create or refresh the entry for ``ip``."""
         if type(ip) is not IPAddress:

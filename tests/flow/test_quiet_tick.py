@@ -1,11 +1,12 @@
 """A quiet flow tick costs a state compare, not a walk over every pool.
 
-``DirectResolver`` keeps its owner table while the state it read is
-unchanged, ``FlowEngine`` keeps its factors while every resolver says
-so, and accounting visits only lossy pools. These tests hold that to
-*counts* (``resolve`` calls, false ``begin_tick`` returns, address
-parses), never to wall clock, and to bit-identity with a resolver that
-forgets its last read — i.e. with resolving everything on every tick.
+``DirectResolver`` and ``ArpViewResolver`` keep their tables while the
+state they read is unchanged, ``FlowEngine`` keeps its factors while
+every resolver says so, and accounting visits only lossy pools. These
+tests hold that to *counts* (``resolve`` calls, false ``begin_tick``
+returns, address parses), never to wall clock, and to bit-identity with
+a resolver that forgets its last read — i.e. with resolving everything
+on every tick.
 """
 
 import json
@@ -13,13 +14,24 @@ import json
 import pytest
 
 from repro.apps.scalecluster import ScaleClusterScenario
-from repro.flow import DirectResolver, FlowEngine, FlowPool
+from repro.flow import ArpViewResolver, DirectResolver, FlowEngine, FlowPool
 from repro.net.addresses import IPAddress
+from repro.net.fault import FaultInjector
+from repro.net.host import Host
+from repro.net.lan import Lan
 from repro.net.linkfault import GilbertElliott
 from repro.sim.simulation import Simulation
 
 class Forgetful(DirectResolver):
     """The reference: forgets its last read, so every tick rebuilds."""
+
+    def begin_tick(self):
+        self._read = None
+        return super().begin_tick()
+
+
+class ForgetfulArpView(ArpViewResolver):
+    """The ARP-view reference: every tick rebuilds and resolves."""
 
     def begin_tick(self):
         self._read = None
@@ -152,6 +164,183 @@ def test_kept_state_is_bit_identical_to_resolving_every_tick(
 
 
 # ----------------------------------------------------------------------
+# (a') the ARP-view twin: the same, through a client host's ARP cache
+
+ARP_VIPS = ["10.0.0.{}".format(100 + index) for index in range(6)]
+#: Short, so entries age out (and are re-learnt) all through the script.
+ARP_LIFETIME = 2.0
+
+
+class ArpWorld:
+    """Four servers binding six VIPs by hand, a bystander, a flow client."""
+
+    def __init__(self, resolver_class, use_numpy, require=None):
+        self.sim = Simulation(seed=11, trace_enabled=True, metrics_enabled=True)
+        self.lan = Lan(self.sim, "lan", "10.0.0.0/24")
+        self.faults = FaultInjector(self.sim)
+        self.servers = []
+        for index in range(4):
+            host = Host(self.sim, "s{}".format(index))
+            host.add_nic(self.lan, "10.0.0.{}".format(10 + index))
+            self.servers.append(host)
+        for index, vip in enumerate(ARP_VIPS):
+            self.nic(index % 4).bind_ip(vip)
+        # On the segment but not in the resolver's server list.
+        self.printer = Host(self.sim, "printer")
+        self.printer.add_nic(self.lan, "10.0.0.50")
+        self.client = Host(self.sim, "client", arp_cache_lifetime=ARP_LIFETIME)
+        self.client.add_nic(self.lan, "10.0.0.200")
+        self.resolver = resolver_class(self.lan, self.client, self.servers)
+        self.recorder = Recorder(self.resolver)
+        self.engine = FlowEngine(
+            self.sim, resolver=self.resolver, name="twin", use_numpy=use_numpy
+        )
+        for index, vip in enumerate(ARP_VIPS):
+            self.engine.add_pool(
+                FlowPool("pool-{}".format(index), vip, 1000 + index, require=require)
+            )
+        self.engine.start()
+
+    def nic(self, index):
+        return self.servers[index].nics[0]
+
+    def move(self, vip, src, dst, announce=True):
+        src.unbind_ip(vip)
+        dst.bind_ip(vip)
+        if announce:
+            dst.host.arp.announce(dst, vip)
+
+    def snapshot(self):
+        cache = self.client.arp.cache
+        return {
+            "fingerprint": json.dumps(self.engine.fingerprint(), sort_keys=True),
+            "flow_records": [
+                (
+                    record.time,
+                    record.source,
+                    record.event,
+                    {k: v for k, v in record.details.items() if k != "backend"},
+                )
+                for record in self.sim.trace.records
+                if record.category == "flow"
+            ],
+            "metrics": self.sim.metrics.totals(),
+            # Contents, not just the live view: stored entries with their
+            # refresh times, and how many stores it took to get there.
+            "arp_cache": (
+                {str(ip): cache.peek(ip) for ip in ARP_VIPS},
+                cache.snapshot(),
+                cache.updates,
+            ),
+        }
+
+
+def arp_view_script(world):
+    """Every input an ArpViewResolver reads, written at least once."""
+    lan, faults, client = world.lan, world.faults, world.client
+    frozen = GilbertElliott(0.0, 0.0, loss_good=0.0, loss_bad=0.4)
+    late = []
+
+    def attach_and_rebind():
+        late.append(world.servers[0].add_nic(lan, "10.0.0.70"))
+        world.move(ARP_VIPS[1], world.nic(1), late[0])
+
+    def recover_and_rebind():
+        faults.recover_host(world.servers[3])
+        world.nic(3).bind_ip(ARP_VIPS[3])
+        world.servers[3].arp.announce(world.nic(3), ARP_VIPS[3])
+
+    return [
+        ("cold start", lambda: None),
+        ("silent rebind", lambda: world.move(ARP_VIPS[0], world.nic(0), world.nic(1), False)),
+        ("spoofed announcement", lambda: world.nic(1).host.arp.announce(world.nic(1), ARP_VIPS[0])),
+        ("nic_down", lambda: faults.nic_down(world.nic(2))),
+        ("nic_up", lambda: faults.nic_up(world.nic(2))),
+        ("crash", lambda: faults.crash_host(world.servers[3])),
+        ("recover", recover_and_rebind),
+        ("set_slowdown", lambda: world.servers[1].set_slowdown(3.0)),
+        ("slowdown cleared", lambda: world.servers[1].set_slowdown(1.0)),
+        ("partition", lambda: faults.partition(lan, [[client]])),
+        ("heal", lambda: faults.heal(lan)),
+        ("block_direction", lambda: lan.block_direction(world.servers[2], client)),
+        ("unblock", lan.clear_blocks),
+        ("link model set", lambda: lan.set_link_model(frozen)),
+        ("link model state flipped", lambda: setattr(frozen, "bad", True)),
+        ("link model removed", lambda: lan.set_link_model(None)),
+        ("lan.loss", lambda: setattr(lan, "loss", 0.1)),
+        ("lan.loss cleared", lambda: setattr(lan, "loss", 0.0)),
+        ("client clock skewed", lambda: client.set_clock_skew(1.5)),
+        ("client clock restored", lambda: client.set_clock_skew(0.0)),
+        ("arp.reset()", client.arp.reset),
+        ("NIC attached mid-run", attach_and_rebind),
+        ("spoof at a non-server NIC",
+         lambda: world.printer.arp.announce(world.printer.nics[0], ARP_VIPS[2])),
+        ("the non-server NIC binds it", lambda: world.printer.nics[0].bind_ip(ARP_VIPS[2])),
+        ("the owner's announcement", lambda: world.nic(2).host.arp.announce(world.nic(2), ARP_VIPS[2])),
+        ("entries ageing out", lambda: world.sim.run_for(2 * ARP_LIFETIME)),
+    ]
+
+
+def run_arp_view_script(resolver_class, use_numpy):
+    world = ArpWorld(resolver_class, use_numpy)
+    steps = []
+    for label, write in arp_view_script(world):
+        write()
+        world.sim.run_for(0.35)
+        steps.append((label, world.snapshot()))
+    return {
+        "steps": steps,
+        "ticks": world.engine.ticks,
+        "resolves": world.recorder.resolves,
+        "reasons": sorted(world.engine.lost_by_reason),
+    }
+
+
+@pytest.fixture(scope="module")
+def arp_reference_run():
+    return run_arp_view_script(ForgetfulArpView, use_numpy=False)
+
+
+def test_forgetful_arp_view_resolves_every_vip_every_tick(arp_reference_run):
+    assert arp_reference_run["resolves"] == len(ARP_VIPS) * arp_reference_run["ticks"]
+    # The script reached every way the ARP view can lose a request.
+    assert arp_reference_run["reasons"] == [
+        "dead_host", "degraded", "no_owner", "partitioned", "stale_arp",
+    ]
+    # Entries aged out and were re-learnt: more stores than addresses.
+    final = arp_reference_run["steps"][-1][1]
+    assert final["arp_cache"][2] > 3 * len(ARP_VIPS)
+
+
+@pytest.mark.parametrize("resolver_class", [ArpViewResolver, ForgetfulArpView])
+def test_kept_arp_view_is_bit_identical_to_resolving_every_tick(
+    arp_reference_run, resolver_class, use_numpy
+):
+    run = run_arp_view_script(resolver_class, use_numpy)
+    assert run["ticks"] == arp_reference_run["ticks"]
+    for (label, got), (_label, want) in zip(run["steps"], arp_reference_run["steps"]):
+        for key in ("fingerprint", "flow_records", "metrics", "arp_cache"):
+            assert got[key] == want[key], (label, key)
+    if resolver_class is ArpViewResolver:
+        assert run["resolves"] * 2 < arp_reference_run["resolves"]
+
+
+def test_gated_engine_keeps_asked_at_the_distinct_vips(use_numpy):
+    # A require gate makes the engine resolve on quiet ticks as well
+    # (RouterClusterScenario): the addresses asked must not pile up.
+    world = ArpWorld(ArpViewResolver, use_numpy, require=lambda host: True)
+    world.client.arp.cache.lifetime = 3600.0
+    world.sim.run_for(0.5)
+    world.recorder.reset()
+    world.sim.run_for(50.0)
+    assert len(world.recorder.begins) == 1000
+    assert world.recorder.false_ticks() == 0
+    assert world.recorder.resolves == 1000 * len(ARP_VIPS)
+    assert len(world.resolver._asked) == len(ARP_VIPS)
+    assert world.engine.totals()["lost"] == 0
+
+
+# ----------------------------------------------------------------------
 # (b) the budget: quiet ticks resolve nothing, a fault costs a few ticks
 
 
@@ -260,6 +449,132 @@ def test_each_input_flips_begin_tick_once():
     assert scenario.settle()
     seen_once("the heirs releasing its share")
     assert resolver.resolve(vip) == (1.0, None, victim.host)
+
+
+def test_each_arp_view_input_flips_begin_tick_once():
+    world = ArpWorld(ArpViewResolver, use_numpy=False)
+    world.engine.stop_flow()  # the test is the engine: it begins the ticks
+    sim, lan, client, resolver = world.sim, world.lan, world.client, world.resolver
+    client.arp.cache.lifetime = 60.0
+    vip = ARP_VIPS[0]
+    owner = world.servers[0]
+
+    def tick():
+        # What FlowEngine does: resolve everything unless "unchanged".
+        unchanged = resolver.begin_tick()
+        if not unchanged:
+            for address in ARP_VIPS:
+                resolver.resolve(address)
+        return unchanged
+
+    def seen_once(what):
+        assert tick() is False, what
+        assert tick() is True, what
+
+    def seen_twice(what):
+        # The resolves of the first tick wrote the cache themselves.
+        assert tick() is False, what
+        assert tick() is False, what
+        assert tick() is True, what
+
+    seen_twice("nothing read yet, then the cold lookups' stores")
+    assert resolver.resolve(vip) == (1.0, None, owner)
+    assert tick() is True
+
+    world.move(vip, world.nic(0), world.nic(1), announce=False)
+    seen_once("silent rebind")
+    assert resolver.resolve(vip) == (0.0, "stale_arp", None)
+    world.servers[1].arp.announce(world.nic(1), vip)
+    sim.run_for(0.01)
+    seen_once("spoofed announcement")
+    assert resolver.resolve(vip) == (1.0, None, world.servers[1])
+    world.move(vip, world.nic(1), world.nic(0))
+    sim.run_for(0.01)
+    seen_once("moved back, announced")
+
+    world.nic(0).set_up(False)
+    seen_once("nic down")
+    assert resolver.resolve(vip) == (0.0, "dead_host", None)
+    world.nic(0).set_up(True)
+    seen_once("nic up")
+
+    owner.set_slowdown(4.0)
+    seen_once("set_slowdown")
+    assert resolver.resolve(vip) == (0.25, "degraded", owner)
+    owner.set_slowdown(1.0)
+    seen_once("slowdown cleared")
+
+    lan.partition([[client]])
+    seen_once("partition")
+    assert resolver.resolve(vip) == (0.0, "partitioned", None)
+    lan.heal()
+    seen_once("heal")
+    lan.block_direction(owner, client)
+    seen_once("block_direction")
+    assert resolver.resolve(vip) == (0.0, "partitioned", None)
+    lan.clear_blocks()
+    seen_once("clear_blocks")
+
+    frozen = GilbertElliott(0.0, 0.0, loss_good=0.0, loss_bad=0.5)
+    lan.set_link_model(frozen)
+    seen_once("set_link_model")
+    frozen.bad = True
+    seen_once("a frozen chain's bad flag")
+    assert resolver.resolve(vip) == (0.25, "degraded", owner)
+    lan.set_link_model(None)
+    seen_once("link model removed")
+    lan.loss = 0.5
+    seen_once("lan.loss")
+    lan.loss = 0.0
+    seen_once("lan.loss cleared")
+
+    world.printer.arp.announce(world.printer.nics[0], vip)
+    sim.run_for(0.01)
+    seen_once("spoof at a non-server NIC")
+    assert resolver.resolve(vip) == (0.0, "stale_arp", None)
+    world.printer.nics[0].bind_ip(vip)
+    seen_once("a non-server NIC's bound set")
+    assert resolver.resolve(vip) == (1.0, None, world.printer)
+    world.printer.nics[0].unbind_ip(vip)
+    seen_once("and back")
+    owner.arp.announce(world.nic(0), vip)
+    sim.run_for(0.01)
+    seen_once("the owner's announcement")
+
+    extra = world.servers[2].add_nic(lan, "10.0.0.72")
+    seen_once("a NIC attached")
+    lan.detach(extra)
+    world.servers[2].add_nic(lan, "10.0.0.72")
+    seen_once("a NIC swapped for one that reads the same")
+
+    faults = world.faults
+    faults.crash_host(world.servers[3])
+    seen_once("crash")
+    assert resolver.resolve(ARP_VIPS[3]) == (0.0, "dead_host", None)
+    faults.recover_host(world.servers[3])
+    seen_once("recover: alive again, virtual addresses gone")
+    assert resolver.resolve(ARP_VIPS[3]) == (0.0, "no_owner", None)
+    world.nic(3).bind_ip(ARP_VIPS[3])
+    seen_once("rebound")
+
+    # Time alone: no write anywhere, the entries just get old. The
+    # boundary is lookup's — still served at exactly ``lifetime``.
+    stored = client.arp.cache.peek(ARP_VIPS[5]).updated_at
+    sim.run(until=stored + 60.0)
+    assert tick() is True
+    sim.run_for(0.05)
+    seen_twice("the oldest entry aged out; the lookups re-learnt it")
+    sim.run_for(1.0)
+    assert tick() is True
+    client.set_clock_skew(60.0)
+    seen_twice("clock skew ages every entry at once")
+    client.set_clock_skew(0.0)
+    assert tick() is True  # entries from the future are simply young
+
+    client.arp.reset()
+    seen_twice("arp.reset(): a new cache object, then cold stores")
+    sim.run_for(10.0)
+    assert tick() is True
 
 
 # ----------------------------------------------------------------------

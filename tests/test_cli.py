@@ -146,3 +146,56 @@ def test_bench_no_write_leaves_trajectory_untouched(tmp_path):
     )
     assert code == 0
     assert not path.exists()
+
+
+# ----------------------------------------------------------------------
+# counts, sizes and durations fail loudly at the parser
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        # A campaign that would check nothing: no VIP, no time, no worker.
+        (["check", "--trials", "1", "--vips", "0", "--horizon", "0",
+          "--events", "-1", "--workers", "0"], "--vips"),
+        (["check", "--trials", "0"], "--trials"),
+        (["check", "--horizon", "0"], "--horizon"),
+        (["check", "--events", "-1"], "--events"),
+        (["check", "--workers", "0"], "--workers"),
+        (["check", "--servers", "1"], "--servers"),
+        (["check", "--replay", "artifact.json", "--repeat", "0"], "--repeat"),
+        (["check", "--shards", "0"], "--shards"),
+        # These three used to die in a traceback.
+        (["flow", "--users", "0"], "--users"),
+        (["flow", "--users", "-5"], "--users"),
+        (["table1", "--trials", "0"], "--trials"),
+        (["table1", "--servers", "1"], "--servers"),
+        (["flow", "--tick", "0"], "--tick"),
+        (["flow", "--rate", "-1"], "--rate"),
+        (["flow", "--observe", "nan"], "--observe"),
+        (["flow", "--vips", "0"], "--vips"),
+        (["observe", "--settle", "0"], "--settle"),
+        (["observe", "--duration", "-2"], "--duration"),
+        (["observe", "--servers", "1"], "--servers"),
+        (["figure5", "--sizes", "2", "1"], "--sizes"),
+        (["figure5", "--trials", "0"], "--trials"),
+        (["graceful", "--trials", "0"], "--trials"),
+        (["graceful", "--servers", "1"], "--servers"),
+        (["check", "--trials", "many"], "--trials"),
+    ],
+)
+def test_bad_count_size_or_duration_exits_2_naming_the_flag(argv, flag, capsys):
+    with pytest.raises(SystemExit) as raised:
+        main(argv, out=lambda line: None)
+    assert raised.value.code == 2
+    assert "argument {}:".format(flag) in capsys.readouterr().err
+
+
+def test_edge_values_still_parse():
+    # Zero events is a fault-free campaign; two servers is one survivor.
+    args = build_parser().parse_args(
+        ["check", "--events", "0", "--servers", "2", "--horizon", "0.5"]
+    )
+    assert (args.events, args.servers, args.horizon) == (0, 2, 0.5)
+    args = build_parser().parse_args(["flow", "--users", "1", "--tick", "1e-3"])
+    assert (args.users, args.tick) == (1, 0.001)
