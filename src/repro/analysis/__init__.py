@@ -6,11 +6,10 @@ randomness, unordered iteration that escapes into traces or messages,
 id()/hash() tie-breaks, real threads — must be caught at lint time,
 not after thousands of fault-schedule trials. ``repro lint`` runs the
 rule set in :mod:`repro.analysis.rules` over the tree, honouring
-per-line ``# repro: allow <rule>`` suppressions and a committed
-baseline file so pre-existing findings never block CI.
+per-line ``# repro: allow <rule>`` suppressions — the one way to
+accept a finding.
 """
 
-from repro.analysis.baseline import Baseline
 from repro.analysis.engine import (
     LintConfig,
     Linter,
@@ -23,7 +22,6 @@ from repro.analysis.registry import all_rules, get_rule
 from repro.analysis.statemachine import render_state_machines
 
 __all__ = [
-    "Baseline",
     "Finding",
     "LintConfig",
     "LintResult",

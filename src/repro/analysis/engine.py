@@ -1,18 +1,17 @@
 """The lint engine: file collection, parsing, rule dispatch, filtering.
 
 The engine is deliberately free of wall-clock state: given the same
-tree, the same configuration, and the same baseline, two runs produce
-byte-identical reports (a property :mod:`tests.analysis` asserts),
-mirroring the replay guarantee the linted code itself must uphold.
+tree and the same configuration, two runs produce byte-identical
+reports (a property :mod:`tests.analysis` asserts), mirroring the
+replay guarantee the linted code itself must uphold.
 """
 
 import ast
 import os
 
-from repro.analysis.baseline import Baseline
 from repro.analysis.callgraph import CallGraph, SymbolTable
 from repro.analysis.dataflow import ProjectDataflow
-from repro.analysis.findings import Finding, assign_fingerprints
+from repro.analysis.findings import Finding
 from repro.analysis.registry import all_rules
 from repro.analysis.statemachine import DEFAULT_STATE_MACHINES, extract_machines
 from repro.analysis.suppress import is_suppressed, parse_suppressions
@@ -255,16 +254,14 @@ class LintResult:
     __slots__ = (
         "findings",
         "suppressed",
-        "baselined",
         "files",
         "rules",
         "parse_errors",
     )
 
-    def __init__(self, findings, suppressed, baselined, files, rules, parse_errors):
+    def __init__(self, findings, suppressed, files, rules, parse_errors):
         self.findings = findings
         self.suppressed = suppressed
-        self.baselined = baselined
         self.files = files
         self.rules = rules
         self.parse_errors = parse_errors
@@ -278,8 +275,8 @@ def collect_files(paths):
     """Expand files/directories into a sorted, de-duplicated .py list.
 
     Paths under the current working directory are relativized, so the
-    report (and every baseline fingerprint) reads the same whether the
-    target was spelled absolutely or relatively.
+    report reads the same whether the target was spelled absolutely or
+    relatively.
     """
     found = []
     for path in paths:
@@ -332,9 +329,8 @@ class Linter:
         self.config = config or LintConfig()
         self.rules = list(rules) if rules is not None else all_rules()
 
-    def run(self, paths, baseline=None):
+    def run(self, paths):
         """Lint ``paths``; returns a :class:`LintResult`."""
-        baseline = baseline or Baseline()
         modules = []
         parse_errors = []
         files = collect_files(paths)
@@ -364,7 +360,7 @@ class Linter:
             raw.extend(rule.check_project(project, self.config))
 
         by_path = {module.path: module for module in modules}
-        unsuppressed = []
+        findings = []
         suppressed = []
         for finding in raw:
             module = by_path.get(finding.path)
@@ -373,24 +369,14 @@ class Linter:
             ):
                 suppressed.append(finding)
             else:
-                unsuppressed.append(finding)
+                findings.append(finding)
 
-        new = []
-        baselined = []
-        for finding, fp in assign_fingerprints(unsuppressed):
-            if fp in baseline:
-                baselined.append(finding)
-            else:
-                new.append(finding)
-
-        new.sort(key=Finding.sort_key)
+        findings.sort(key=Finding.sort_key)
         suppressed.sort(key=Finding.sort_key)
-        baselined.sort(key=Finding.sort_key)
         parse_errors.sort(key=Finding.sort_key)
         return LintResult(
-            new,
+            findings,
             suppressed,
-            baselined,
             files,
             [rule.code for rule in self.rules],
             parse_errors,

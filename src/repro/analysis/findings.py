@@ -1,10 +1,8 @@
 """The unit of linter output: one finding at one source location."""
 
-import hashlib
-
 
 class Finding:
-    """One rule violation, locatable and stably fingerprintable."""
+    """One rule violation at one source location."""
 
     __slots__ = ("rule", "path", "line", "col", "message", "snippet")
 
@@ -32,28 +30,3 @@ class Finding:
     def __repr__(self):
         return "Finding({} {}:{}:{})".format(self.rule, self.path, self.line, self.col)
 
-
-def fingerprint(finding, occurrence=0):
-    """Stable identity for baseline matching.
-
-    Hashes the rule, the path, the *text* of the offending line, and an
-    occurrence index (the Nth identical line flagged by the same rule in
-    the same file) — but not the line number, so unrelated edits above a
-    baselined finding do not invalidate the baseline.
-    """
-    payload = "{}|{}|{}|{}".format(
-        finding.rule, finding.path, finding.snippet.strip(), occurrence
-    )
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:20]
-
-
-def assign_fingerprints(findings):
-    """Return ``[(finding, fingerprint)]`` with occurrence disambiguation."""
-    seen = {}
-    out = []
-    for finding in sorted(findings, key=Finding.sort_key):
-        base = (finding.rule, finding.path, finding.snippet.strip())
-        occurrence = seen.get(base, 0)
-        seen[base] = occurrence + 1
-        out.append((finding, fingerprint(finding, occurrence)))
-    return out

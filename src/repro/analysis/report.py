@@ -18,7 +18,6 @@ def summarize(result):
         "files": len(result.files),
         "findings": len(result.findings),
         "suppressed": len(result.suppressed),
-        "baselined": len(result.baselined),
         "parse_errors": len(result.parse_errors),
         "by_rule": per_rule,
     }
@@ -54,12 +53,10 @@ def render_text(result):
     summary = summarize(result)
     verdict = "clean" if not (result.findings or result.parse_errors) else "FAILED"
     lines.append(
-        "repro lint: {} file(s), {} finding(s), {} suppressed, "
-        "{} baselined — {}".format(
+        "repro lint: {} file(s), {} finding(s), {} suppressed — {}".format(
             summary["files"],
             summary["findings"] + summary["parse_errors"],
             summary["suppressed"],
-            summary["baselined"],
             verdict,
         )
     )

@@ -288,7 +288,7 @@ class ScaleCell:
         )
         return node, manager
 
-    def attach_flow(self, name, users, of, offset, rate, tick, use_numpy):
+    def attach_flow(self, name, users, of, offset, rate, tick):
         """Aggregate clients over this cell's VIPs (see add_uniform_pools).
 
         Clients are not modeled at this size, so pools resolve through
@@ -300,7 +300,6 @@ class ScaleCell:
             resolver=DirectResolver(self.live_bindings, lan=self.lan),
             tick=tick,
             name=name,
-            use_numpy=use_numpy,
         )
         self.flow_engine.add_uniform_pools(
             self.vips, users, rate=rate, label="pool-{:04d}", offset=offset, of=of

@@ -94,7 +94,6 @@ class RouterClusterScenario(ServerGroup):
         flow_users=0,
         flow_rate=1.0,
         flow_tick=0.05,
-        flow_use_numpy=None,
         trace_enabled=True,
         arp_share=False,
     ):
@@ -170,9 +169,7 @@ class RouterClusterScenario(ServerGroup):
         self.flow_engine = None
         self.flow_hosts = []
         if flow_users:
-            self.flow_engine = FlowEngine(
-                self.sim, tick=flow_tick, name="router", use_numpy=flow_use_numpy
-            )
+            self.flow_engine = FlowEngine(self.sim, tick=flow_tick, name="router")
             routable = _routable_gate(self.routing_mode)
             share = int(flow_users) // 2
             for pool_name, lan, address, vip, users in (

@@ -58,7 +58,6 @@ class ScaleClusterScenario(ScaleCell):
         flow_users=0,
         flow_rate=1.0,
         flow_tick=0.05,
-        flow_use_numpy=None,
         trace_enabled=False,
         trace_capacity=None,
         metrics_enabled=False,
@@ -91,9 +90,7 @@ class ScaleClusterScenario(ScaleCell):
             host.add_nic(self.lan, self.fleet.ips[index])
             self.add(host, index)
         if flow_users:
-            self.attach_flow(
-                "scale", flow_users, n_vips, 0, flow_rate, flow_tick, flow_use_numpy
-            )
+            self.attach_flow("scale", flow_users, n_vips, 0, flow_rate, flow_tick)
 
     @staticmethod
     def _host_name(index):
@@ -171,7 +168,6 @@ SHARD_SCALE_DEFAULTS = {
     "flow_users": 0,
     "flow_rate": 1.0,
     "flow_tick": 0.05,
-    "flow_use_numpy": None,
     "trace_enabled": True,
     "metrics_enabled": False,
     "kills": (),
@@ -290,7 +286,6 @@ class ScaleShardWorld:
                     start,
                     merged["flow_rate"],
                     merged["flow_tick"],
-                    merged["flow_use_numpy"],
                 )
                 self._source_cell[engine.name] = cell_id
 

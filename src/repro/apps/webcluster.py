@@ -35,7 +35,6 @@ class WebClusterScenario(ServerGroup):
         flow_users=0,
         flow_rate=1.0,
         flow_tick=0.05,
-        flow_use_numpy=None,
         trace_enabled=True,
         trace_capacity=None,
         metrics_enabled=True,
@@ -103,7 +102,6 @@ class WebClusterScenario(ServerGroup):
                 resolver=resolver,
                 tick=flow_tick,
                 name="web",
-                use_numpy=flow_use_numpy,
             )
             self.flow_engine.add_uniform_pools(self.vips, flow_users, rate=flow_rate)
 

@@ -1,53 +1,71 @@
-"""Timing harness and trajectory file for ``repro bench``.
+"""Timing harness and the one record of performance, ``BENCH_kernel.json``.
 
 This is the one module in the bench subsystem allowed to read the real
-clock (it is listed in the linter's wall-clock exemptions): workloads
-themselves are pure virtual-time simulations defined in
-:mod:`repro.bench.suite`; here they are repeated, their wall times
-reduced to a median, and the result appended to a versioned trajectory
-file (``BENCH_kernel.json``) whose schema is::
+clock (it is listed in the linter's wall-clock exemptions): the
+workloads of :mod:`repro.bench.suite` are pure virtual-time
+simulations; here they are repeated, their wall times reduced to a
+median, and the result appended to the record. A run in the record is
+one of two things, told apart by the key it carries::
 
     {
-      "format": "repro-bench/1",
+      "format": "repro-bench/2",
       "runs": [
-        {
+        {                             # a tripwire run (`repro bench`)
           "rev": "<git short rev or 'unknown'>",
-          "mode": "quick" | "full" | "scale",
-          "host": {"cpus": 8},        # os.cpu_count() where the run ran
+          "host": {"cpus": 2},        # os.cpu_count() where the run ran
           "benches": {
             "<name>": {
               "median_s": 0.123456,   # median wall seconds per repeat
               "per_s": 162000.0,      # units processed per second
-              "unit": "events",       # events | frames | trials
-              "units": 20000,         # units per repeat
-              "samples": [..],        # every repeat's wall seconds
-              "workers": 4            # only for multi-process benches
+              "unit": "events",       # events | frames
+              "units": 40000,         # units per repeat
+              "samples": [..]         # every repeat's wall seconds
             }, ...
+          }
+        },
+        {                             # a sysbench summary (`--sysbench`)
+          "rev": "<git short rev>",
+          "sysbench": {
+            "mode": "end_to_end" | "per_layer",
+            "seed": 0, "seconds": 10, "repeat": 3,
+            "host": {..},             # as sysbench/run.py recorded it
+            "workloads": {
+              "<name>": {
+                "metrics": {"setup_s": 0.31, ..},   # end_to_end: medians
+                "layers": {"net": {"self_s": ..}},  # per_layer: medians by layer
+                "repeat_spread": 0.08,
+                "sim_digest": "<sha256>",
+                "fail_ratio": 0.0
+              }, ...
+            }
           }
         }, ...
       ]
     }
 
-The ``host.cpus`` / ``workers`` metadata makes parallel-kernel numbers
-comparable across machines: a ``kernel_sharded_n256`` median from a
-1-core container and one from an 8-core runner are different
-experiments, and the trajectory now says which was which.
+Runs are plain dicts, appended and never dropped or rewritten, so
+entries written under ``repro-bench/1`` (which also carry a ``mode``
+label and benches that no longer exist) stay in the file exactly as
+they were recorded.
 
-Comparison is always against the *most recent previous run with the
-same mode* (quick numbers are never compared to full numbers): a bench
-whose median slows down by more than the threshold is a regression and
-``repro bench`` exits nonzero, which is what the CI bench job gates on.
+The tripwire compares each bench with the most recent recorded result
+*of that bench at the same* ``units`` — the size is read from the
+record, so a run of another size is history and never a baseline. A
+bench whose median slows down by more than the threshold is a
+regression and ``repro bench`` exits nonzero, which is what the CI
+bench job gates on.
 """
 
 import json
 import os
+import statistics
 import time
 
-from repro.bench.suite import SCALES, bench_names, build_workload
+from repro.bench.suite import BENCHES
 
-BENCH_FORMAT = "repro-bench/1"
-DEFAULT_REPEATS = {"quick": 3, "full": 5, "scale": 3}
-HISTORY_LIMIT = 40
+BENCH_FORMAT = "repro-bench/2"
+READABLE_FORMATS = ("repro-bench/1", BENCH_FORMAT)
+SYSBENCH_SCHEMA = "sysbench/1"
 
 
 def _git_rev():
@@ -66,161 +84,83 @@ def _git_rev():
     return rev if out.returncode == 0 and rev else "unknown"
 
 
-def _median(values):
-    ordered = sorted(values)
-    mid = len(ordered) // 2
-    if len(ordered) % 2:
-        return ordered[mid]
-    return (ordered[mid - 1] + ordered[mid]) / 2.0
+# ----------------------------------------------------------------------
+# tripwire runs
 
 
-class BenchRun:
-    """One suite execution: per-bench medians plus run metadata."""
-
-    def __init__(self, mode, rev, benches, host=None):
-        self.mode = mode
-        self.rev = rev
-        self.benches = benches  # name -> result dict (schema above)
-        self.host = dict(host) if host else {}
-
-    def to_dict(self):
-        return {
-            "rev": self.rev,
-            "mode": self.mode,
-            "host": self.host,
-            "benches": self.benches,
-        }
-
-    @classmethod
-    def from_dict(cls, data):
-        return cls(
-            data.get("mode", "full"),
-            data.get("rev", "unknown"),
-            data["benches"],
-            host=data.get("host"),
-        )
-
-    def format(self):
-        lines = [
-            "repro bench [{}] rev={} cpus={}".format(
-                self.mode, self.rev, self.host.get("cpus", "?")
-            ),
-            "  {:<22} {:>12} {:>16} {:>8}".format("bench", "median", "rate", "units"),
-        ]
-        for name in sorted(self.benches):
-            result = self.benches[name]
-            lines.append(
-                "  {:<22} {:>10.4f}s {:>12,.1f}/s {:>8,}".format(
-                    name, result["median_s"], result["per_s"], result["units"]
-                )
-            )
-        return "\n".join(lines)
-
-
-def run_bench(name, mode="quick", repeats=None, overrides=None):
-    """Time one bench; returns its result dict."""
-    repeats = repeats or DEFAULT_REPEATS[mode]
+def run_bench(name, repeats):
+    """Time one bench ``repeats`` times; returns its result dict."""
+    run, unit = BENCHES[name]
     samples = []
-    units = 0
-    scale = {}
-    unit = None
     for _ in range(repeats):
-        run, unit, scale = build_workload(name, mode, overrides=overrides)
         started = time.perf_counter()
         units = run()
         samples.append(round(time.perf_counter() - started, 6))
-    median = _median(samples)
-    per_s = units / median if median > 0 else 0.0
-    result = {
+    median = statistics.median(samples)
+    return {
         "median_s": round(median, 6),
-        "per_s": round(per_s, 1),
+        "per_s": round(units / median if median > 0 else 0.0, 1),
         "unit": unit,
         "units": units,
         "samples": samples,
     }
-    if "workers" in scale:
-        # How many processes did the work — without it a parallel
-        # median is meaningless next to host.cpus.
-        result["workers"] = scale["workers"]
-    return result
 
 
-def run_suite(mode="quick", names=None, repeats=None, progress=None, overrides=None):
-    """Run the whole suite (or ``names``); returns a :class:`BenchRun`.
-
-    ``overrides`` maps bench name -> scale-dict overrides for that
-    bench (see :func:`repro.bench.suite.build_workload`).
-    """
-    selected = list(names) if names else bench_names(mode)
-    unknown = sorted(set(selected) - set(SCALES[mode]))
-    if unknown:
-        raise ValueError("unknown bench name(s): {}".format(unknown))
+def run_suite(repeats, progress=None):
+    """Run the three tripwires; returns a tripwire run."""
     benches = {}
-    for name in selected:
+    for name in sorted(BENCHES):
         if progress is not None:
             progress("running {} ...".format(name))
-        benches[name] = run_bench(
-            name,
-            mode=mode,
-            repeats=repeats,
-            overrides=(overrides or {}).get(name),
-        )
-    return BenchRun(mode, _git_rev(), benches, host={"cpus": os.cpu_count() or 1})
-
-
-# ----------------------------------------------------------------------
-# trajectory file
-
-
-def load_trajectory(path):
-    """Read a trajectory file; returns a list of :class:`BenchRun`."""
-    try:
-        with open(str(path)) as handle:
-            data = json.load(handle)
-    except FileNotFoundError:
-        return []
-    if data.get("format") != BENCH_FORMAT:
-        raise ValueError(
-            "not a repro-bench trajectory (format={!r})".format(data.get("format"))
-        )
-    return [BenchRun.from_dict(entry) for entry in data.get("runs", [])]
-
-
-def save_trajectory(path, runs):
-    """Write the trajectory file (most recent run last, history capped)."""
-    payload = {
-        "format": BENCH_FORMAT,
-        "runs": [run.to_dict() for run in runs[-HISTORY_LIMIT:]],
+        benches[name] = run_bench(name, repeats)
+    return {
+        "rev": _git_rev(),
+        "host": {"cpus": os.cpu_count() or 1},
+        "benches": benches,
     }
-    with open(str(path), "w") as handle:
-        json.dump(payload, handle, indent=2, sort_keys=True)
-        handle.write("\n")
 
 
-def previous_run(runs, mode):
-    """Most recent recorded run with the given mode, or None."""
+def format_run(run):
+    """The table ``repro bench`` prints for a tripwire run."""
+    lines = [
+        "repro bench rev={} cpus={}".format(
+            run.get("rev", "unknown"), run.get("host", {}).get("cpus", "?")
+        ),
+        "  {:<22} {:>12} {:>16} {:>8}".format("bench", "median", "rate", "units"),
+    ]
+    for name, result in sorted(run["benches"].items()):
+        lines.append(
+            "  {:<22} {:>10.4f}s {:>12,.1f}/s {:>8,}".format(
+                name, result["median_s"], result["per_s"], result["units"]
+            )
+        )
+    return "\n".join(lines)
+
+
+def baseline_of(runs, name, units):
+    """``(rev, result)`` of the last recorded ``name`` at ``units``, or None."""
     for run in reversed(runs):
-        if run.mode == mode:
-            return run
+        result = run.get("benches", {}).get(name)
+        if result is not None and result["units"] == units:
+            return run.get("rev", "unknown"), result
     return None
 
 
 class BenchComparison:
-    """New run vs. the previous same-mode run: speedups and regressions."""
+    """A tripwire run vs. each bench's last same-size recorded result."""
 
-    def __init__(self, baseline, current, threshold):
-        self.baseline = baseline
-        self.current = current
+    def __init__(self, runs, current, threshold=0.25):
         self.threshold = threshold
-        self.rows = []  # (name, old_s, new_s, speedup)
+        self.rows = []  # (name, baseline rev, old_s, new_s, speedup)
         self.regressions = []
-        for name in sorted(current.benches):
-            old = baseline.benches.get(name) if baseline else None
-            if old is None:
+        for name, result in sorted(current["benches"].items()):
+            found = baseline_of(runs, name, result["units"])
+            if found is None:
                 continue
-            old_s, new_s = old["median_s"], current.benches[name]["median_s"]
+            rev, old = found
+            old_s, new_s = old["median_s"], result["median_s"]
             speedup = old_s / new_s if new_s > 0 else float("inf")
-            self.rows.append((name, old_s, new_s, speedup))
+            self.rows.append((name, rev, old_s, new_s, speedup))
             if new_s > old_s * (1.0 + threshold):
                 self.regressions.append(name)
 
@@ -230,24 +170,102 @@ class BenchComparison:
 
     def format(self):
         if not self.rows:
-            return "no previous {} run to compare against".format(
-                self.current.mode
-            )
-        lines = [
-            "vs rev={} (threshold {:.0%}):".format(
-                self.baseline.rev, self.threshold
-            )
-        ]
-        for name, old_s, new_s, speedup in self.rows:
+            return "no previous run of these benches at these sizes to compare against"
+        lines = ["vs the last recorded run (threshold {:.0%}):".format(self.threshold)]
+        for name, rev, old_s, new_s, speedup in self.rows:
             marker = " REGRESSION" if name in self.regressions else ""
             lines.append(
-                "  {:<22} {:>10.4f}s -> {:>8.4f}s  x{:.2f}{}".format(
-                    name, old_s, new_s, speedup, marker
+                "  {:<22} rev={:<8} {:>10.4f}s -> {:>8.4f}s  x{:.2f}{}".format(
+                    name, rev, old_s, new_s, speedup, marker
                 )
             )
         return "\n".join(lines)
 
 
-def compare_runs(runs, current, threshold=0.25):
-    """Compare ``current`` to the last same-mode entry of ``runs``."""
-    return BenchComparison(previous_run(runs, current.mode), current, threshold)
+# ----------------------------------------------------------------------
+# sysbench summaries
+
+
+def _by_layer(medians):
+    """``{"net.self_s": 1.2}`` as ``{"net": {"self_s": 1.2}}``."""
+    layers = {}
+    for key, value in medians.items():
+        layer, _, metric = key.rpartition(".")
+        layers.setdefault(layer, {})[metric] = value
+    return layers
+
+
+def sysbench_summary(results):
+    """The run that records a ``sysbench/run.py --all --out`` result set.
+
+    Keeps, per workload, the median of every metric (grouped by layer
+    for a ``per_layer`` set), the repeat spread, the digest and the
+    failed share, plus how the set was run; drops the per-repeat values
+    and ``detail``. Raises :class:`ValueError` naming the field of a
+    result set it cannot read.
+    """
+    schema = results.get("schema") if isinstance(results, dict) else None
+    if schema != SYSBENCH_SCHEMA:
+        raise ValueError("schema: expected {!r}, got {!r}".format(SYSBENCH_SCHEMA, schema))
+    try:
+        per_layer = results["mode"] == "per_layer"
+        workloads = {}
+        for name, entry in results["workloads"].items():
+            medians = {key: metric["value"] for key, metric in entry["metrics"].items()}
+            kept = {"layers": _by_layer(medians)} if per_layer else {"metrics": medians}
+            for key in ("repeat_spread", "sim_digest", "fail_ratio"):
+                kept[key] = entry[key]
+            workloads[name] = kept
+        summary = {key: results[key] for key in ("mode", "seed", "seconds", "repeat", "host")}
+    except KeyError as missing:
+        raise ValueError("result set has no field {}".format(missing)) from None
+    summary["workloads"] = workloads
+    return {"rev": _git_rev(), "sysbench": summary}
+
+
+def format_summary(run):
+    """One line per workload of a sysbench summary."""
+    summary = run["sysbench"]
+    lines = [
+        "sysbench summary [{}] rev={} seed={} seconds={} repeat={}".format(
+            summary["mode"], run["rev"], summary["seed"], summary["seconds"], summary["repeat"]
+        )
+    ]
+    for name, entry in summary["workloads"].items():
+        medians = entry.get("metrics", {})
+        lines.append(
+            "  {:<16} {} spread {:.3f} failed {:.3f} digest {}".format(
+                name,
+                " ".join("{}={:.4g}".format(key, value) for key, value in medians.items()),
+                entry["repeat_spread"],
+                entry["fail_ratio"],
+                str(entry["sim_digest"])[:16],
+            )
+        )
+    return "\n".join(lines)
+
+
+# ----------------------------------------------------------------------
+# the record
+
+
+def load_trajectory(path):
+    """Read the record; returns its runs (plain dicts), oldest first."""
+    try:
+        with open(str(path)) as handle:
+            data = json.load(handle)
+    except FileNotFoundError:
+        return []
+    if data.get("format") not in READABLE_FORMATS:
+        raise ValueError(
+            "not a repro-bench record (format={!r})".format(data.get("format"))
+        )
+    return data.get("runs", [])
+
+
+def save_trajectory(path, runs):
+    """Write the record: every run, most recent last."""
+    payload = {"format": BENCH_FORMAT, "runs": runs}
+    with open(str(path), "w") as handle:
+        json.dump(payload, handle, indent=2, sort_keys=True)
+        handle.write("\n")

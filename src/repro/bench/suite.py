@@ -1,460 +1,107 @@
-"""Benchmark workloads for the hot paths the experiments live on.
+"""The three kernel tripwire workloads of ``repro bench``.
 
-Every workload here is a pure simulation run — deterministic, seeded,
-and free of wall-clock reads. The timing loop lives entirely in
-:mod:`repro.bench.runner`; this module only defines *what* work a
-bench performs and how many units of it were done, so the same
-workloads can be reused by the pytest-benchmark harness under
-``benchmarks/`` without duplicating setup code.
+Each is a pure simulation run — deterministic, seeded, free of
+wall-clock reads — of a hot path no system-benchmark workload isolates:
+the scheduler's schedule/fire loop, refresh-heavy timers, and one LAN
+broadcast fan-out. The timing loop lives in :mod:`repro.bench.runner`;
+this module only defines *what* work a bench performs, at one fixed
+size, and how many units of it were done.
 
-Each entry in :data:`BENCHES` maps a bench name to a factory:
-``factory(scale) -> (run, unit)`` where ``run()`` executes the
-workload once and returns the number of ``unit``\\ s processed.
-Factories do their setup work eagerly so the timed call measures the
-hot loop, not harness construction; campaign benches deliberately
-include spec construction because that is part of real campaign cost.
+:data:`BENCHES` maps a bench name to ``(run, unit)``: ``run()`` builds
+and executes the workload once and returns the number of ``unit``\\ s
+processed.
+
+Everything larger is measured by ``sysbench/`` (``BENCHMARK.json``),
+which times it end to end and says where the time went. The benches
+that used to live here, and the workload that covers each:
+
+* ``campaign_serial``, ``campaign_parallel``, ``burst_loss_failover``,
+  ``stabilize_after_corruption`` — ``campaign_mixed`` (standard, gray
+  and corrupt trials in turn);
+* ``failover_trial`` — ``cli_cold``'s ``table1`` op and ``ring_n32``'s
+  fault ops;
+* ``flow_engine_ticks``, ``kernel_serial_n256``,
+  ``membership_change_n256`` — ``flow_1m_n256``;
+* ``kernel_sharded_n256`` — ``shard_n256_w2``;
+* ``balance_n1024`` — ``scale_n1024``'s ``setup_s`` (the HRW table is
+  built at boot);
+* ``lint_full_project`` — ``cli_cold``'s ``analysis.lint_s`` and the
+  ``timeout 20`` on CI's lint step.
 """
 
-from repro.check.campaign import run_campaign_trials
 from repro.net.host import Host
 from repro.net.lan import Lan
 from repro.sim.scheduler import Scheduler
 from repro.sim.simulation import Simulation
 from repro.sim.timers import PeriodicTimer, Timer
 
-# Workload sizes per mode. "quick" keeps the whole suite under ~30s of
-# wall time for CI; "full" is the committed-trajectory configuration.
-SCALES = {
-    "quick": {
-        "kernel_events": {"n_events": 10_000},
-        "kernel_timer_churn": {"n_timers": 24, "duration": 40.0},
-        "lan_fanout": {"n_hosts": 10, "rounds": 60},
-        "failover_trial": {"trials": 1},
-        "campaign_serial": {"trials": 3, "horizon": 25.0, "workers": 1},
-        "campaign_parallel": {"trials": 4, "horizon": 25.0, "workers": 2},
-        "burst_loss_failover": {"trials": 1, "horizon": 25.0},
-        "stabilize_after_corruption": {"trials": 1, "horizon": 25.0},
-        "flow_engine_ticks": {"users": 100_000, "pools": 64, "duration": 30.0},
-        "lint_full_project": {"subtree": "gcs"},
-    },
-    "full": {
-        "kernel_events": {"n_events": 40_000},
-        "kernel_timer_churn": {"n_timers": 32, "duration": 120.0},
-        "lan_fanout": {"n_hosts": 10, "rounds": 200},
-        "failover_trial": {"trials": 1},
-        "campaign_serial": {"trials": 6, "horizon": 40.0, "workers": 1},
-        "campaign_parallel": {"trials": 8, "horizon": 40.0, "workers": 2},
-        "burst_loss_failover": {"trials": 2, "horizon": 25.0},
-        "stabilize_after_corruption": {"trials": 2, "horizon": 25.0},
-        "flow_engine_ticks": {"users": 1_000_000, "pools": 256, "duration": 60.0},
-        "lint_full_project": {"subtree": None},
-    },
-    # The scale tier (segmented membership + rendezvous placement); run
-    # via ``repro bench --scale``, never as part of quick/full.
-    "scale": {
-        "membership_change_n256": {
-            "n_hosts": 256,
-            "n_vips": 2048,
-            "segment_size": 32,
-            "kills": 2,
-        },
-        "balance_n1024": {"members": 1024, "slots": 4096, "changes": 8},
-        # Serial-vs-sharded kernel pair: the same n256 boot+kill+settle
-        # script on one scheduler and partitioned across 4 worker
-        # processes. Identical workloads by construction (the sharded
-        # run's merged artifact is byte-identical — `repro check
-        # --shards` proves it), so their median ratio *is* the kernel
-        # speedup. Single-sample wall times on a loaded CI box are
-        # noisy; the 25% gate judges each bench against its own
-        # trajectory, never the pair against each other.
-        "kernel_serial_n256": {
-            "n_hosts": 256,
-            "n_vips": 2048,
-            "segment_size": 32,
-            "shards": 1,
-            "workers": 0,
-            "horizon": 10.0,
-            "flow_users": 100_000,
-        },
-        "kernel_sharded_n256": {
-            "n_hosts": 256,
-            "n_vips": 2048,
-            "segment_size": 32,
-            "shards": 4,
-            "workers": 4,
-            "horizon": 10.0,
-            "flow_users": 100_000,
-        },
-    },
-}
 
-
-def make_kernel_events(scale):
+def kernel_events():
     """Raw event throughput: one-shot callbacks through the scheduler."""
-    n_events = scale["n_events"]
-
-    def run():
-        scheduler = Scheduler()
-        after = scheduler.after
-        for index in range(n_events):
-            after(index * 0.001, _noop)
-        scheduler.run()
-        return scheduler.events_fired
-
-    return run, "events"
+    scheduler = Scheduler()
+    after = scheduler.after
+    for index in range(40_000):
+        after(index * 0.001, _noop)
+    scheduler.run()
+    return scheduler.events_fired
 
 
-def make_kernel_timer_churn(scale):
+def kernel_timer_churn():
     """Schedule/cancel-heavy workload mirroring GCS heartbeat refreshes.
 
-    ``n_timers`` fault-detection timeouts (3 s deadline) are refreshed
-    every 50 ms — the `heard_from` pattern — so nearly every scheduled
-    event is cancelled long before it fires and the heap fills with
-    dead entries. A few periodic heartbeat timers tick alongside.
-    Units are scheduler operations (timer (re)starts + events fired).
+    32 fault-detection timeouts (3 s deadline) are refreshed every
+    50 ms for 120 simulated seconds — the `heard_from` pattern — so
+    nearly every deadline is moved long before it fires. A few periodic
+    heartbeat timers tick alongside. Units are scheduler operations
+    (timer (re)starts + events fired).
     """
-    n_timers = scale["n_timers"]
-    duration = scale["duration"]
-    refresh_interval = 0.05
+    n_timers = 32
     timeout = 3.0
+    scheduler = Scheduler()
+    fired = [0]
 
-    def run():
-        scheduler = Scheduler()
-        fired = [0]
+    def on_timeout():
+        fired[0] += 1
 
-        def on_timeout():
-            fired[0] += 1
+    timers = [Timer(scheduler, on_timeout) for _ in range(n_timers)]
+    beats = [PeriodicTimer(scheduler, on_timeout, 0.5) for _ in range(4)]
+    for beat in beats:
+        beat.start()
+    restarts = [0]
 
-        timers = [Timer(scheduler, on_timeout) for _ in range(n_timers)]
-        beats = [
-            PeriodicTimer(scheduler, on_timeout, 0.5) for _ in range(4)
-        ]
-        for beat in beats:
-            beat.start()
-        restarts = [0]
-
-        def refresh():
-            for timer in timers:
-                timer.start(timeout)
-            restarts[0] += n_timers
-
-        refresher = PeriodicTimer(scheduler, refresh, refresh_interval)
-        refresher.start(first_delay=0.0)
-        scheduler.run(until=duration)
-        refresher.stop()
-        for beat in beats:
-            beat.stop()
+    def refresh():
         for timer in timers:
-            timer.cancel()
-        return restarts[0] + scheduler.events_fired
+            timer.start(timeout)
+        restarts[0] += n_timers
 
-    return run, "events"
+    refresher = PeriodicTimer(scheduler, refresh, 0.05)
+    refresher.start(first_delay=0.0)
+    scheduler.run(until=120.0)
+    refresher.stop()
+    for beat in beats:
+        beat.stop()
+    for timer in timers:
+        timer.cancel()
+    return restarts[0] + scheduler.events_fired
 
 
-def make_lan_fanout(scale):
+def lan_fanout():
     """Per-frame LAN broadcast fan-out with the full UDP receive path."""
-    n_hosts = scale["n_hosts"]
-    rounds = scale["rounds"]
-
-    def run():
-        sim = Simulation(seed=0, trace_enabled=False)
-        lan = Lan(sim, "lan", "10.0.0.0/24")
-        hosts = []
-        for index in range(n_hosts):
-            host = Host(sim, "h{}".format(index))
-            host.add_nic(lan, "10.0.0.{}".format(1 + index))
-            host.open_udp(100, _udp_sink)
-            hosts.append(host)
-        for round_index in range(rounds):
-            hosts[round_index % n_hosts].send_udp(
-                round_index, "10.0.0.255", 100, src_port=1
-            )
-            sim.run_until_idle()
-        return lan.frames_delivered
-
-    return run, "frames"
-
-
-def make_failover_trial(scale):
-    """One full §6 fail-over trial (crash, detect, reallocate, recover)."""
-    from repro.experiments.runner import run_failover_trial
-    from repro.gcs.config import SpreadConfig
-
-    trials = scale["trials"]
-
-    def run():
-        for index in range(trials):
-            result = run_failover_trial(
-                seed=9000 + index, cluster_size=4, spread_config=SpreadConfig.tuned()
-            )
-            if result.interruption is None:
-                raise RuntimeError("fail-over trial did not complete")
-        return trials
-
-    return run, "trials"
-
-
-def _make_campaign(scale):
-    params = dict(
-        base_seed=20260806,
-        trials=scale["trials"],
-        n_servers=4,
-        n_vips=8,
-        horizon=scale["horizon"],
-        events_per_trial=8,
-        fixture="standard",
-    )
-    workers = scale["workers"]
-
-    def run():
-        results = run_campaign_trials(params, workers=workers)
-        verdicts = [result["verdict"] for result in results]
-        if verdicts != ["pass"] * params["trials"]:
-            raise RuntimeError("campaign bench produced {}".format(verdicts))
-        return len(results)
-
-    return run, "trials"
-
-
-def make_campaign_serial(scale):
-    """Campaign trial throughput, single process."""
-    return _make_campaign(scale)
-
-
-def make_campaign_parallel(scale):
-    """Campaign trial throughput across warm worker processes."""
-    return _make_campaign(scale)
-
-
-def make_burst_loss_failover(scale):
-    """Fail-over under Gilbert–Elliott burst loss, hardened cluster.
-
-    A directed gray trial: the LAN turns bursty (80% BAD-state loss),
-    a server crashes inside the loss window, and the trial only passes
-    if the hardened cluster (K-miss detection, ARP announce retries,
-    periodic re-announcement) still fails the crashed server's VIPs
-    over and reconverges to exact coverage after everything heals.
-    This prices the whole gray stack — link model draws, retry timers,
-    supervisors — on the same trial machinery the campaigns use.
-    """
-    from repro.check.schedule import BURST_LOSS, CRASH, FaultEvent
-
-    events = [
-        FaultEvent(BURST_LOSS, 1.0, duration=12.0, param=0.8),
-        FaultEvent(CRASH, 4.0, host=1, duration=6.0),
-    ]
-    return _directed_trials(scale, "burst-loss fail-over", 31000, events, gray=True)
-
-
-def _directed_trials(scale, label, base_seed, events, **spec_flags):
-    """``scale["trials"]`` runs of one scripted schedule; all must pass."""
-    from repro.check.schedule import FaultSchedule
-    from repro.check.trial import make_spec, run_trial
-
-    trials = scale["trials"]
-    horizon = scale["horizon"]
-
-    def run():
-        for index in range(trials):
-            schedule = FaultSchedule(events, horizon=horizon)
-            result = run_trial(make_spec(base_seed + index, schedule, **spec_flags))
-            if result["verdict"] != "pass":
-                raise RuntimeError(
-                    "{} bench produced {}".format(label, result["verdict"])
-                )
-        return trials
-
-    return run, "trials"
-
-
-def make_membership_change_n256(scale):
-    """Scale-tier membership churn: boot n256, kill/revive, reconverge.
-
-    Builds and settles a 256-host / 2048-VIP segmented cluster eagerly,
-    then the timed run injects ``kills`` crash+reconverge cycles (the
-    victim survives segment 0 so a leader death is always exercised)
-    followed by revivals. Units are membership changes absorbed.
-    """
-    from repro.apps.scalecluster import ScaleClusterScenario
-
-    scenario = ScaleClusterScenario(
-        seed=42,
-        n_hosts=scale["n_hosts"],
-        n_vips=scale["n_vips"],
-        segment_size=scale["segment_size"],
-    )
-    scenario.start()
-    if not scenario.settle(timeout=30.0):
-        raise RuntimeError("scale cluster failed to boot")
-    kills = scale["kills"]
-    victims = [0, scale["n_hosts"] // 2][:kills]
-
-    def run():
-        changes = 0
-        for victim in victims:
-            scenario.kill(victim)
-            if not scenario.settle(timeout=30.0):
-                raise RuntimeError("no reconvergence after kill")
-            changes += 1
-        for victim in victims:
-            scenario.revive(victim)
-            if not scenario.settle(timeout=30.0):
-                raise RuntimeError("no reconvergence after revive")
-            changes += 1
-        return changes
-
-    return run, "changes"
-
-
-def make_balance_n1024(scale):
-    """Pure placement throughput at n1024: HRW deltas over 4096 slots.
-
-    The timed run walks ``changes`` single-host leaves and joins through
-    a shared :class:`~repro.core.placement.RendezvousMap` — the exact
-    computation every node performs per adopted view — and counts slot
-    assignments produced. The first call from each membership exercises
-    the incremental delta path; the memo is reset per repeat.
-    """
-    from repro.core.placement import RendezvousMap
-
-    members = ["node{:04d}".format(index) for index in range(scale["members"])]
-    slots = ["10.32.{}.{}".format(128 + i // 250, 1 + i % 250) for i in range(scale["slots"])]
-    changes = scale["changes"]
-
-    def run():
-        placement = RendezvousMap(slots)
-        produced = len(placement.allocation_for(members))
-        for index in range(changes):
-            without = members[: 1 + index] + members[2 + index :]
-            produced += len(placement.allocation_for(without))
-            produced += len(placement.allocation_for(members))
-        return produced
-
-    return run, "assignments"
-
-
-def _make_shard_kernel(scale):
-    """Shared body of the serial/sharded n256 kernel benches.
-
-    One fixed-horizon segmented-cluster script — boot, one leader kill
-    at t=4, revive at t=7, 100k flow users, settle to the horizon — run
-    through :class:`~repro.apps.scalecluster.ShardedScaleScenario` with
-    the shard/worker split the scale dict names. Build cost (the fork
-    of warm workers included) is deliberately inside the timed run:
-    that is the wall-clock a sharded campaign pays per scenario.
-
-    The unit of work is the simulated second, not the scheduler event:
-    order-identical batching (one event delivering a whole fan-out)
-    does the same simulated work in fewer events, and an events/s rate
-    would read that as a slowdown while the wall time falls.
-    """
-    from repro.apps.scalecluster import ShardedScaleScenario
-
-    params = dict(
-        seed=11,
-        n_hosts=scale["n_hosts"],
-        n_vips=scale["n_vips"],
-        segment_size=scale["segment_size"],
-        shards=scale["shards"],
-        horizon=scale["horizon"],
-        flow_users=scale["flow_users"],
-        kills=((4.0, 17),),
-        revives=((7.0, 17),),
-        trace_enabled=False,
-        metrics_enabled=False,
-    )
-    workers = scale["workers"]
-
-    def run():
-        scenario = ShardedScaleScenario(workers=workers, **params)
-        artifact = scenario.run()
-        if not artifact["converged"]:
-            raise RuntimeError("sharded kernel bench did not reconverge")
-        return params["horizon"]
-
-    return run, "sim-seconds"
-
-
-def make_kernel_serial_n256(scale):
-    """n256 boot+kill+settle on the serial kernel (the speedup baseline)."""
-    return _make_shard_kernel(scale)
-
-
-def make_kernel_sharded_n256(scale):
-    """The same n256 script across 4 shard worker processes."""
-    return _make_shard_kernel(scale)
-
-
-def make_flow_engine_ticks(scale):
-    """Flow-plane tick throughput at 10^5/10^6 users.
-
-    ``pools`` client pools share ``users`` users and alternate between
-    a served VIP and a blackholed one, so every tick pays resolution,
-    the vectorized advance, and the loss-accounting path. Units are
-    pool-ticks (pools x ticks): the engine's O(pools) per-tick cost is
-    what the >25% regression gate defends, independent of user count.
-    """
-    from repro.flow import FlowEngine, FlowPool
-    from repro.net.host import Host
-    from repro.net.lan import Lan
-
-    users = scale["users"]
-    n_pools = scale["pools"]
-    duration = scale["duration"]
-
-    def run():
-        sim = Simulation(seed=0, trace_enabled=False, metrics_enabled=False)
-        lan = Lan(sim, "lan", "10.64.0.0/16")
-        server = Host(sim, "s0")
-        nic = server.add_nic(lan, "10.64.0.1")
-        client = Host(sim, "client")
-        client.add_nic(lan, "10.64.0.2")
-        from repro.flow import ArpViewResolver
-
-        resolver = ArpViewResolver(lan, client, [server])
-        engine = FlowEngine(sim, resolver=resolver, tick=0.05)
-        share = users // n_pools
-        for index in range(n_pools):
-            # Even pools hit a served VIP, odd pools a blackhole, so the
-            # bench covers both accounting paths every tick.
-            vip = "10.64.{}.{}".format(128 + (index % 2), 1 + index // 2)
-            if index % 2 == 0:
-                nic.bind_ip(vip)
-            engine.add_pool(FlowPool("p{}".format(index), vip, share, rate=1.0))
-        engine.start()
-        sim.run(until=duration)
-        totals = engine.totals()
-        if totals["served"] == 0 or totals["lost"] == 0:
-            raise RuntimeError("flow bench lost its served/blackhole split")
-        return totals["ticks"] * n_pools
-
-    return run, "pool-ticks"
-
-
-def make_lint_full_project(scale):
-    """Whole-project static analysis: the flow-aware lint engine.
-
-    Times one complete ``Linter().run`` — parsing, symbol table, call
-    graph, dataflow fixed point, state-machine extraction, and every
-    registered rule — over the installed ``repro`` package (quick mode
-    lints the ``gcs`` subtree to fit the CI budget). This is the cost
-    the CI lint job pays on every push, so its trajectory gates the
-    engine's own hot paths. Counts files linted.
-    """
-    import os
-
-    import repro
-    from repro.analysis import Baseline, LintConfig, Linter
-
-    target = os.path.dirname(repro.__file__)
-    if scale.get("subtree"):
-        target = os.path.join(target, scale["subtree"])
-
-    def run():
-        result = Linter(LintConfig()).run([target], baseline=Baseline())
-        return len(result.files)
-
-    return run, "files"
+    n_hosts = 10
+    sim = Simulation(seed=0, trace_enabled=False)
+    lan = Lan(sim, "lan", "10.0.0.0/24")
+    hosts = []
+    for index in range(n_hosts):
+        host = Host(sim, "h{}".format(index))
+        host.add_nic(lan, "10.0.0.{}".format(1 + index))
+        host.open_udp(100, _udp_sink)
+        hosts.append(host)
+    for round_index in range(200):
+        hosts[round_index % n_hosts].send_udp(
+            round_index, "10.0.0.255", 100, src_port=1
+        )
+        sim.run_until_idle()
+    return lan.frames_delivered
 
 
 def _noop():
@@ -465,75 +112,8 @@ def _udp_sink(payload, src, dst):
     return None
 
 
-def make_stabilize_after_corruption(scale):
-    """Self-stabilization round trip: corrupt, detect, repair, settle.
-
-    A directed corruption trial: all four corruption kinds land on a
-    stabilizing cluster (0.5s audit cadence) with a burst-loss window
-    in the middle, and the trial only passes if every corruption is
-    repaired — no persistent coverage violation, exact coverage at the
-    end. This prices the audit timers, the invariant sweeps, and the
-    repair paths (re-acquire, release, regather, counter re-derivation)
-    on the same trial machinery the ``--corrupt`` campaigns use.
-    """
-    from repro.check.schedule import (
-        BURST_LOSS,
-        CORRUPT_EPOCH,
-        CORRUPT_MEMBERSHIP,
-        CORRUPT_SEQUENCE,
-        CORRUPT_VIP_TABLE,
-        FaultEvent,
-    )
-
-    events = [
-        FaultEvent(CORRUPT_VIP_TABLE, 1.0, host=0),
-        FaultEvent(CORRUPT_MEMBERSHIP, 3.0, host=1),
-        FaultEvent(BURST_LOSS, 5.0, duration=6.0, param=0.7),
-        FaultEvent(CORRUPT_SEQUENCE, 8.0, host=2),
-        FaultEvent(CORRUPT_EPOCH, 11.0, host=3),
-    ]
-    return _directed_trials(scale, "corruption stabilize", 47000, events, corrupt=True)
-
-
 BENCHES = {
-    "kernel_events": make_kernel_events,
-    "kernel_timer_churn": make_kernel_timer_churn,
-    "lan_fanout": make_lan_fanout,
-    "failover_trial": make_failover_trial,
-    "campaign_serial": make_campaign_serial,
-    "campaign_parallel": make_campaign_parallel,
-    "burst_loss_failover": make_burst_loss_failover,
-    "stabilize_after_corruption": make_stabilize_after_corruption,
-    "flow_engine_ticks": make_flow_engine_ticks,
-    "lint_full_project": make_lint_full_project,
-    "membership_change_n256": make_membership_change_n256,
-    "balance_n1024": make_balance_n1024,
-    "kernel_serial_n256": make_kernel_serial_n256,
-    "kernel_sharded_n256": make_kernel_sharded_n256,
+    "kernel_events": (kernel_events, "events"),
+    "kernel_timer_churn": (kernel_timer_churn, "events"),
+    "lan_fanout": (lan_fanout, "frames"),
 }
-
-
-def bench_names(mode=None):
-    """Bench names in canonical (sorted) order.
-
-    With ``mode`` given, only the benches that mode defines — the scale
-    benches exist solely in the ``scale`` mode, so quick/full suites
-    are unaffected by their presence in :data:`BENCHES`.
-    """
-    if mode is None:
-        return sorted(BENCHES)
-    return sorted(SCALES[mode])
-
-
-def build_workload(name, mode="quick", overrides=None):
-    """Instantiate one bench: ``(run, unit, scale_dict)``.
-
-    ``overrides`` (a dict) is merged over the mode's scale dict — how
-    ``repro bench --shards N`` retargets the sharded kernel bench
-    without touching the committed workload sizes.
-    """
-    scale = dict(SCALES[mode][name])
-    if overrides:
-        scale.update(overrides)
-    run, unit = BENCHES[name](scale)
-    return run, unit, scale

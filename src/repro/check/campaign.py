@@ -102,7 +102,7 @@ _WORKER_PARAMS = None
 def _campaign_worker_init(params):
     # Deliberate per-worker-process state: the pool initializer installs
     # the campaign parameters exactly once per worker, and trials read
-    # them immutably — the warm-pool design BENCH_kernel.json tracks.
+    # them immutably — the warm-pool design.
     global _WORKER_PARAMS  # repro: allow SHARD001 -- read-only per-worker params installed once by the pool initializer
     _WORKER_PARAMS = params
 
@@ -124,10 +124,9 @@ def run_campaign_trials(params, workers=1):
 
     ``params`` are the keyword arguments of :func:`build_specs` (or an
     already-normalized :func:`campaign_params` dict). This is the
-    throughput-critical entry point benchmarked by ``repro bench``:
-    parallel mode ships ``params`` once per warm worker and submits
-    bare indices in chunks; verdicts are identical to the serial path
-    for any ``workers``.
+    throughput-critical entry point: parallel mode ships ``params``
+    once per warm worker and submits bare indices in chunks; verdicts
+    are identical to the serial path for any ``workers``.
     """
     if "spec_overrides" not in params:
         params = campaign_params(**params)

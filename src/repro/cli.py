@@ -9,7 +9,7 @@
     python -m repro check --trials 32 --workers 4
     python -m repro flow --users 1000000 --fault nic_down
     python -m repro observe --fault crash --format jsonl
-    python -m repro bench --quick
+    python -m repro bench
     python -m repro lint src/repro --format json
     python -m repro all
 
@@ -24,7 +24,6 @@ import json
 import sys
 
 from repro.analysis import (
-    Baseline,
     LintConfig,
     Linter,
     ProtocolSpec,
@@ -68,6 +67,8 @@ _positive_float = _bounded(float, lambda value: value > 0.0, "positive")  # NaN 
 _cluster_size = _bounded(int, lambda value: value >= 2, "at least 2")
 #: Zero events is a fault-free trial.
 _event_count = _bounded(int, lambda value: value >= 0, "at least 0")
+#: A threshold of zero fails on any slowdown at all.
+_fraction = _bounded(float, lambda value: value >= 0.0, "at least 0")
 
 
 def build_parser():
@@ -96,25 +97,25 @@ def build_parser():
     graceful.add_argument("--servers", type=_cluster_size, default=4)
 
     router = sub.add_parser("router", help="virtual-router fail-over (section 5.2)")
-    router.add_argument("--trials", type=int, default=2)
-    router.add_argument("--rip-interval", type=float, default=30.0)
+    router.add_argument("--trials", type=_positive_int, default=2)
+    router.add_argument("--rip-interval", type=_positive_float, default=30.0)
 
     sub.add_parser("baselines", help="VRRP / HSRP / Fake comparison (section 7)")
 
     tuning = sub.add_parser("tuning", help="false positives + sensitivity sweeps")
-    tuning.add_argument("--duration", type=float, default=120.0)
-    tuning.add_argument("--trials", type=int, default=2)
+    tuning.add_argument("--duration", type=_positive_float, default=120.0)
+    tuning.add_argument("--trials", type=_positive_int, default=2)
 
     load = sub.add_parser("load", help="daemon priority on loaded machines")
-    load.add_argument("--duration", type=float, default=120.0)
-    load.add_argument("--trials", type=int, default=2)
+    load.add_argument("--duration", type=_positive_float, default=120.0)
+    load.add_argument("--trials", type=_positive_int, default=2)
 
     availability = sub.add_parser(
         "availability", help="pool-wide availability under faults"
     )
-    availability.add_argument("--window", type=float, default=120.0)
-    availability.add_argument("--faults", type=int, default=1)
-    availability.add_argument("--trials", type=int, default=2)
+    availability.add_argument("--window", type=_positive_float, default=120.0)
+    availability.add_argument("--faults", type=_positive_int, default=1)
+    availability.add_argument("--trials", type=_positive_int, default=2)
 
     check = sub.add_parser(
         "check", help="fault-schedule exploration campaign (repro.check)"
@@ -183,10 +184,6 @@ def build_parser():
         "--observe", type=_positive_float, default=15.0,
         help="simulated seconds to run after the fault",
     )
-    flow.add_argument(
-        "--pure-python", action="store_true",
-        help="force the pure-python tick backend (parity check)",
-    )
     flow.add_argument("--format", choices=("text", "json"), default="text")
 
     observe = sub.add_parser(
@@ -207,37 +204,24 @@ def build_parser():
     observe.add_argument("--format", choices=("text", "jsonl"), default="text")
 
     bench = sub.add_parser(
-        "bench", help="hot-path micro-benchmarks with a recorded trajectory"
+        "bench", help="kernel tripwires and the one record of performance"
     )
     bench.add_argument(
-        "--quick", action="store_true",
-        help="small CI-sized workloads instead of the full suite",
-    )
-    bench.add_argument(
-        "--scale", action="store_true",
-        help="the 256-1024-host scale-tier benches (separate trajectory mode)",
-    )
-    bench.add_argument(
-        "--shards", type=int, default=None, metavar="N",
-        help="run only the serial/sharded n256 kernel pair (scale mode), "
-        "with the sharded bench at N shard worker processes; the "
-        "committed trajectory uses the default N=4",
+        "--sysbench", default=None, metavar="RESULTS.json",
+        help="instead of running the tripwires, append the summary of this "
+        "`sysbench/run.py --all --out` result set to the record",
     )
     bench.add_argument(
         "--output", default="BENCH_kernel.json", metavar="FILE",
-        help="trajectory file to compare against and append to",
+        help="the record to compare against and append to",
     )
     bench.add_argument(
-        "--threshold", type=float, default=0.25, metavar="FRACTION",
+        "--threshold", type=_fraction, default=0.25, metavar="FRACTION",
         help="fail when a bench median slows by more than this (default 0.25)",
     )
     bench.add_argument(
-        "--repeat", type=int, default=None, metavar="N",
-        help="repetitions per bench (default: 3 quick, 5 full)",
-    )
-    bench.add_argument(
-        "--benches", default=None, metavar="NAME[,NAME...]",
-        help="run only these benches (default: all)",
+        "--repeat", type=_positive_int, default=5, metavar="N",
+        help="repetitions per bench (default 5)",
     )
     bench.add_argument(
         "--no-compare", action="store_true",
@@ -245,11 +229,7 @@ def build_parser():
     )
     bench.add_argument(
         "--no-write", action="store_true",
-        help="do not append this run to the trajectory file",
-    )
-    bench.add_argument(
-        "--list", action="store_true", dest="list_benches",
-        help="print the bench names and exit",
+        help="do not append this run to the record",
     )
 
     lint = sub.add_parser(
@@ -260,18 +240,6 @@ def build_parser():
         help="files or directories to lint (default: src/repro)",
     )
     lint.add_argument("--format", choices=("text", "json"), default="text")
-    lint.add_argument(
-        "--baseline", default="lint-baseline.json", metavar="FILE",
-        help="baseline file of accepted pre-existing findings",
-    )
-    lint.add_argument(
-        "--no-baseline", action="store_true",
-        help="ignore the baseline file (report everything)",
-    )
-    lint.add_argument(
-        "--update-baseline", action="store_true",
-        help="rewrite the baseline to cover the current findings and exit 0",
-    )
     lint.add_argument(
         "--protocol", action="append", default=None, metavar="MSGS:DISP[,DISP...]",
         help="override PROTO001 obligations (messages module suffix, colon, "
@@ -413,7 +381,6 @@ def _run_flow(args, out):
         flow_users=args.users,
         flow_rate=args.rate,
         flow_tick=args.tick,
-        flow_use_numpy=False if args.pure_python else None,
     )
     scenario.start()
     scenario.start_probe()
@@ -429,7 +396,6 @@ def _run_flow(args, out):
     )
     totals = scenario.flow_engine.totals()
     payload = {
-        "backend": "numpy" if scenario.flow_engine.use_numpy else "python",
         "fault": args.fault,
         "victim": victim.host.name,
         "flow": totals,
@@ -440,7 +406,8 @@ def _run_flow(args, out):
         out(json.dumps(payload, indent=2, sort_keys=True))
         return 0
     out("flow fail-over: {} users @ {}/s across {} VIPs ({} backend)".format(
-        totals["users"], args.rate, args.vips, payload["backend"]
+        totals["users"], args.rate, args.vips,
+        "numpy" if scenario.flow_engine.use_numpy else "python",
     ))
     out("  fault: {} against {}".format(args.fault, victim.host.name))
     out("  offered {}  served {}  lost {}".format(
@@ -479,53 +446,37 @@ def _run_observe(args, out):
 
 def _run_bench(args, out):
     from repro.bench import (
-        bench_names,
-        compare_runs,
+        BenchComparison,
+        format_run,
+        format_summary,
         load_trajectory,
         run_suite,
         save_trajectory,
+        sysbench_summary,
     )
 
-    if args.list_benches:
-        for name in bench_names():
-            out(name)
-        return 0
-    if args.quick and args.scale:
-        out("--quick and --scale are mutually exclusive")
-        return 2
-    mode = "scale" if args.scale else ("quick" if args.quick else "full")
-    names = None
-    if args.benches:
-        names = [name for name in args.benches.split(",") if name]
-    overrides = None
-    if args.shards is not None:
-        if args.quick:
-            out("--quick and --shards are mutually exclusive")
-            return 2
-        mode = "scale"
-        if names is None:
-            names = ["kernel_serial_n256", "kernel_sharded_n256"]
-        overrides = {
-            "kernel_sharded_n256": {"shards": args.shards, "workers": args.shards}
-        }
-    current = run_suite(
-        mode=mode, names=names, repeats=args.repeat, progress=out,
-        overrides=overrides,
-    )
-    out(current.format())
     runs = load_trajectory(args.output)
     code = 0
-    if not args.no_compare:
-        comparison = compare_runs(runs, current, threshold=args.threshold)
-        out(comparison.format())
-        if not comparison.ok:
-            out(
-                "bench regression(s): {}".format(", ".join(comparison.regressions))
-            )
-            code = 1
+    if args.sysbench is not None:
+        try:
+            with open(args.sysbench) as handle:
+                current = sysbench_summary(json.load(handle))
+        except (OSError, ValueError) as problem:
+            out("{}: {}".format(args.sysbench, problem))
+            return 2
+        out(format_summary(current))
+    else:
+        current = run_suite(args.repeat, progress=out)
+        out(format_run(current))
+        if not args.no_compare:
+            comparison = BenchComparison(runs, current, threshold=args.threshold)
+            out(comparison.format())
+            if not comparison.ok:
+                out("bench regression(s): {}".format(", ".join(comparison.regressions)))
+                code = 1
     if not args.no_write:
         save_trajectory(args.output, runs + [current])
-        out("trajectory appended to {}".format(args.output))
+        out("run appended to {}".format(args.output))
     return code
 
 
@@ -588,21 +539,7 @@ def _run_lint(args, out):
             )
         )
         return 0
-    baseline = Baseline() if args.no_baseline else Baseline.load(args.baseline)
-    if args.update_baseline:
-        from repro.analysis.findings import assign_fingerprints
-
-        result = linter.run(args.paths, baseline=Baseline())
-        Baseline.from_findings(assign_fingerprints(result.findings)).save(
-            args.baseline
-        )
-        out(
-            "baseline updated: {} finding(s) recorded in {}".format(
-                len(result.findings), args.baseline
-            )
-        )
-        return 0
-    result = linter.run(args.paths, baseline=baseline)
+    result = linter.run(args.paths)
     if args.format == "json":
         out(render_json(result).rstrip("\n"))
     else:

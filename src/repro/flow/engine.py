@@ -106,7 +106,6 @@ class FlowEngine(Process):
             pools=len(self.pools),
             users=self.total_users(),
             tick=self.tick,
-            backend="numpy" if self.use_numpy else "python",
         )
         self._timer.start(first_delay=self.tick)
 

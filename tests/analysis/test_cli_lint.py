@@ -5,6 +5,7 @@ import os
 
 import pytest
 
+from repro.analysis.report import render_text
 from repro.cli import main
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
@@ -12,7 +13,6 @@ REPO_ROOT = os.path.normpath(
     os.path.join(os.path.dirname(__file__), os.pardir, os.pardir)
 )
 SRC = os.path.join(REPO_ROOT, "src", "repro")
-BASELINE = os.path.join(REPO_ROOT, "lint-baseline.json")
 
 
 def run_cli(argv):
@@ -61,7 +61,7 @@ ALL_CODES = (
 
 @pytest.mark.parametrize("code,args", BAD_FIXTURE_ARGS, ids=[c for c, _ in BAD_FIXTURE_ARGS])
 def test_cli_exits_nonzero_on_each_bad_fixture(code, args):
-    exit_code, output = run_cli(["lint", "--no-baseline"] + args)
+    exit_code, output = run_cli(["lint"] + args)
     assert exit_code == 1
     assert code in output
 
@@ -70,7 +70,6 @@ def test_cli_exits_zero_on_good_fixtures():
     exit_code, output = run_cli(
         [
             "lint",
-            "--no-baseline",
             fixture("det001_good.py"),
             fixture("det002_good.py"),
             fixture("det003_good.py"),
@@ -88,27 +87,12 @@ def test_cli_exits_zero_on_good_fixtures():
 
 def test_cli_json_format(tmp_path):
     exit_code, output = run_cli(
-        ["lint", "--no-baseline", "--format", "json", fixture("det002_bad.py")]
+        ["lint", "--format", "json", fixture("det002_bad.py")]
     )
     assert exit_code == 1
     payload = json.loads(output)
     assert payload["format"] == "repro-lint/1"
     assert all(f["rule"] == "DET002" for f in payload["findings"])
-
-
-def test_cli_update_baseline_roundtrip(tmp_path):
-    baseline = tmp_path / "baseline.json"
-    args = ["lint", fixture("det002_bad.py"), "--baseline", str(baseline)]
-    exit_code, _ = run_cli(args)
-    assert exit_code == 1
-    exit_code, output = run_cli(args + ["--update-baseline"])
-    assert exit_code == 0
-    assert "baseline updated" in output
-    exit_code, _ = run_cli(args)
-    assert exit_code == 0
-    # --no-baseline still reports everything.
-    exit_code, _ = run_cli(args + ["--no-baseline"])
-    assert exit_code == 1
 
 
 def test_cli_list_rules():
@@ -162,7 +146,6 @@ def test_cli_rejects_malformed_protocol_spec():
         run_cli(["lint", fixture("det001_good.py"), "--protocol", "nonsense"])
 
 
-def test_repo_tree_is_clean_with_committed_baseline():
-    """Acceptance: `repro lint src/repro` exits 0 on the committed tree."""
-    exit_code, output = run_cli(["lint", SRC, "--baseline", BASELINE])
-    assert exit_code == 0, output
+def test_repo_tree_is_clean(repo_lint):
+    """Acceptance: `repro lint src/repro` finds nothing on the committed tree."""
+    assert repo_lint.ok, render_text(repo_lint)

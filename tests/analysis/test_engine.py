@@ -1,10 +1,9 @@
-"""Engine mechanics: suppressions, baseline workflow, reporters."""
+"""Engine mechanics: suppressions, reporters."""
 
 import json
 import os
 
-from repro.analysis import Baseline, LintConfig, Linter, get_rule
-from repro.analysis.findings import assign_fingerprints
+from repro.analysis import LintConfig, Linter, get_rule
 from repro.analysis.report import render_json, render_text
 from repro.analysis.suppress import is_suppressed, parse_suppressions
 
@@ -16,7 +15,7 @@ def _lint_source(tmp_path, source, code="DET002", **config_kwargs):
         wallclock_exempt=[], random_exempt=[], **config_kwargs
     )
     linter = Linter(config, rules=[get_rule(code)])
-    return linter.run([str(path)], baseline=Baseline())
+    return linter.run([str(path)])
 
 
 class TestSuppressions:
@@ -63,67 +62,6 @@ class TestSuppressions:
         assert not is_suppressed(table, 1, "DET002")
 
 
-class TestBaseline:
-    def test_baselined_findings_do_not_fail_the_run(self, tmp_path):
-        path = tmp_path / "snippet.py"
-        path.write_text("import random\n")
-        linter = Linter(
-            LintConfig(random_exempt=[]), rules=[get_rule("DET002")]
-        )
-        first = linter.run([str(path)], baseline=Baseline())
-        assert not first.ok
-        baseline = Baseline.from_findings(assign_fingerprints(first.findings))
-        second = linter.run([str(path)], baseline=baseline)
-        assert second.ok
-        assert len(second.baselined) == len(first.findings)
-
-    def test_new_findings_still_fail_a_baselined_run(self, tmp_path):
-        path = tmp_path / "snippet.py"
-        path.write_text("import random\n")
-        linter = Linter(
-            LintConfig(random_exempt=[]), rules=[get_rule("DET002")]
-        )
-        baseline = Baseline.from_findings(
-            assign_fingerprints(linter.run([str(path)]).findings)
-        )
-        path.write_text("import random\nvalue = random.random()\n")
-        result = linter.run([str(path)], baseline=baseline)
-        assert len(result.baselined) == 1  # the import survives the edit
-        assert len(result.findings) == 1  # the new call is reported
-        assert not result.ok
-
-    def test_baseline_is_stable_across_unrelated_line_shifts(self, tmp_path):
-        path = tmp_path / "snippet.py"
-        path.write_text("import random\n")
-        linter = Linter(
-            LintConfig(random_exempt=[]), rules=[get_rule("DET002")]
-        )
-        baseline = Baseline.from_findings(
-            assign_fingerprints(linter.run([str(path)]).findings)
-        )
-        path.write_text("'''docstring pushes the import down'''\n\nimport random\n")
-        result = linter.run([str(path)], baseline=baseline)
-        assert result.ok
-
-    def test_round_trip_through_disk(self, tmp_path):
-        path = tmp_path / "snippet.py"
-        path.write_text("import random\n")
-        linter = Linter(
-            LintConfig(random_exempt=[]), rules=[get_rule("DET002")]
-        )
-        baseline = Baseline.from_findings(
-            assign_fingerprints(linter.run([str(path)]).findings)
-        )
-        baseline_path = tmp_path / "baseline.json"
-        baseline.save(str(baseline_path))
-        loaded = Baseline.load(str(baseline_path))
-        assert loaded.entries == baseline.entries
-        assert linter.run([str(path)], baseline=loaded).ok
-
-    def test_missing_baseline_file_is_empty(self, tmp_path):
-        assert len(Baseline.load(str(tmp_path / "absent.json"))) == 0
-
-
 class TestReporters:
     def test_json_report_is_valid_and_sorted(self, tmp_path):
         result = _lint_source(tmp_path, "import random\nimport random\n")
@@ -149,7 +87,7 @@ class TestParseErrors:
     def test_syntax_error_is_reported_not_raised(self, tmp_path):
         path = tmp_path / "broken.py"
         path.write_text("def broken(:\n")
-        result = Linter(LintConfig()).run([str(path)], baseline=Baseline())
+        result = Linter(LintConfig()).run([str(path)])
         assert len(result.parse_errors) == 1
         assert result.parse_errors[0].rule == "PARSE"
         assert not result.ok

@@ -10,7 +10,7 @@ import os
 
 import pytest
 
-from repro.analysis import Baseline, LintConfig, Linter, ProtocolSpec, get_rule
+from repro.analysis import LintConfig, Linter, ProtocolSpec, get_rule
 from repro.analysis.statemachine import StateMachineSpec
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
@@ -49,7 +49,7 @@ def fixture_config():
 
 def run_rule(code, paths):
     linter = Linter(fixture_config(), rules=[get_rule(code)])
-    result = linter.run(paths, baseline=Baseline())
+    result = linter.run(paths)
     assert not result.parse_errors, result.parse_errors
     return result.findings
 
@@ -85,7 +85,7 @@ def test_rule_passes_good_fixture(code, bad, good):
 @pytest.mark.parametrize("code,bad,good", CASES, ids=[c[0] for c in CASES])
 def test_good_fixture_clean_under_full_rule_set(code, bad, good):
     linter = Linter(fixture_config())
-    result = linter.run([fixture(good)], baseline=Baseline())
+    result = linter.run([fixture(good)])
     assert result.findings == [], result.findings
 
 
@@ -120,7 +120,7 @@ def test_proto001_not_wire_marker_opts_out():
 def test_sim001_only_applies_inside_restricted_dirs():
     config = LintConfig(sim_restricted=["somewhere/else"])
     linter = Linter(config, rules=[get_rule("SIM001")])
-    result = linter.run([fixture("sim001_bad.py")], baseline=Baseline())
+    result = linter.run([fixture("sim001_bad.py")])
     assert result.findings == []
 
 
@@ -170,8 +170,7 @@ def test_rules_on_repo_protocol_defaults():
         [
             os.path.normpath(os.path.join(root, "src", "repro", "gcs")),
             os.path.normpath(os.path.join(root, "src", "repro", "core")),
-        ],
-        baseline=Baseline(),
+        ]
     )
     assert result.findings == [], result.findings
 
@@ -194,7 +193,7 @@ def test_sim001_edge_allowance_is_per_file_with_reason():
         sim_edge=(("sim001_bad.py", "declared process-boundary module"),)
     )
     linter = Linter(config, rules=[get_rule("SIM001")])
-    result = linter.run([fixture("sim001_bad.py")], baseline=Baseline())
+    result = linter.run([fixture("sim001_bad.py")])
     assert result.findings == []
     # The reason is on record for exactly that file, nothing else.
     assert config.edge_reason("fixtures/sim001_bad.py") == (
@@ -208,7 +207,7 @@ def test_sim001_edge_allowance_is_per_file_with_reason():
 def test_shard001_edge_allowance_skips_scope():
     config = edge_config(sim_edge=(("shard001_bad.py", "worker pool"),))
     linter = Linter(config, rules=[get_rule("SHARD001")])
-    result = linter.run([fixture("shard001_bad.py")], baseline=Baseline())
+    result = linter.run([fixture("shard001_bad.py")])
     assert result.findings == []
 
 

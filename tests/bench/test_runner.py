@@ -1,135 +1,111 @@
-"""Unit tests for the bench harness: trajectory file and comparisons."""
+"""Unit tests for the bench harness: the record file and the tripwire."""
 
 import json
+import os
 
 import pytest
 
-# bench_names is aliased: the project's pytest config collects bench_*
-# functions (for benchmarks/), and a bare import would be run as a test.
 from repro.bench import (
     BENCH_FORMAT,
-    BenchRun,
-    compare_runs,
+    BENCHES,
+    BenchComparison,
+    format_run,
     load_trajectory,
     run_suite,
     save_trajectory,
+    sysbench_summary,
 )
-from repro.bench import bench_names as _bench_names
-from repro.bench.runner import HISTORY_LIMIT, previous_run, run_bench
-from repro.bench.suite import SCALES, build_workload
+from repro.bench.runner import baseline_of, run_bench
+
+COMMITTED = os.path.join(
+    os.path.dirname(__file__), os.pardir, os.pardir, "BENCH_kernel.json"
+)
 
 
-def make_run(mode="quick", rev="abc1234", **medians):
-    benches = {
-        name: {
-            "median_s": median,
-            "per_s": 1000.0,
-            "unit": "events",
-            "units": 100,
-            "samples": [median],
-        }
-        for name, median in medians.items()
+def make_run(rev="abc1234", units=100, **medians):
+    benches = {name: {"median_s": median, "units": units} for name, median in medians.items()}
+    return {"rev": rev, "host": {"cpus": 2}, "benches": benches}
+
+
+def result_set(mode="end_to_end", **extra):
+    """The shape ``sysbench/run.py --all --out`` writes, one workload."""
+    if mode == "per_layer":
+        values = {"net.self_s": 1.5, "sim.shard.calls": 7, "net.calls": 40}
+    else:
+        values = {"setup_s": 0.3, "op_ms_p50": 18.2}
+    entry = {
+        "metrics": {
+            key: {"value": value, "unit": "s", "repeats": [value] * 3, "spread": 0.01}
+            for key, value in values.items()
+        },
+        "fail_ratio": 0.0,
+        "sim_digest": "d018279f0ff7b078",
+        "repeat_spread": 0.04,
+        "detail": {"raw": {"setup_s": 0.4}},
     }
-    return BenchRun(mode, rev, benches)
+    results = {
+        "schema": "sysbench/1", "mode": mode, "seed": 3, "seconds": 10, "repeat": 3,
+        "host": {"nproc": 2, "numpy": True}, "noisy": [], "workloads": {"ring_n32": entry},
+    }
+    results.update(extra)
+    return results
 
 
 def test_bench_names_cover_required_hot_paths():
-    names = _bench_names()
-    assert "kernel_timer_churn" in names
-    assert "campaign_parallel" in names
-    assert names == sorted(names)
-    # Every kernel bench has both a quick and a full scale; the n256/
-    # n1024 benches live only in the scale mode (their own CI job).
-    scale_only = set(SCALES["scale"])
-    assert scale_only == {
-        "membership_change_n256",
-        "balance_n1024",
-        "kernel_serial_n256",
-        "kernel_sharded_n256",
-    }
-    for mode in ("quick", "full"):
-        assert set(SCALES[mode]) == set(names) - scale_only
-    assert _bench_names(mode="scale") == sorted(scale_only)
+    # One size each, no mode table: these three are the whole suite.
+    assert sorted(BENCHES) == ["kernel_events", "kernel_timer_churn", "lan_fanout"]
 
 
 def test_build_workload_returns_runnable_and_unit():
-    run, unit, scale = build_workload("lan_fanout", "quick")
+    run, unit = BENCHES["lan_fanout"]
     assert unit == "frames"
-    units = run()
-    # Every round broadcasts to all other hosts (plus their ARP replies,
-    # delivered as unicast frames) — deterministic, so pin the count.
-    assert units == run()
-    assert units >= scale["rounds"] * (scale["n_hosts"] - 1)
-
-
-def test_lint_full_project_workload_counts_files():
-    run, unit, scale = build_workload("lint_full_project", "quick")
-    assert unit == "files"
-    assert scale["subtree"] == "gcs"
-    files = run()
-    # The quick scale lints the gcs subtree; the file count is exact
-    # and repeatable, so a drifting count means the workload changed.
-    assert files > 0
-    assert files == run()
+    # Deterministic, so pinned: 200 broadcasts to nine hosts each. It is
+    # the size the tripwire pairs recorded runs by.
+    assert run() == run() == 1800
 
 
 def test_run_bench_records_samples_and_median():
-    result = run_bench("lan_fanout", mode="quick", repeats=3)
+    result = run_bench("lan_fanout", repeats=3)
     assert len(result["samples"]) == 3
     assert result["median_s"] == sorted(result["samples"])[1]
-    assert result["units"] > 0
-    assert result["per_s"] > 0
-
-
-def test_run_suite_selects_names_and_rejects_unknown():
-    run = run_suite(mode="quick", names=["lan_fanout"], repeats=1)
-    assert set(run.benches) == {"lan_fanout"}
-    assert run.mode == "quick"
-    with pytest.raises(ValueError):
-        run_suite(mode="quick", names=["no_such_bench"], repeats=1)
+    assert result["units"] > 0 and result["per_s"] > 0
 
 
 def test_run_suite_records_host_cpu_count():
-    import os
-
-    run = run_suite(mode="quick", names=["lan_fanout"], repeats=1)
-    assert run.host == {"cpus": os.cpu_count() or 1}
-    assert run.to_dict()["host"] == run.host
-    # Serial benches carry no workers key; multi-process ones do.
-    assert "workers" not in run.benches["lan_fanout"]
-
-
-def test_run_bench_records_worker_count_for_parallel_benches():
-    result = run_bench("campaign_parallel", mode="quick", repeats=1)
-    assert result["workers"] == SCALES["quick"]["campaign_parallel"]["workers"]
-
-
-def test_run_bench_scale_overrides_apply():
-    # The override path behind `repro bench --shards N`: retarget the
-    # recorded worker count without touching the committed scales.
-    result = run_bench(
-        "campaign_parallel", mode="quick", repeats=1, overrides={"workers": 1}
-    )
-    assert result["workers"] == 1
-    assert SCALES["quick"]["campaign_parallel"]["workers"] == 2
+    run = run_suite(repeats=1)
+    assert set(run) == {"rev", "host", "benches"}
+    assert run["host"] == {"cpus": os.cpu_count() or 1}
+    assert set(run["benches"]) == set(BENCHES)
 
 
 def test_bench_run_from_dict_tolerates_missing_host():
-    # Trajectory entries recorded before host metadata existed.
-    run = BenchRun.from_dict({"benches": {}})
-    assert run.host == {}
-    assert "cpus=?" in run.format()
+    # Entries recorded before host metadata existed.
+    assert "cpus=?" in format_run({"benches": {}})
 
 
 def test_trajectory_roundtrip(tmp_path):
     path = tmp_path / "BENCH.json"
-    runs = [make_run(kernel_events=0.5), make_run(kernel_events=0.4)]
+    # No cap: the one record never drops its oldest before/after runs.
+    runs = [make_run(kernel_events=float(i)) for i in range(60)]
+    runs.append(sysbench_summary(result_set()))
     save_trajectory(path, runs)
-    data = json.loads(path.read_text())
-    assert data["format"] == BENCH_FORMAT
-    loaded = load_trajectory(path)
-    assert [r.benches["kernel_events"]["median_s"] for r in loaded] == [0.5, 0.4]
-    assert loaded[0].mode == "quick" and loaded[0].rev == "abc1234"
+    assert json.loads(path.read_text())["format"] == BENCH_FORMAT
+    assert load_trajectory(path) == runs
+
+
+def test_committed_record_loads_and_resaves_unchanged(tmp_path):
+    runs = load_trajectory(COMMITTED)
+    # The 19 runs recorded under repro-bench/1 (quick, full and scale,
+    # eleven benches that no longer exist) are history, kept whole.
+    legacy = [run for run in runs if "mode" in run]
+    assert len(legacy) == 19 and legacy == runs[:19]
+    assert any("kernel_sharded_n256" in run["benches"] for run in legacy)
+    for run in runs[19:]:
+        assert ("benches" in run) != ("sysbench" in run)
+    path = tmp_path / "resaved.json"
+    save_trajectory(path, runs)
+    with open(COMMITTED) as handle:
+        assert path.read_text() == handle.read()
 
 
 def test_load_trajectory_missing_file_is_empty(tmp_path):
@@ -141,57 +117,80 @@ def test_load_trajectory_rejects_foreign_format(tmp_path):
     path.write_text(json.dumps({"format": "something-else", "runs": []}))
     with pytest.raises(ValueError):
         load_trajectory(path)
+    path.write_text(json.dumps({"format": "repro-bench/1", "runs": [make_run(a=1.0)]}))
+    assert load_trajectory(path) == [make_run(a=1.0)]
 
 
-def test_save_trajectory_caps_history(tmp_path):
-    path = tmp_path / "BENCH.json"
-    runs = [make_run(kernel_events=float(i)) for i in range(HISTORY_LIMIT + 7)]
-    save_trajectory(path, runs)
-    loaded = load_trajectory(path)
-    assert len(loaded) == HISTORY_LIMIT
-    # Oldest entries are dropped, most recent kept.
-    assert loaded[-1].benches["kernel_events"]["median_s"] == float(HISTORY_LIMIT + 6)
+def test_sysbench_summary_keeps_medians_and_drops_repeats():
+    summary = sysbench_summary(result_set())["sysbench"]
+    workloads = summary.pop("workloads")
+    assert summary == {
+        "mode": "end_to_end", "seed": 3, "seconds": 10, "repeat": 3,
+        "host": {"nproc": 2, "numpy": True},
+    }
+    assert workloads["ring_n32"] == {
+        "metrics": {"setup_s": 0.3, "op_ms_p50": 18.2},
+        "repeat_spread": 0.04,
+        "sim_digest": "d018279f0ff7b078",
+        "fail_ratio": 0.0,
+    }
+    layered = sysbench_summary(result_set(mode="per_layer"))["sysbench"]
+    entry = layered["workloads"]["ring_n32"]
+    assert "metrics" not in entry
+    assert entry["layers"] == {
+        "net": {"self_s": 1.5, "calls": 40},
+        "sim.shard": {"calls": 7},
+    }
 
 
-def test_previous_run_matches_mode_only():
-    runs = [
-        make_run(mode="full", kernel_events=0.9),
-        make_run(mode="quick", kernel_events=0.2),
-    ]
-    assert previous_run(runs, "full").benches["kernel_events"]["median_s"] == 0.9
-    assert previous_run(runs, "quick").benches["kernel_events"]["median_s"] == 0.2
-    assert previous_run(runs, "full").mode == "full"
-    assert previous_run([], "full") is None
+def test_sysbench_summary_names_the_field_it_cannot_read():
+    for results, field in (
+        (result_set(schema="sysbench/2"), "schema"),
+        ([], "schema"),
+        (result_set(workloads={"ring_n32": {"metrics": {}}}), "repeat_spread"),
+    ):
+        with pytest.raises(ValueError, match=field):
+            sysbench_summary(results)
 
 
 def test_compare_runs_flags_regressions_over_threshold():
     baseline = make_run(kernel_events=0.100, lan_fanout=0.100)
     current = make_run(kernel_events=0.124, lan_fanout=0.126)
-    comparison = compare_runs([baseline], current, threshold=0.25)
+    comparison = BenchComparison([baseline], current, threshold=0.25)
     assert comparison.regressions == ["lan_fanout"]
     assert not comparison.ok
     assert "REGRESSION" in comparison.format()
 
 
 def test_compare_runs_ok_when_faster_or_within_threshold():
-    baseline = make_run(kernel_events=0.100)
+    baseline = make_run(rev="0e219a6", kernel_events=0.100)
     current = make_run(kernel_events=0.060)
-    comparison = compare_runs([baseline], current, threshold=0.25)
+    comparison = BenchComparison([baseline], current)
     assert comparison.ok
-    (name, old_s, new_s, speedup) = comparison.rows[0]
-    assert name == "kernel_events"
+    (name, rev, old_s, new_s, speedup) = comparison.rows[0]
+    assert (name, rev) == ("kernel_events", "0e219a6")
     assert speedup == pytest.approx(0.100 / 0.060)
 
 
 def test_compare_runs_without_baseline_is_ok():
-    comparison = compare_runs([], make_run(kernel_events=0.1), threshold=0.25)
-    assert comparison.ok
-    assert comparison.rows == []
+    comparison = BenchComparison([], make_run(kernel_events=0.1))
+    assert comparison.ok and comparison.rows == []
     assert "no previous" in comparison.format()
 
 
-def test_compare_ignores_other_mode_baselines():
-    baseline = make_run(mode="full", kernel_events=0.001)  # would be a regression
-    current = make_run(mode="quick", kernel_events=1.0)
-    comparison = compare_runs([baseline], current, threshold=0.25)
-    assert comparison.ok and comparison.rows == []
+def test_compare_pairs_by_bench_and_units():
+    # The size is read from the record: a 10 000-event run is never the
+    # baseline of a 40 000-event one, however recent and however much
+    # faster; a sysbench summary is skipped; each bench finds its own.
+    old_full = make_run(rev="full", units=40_000, kernel_events=0.070, lan_fanout=0.002)
+    newer = make_run(rev="newer", units=40_000, kernel_events=0.069)
+    quick = make_run(rev="quick", units=10_000, kernel_events=0.001, lan_fanout=0.0001)
+    record = [old_full, newer, quick, sysbench_summary(result_set())]
+    assert baseline_of(record, "kernel_events", 10_000)[0] == "quick"
+    assert baseline_of(record, "kernel_events", 20_000) is None
+    current = make_run(units=40_000, kernel_events=0.071, lan_fanout=0.0021)
+    comparison = BenchComparison(record, current)
+    assert comparison.ok
+    assert [(name, rev) for name, rev, _, _, _ in comparison.rows] == [
+        ("kernel_events", "newer"), ("lan_fanout", "full"),
+    ]

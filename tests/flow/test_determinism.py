@@ -19,16 +19,18 @@ from repro.flow import FlowEngine, FlowPool
 from repro.gcs.config import SpreadConfig
 from repro.sim.simulation import Simulation
 
+from helpers import flow_backend
 
-def run_web_failover(seed, use_numpy=None, users=50_000):
-    scenario = WebClusterScenario(
-        seed=seed,
-        n_servers=3,
-        n_vips=6,
-        spread_config=SpreadConfig.tuned(),
-        flow_users=users,
-        flow_use_numpy=use_numpy,
-    )
+
+def run_web_failover(seed, use_numpy=True, users=50_000):
+    with flow_backend(use_numpy):
+        scenario = WebClusterScenario(
+            seed=seed,
+            n_servers=3,
+            n_vips=6,
+            spread_config=SpreadConfig.tuned(),
+            flow_users=users,
+        )
     scenario.start()
     assert scenario.run_until_stable()
     scenario.kill_owner_of(scenario.vips[0], mode="nic_down")
@@ -49,11 +51,15 @@ def test_double_run_fingerprints_byte_identical():
 def test_numpy_and_pure_python_backends_agree():
     auto = run_web_failover(13)
     pure = run_web_failover(13, use_numpy=False)
-    assert auto.flow_engine.use_numpy != pure.flow_engine.use_numpy or not auto.flow_engine.use_numpy
+    assert not pure.flow_engine.use_numpy
     assert fingerprint_bytes(auto) == fingerprint_bytes(pure)
     # The whole simulation, not just the engine, must agree: metrics
-    # totals include every layer the flow plane touched.
+    # totals include every layer the flow plane touched, and no trace
+    # record says which backend ran.
     assert auto.sim.metrics.totals() == pure.sim.metrics.totals()
+    assert [repr(r) for r in auto.sim.trace.records] == [
+        repr(r) for r in pure.sim.trace.records
+    ]
 
 
 def test_backend_parity_with_demand_jitter():

@@ -22,6 +22,9 @@ from repro.net.lan import Lan
 from repro.net.linkfault import GilbertElliott
 from repro.sim.simulation import Simulation
 
+from helpers import flow_backend
+
+
 class Forgetful(DirectResolver):
     """The reference: forgets its last read, so every tick rebuilds."""
 
@@ -65,15 +68,18 @@ class Recorder:
         self.resolves = 0
 
 
-def build(n_hosts=64, n_vips=256, segment_size=16, resolver_class=None, **kwargs):
-    scenario = ScaleClusterScenario(
-        seed=5,
-        n_hosts=n_hosts,
-        n_vips=n_vips,
-        segment_size=segment_size,
-        flow_users=10_007,
-        **kwargs
-    )
+def build(
+    n_hosts=64, n_vips=256, segment_size=16, resolver_class=None, use_numpy=True, **kwargs
+):
+    with flow_backend(use_numpy):
+        scenario = ScaleClusterScenario(
+            seed=5,
+            n_hosts=n_hosts,
+            n_vips=n_vips,
+            segment_size=segment_size,
+            flow_users=10_007,
+            **kwargs
+        )
     if resolver_class is not None:
         scenario.flow_engine.resolver = resolver_class(scenario.live_bindings, lan=scenario.lan)
     recorder = Recorder(scenario.flow_engine.resolver)
@@ -90,7 +96,7 @@ def run_fault_script(resolver_class, use_numpy):
     """Every input a DirectResolver reads, written at least once."""
     scenario, recorder = build(
         resolver_class=resolver_class,
-        flow_use_numpy=use_numpy,
+        use_numpy=use_numpy,
         trace_enabled=True,
         metrics_enabled=True,
     )
@@ -120,14 +126,8 @@ def run_fault_script(resolver_class, use_numpy):
     binder = next(m for m in scenario.managers if m.alive and m.bound)
     binder.bound.discard(min(binder.bound))
     sim.run_for(0.3)
-    # Everything a flow record says except which backend ran (flow/start).
     flow_records = [
-        (
-            record.time,
-            record.source,
-            record.event,
-            {key: value for key, value in record.details.items() if key != "backend"},
-        )
+        (record.time, record.source, record.event, record.details)
         for record in sim.trace.records
         if record.category == "flow"
     ]
@@ -215,12 +215,7 @@ class ArpWorld:
         return {
             "fingerprint": json.dumps(self.engine.fingerprint(), sort_keys=True),
             "flow_records": [
-                (
-                    record.time,
-                    record.source,
-                    record.event,
-                    {k: v for k, v in record.details.items() if k != "backend"},
-                )
+                (record.time, record.source, record.event, record.details)
                 for record in self.sim.trace.records
                 if record.category == "flow"
             ],

@@ -1,5 +1,6 @@
 """Unit tests driving the ViewOrderer with synthetic messages."""
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -316,6 +317,9 @@ class OrdererUnderTest:
         }
 
 
+# Against the orderer bodies PR 20 deleted: a one-time equivalence the
+# golden pins hold from here on, so it runs in the soak job, not in tier-1.
+@pytest.mark.slow
 @settings(max_examples=150, deadline=None)
 @given(daemon_id=st.sampled_from(MEMBERS[:2]), steps=orderer_steps)
 def test_on_heartbeat_and_log_top_match_the_orderer_they_replaced(daemon_id, steps):

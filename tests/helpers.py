@@ -1,6 +1,8 @@
 """Cluster-building helpers shared across the test suite."""
 
 import collections
+import contextlib
+from unittest import mock
 
 from repro.apps.cluster import ServerGroup, run_until, servers_settled
 from repro.core.config import WackamoleConfig
@@ -14,6 +16,14 @@ from repro.sim.simulation import Simulation
 GcsCluster = collections.namedtuple(
     "GcsCluster", "sim lan hosts daemons faults config"
 )
+
+
+def flow_backend(use_numpy):
+    """Engines built inside get this flow backend, chosen the way the
+    code chooses it: by whether ``repro.flow.engine`` imported numpy."""
+    if use_numpy:
+        return contextlib.nullcontext()
+    return mock.patch("repro.flow.engine._numpy", None)
 
 
 def build_gcs_cluster(n, seed=0, config=None, subnet="10.0.0.0/24", stagger=0.02):

@@ -93,36 +93,26 @@ def test_parser_help_lists_subcommands():
         assert command in help_text
 
 
-def test_bench_list_names():
-    code, output = run_cli(["bench", "--list"])
-    assert code == 0
-    assert "kernel_timer_churn" in output
-    assert "campaign_parallel" in output
-
-
-def test_bench_quick_writes_trajectory_and_gates_on_regression(tmp_path):
+def test_bench_writes_trajectory_and_gates_on_regression(tmp_path):
     import json
 
     path = tmp_path / "BENCH.json"
-    # A wide threshold keeps single-repeat timing jitter on the ~1 ms
+    # A wide threshold keeps single-repeat timing jitter on the ~2 ms
     # workload from tripping the gate; the planted baseline below is
-    # slower by orders of magnitude, so it still regresses.
-    args = [
-        "bench", "--quick", "--repeat", "1", "--threshold", "9.0",
-        "--benches", "lan_fanout", "--output", str(path),
-    ]
+    # faster by orders of magnitude, so it still regresses.
+    args = ["bench", "--repeat", "1", "--threshold", "9.0", "--output", str(path)]
     code, output = run_cli(args)
     assert code == 0
-    assert "repro bench [quick]" in output
-    assert "no previous quick run to compare against" in output
+    assert "repro bench rev=" in output
+    assert "no previous run" in output
     data = json.loads(path.read_text())
-    assert data["format"] == "repro-bench/1"
+    assert data["format"] == "repro-bench/2"
     assert len(data["runs"]) == 1
 
     # Second run appends and compares against the first.
     code, output = run_cli(args)
     assert code == 0
-    assert "vs rev=" in output
+    assert "vs the last recorded run" in output
     assert len(json.loads(path.read_text())["runs"]) == 2
 
     # Plant an absurdly fast baseline: the next run must gate.
@@ -139,13 +129,33 @@ def test_bench_quick_writes_trajectory_and_gates_on_regression(tmp_path):
 def test_bench_no_write_leaves_trajectory_untouched(tmp_path):
     path = tmp_path / "BENCH.json"
     code, output = run_cli(
-        [
-            "bench", "--quick", "--repeat", "1", "--no-write", "--no-compare",
-            "--benches", "lan_fanout", "--output", str(path),
-        ]
+        ["bench", "--repeat", "1", "--no-write", "--no-compare", "--output", str(path)]
     )
     assert code == 0
     assert not path.exists()
+
+
+def test_bench_sysbench_appends_a_summary_or_exits_2_naming_the_field(tmp_path):
+    import json
+
+    record, results = tmp_path / "BENCH.json", tmp_path / "results.json"
+    argv = ["bench", "--sysbench", str(results), "--output", str(record)]
+    valid = {"schema": "sysbench/1", "mode": "end_to_end", "seed": 4, "seconds": 10,
+             "repeat": 3, "host": {"nproc": 2}, "workloads": {}}
+    results.write_text(json.dumps(valid))
+    code, output = run_cli(argv)
+    assert code == 0 and "sysbench summary [end_to_end]" in output
+    (run,) = json.loads(record.read_text())["runs"]
+    assert run["sysbench"]["seed"] == 4 and "benches" not in run  # no tripwire ran
+    for contents, field in (
+        (json.dumps(dict(valid, schema="other/1")), "schema"),
+        (json.dumps({k: v for k, v in valid.items() if k != "workloads"}), "workloads"),
+        ("not json", "results.json"),
+    ):
+        results.write_text(contents)
+        code, output = run_cli(argv)
+        assert code == 2 and field in output
+    assert len(json.loads(record.read_text())["runs"]) == 1
 
 
 # ----------------------------------------------------------------------
@@ -182,6 +192,19 @@ def test_bench_no_write_leaves_trajectory_untouched(tmp_path):
         (["graceful", "--trials", "0"], "--trials"),
         (["graceful", "--servers", "1"], "--servers"),
         (["check", "--trials", "many"], "--trials"),
+        # These died in a traceback or printed a chart of nothing.
+        (["router", "--trials", "0"], "--trials"),
+        (["router", "--rip-interval", "0"], "--rip-interval"),
+        (["tuning", "--duration", "-5", "--trials", "0"], "--duration"),
+        (["tuning", "--trials", "0"], "--trials"),
+        (["load", "--duration", "0"], "--duration"),
+        (["load", "--trials", "-1"], "--trials"),
+        (["availability", "--window", "0"], "--window"),
+        (["availability", "--faults", "0"], "--faults"),
+        (["availability", "--trials", "0"], "--trials"),
+        (["bench", "--repeat", "-1"], "--repeat"),
+        (["bench", "--repeat", "0"], "--repeat"),
+        (["bench", "--threshold", "-0.1"], "--threshold"),
     ],
 )
 def test_bad_count_size_or_duration_exits_2_naming_the_flag(argv, flag, capsys):
@@ -199,3 +222,26 @@ def test_edge_values_still_parse():
     assert (args.events, args.servers, args.horizon) == (0, 2, 0.5)
     args = build_parser().parse_args(["flow", "--users", "1", "--tick", "1e-3"])
     assert (args.users, args.tick) == (1, 0.001)
+    args = build_parser().parse_args(["bench", "--threshold", "0", "--repeat", "1"])
+    assert (args.threshold, args.repeat) == (0.0, 1)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["bench", "--quick"],
+        ["bench", "--scale"],
+        ["bench", "--shards", "2"],
+        ["bench", "--benches", "lan_fanout"],
+        ["bench", "--list"],
+        ["lint", "--baseline", "lint-baseline.json"],
+        ["lint", "--no-baseline"],
+        ["lint", "--update-baseline"],
+        ["flow", "--pure-python"],
+    ],
+)
+def test_removed_flags_exit_2(argv, capsys):
+    with pytest.raises(SystemExit) as raised:
+        main(argv, out=lambda line: None)
+    assert raised.value.code == 2
+    assert "unrecognized arguments: {}".format(argv[1]) in capsys.readouterr().err

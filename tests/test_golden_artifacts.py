@@ -27,6 +27,7 @@ from repro.apps.routercluster import RouterClusterScenario
 from repro.apps.scalecluster import ScaleClusterScenario, ShardedScaleScenario
 from repro.apps.webcluster import WebClusterScenario
 from repro.check import build_trial_spec, campaign_params, run_trial
+from repro.cli import main
 from repro.gcs.config import SpreadConfig
 from repro.sim.shard.merge import artifact_bytes
 
@@ -276,23 +277,25 @@ GOLDEN = {
 }
 
 
-#: Pins whose hashed trace holds the ``flow/start`` record, and with it
-#: ``backend=numpy|python``: they were recorded with numpy installed.
-NUMPY_PINS = {
-    "web/nic-down",
-    "router/static-fail-active",
-    "sharded/shards=1",
-    "sharded/shards=2",
-}
-
-
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_golden_pin(name):
-    if name in NUMPY_PINS:
-        pytest.importorskip(
-            "numpy", reason="pin recorded with backend=numpy in its flow/start trace record"
-        )
     assert CASES[name]() == GOLDEN[name]
+
+
+def test_artifacts_do_not_say_what_is_installed(monkeypatch):
+    # The same bytes from the pure-python backend: the engine chooses it
+    # where numpy does not import, and neither a hashed trace record nor
+    # the CLI's JSON payload names the backend that ran.
+    def flow_json():
+        lines = []
+        argv = ["flow", "--users", "20000", "--observe", "3", "--format", "json"]
+        assert main(argv, out=lines.append) == 0
+        return lines
+
+    with_numpy = flow_json()
+    monkeypatch.setattr("repro.flow.engine._numpy", None)
+    assert CASES["web/nic-down"]() == GOLDEN["web/nic-down"]
+    assert flow_json() == with_numpy
 
 
 def test_sharded_pins_agree():
