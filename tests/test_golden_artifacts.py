@@ -188,11 +188,13 @@ for _repertoire in ("standard", "gray", "corrupt"):
 
 
 #: Recorded on the parent of the PR that introduced this file (d67d1ed);
-#: the four scale/sharded event counts re-recorded with fan-out batching.
+#: the four scale/sharded event counts re-recorded with fan-out batching,
+#: the four pins whose trace holds a ``flow/start`` record re-recorded
+#: when that record stopped naming the numpy/python backend.
 GOLDEN = {
     "router/static-fail-active": {
         "events_fired": 4478,
-        "sha256": "7b681f72c2634ad9dc27ebf11e13548d4ff6a2ff81cb287896ecda9203d4a77e",
+        "sha256": "8e2df23090f1c267d398e45806f5a0faba061018df2c1cd80d70df498ac30a6c",
     },
     "scale/kill-revive": {
         "events_fired": 1434,
@@ -204,11 +206,11 @@ GOLDEN = {
     },
     "sharded/shards=1": {
         "events_fired": 6243,
-        "sha256": "db1f114e17a0f53339eda4aa918389c658ef3d2dc22e98d85451eaf6b7244338",
+        "sha256": "14160b175648ae98ac4710a8961ad4b3b0b396aac3cdfa87b11391f2d989d583",
     },
     "sharded/shards=2": {
         "events_fired": 6243,
-        "sha256": "db1f114e17a0f53339eda4aa918389c658ef3d2dc22e98d85451eaf6b7244338",
+        "sha256": "14160b175648ae98ac4710a8961ad4b3b0b396aac3cdfa87b11391f2d989d583",
     },
     "trial/broken-balance/0": {
         "events_fired": None,
@@ -272,7 +274,7 @@ GOLDEN = {
     },
     "web/nic-down": {
         "events_fired": 3606,
-        "sha256": "f83d1de04160cb4bfbc9e9ad4ee8e9eda33b5daa2bb6149b960ae79d015db3be",
+        "sha256": "d7df65b8eb06e7d5132fd91dd9c4711b18d573f342218c4330e6c1d2ab8c8232",
     },
 }
 
