@@ -23,6 +23,7 @@ machinery stays in the faithful tier where clients are modeled.
 import hashlib
 
 from repro.apps.cluster import ScaleCell, run_until
+from repro.flow.engine import load_numpy
 from repro.gcs.segments import Fleet, SegmentConfig
 from repro.net.addresses import IPAddress
 from repro.net.fault import FaultInjector
@@ -418,6 +419,8 @@ class ShardedScaleScenario:
 
     def run(self):
         """Execute the script; returns the merged run artifact."""
+        if self.params["flow_users"]:
+            load_numpy()  # before the fork: the workers inherit it, not import it
         kernel = ShardedKernel(self.plan, self.FACTORY, self.params, workers=self.workers)
         try:
             kernel.start()

@@ -23,27 +23,10 @@ import argparse
 import json
 import sys
 
-from repro.analysis import (
-    LintConfig,
-    Linter,
-    ProtocolSpec,
-    all_rules,
-    load_project,
-    render_state_machines,
-)
-from repro.analysis.report import render_json, render_text
-from repro.check.campaign import run_campaign
-from repro.check.fixtures import FIXTURES
-from repro.check.replay import replay
-from repro.experiments.availability import AvailabilityExperiment
-from repro.experiments.baselines_experiment import BaselineComparison
-from repro.experiments.figure5 import Figure5Experiment
-from repro.experiments.graceful import GracefulLeaveExperiment
-from repro.experiments.load import LoadedClusterExperiment
-from repro.experiments.router_experiment import RouterFailoverExperiment
-from repro.experiments.table1 import Table1Experiment
-from repro.experiments.tuning import FalsePositiveExperiment, SensitivityExperiment
-from repro.obs.observe import FAULT_MODES
+#: Choices the parser offers before any package is imported; a test holds
+#: them to ``sorted(check.fixtures.FIXTURES)`` and ``obs.observe.FAULT_MODES``.
+FIXTURE_NAMES = ("broken-balance", "standard")
+FAULT_MODES = ("crash", "nic_down", "shutdown")
 
 
 def _bounded(kind, accepts, requirement):
@@ -127,7 +110,7 @@ def build_parser():
     check.add_argument("--vips", type=_positive_int, default=8)
     check.add_argument("--horizon", type=_positive_float, default=40.0)
     check.add_argument("--events", type=_event_count, default=8)
-    check.add_argument("--fixture", default="standard", choices=sorted(FIXTURES))
+    check.add_argument("--fixture", default="standard", choices=FIXTURE_NAMES)
     check.add_argument(
         "--gray", action="store_true",
         help="gray-failure campaign: asymmetric partitions, burst loss, "
@@ -265,12 +248,22 @@ def build_parser():
     return parser
 
 
+def _reject(args, argument, problem):
+    """Exit 2 on the parser's one error line, for what only a handler can check."""
+    sys.stderr.write("repro {}: error: argument {}: {}\n".format(args.command, argument, problem))
+    raise SystemExit(2)
+
+
 def _run_table1(args, out):
+    from repro.experiments.table1 import Table1Experiment
+
     experiment = Table1Experiment(trials=args.trials, cluster_size=args.servers)
     out(experiment.format())
 
 
 def _run_figure5(args, out):
+    from repro.experiments.figure5 import Figure5Experiment
+
     experiment = Figure5Experiment(
         cluster_sizes=tuple(args.sizes), trials=args.trials, n_vips=args.vips
     )
@@ -282,11 +275,15 @@ def _run_figure5(args, out):
 
 
 def _run_graceful(args, out):
+    from repro.experiments.graceful import GracefulLeaveExperiment
+
     experiment = GracefulLeaveExperiment(trials=args.trials, cluster_size=args.servers)
     out(experiment.format())
 
 
 def _run_router(args, out):
+    from repro.experiments.router_experiment import RouterFailoverExperiment
+
     experiment = RouterFailoverExperiment(
         trials=args.trials, rip_interval=args.rip_interval
     )
@@ -294,20 +291,28 @@ def _run_router(args, out):
 
 
 def _run_baselines(args, out):
+    from repro.experiments.baselines_experiment import BaselineComparison
+
     out(BaselineComparison(trials=3).format())
 
 
 def _run_tuning(args, out):
+    from repro.experiments.tuning import FalsePositiveExperiment, SensitivityExperiment
+
     out(FalsePositiveExperiment(duration=args.duration, trials=args.trials).format())
     out("")
     out(SensitivityExperiment(trials=args.trials).format())
 
 
 def _run_load(args, out):
+    from repro.experiments.load import LoadedClusterExperiment
+
     out(LoadedClusterExperiment(duration=args.duration, trials=args.trials).format())
 
 
 def _run_availability(args, out):
+    from repro.experiments.availability import AvailabilityExperiment
+
     experiment = AvailabilityExperiment(window=args.window, faults=args.faults)
     out(experiment.format(trials=args.trials))
 
@@ -343,13 +348,21 @@ def _run_check(args, out):
     if args.shards is not None:
         return _run_shard_parity(args, out)
     if args.replay is not None:
+        from repro.check.replay import load_artifact, replay
+
+        try:
+            artifact = load_artifact(args.replay)
+        except (OSError, ValueError) as problem:
+            _reject(args, "--replay", "{}: {}".format(args.replay, problem))
         code = 0
         for _ in range(args.repeat):
-            report = replay(args.replay)
+            report = replay(artifact)
             out(report.format())
             if not report.match:
                 code = 1
         return code
+    from repro.check.campaign import run_campaign
+
     report = run_campaign(
         base_seed=args.seed,
         trials=args.trials,
@@ -480,9 +493,9 @@ def _run_bench(args, out):
     return code
 
 
-def _explain_rule(code, out):
+def _explain_rule(rules, code, out):
     wanted = code.upper()
-    rule = next((r for r in all_rules() if r.code == wanted), None)
+    rule = next((r for r in rules if r.code == wanted), None)
     if rule is None:
         out(
             "unknown rule {!r}; `repro lint --list-rules` prints the "
@@ -506,12 +519,17 @@ def _explain_rule(code, out):
 
 
 def _run_lint(args, out):
+    import os
+
+    from repro import analysis
+    from repro.analysis.report import render_json, render_text
+
     if args.list_rules:
-        for rule in all_rules():
+        for rule in analysis.all_rules():
             out("{}  {}: {}".format(rule.code, rule.name, rule.description))
         return 0
     if args.explain is not None:
-        return _explain_rule(args.explain, out)
+        return _explain_rule(analysis.all_rules(), args.explain, out)
     overrides = {}
     if args.protocol is not None:
         protocols = []
@@ -523,17 +541,20 @@ def _run_lint(args, out):
                     "got {!r}".format(entry)
                 )
             protocols.append(
-                ProtocolSpec(messages, [d for d in dispatchers.split(",") if d])
+                analysis.ProtocolSpec(messages, [d for d in dispatchers.split(",") if d])
             )
         overrides["protocols"] = protocols
     if args.sim_restrict is not None:
         overrides["sim_restricted"] = args.sim_restrict
-    linter = Linter(LintConfig(**overrides))
+    missing = [path for path in args.paths if not os.path.exists(path)]
+    if missing:
+        _reject(args, "paths", "no such file or directory: {}".format(", ".join(missing)))
+    linter = analysis.Linter(analysis.LintConfig(**overrides))
     if args.state_machines:
-        project = load_project(args.paths, linter.config)
+        project = analysis.load_project(args.paths, linter.config)
         out(
             json.dumps(
-                render_state_machines(project, linter.config),
+                analysis.render_state_machines(project, linter.config),
                 indent=2,
                 sort_keys=True,
             )

@@ -22,15 +22,23 @@ jitter) draws from the engine's own named stream, so two engines in
 two Simulations never share state or couple their draw sequences.
 """
 
+import functools
 import math
 
 from repro.flow.pool import FlowPool
 from repro.sim.process import Process
 
-try:
-    import numpy as _numpy
-except ImportError:  # pragma: no cover - exercised via use_numpy=False
-    _numpy = None
+
+@functools.lru_cache(maxsize=None)
+def load_numpy():
+    """numpy, or None where it is absent; imported at the first call, so a
+    command that builds no engine never pays for it, and a parent calls this
+    before it forks engine-building workers, which then inherit the module."""
+    try:
+        import numpy
+    except ImportError:
+        return None
+    return numpy
 
 
 class FlowEngine(Process):
@@ -41,14 +49,13 @@ class FlowEngine(Process):
         super().__init__(sim, "flow@{}".format(name))
         if tick <= 0.0:
             raise ValueError("tick must be positive, got {}".format(tick))
-        if use_numpy is None:
-            use_numpy = _numpy is not None
-        if use_numpy and _numpy is None:
+        self._numpy = load_numpy() if use_numpy or use_numpy is None else None
+        if use_numpy and self._numpy is None:
             raise RuntimeError("use_numpy=True but numpy is not importable")
         self.resolver = resolver
         self.tick = float(tick)
         self.jitter = float(jitter)
-        self.use_numpy = bool(use_numpy)
+        self.use_numpy = self._numpy is not None
         self.pools = []
         self.ticks = 0
         self.requests_offered = 0
@@ -144,10 +151,11 @@ class FlowEngine(Process):
         self._pool_group = pool_group
         self._kept = None
         if self.use_numpy:
-            self._demand = _numpy.array(demand, dtype=_numpy.float64)
-            self._carry = _numpy.array(carry, dtype=_numpy.float64)
-            self._c_offered = _numpy.zeros(n, dtype=_numpy.int64)
-            self._c_served = _numpy.zeros(n, dtype=_numpy.int64)
+            numpy = self._numpy
+            self._demand = numpy.array(demand, dtype=numpy.float64)
+            self._carry = numpy.array(carry, dtype=numpy.float64)
+            self._c_offered = numpy.zeros(n, dtype=numpy.int64)
+            self._c_served = numpy.zeros(n, dtype=numpy.int64)
         else:
             self._demand = demand
             self._carry = list(carry)
@@ -213,7 +221,7 @@ class FlowEngine(Process):
             factors.append(factor)
             reasons.append(reason)
         if self.use_numpy:
-            factors = _numpy.array(factors, dtype=_numpy.float64)
+            factors = self._numpy.array(factors, dtype=self._numpy.float64)
         # A require gate reads state no resolver vouches for, so a
         # gated pool set is resolved afresh every tick.
         self._kept = None if gated else (factors, reasons)
@@ -230,15 +238,16 @@ class FlowEngine(Process):
         return [1.0 + spread * (2.0 * rng.random() - 1.0) for _ in self.pools]
 
     def _advance_numpy(self, factors, jitters):
+        numpy = self._numpy
         raw = self._demand * self.tick
         if jitters is not None:
-            raw = raw * _numpy.array(jitters, dtype=_numpy.float64)
+            raw = raw * numpy.array(jitters, dtype=numpy.float64)
         raw = raw + self._carry
-        offered_f = _numpy.floor(raw)
+        offered_f = numpy.floor(raw)
         self._carry = raw - offered_f
-        served_f = _numpy.floor(offered_f * factors)
-        offered = offered_f.astype(_numpy.int64)
-        served = served_f.astype(_numpy.int64)
+        served_f = numpy.floor(offered_f * factors)
+        offered = offered_f.astype(numpy.int64)
+        served = served_f.astype(numpy.int64)
         self._c_offered += offered
         self._c_served += served
         return offered, served
@@ -277,7 +286,7 @@ class FlowEngine(Process):
         if self.use_numpy:
             offered_total = int(offered.sum())
             served_total = int(served.sum())
-            lossy = _numpy.flatnonzero(offered != served).tolist()
+            lossy = self._numpy.flatnonzero(offered != served).tolist()
             if lossy:
                 offered, served = offered.tolist(), served.tolist()
         else:
@@ -345,8 +354,8 @@ class FlowEngine(Process):
         if self._compiled:
             n = len(self.pools)
             if self.use_numpy:
-                self._c_offered = _numpy.zeros(n, dtype=_numpy.int64)
-                self._c_served = _numpy.zeros(n, dtype=_numpy.int64)
+                self._c_offered = self._numpy.zeros(n, dtype=self._numpy.int64)
+                self._c_served = self._numpy.zeros(n, dtype=self._numpy.int64)
             else:
                 self._c_offered = [0] * n
                 self._c_served = [0] * n

@@ -20,9 +20,9 @@ bag of independent tasks. Commands:
 * ``("collect", None)`` → ``("ok", artifacts_dict)``;
 * ``("close", None)`` → the worker exits.
 
-Failures inside a worker are reported as ``("error", traceback_text)``
-and re-raised in the parent, so a crashed shard fails the run loudly
-instead of deadlocking the barrier.
+A failure inside a worker comes back as ``("error", traceback_text)``,
+a worker that died as a broken pipe or an EOF; the parent re-raises
+either naming the shard, so the run fails loudly, never hangs the barrier.
 """
 
 import multiprocessing
@@ -71,9 +71,10 @@ class WorkerPoolRunner:
 
     def __init__(self, factory_ref, params, shard_ids):
         context = multiprocessing.get_context("fork")
+        self._shard_ids = list(shard_ids)
         self._conns = []
         self._procs = []
-        for shard_id in shard_ids:
+        for shard_id in self._shard_ids:
             parent_conn, child_conn = context.Pipe()
             process = context.Process(
                 target=_shard_worker_main,
@@ -85,29 +86,32 @@ class WorkerPoolRunner:
             self._conns.append(parent_conn)
             self._procs.append(process)
 
-    def _recv(self, conn):
-        try:
-            status, value = conn.recv()
-        except EOFError:
-            raise RuntimeError("shard worker died without a reply")
-        if status != "ok":
-            raise RuntimeError("shard worker failed:\n{}".format(value))
-        return value
-
-    def start(self):
-        return [self._recv(conn) for conn in self._conns]
-
-    def advance_all(self, until, inclusive, batches):
+    def _exchange(self, messages):
+        """Send each worker its message (None: none), then take every reply."""
         # Broadcast first, then collect: every worker runs its epoch
         # concurrently while the parent blocks on the slowest reply.
-        for conn, batch in zip(self._conns, batches):
-            conn.send(("advance", (until, inclusive, batch)))
-        return [self._recv(conn) for conn in self._conns]
+        replies = []
+        try:
+            for shard, conn, message in zip(self._shard_ids, self._conns, messages):
+                if message is not None:
+                    conn.send(message)
+            for shard, conn in zip(self._shard_ids, self._conns):
+                status, value = conn.recv()
+                if status != "ok":
+                    raise RuntimeError("shard worker {} failed:\n{}".format(shard, value))
+                replies.append(value)
+        except (EOFError, OSError) as broken:  # a send into a dead pipe, a recv at its EOF
+            raise RuntimeError("shard worker {} died without a reply".format(shard)) from broken
+        return replies
+
+    def start(self):
+        return self._exchange([None] * len(self._conns))
+
+    def advance_all(self, until, inclusive, batches):
+        return self._exchange([("advance", (until, inclusive, batch)) for batch in batches])
 
     def collect(self):
-        for conn in self._conns:
-            conn.send(("collect", None))
-        return [self._recv(conn) for conn in self._conns]
+        return self._exchange([("collect", None)] * len(self._conns))
 
     def close(self):
         for conn in self._conns:

@@ -18,12 +18,16 @@ GcsCluster = collections.namedtuple(
 )
 
 
+def numpy_absent():
+    """Engines built inside find no numpy, loaded before or not: the one
+    loader they all ask, ``repro.flow.engine.load_numpy``, answers None."""
+    return mock.patch("repro.flow.engine.load_numpy", return_value=None)
+
+
 def flow_backend(use_numpy):
     """Engines built inside get this flow backend, chosen the way the
-    code chooses it: by whether ``repro.flow.engine`` imported numpy."""
-    if use_numpy:
-        return contextlib.nullcontext()
-    return mock.patch("repro.flow.engine._numpy", None)
+    code chooses it: by what the loader finds."""
+    return contextlib.nullcontext() if use_numpy else numpy_absent()
 
 
 def build_gcs_cluster(n, seed=0, config=None, subnet="10.0.0.0/24", stagger=0.02):

@@ -8,7 +8,11 @@ kernel's contract: the merged event log is identical under every shard
 grouping, including the forked worker pool.
 """
 
+import os
+import signal
 import sys
+import threading
+import time
 import types
 
 import pytest
@@ -37,6 +41,8 @@ class ToyWorld:
         plan = ShardPlan(params["n_cells"], params["n_shards"], lookahead=LOOKAHEAD)
         self.n_cells = params["n_cells"]
         self.rounds = params["rounds"]
+        #: This shard's ``advance`` never returns (a worker to be killed mid-epoch).
+        self.stalls = params.get("stall_shard") == shard_id
         self.cells = plan.cells_of(shard_id)
         self.scheduler = Scheduler()
         self.outbound = []
@@ -80,6 +86,8 @@ class ToyWorld:
             self.scheduler.at(envelope[0], self._recv, envelope)
 
     def advance(self, until, inclusive):
+        if self.stalls:
+            time.sleep(60)
         self.scheduler.run(until=until, inclusive=inclusive)
 
     def drain_outbound(self):
@@ -212,6 +220,37 @@ def test_forked_worker_pool_matches_in_process():
     forked, kernel = run_toy(n_cells=4, n_shards=2, workers=2)
     assert kernel.workers == 2
     assert forked == in_process
+
+
+@pytest.mark.parametrize("killed", ["before-the-send", "mid-epoch"])
+def test_killed_worker_fails_the_run_naming_its_shard(killed):
+    # Was: a bare BrokenPipeError from the send, no shard named.
+    from repro.sim.shard.pool import fork_available
+
+    if not fork_available():
+        pytest.skip("fork start method unavailable")
+    mid_epoch = killed == "mid-epoch"
+    params = {"n_cells": 4, "n_shards": 2, "rounds": 4}
+    if mid_epoch:
+        params["stall_shard"] = 1
+    kernel = ShardedKernel(ShardPlan(4, 2, lookahead=LOOKAHEAD), toy_factory_ref(), params, workers=2)
+    kernel.start()
+    victim = kernel._runner._procs[1]
+    kill = threading.Timer(0.3 if mid_epoch else 0.0, os.kill, (victim.pid, signal.SIGKILL))
+    signal.signal(signal.SIGALRM, lambda *_: pytest.fail("the run hung on a dead worker"))
+    signal.alarm(20)  # the hard stop; the bound asserted below is 5 s
+    started = time.monotonic()
+    try:
+        kill.start()
+        if not mid_epoch:
+            victim.join()  # dead before the parent sends a thing
+        with pytest.raises(RuntimeError, match="shard worker 1 died"):
+            kernel.run(2.0)  # mid-epoch: blocks in recv until the kill lands
+    finally:
+        kernel.close()  # joins the survivor
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, signal.SIG_DFL)
+    assert time.monotonic() - started < 5.0
 
 
 def test_workers_below_two_stay_in_process():

@@ -1,8 +1,13 @@
 """Tests for the command-line interface."""
 
+import os
+
 import pytest
 
 from repro.cli import build_parser, main
+
+#: A JSON file that no campaign wrote.
+FOREIGN_JSON = os.path.join(os.path.dirname(__file__), "golden_cli_help.json")
 
 
 def run_cli(argv):
@@ -205,6 +210,13 @@ def test_bench_sysbench_appends_a_summary_or_exits_2_naming_the_field(tmp_path):
         (["bench", "--repeat", "-1"], "--repeat"),
         (["bench", "--repeat", "0"], "--repeat"),
         (["bench", "--threshold", "-0.1"], "--threshold"),
+        # These said "0 file(s), 0 finding(s) — clean" and exited 0, or
+        # linted the one path that exists and said clean.
+        (["lint", "nope/missing"], "paths"),
+        (["lint", "nope/missing", __file__], "paths"),
+        # These two died in a traceback (FileNotFoundError, ValueError).
+        (["check", "--replay", "/nonexistent.json"], "--replay"),
+        (["check", "--replay", FOREIGN_JSON], "--replay"),
     ],
 )
 def test_bad_count_size_or_duration_exits_2_naming_the_flag(argv, flag, capsys):
@@ -212,6 +224,22 @@ def test_bad_count_size_or_duration_exits_2_naming_the_flag(argv, flag, capsys):
         main(argv, out=lambda line: None)
     assert raised.value.code == 2
     assert "argument {}:".format(flag) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, named",
+    [
+        (["lint", "nope/missing", __file__], "nope/missing"),
+        (["check", "--replay", "/nonexistent.json"], "/nonexistent.json"),
+        (["check", "--replay", FOREIGN_JSON], FOREIGN_JSON + ": not a repro-check artifact"),
+    ],
+    ids=["lint-missing", "replay-missing", "replay-foreign"],
+)
+def test_what_only_a_handler_can_reject_is_one_line_naming_the_file(argv, named, capsys):
+    with pytest.raises(SystemExit):
+        main(argv, out=lambda line: None)
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith("repro {}: error: ".format(argv[0])) and named in line
 
 
 def test_edge_values_still_parse():

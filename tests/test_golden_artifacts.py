@@ -31,6 +31,8 @@ from repro.cli import main
 from repro.gcs.config import SpreadConfig
 from repro.sim.shard.merge import artifact_bytes
 
+from helpers import numpy_absent
+
 
 def _sha(value):
     if not isinstance(value, bytes):
@@ -284,7 +286,7 @@ def test_golden_pin(name):
     assert CASES[name]() == GOLDEN[name]
 
 
-def test_artifacts_do_not_say_what_is_installed(monkeypatch):
+def test_artifacts_do_not_say_what_is_installed():
     # The same bytes from the pure-python backend: the engine chooses it
     # where numpy does not import, and neither a hashed trace record nor
     # the CLI's JSON payload names the backend that ran.
@@ -295,9 +297,9 @@ def test_artifacts_do_not_say_what_is_installed(monkeypatch):
         return lines
 
     with_numpy = flow_json()
-    monkeypatch.setattr("repro.flow.engine._numpy", None)
-    assert CASES["web/nic-down"]() == GOLDEN["web/nic-down"]
-    assert flow_json() == with_numpy
+    with numpy_absent():
+        assert CASES["web/nic-down"]() == GOLDEN["web/nic-down"]
+        assert flow_json() == with_numpy
 
 
 def test_sharded_pins_agree():
