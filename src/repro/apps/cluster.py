@@ -345,10 +345,11 @@ class ScaleCell:
     def coverage_violations(self):
         """(uncovered vips, duplicated vips) among live managers."""
         owners = {}
-        for vip, name in self.bindings():
-            owners.setdefault(vip, []).append(name)
+        for _host, vips in self.live_bindings():
+            for vip in vips:
+                owners[vip] = owners.get(vip, 0) + 1
         uncovered = sorted(vip for vip in self.vips if vip not in owners)
-        duplicated = sorted(vip for vip, names in owners.items() if len(names) > 1)
+        duplicated = sorted(vip for vip, count in owners.items() if count > 1)
         return uncovered, duplicated
 
     def moves(self):

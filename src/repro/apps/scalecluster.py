@@ -40,6 +40,14 @@ from repro.sim.shard.merge import view_digest
 from repro.sim.simulation import Simulation
 
 
+def _check_address_plan(n_hosts, n_vips):
+    # 10.32.0.0/16: hosts from 10.32.1.x, VIPs from 10.32.128.x, 250 per octet.
+    if n_hosts > 4096:
+        raise ValueError("n_hosts exceeds the /16 host-address plan")
+    if n_vips > 32000:
+        raise ValueError("n_vips exceeds the /16 VIP-address plan (at most 32000)")
+
+
 class ScaleClusterScenario(ScaleCell):
     """One segmented scale-tier cluster: a single cell spanning the fleet.
 
@@ -64,8 +72,7 @@ class ScaleClusterScenario(ScaleCell):
         metrics_enabled=False,
         sim=None,
     ):
-        if n_hosts > 4096:
-            raise ValueError("n_hosts exceeds the /16 host-address plan")
+        _check_address_plan(n_hosts, n_vips)
         self.sim = sim if sim is not None else Simulation(
             seed=seed,
             trace_enabled=trace_enabled,
@@ -398,8 +405,7 @@ class ShardedScaleScenario:
             raise TypeError("unknown parameters: {}".format(sorted(unknown)))
         merged.update(params)
         n_hosts = int(merged["n_hosts"])
-        if n_hosts > 4096:
-            raise ValueError("n_hosts exceeds the /16 host-address plan")
+        _check_address_plan(n_hosts, int(merged["n_vips"]))
         n_segments = _segment_count(n_hosts, merged["segment_size"])
         horizon = float(merged["horizon"])
         merged["kills"] = sorted((float(t), int(i)) for t, i in merged["kills"])

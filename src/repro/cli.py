@@ -46,8 +46,25 @@ def _bounded(kind, accepts, requirement):
 
 _positive_int = _bounded(int, lambda value: value >= 1, "at least 1")
 _positive_float = _bounded(float, lambda value: value > 0.0, "positive")  # NaN is not
-#: A cluster a fault is injected into: the victim needs a survivor.
-_cluster_size = _bounded(int, lambda value: value >= 2, "at least 2")
+
+
+def _sized(least, most, plan):
+    """A cluster size within the address ``plan`` of the cluster it builds."""
+    return _bounded(
+        int,
+        lambda value: least <= value <= most,
+        "at least {} and at most {} (the {} address plan)".format(least, most, plan),
+    )
+
+
+#: Servers and VIPs per cluster (a fault's victim needs a survivor); a test
+#: holds the upper limits to ``WebClusterScenario`` and ``CheckCluster``.
+WEB_PLAN = {"servers": 140, "vips": 50}
+CHECK_PLAN = {"servers": 90, "vips": 100}
+_web_servers = _sized(2, WEB_PLAN["servers"], "web cluster's")
+_web_vips = _sized(1, WEB_PLAN["vips"], "web cluster's")
+_check_servers = _sized(2, CHECK_PLAN["servers"], "check cluster's")
+_check_vips = _sized(1, CHECK_PLAN["vips"], "check cluster's")
 #: Zero events is a fault-free trial.
 _event_count = _bounded(int, lambda value: value >= 0, "at least 0")
 #: A threshold of zero fails on any slowdown at all.
@@ -65,19 +82,19 @@ def build_parser():
 
     table1 = sub.add_parser("table1", help="Table 1 and the notification windows")
     table1.add_argument("--trials", type=_positive_int, default=5)
-    table1.add_argument("--servers", type=_cluster_size, default=4)
+    table1.add_argument("--servers", type=_web_servers, default=4)
 
     figure5 = sub.add_parser("figure5", help="Figure 5 cluster-size sweep")
     figure5.add_argument(
-        "--sizes", type=_cluster_size, nargs="+", default=[2, 4, 6, 8, 10, 12]
+        "--sizes", type=_web_servers, nargs="+", default=[2, 4, 6, 8, 10, 12]
     )
     figure5.add_argument("--trials", type=_positive_int, default=3)
-    figure5.add_argument("--vips", type=_positive_int, default=10)
+    figure5.add_argument("--vips", type=_web_vips, default=10)
     figure5.add_argument("--chart", action="store_true", help="also print an ASCII chart")
 
     graceful = sub.add_parser("graceful", help="voluntary-leave interruption")
     graceful.add_argument("--trials", type=_positive_int, default=10)
-    graceful.add_argument("--servers", type=_cluster_size, default=4)
+    graceful.add_argument("--servers", type=_web_servers, default=4)
 
     router = sub.add_parser("router", help="virtual-router fail-over (section 5.2)")
     router.add_argument("--trials", type=_positive_int, default=2)
@@ -106,8 +123,8 @@ def build_parser():
     check.add_argument("--trials", type=_positive_int, default=16)
     check.add_argument("--workers", type=_positive_int, default=1)
     check.add_argument("--seed", type=int, default=0)
-    check.add_argument("--servers", type=_cluster_size, default=4)
-    check.add_argument("--vips", type=_positive_int, default=8)
+    check.add_argument("--servers", type=_check_servers, default=4)
+    check.add_argument("--vips", type=_check_vips, default=8)
     check.add_argument("--horizon", type=_positive_float, default=40.0)
     check.add_argument("--events", type=_event_count, default=8)
     check.add_argument("--fixture", default="standard", choices=FIXTURE_NAMES)
@@ -149,8 +166,8 @@ def build_parser():
         "flow", help="flow-level fail-over run: requests lost at 10^5-10^7 users"
     )
     flow.add_argument("--seed", type=int, default=7)
-    flow.add_argument("--servers", type=_cluster_size, default=3)
-    flow.add_argument("--vips", type=_positive_int, default=10)
+    flow.add_argument("--servers", type=_web_servers, default=3)
+    flow.add_argument("--vips", type=_web_vips, default=10)
     flow.add_argument(
         "--users", type=_positive_int, default=1_000_000,
         help="aggregate client population spread across the VIPs",
@@ -173,8 +190,8 @@ def build_parser():
         "observe", help="instrumented fail-over run: metric catalog + episodes"
     )
     observe.add_argument("--seed", type=int, default=7)
-    observe.add_argument("--servers", type=_cluster_size, default=3)
-    observe.add_argument("--vips", type=_positive_int, default=6)
+    observe.add_argument("--servers", type=_web_servers, default=3)
+    observe.add_argument("--vips", type=_web_vips, default=6)
     observe.add_argument("--fault", default="crash", choices=FAULT_MODES)
     observe.add_argument(
         "--settle", type=_positive_float, default=10.0,

@@ -71,6 +71,9 @@ class ArpViewResolver:
         terms. The one input a compare cannot see is time: an entry
         ages out with no write, so "unchanged" also needs the oldest of
         those entries to be inside its lifetime on the client's clock.
+        A NIC's bound addresses are read as its 32-bit keys in binding
+        order: the same set bound in another order reads as a change,
+        which costs one resolving tick and is never wrong.
 
         The baseline is the read of a resolving tick *before* its
         resolves: what they then write (a cold lookup stores an entry,
@@ -91,7 +94,7 @@ class ArpViewResolver:
                     nic.up,
                     nic.host.alive,
                     nic.host.time_scale,
-                    nic.bound_ips,
+                    nic.bound_values,
                     lan.connected(client_nic, nic),
                 )
                 for nic in nics
@@ -114,8 +117,8 @@ class ArpViewResolver:
                 continue
             for nic in host.nics:
                 if nic.lan is lan and nic.up:
-                    for ip in nic.bound_ips:
-                        owners.setdefault(ip, nic)
+                    for value in nic.bound_values:
+                        owners.setdefault(value, nic)
         self._owners = owners
         self._macs = {nic.mac: nic for nic in nics}
         self._read = read
@@ -128,7 +131,7 @@ class ArpViewResolver:
         # A dict, so a gated engine asking again on every quiet tick
         # leaves it at one key per distinct address.
         self._asked[vip] = None
-        owner_nic = self._owners.get(vip)
+        owner_nic = self._owners.get(vip._value)
         mac = self.client_host.arp.cache.lookup(vip)
         if mac is None:
             # Cold cache: a real first request would ARP. If a live

@@ -67,10 +67,10 @@ class IPAddress:
         return self._value <= IPAddress(other)._value
 
     def __hash__(self):
-        # No tuple wrapper: addresses key the ARP cache and every bound-IP
-        # set on the frame path, so a per-hash tuple allocation is measurable
-        # at cluster scale. Offsetting by a constant keeps IPAddress keys from
-        # colliding bucket-for-bucket with the raw integers of the same value.
+        # The frame path does not come here: the ARP caches and the NICs'
+        # bound addresses are keyed by ``_value``. No tuple wrapper, so no
+        # allocation per hash. Offsetting by a constant keeps IPAddress keys
+        # from colliding bucket-for-bucket with raw integers of the same value.
         return hash(self._value ^ 0x49500000)
 
     def __str__(self):

@@ -44,7 +44,9 @@ class ArpCache:
     the host's skew, see :attr:`Host.local_time`). The cache reads the
     scheduler's clock and the skew directly: every received ARP packet
     and every routed datagram lands here, and going through the
-    property chain costs four calls per reading.
+    property chain costs four calls per reading. Entries are keyed by
+    the address's 32-bit value, which hashes in C; callers pass and get
+    back :class:`IPAddress`.
     """
 
     def __init__(self, host, lifetime=60.0):
@@ -58,12 +60,12 @@ class ArpCache:
         """Return the cached MAC for ``ip``, or None if absent/expired."""
         if type(ip) is not IPAddress:
             ip = IPAddress(ip)
-        entry = self._entries.get(ip)
+        entry = self._entries.get(ip._value)
         if entry is None:
             return None
         now = self._scheduler._now + self._host.clock_skew
         if now - entry.updated_at > self.lifetime:
-            del self._entries[ip]
+            del self._entries[ip._value]
             return None
         return entry.mac
 
@@ -76,7 +78,7 @@ class ArpCache:
         """
         if type(ip) is not IPAddress:
             ip = IPAddress(ip)
-        return self._entries.get(ip)
+        return self._entries.get(ip._value)
 
     def store(self, ip, mac):
         """Create or refresh the entry for ``ip``."""
@@ -88,19 +90,19 @@ class ArpCache:
         skew = self._host.clock_skew
         if skew:
             now += skew
-        self._entries[ip] = ArpEntry(mac, now)
+        self._entries[ip._value] = ArpEntry(mac, now)
         self.updates += 1
 
     def drop(self, ip):
         """Remove the entry for ``ip`` if present."""
-        self._entries.pop(IPAddress(ip), None)
+        self._entries.pop(IPAddress(ip)._value, None)
 
     def snapshot(self):
         """Dict copy {ip: mac} of non-expired entries."""
         now = self._host.local_time
         return {
-            ip: entry.mac
-            for ip, entry in self._entries.items()
+            IPAddress(value): entry.mac
+            for value, entry in self._entries.items()
             if now - entry.updated_at <= self.lifetime
         }
 
@@ -159,19 +161,26 @@ class ArpService:
         here from one event, and a unicast frame is the one-NIC case
         (:meth:`Nic.deliver`). What the packet says is read once; per
         recipient the steps are those of a frame delivered alone.
-        Every recipient whose clock has no skew stores the same
-        immutable entry — same MAC, same instant — so an overheard
-        request costs the segment one entry, not one per host.
+        Who binds the sender's and the target's address on this
+        segment is asked once, of :meth:`Lan.binders`: the lists are
+        live, so a recipient is judged by the bindings at its turn,
+        and a host with a second NIC is still asked through
+        :meth:`Host.owns_ip` (the address may be bound on its other
+        segment). Every recipient whose clock has no skew stores the
+        same immutable entry — same MAC, same instant — so an
+        overheard request costs the segment one entry, not one per
+        host.
         """
         sender_ip = packet.sender_ip
         if type(sender_ip) is not IPAddress:
             sender_ip = IPAddress(sender_ip)
         sender_mac = packet.sender_mac
-        target_ip = None
+        sender_value = sender_ip._value
+        lan = nics[0].lan
+        claimants = lan.binders(sender_value)
+        repliers = ()
         if packet.op == ArpOp.REQUEST:
-            target_ip = packet.target_ip
-            if type(target_ip) is not IPAddress:
-                target_ip = IPAddress(target_ip)
+            repliers = lan.binders(IPAddress(packet.target_ip)._value)
         shared = None
         for nic in nics:
             host = nic.host
@@ -183,7 +192,7 @@ class ArpService:
             # Ownership first: it is almost never true, so the MAC
             # comparisons run only for the rare claimed-address packet.
             if (
-                host.owns_ip(sender_ip)
+                (nic in claimants or len(host._nics) > 1 and host.owns_ip(sender_ip))
                 and sender_mac != nic.mac
                 and all(other.mac != sender_mac for other in host.nics)
             ):
@@ -205,11 +214,11 @@ class ArpService:
                 else:
                     if shared is None:
                         shared = ArpEntry(sender_mac, cache._scheduler._now)
-                    cache._entries[sender_ip] = shared
+                    cache._entries[sender_value] = shared
                     cache.updates += 1
                 if service._pending:
                     service._flush_pending(sender_ip)
-            if target_ip is not None and target_ip in nic._bound:
+            if nic in repliers:
                 service._send_reply(nic, packet)
 
     def resolve_and_send(self, nic, next_hop_ip, ip_packet):
@@ -225,7 +234,7 @@ class ArpService:
         if mac is not None:
             self._transmit_ip(nic, mac, ip_packet)
             return
-        queue = self._pending.setdefault(next_hop_ip, [])
+        queue = self._pending.setdefault(next_hop_ip._value, [])
         queue.append((nic, ip_packet))
         if len(queue) == 1:
             self._send_request(nic, next_hop_ip, retries_left=self.MAX_RETRIES)
@@ -247,7 +256,7 @@ class ArpService:
         self.host.trace("arp", "announce", ip=str(ip), targets=len(destinations))
 
     def _send_request(self, nic, target_ip, retries_left):
-        if self.cache.lookup(target_ip) is not None or target_ip not in self._pending:
+        if self.cache.lookup(target_ip) is not None or target_ip._value not in self._pending:
             return
         source_ip = nic.primary_ip or IPAddress(0)
         packet = ArpPacket(ArpOp.REQUEST, source_ip, nic.mac, target_ip)
@@ -262,7 +271,7 @@ class ArpService:
             self.host.after(self.REQUEST_TIMEOUT, self._give_up, target_ip)
 
     def _give_up(self, target_ip):
-        dropped = self._pending.pop(target_ip, [])
+        dropped = self._pending.pop(target_ip._value, [])
         if dropped:
             self.host.trace("arp", "resolution_failed", ip=str(target_ip), dropped=len(dropped))
 
@@ -275,7 +284,7 @@ class ArpService:
         self.replies_sent += 1
 
     def _flush_pending(self, ip):
-        queue = self._pending.pop(IPAddress(ip), None)
+        queue = self._pending.pop(ip._value, None)
         if not queue:
             return
         mac = self.cache.lookup(ip)

@@ -70,11 +70,12 @@ class Host(Process):
         """True when ``address`` is bound to one of this host's up NICs."""
         if type(address) is not IPAddress:
             address = IPAddress(address)
-        # Flat loop over the NICs' bound sets: this sits on the per-frame
-        # ARP path (every broadcast request lands here on every host), so
-        # the generator-expression form costs real time at cluster scale.
+        # Flat loop, no generator: the IP receive path asks this for every
+        # packet not addressed to the receiving NIC (ARP asks it only of a
+        # host with a second NIC, see ``ArpService.receive``).
+        value = address._value
         for nic in self._nics:
-            if nic.up and address in nic._bound:
+            if nic.up and value in nic._bound:
                 return True
         return False
 
@@ -214,6 +215,7 @@ class Host(Process):
         and ``nics`` is not consulted.
         """
         dst = packet.dst_ip
+        dst_value = (dst if type(dst) is IPAddress else IPAddress(dst))._value
         datagram = packet.payload
         udp = type(datagram) is UdpDatagram
         if udp:
@@ -238,7 +240,7 @@ class Host(Process):
                 # LAN's broadcast address the rest of the batch take it
                 # without hashing an address; a unicast to an address
                 # the receiving NIC has bound never asks.
-                if not broadcast and dst not in nic._bound:
+                if not broadcast and dst_value not in nic._bound:
                     if broadcast is None:
                         broadcast = dst == lan.subnet.broadcast_address
                     if not (broadcast or host.owns_ip(dst)):

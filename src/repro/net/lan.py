@@ -44,6 +44,7 @@ class Lan:
         self._groups = {}
         self._bcast_cache = {}  # src nic -> tuple of same-group recipients
         self._mac_index = None  # mac -> tuple of owning nics, attach order
+        self._binders = {}  # address value -> list of this LAN's nics binding it
         self._rng = sim.rng.stream("lan/{}".format(name))
         self.frames_sent = 0
         self.frames_delivered = 0
@@ -84,6 +85,16 @@ class Lan:
             self._nics.remove(nic)
             del self._groups[nic]
             self._invalidate()
+
+    def binders(self, value):
+        """This segment's interfaces that bind the address of 32-bit ``value``.
+
+        Kept by :class:`Nic` wherever its bound addresses change. One
+        list per address for the segment's life, changed in place: a
+        reader holding it across a batch of recipients reads the
+        bindings as they stand at each one's turn.
+        """
+        return self._binders.setdefault(value, [])
 
     @property
     def nics(self):

@@ -35,13 +35,13 @@ class Nic:
         self.mac = mac if mac is not None else allocate_mac(host.sim)
         self.name = name or "{}.{}".format(host.name, lan.name)
         self.primary_ip = IPAddress(primary_ip) if primary_ip is not None else None
-        self._bound = set()
+        self._bound = {}  # address value -> IPAddress, in binding order
         if self.primary_ip is not None:
             if self.primary_ip not in lan.subnet:
                 raise ValueError(
                     "{} not in subnet {} of LAN {}".format(primary_ip, lan.subnet, lan.name)
                 )
-            self._bound.add(self.primary_ip)
+            self.bind_ip(self.primary_ip)
         self.up = True
         metrics = host.sim.metrics
         self._m_rx = metrics.counter("net.nic_rx_frames", node=self.name)
@@ -52,14 +52,18 @@ class Nic:
     @property
     def bound_ips(self):
         """Frozen view of every IP currently bound to this interface."""
-        return frozenset(self._bound)
+        return frozenset(self._bound.values())
+
+    @property
+    def bound_values(self):
+        """The bound addresses as 32-bit integers, in binding order."""
+        return tuple(self._bound)
 
     @property
     def virtual_ips(self):
         """Bound IPs other than the primary (the fail-over managed set)."""
-        extras = set(self._bound)
-        extras.discard(self.primary_ip)
-        return frozenset(extras)
+        primary = self.primary_ip
+        return frozenset(ip for ip in self._bound.values() if ip != primary)
 
     def bind_ip(self, address):
         """Acquire ``address`` on this interface (idempotent)."""
@@ -68,20 +72,23 @@ class Nic:
             raise ValueError(
                 "cannot bind {}: outside subnet {}".format(address, self.lan.subnet)
             )
-        self._bound.add(address)
+        if address._value not in self._bound:
+            self._bound[address._value] = address
+            self.lan.binders(address._value).append(self)
 
     def unbind_ip(self, address):
         """Release ``address``; the primary address cannot be released."""
         address = IPAddress(address)
         if address == self.primary_ip:
             raise ValueError("cannot unbind the primary address {}".format(address))
-        self._bound.discard(address)
+        if self._bound.pop(address._value, None) is not None:
+            self.lan.binders(address._value).remove(self)
 
     def owns_ip(self, address):
         """True when ``address`` is currently bound here."""
         if type(address) is not IPAddress:
             address = IPAddress(address)
-        return address in self._bound
+        return address._value in self._bound
 
     def set_up(self, up):
         """Administratively raise or lower the interface."""
@@ -89,7 +96,8 @@ class Nic:
 
     def reset(self):
         """Reboot semantics: drop every virtual address, come back up."""
-        self._bound = {self.primary_ip} if self.primary_ip is not None else set()
+        for address in self.virtual_ips:
+            self.unbind_ip(address)
         self.up = True
 
     def transmit(self, frame):
@@ -134,6 +142,6 @@ class Nic:
         return "Nic({}, mac={}, ips={}, {})".format(
             self.name,
             self.mac,
-            sorted(str(ip) for ip in self._bound),
+            sorted(str(ip) for ip in self._bound.values()),
             "up" if self.up else "down",
         )

@@ -18,6 +18,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.apps.scalecluster import ScaleClusterScenario
+from repro.net.addresses import IPAddress, Subnet
 
 N_HOSTS = 256
 N_VIPS = 2048
@@ -44,6 +45,14 @@ def test_boot_converges_with_full_single_owner_coverage():
     # Managers' book-keeping matches the actual interface state.
     for manager in scenario.managers:
         assert manager.bound == {str(ip) for ip in manager.nic.virtual_ips}
+
+
+def test_more_vips_than_the_address_plan_holds_is_rejected_at_construction():
+    # It used to construct and die in start() on "10.32.256.1".
+    with pytest.raises(ValueError, match="VIP-address plan .at most 32000"):
+        ScaleClusterScenario(n_hosts=2, n_vips=32_001)
+    last = ScaleClusterScenario(n_hosts=2, n_vips=32_000).vips[-1]
+    assert last == "10.32.255.250" and IPAddress(last) in Subnet(ScaleClusterScenario.SUBNET)
 
 
 def test_kill_reconverges_and_moves_only_the_victims_vips():

@@ -94,6 +94,13 @@ def test_validation_rejects_bad_parameters():
         ShardedScaleScenario(**dict(N64, shards=5))  # > n_segments
 
 
+def test_more_vips_than_the_address_plan_holds_is_rejected_at_construction():
+    # It used to construct and die in a worker on "10.32.256.1".
+    with pytest.raises(ValueError, match="VIP-address plan .at most 32000"):
+        ShardedScaleScenario(**dict(N64, n_vips=32_001))
+    ShardedScaleScenario(**dict(N64, n_vips=32_000))
+
+
 @pytest.mark.scale
 def test_parity_forked_n256_acceptance():
     params = dict(

@@ -10,14 +10,16 @@ cache contents, reply order on the wire, ARP counters, NIC drop
 counters, metrics and trace.
 """
 
-from repro.net.addresses import IPAddress
+from repro.net.addresses import BROADCAST_MAC, IPAddress
 from repro.net.arp import ArpEntry
 from repro.net.capture import PacketCapture
 from repro.net.host import Host
 from repro.net.lan import Lan
+from repro.net.packet import ARP_ETHERTYPE, ArpOp, ArpPacket, EthernetFrame
 from repro.sim.simulation import Simulation
 
 VIP = "10.0.0.50"
+LATE_VIP = "10.0.0.60"
 SKEW = 3.5
 
 
@@ -26,7 +28,9 @@ class Segment:
 
     h2's clock is skewed, h3's NIC is down, h4 is dead, h5 and h6 both
     have ``VIP`` bound (a duplicate, so a request draws two replies and
-    an announcement a conflict at each), the rest are plain.
+    an announcement a conflict at each), h8 has a second NIC on another
+    segment and ``VIP`` bound *there* (it owns the address without
+    answering for it on this one), the rest are plain.
     """
 
     def __init__(self, per_recipient):
@@ -36,7 +40,7 @@ class Segment:
             self.lan._deliver_batch = self._deliver_one_by_one
         self.capture = PacketCapture(self.lan)
         self.hosts = []
-        for index in range(8):
+        for index in range(9):
             host = Host(self.sim, "h{}".format(index))
             host.add_nic(self.lan, "10.0.0.{}".format(1 + index))
             self.hosts.append(host)
@@ -44,12 +48,12 @@ class Segment:
         self.hosts[2].set_clock_skew(SKEW)
         self.hosts[3].nics[0].set_up(False)
         self.hosts[4].crash()
+        other_lan = Lan(self.sim, "lan1", "10.0.0.0/16")
+        self.hosts[8].add_nic(other_lan, "10.0.1.9").bind_ip(VIP)
         for index in (5, 6):
-            host = self.hosts[index]
-            host.nics[0].bind_ip(VIP)
-            host.arp.on_vip_conflict = lambda ip, mac, name=host.name: self.conflicts.append(
-                (name, str(ip), str(mac))
-            )
+            self.hosts[index].nics[0].bind_ip(VIP)
+        for index in (5, 6, 8):
+            self.hosts[index].arp.on_vip_conflict = self.record_conflict(index)
         self.received = []
         self.hosts[1].open_udp(100, lambda p, s, d: self.received.append(p))
 
@@ -57,6 +61,14 @@ class Segment:
     def _deliver_one_by_one(frame, recipients):
         for nic in recipients:
             nic.deliver(frame)
+
+    def record_conflict(self, index, then=None):
+        def hook(ip, mac):
+            self.conflicts.append(("h{}".format(index), str(ip), str(mac)))
+            if then is not None:
+                then()
+
+        return hook
 
     def run_script(self):
         h0, h1, h7 = self.hosts[0], self.hosts[1], self.hosts[7]
@@ -74,9 +86,43 @@ class Segment:
         h1.arp.announce(h1.nics[0], VIP)
         self.sim.run_until_idle()
 
+    def run_mid_batch_script(self):
+        """Claims whose hooks change a later recipient's bindings."""
+        self.run_script()
+        h1, h5, h6, h7 = (self.hosts[index] for index in (1, 5, 6, 7))
+        # A claimant that has the address bound itself (h6 and h8 object).
+        self.sim.run(until=3.0)
+        h5.arp.announce(h5.nics[0], VIP)
+        self.sim.run_until_idle()
+        # h5's hook takes the address off h6, later in the same batch:
+        # at its turn h6 owns nothing and believes the claim. Then h7
+        # asks: one reply.
+        self.sim.run(until=4.0)
+        h5.arp.on_vip_conflict = self.record_conflict(5, lambda: h6.nics[0].unbind_ip(VIP))
+        h1.arp.announce(h1.nics[0], VIP)
+        self.sim.run_until_idle()
+        h7.arp.cache.drop(VIP)
+        h7.send_udp("d", VIP, 100, src_port=1)
+        self.sim.run_until_idle()
+        # A request claiming VIP and asking for an address nobody has
+        # when the frame arrives: h5's hook binds it on h6, which
+        # answers at its turn.
+        self.sim.run(until=5.0)
+        h5.arp.on_vip_conflict = self.record_conflict(5, lambda: h6.nics[0].bind_ip(LATE_VIP))
+        nic = h1.nics[0]
+        claim = ArpPacket(ArpOp.REQUEST, IPAddress(VIP), nic.mac, IPAddress(LATE_VIP))
+        nic.transmit(EthernetFrame(nic.mac, BROADCAST_MAC, ARP_ETHERTYPE, claim))
+        self.sim.run_until_idle()
+
     def caches(self):
+        addresses = [LATE_VIP, VIP] + [str(host.nics[0].primary_ip) for host in self.hosts]
         return {
-            host.name: {str(ip): tuple(entry) for ip, entry in host.arp.cache._entries.items()}
+            host.name: {
+                ip: tuple(entry)
+                for ip in sorted(addresses)
+                for entry in [host.arp.cache.peek(ip)]
+                if entry is not None
+            }
             for host in self.hosts
         }
 
@@ -115,17 +161,21 @@ def test_per_frame_receive_equals_one_receive_per_recipient():
     h5, h6 = batched.hosts[5], batched.hosts[6]
     replies = [frame.src_mac for frame in batched.capture.select(kind="arp")[3:5]]
     assert replies == [h5.nics[0].mac, h6.nics[0].mac]
-    assert [h.arp.replies_sent for h in batched.hosts] == [0, 1, 0, 0, 0, 1, 1, 0]
+    assert [h.arp.replies_sent for h in batched.hosts] == [0, 1, 0, 0, 0, 1, 1, 0, 0]
 
 
 def test_conflict_hook_fires_and_the_claimant_is_not_cached():
     batched, _split = twins()
     claimant = str(batched.hosts[1].nics[0].mac)
-    assert batched.conflicts == [("h5", VIP, claimant), ("h6", VIP, claimant)]
+    assert batched.conflicts == [
+        ("h5", VIP, claimant),
+        ("h6", VIP, claimant),
+        ("h8", VIP, claimant),  # bound on its other segment only
+    ]
     vip = IPAddress(VIP)
-    for index in (5, 6):
+    for index in (5, 6, 8):
         assert batched.hosts[index].arp.conflicts_seen == 1
-        assert vip not in batched.hosts[index].arp.cache._entries
+        assert batched.hosts[index].arp.cache.peek(vip) is None
     # Everyone else who heard the claim believes it.
     for index in (0, 2, 7):
         assert batched.hosts[index].arp.cache.lookup(VIP) == batched.hosts[1].nics[0].mac
@@ -139,20 +189,20 @@ def test_down_nic_and_dead_host_count_as_dropped_frames():
     assert totals["net.nic_dropped_frames"] == 6
     assert totals == split.sim.metrics.totals()
     for index in (3, 4):
-        assert batched.hosts[index].arp.cache._entries == {}
+        assert batched.caches()["h{}".format(index)] == {}
 
 
 def test_zero_skew_receivers_share_one_entry_and_a_skewed_host_has_its_own():
     batched, split = twins()
 
     def entry_of(world, index):
-        return world.hosts[index].arp.cache._entries[IPAddress("10.0.0.1")]
+        return world.hosts[index].arp.cache.peek(IPAddress("10.0.0.1"))
 
-    # h0 sent one frame, its request: h1 (the target) and h5, h6, h7
+    # h0 sent one frame, its request: h1 (the target) and h5, h6, h7, h8
     # (who overheard it) all hold that frame's single entry object.
     shared = entry_of(batched, 1)
     assert type(shared) is ArpEntry
-    assert all(entry_of(batched, index) is shared for index in (5, 6, 7))
+    assert all(entry_of(batched, index) is shared for index in (5, 6, 7, 8))
     skewed = entry_of(batched, 2)
     assert skewed is not shared
     assert skewed == (shared.mac, shared.updated_at + SKEW)
@@ -164,7 +214,7 @@ def test_refreshing_one_hosts_entry_leaves_the_shared_one_alone():
     batched, _split = twins()
     h0_ip = IPAddress("10.0.0.1")
     before = batched.caches()
-    shared = batched.hosts[5].arp.cache._entries[h0_ip]
+    shared = batched.hosts[5].arp.cache.peek(h0_ip)
     batched.sim.run(until=10.0)
     other_mac = batched.hosts[7].nics[0].mac
     batched.hosts[5].arp.cache.store(h0_ip, other_mac)
@@ -172,6 +222,37 @@ def test_refreshing_one_hosts_entry_leaves_the_shared_one_alone():
     assert after["h5"][str(h0_ip)] == (other_mac, 10.0)
     del before["h5"], after["h5"]
     assert after == before
-    assert batched.hosts[6].arp.cache._entries[h0_ip] is shared
+    assert batched.hosts[6].arp.cache.peek(h0_ip) is shared
     assert shared == (batched.hosts[0].nics[0].mac, shared.updated_at)
     assert shared.updated_at < 1.0
+
+
+def test_bindings_are_read_at_each_recipients_turn():
+    batched, split = Segment(per_recipient=False), Segment(per_recipient=True)
+    batched.run_mid_batch_script()
+    split.run_mid_batch_script()
+    assert batched.observed() == split.observed()
+    h1_mac, h5_mac = (str(batched.hosts[index].nics[0].mac) for index in (1, 5))
+    assert batched.conflicts[3:] == [
+        # h5 claims what it has bound: the other two owners object.
+        ("h6", VIP, h5_mac),
+        ("h8", VIP, h5_mac),
+        # h5's hook unbinds h6 before h6's turn.
+        ("h5", VIP, h1_mac),
+        ("h8", VIP, h1_mac),
+        # The hand-made request: h6 owns nothing any more.
+        ("h5", VIP, h1_mac),
+        ("h8", VIP, h1_mac),
+    ]
+    h6 = batched.hosts[6]
+    assert h6.arp.conflicts_seen == 2
+    assert h6.arp.cache.lookup(VIP) == batched.hosts[1].nics[0].mac
+    assert batched.received == ["a", "b"]  # h5 has no socket: "c" and "d" die there
+    # h7's second request drew one reply (h5); the hand-made one drew
+    # h6's, for the address bound while the frame was being received.
+    wire = batched.capture.select(kind="arp")
+    assert [frame.info.split(" ")[0] for frame in wire[6:]] == [
+        "gratuitous-reply", "gratuitous-reply", "request", "reply", "request", "reply",
+    ]
+    assert [wire[9].src_mac, wire[11].src_mac] == [batched.hosts[5].nics[0].mac, h6.nics[0].mac]
+    assert h6.nics[0].owns_ip(LATE_VIP) and not h6.nics[0].owns_ip(VIP)

@@ -233,9 +233,11 @@ def test_arp_miss_mid_list_keeps_frame_order(how):
         if how == "dropped":
             cache.drop(world.ips[2])
         else:
+            # Stored again on a clock 1000 s behind: the same MAC, aged out.
             ip = IPAddress(world.ips[2])
-            entry = cache._entries[ip]
-            cache._entries[ip] = entry._replace(updated_at=entry.updated_at - 1000.0)
+            world.sender.clock_skew = -1000.0
+            cache.store(ip, cache.peek(ip).mac)
+            world.sender.clock_skew = 0.0
 
     batched, looped = twins(prepare=lose)
     assert batched.observed() == looped.observed()

@@ -4,7 +4,7 @@ import os
 
 import pytest
 
-from repro.cli import build_parser, main
+from repro.cli import CHECK_PLAN, WEB_PLAN, build_parser, main
 
 #: A JSON file that no campaign wrote.
 FOREIGN_JSON = os.path.join(os.path.dirname(__file__), "golden_cli_help.json")
@@ -217,6 +217,16 @@ def test_bench_sysbench_appends_a_summary_or_exits_2_naming_the_field(tmp_path):
         # These two died in a traceback (FileNotFoundError, ValueError).
         (["check", "--replay", "/nonexistent.json"], "--replay"),
         (["check", "--replay", FOREIGN_JSON], "--replay"),
+        # These died in a traceback: a cluster beyond its address plan.
+        (["flow", "--vips", "51"], "--vips"),
+        (["flow", "--servers", "141"], "--servers"),
+        (["observe", "--vips", "51"], "--vips"),
+        (["check", "--vips", "120"], "--vips"),
+        (["check", "--servers", "150"], "--servers"),
+        (["table1", "--servers", "141"], "--servers"),
+        (["figure5", "--sizes", "2", "141"], "--sizes"),
+        (["figure5", "--vips", "51"], "--vips"),
+        (["graceful", "--servers", "141"], "--servers"),
     ],
 )
 def test_bad_count_size_or_duration_exits_2_naming_the_flag(argv, flag, capsys):
@@ -240,6 +250,41 @@ def test_what_only_a_handler_can_reject_is_one_line_naming_the_file(argv, named,
         main(argv, out=lambda line: None)
     (line,) = capsys.readouterr().err.splitlines()
     assert line.startswith("repro {}: error: ".format(argv[0])) and named in line
+
+
+@pytest.mark.parametrize(
+    "argv, limit",
+    [
+        (["flow", "--vips", "51"], "at most 50 (the web cluster's address plan), got 51"),
+        (["observe", "--vips", "51"], "at most 50 (the web cluster's address plan), got 51"),
+        (["check", "--vips", "120"], "at most 100 (the check cluster's address plan), got 120"),
+        (["check", "--servers", "150"], "at most 90 (the check cluster's address plan), got 150"),
+    ],
+)
+def test_a_cluster_beyond_its_address_plan_is_one_line_naming_the_limit(argv, limit, capsys):
+    with pytest.raises(SystemExit):
+        main(argv, out=lambda line: None)
+    line = capsys.readouterr().err.splitlines()[-1]  # argparse prints its usage first
+    assert line.startswith("repro {}: error: argument {}:".format(*argv[:2])) and limit in line
+
+
+def test_the_parsers_size_limits_are_the_constructors():
+    from repro.apps.webcluster import WebClusterScenario
+    from repro.check.fixtures import daemon_class
+    from repro.check.harness import CheckCluster
+    from repro.sim.simulation import Simulation
+
+    def web(servers, vips):
+        return WebClusterScenario(n_servers=servers, n_vips=vips)
+
+    def check(servers, vips):
+        return CheckCluster(Simulation(seed=0), servers, vips, daemon_class("standard"))
+
+    for build, plan in ((web, WEB_PLAN), (check, CHECK_PLAN)):
+        build(plan["servers"], plan["vips"])
+        for servers, vips in ((plan["servers"] + 1, 1), (2, plan["vips"] + 1)):
+            with pytest.raises(ValueError, match="address plan"):
+                build(servers, vips)
 
 
 def test_edge_values_still_parse():

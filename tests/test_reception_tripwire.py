@@ -20,18 +20,28 @@ mechanisms keep that cheap, and none may come back quietly:
 
 Counts only — no timings — on an 8-server web cluster over five
 fault-free simulated seconds.
+
+The scale tier's boot is an ARP storm — every leader's request is
+overheard by every host — and a second tripwire counts what one
+overhearing costs: no Python-level address hash (caches, bound sets and
+the per-LAN address index are keyed by the 32-bit value) and no
+``Host.owns_ip`` call except for a host with a second NIC.
 """
 
 import os
 import sys
 
+from repro.apps.scalecluster import ScaleClusterScenario
 from repro.apps.webcluster import WebClusterScenario
 from repro.flow import ArpViewResolver
 from repro.gcs.config import SpreadConfig
 from repro.gcs.daemon import SpreadDaemon
 from repro.gcs.failure import FailureDetector
 from repro.gcs.messages import Heartbeat
+from repro.net.addresses import IPAddress
+from repro.net.arp import ArpService
 from repro.net.host import Host
+from repro.net.lan import Lan
 from repro.net.packet import ARP_ETHERTYPE, IP_ETHERTYPE
 from repro.sim.events import Event
 
@@ -186,3 +196,52 @@ def test_heard_heartbeat_costs_one_receive_per_frame_and_no_allocation(monkeypat
     assert ticks >= 99
     assert begins[0] == ticks
     assert resolves[0] == 0
+
+
+def test_overheard_arp_costs_no_address_hash_and_no_ownership_call(monkeypatch):
+    scenario = ScaleClusterScenario(seed=3, n_hosts=64, n_vips=256)
+    # A bystander with a second NIC elsewhere: the one kind of recipient
+    # whose ownership the segment's address index cannot answer.
+    bystander = Host(scenario.sim, "bystander")
+    bystander.add_nic(scenario.lan, "10.32.0.200")
+    bystander.add_nic(Lan(scenario.sim, "elsewhere", "10.99.0.0/24"), "10.99.0.1")
+
+    inside = [0]
+    frames = [0]
+    visits = [0]
+    second_nic_visits = [0]
+    hashes = [0]
+    ownership_calls = [0]
+    receive, address_hash, owns_ip = ArpService.receive, IPAddress.__hash__, Host.owns_ip
+
+    def counting_receive(packet, nics):
+        frames[0] += 1
+        visits[0] += len(nics)
+        second_nic_visits[0] += sum(len(nic.host.nics) > 1 for nic in nics)
+        inside[0] += 1
+        try:
+            receive(packet, nics)
+        finally:
+            inside[0] -= 1
+
+    def counting_hash(self):
+        hashes[0] += inside[0] > 0
+        return address_hash(self)
+
+    def counting_owns_ip(self, address):
+        ownership_calls[0] += inside[0] > 0
+        return owns_ip(self, address)
+
+    monkeypatch.setattr(ArpService, "receive", staticmethod(counting_receive))
+    monkeypatch.setattr(IPAddress, "__hash__", counting_hash)
+    monkeypatch.setattr(Host, "owns_ip", counting_owns_ip)
+
+    scenario.start()
+    assert scenario.settle()
+
+    # The boot held the storm: broadcasts heard by the whole segment.
+    assert frames[0] >= 64
+    assert visits[0] >= 64 * 64
+    assert second_nic_visits[0] >= 64
+    assert hashes[0] == 0
+    assert ownership_calls[0] == second_nic_visits[0]
