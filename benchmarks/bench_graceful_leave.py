@@ -8,8 +8,8 @@ instead) to show the fallback cost is timeout-scale.
 """
 
 from repro.experiments.graceful import GracefulLeaveExperiment
+from repro.apps.cluster import measure_failover
 from repro.experiments.report import format_table, mean
-from repro.experiments.runner import run_failover_trial
 from repro.gcs.config import SpreadConfig
 
 
@@ -39,15 +39,15 @@ def _daemon_level_leave(seed):
     assert scenario.run_until_stable(timeout=60.0)
     probe = scenario.start_probe()
     scenario.sim.run_for(1.0)
-    fault_time = scenario.sim.now
-    owner = scenario.owner_of(scenario.vips[0])
     # Take the whole GCS daemon down gracefully: the Wackamole client
     # is disconnected and drops its addresses, but peers must run a
     # full (discovery-timeout) daemon reconfiguration.
-    victim_spread = owner.spread
-    victim_spread.shutdown()
-    scenario.sim.run_for(SpreadConfig.default().discovery_timeout + 5.0)
-    return probe.failover_interruption(after=fault_time)
+    return measure_failover(
+        scenario.sim,
+        scenario.owner_of(scenario.vips[0]).spread.shutdown,
+        SpreadConfig.default().discovery_timeout + 5.0,
+        probe,
+    ).interruption
 
 
 def bench_graceful_leave_without_lightweight_path(benchmark, paper_report):

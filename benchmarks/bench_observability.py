@@ -38,16 +38,10 @@ def _figure5_unit(seed, metrics_enabled):
     scenario.start()
     if not scenario.run_until_stable(timeout=60.0):
         raise RuntimeError("cluster never stabilised")
-    probe = scenario.start_probe()
+    scenario.start_probe()
     scenario.sim.run_for(1.0)
-    fault_time = scenario.sim.now
-    scenario.kill_owner_of(scenario.vips[0], mode="nic_down")
-    scenario.sim.run_for(4.0)
-    probe.stop_probing()
-    return (
-        probe.failover_interruption(after=fault_time),
-        len(scenario.sim.metrics),
-    )
+    failover = scenario.measure_failover("nic_down", 4.0)
+    return failover.interruption, len(scenario.sim.metrics)
 
 
 def bench_observability_overhead(benchmark, paper_report):

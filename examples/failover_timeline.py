@@ -9,8 +9,9 @@ Run:  python examples/failover_timeline.py
 """
 
 from repro.apps import WebClusterScenario
-from repro.experiments.timeline import ClusterTimeline
+from repro.experiments import render_series
 from repro.gcs import SpreadConfig
+from repro.obs.coverage import ClusterObserver
 
 
 def main():
@@ -25,16 +26,17 @@ def main():
     if not scenario.run_until_stable(timeout=60.0):
         raise SystemExit("cluster failed to stabilise")
 
-    timeline = ClusterTimeline(scenario.sim, scenario.wacks, interval=0.05).start()
+    timeline = ClusterObserver(scenario.sim, scenario.wacks, interval=0.05).start()
     scenario.sim.run_for(1.0)
-    fault_time = scenario.sim.now
-    victim = scenario.kill_owner_of(scenario.vips[0], mode="nic_down")
-    scenario.sim.run_for(5.0)
+    failover = scenario.measure_failover("nic_down", 5.0)
     timeline.stop()
 
     print("fault: {}'s interface disconnected at t={:.2f}s\n".format(
-        victim.host.name, fault_time))
-    print(timeline.render(metrics=("covered",), width=72, height=12))
+        failover.victim, failover.fault_time))
+    print(render_series(
+        {"covered": timeline.series("covered")},
+        width=72, height=12, y_label="count", x_label="simulated time (s)",
+    ))
     dip = timeline.coverage_dip()
     if dip:
         start, end, depth = dip

@@ -21,8 +21,8 @@ from repro.obs.observe import run_observation
 
 
 def main():
-    result = run_observation(seed=7, fault="crash")
-    print(render_observation(result))
+    result, observer = run_observation(seed=7, fault="crash")
+    print(render_observation(result, 7, "crash"))
 
     episode = result.failover_episode()
     print("phase durations of the fault episode:")
@@ -34,7 +34,7 @@ def main():
         )
 
     print("\ncoverage over time (from the ClusterObserver samples):")
-    dip = result.observer.coverage_dip()
+    dip = observer.coverage_dip()
     if dip is not None:
         start, end, depth = dip
         print(
@@ -45,7 +45,7 @@ def main():
     else:
         print("  coverage never dipped")
 
-    lines = jsonl_observation(result).splitlines()
+    lines = jsonl_observation(result, 7, "crash").splitlines()
     print("\nJSON-lines export: {} records; first two:".format(len(lines)))
     for line in lines[:2]:
         print("  {}".format(line))

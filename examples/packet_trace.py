@@ -26,24 +26,21 @@ def main():
     scenario.start()
     if not scenario.run_until_stable(timeout=60.0):
         raise SystemExit("cluster failed to stabilise")
-    probe = scenario.start_probe()
+    scenario.start_probe()
     scenario.sim.run_for(0.5)
 
     capture = PacketCapture(
         scenario.lan, predicate=lambda frame: frame.ethertype == ARP_ETHERTYPE
     )
-    fault_time = scenario.sim.now
-    victim = scenario.kill_owner_of(scenario.vips[0], mode="nic_down")
-    scenario.sim.run_for(4.0)
+    failover = scenario.measure_failover("nic_down", 4.0)
     capture.stop()
 
     print("victim: {} (interface disconnected at t={:.2f}s)\n".format(
-        victim.host.name, fault_time))
+        failover.victim, failover.fault_time))
     print("ARP frames on the segment during fail-over:")
     print(capture.format())
     print("\nsummary: {}".format(capture.summary()))
-    print("interruption seen by the client: {:.3f}s".format(
-        probe.failover_interruption(after=fault_time)))
+    print("interruption seen by the client: {:.3f}s".format(failover.interruption))
 
 
 if __name__ == "__main__":

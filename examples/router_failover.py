@@ -30,16 +30,12 @@ def run_mode(mode):
     scenario.start()
     if not scenario.run_until_stable(timeout=180.0):
         raise SystemExit("router cluster failed to stabilise ({})".format(mode))
-    probe = scenario.start_probe()
+    scenario.start_probe()
     scenario.sim.run_for(2.0)
-    fault_time = scenario.sim.now
-    victim = scenario.fail_active(mode="crash")
-    scenario.sim.run_for(45.0)
-    gap = probe.longest_gap(after=fault_time)
-    active = scenario.active_router()
+    failover = scenario.measure_failover("crash", 45.0)
     print(
         "  {:<14} crashed={:<8} new active={:<8} interruption={:6.2f}s".format(
-            mode, victim.host.name, active.host.name, gap
+            mode, failover.victim, failover.takeover, failover.longest_gap
         )
     )
 

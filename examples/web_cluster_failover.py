@@ -25,19 +25,14 @@ def run_one(name, spread_config):
     if not scenario.run_until_stable(timeout=60.0):
         raise SystemExit("cluster failed to stabilise")
 
-    probe = scenario.start_probe()
+    scenario.start_probe()
     scenario.sim.run_for(1.0)
-    fault_time = scenario.sim.now
-    victim = scenario.kill_owner_of(scenario.vips[0], mode="nic_down")
     lo, hi = spread_config.notification_window()
-    scenario.sim.run_for(hi + 3.0)
-
-    interruption = probe.failover_interruption(after=fault_time)
-    takeover = scenario.owner_of(scenario.vips[0])
+    failover = scenario.measure_failover("nic_down", hi + 3.0)
     print(
         "{:<18} victim={:<6} takeover={:<6} interruption={:.3f}s "
         "(paper window {:.1f}-{:.1f}s)".format(
-            name, victim.host.name, takeover.host.name, interruption, lo, hi
+            name, failover.victim, failover.takeover, failover.interruption, lo, hi
         )
     )
     violations = scenario.auditor.check()

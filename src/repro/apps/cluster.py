@@ -12,6 +12,9 @@ once per protocol stack:
   caller already wired to the LAN; ``start`` boots them staggered;
   ``settled`` is the one "cluster is up" predicate; ``restart`` brings
   the pair back after a host recovery.
+  :func:`measure_failover` is the one §6 measurement — break the
+  owner, watch, read the client and the trace — and :class:`Failover`
+  what it returns.
 * :class:`ScaleCell` — the scale stack. One LAN's hosts, each running
   a :class:`~repro.gcs.segments.SegmentNode` + :class:`ScaleVipManager`
   pair over one shared rendezvous map. The serial scale scenario is one
@@ -33,10 +36,13 @@ from repro.core.daemon import WackamoleDaemon
 from repro.core.placement import RendezvousMap
 from repro.core.state import RUN
 from repro.core.supervisor import DaemonSupervisor
-from repro.flow import DirectResolver, FlowEngine
+from repro.flow import ArpViewResolver, DirectResolver, FlowEngine
 from repro.gcs.daemon import SpreadDaemon
 from repro.gcs.segments import SegmentNode
+from repro.net.host import Host
+from repro.obs.episodes import extract_episodes, first_complete_episode
 from repro.sim.process import Process
+from repro.sim.rng import RngRegistry
 
 
 def run_until(sim, predicate, timeout, step, extra=0.0):
@@ -109,6 +115,8 @@ class ServerGroup:
         self.supervisors = []
         self.restarts = 0
         self.auditor = CoverageAuditor(())
+        self.flow_engine = None
+        self.flow_host = None
 
     def add(self, host):
         """Give ``host`` (already on the LAN) its daemon pair."""
@@ -153,7 +161,23 @@ class ServerGroup:
             self.sim.after(stagger * index + 0.01, wack.start)
         for supervisor in self.supervisors:
             supervisor.start()
+        if self.flow_engine is not None:
+            self.flow_engine.start()
         return self
+
+    def attach_flow(self, name, address, vips, users, rate=1.0, tick=0.05):
+        """Aggregate clients spread evenly across ``vips`` (before :meth:`start`).
+
+        The pools resolve through a dedicated client host's ARP view at
+        ``address``, so spoofed announcements repair their path exactly
+        as they repair a prober's and the flow totals price exactly the
+        outage windows the faults open.
+        """
+        self.flow_host = Host(self.sim, "flowclients")
+        self.flow_host.add_nic(self.lan, address)
+        resolver = ArpViewResolver(self.lan, self.flow_host, self.hosts)
+        self.flow_engine = FlowEngine(self.sim, resolver=resolver, tick=tick, name=name)
+        self.flow_engine.add_uniform_pools(vips, users, rate=rate)
 
     def restart(self, index):
         """Boot a fresh daemon pair on a host that just recovered.
@@ -182,6 +206,70 @@ class ServerGroup:
     def settled(self):
         """:func:`servers_settled` over the current daemon generation."""
         return servers_settled(self.wacks, self.refresh_auditor())
+
+
+# ----------------------------------------------------------------------
+# the §6 measurement
+
+
+def fault_phase(seed):
+    """Where in a heartbeat interval trial ``seed``'s fault falls, in [0, 1).
+
+    §6 draws the fault instant uniformly inside a heartbeat interval so
+    the detection-phase randomness ([fd - hb, fd]) is sampled across
+    trials; callers scale the draw by their heartbeat timeout.
+    """
+    return RngRegistry(seed).stream("fault_phase").uniform(0.0, 1.0)
+
+
+def _host_name(daemon):
+    return None if daemon is None else daemon.host.name
+
+
+class Failover:
+    """What one injected fault did, as the client and the trace saw it.
+
+    ``interruption`` is §6's number — the gap between the victim's last
+    reply and the takeover server's first — and ``longest_gap`` the
+    longest silence after the fault; both are None without a probe.
+    ``victim`` and ``takeover`` are host names (None when not told).
+    """
+
+    def __init__(self, sim, probe, fault_time, victim, takeover):
+        self.sim = sim
+        self.fault_time = fault_time
+        self.victim = _host_name(victim)
+        self.takeover = _host_name(takeover)
+        self.interruption = self.longest_gap = None
+        if probe is not None:
+            self.interruption = probe.failover_interruption(after=self.fault_time)
+            self.longest_gap = probe.longest_gap(after=self.fault_time)
+
+    @functools.cached_property
+    def episodes(self):
+        """The trace's fail-over episodes, stitched once; ``()`` untraced."""
+        trace = self.sim.trace
+        return extract_episodes(trace.records) if trace.enabled else ()
+
+    def failover_episode(self):
+        """The complete episode caused by the injected fault, or None."""
+        return first_complete_episode(self.episodes, after=self.fault_time)
+
+
+def measure_failover(sim, fail, watch, probe=None, owner=None):
+    """Break the owner now, watch for ``watch`` seconds, read what happened.
+
+    ``fail()`` injects the fault and returns the victim daemon (or
+    None); ``owner()`` is the daemon serving the address afterwards.
+    Booting, settling and when the probe starts are the caller's: they
+    differ between the paper's trials, the quickstart and ``repro flow``.
+    """
+    fault_time = sim.now
+    victim = fail()
+    sim.run_for(watch)
+    if probe is not None:
+        probe.stop_probing()
+    return Failover(sim, probe, fault_time, victim, owner() if owner else None)
 
 
 # ----------------------------------------------------------------------

@@ -18,7 +18,9 @@ Three routing modes reproduce §5.2:
   Wackamole reconfiguration.
 """
 
-from repro.apps.cluster import ServerGroup, run_until
+import functools
+
+from repro.apps.cluster import ServerGroup, measure_failover, run_until
 from repro.apps.routing import RipSpeaker
 from repro.apps.workload import ProbeClient, UdpEchoServer
 from repro.flow import ArpViewResolver, FlowEngine, FlowPool
@@ -90,7 +92,6 @@ class RouterClusterScenario(ServerGroup):
         wackamole_overrides=None,
         placement_strategy=None,
         rip_interval=30.0,
-        probe_interval=0.010,
         flow_users=0,
         flow_rate=1.0,
         flow_tick=0.05,
@@ -127,7 +128,6 @@ class RouterClusterScenario(ServerGroup):
         self.db_host.add_nic(self.private, "192.168.0.10")
         self.db_host.set_default_gateway(PRIVATE_VIP)
 
-        self.probe_interval = probe_interval
         self.rip_interval = rip_interval
         overrides = dict(wackamole_overrides or {})
         overrides.setdefault("balance_enabled", False)
@@ -166,7 +166,6 @@ class RouterClusterScenario(ServerGroup):
         # the ``require`` gate additionally demands the owning router
         # can actually route off-link (§5.2's naive-mode stall shows up
         # as ``no_route`` loss even while the VIP itself is answered).
-        self.flow_engine = None
         self.flow_hosts = []
         if flow_users:
             self.flow_engine = FlowEngine(self.sim, tick=flow_tick, name="router")
@@ -253,16 +252,12 @@ class RouterClusterScenario(ServerGroup):
             self.sim.after(0.02, self.upstream_speaker.start)
         for controller in self.controllers:
             self.sim.after(0.03, controller.start)
-        if self.flow_engine is not None:
-            self.flow_engine.start()
         return self
 
-    def start_probe(self, source="db", interval=None):
+    def start_probe(self, source="db"):
         """Probe the internet service from an internal host (§5.2 path)."""
         host = self.db_host if source == "db" else self.web_host
-        if interval is None:
-            interval = self.probe_interval
-        self.probe = ProbeClient(host, "8.8.8.8", interval=interval)
+        self.probe = ProbeClient(host, "8.8.8.8")
         self.probe.start()
         return self.probe
 
@@ -307,3 +302,9 @@ class RouterClusterScenario(ServerGroup):
         else:
             raise ValueError("unknown fault mode {!r}".format(mode))
         return active
+
+    def measure_failover(self, mode, watch):
+        """:func:`~repro.apps.cluster.measure_failover` of the active router."""
+        fail = functools.partial(self.fail_active, mode)
+        return measure_failover(self.sim, fail, watch, self.probe, self.active_router)
+

@@ -6,9 +6,10 @@ an echo service stands in for the web server; a probe client on the
 same segment measures availability exactly as in §6.
 """
 
-from repro.apps.cluster import ServerGroup, run_until
+import functools
+
+from repro.apps.cluster import ServerGroup, measure_failover, run_until
 from repro.apps.workload import ProbeClient, UdpEchoServer
-from repro.flow import ArpViewResolver, FlowEngine
 from repro.core.config import WackamoleConfig
 from repro.gcs.config import SpreadConfig
 from repro.net.fault import FaultInjector
@@ -31,7 +32,6 @@ class WebClusterScenario(ServerGroup):
         spread_config=None,
         wackamole_overrides=None,
         placement_strategy=None,
-        probe_interval=0.010,
         flow_users=0,
         flow_rate=1.0,
         flow_tick=0.05,
@@ -84,42 +84,20 @@ class WebClusterScenario(ServerGroup):
         self.client_host.add_nic(self.lan, "198.51.100.200")
         self.client_host.set_default_gateway("198.51.100.1")
         self.probe = None
-        self.probe_interval = probe_interval
 
         # The flow plane: ``flow_users`` aggregate clients spread evenly
-        # across the VIPs, resolved through a dedicated client host's
-        # ARP view (so spoofed announcements repair their path exactly
-        # as they repair the prober's).
-        self.flow_engine = None
-        self.flow_host = None
+        # across the VIPs, seen from their own client host.
         if flow_users:
-            self.flow_host = Host(self.sim, "flowclients")
-            self.flow_host.add_nic(self.lan, "198.51.100.201")
-            self.flow_host.set_default_gateway("198.51.100.1")
-            resolver = ArpViewResolver(self.lan, self.flow_host, self.hosts)
-            self.flow_engine = FlowEngine(
-                self.sim,
-                resolver=resolver,
-                tick=flow_tick,
-                name="web",
+            self.attach_flow(
+                "web", "198.51.100.201", self.vips, flow_users, flow_rate, flow_tick
             )
-            self.flow_engine.add_uniform_pools(self.vips, flow_users, rate=flow_rate)
 
     # ------------------------------------------------------------------
 
-    def start(self, stagger=0.05):
-        """Boot daemons with a small start stagger (like real init)."""
-        super().start(stagger)
-        if self.flow_engine is not None:
-            self.flow_engine.start()
-        return self
-
-    def start_probe(self, vip=None, interval=None):
-        """Attach the §6 probe client to one virtual address."""
+    def start_probe(self, vip=None):
+        """Attach the §6 probe client (10 ms) to one virtual address."""
         target = vip if vip is not None else self.vips[0]
-        if interval is None:
-            interval = self.probe_interval
-        self.probe = ProbeClient(self.client_host, target, interval=interval)
+        self.probe = ProbeClient(self.client_host, target)
         self.probe.start()
         return self.probe
 
@@ -166,3 +144,9 @@ class WebClusterScenario(ServerGroup):
         else:
             raise ValueError("unknown fault mode {!r}".format(mode))
         return owner
+
+    def measure_failover(self, mode, watch):
+        """:func:`~repro.apps.cluster.measure_failover` of ``vips[0]``'s owner."""
+        fail = functools.partial(self.kill_owner_of, self.vips[0], mode)
+        owner = functools.partial(self.owner_of, self.vips[0])
+        return measure_failover(self.sim, fail, watch, self.probe, owner)

@@ -67,31 +67,14 @@ class CheckCluster(ServerGroup):
             host = Host(sim, "s{}".format(index))
             host.add_nic(self.lan, "10.9.0.{}".format(10 + index))
             self.add(host)
-        self.flow_engine = None
-        self.flow_host = None
 
-    def attach_flow(self, flow_users, flow_rate=1.0, tick=0.05):
-        """Attach an aggregate client population across the trial VIPs.
-
-        Must be called before :meth:`start`. The pools resolve through a
-        dedicated client host's ARP view, so the trial's flow totals
-        price exactly the outage windows its fault schedule opens.
-        """
-        from repro.flow import ArpViewResolver, FlowEngine
-
-        self.flow_host = Host(self.sim, "flowclients")
-        self.flow_host.add_nic(self.lan, "10.9.0.200")
-        resolver = ArpViewResolver(self.lan, self.flow_host, self.hosts)
-        self.flow_engine = FlowEngine(self.sim, resolver=resolver, tick=tick, name="check")
-        self.flow_engine.add_uniform_pools(self.vips, flow_users, rate=flow_rate)
-        return self.flow_engine
+    def attach_flow(self, flow_users, flow_rate=1.0):
+        """The trial's aggregate clients (see :meth:`ServerGroup.attach_flow`)."""
+        super().attach_flow("check", "10.9.0.200", self.vips, flow_users, flow_rate)
 
     def start(self, stagger=0.03):
         """Boot every daemon with a small start stagger."""
-        super().start(stagger)
-        if self.flow_engine is not None:
-            self.flow_engine.start()
-        return self
+        return super().start(stagger)
 
     def settle(self, timeout=30.0, step=0.2):
         """Run until :meth:`settled` holds (True) or timeout (False)."""

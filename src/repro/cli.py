@@ -401,7 +401,6 @@ def _run_check(args, out):
 def _run_flow(args, out):
     from repro.apps.webcluster import WebClusterScenario
     from repro.gcs.config import SpreadConfig
-    from repro.obs.episodes import extract_episodes, first_complete_episode
 
     scenario = WebClusterScenario(
         seed=args.seed,
@@ -418,28 +417,23 @@ def _run_flow(args, out):
         out("cluster failed to stabilize")
         return 1
     scenario.flow_engine.reset_counters()
-    fault_time = scenario.sim.now
-    victim = scenario.kill_owner_of(scenario.vips[0], mode=args.fault)
-    scenario.sim.run_for(args.observe)
-    episode = first_complete_episode(
-        extract_episodes(scenario.sim.trace.records), after=fault_time
-    )
+    failover = scenario.measure_failover(args.fault, args.observe)
+    episode = failover.failover_episode()
     totals = scenario.flow_engine.totals()
     payload = {
         "fault": args.fault,
-        "victim": victim.host.name,
+        "victim": failover.victim,
         "flow": totals,
-        "probe_interruption": scenario.probe.failover_interruption(after=fault_time),
+        "probe_interruption": failover.interruption,
         "episode": episode.to_dict() if episode is not None else None,
     }
     if args.format == "json":
         out(json.dumps(payload, indent=2, sort_keys=True))
         return 0
-    out("flow fail-over: {} users @ {}/s across {} VIPs ({} backend)".format(
-        totals["users"], args.rate, args.vips,
-        "numpy" if scenario.flow_engine.use_numpy else "python",
+    out("flow fail-over: {} users @ {}/s across {} VIPs".format(
+        totals["users"], args.rate, args.vips
     ))
-    out("  fault: {} against {}".format(args.fault, victim.host.name))
+    out("  fault: {} against {}".format(args.fault, failover.victim))
     out("  offered {}  served {}  lost {}".format(
         totals["offered"], totals["served"], totals["lost"]
     ))
@@ -459,7 +453,7 @@ def _run_observe(args, out):
     from repro.obs.dashboard import jsonl_observation, render_observation
     from repro.obs.observe import run_observation
 
-    result = run_observation(
+    observed = run_observation(
         seed=args.seed,
         n_servers=args.servers,
         n_vips=args.vips,
@@ -467,10 +461,12 @@ def _run_observe(args, out):
         settle=args.settle,
         observe_for=args.duration,
     )
-    if args.format == "jsonl":
-        out(jsonl_observation(result).rstrip("\n"))
-    else:
-        out(render_observation(result).rstrip("\n"))
+    if observed is None:
+        out("cluster had not settled after {:g} seconds (--settle)".format(args.settle))
+        return 1
+    failover, _observer = observed
+    render = jsonl_observation if args.format == "jsonl" else render_observation
+    out(render(failover, args.seed, args.fault).rstrip("\n"))
     return 0
 
 

@@ -25,16 +25,13 @@ from repro.experiments.load import LoadedClusterExperiment
 from repro.experiments.plotting import render_series
 from repro.experiments.report import format_table, mean, stdev
 from repro.experiments.router_experiment import RouterFailoverExperiment
-from repro.experiments.runner import FailoverTrial, run_failover_trial
+from repro.experiments.runner import run_failover_trial
 from repro.experiments.table1 import Table1Experiment
-from repro.experiments.timeline import ClusterTimeline
 from repro.experiments.tuning import FalsePositiveExperiment, SensitivityExperiment
 
 __all__ = [
     "AvailabilityExperiment",
     "BaselineComparison",
-    "ClusterTimeline",
-    "FailoverTrial",
     "FalsePositiveExperiment",
     "Figure5Experiment",
     "GracefulLeaveExperiment",

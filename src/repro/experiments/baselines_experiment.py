@@ -7,6 +7,7 @@ probe-plus-gratuitous-ARP takeover. This experiment runs each of them
 crash fault and reports the client-perceived interruption.
 """
 
+from repro.apps.cluster import fault_phase, measure_failover
 from repro.apps.workload import ProbeClient, UdpEchoServer
 from repro.baselines.fake import FakeFailover
 from repro.baselines.hsrp import HsrpRouter
@@ -17,7 +18,6 @@ from repro.gcs.config import SpreadConfig
 from repro.net.fault import FaultInjector
 from repro.net.host import Host
 from repro.net.lan import Lan
-from repro.sim.rng import RngRegistry
 from repro.sim.simulation import Simulation
 
 SUBNET = "198.51.100.0/24"
@@ -35,11 +35,10 @@ class BaselineComparison:
         "fake",
     )
 
-    def __init__(self, trials=3, n_servers=3, base_seed=5000, probe_interval=0.010):
+    def __init__(self, trials=3, n_servers=3, base_seed=5000):
         self.trials = trials
         self.n_servers = n_servers
         self.base_seed = base_seed
-        self.probe_interval = probe_interval
 
     def run_protocol(self, protocol):
         """Interruption samples for one protocol."""
@@ -65,10 +64,10 @@ class BaselineComparison:
     # ------------------------------------------------------------------
 
     def _wackamole(self, seed, config):
-        result = run_failover_trial(
+        _scenario, failover = run_failover_trial(
             seed, self.n_servers, config, n_vips=1, fault_mode="crash"
         )
-        return result.interruption
+        return failover.interruption
 
     def _build_lan(self, seed):
         sim = Simulation(seed=seed, trace_enabled=False)
@@ -83,17 +82,13 @@ class BaselineComparison:
         client.add_nic(lan, "198.51.100.200")
         return sim, lan, hosts, client
 
-    def _measure(self, sim, hosts, client, owner_of_vip, settle, seed, warm_base=1.0):
-        probe = ProbeClient(client, VIP, interval=self.probe_interval)
+    def _measure(self, sim, client, owner_of_vip, settle, seed):
+        probe = ProbeClient(client, VIP)
         probe.start()
-        phase = RngRegistry(seed).stream("fault_phase").uniform(0.0, 1.0)
-        sim.run_for(warm_base + phase)
-        fault_time = sim.now
-        victim = owner_of_vip()
-        FaultInjector(sim).crash_host(victim)
-        sim.run_for(settle)
-        probe.stop_probing()
-        return probe.failover_interruption(after=fault_time)
+        sim.run_for(1.0 + fault_phase(seed))
+        return measure_failover(
+            sim, lambda: FaultInjector(sim).crash_host(owner_of_vip()), settle, probe
+        ).interruption
 
     def _vrrp(self, seed):
         sim, lan, hosts, client = self._build_lan(seed)
@@ -105,7 +100,7 @@ class BaselineComparison:
             instance.start()
         sim.run_for(8.0)
         return self._measure(
-            sim, hosts, client, lambda: self._vip_owner(hosts), settle=15.0, seed=seed
+            sim, client, lambda: self._vip_owner(hosts), settle=15.0, seed=seed
         )
 
     def _hsrp(self, seed):
@@ -118,7 +113,7 @@ class BaselineComparison:
             instance.start()
         sim.run_for(25.0)
         return self._measure(
-            sim, hosts, client, lambda: self._vip_owner(hosts), settle=30.0, seed=seed
+            sim, client, lambda: self._vip_owner(hosts), settle=30.0, seed=seed
         )
 
     def _fake(self, seed):
@@ -129,9 +124,7 @@ class BaselineComparison:
         failover = FakeFailover(backup, lan, VIP, probe_target=main.nics[0].primary_ip)
         failover.start()
         sim.run_for(3.0)
-        return self._measure(
-            sim, hosts, client, lambda: main, settle=15.0, seed=seed
-        )
+        return self._measure(sim, client, lambda: main, settle=15.0, seed=seed)
 
     @staticmethod
     def _vip_owner(hosts):

@@ -40,16 +40,17 @@ class Figure5Experiment:
         interruptions = []
         for trial in range(self.trials):
             seed = self.base_seed + 1000 * cluster_size + trial
-            result = run_failover_trial(
+            scenario, result = run_failover_trial(
                 seed,
                 cluster_size,
                 config,
                 n_vips=self.n_vips,
                 fault_mode=self.fault_mode,
             )
-            if result.violations:
+            violations = scenario.auditor.check()
+            if violations:
                 raise AssertionError(
-                    "coverage violated during trial: {}".format(result.violations)
+                    "coverage violated during trial: {}".format(violations)
                 )
             if result.interruption is None:
                 raise RuntimeError(

@@ -34,13 +34,12 @@ class GracefulLeaveExperiment:
         samples = []
         phase_samples = {}
         for trial in range(self.trials):
-            result = run_failover_trial(
+            _scenario, result = run_failover_trial(
                 self.base_seed + trial,
                 self.cluster_size,
                 self.spread_config,
                 n_vips=self.n_vips,
                 fault_mode="shutdown",
-                settle_margin=2.0,
             )
             if result.interruption is not None:
                 samples.append(result.interruption)

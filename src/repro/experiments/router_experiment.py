@@ -12,10 +12,10 @@ router crashes, under the three routing setups:
   so the hand-off is "complete as soon as Wackamole reconfigures".
 """
 
+from repro.apps.cluster import fault_phase
 from repro.apps.routercluster import RouterClusterScenario
 from repro.experiments.report import format_table, mean
 from repro.gcs.config import SpreadConfig
-from repro.sim.rng import RngRegistry
 
 
 class RouterFailoverExperiment:
@@ -58,18 +58,15 @@ class RouterFailoverExperiment:
         scenario.start()
         if not scenario.run_until_stable(timeout=180.0):
             raise RuntimeError("router cluster never stabilised ({})".format(mode))
-        probe = scenario.start_probe()
-        phase = RngRegistry(seed).stream("fault_phase").uniform(0.0, 1.0)
-        scenario.sim.run_for(1.0 + phase * self.spread_config.heartbeat_timeout)
-        fault_time = scenario.sim.now
-        scenario.fail_active(mode="crash")
+        scenario.start_probe()
+        scenario.sim.run_for(
+            1.0 + fault_phase(seed) * self.spread_config.heartbeat_timeout
+        )
         _, hi = self.spread_config.notification_window()
-        scenario.sim.run_for(hi + self.rip_interval + 5.0)
-        probe.stop_probing()
-        gap = probe.longest_gap(after=fault_time)
-        if scenario.active_router() is None:
+        failover = scenario.measure_failover("crash", hi + self.rip_interval + 5.0)
+        if failover.takeover is None:
             raise RuntimeError("no router took over in mode {}".format(mode))
-        return gap
+        return failover.longest_gap
 
     def run(self):
         """{mode: {mean, samples}} across all routing setups."""

@@ -9,100 +9,30 @@ heartbeat interval so the detection-phase randomness ([fd - hb, fd])
 is properly sampled across trials.
 """
 
+from repro.apps.cluster import fault_phase
 from repro.apps.webcluster import WebClusterScenario
-from repro.obs.episodes import extract_episodes, first_complete_episode
-from repro.sim.rng import RngRegistry
 
 
-class FailoverTrial:
-    """Result of one trial."""
-
-    __slots__ = (
-        "seed",
-        "cluster_size",
-        "n_vips",
-        "fault_mode",
-        "fault_time",
-        "interruption",
-        "victim",
-        "takeover",
-        "violations",
-        "episodes",
-    )
-
-    def __init__(self, seed, cluster_size, n_vips, fault_mode, fault_time,
-                 interruption, victim, takeover, violations, episodes=()):
-        self.seed = seed
-        self.cluster_size = cluster_size
-        self.n_vips = n_vips
-        self.fault_mode = fault_mode
-        self.fault_time = fault_time
-        self.interruption = interruption
-        self.victim = victim
-        self.takeover = takeover
-        self.violations = violations
-        self.episodes = list(episodes)
-
-    def failover_episode(self):
-        """The complete episode caused by the injected fault, or None."""
-        return first_complete_episode(self.episodes, after=self.fault_time)
-
-    def __repr__(self):
-        return "FailoverTrial(n={}, {}, interruption={})".format(
-            self.cluster_size, self.fault_mode, self.interruption
-        )
-
-
-def run_failover_trial(
-    seed,
-    cluster_size,
-    spread_config,
-    n_vips=10,
-    fault_mode="nic_down",
-    wackamole_overrides=None,
-    probe_interval=0.010,
-    settle_margin=2.0,
-):
-    """Run one complete fail-over measurement; returns a FailoverTrial."""
-    overrides = dict(wackamole_overrides or {})
-    overrides.setdefault("maturity_timeout", 2.0)
-    overrides.setdefault("balance_enabled", False)
+def settled_cluster(seed, cluster_size, spread_config, n_vips=10):
+    """The §6 web cluster, booted and stable; no probe attached yet."""
     scenario = WebClusterScenario(
         seed=seed,
         n_servers=cluster_size,
         n_vips=n_vips,
         spread_config=spread_config,
-        wackamole_overrides=overrides,
-        probe_interval=probe_interval,
+        wackamole_overrides={"maturity_timeout": 2.0, "balance_enabled": False},
     )
     scenario.start()
     if not scenario.run_until_stable(timeout=60.0):
         raise RuntimeError("cluster never stabilised (seed={})".format(seed))
+    return scenario
 
-    probe = scenario.start_probe()
+
+def run_failover_trial(seed, cluster_size, spread_config, n_vips=10, fault_mode="nic_down"):
+    """One complete fail-over measurement: ``(scenario, Failover)``."""
+    scenario = settled_cluster(seed, cluster_size, spread_config, n_vips)
+    scenario.start_probe()
     # Randomise the failure phase within a heartbeat interval.
-    phase = RngRegistry(seed).stream("fault_phase").uniform(0.0, 1.0)
-    warmup = 0.5 + phase * spread_config.heartbeat_timeout
-    scenario.sim.run_for(warmup)
-
-    fault_time = scenario.sim.now
-    victim = scenario.kill_owner_of(scenario.vips[0], mode=fault_mode)
-    lo, hi = spread_config.notification_window()
-    scenario.sim.run_for(hi + settle_margin)
-
-    interruption = probe.failover_interruption(after=fault_time)
-    probe.stop_probing()
-    takeover = scenario.owner_of(scenario.vips[0])
-    violations = scenario.auditor.check()
-    return FailoverTrial(
-        seed=seed,
-        cluster_size=cluster_size,
-        n_vips=n_vips,
-        fault_mode=fault_mode,
-        fault_time=fault_time,
-        interruption=interruption,
-        victim=victim.host.name,
-        takeover=takeover.host.name if takeover else None,
-        violations=violations,
-        episodes=extract_episodes(scenario.sim.trace.records),
-    )
+    scenario.sim.run_for(0.5 + fault_phase(seed) * spread_config.heartbeat_timeout)
+    _lo, hi = spread_config.notification_window()
+    return scenario, scenario.measure_failover(fault_mode, hi + 2.0)

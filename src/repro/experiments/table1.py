@@ -9,11 +9,10 @@ installation, read from the GCS traces) across repeated trials to
 verify it falls in the derived window.
 """
 
-from repro.apps.webcluster import WebClusterScenario
+from repro.apps.cluster import fault_phase
 from repro.experiments.report import format_table, mean
+from repro.experiments.runner import settled_cluster
 from repro.gcs.config import SpreadConfig
-from repro.obs.episodes import extract_episodes
-from repro.sim.rng import RngRegistry
 
 
 class Table1Experiment:
@@ -54,38 +53,19 @@ class Table1Experiment:
         return times
 
     def _one_notification_time(self, seed, config):
-        scenario = WebClusterScenario(
-            seed=seed,
-            n_servers=self.cluster_size,
-            n_vips=10,
-            spread_config=config,
-            wackamole_overrides={"maturity_timeout": 2.0, "balance_enabled": False},
-            trace_enabled=True,
-        )
-        scenario.start()
-        if not scenario.run_until_stable(timeout=60.0):
-            raise RuntimeError("cluster never stabilised (seed={})".format(seed))
-        phase = RngRegistry(seed).stream("fault_phase").uniform(0.0, 1.0)
-        scenario.sim.run_for(0.5 + phase * config.heartbeat_timeout)
-        fault_time = scenario.sim.now
-        scenario.kill_owner_of(scenario.vips[0], mode="nic_down")
-        lo, hi = config.notification_window()
-        scenario.sim.run_for(hi + 2.0)
+        # No probe: the notification time is read from the GCS trace alone.
+        scenario = settled_cluster(seed, self.cluster_size, config)
+        scenario.sim.run_for(0.5 + fault_phase(seed) * config.heartbeat_timeout)
+        _lo, hi = config.notification_window()
+        failover = scenario.measure_failover("nic_down", hi + 2.0)
         # The fault opens one fail-over episode; its install milestone is
         # the surviving component's first view installation (the episode
         # extractor discards the disconnected victim's own — earlier —
         # singleton install).
-        episode = None
-        for candidate in extract_episodes(scenario.sim.trace.records):
-            if (
-                candidate.trigger_kind == "fault:nic_down"
-                and candidate.trigger_time >= fault_time - 1e-9
-            ):
-                episode = candidate
-                break
+        episode = failover.failover_episode()
         if episode is None or episode.install_time is None:
             raise RuntimeError("no view installed after fault (seed={})".format(seed))
-        return episode.install_time - fault_time
+        return episode.install_time - failover.fault_time
 
     def run(self):
         """Full results: the parameter table plus measured windows."""

@@ -116,7 +116,7 @@ class SensitivityExperiment:
         config = self.config_for(fd)
         samples = []
         for trial in range(self.trials):
-            result = run_failover_trial(
+            _scenario, result = run_failover_trial(
                 self.base_seed + trial,
                 self.cluster_size,
                 config,

@@ -7,11 +7,11 @@ time-weighted metrics (``core.vips_covered``, ``core.vips_duplicated``,
 ``core.daemons_run``, ``core.coverage_gap``) into the simulation's
 :class:`~repro.obs.metrics.MetricsRegistry`, so a dashboard can report
 *how long* the pool sat below full coverage, not just that it dipped.
-
-:mod:`repro.experiments.timeline` builds its rendering convenience on
-top of this class; the sampling logic lives here.
+What counts as a slot and as covering one is the coverage auditor's
+definition (:class:`~repro.core.audit.CoverageAuditor`), not a second one.
 """
 
+from repro.core.audit import CoverageAuditor
 from repro.core.state import GATHER, RUN
 
 
@@ -52,7 +52,7 @@ class ClusterObserver:
         # Cumulative simulated seconds observed with >= 1 VIP uncovered:
         # the operator-facing "coverage gap" number.
         self._m_gap = metrics.counter("core.coverage_gap_samples", node=node)
-        self._slot_count = len(self._all_slots())
+        self._slots = CoverageAuditor._slots(self.wacks)
 
     def start(self):
         """Begin sampling every ``interval`` simulated seconds."""
@@ -73,29 +73,16 @@ class ClusterObserver:
         self._m_covered.observe(sample.covered)
         self._m_duplicated.observe(sample.duplicated)
         self._m_run.observe(sample.run_daemons)
-        if sample.covered < self._slot_count:
+        if sample.covered < len(self._slots):
             self._m_gap.inc()
         self.sim.after(self.interval, self._tick)
 
-    def _all_slots(self):
-        slots = []
-        for wack in self.wacks:
-            for slot in wack.config.slot_ids():
-                if slot not in slots:
-                    slots.append(slot)
-        return slots
-
     def _observe(self):
-        slots = self._all_slots()
+        live = [w for w in self.wacks if w.alive and w.host.alive]
         covered = 0
         duplicated = 0
-        live = [w for w in self.wacks if w.alive and w.host.alive]
-        for slot in slots:
-            owners = 0
-            for wack in live:
-                group = wack.config.group(slot)
-                if all(wack.host.owns_ip(a) for a in group.addresses):
-                    owners += 1
+        for slot in self._slots:
+            owners = sum(1 for wack in live if CoverageAuditor._covers(wack, slot))
             if owners >= 1:
                 covered += 1
             if owners > 1:

@@ -9,8 +9,6 @@ and compact separators so the bytes are stable.
 
 import json
 
-from repro.obs.episodes import first_complete_episode
-
 
 def _format_table(headers, rows):
     """Minimal fixed-width table (no external formatting deps)."""
@@ -125,12 +123,12 @@ def render_episodes(episodes):
     return "\n".join(lines) + "\n"
 
 
-def render_observation(result):
-    """Dashboard for one :class:`~repro.obs.observe.ObservationResult`."""
+def render_observation(result, seed, fault):
+    """Dashboard for one observed :class:`~repro.apps.cluster.Failover`."""
     title = "repro observe — seed {}, {} against {} at t={:.3f}".format(
-        result.seed, result.fault, result.victim, result.fault_time
+        seed, fault, result.victim, result.fault_time
     )
-    text = render_dashboard(result.metrics, result.episodes, title=title)
+    text = render_dashboard(result.sim.metrics, result.episodes, title=title)
     lines = [text.rstrip("\n"), ""]
     episode = result.failover_episode()
     if episode is not None:
@@ -178,16 +176,16 @@ def jsonl_export(registry, episodes=(), header=None):
     return "\n".join(lines) + "\n"
 
 
-def jsonl_observation(result):
-    """JSON-lines export for one observation run."""
+def jsonl_observation(result, seed, fault):
+    """JSON-lines export for one observed :class:`~repro.apps.cluster.Failover`."""
     header = {
-        "seed": result.seed,
-        "fault": result.fault,
+        "seed": seed,
+        "fault": fault,
         "fault_time": round(result.fault_time, 9),
         "victim": result.victim,
         "interruption": (
             None if result.interruption is None else round(result.interruption, 9)
         ),
-        "layers": result.metrics.layers(),
+        "layers": result.sim.metrics.layers(),
     }
-    return jsonl_export(result.metrics, result.episodes, header=header)
+    return jsonl_export(result.sim.metrics, result.episodes, header=header)

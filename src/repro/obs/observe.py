@@ -3,55 +3,18 @@
 Builds the quickstart scenario (a small web cluster with tuned GCS
 timeouts and a short maturity window), lets it converge, injects one
 fault against the owner of the probed virtual address, and returns the
-full observability picture: the metrics registry, the extracted
-fail-over episodes, and the probe measurements. Everything is a pure
-function of ``(seed, shape, fault)``, so two runs with the same
-arguments render byte-identical output — the CI smoke test diffs the
-JSON-lines export of a double run.
+measurement (whose ``sim.metrics`` is the run's registry) and the
+coverage observer. Everything is a pure function of ``(seed, shape,
+fault)``, so two runs with the same arguments render byte-identical
+output — the CI smoke test diffs the JSON-lines export of a double run.
 """
 
 from repro.apps.webcluster import WebClusterScenario
 from repro.gcs.config import SpreadConfig
 from repro.obs.coverage import ClusterObserver
-from repro.obs.episodes import extract_episodes, first_complete_episode
 
 #: fault modes accepted by ``repro observe --fault``.
 FAULT_MODES = ("crash", "nic_down", "shutdown")
-
-
-class ObservationResult:
-    """Everything one observed run produced."""
-
-    __slots__ = (
-        "scenario",
-        "seed",
-        "fault",
-        "fault_time",
-        "victim",
-        "episodes",
-        "interruption",
-        "observer",
-    )
-
-    def __init__(self, scenario, seed, fault, fault_time, victim, episodes,
-                 interruption, observer):
-        self.scenario = scenario
-        self.seed = seed
-        self.fault = fault
-        self.fault_time = fault_time
-        self.victim = victim
-        self.episodes = episodes
-        self.interruption = interruption
-        self.observer = observer
-
-    @property
-    def metrics(self):
-        """The run's :class:`~repro.obs.metrics.MetricsRegistry`."""
-        return self.scenario.sim.metrics
-
-    def failover_episode(self):
-        """The complete episode caused by the injected fault, or None."""
-        return first_complete_episode(self.episodes, after=self.fault_time)
 
 
 def run_observation(
@@ -61,7 +24,6 @@ def run_observation(
     fault="crash",
     settle=10.0,
     observe_for=10.0,
-    metrics_enabled=True,
 ):
     """Run the instrumented quickstart fail-over and observe everything.
 
@@ -69,6 +31,8 @@ def run_observation(
     ``n_vips`` virtual addresses, converge for ``settle`` simulated
     seconds, then the owner of the probed address is removed with
     ``fault`` and the cluster runs ``observe_for`` more seconds.
+    Returns ``(failover, observer)`` — or None, breaking nothing, when
+    the cluster had not settled by then.
     """
     if fault not in FAULT_MODES:
         raise ValueError(
@@ -80,28 +44,13 @@ def run_observation(
         n_vips=n_vips,
         spread_config=SpreadConfig.tuned(),
         wackamole_overrides={"maturity_timeout": 2.0},
-        metrics_enabled=metrics_enabled,
     )
     scenario.start()
-    scenario.start_probe(scenario.vips[0])
+    scenario.start_probe()
     observer = ClusterObserver(scenario.sim, scenario.wacks).start()
     scenario.sim.run_for(settle)
-
-    fault_time = scenario.sim.now
-    victim = scenario.kill_owner_of(scenario.vips[0], mode=fault)
-    scenario.sim.run_for(observe_for)
-    scenario.probe.stop_probing()
+    if not scenario.settled():
+        return None
+    failover = scenario.measure_failover(fault, observe_for)
     observer.stop()
-
-    episodes = extract_episodes(scenario.sim.trace.records)
-    interruption = scenario.probe.failover_interruption(after=fault_time)
-    return ObservationResult(
-        scenario=scenario,
-        seed=seed,
-        fault=fault,
-        fault_time=fault_time,
-        victim=victim.host.name,
-        episodes=episodes,
-        interruption=interruption,
-        observer=observer,
-    )
+    return failover, observer

@@ -7,16 +7,18 @@ from repro.gcs.config import SpreadConfig
 
 
 def test_tuned_trial_lands_in_paper_window():
-    result = run_failover_trial(seed=100, cluster_size=3, spread_config=SpreadConfig.tuned())
+    scenario, result = run_failover_trial(
+        seed=100, cluster_size=3, spread_config=SpreadConfig.tuned()
+    )
     lo, hi = SpreadConfig.tuned().notification_window()
     assert result.interruption is not None
     assert lo - 0.1 <= result.interruption <= hi + 1.0
-    assert result.violations == []
+    assert scenario.auditor.check() == []
     assert result.victim != result.takeover
 
 
 def test_default_trial_lands_in_paper_window():
-    result = run_failover_trial(
+    _scenario, result = run_failover_trial(
         seed=101, cluster_size=3, spread_config=SpreadConfig.default()
     )
     lo, hi = SpreadConfig.default().notification_window()
@@ -24,7 +26,7 @@ def test_default_trial_lands_in_paper_window():
 
 
 def test_graceful_mode_is_fast():
-    result = run_failover_trial(
+    _scenario, result = run_failover_trial(
         seed=102,
         cluster_size=3,
         spread_config=SpreadConfig.tuned(),
@@ -34,23 +36,25 @@ def test_graceful_mode_is_fast():
 
 
 def test_trials_are_reproducible():
-    a = run_failover_trial(seed=103, cluster_size=3, spread_config=SpreadConfig.tuned())
-    b = run_failover_trial(seed=103, cluster_size=3, spread_config=SpreadConfig.tuned())
+    _, a = run_failover_trial(seed=103, cluster_size=3, spread_config=SpreadConfig.tuned())
+    _, b = run_failover_trial(seed=103, cluster_size=3, spread_config=SpreadConfig.tuned())
     assert a.interruption == b.interruption
     assert a.victim == b.victim
 
 
 def test_different_seeds_vary_fault_phase():
     results = [
-        run_failover_trial(seed=s, cluster_size=3, spread_config=SpreadConfig.tuned())
+        run_failover_trial(seed=s, cluster_size=3, spread_config=SpreadConfig.tuned())[1]
         for s in (104, 105, 106)
     ]
     assert len({r.interruption for r in results}) > 1
 
 
 def test_trial_records_fields():
-    result = run_failover_trial(seed=107, cluster_size=2, spread_config=SpreadConfig.tuned())
-    assert result.cluster_size == 2
-    assert result.n_vips == 10
-    assert result.fault_mode == "nic_down"
+    scenario, result = run_failover_trial(
+        seed=107, cluster_size=2, spread_config=SpreadConfig.tuned()
+    )
+    assert len(scenario.hosts) == 2
+    assert len(scenario.vips) == 10
+    assert result.failover_episode().trigger_kind == "fault:nic_down"
     assert result.fault_time > 0

@@ -2,13 +2,14 @@
 
 from helpers import build_wack_cluster, settle_wack
 
-from repro.experiments.timeline import ClusterTimeline
+from repro.experiments.plotting import render_series
+from repro.obs.coverage import ClusterObserver
 
 
 def test_samples_accumulate_on_interval():
     cluster = build_wack_cluster(2, n_vips=3)
     assert settle_wack(cluster)
-    timeline = ClusterTimeline(cluster.sim, cluster.wacks, interval=0.5).start()
+    timeline = ClusterObserver(cluster.sim, cluster.wacks, interval=0.5).start()
     cluster.sim.run_for(2.6)
     timeline.stop()
     assert 5 <= len(timeline.samples) <= 7
@@ -18,7 +19,7 @@ def test_samples_accumulate_on_interval():
 def test_coverage_dip_detected_around_fault():
     cluster = build_wack_cluster(3, n_vips=4)
     assert settle_wack(cluster)
-    timeline = ClusterTimeline(cluster.sim, cluster.wacks, interval=0.05).start()
+    timeline = ClusterObserver(cluster.sim, cluster.wacks, interval=0.05).start()
     cluster.sim.run_for(0.5)
     fault_time = cluster.sim.now
     cluster.faults.crash_host(cluster.hosts[0])
@@ -37,7 +38,7 @@ def test_coverage_dip_detected_around_fault():
 def test_no_dip_on_quiet_cluster():
     cluster = build_wack_cluster(2, n_vips=2)
     assert settle_wack(cluster)
-    timeline = ClusterTimeline(cluster.sim, cluster.wacks, interval=0.1).start()
+    timeline = ClusterObserver(cluster.sim, cluster.wacks, interval=0.1).start()
     cluster.sim.run_for(1.0)
     timeline.stop()
     assert timeline.coverage_dip() is None
@@ -48,7 +49,7 @@ def test_duplicates_observed_during_merge():
     assert settle_wack(cluster)
     cluster.faults.partition(cluster.lan, [cluster.hosts[:2], cluster.hosts[2:]])
     assert settle_wack(cluster)
-    timeline = ClusterTimeline(cluster.sim, cluster.wacks, interval=0.01).start()
+    timeline = ClusterObserver(cluster.sim, cluster.wacks, interval=0.01).start()
     cluster.faults.heal(cluster.lan)
     assert settle_wack(cluster)
     timeline.stop()
@@ -61,7 +62,7 @@ def test_duplicates_observed_during_merge():
 def test_daemon_state_counts():
     cluster = build_wack_cluster(2, n_vips=2)
     assert settle_wack(cluster)
-    timeline = ClusterTimeline(cluster.sim, cluster.wacks, interval=0.1).start()
+    timeline = ClusterObserver(cluster.sim, cluster.wacks, interval=0.1).start()
     cluster.sim.run_for(0.5)
     timeline.stop()
     last = timeline.samples[-1]
@@ -73,11 +74,14 @@ def test_daemon_state_counts():
 def test_series_and_render():
     cluster = build_wack_cluster(2, n_vips=2)
     assert settle_wack(cluster)
-    timeline = ClusterTimeline(cluster.sim, cluster.wacks, interval=0.2).start()
+    timeline = ClusterObserver(cluster.sim, cluster.wacks, interval=0.2).start()
     cluster.sim.run_for(1.0)
     timeline.stop()
     series = timeline.series("covered")
     assert all(value == 2 for _, value in series)
-    chart = timeline.render()
+    chart = render_series(
+        {metric: timeline.series(metric) for metric in ("covered", "duplicated")},
+        y_label="count",
+    )
     assert "count" in chart
     assert "covered" in chart

@@ -14,15 +14,20 @@ def run_cli(argv):
 
 
 @pytest.fixture(scope="module")
-def observation():
+def observed():
     return run_observation(seed=7, fault="crash", settle=8.0, observe_for=8.0)
 
 
+@pytest.fixture(scope="module")
+def observation(observed):
+    return observed[0]
+
+
 def test_observation_covers_all_layers(observation):
-    layers = observation.metrics.layers()
+    layers = observation.sim.metrics.layers()
     for layer in ("sim", "net", "gcs", "core", "workload"):
         assert layer in layers
-    assert len(observation.metrics) > 0
+    assert len(observation.sim.metrics) > 0
 
 
 def test_observation_produces_a_complete_fault_episode(observation):
@@ -36,8 +41,9 @@ def test_observation_produces_a_complete_fault_episode(observation):
     assert observation.interruption is not None and observation.interruption > 0.0
 
 
-def test_observation_observer_saw_the_coverage_dip(observation):
-    covered = observation.observer.series("covered")
+def test_observation_observer_saw_the_coverage_dip(observed):
+    observation, observer = observed
+    covered = observer.series("covered")
     assert covered
     full = max(value for _time, value in covered)
     # The pool was fully covered just before the fault and dipped after it.
@@ -47,13 +53,13 @@ def test_observation_observer_saw_the_coverage_dip(observation):
     assert min(after) < full
     assert after[-1] == full  # ...and recovered by the end of the window
     # coverage_dip reports the first dip, which is the boot-time ramp.
-    assert observation.observer.coverage_dip() is not None
+    assert observer.coverage_dip() is not None
 
 
 def test_same_seed_renders_byte_identical_jsonl():
-    first = run_observation(seed=11, fault="nic_down", settle=8.0, observe_for=8.0)
-    second = run_observation(seed=11, fault="nic_down", settle=8.0, observe_for=8.0)
-    assert jsonl_observation(first) == jsonl_observation(second)
+    first, _ = run_observation(seed=11, fault="nic_down", settle=8.0, observe_for=8.0)
+    second, _ = run_observation(seed=11, fault="nic_down", settle=8.0, observe_for=8.0)
+    assert jsonl_observation(first, 11, "nic_down") == jsonl_observation(second, 11, "nic_down")
 
 
 def test_unknown_fault_mode_rejected():

@@ -53,6 +53,14 @@ def test_router_command():
     assert "naive" in output and "advertise_all" in output
 
 
+def test_observe_before_the_cluster_settled_is_one_line_and_exit_1():
+    # Half a second is before the maturity timeout: nobody owns the probed
+    # address yet, so there is no owner to break (this used to be a traceback).
+    code, output = run_cli(["observe", "--settle", "0.5", "--duration", "1"])
+    assert code == 1
+    assert output == "cluster had not settled after 0.5 seconds (--settle)"
+
+
 def test_check_command_clean_campaign(tmp_path):
     code, output = run_cli(
         [

@@ -289,17 +289,18 @@ def test_golden_pin(name):
 def test_artifacts_do_not_say_what_is_installed():
     # The same bytes from the pure-python backend: the engine chooses it
     # where numpy does not import, and neither a hashed trace record nor
-    # the CLI's JSON payload names the backend that ran.
-    def flow_json():
+    # the CLI's output, JSON or text, names the backend that ran.
+    def flow(fmt):
         lines = []
-        argv = ["flow", "--users", "20000", "--observe", "3", "--format", "json"]
+        argv = ["flow", "--users", "20000", "--observe", "3", "--format", fmt]
         assert main(argv, out=lines.append) == 0
         return lines
 
-    with_numpy = flow_json()
+    with_numpy = {fmt: flow(fmt) for fmt in ("json", "text")}
     with numpy_absent():
         assert CASES["web/nic-down"]() == GOLDEN["web/nic-down"]
-        assert flow_json() == with_numpy
+        for fmt, lines in with_numpy.items():
+            assert flow(fmt) == lines
 
 
 def test_sharded_pins_agree():
