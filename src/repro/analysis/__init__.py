@@ -10,13 +10,7 @@ per-line ``# repro: allow <rule>`` suppressions — the one way to
 accept a finding.
 """
 
-from repro.analysis.engine import (
-    LintConfig,
-    Linter,
-    LintResult,
-    ProtocolSpec,
-    load_project,
-)
+from repro.analysis.engine import LintConfig, Linter, LintResult, load_project
 from repro.analysis.findings import Finding
 from repro.analysis.registry import all_rules, get_rule
 from repro.analysis.statemachine import render_state_machines
@@ -26,7 +20,6 @@ __all__ = [
     "LintConfig",
     "LintResult",
     "Linter",
-    "ProtocolSpec",
     "all_rules",
     "get_rule",
     "load_project",

@@ -2,12 +2,12 @@
 
 The flow-aware rules (SHARD001, DET005, PROTO003) need to answer
 questions a single module's AST cannot: *which class does this call
-land in*, *is this class a simulated process*, *who can reach this
-function*. This module builds that picture purely syntactically — one
-pass over the already-parsed module set, no imports executed — and
-deterministically: every table is keyed and iterated in sorted order,
-so two builds over the same tree are structurally identical (a
-property tests/analysis asserts byte-for-byte through the reports).
+land in*, *who can reach this function*. This module builds that
+picture purely syntactically — one pass over the already-parsed module
+set, no imports executed — and deterministically: every table is keyed
+and iterated in sorted order, so two builds over the same tree are
+structurally identical (a property tests/analysis asserts
+byte-for-byte through the reports).
 
 Resolution is deliberately conservative. A call that cannot be
 resolved to a project symbol produces no edge; rules built on the
@@ -210,15 +210,6 @@ class SymbolTable:
             stack.extend(self.base_classes(current))
         return seen
 
-    def is_subclass_of(self, class_info, base_qualname_suffix):
-        """True when an ancestor's qualname ends with the given suffix."""
-        for ancestor in self.ancestry(class_info):
-            if ancestor.qualname == base_qualname_suffix or ancestor.qualname.endswith(
-                "." + base_qualname_suffix
-            ):
-                return True
-        return False
-
     def lookup_method(self, class_info, method_name):
         """Resolve a method through the (approximate, DFS) MRO."""
         for ancestor in self.ancestry(class_info):
@@ -241,15 +232,6 @@ class SymbolTable:
                 info = module.classes[class_name]
                 for method_name in sorted(info.methods):
                     out.append(info.methods[method_name])
-        return out
-
-    def all_classes(self):
-        """Every ClassInfo, sorted by qualname."""
-        out = []
-        for path in sorted(self.modules):
-            module = self.modules[path]
-            for class_name in sorted(module.classes):
-                out.append(module.classes[class_name])
         return out
 
 
@@ -324,10 +306,6 @@ class CallGraph:
         return None
 
     # ------------------------------------------------------------------
-
-    def callers_of(self, qualname):
-        """Direct callers, sorted."""
-        return sorted(self.reverse.get(qualname, ()))
 
     def transitive_callers(self, qualname):
         """Every function that can reach ``qualname``, sorted."""

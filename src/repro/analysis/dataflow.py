@@ -349,9 +349,6 @@ class ProjectDataflow:
 
     # ------------------------------------------------------------------
 
-    def summary_of(self, qualname):
-        return self.summaries.get(qualname)
-
     def param_escapes(self, qualname, param_name):
         """True when a function stores ``param_name`` beyond the call."""
         summary = self.summaries.get(qualname)

@@ -17,38 +17,8 @@ from repro.analysis.statemachine import DEFAULT_STATE_MACHINES, extract_machines
 from repro.analysis.suppress import is_suppressed, parse_suppressions
 
 
-class ProtocolSpec:
-    """One exhaustiveness obligation: a messages module and its dispatchers.
-
-    ``messages`` and each dispatcher are path *suffixes* (posix style);
-    the engine matches them against linted files, and resolves
-    dispatcher files that were not part of the lint run from disk,
-    relative to the matched messages module.
-    """
-
-    __slots__ = ("messages", "dispatchers")
-
-    def __init__(self, messages, dispatchers):
-        self.messages = messages
-        self.dispatchers = tuple(dispatchers)
-
-    def __repr__(self):
-        return "ProtocolSpec({} -> {})".format(self.messages, list(self.dispatchers))
-
-
-DEFAULT_PROTOCOLS = (
-    ProtocolSpec(
-        "repro/gcs/messages.py",
-        ["repro/gcs/daemon.py", "repro/core/control.py"],
-    ),
-    ProtocolSpec(
-        "repro/core/messages.py",
-        ["repro/core/daemon.py", "repro/core/control.py"],
-    ),
-)
-
 # The simulated substrate: everything here must stay single-threaded
-# and virtual-time, so SIM001 forbids real concurrency and sockets.
+# and virtual-time, so DET001 forbids real concurrency and sockets.
 DEFAULT_SIM_RESTRICTED = (
     "repro/core",
     "repro/gcs",
@@ -59,21 +29,13 @@ DEFAULT_SIM_RESTRICTED = (
     "repro/bench",
 )
 
-# Files allowed to read real clocks / own the randomness primitives.
-# The bench runner's whole job is timing pure simulation workloads, so
-# it joins the scheduler in the wall-clock exemption; the workloads
-# themselves (repro/bench/suite.py) stay virtual-time only.
-DEFAULT_WALLCLOCK_EXEMPT = ("repro/sim/scheduler.py", "repro/bench/runner.py")
-DEFAULT_RANDOM_EXEMPT = ("repro/sim/rng.py",)
-
-# Where SHARD001 forbids cross-context shared mutable state: the sim
-# substrate plus the campaign runner (whose worker pool is exactly the
-# multi-core template ROADMAP item 5 generalizes).
-DEFAULT_SHARD_SCOPE = DEFAULT_SIM_RESTRICTED + ("repro/check",)
+# The one module that owns the randomness primitives: DET001 lets it
+# import `random`, DET005 lets it hand streams out.
+RNG_OWNER = "repro/sim/rng.py"
 
 # Edge infrastructure inside the substrate tree: modules that sit on
 # the process boundary by design and therefore carry a *scoped*
-# SIM001/SHARD001 allowance, each with its reason on record. Scoped
+# DET001/SHARD001 allowance, each with its reason on record. Scoped
 # means the whole allowance names one file; everything else under
 # repro/sim stays fully restricted, so a stray `import threading` two
 # files over still fails the lint gate.
@@ -87,65 +49,34 @@ DEFAULT_SIM_EDGE = (
     ),
 )
 
-# Attribute names PROTO003 treats as protocol-owned: only the owning
-# object's declared transition code may write them.
-DEFAULT_PROTECTED_FIELDS = (
-    "delivered_aru",
-    "epoch",
-    "highest_counter",
-    "recv_aru",
-    "state",
-    "view",
-    "view_id",
-)
-
 
 class LintConfig:
     """Per-run knobs; defaults encode this repository's layout."""
 
-    __slots__ = (
-        "protocols",
-        "sim_restricted",
-        "wallclock_exempt",
-        "random_exempt",
-        "shard_scope",
-        "sim_edge",
-        "protected_fields",
-        "state_machines",
-    )
+    __slots__ = ("sim_restricted", "sim_edge", "state_machines")
 
     def __init__(
         self,
-        protocols=DEFAULT_PROTOCOLS,
         sim_restricted=DEFAULT_SIM_RESTRICTED,
-        wallclock_exempt=DEFAULT_WALLCLOCK_EXEMPT,
-        random_exempt=DEFAULT_RANDOM_EXEMPT,
-        shard_scope=None,
         sim_edge=DEFAULT_SIM_EDGE,
-        protected_fields=DEFAULT_PROTECTED_FIELDS,
         state_machines=DEFAULT_STATE_MACHINES,
     ):
-        self.protocols = tuple(protocols)
         self.sim_restricted = tuple(sim_restricted)
-        self.wallclock_exempt = tuple(wallclock_exempt)
-        self.random_exempt = tuple(random_exempt)
-        # shard scope defaults to tracking whatever sim_restricted says,
-        # so fixture configs that point sim_restricted at a tmp tree get
-        # SHARD001 there too without repeating themselves.
-        if shard_scope is None:
-            if tuple(sim_restricted) == DEFAULT_SIM_RESTRICTED:
-                shard_scope = DEFAULT_SHARD_SCOPE
-            else:
-                shard_scope = tuple(sim_restricted)
-        self.shard_scope = tuple(shard_scope)
         self.sim_edge = tuple((suffix, reason) for suffix, reason in sim_edge)
-        self.protected_fields = tuple(protected_fields)
         self.state_machines = tuple(state_machines)
+
+    @property
+    def shard_scope(self):
+        """Where SHARD001 and DET005 look: the substrate plus the campaign
+        runner, whose worker pool is the multi-core template ROADMAP item
+        5 generalizes.
+        """
+        return self.sim_restricted + ("repro/check",)
 
     def edge_reason(self, path):
         """The recorded allowance reason for an edge module, or None.
 
-        SIM001 and SHARD001 consult this before scanning: a path listed
+        DET001 and SHARD001 consult this before scanning: a path listed
         in ``sim_edge`` is process-boundary infrastructure whose real
         concurrency is the point, not a leak.
         """
@@ -167,6 +98,11 @@ def path_in_dir(path, prefix):
     path = path.replace(os.sep, "/")
     prefix = prefix.strip("/")
     return path.startswith(prefix + "/") or "/{}/".format(prefix) in path
+
+
+def path_in_scope(path, prefixes):
+    """True when ``path`` is, or lies under, one of ``prefixes``."""
+    return any(path_in_dir(path, p) or path_matches(path, p) for p in prefixes)
 
 
 class ModuleContext:
@@ -333,6 +269,7 @@ class Linter:
         """Lint ``paths``; returns a :class:`LintResult`."""
         modules = []
         parse_errors = []
+        registered = {rule.code.lower() for rule in all_rules()} | {"*"}
         files = collect_files(paths)
         for path in files:
             with open(path, encoding="utf-8") as handle:
@@ -350,7 +287,17 @@ class Linter:
                     )
                 )
                 continue
-            modules.append(ModuleContext(path, source, tree))
+            module = ModuleContext(path, source, tree)
+            modules.append(module)
+            # An allowance naming no rule suppresses nothing, silently:
+            # report it like a syntax error.
+            for line in sorted(module.suppressions):
+                for code in sorted(module.suppressions[line] - registered):
+                    parse_errors.append(
+                        module.finding(
+                            "PARSE", line, "`# repro: allow {}` names no rule".format(code)
+                        )
+                    )
 
         raw = []
         project = ProjectContext(modules, self.config)

@@ -1,15 +1,10 @@
 """Rule modules; importing this package populates the registry."""
 
 from repro.analysis.rules import (  # noqa: F401
-    det001_wallclock,
-    det002_random,
+    det001_host,
     det003_unordered,
-    det004_idhash,
     det005_rngflow,
-    det006_mutables,
-    proto001_dispatch,
     proto002_completeness,
     proto003_transitions,
     shard001_sharedstate,
-    sim001_substrate,
 )

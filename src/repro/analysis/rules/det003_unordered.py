@@ -1,6 +1,15 @@
-"""DET003 — unordered iteration whose order escapes.
+"""DET003 — an order that differs between processes.
 
-Iterating a ``set``/``frozenset`` (order depends on the interpreter's
+Two shapes, one hazard: an order the replay process does not reproduce.
+
+The first is ``id()``/``hash()`` inside a sort key or an ordering
+comparison. ``id()`` is an address (different every process), and
+``hash()`` of str/bytes is randomised per interpreter unless
+PYTHONHASHSEED is pinned — exactly the ``CoverageAuditor.components()``
+bug PR 1 needed thousands of trials to surface. Order by a stable
+attribute (name, sequence number) instead.
+
+The second is unordered iteration whose order escapes. Iterating a ``set``/``frozenset`` (order depends on the interpreter's
 hash randomisation and insertion history) or a dict's ``.values()`` /
 ``.items()`` (order depends on key insertion, which in protocol code is
 usually message-arrival order) is fine while the consumer is
@@ -9,7 +18,7 @@ trace, a wire message, or a protocol decision, replay is no longer a
 pure function of the fault schedule. The fix is always the same:
 iterate ``sorted(...)`` over a canonical key.
 
-What the rule flags:
+What the rule flags, besides id()/hash() orderings:
 
 * set-like expressions in ordered conversions — ``list(s)``,
   ``tuple(s)``, ``enumerate(s)``, ``reversed(s)``, ``sep.join(s)``,
@@ -45,6 +54,8 @@ _ORDER_INSENSITIVE = {
     "dict",
     "zip",
 }
+_SORT_CALLS = {"sorted", "min", "max"}
+_UNSTABLE = {"id", "hash"}
 _ACCUMULATORS = {"append", "extend", "insert", "update", "setdefault"}
 _EMITTERS = {
     "trace",
@@ -62,26 +73,31 @@ _EMITTERS = {
 @register
 class UnorderedIterationRule(Rule):
     code = "DET003"
-    name = "unordered-iteration"
+    name = "process-dependent-order"
     description = (
-        "iteration over a set / dict values in a context where the "
-        "(nondeterministic or arrival-dependent) order escapes; wrap the "
-        "iterable in sorted(...)"
+        "iteration over a set / dict values where the (hash-seeded or "
+        "arrival-dependent) order escapes, or id()/hash() in a sort key "
+        "or ordering comparison; sort on a stable value instead"
     )
     rationale = (
         "Set iteration order depends on the interpreter's hash seed and "
-        "insertion history; dict order depends on arrival order. When "
-        "such an order escapes — into a message, a trace line, an event "
-        "queue — two runs of the same seed can diverge. Sorting before "
-        "iterating pins the order to the element values themselves."
+        "insertion history; dict order depends on arrival order; id() is "
+        "a memory address and hash() of a str is salted per process. "
+        "When such an order escapes — into a message, a trace line, an "
+        "event queue, a tie-break — the replay process orders differently "
+        "and the failure no longer reproduces. Sorting on the element "
+        "values, or on a stable attribute (name, address, sequence "
+        "number), pins the order."
     )
     example_bad = (
         "for host in self.suspects:        # set order escapes\n"
         "    self.send_udp(host, Probe())\n"
+        "winner = min(candidates, key=id)  # memory-address tie-break\n"
     )
     example_good = (
         "for host in sorted(self.suspects):\n"
         "    self.send_udp(host, Probe())\n"
+        "winner = min(candidates, key=lambda host: host.name)\n"
     )
 
     def check_module(self, module, config):
@@ -89,6 +105,8 @@ class UnorderedIterationRule(Rule):
         for parent in ast.walk(module.tree):
             for child in ast.iter_child_nodes(parent):
                 parents[child] = parent
+            for anchor, message in _unstable_orderings(parent):
+                yield module.finding(self.code, anchor, message)
         for func, attr_kinds in _scopes(module.tree):
             resolver = KindResolver(func, attr_kinds)
             for finding in self._check_scope(module, func, resolver, parents):
@@ -177,6 +195,54 @@ class UnorderedIterationRule(Rule):
             if base_kind == DICT_KIND:
                 return "dict {}".format(iterable.func.attr)
         return None
+
+
+def _unstable_orderings(node):
+    """(anchor, message) for id()/hash() keying a sort or an ordering test.
+
+    ``id()`` is an address and ``hash()`` of a str is salted per
+    process: an order keyed on either differs in the replay process.
+    """
+    if isinstance(node, ast.Call):
+        func = node.func
+        if not (
+            (isinstance(func, ast.Name) and func.id in _SORT_CALLS)
+            or (isinstance(func, ast.Attribute) and func.attr == "sort")
+        ):
+            return
+        for keyword in node.keywords:
+            if keyword.arg != "key":
+                continue
+            key = keyword.value
+            if isinstance(key, ast.Name) and key.id in _UNSTABLE:
+                yield key, (
+                    "key={} orders by a per-process value; sort by a stable "
+                    "attribute instead".format(key.id)
+                )
+                continue
+            for inner in ast.walk(key):
+                if _is_unstable_call(inner):
+                    yield inner, (
+                        "{}() inside a sort key orders by a per-process value; "
+                        "sort by a stable attribute instead".format(inner.func.id)
+                    )
+    elif isinstance(node, ast.Compare) and any(
+        isinstance(op, (ast.Lt, ast.Gt, ast.LtE, ast.GtE)) for op in node.ops
+    ):
+        for side in [node.left] + list(node.comparators):
+            if _is_unstable_call(side):
+                yield side, (
+                    "ordering comparison on {}(); per-process values must not "
+                    "break ties".format(side.func.id)
+                )
+
+
+def _is_unstable_call(node):
+    return (
+        isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id in _UNSTABLE
+    )
 
 
 def _scopes(tree):

@@ -31,7 +31,7 @@ anything unresolvable is conservatively allowed.
 
 import ast
 
-from repro.analysis.engine import path_in_dir, path_matches
+from repro.analysis.engine import RNG_OWNER, path_in_scope, path_matches
 from repro.analysis.dataflow import ReachingTags
 from repro.analysis.registry import Rule, register
 
@@ -157,13 +157,7 @@ class RngStreamFlowRule(Rule):
 
 
 def _in_scope(path, config):
-    for exempt in config.random_exempt:
-        if path_matches(path, exempt):
-            return False
-    for prefix in config.shard_scope:
-        if path_in_dir(path, prefix) or path_matches(path, prefix):
-            return True
-    return False
+    return not path_matches(path, RNG_OWNER) and path_in_scope(path, config.shard_scope)
 
 
 def _stream_attrs_by_class(module_info):

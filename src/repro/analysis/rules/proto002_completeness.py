@@ -7,8 +7,9 @@ behaviour:
 * **dispatch** machines: every wire-message class of the protocol's
   messages module needs an arm in the dispatch chain (or the chain
   needs a default ``else`` arm). A kind with no arm is dropped by
-  omission — the silent-drop membership bug PROTO001 guards at the
-  protocol level, here enforced per dispatcher.
+  omission — the classic silent-drop membership bug. Client-facing or
+  payload classes opt out with ``# repro: not-wire`` on their class
+  line.
 * **states** machines: a handler whose whole body is a multi-arm
   ``self.state ==`` chain with no ``else`` and incomplete coverage
   silently ignores the missing states. (A single-arm guard is the

@@ -14,13 +14,19 @@ attendant bookkeeping. Two escapes break that:
   state no handler enumerates.
 
 Scope: methods of classes that participate in a configured state
-machine; the protected field list is ``config.protected_fields``.
+machine; the protected fields are ``_PROTECTED_FIELDS``.
 """
 
 import ast
 
 from repro.analysis.registry import Rule, register
 from repro.analysis.statemachine import state_assign_targets
+
+# Attribute names treated as protocol-owned: only the owning object's
+# declared transition code may write them.
+_PROTECTED_FIELDS = frozenset(
+    {"delivered_aru", "epoch", "highest_counter", "recv_aru", "state", "view", "view_id"}
+)
 
 
 @register
@@ -58,14 +64,13 @@ class ProtocolFieldWriteRule(Rule):
     )
 
     def check_project(self, project, config):
-        protected = set(config.protected_fields)
         for machine in project.machines():
             module = machine.module
             data = machine.data
             for method in machine.class_node.body:
                 if not isinstance(method, ast.FunctionDef):
                     continue
-                for site, attr, owner in _foreign_field_writes(method, protected):
+                for site, attr, owner in _foreign_field_writes(method):
                     yield module.finding(
                         self.code,
                         site,
@@ -94,14 +99,14 @@ class ProtocolFieldWriteRule(Rule):
                             )
 
 
-def _foreign_field_writes(method, protected):
+def _foreign_field_writes(method):
     """(site, field, owner-expr) for protected writes on non-self objects."""
     for node in ast.walk(method):
         if not isinstance(node, (ast.Assign, ast.AugAssign)):
             continue
         targets = node.targets if isinstance(node, ast.Assign) else [node.target]
         for target in targets:
-            if not isinstance(target, ast.Attribute) or target.attr not in protected:
+            if not isinstance(target, ast.Attribute) or target.attr not in _PROTECTED_FIELDS:
                 continue
             base = target.value
             if isinstance(base, ast.Name) and base.id == "self":

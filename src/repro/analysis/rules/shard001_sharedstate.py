@@ -10,7 +10,7 @@ streams. The per-process MAC allocator this rule originally caught
 (``net/nic.py``) made two fresh ``Simulation`` objects in one process
 allocate *different* MAC sequences than two in separate processes.
 
-Three triggers, all within ``config.shard_scope``:
+Five triggers, all within ``config.shard_scope``:
 
 * a ``global`` rebind inside a function — per-process state by
   construction (the campaign worker pool's deliberate use carries a
@@ -18,13 +18,21 @@ Three triggers, all within ``config.shard_scope``:
 * an in-place mutation of a module-level container reachable (via the
   call graph) from methods of **two or more** distinct classes;
 * an in-place mutation through an explicit ``ClassName.attr`` —
-  cross-instance by construction.
+  cross-instance by construction;
+* a mutable default argument, evaluated once at ``def`` time and
+  shared by every call;
+* a class-level mutable container, evaluated once at ``class`` time
+  and shared by every instance.
+
+The last two are the same trap at different scopes: two back-to-back
+``Simulation`` runs in one process see each other's leftovers, while
+each shard worker gets a fresh copy.
 """
 
 import ast
 
-from repro.analysis.dataflow import MUTATING_METHODS
-from repro.analysis.engine import path_in_dir, path_matches
+from repro.analysis.dataflow import MUTATING_METHODS, is_mutable_container
+from repro.analysis.engine import path_in_scope
 from repro.analysis.registry import Rule, register
 
 
@@ -34,15 +42,19 @@ class SharedShardStateRule(Rule):
     name = "shared-shard-state"
     description = (
         "module/class-level mutable state mutated from more than one "
-        "simulation context; breaks deterministic shard merge"
+        "simulation context, a mutable default argument, or a class-level "
+        "mutable container; breaks replay and deterministic shard merge"
     )
     rationale = (
         "The multi-core kernel (ROADMAP item 5) runs cluster shards in "
         "separate workers and merges their event streams. State shared "
         "through a module global or class attribute diverges between "
         "workers: each process mutates its own copy, so replay is no "
-        "longer a pure function of (seed, schedule). State must hang "
-        "off the Simulation (one owner per shard) or be immutable."
+        "longer a pure function of (seed, schedule). A mutable default "
+        "or class attribute is the same state by accident of definition "
+        "time: it outlives any single Simulation. State must hang off the "
+        "Simulation (one owner per shard) or be immutable; bind fresh "
+        "containers in __init__ or default to None."
     )
     example_bad = (
         "_next_id = [0]\n"
@@ -73,7 +85,8 @@ class SharedShardStateRule(Rule):
         callgraph = project.callgraph()
         symbols = project.symbols()
         for module in in_scope:
-            # (a) global rebinds: per-process state by construction.
+            # (a) global rebinds: per-process state by construction;
+            # (d, e) containers evaluated once at def / class time.
             for node in ast.walk(module.tree):
                 if isinstance(node, ast.Global):
                     yield module.finding(
@@ -83,6 +96,28 @@ class SharedShardStateRule(Rule):
                         "across simulation shards; own it from the Simulation "
                         "instead".format(", ".join(node.names)),
                     )
+                elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    for default in node.args.defaults + node.args.kw_defaults:
+                        if default is not None and is_mutable_container(default):
+                            yield module.finding(
+                                self.code,
+                                default,
+                                "mutable default argument on `{}`: evaluated "
+                                "once at def time and shared by every "
+                                "call".format(node.name),
+                            )
+                elif isinstance(node, ast.ClassDef):
+                    for item in node.body:
+                        if isinstance(item, ast.Assign) and is_mutable_container(item.value):
+                            for target in item.targets:
+                                if isinstance(target, ast.Name):
+                                    yield module.finding(
+                                        self.code,
+                                        item,
+                                        "class-level mutable container `{}.{}`: "
+                                        "shared by every instance; bind it in "
+                                        "__init__".format(node.name, target.id),
+                                    )
 
             # (b) module-global containers mutated from >= 2 classes.
             module_info = symbols.modules.get(module.path)
@@ -130,15 +165,10 @@ class SharedShardStateRule(Rule):
 
 
 def _in_shard_scope(path, config):
-    if config.edge_reason(path) is not None:
-        # Declared edge infrastructure (config.sim_edge) — e.g. the
-        # sharded-kernel worker pool, whose per-process state is the
-        # mechanism, not a determinism leak.
-        return False
-    for prefix in config.shard_scope:
-        if path_in_dir(path, prefix) or path_matches(path, prefix):
-            return True
-    return False
+    # Declared edge infrastructure (config.sim_edge) — e.g. the
+    # sharded-kernel worker pool, whose per-process state is the
+    # mechanism, not a determinism leak.
+    return config.edge_reason(path) is None and path_in_scope(path, config.shard_scope)
 
 
 def _module_functions(tree):

@@ -2,12 +2,14 @@
 
 Three machine shapes exist in the tree and each gets an extractor:
 
-* **dispatch** — a daemon's exact-type message dispatcher
-  (``kind = type(message)`` followed by an ``if kind is X`` / ``elif``
-  chain, the hot-path form ``gcs/daemon.py`` and ``gcs/segments.py``
-  use). The extractor recovers the message-kind → handler-call arms
-  and compares them against the wire classes of the protocol's
-  messages module.
+* **dispatch** — a daemon's message dispatcher: an ``if``/``elif``
+  chain on the message's exact type (``kind = type(message)`` then
+  ``if kind is X``, the hot-path form ``gcs/daemon.py`` and
+  ``gcs/segments.py`` use) or on ``isinstance`` of the message or of
+  an attribute it carries (``payload = message.payload``, as in
+  ``core/daemon.py``). The extractor recovers the message-kind →
+  handler-call arms and compares them against the wire classes of the
+  protocol's messages module.
 
 * **states** — a handler class whose methods branch on an explicit
   ``self.state`` attribute against module-level string constants
@@ -75,6 +77,14 @@ class StateMachineSpec:
 
 #: The machines of this tree, in artifact order.
 DEFAULT_STATE_MACHINES = (
+    StateMachineSpec(
+        "core.daemon",
+        "dispatch",
+        "repro/core/daemon.py",
+        "WackamoleDaemon",
+        dispatcher="_on_message",
+        messages="repro/core/messages.py",
+    ),
     StateMachineSpec(
         "core.wackamole",
         "declared",
@@ -189,9 +199,9 @@ def _extract_dispatch(extracted, project):
     has_default = False
     if dispatcher is not None:
         extracted.dispatcher_node = dispatcher
-        param = _message_param(dispatcher)
-        aliases = _type_aliases(dispatcher, param)
-        arms, has_default = _dispatch_arms(dispatcher.body, param, aliases)
+        subjects = _subjects(dispatcher)
+        aliases = _type_aliases(dispatcher, subjects)
+        arms, has_default = _dispatch_arms(dispatcher.body, subjects, aliases)
     messages_module = project.find(spec.messages) if spec.messages else None
     extracted.messages_module = messages_module
     kinds = []
@@ -211,34 +221,56 @@ def _extract_dispatch(extracted, project):
     }
 
 
-def _message_param(dispatcher):
-    """The message parameter: first positional argument after self."""
+def _subjects(dispatcher):
+    """Names that hold the dispatched message.
+
+    The first positional parameter after ``self``, plus locals bound to
+    one of its attributes — ``payload = message.payload``, the form the
+    Wackamole daemon uses to unwrap a group-delivered message.
+    """
     names = [arg.arg for arg in dispatcher.args.args if arg.arg != "self"]
-    return names[0] if names else None
-
-
-def _type_aliases(dispatcher, param):
-    """Locals bound to ``type(<param>)`` — the hoisted dispatch key."""
-    aliases = set()
+    if not names:
+        return set()
+    subjects = {names[0]}
     for node in ast.walk(dispatcher):
         if not isinstance(node, ast.Assign):
             continue
         value = node.value
         if (
-            isinstance(value, ast.Call)
-            and isinstance(value.func, ast.Name)
-            and value.func.id == "type"
-            and len(value.args) == 1
-            and isinstance(value.args[0], ast.Name)
-            and value.args[0].id == param
+            isinstance(value, ast.Attribute)
+            and isinstance(value.value, ast.Name)
+            and value.value.id == names[0]
         ):
+            for target in node.targets:
+                if isinstance(target, ast.Name):
+                    subjects.add(target.id)
+    return subjects
+
+
+def _type_aliases(dispatcher, subjects):
+    """Locals bound to ``type(<subject>)`` — the hoisted dispatch key."""
+    aliases = set()
+    for node in ast.walk(dispatcher):
+        if isinstance(node, ast.Assign) and _is_type_of(node.value, subjects):
             for target in node.targets:
                 if isinstance(target, ast.Name):
                     aliases.add(target.id)
     return aliases
 
 
-def _dispatch_arms(body, param, aliases):
+def _is_type_of(node, subjects):
+    """True for ``type(<subject>)``."""
+    return (
+        isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id == "type"
+        and len(node.args) == 1
+        and isinstance(node.args[0], ast.Name)
+        and node.args[0].id in subjects
+    )
+
+
+def _dispatch_arms(body, subjects, aliases):
     """``{message class name: sorted handler-call targets}`` plus else-arm."""
     arms = {}
     has_default = False
@@ -248,7 +280,7 @@ def _dispatch_arms(body, param, aliases):
         node = statement
         chain_matched = False
         while True:
-            name = _arm_class_name(node.test, param, aliases)
+            name = _arm_class_name(node.test, subjects, aliases)
             if name is not None:
                 chain_matched = True
                 arms.setdefault(name, _handler_calls(node.body))
@@ -262,11 +294,11 @@ def _dispatch_arms(body, param, aliases):
     return arms, has_default
 
 
-def _arm_class_name(test, param, aliases):
+def _arm_class_name(test, subjects, aliases):
     """The class a dispatch test selects, or None.
 
-    Recognized: ``<alias> is Cls`` (alias hoisted via ``type(param)``),
-    ``type(param) is Cls``, and ``isinstance(param, Cls)``.
+    Recognized: ``<alias> is Cls`` (alias hoisted via ``type(subject)``),
+    ``type(subject) is Cls``, and ``isinstance(subject, Cls)``.
     """
     if isinstance(test, ast.Compare) and len(test.ops) == 1:
         if not isinstance(test.ops[0], ast.Is):
@@ -274,15 +306,8 @@ def _arm_class_name(test, param, aliases):
         left, right = test.left, test.comparators[0]
         if not isinstance(right, ast.Name):
             return None
-        if isinstance(left, ast.Name) and left.id in aliases:
-            return right.id
-        if (
-            isinstance(left, ast.Call)
-            and isinstance(left.func, ast.Name)
-            and left.func.id == "type"
-            and len(left.args) == 1
-            and isinstance(left.args[0], ast.Name)
-            and left.args[0].id == param
+        if (isinstance(left, ast.Name) and left.id in aliases) or _is_type_of(
+            left, subjects
         ):
             return right.id
     if (
@@ -291,7 +316,7 @@ def _arm_class_name(test, param, aliases):
         and test.func.id == "isinstance"
         and len(test.args) == 2
         and isinstance(test.args[0], ast.Name)
-        and test.args[0].id == param
+        and test.args[0].id in subjects
         and isinstance(test.args[1], ast.Name)
     ):
         return test.args[1].id

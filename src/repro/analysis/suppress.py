@@ -45,5 +45,5 @@ def is_suppressed(suppressions, line, rule):
 
 
 def is_not_wire(line_text):
-    """True when a class-def line opts out of PROTO001 (client-facing)."""
+    """True when a class-def line opts out of PROTO002 (client-facing)."""
     return _NOT_WIRE.search(line_text) is not None

@@ -179,7 +179,7 @@ def build_parser():
         "--tick", type=_positive_float, default=0.05,
         help="flow engine tick (sim seconds)",
     )
-    flow.add_argument("--fault", default="nic_down", choices=("nic_down", "crash", "shutdown"))
+    flow.add_argument("--fault", default="nic_down", choices=FAULT_MODES)
     flow.add_argument(
         "--observe", type=_positive_float, default=15.0,
         help="simulated seconds to run after the fault",
@@ -240,15 +240,6 @@ def build_parser():
         help="files or directories to lint (default: src/repro)",
     )
     lint.add_argument("--format", choices=("text", "json"), default="text")
-    lint.add_argument(
-        "--protocol", action="append", default=None, metavar="MSGS:DISP[,DISP...]",
-        help="override PROTO001 obligations (messages module suffix, colon, "
-        "comma-separated dispatcher suffixes); repeatable",
-    )
-    lint.add_argument(
-        "--sim-restrict", action="append", default=None, metavar="PREFIX",
-        help="override the SIM001 restricted directory prefixes; repeatable",
-    )
     lint.add_argument(
         "--list-rules", action="store_true", help="print the rule set and exit"
     )
@@ -535,6 +526,7 @@ def _run_lint(args, out):
     import os
 
     from repro import analysis
+    from repro.analysis.engine import collect_files
     from repro.analysis.report import render_json, render_text
 
     if args.list_rules:
@@ -543,37 +535,24 @@ def _run_lint(args, out):
         return 0
     if args.explain is not None:
         return _explain_rule(analysis.all_rules(), args.explain, out)
-    overrides = {}
-    if args.protocol is not None:
-        protocols = []
-        for entry in args.protocol:
-            messages, _, dispatchers = entry.partition(":")
-            if not messages or not dispatchers:
-                raise SystemExit(
-                    "--protocol expects MESSAGES:DISPATCHER[,DISPATCHER...], "
-                    "got {!r}".format(entry)
-                )
-            protocols.append(
-                analysis.ProtocolSpec(messages, [d for d in dispatchers.split(",") if d])
-            )
-        overrides["protocols"] = protocols
-    if args.sim_restrict is not None:
-        overrides["sim_restricted"] = args.sim_restrict
     missing = [path for path in args.paths if not os.path.exists(path)]
     if missing:
         _reject(args, "paths", "no such file or directory: {}".format(", ".join(missing)))
-    linter = analysis.Linter(analysis.LintConfig(**overrides))
+    empty = [path for path in args.paths if not collect_files([path])]
+    if empty:
+        _reject(args, "paths", "no Python file in: {}".format(", ".join(empty)))
+    config = analysis.LintConfig()
     if args.state_machines:
-        project = analysis.load_project(args.paths, linter.config)
+        project = analysis.load_project(args.paths, config)
         out(
             json.dumps(
-                analysis.render_state_machines(project, linter.config),
+                analysis.render_state_machines(project, config),
                 indent=2,
                 sort_keys=True,
             )
         )
         return 0
-    result = linter.run(args.paths)
+    result = analysis.Linter(config).run(args.paths)
     if args.format == "json":
         out(render_json(result).rstrip("\n"))
     else:

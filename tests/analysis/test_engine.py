@@ -8,20 +8,17 @@ from repro.analysis.report import render_json, render_text
 from repro.analysis.suppress import is_suppressed, parse_suppressions
 
 
-def _lint_source(tmp_path, source, code="DET002", **config_kwargs):
+def _lint_source(tmp_path, source, code="DET001"):
     path = tmp_path / "snippet.py"
     path.write_text(source)
-    config = LintConfig(
-        wallclock_exempt=[], random_exempt=[], **config_kwargs
-    )
-    linter = Linter(config, rules=[get_rule(code)])
+    linter = Linter(LintConfig(), rules=[get_rule(code)])
     return linter.run([str(path)])
 
 
 class TestSuppressions:
     def test_allow_comment_suppresses_the_named_rule(self, tmp_path):
         result = _lint_source(
-            tmp_path, "import random  # repro: allow det002\n"
+            tmp_path, "import random  # repro: allow det001\n"
         )
         assert result.findings == []
         assert len(result.suppressed) == 1
@@ -29,7 +26,7 @@ class TestSuppressions:
 
     def test_allow_comment_is_rule_specific(self, tmp_path):
         result = _lint_source(
-            tmp_path, "import random  # repro: allow det001\n"
+            tmp_path, "import random  # repro: allow det003\n"
         )
         assert len(result.findings) == 1
         assert not result.ok
@@ -39,16 +36,16 @@ class TestSuppressions:
         assert result.findings == []
 
     def test_allow_comment_covers_multiple_rules(self):
-        table = parse_suppressions(["x = 1  # repro: allow det001, det004"])
+        table = parse_suppressions(["x = 1  # repro: allow det001, det003"])
         assert is_suppressed(table, 1, "DET001")
-        assert is_suppressed(table, 1, "det004")
-        assert not is_suppressed(table, 1, "DET002")
+        assert is_suppressed(table, 1, "det003")
+        assert not is_suppressed(table, 1, "DET005")
         assert not is_suppressed(table, 2, "DET001")
 
     def test_allow_comment_accepts_a_reason_suffix(self, tmp_path):
         result = _lint_source(
             tmp_path,
-            "import random  # repro: allow DET002 -- vendored demo, "
+            "import random  # repro: allow DET001 -- vendored demo, "
             "never replayed\n",
         )
         assert result.findings == []
@@ -56,10 +53,10 @@ class TestSuppressions:
 
     def test_reason_suffix_does_not_widen_the_allowance(self):
         table = parse_suppressions(
-            ["x = 1  # repro: allow det001 -- det002 mentioned in prose"]
+            ["x = 1  # repro: allow det001 -- det003 mentioned in prose"]
         )
         assert is_suppressed(table, 1, "DET001")
-        assert not is_suppressed(table, 1, "DET002")
+        assert not is_suppressed(table, 1, "DET003")
 
 
 class TestReporters:
@@ -74,7 +71,7 @@ class TestReporters:
     def test_text_report_names_rule_and_location(self, tmp_path):
         result = _lint_source(tmp_path, "import random\n")
         text = render_text(result)
-        assert "DET002" in text
+        assert "DET001" in text
         assert "snippet.py:1:" in text
         assert "FAILED" in text
 
@@ -90,6 +87,15 @@ class TestParseErrors:
         result = Linter(LintConfig()).run([str(path)])
         assert len(result.parse_errors) == 1
         assert result.parse_errors[0].rule == "PARSE"
+        assert not result.ok
+
+    def test_allow_naming_no_rule_is_reported_like_a_syntax_error(self, tmp_path):
+        # DET002 was folded into DET001: its allowance would suppress nothing.
+        result = _lint_source(tmp_path, "import random  # repro: allow det002, det001\n")
+        assert result.findings == [] and len(result.suppressed) == 1
+        (error,) = result.parse_errors
+        assert (error.rule, error.line) == ("PARSE", 1)
+        assert "det002" in error.message and "det001" not in error.message
         assert not result.ok
 
 

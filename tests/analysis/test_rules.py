@@ -3,17 +3,21 @@
 The fixtures under ``tests/analysis/fixtures/`` are parsed, never
 imported; each known-bad file must trip exactly its own rule and each
 known-good file must be clean under the *full* rule set (so the CLI
-exit-code tests can reuse them).
+exit-code tests can reuse them). A fixture keeps the name of the rule
+it was written for; rules that were folded into a neighbour left their
+fixtures to the neighbour, which must find exactly what they found.
 """
 
 import os
+import shutil
 
 import pytest
 
-from repro.analysis import LintConfig, Linter, ProtocolSpec, get_rule
+from repro.analysis import LintConfig, Linter, get_rule
 from repro.analysis.statemachine import StateMachineSpec
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
+SRC = os.path.join(os.path.dirname(__file__), os.pardir, os.pardir, "src", "repro")
 
 
 def fixture(name):
@@ -22,15 +26,21 @@ def fixture(name):
 
 def fixture_config():
     """A LintConfig aimed at the fixture tree instead of src/repro."""
+    dispatchers = [
+        StateMachineSpec(
+            "fixture." + tree,
+            "dispatch",
+            tree + "/daemon.py",
+            "Daemon",
+            dispatcher="on_datagram",
+            messages=tree + "/messages.py",
+        )
+        for tree in ("proto001_bad", "proto001_good")
+    ]
     return LintConfig(
-        protocols=[
-            ProtocolSpec("proto001_bad/messages.py", ["proto001_bad/daemon.py"]),
-            ProtocolSpec("proto001_good/messages.py", ["proto001_good/daemon.py"]),
-        ],
         sim_restricted=["fixtures"],
-        wallclock_exempt=[],
-        random_exempt=[],
-        state_machines=[
+        state_machines=dispatchers
+        + [
             StateMachineSpec(
                 "fixture.proto002_bad", "states", "proto002_bad.py", "Machine"
             ),
@@ -56,33 +66,35 @@ def run_rule(code, paths):
 
 CASES = [
     ("DET001", "det001_bad.py", "det001_good.py"),
-    ("DET002", "det002_bad.py", "det002_good.py"),
+    ("DET001", "det002_bad.py", "det002_good.py"),
     ("DET003", "det003_bad.py", "det003_good.py"),
-    ("DET004", "det004_bad.py", "det004_good.py"),
+    ("DET003", "det004_bad.py", "det004_good.py"),
     ("DET005", "det005_bad.py", "det005_good.py"),
-    ("DET006", "det006_bad.py", "det006_good.py"),
-    ("PROTO001", "proto001_bad", "proto001_good"),
+    ("SHARD001", "det006_bad.py", "det006_good.py"),
+    ("PROTO002", "proto001_bad", "proto001_good"),
     ("PROTO002", "proto002_bad.py", "proto002_good.py"),
     ("PROTO003", "proto003_bad.py", "proto003_good.py"),
     ("SHARD001", "shard001_bad.py", "shard001_good.py"),
-    ("SIM001", "sim001_bad.py", "sim001_good.py"),
+    ("DET001", "sim001_bad.py", "sim001_good.py"),
 ]
+# Each case is named after its fixtures, which keep their original rule's name.
+CASE_IDS = [bad.split("_")[0].upper() for _, bad, _ in CASES]
 
 
-@pytest.mark.parametrize("code,bad,good", CASES, ids=[c[0] for c in CASES])
+@pytest.mark.parametrize("code,bad,good", CASES, ids=CASE_IDS)
 def test_rule_flags_bad_fixture(code, bad, good):
     findings = run_rule(code, [fixture(bad)])
     assert findings, "expected {} findings in {}".format(code, bad)
     assert all(f.rule == code for f in findings)
 
 
-@pytest.mark.parametrize("code,bad,good", CASES, ids=[c[0] for c in CASES])
+@pytest.mark.parametrize("code,bad,good", CASES, ids=CASE_IDS)
 def test_rule_passes_good_fixture(code, bad, good):
     findings = run_rule(code, [fixture(good)])
     assert findings == [], "unexpected findings: {}".format(findings)
 
 
-@pytest.mark.parametrize("code,bad,good", CASES, ids=[c[0] for c in CASES])
+@pytest.mark.parametrize("code,bad,good", CASES, ids=CASE_IDS)
 def test_good_fixture_clean_under_full_rule_set(code, bad, good):
     linter = Linter(fixture_config())
     result = linter.run([fixture(good)])
@@ -105,21 +117,38 @@ def test_det003_flags_each_escape_shape():
     assert len(lines) >= 7
 
 
+@pytest.mark.parametrize(
+    "code,bad,count",
+    [
+        # import random, from random import choice/shuffle, random.uniform
+        ("DET001", "det002_bad.py", 3),
+        # key=lambda: id(), key=id, hash() in a key, id() < id() (two sides)
+        ("DET003", "det004_bad.py", 5),
+        # import socket, import threading, from asyncio import ...
+        ("DET001", "sim001_bad.py", 3),
+    ],
+    ids=["DET002", "DET004", "SIM001"],
+)
+def test_folded_fixture_keeps_its_count(code, bad, count):
+    findings = run_rule(code, [fixture(bad)])
+    assert len(findings) == count, findings
+
+
 def test_proto001_names_the_missing_class():
-    findings = run_rule("PROTO001", [fixture("proto001_bad")])
+    findings = run_rule("PROTO002", [fixture("proto001_bad")])
     assert len(findings) == 1
     assert "PingMsg" in findings[0].message
-    assert findings[0].path.endswith("proto001_bad/messages.py")
+    assert findings[0].path.endswith("proto001_bad/daemon.py")
 
 
 def test_proto001_not_wire_marker_opts_out():
-    findings = run_rule("PROTO001", [fixture("proto001_bad")])
+    findings = run_rule("PROTO002", [fixture("proto001_bad")])
     assert all("SessionView" not in f.message for f in findings)
 
 
 def test_sim001_only_applies_inside_restricted_dirs():
     config = LintConfig(sim_restricted=["somewhere/else"])
-    linter = Linter(config, rules=[get_rule("SIM001")])
+    linter = Linter(config, rules=[get_rule("DET001")])
     result = linter.run([fixture("sim001_bad.py")])
     assert result.findings == []
 
@@ -135,7 +164,7 @@ def test_det005_flags_each_leak_shape():
 
 
 def test_det006_counts_defaults_and_class_containers():
-    findings = run_rule("DET006", [fixture("det006_bad.py")])
+    findings = run_rule("SHARD001", [fixture("det006_bad.py")])
     # class-level list, mutable positional default, mutable kw-only default
     assert len(findings) == 3, findings
 
@@ -162,27 +191,32 @@ def test_proto003_flags_foreign_and_nonconstant_writes():
     assert "non-constant" in messages
 
 
-def test_rules_on_repo_protocol_defaults():
-    """The repo's own messages modules satisfy PROTO001 out of the box."""
-    root = os.path.join(os.path.dirname(__file__), os.pardir, os.pardir)
-    linter = Linter(LintConfig(), rules=[get_rule("PROTO001")])
-    result = linter.run(
-        [
-            os.path.normpath(os.path.join(root, "src", "repro", "gcs")),
-            os.path.normpath(os.path.join(root, "src", "repro", "core")),
-        ]
+def test_rules_on_repo_protocol_defaults(tmp_path):
+    """PROTO002 holds core.daemon to every core message: deleting one
+    `_on_message` arm from a copy of the daemon must fire."""
+    core = tmp_path / "repro" / "core"
+    core.mkdir(parents=True)
+    for name in ("daemon.py", "messages.py"):
+        shutil.copy(os.path.join(SRC, "core", name), str(core / name))
+    linter = Linter(LintConfig(), rules=[get_rule("PROTO002")])
+    assert linter.run([str(tmp_path)]).findings == []
+    arm = (
+        "        elif isinstance(payload, MatureMsg):\n"
+        "            self._on_mature_msg(payload)\n"
     )
-    assert result.findings == [], result.findings
+    source = (core / "daemon.py").read_text()
+    assert source.count(arm) == 1
+    (core / "daemon.py").write_text(source.replace(arm, ""))
+    findings = linter.run([str(tmp_path)]).findings
+    assert len(findings) == 1, findings
+    assert "MatureMsg" in findings[0].message and "core.daemon" in findings[0].message
 
 
 def edge_config(**overrides):
     """fixture_config plus a scoped sim_edge allowance."""
     config = fixture_config()
     return LintConfig(
-        protocols=config.protocols,
         sim_restricted=config.sim_restricted,
-        wallclock_exempt=config.wallclock_exempt,
-        random_exempt=config.random_exempt,
         state_machines=config.state_machines,
         **overrides
     )
@@ -192,7 +226,7 @@ def test_sim001_edge_allowance_is_per_file_with_reason():
     config = edge_config(
         sim_edge=(("sim001_bad.py", "declared process-boundary module"),)
     )
-    linter = Linter(config, rules=[get_rule("SIM001")])
+    linter = Linter(config, rules=[get_rule("DET001")])
     result = linter.run([fixture("sim001_bad.py")])
     assert result.findings == []
     # The reason is on record for exactly that file, nothing else.

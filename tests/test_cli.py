@@ -8,6 +8,10 @@ from repro.cli import CHECK_PLAN, WEB_PLAN, build_parser, main
 
 #: A JSON file that no campaign wrote.
 FOREIGN_JSON = os.path.join(os.path.dirname(__file__), "golden_cli_help.json")
+#: A file and a directory that hold no Python.
+REPO_ROOT = os.path.normpath(os.path.join(os.path.dirname(__file__), os.pardir))
+README = os.path.join(REPO_ROOT, "README.md")
+DOCS = os.path.join(REPO_ROOT, "docs")
 
 
 def run_cli(argv):
@@ -235,6 +239,9 @@ def test_bench_sysbench_appends_a_summary_or_exits_2_naming_the_field(tmp_path):
         (["figure5", "--sizes", "2", "141"], "--sizes"),
         (["figure5", "--vips", "51"], "--vips"),
         (["graceful", "--servers", "141"], "--servers"),
+        # These said "0 file(s), 0 finding(s) — clean" and exited 0.
+        (["lint", README], "paths"),
+        (["lint", DOCS], "paths"),
     ],
 )
 def test_bad_count_size_or_duration_exits_2_naming_the_flag(argv, flag, capsys):
@@ -250,8 +257,9 @@ def test_bad_count_size_or_duration_exits_2_naming_the_flag(argv, flag, capsys):
         (["lint", "nope/missing", __file__], "nope/missing"),
         (["check", "--replay", "/nonexistent.json"], "/nonexistent.json"),
         (["check", "--replay", FOREIGN_JSON], FOREIGN_JSON + ": not a repro-check artifact"),
+        (["lint", __file__, README], "no Python file in: " + README),
     ],
-    ids=["lint-missing", "replay-missing", "replay-foreign"],
+    ids=["lint-missing", "replay-missing", "replay-foreign", "lint-not-python"],
 )
 def test_what_only_a_handler_can_reject_is_one_line_naming_the_file(argv, named, capsys):
     with pytest.raises(SystemExit):
@@ -319,6 +327,8 @@ def test_edge_values_still_parse():
         ["lint", "--no-baseline"],
         ["lint", "--update-baseline"],
         ["flow", "--pure-python"],
+        ["lint", "--protocol", "messages.py:daemon.py"],
+        ["lint", "--sim-restrict", "fixtures"],
     ],
 )
 def test_removed_flags_exit_2(argv, capsys):
