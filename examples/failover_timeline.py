@@ -1,9 +1,9 @@
 #!/usr/bin/env python3
 """Watching a fail-over happen: coverage timeline around a fault.
 
-Samples the cluster's VIP coverage every 50 ms while the owner of an
-address is disconnected, then renders the dip-and-recovery as an ASCII
-chart — the picture behind Figure 5's single number.
+Records the cluster's VIP coverage at every change while the owner of
+an address is disconnected, then renders the dip-and-recovery as an
+ASCII chart — the picture behind Figure 5's single number.
 
 Run:  python examples/failover_timeline.py
 """
@@ -11,7 +11,6 @@ Run:  python examples/failover_timeline.py
 from repro.apps import WebClusterScenario
 from repro.experiments import render_series
 from repro.gcs import SpreadConfig
-from repro.obs.coverage import ClusterObserver
 
 
 def main():
@@ -26,10 +25,10 @@ def main():
     if not scenario.run_until_stable(timeout=60.0):
         raise SystemExit("cluster failed to stabilise")
 
-    timeline = ClusterObserver(scenario.sim, scenario.wacks, interval=0.05).start()
+    timeline = scenario.watch_coverage()
     scenario.sim.run_for(1.0)
     failover = scenario.measure_failover("nic_down", 5.0)
-    timeline.stop()
+    timeline.finish()
 
     print("fault: {}'s interface disconnected at t={:.2f}s\n".format(
         failover.victim, failover.fault_time))

@@ -16,8 +16,8 @@ from repro.check.trial import run_trial
 # Result fields that must match byte-for-byte on replay. sim_time,
 # counters, the per-trial metrics summary, the extracted fail-over
 # episode records, the injector's fault log and the degraded-mode
-# spans are all included: a divergence there means nondeterminism even
-# if the violation happens to look the same.
+# spans and the coverage intervals are all included: a divergence there
+# means nondeterminism even if the violation happens to look the same.
 _COMPARED_FIELDS = (
     "verdict",
     "sim_time",
@@ -29,6 +29,7 @@ _COMPARED_FIELDS = (
     "fault_log",
     "degraded",
     "flow",
+    "coverage",
 )
 
 

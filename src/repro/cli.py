@@ -455,7 +455,7 @@ def _run_observe(args, out):
     if observed is None:
         out("cluster had not settled after {:g} seconds (--settle)".format(args.settle))
         return 1
-    failover, _observer = observed
+    failover, _coverage = observed
     render = jsonl_observation if args.format == "jsonl" else render_observation
     out(render(failover, args.seed, args.fault).rstrip("\n"))
     return 0

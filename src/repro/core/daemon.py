@@ -71,6 +71,7 @@ class WackamoleDaemon(Process):
         self.table = None
         self.old_table = None
         self.mature = False
+        self.applied = 0  # messages applied in this view (core/audit.py)
         self._state_msgs = {}
         self._preferences = {}
         self._matures = {}
@@ -183,6 +184,7 @@ class WackamoleDaemon(Process):
         except SpreadConnectionError:
             self._reconnect_timer.start(self.config.reconnect_interval)
             return
+        self.sim.coverage_changing()
         self.client = client
         self.member_name = client.private_name
         client.on_message = self._on_message
@@ -209,6 +211,7 @@ class WackamoleDaemon(Process):
         # Without the GCS guarantees correctness cannot be ensured:
         # drop all virtual interfaces and cycle reconnect attempts.
         self.trace("wackamole", "gcs_disconnected")
+        self.sim.coverage_changing()
         self.iface.release_all()
         self.client = None
         self.view = None
@@ -229,10 +232,12 @@ class WackamoleDaemon(Process):
     def _on_group_view(self, view):
         if not self.alive:
             return
+        self.sim.coverage_changing()
         self.machine.fire("VIEW_CHANGE")
         self._balance_timer.cancel()
         self.old_table = self.table
         self.view = view
+        self.applied = 0
         self.table = AllocationTable(self.config.slot_ids(), members=view.members)
         self._state_msgs = {}
         self._preferences = {}
@@ -260,6 +265,8 @@ class WackamoleDaemon(Process):
     def _on_message(self, message):
         if not self.alive:
             return
+        self.sim.coverage_changing()
+        self.applied += 1
         payload = message.payload
         if isinstance(payload, StateMsg):
             self._on_state_msg(payload)
@@ -479,7 +486,13 @@ class WackamoleDaemon(Process):
             self.trace("wackamole", "mature_reallocation", allocation=self.table.as_dict())
             self._maybe_start_balance_timer()
 
+    @property
+    def maturity_agreed(self):
+        """True once an applied message of this view says a member is mature."""
+        return any(self._matures.values())
+
     def _become_mature(self, reason):
+        self.sim.coverage_changing()
         self.mature = True
         self._maturity_timer.cancel()
         self.trace("wackamole", "mature", reason=reason)

@@ -12,7 +12,6 @@ from repro.apps.webcluster import WebClusterScenario
 from repro.apps.workload import ProbeClient
 from repro.experiments.report import format_table, mean
 from repro.gcs.config import SpreadConfig
-from repro.obs.coverage import ClusterObserver
 from repro.sim.rng import RngRegistry
 
 
@@ -57,10 +56,9 @@ class AvailabilityExperiment:
         ]
         for probe in probes:
             probe.start()
-        # Passive coverage sampler: feeds the core.vips_covered metrics
-        # and measures how long the pool sat below full coverage. Pure
-        # read-side observation — the probe numbers are unaffected.
-        observer = ClusterObserver(scenario.sim, scenario.wacks).start()
+        # Feeds core.vips_covered and times exactly how long the pool sat
+        # below full coverage; read-side only, the probes are unaffected.
+        coverage = scenario.watch_coverage()
         rng = RngRegistry(seed).stream("fault_schedule")
         fault_times = sorted(
             rng.uniform(self.window * 0.1, self.window * 0.8)
@@ -74,11 +72,7 @@ class AvailabilityExperiment:
         scenario.sim.run_for(self.window)
         for probe in probes:
             probe.stop_probing()
-        observer.stop()
-        full = max((s.covered for s in observer.samples), default=0)
-        self._gap_seconds.append(
-            sum(1 for s in observer.samples if s.covered < full) * observer.interval
-        )
+        self._gap_seconds.append(coverage.finish().coverage_gap_s)
         per_vip = {
             str(probe.target): probe.response_rate() for probe in probes
         }

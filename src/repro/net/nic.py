@@ -73,6 +73,7 @@ class Nic:
                 "cannot bind {}: outside subnet {}".format(address, self.lan.subnet)
             )
         if address._value not in self._bound:
+            self.lan.sim.coverage_changing()
             self._bound[address._value] = address
             self.lan.binders(address._value).append(self)
 
@@ -81,7 +82,9 @@ class Nic:
         address = IPAddress(address)
         if address == self.primary_ip:
             raise ValueError("cannot unbind the primary address {}".format(address))
-        if self._bound.pop(address._value, None) is not None:
+        if address._value in self._bound:
+            self.lan.sim.coverage_changing()
+            del self._bound[address._value]
             self.lan.binders(address._value).remove(self)
 
     def owns_ip(self, address):
@@ -92,6 +95,7 @@ class Nic:
 
     def set_up(self, up):
         """Administratively raise or lower the interface."""
+        self.lan.sim.coverage_changing()
         self.up = bool(up)
 
     def reset(self):

@@ -88,9 +88,9 @@ class TimeWeightedHistogram:
         self._weighted_sum = 0.0
         self._elapsed = 0.0
 
-    def observe(self, value):
-        """The tracked quantity is ``value`` as of the current sim time."""
-        now = self._clock()
+    def observe(self, value, at=None):
+        """The tracked quantity is ``value`` as of ``at`` (not before the last; default now)."""
+        now = self._clock() if at is None else at
         if self.value is not None:
             held = now - self._last_time
             self._weighted_sum += self.value * held
@@ -141,7 +141,7 @@ class _NullInstrument:
     def add(self, delta):
         return None
 
-    def observe(self, value):
+    def observe(self, value, at=None):
         return None
 
     def time_average(self):

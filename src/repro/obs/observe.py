@@ -4,14 +4,13 @@ Builds the quickstart scenario (a small web cluster with tuned GCS
 timeouts and a short maturity window), lets it converge, injects one
 fault against the owner of the probed virtual address, and returns the
 measurement (whose ``sim.metrics`` is the run's registry) and the
-coverage observer. Everything is a pure function of ``(seed, shape,
+coverage engine. Everything is a pure function of ``(seed, shape,
 fault)``, so two runs with the same arguments render byte-identical
 output — the CI smoke test diffs the JSON-lines export of a double run.
 """
 
 from repro.apps.webcluster import WebClusterScenario
 from repro.gcs.config import SpreadConfig
-from repro.obs.coverage import ClusterObserver
 
 #: fault modes accepted by ``repro observe --fault``.
 FAULT_MODES = ("crash", "nic_down", "shutdown")
@@ -31,8 +30,8 @@ def run_observation(
     ``n_vips`` virtual addresses, converge for ``settle`` simulated
     seconds, then the owner of the probed address is removed with
     ``fault`` and the cluster runs ``observe_for`` more seconds.
-    Returns ``(failover, observer)`` — or None, breaking nothing, when
-    the cluster had not settled by then.
+    Returns ``(failover, coverage)`` (the finished coverage engine) — or
+    None, breaking nothing, when the cluster had not settled by then.
     """
     if fault not in FAULT_MODES:
         raise ValueError(
@@ -47,10 +46,9 @@ def run_observation(
     )
     scenario.start()
     scenario.start_probe()
-    observer = ClusterObserver(scenario.sim, scenario.wacks).start()
+    coverage = scenario.watch_coverage()
     scenario.sim.run_for(settle)
     if not scenario.settled():
         return None
     failover = scenario.measure_failover(fault, observe_for)
-    observer.stop()
-    return failover, observer
+    return failover, coverage.finish()

@@ -68,6 +68,7 @@ class Process:
 
     def stop(self):
         """Kill the process: cancel every managed timer, drop callbacks."""
+        self.sim.coverage_changing()
         self.alive = False
         for timer in self._timers:
             if isinstance(timer, Timer):
@@ -77,6 +78,7 @@ class Process:
 
     def restart(self):
         """Mark the process alive again (timers must be re-armed by caller)."""
+        self.sim.coverage_changing()
         self.alive = True
 
     def _guard(self, callback):

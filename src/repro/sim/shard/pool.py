@@ -2,7 +2,7 @@
 
 Edge infrastructure, deliberately outside the deterministic substrate:
 this is the only module under ``repro.sim`` allowed to touch real
-processes and pipes (a scoped SIM001 allowance — see
+processes and pipes (a scoped DET001 allowance — see
 ``repro.analysis.engine.DEFAULT_SIM_EDGE``). Everything that crosses
 the boundary is plain picklable data: the ``(params, shard_id)`` world
 spec on the way in, envelope tuples and artifact dicts on the way out.

@@ -36,6 +36,7 @@ class Simulation:
         if metrics_enabled:
             self.scheduler.bind_metrics(self.metrics)
         self._sequences = {}
+        self.coverage = None  # the attached core.audit.CoverageEngine, if any
 
     def sequence(self, name, start=0):
         """Next value of the named per-simulation monotonic counter.
@@ -49,6 +50,11 @@ class Simulation:
         value = self._sequences.get(name, start)
         self._sequences[name] = value + 1
         return value
+
+    def coverage_changing(self):
+        """Called just *before* a change that can move VIP coverage."""
+        if self.coverage is not None:
+            self.coverage.touch()
 
     @property
     def now(self):

@@ -65,9 +65,11 @@ def test_duplicate_coverage_helper():
     vip = cluster.wconfig.slot_ids()[0]
     for wack in cluster.wacks:
         wack.host.nics[0].bind_ip(vip)
-    duplicates = cluster.auditor.duplicate_coverage()
-    assert vip in duplicates
-    assert len(duplicates[vip]) == 2
+    # The audit's pool-wide reading counts it once, whoever else holds what.
+    violations, slots, covered, duplicated, run = cluster.auditor.audit()
+    assert (slots, covered, duplicated, run) == (2, 2, 1, 2)
+    (violation,) = violations
+    assert violation.slot == vip and len(violation.covering) == 2
 
 
 def test_zero_live_daemons_yields_no_components_or_violations():
@@ -80,7 +82,7 @@ def test_zero_live_daemons_yields_no_components_or_violations():
     # Property 1 violation (there is no RUN component to cover VIPs).
     assert cluster.auditor.check() == []
     assert cluster.auditor.check_by_view() == []
-    assert cluster.auditor.duplicate_coverage() == {}
+    assert cluster.auditor.audit()[2:] == (0, 0, 0)
 
 
 def test_fully_partitioned_singletons_each_cover_everything():
@@ -180,3 +182,111 @@ def test_gathering_components_not_audited():
     # component rather than report spurious violations.
     cluster.wacks[0].machine.fire("VIEW_CHANGE")
     assert cluster.auditor.check() == []
+
+
+# ----------------------------------------------------------------------
+# the coverage engine: exact intervals, one audit per changed instant
+
+
+def _engine_cluster():
+    from repro.core.audit import CoverageEngine
+
+    cluster = build_wack_cluster(3, n_vips=3)
+    assert settle_wack(cluster)
+    vip = cluster.wconfig.slot_ids()[0]
+    holder = next(w for w in cluster.wacks if w.iface.owns(vip))
+    other = next(w for w in cluster.wacks if not w.iface.owns(vip))
+    engine = CoverageEngine(cluster.sim, cluster.auditor.audit)
+    return cluster, engine, vip, holder.host.nics[0], other.host.nics[0]
+
+
+def test_same_instant_handoff_is_no_interval():
+    cluster, engine, vip, holder, other = _engine_cluster()
+    events_before = cluster.sim.scheduler.events_fired
+    t = cluster.sim.now + 0.5
+    cluster.sim.at(t, holder.unbind_ip, vip)
+    cluster.sim.at(t, other.bind_ip, vip)
+    cluster.sim.run_for(1.0)
+    engine.finish()
+    assert engine.intervals == []
+    # The engine scheduled nothing of its own.
+    assert cluster.sim.scheduler.events_fired - events_before >= 2
+    assert cluster.sim.coverage is None
+
+
+def test_release_then_acquire_is_one_exact_uncovered_interval():
+    cluster, engine, vip, holder, other = _engine_cluster()
+    t = cluster.sim.now + 0.5
+    delta = 0.0003
+    cluster.sim.at(t, holder.unbind_ip, vip)
+    cluster.sim.at(t + delta, other.bind_ip, vip)
+    cluster.sim.run_for(1.0)
+    engine.finish()
+    (interval,) = engine.intervals
+    assert interval.kind == "uncovered"
+    assert interval.slot == vip
+    assert (interval.start, interval.end) == (t, t + delta)
+    # Nothing excuses a hole the protocol did not make.
+    assert engine.failures() == [interval]
+    assert engine.coverage_gap_s == interval.length
+
+
+def test_overlapping_bind_is_one_duplicate_interval():
+    cluster, engine, vip, holder, other = _engine_cluster()
+    t = cluster.sim.now + 0.5
+    cluster.sim.at(t, other.bind_ip, vip)
+    cluster.sim.at(t + 0.25, holder.unbind_ip, vip)
+    cluster.sim.run_for(1.0)
+    engine.finish()
+    (interval,) = engine.intervals
+    assert interval.kind == "duplicate"
+    assert sorted(interval.covering) == sorted(
+        [holder.host.name, other.host.name]
+    )
+    assert (interval.start, interval.end) == (t, t + 0.25)
+
+
+def test_grace_excuses_shorter_intervals_only():
+    from repro.core.audit import CoverageEngine
+
+    cluster = build_wack_cluster(2, n_vips=2)
+    assert settle_wack(cluster)
+    vip = cluster.wconfig.slot_ids()[0]
+    nic = next(w for w in cluster.wacks if w.iface.owns(vip)).host.nics[0]
+    engine = CoverageEngine(cluster.sim, cluster.auditor.audit, grace=0.5)
+    t = cluster.sim.now + 0.1
+    cluster.sim.at(t, nic.unbind_ip, vip)
+    cluster.sim.at(t + 0.2, nic.bind_ip, vip)
+    cluster.sim.at(t + 1.0, nic.unbind_ip, vip)
+    cluster.sim.at(t + 1.5, nic.bind_ip, vip)
+    cluster.sim.run_for(2.0)
+    engine.finish()
+    short, long = engine.intervals
+    assert short.excuse == "grace"
+    assert long.excuse is None
+    assert engine.summary()["excused"] == {"grace": 1}
+
+
+def test_scale_path_counts_owners_through_lan_binders():
+    from repro.apps.scalecluster import ScaleClusterScenario
+
+    scenario = ScaleClusterScenario(seed=3, n_hosts=8, n_vips=16, segment_size=4).start()
+    assert scenario.settle()
+    engine = scenario.watch_coverage()
+    lan = scenario.lan
+    vip = scenario.vips[0]
+    (owner,) = [nic for nic in lan.nics if nic.owns_ip(vip)]
+    intruder = next(nic for nic in lan.nics if nic is not owner)
+    victim = next(nic for nic in lan.nics if nic not in (owner, intruder))
+    t = scenario.sim.now + 0.25
+    scenario.sim.at(t, intruder.bind_ip, vip)
+    scenario.sim.at(t + 0.25, intruder.unbind_ip, vip)
+    # A crashed host's stale binding is no owner.
+    scenario.sim.at(t + 0.5, victim.host.crash)
+    scenario.sim.at(t + 0.5, victim.bind_ip, vip)
+    scenario.sim.run_for(1.0)
+    engine.finish()
+    (interval,) = engine.intervals
+    assert interval.kind == "duplicate"
+    assert set(interval.covering) == {owner.host.name, intruder.host.name}
+    assert (interval.start, interval.end) == (t, t + 0.25)

@@ -42,18 +42,23 @@ def test_observation_produces_a_complete_fault_episode(observation):
 
 
 def test_observation_observer_saw_the_coverage_dip(observed):
-    observation, observer = observed
-    covered = observer.series("covered")
+    observation, coverage = observed
+    covered = coverage.series("covered")
     assert covered
     full = max(value for _time, value in covered)
     # The pool was fully covered just before the fault and dipped after it.
-    before = [v for t, v in covered if t <= observation.fault_time]
-    after = [v for t, v in covered if t > observation.fault_time]
+    before = [v for t, v in covered if t < observation.fault_time]
+    after = [v for t, v in covered if t >= observation.fault_time]
     assert before[-1] == full
     assert min(after) < full
     assert after[-1] == full  # ...and recovered by the end of the window
     # coverage_dip reports the first dip, which is the boot-time ramp.
-    assert observer.coverage_dip() is not None
+    assert coverage.coverage_dip() is not None
+    assert coverage.coverage_gap_s > 0.0
+    metrics = observation.sim.metrics
+    assert metrics.gauge("core.coverage_gap_s", node="cluster").value == round(
+        coverage.coverage_gap_s, 9
+    )
 
 
 def test_same_seed_renders_byte_identical_jsonl():
