@@ -65,15 +65,3 @@ class StateMachine:
             from_state == self.state and transition_event == event
             for from_state, transition_event, _ in TRANSITIONS
         )
-
-    def transition_counts(self):
-        """``{(event, to_state): count}`` over the recorded history.
-
-        Sorted by key so the summary is deterministic regardless of the
-        order transitions fired in.
-        """
-        counts = {}
-        for _, event, to_state in self.history:
-            key = (event, to_state)
-            counts[key] = counts.get(key, 0) + 1
-        return dict(sorted(counts.items()))
