@@ -84,18 +84,27 @@ class ClassInfo:
 class ModuleInfo:
     """Symbols of one module: imports, top-level functions and classes."""
 
-    __slots__ = ("path", "dotted", "tree", "imports", "functions", "classes")
+    __slots__ = ("path", "dotted", "tree", "index", "imports", "functions", "classes")
 
     def __init__(self, module_context):
         self.path = module_context.path
         self.dotted = module_dotted_name(module_context.path)
         self.tree = module_context.tree
+        self.index = module_context.index
         # local alias -> dotted target ("repro.gcs.messages" for module
         # imports, "repro.gcs.messages.JoinMsg" for from-imports).
         self.imports = {}
         self.functions = {}
         self.classes = {}
         self._index()
+
+    def all_functions(self):
+        """The module's functions by name, then each class's methods by name."""
+        out = [self.functions[name] for name in sorted(self.functions)]
+        for class_name in sorted(self.classes):
+            methods = self.classes[class_name].methods
+            out += [methods[name] for name in sorted(methods)]
+        return out
 
     def _index(self):
         for node in self.tree.body:
@@ -225,13 +234,7 @@ class SymbolTable:
         """Every FunctionInfo in the table, sorted by qualname."""
         out = []
         for path in sorted(self.modules):
-            module = self.modules[path]
-            for name in sorted(module.functions):
-                out.append(module.functions[name])
-            for class_name in sorted(module.classes):
-                info = module.classes[class_name]
-                for method_name in sorted(info.methods):
-                    out.append(info.methods[method_name])
+            out.extend(self.modules[path].all_functions())
         return out
 
 
@@ -252,7 +255,7 @@ class CallGraph:
         for func in self.symbols.all_functions():
             callees = set()
             constructed = set()
-            for node in ast.walk(func.node):
+            for node in func.module.index.walk(func.node):
                 if not isinstance(node, ast.Call):
                     continue
                 resolved = self.resolve_call(func, node)

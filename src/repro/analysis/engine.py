@@ -105,10 +105,80 @@ def path_in_scope(path, prefixes):
     return any(path_in_dir(path, p) or path_matches(path, p) for p in prefixes)
 
 
+FUNCTION_DEFS = (ast.FunctionDef, ast.AsyncFunctionDef)
+SCOPE_DEFS = FUNCTION_DEFS + (ast.ClassDef,)
+
+
+class ModuleIndex:
+    """One breadth-first traversal of a module, read by every rule.
+
+    ``nodes`` is every node in ``ast.walk`` order and ``parents`` maps a
+    node to its parent. A subtree's nodes at each depth are one
+    contiguous run of ``nodes``, so :meth:`walk` slices out any subtree
+    in that order: the tree is traversed once per run, however many
+    rules read it.
+    """
+
+    __slots__ = ("nodes", "parents", "_position", "_first_child", "_own")
+
+    def __init__(self, tree):
+        iter_children = ast.iter_child_nodes
+        nodes = [tree]
+        position = {tree: 0}
+        parents = {}
+        first_child = []
+        # Scope node -> its own nodes; a class body belongs to no scope.
+        own: dict = {tree: []}
+        bucket_of: list = [own[tree]]
+        for index, node in enumerate(nodes):
+            first_child.append(len(nodes))
+            if isinstance(node, FUNCTION_DEFS):
+                own[node] = []
+                bucket = own[node]
+            else:
+                bucket = None if isinstance(node, ast.ClassDef) else bucket_of[index]
+            for child in iter_children(node):
+                position[child] = len(nodes)
+                parents[child] = node
+                nodes.append(child)
+                bucket_of.append(bucket)
+                if bucket is not None and not isinstance(child, SCOPE_DEFS):
+                    bucket.append(child)
+        first_child.append(len(nodes))
+        self.nodes, self.parents, self._own = nodes, parents, own
+        self._position, self._first_child = position, first_child
+
+    def walk(self, node):
+        """``list(ast.walk(node))`` for any node of this module."""
+        low = self._position[node]
+        high = low + 1
+        out = []
+        while low < high:
+            out.extend(self.nodes[low:high])
+            low, high = self._first_child[low], self._first_child[high]
+        return out
+
+    def scopes(self):
+        """``(scope, innermost enclosing class or None)`` for the module
+        and every function, in ``ast.walk`` order."""
+        out = []
+        for scope in self._own:
+            owner = self.parents.get(scope)
+            while owner is not None and not isinstance(owner, ast.ClassDef):
+                owner = self.parents.get(owner)
+            out.append((scope, owner))
+        return out
+
+    def scope_nodes(self, scope):
+        """A scope's own nodes in ``ast.walk`` order: its header and body,
+        not descending into nested function or class definitions."""
+        return self._own[scope]
+
+
 class ModuleContext:
     """One parsed source file plus its suppression table."""
 
-    __slots__ = ("path", "source", "lines", "tree", "suppressions")
+    __slots__ = ("path", "source", "lines", "tree", "suppressions", "_index")
 
     def __init__(self, path, source, tree):
         self.path = path
@@ -116,6 +186,14 @@ class ModuleContext:
         self.lines = source.splitlines()
         self.tree = tree
         self.suppressions = parse_suppressions(self.lines)
+        self._index = None
+
+    @property
+    def index(self):
+        """The module's :class:`ModuleIndex`, built on first use."""
+        if self._index is None:
+            self._index = ModuleIndex(self.tree)
+        return self._index
 
     def line_text(self, number):
         """The 1-based source line, or '' when out of range."""
@@ -187,13 +265,7 @@ class ProjectContext:
 class LintResult:
     """The outcome of one lint run."""
 
-    __slots__ = (
-        "findings",
-        "suppressed",
-        "files",
-        "rules",
-        "parse_errors",
-    )
+    __slots__ = ("findings", "suppressed", "files", "rules", "parse_errors")
 
     def __init__(self, findings, suppressed, files, rules, parse_errors):
         self.findings = findings
@@ -245,17 +317,25 @@ def load_project(paths, config=None):
     is the entry point for artifact generation (``repro lint
     --state-machines``) where only the parsed tree matters.
     """
-    config = config or LintConfig()
+    modules, _ = _parse(collect_files(paths))
+    return ProjectContext(modules, config or LintConfig())
+
+
+def _parse(files):
+    """The parsed modules of ``files``, and a PARSE finding per syntax error."""
     modules = []
-    for path in collect_files(paths):
+    errors = []
+    for path in files:
         with open(path, encoding="utf-8") as handle:
             source = handle.read()
         try:
             tree = ast.parse(source, filename=path)
-        except SyntaxError:
+        except SyntaxError as exc:
+            message = "syntax error: {}".format(exc.msg)
+            errors.append(Finding("PARSE", path, exc.lineno or 1, (exc.offset or 1) - 1, message))
             continue
         modules.append(ModuleContext(path, source, tree))
-    return ProjectContext(modules, config)
+    return modules, errors
 
 
 class Linter:
@@ -267,28 +347,10 @@ class Linter:
 
     def run(self, paths):
         """Lint ``paths``; returns a :class:`LintResult`."""
-        modules = []
-        parse_errors = []
         registered = {rule.code.lower() for rule in all_rules()} | {"*"}
         files = collect_files(paths)
-        for path in files:
-            with open(path, encoding="utf-8") as handle:
-                source = handle.read()
-            try:
-                tree = ast.parse(source, filename=path)
-            except SyntaxError as exc:
-                parse_errors.append(
-                    Finding(
-                        "PARSE",
-                        path,
-                        exc.lineno or 1,
-                        (exc.offset or 1) - 1,
-                        "syntax error: {}".format(exc.msg),
-                    )
-                )
-                continue
-            module = ModuleContext(path, source, tree)
-            modules.append(module)
+        modules, parse_errors = _parse(files)
+        for module in modules:
             # An allowance naming no rule suppresses nothing, silently:
             # report it like a syntax error.
             for line in sorted(module.suppressions):

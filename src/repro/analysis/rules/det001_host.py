@@ -100,7 +100,7 @@ class HostNondeterminismRule(Rule):
         roots = _forbidden_roots(module.path, config)
         if not roots:
             return
-        nodes = list(ast.walk(module.tree))
+        nodes = module.index.nodes
         time_names, date_names, random_names = set(), set(), set()
         for node in nodes:
             if isinstance(node, ast.Import):

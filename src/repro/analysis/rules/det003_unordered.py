@@ -101,24 +101,26 @@ class UnorderedIterationRule(Rule):
     )
 
     def check_module(self, module, config):
-        parents = {}
-        for parent in ast.walk(module.tree):
-            for child in ast.iter_child_nodes(parent):
-                parents[child] = parent
-            for anchor, message in _unstable_orderings(parent):
+        index = module.index
+        for node in index.nodes:
+            for anchor, message in _unstable_orderings(node, index):
                 yield module.finding(self.code, anchor, message)
-        for func, attr_kinds in _scopes(module.tree):
-            resolver = KindResolver(func, attr_kinds)
-            for finding in self._check_scope(module, func, resolver, parents):
+        attr_kinds = {}
+        for scope, owner in index.scopes():
+            if owner is not None and owner not in attr_kinds:
+                attr_kinds[owner] = class_attr_kinds(index, owner)
+            resolver = KindResolver(index, scope, attr_kinds.get(owner))
+            for finding in self._check_scope(module, scope, resolver):
                 yield finding
 
     # ------------------------------------------------------------------
 
-    def _check_scope(self, module, scope, resolver, parents):
-        for node in _scope_nodes(scope):
+    def _check_scope(self, module, scope, resolver):
+        index = module.index
+        for node in index.scope_nodes(scope):
             if isinstance(node, ast.For):
                 kind = self._iterable_kind(node.iter, resolver, statement=True)
-                if kind is not None and _body_escapes(node):
+                if kind is not None and _body_escapes(node, index):
                     yield module.finding(
                         self.code,
                         node,
@@ -139,7 +141,7 @@ class UnorderedIterationRule(Rule):
                             "unstable order; iterate sorted(...) instead".format(kind),
                         )
             elif isinstance(node, ast.GeneratorExp):
-                consumer = _consumer_name(node, parents)
+                consumer = _consumer_name(index.parents.get(node))
                 if consumer is None or consumer in _ORDER_INSENSITIVE:
                     continue
                 for generator in node.generators:
@@ -197,7 +199,7 @@ class UnorderedIterationRule(Rule):
         return None
 
 
-def _unstable_orderings(node):
+def _unstable_orderings(node, index):
     """(anchor, message) for id()/hash() keying a sort or an ordering test.
 
     ``id()`` is an address and ``hash()`` of a str is salted per
@@ -220,7 +222,7 @@ def _unstable_orderings(node):
                     "attribute instead".format(key.id)
                 )
                 continue
-            for inner in ast.walk(key):
+            for inner in index.walk(key):
                 if _is_unstable_call(inner):
                     yield inner, (
                         "{}() inside a sort key orders by a per-process value; "
@@ -245,44 +247,10 @@ def _is_unstable_call(node):
     )
 
 
-def _scopes(tree):
-    """Yield (scope node, attribute kinds) for module, functions, methods."""
-    yield tree, {}
-    for node in ast.walk(tree):
-        if isinstance(node, ast.ClassDef):
-            attr_kinds = class_attr_kinds(node)
-            for item in ast.walk(node):
-                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                    yield item, attr_kinds
-        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            if not _inside_class(tree, node):
-                yield node, {}
-
-
-def _inside_class(tree, func):
-    for node in ast.walk(tree):
-        if isinstance(node, ast.ClassDef):
-            for item in ast.walk(node):
-                if item is func:
-                    return True
-    return False
-
-
-def _scope_nodes(scope):
-    """Walk a scope without descending into nested functions/classes."""
-    stack = list(ast.iter_child_nodes(scope))
-    while stack:
-        node = stack.pop()
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            continue
-        yield node
-        stack.extend(ast.iter_child_nodes(node))
-
-
-def _body_escapes(for_node):
+def _body_escapes(for_node, index):
     """True when the loop body accumulates or emits in iteration order."""
     for stmt in for_node.body + for_node.orelse:
-        for node in ast.walk(stmt):
+        for node in index.walk(stmt):
             if isinstance(node, (ast.Yield, ast.YieldFrom)):
                 return True
             if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
@@ -294,9 +262,8 @@ def _body_escapes(for_node):
     return False
 
 
-def _consumer_name(genexp, parents):
-    """The callable a bare generator expression is passed to, if any."""
-    parent = parents.get(genexp)
+def _consumer_name(parent):
+    """The callable a bare generator expression's ``parent`` passes it to."""
     if not isinstance(parent, ast.Call):
         return None
     func = parent.func

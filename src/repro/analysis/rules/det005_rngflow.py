@@ -82,16 +82,17 @@ class RngStreamFlowRule(Rule):
             module_info = symbols.modules[path]
             if module is None:
                 continue
+            index = module.index
             stream_attrs = _stream_attrs_by_class(module_info)
-            for func in _functions_of(module_info):
+            for func in module_info.all_functions():
                 attrs = stream_attrs.get(func.class_name, frozenset())
                 classify = _make_classifier(attrs)
-                lattice = ReachingTags(func.node, classify)
+                lattice = ReachingTags(func.node, classify, index)
                 for finding in self._check_function(
                     func, lattice, module, callgraph, dataflow
                 ):
                     yield finding
-            for node in ast.walk(module_info.tree):
+            for node in index.nodes:
                 if (
                     isinstance(node, ast.Call)
                     and isinstance(node.func, ast.Name)
@@ -107,7 +108,7 @@ class RngStreamFlowRule(Rule):
                     )
 
     def _check_function(self, func, lattice, module, callgraph, dataflow):
-        for call in ast.walk(func.node):
+        for call in module.index.walk(func.node):
             if not isinstance(call, ast.Call):
                 continue
             stream_args = _stream_arguments(call, lattice)
@@ -167,7 +168,7 @@ def _stream_attrs_by_class(module_info):
         info = module_info.classes[class_name]
         attrs = set()
         for method_name in sorted(info.methods):
-            for node in ast.walk(info.methods[method_name].node):
+            for node in module_info.index.walk(info.methods[method_name].node):
                 if not isinstance(node, ast.Assign):
                     continue
                 if not _is_stream_call(node.value):
@@ -210,17 +211,6 @@ def _make_classifier(stream_attrs):
         return ()
 
     return classify
-
-
-def _functions_of(module_info):
-    out = []
-    for name in sorted(module_info.functions):
-        out.append(module_info.functions[name])
-    for class_name in sorted(module_info.classes):
-        info = module_info.classes[class_name]
-        for method_name in sorted(info.methods):
-            out.append(info.methods[method_name])
-    return out
 
 
 def _stream_arguments(call, lattice):

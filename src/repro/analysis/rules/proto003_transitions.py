@@ -66,11 +66,12 @@ class ProtocolFieldWriteRule(Rule):
     def check_project(self, project, config):
         for machine in project.machines():
             module = machine.module
+            index = module.index
             data = machine.data
             for method in machine.class_node.body:
                 if not isinstance(method, ast.FunctionDef):
                     continue
-                for site, attr, owner in _foreign_field_writes(method):
+                for site, attr, owner in _foreign_field_writes(index, method):
                     yield module.finding(
                         self.code,
                         site,
@@ -82,7 +83,7 @@ class ProtocolFieldWriteRule(Rule):
                     )
                 if data["kind"] == "states":
                     for site, values in state_assign_targets(
-                        method, machine.spec.state_attr, machine.state_constants
+                        index, method, machine.spec.state_attr, machine.state_constants
                     ):
                         if not values:
                             yield module.finding(
@@ -99,9 +100,9 @@ class ProtocolFieldWriteRule(Rule):
                             )
 
 
-def _foreign_field_writes(method):
+def _foreign_field_writes(index, method):
     """(site, field, owner-expr) for protected writes on non-self objects."""
-    for node in ast.walk(method):
+    for node in index.walk(method):
         if not isinstance(node, (ast.Assign, ast.AugAssign)):
             continue
         targets = node.targets if isinstance(node, ast.Assign) else [node.target]

@@ -87,7 +87,8 @@ class SharedShardStateRule(Rule):
         for module in in_scope:
             # (a) global rebinds: per-process state by construction;
             # (d, e) containers evaluated once at def / class time.
-            for node in ast.walk(module.tree):
+            index = module.index
+            for node in index.nodes:
                 if isinstance(node, ast.Global):
                     yield module.finding(
                         self.code,
@@ -136,7 +137,7 @@ class SharedShardStateRule(Rule):
                     func = callgraph._function_by_qualname(mutator)
                     if func is None:
                         continue
-                    for site in _mutation_sites(func.node, global_name):
+                    for site in _mutation_sites(index, func.node, global_name):
                         yield module.finding(
                             self.code,
                             site,
@@ -150,9 +151,9 @@ class SharedShardStateRule(Rule):
                         )
 
             # (c) explicit ClassName.attr mutation: cross-instance state.
-            for func_node in _module_functions(module.tree):
+            for func_node, _ in index.scopes()[1:]:
                 for site, class_name, attr in _class_attr_mutations(
-                    func_node, module_info, symbols
+                    index, func_node, module_info, symbols
                 ):
                     yield module.finding(
                         self.code,
@@ -171,15 +172,9 @@ def _in_shard_scope(path, config):
     return config.edge_reason(path) is None and path_in_scope(path, config.shard_scope)
 
 
-def _module_functions(tree):
-    for node in ast.walk(tree):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            yield node
-
-
-def _mutation_sites(func_node, name):
+def _mutation_sites(index, func_node, name):
     """Nodes inside one function that mutate the named binding in place."""
-    for node in ast.walk(func_node):
+    for node in index.walk(func_node):
         if isinstance(node, (ast.Assign, ast.AugAssign)):
             targets = node.targets if isinstance(node, ast.Assign) else [node.target]
             for target in targets:
@@ -199,11 +194,11 @@ def _mutation_sites(func_node, name):
             yield node
 
 
-def _class_attr_mutations(func_node, module_info, symbols):
+def _class_attr_mutations(index, func_node, module_info, symbols):
     """(site, class name, attr) for in-place writes through ClassName.attr."""
     from repro.analysis.callgraph import ClassInfo
 
-    for node in ast.walk(func_node):
+    for node in index.walk(func_node):
         base = None
         if isinstance(node, (ast.Assign, ast.AugAssign)):
             targets = node.targets if isinstance(node, ast.Assign) else [node.target]

@@ -24,21 +24,14 @@ _SET_METHODS = {
 _SET_OPS = (ast.BitOr, ast.BitAnd, ast.Sub, ast.BitXor)
 
 
-def class_attr_kinds(class_node):
-    """Map ``self.<attr>`` -> kind, from every assignment in the class."""
+def class_attr_kinds(index, class_node):
+    """Map ``self.<attr>`` -> kind, from every assignment in the class's
+    functions (``index`` is the module's index)."""
     kinds = {}
-    for method in ast.walk(class_node):
+    for method in index.walk(class_node):
         if not isinstance(method, (ast.FunctionDef, ast.AsyncFunctionDef)):
             continue
-        for node in ast.walk(method):
-            targets = []
-            value = None
-            if isinstance(node, ast.Assign):
-                targets, value = node.targets, node.value
-            elif isinstance(node, ast.AnnAssign) and node.value is not None:
-                targets, value = [node.target], node.value
-            if value is None:
-                continue
+        for targets, value in _assignments(index.walk(method)):
             kind = literal_kind(value)
             if kind is None:
                 continue
@@ -56,20 +49,11 @@ def class_attr_kinds(class_node):
     return kinds
 
 
-def local_kinds(func_node):
-    """Map local variable name -> kind, from assignments in a function."""
+def local_kinds(index, func_node):
+    """Map local variable name -> kind, from assignments anywhere under a
+    function, nested definitions included, in ``ast.walk`` order."""
     kinds = {}
-    for node in ast.walk(func_node):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node is not func_node:
-            continue
-        targets = []
-        value = None
-        if isinstance(node, ast.Assign):
-            targets, value = node.targets, node.value
-        elif isinstance(node, ast.AnnAssign) and node.value is not None:
-            targets, value = [node.target], node.value
-        if value is None:
-            continue
+    for targets, value in _assignments(index.walk(func_node)):
         kind = literal_kind(value)
         for target in targets:
             if isinstance(target, ast.Name):
@@ -80,6 +64,15 @@ def local_kinds(func_node):
                     # Rebound to something unknown: stop claiming a kind.
                     del kinds[target.id]
     return kinds
+
+
+def _assignments(nodes):
+    """``(targets, value)`` of every assignment among ``nodes``, in order."""
+    for node in nodes:
+        if isinstance(node, ast.Assign):
+            yield node.targets, node.value
+        elif isinstance(node, ast.AnnAssign) and node.value is not None:
+            yield [node.target], node.value
 
 
 def literal_kind(node):
@@ -110,8 +103,8 @@ def literal_kind(node):
 class KindResolver:
     """Resolve expression kinds inside one function, with class context."""
 
-    def __init__(self, func_node, attr_kinds=None):
-        self.locals = local_kinds(func_node)
+    def __init__(self, index, func_node, attr_kinds=None):
+        self.locals = local_kinds(index, func_node)
         self.attrs = attr_kinds or {}
 
     def kind_of(self, node):

@@ -198,10 +198,11 @@ def _extract_dispatch(extracted, project):
     arms = {}
     has_default = False
     if dispatcher is not None:
+        index = extracted.module.index
         extracted.dispatcher_node = dispatcher
-        subjects = _subjects(dispatcher)
-        aliases = _type_aliases(dispatcher, subjects)
-        arms, has_default = _dispatch_arms(dispatcher.body, subjects, aliases)
+        subjects = _subjects(index, dispatcher)
+        aliases = _type_aliases(index, dispatcher, subjects)
+        arms, has_default = _dispatch_arms(index, dispatcher.body, subjects, aliases)
     messages_module = project.find(spec.messages) if spec.messages else None
     extracted.messages_module = messages_module
     kinds = []
@@ -221,7 +222,7 @@ def _extract_dispatch(extracted, project):
     }
 
 
-def _subjects(dispatcher):
+def _subjects(index, dispatcher):
     """Names that hold the dispatched message.
 
     The first positional parameter after ``self``, plus locals bound to
@@ -232,7 +233,7 @@ def _subjects(dispatcher):
     if not names:
         return set()
     subjects = {names[0]}
-    for node in ast.walk(dispatcher):
+    for node in index.walk(dispatcher):
         if not isinstance(node, ast.Assign):
             continue
         value = node.value
@@ -247,10 +248,10 @@ def _subjects(dispatcher):
     return subjects
 
 
-def _type_aliases(dispatcher, subjects):
+def _type_aliases(index, dispatcher, subjects):
     """Locals bound to ``type(<subject>)`` — the hoisted dispatch key."""
     aliases = set()
-    for node in ast.walk(dispatcher):
+    for node in index.walk(dispatcher):
         if isinstance(node, ast.Assign) and _is_type_of(node.value, subjects):
             for target in node.targets:
                 if isinstance(target, ast.Name):
@@ -270,7 +271,7 @@ def _is_type_of(node, subjects):
     )
 
 
-def _dispatch_arms(body, subjects, aliases):
+def _dispatch_arms(index, body, subjects, aliases):
     """``{message class name: sorted handler-call targets}`` plus else-arm."""
     arms = {}
     has_default = False
@@ -283,7 +284,7 @@ def _dispatch_arms(body, subjects, aliases):
             name = _arm_class_name(node.test, subjects, aliases)
             if name is not None:
                 chain_matched = True
-                arms.setdefault(name, _handler_calls(node.body))
+                arms.setdefault(name, _handler_calls(index, node.body))
             orelse = node.orelse
             if len(orelse) == 1 and isinstance(orelse[0], ast.If):
                 node = orelse[0]
@@ -323,11 +324,11 @@ def _arm_class_name(test, subjects, aliases):
     return None
 
 
-def _handler_calls(statements):
+def _handler_calls(index, statements):
     """Sorted dotted targets of the calls an arm makes (``self.…`` only)."""
     targets = set()
     for statement in statements:
-        for node in ast.walk(statement):
+        for node in index.walk(statement):
             if isinstance(node, ast.Call):
                 dotted = _dotted(node.func)
                 if dotted is not None and dotted.startswith("self."):
@@ -374,7 +375,7 @@ def _extract_states(extracted):
     for item in extracted.class_node.body:
         if not isinstance(item, ast.FunctionDef):
             continue
-        guards, assigns = _state_usage(item, spec.state_attr, constants)
+        guards, assigns = _state_usage(module.index, item, spec.state_attr, constants)
         if not guards and not assigns:
             continue
         extracted.handler_nodes[item.name] = item
@@ -395,11 +396,11 @@ def _extract_states(extracted):
     }
 
 
-def _state_usage(func_node, state_attr, constants):
+def _state_usage(index, func_node, state_attr, constants):
     """State values a method compares against and assigns, as two sets."""
     guards = set()
     assigns = set()
-    for node in ast.walk(func_node):
+    for node in index.walk(func_node):
         if isinstance(node, ast.Compare):
             operands = [node.left] + list(node.comparators)
             if any(_is_self_attr(op, state_attr) for op in operands):
@@ -434,14 +435,14 @@ def _state_values(node, constants):
     return set()
 
 
-def state_assign_targets(func_node, state_attr, constants):
+def state_assign_targets(index, func_node, state_attr, constants):
     """``(node, values)`` for every ``self.<state_attr> = …`` in a method.
 
     ``values`` is empty when the assigned expression is not a
     recognizable state constant — the PROTO003 trigger.
     """
     out = []
-    for node in ast.walk(func_node):
+    for node in index.walk(func_node):
         if isinstance(node, ast.Assign) and any(
             _is_self_attr(t, state_attr) for t in node.targets
         ):

@@ -1,9 +1,11 @@
-"""Engine mechanics: suppressions, reporters."""
+"""Engine mechanics: suppressions, reporters, the module index."""
 
+import ast
 import json
 import os
 
 from repro.analysis import LintConfig, Linter, get_rule
+from repro.analysis.engine import ModuleIndex, collect_files
 from repro.analysis.report import render_json, render_text
 from repro.analysis.suppress import is_suppressed, parse_suppressions
 
@@ -100,8 +102,6 @@ class TestParseErrors:
 
 
 def test_collect_files_is_sorted_and_unique(tmp_path):
-    from repro.analysis.engine import collect_files
-
     (tmp_path / "b.py").write_text("")
     (tmp_path / "a.py").write_text("")
     sub = tmp_path / "pkg"
@@ -110,3 +110,38 @@ def test_collect_files_is_sorted_and_unique(tmp_path):
     files = collect_files([str(tmp_path), str(tmp_path / "a.py")])
     assert files == sorted(files)
     assert len(files) == len(set(files)) == 3
+
+
+GCS = os.path.join(os.path.dirname(__file__), os.pardir, os.pardir, "src", "repro", "gcs")
+
+
+def test_index_walks_any_subtree_in_ast_walk_order():
+    with open(os.path.join(GCS, "membership.py"), encoding="utf-8") as handle:
+        tree = ast.parse(handle.read())
+    index = ModuleIndex(tree)
+    assert index.nodes == list(ast.walk(tree))
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.stmt, ast.expr)):
+            assert index.walk(node) == list(ast.walk(node))
+            for child in ast.iter_child_nodes(node):
+                if isinstance(child, (ast.stmt, ast.expr)):
+                    assert index.parents[child] is node
+
+
+def test_lint_traverses_each_module_once(monkeypatch):
+    """Rules read the module index instead of walking the tree: linting
+    src/repro/gcs enters ast.iter_child_nodes at most twice per node."""
+    nodes = 0
+    for path in collect_files([GCS]):
+        with open(path, encoding="utf-8") as handle:
+            nodes += len(list(ast.walk(ast.parse(handle.read()))))
+    entered = [0]
+    iter_child_nodes = ast.iter_child_nodes
+
+    def counting(node):
+        entered[0] += 1
+        return iter_child_nodes(node)
+
+    monkeypatch.setattr(ast, "iter_child_nodes", counting)
+    Linter(LintConfig()).run([GCS])
+    assert entered[0] <= 2 * nodes, (entered[0], nodes)
