@@ -200,6 +200,22 @@ class TestDataflow:
             "mod.push",
         ]
 
+    def test_summary_reads_the_body_not_the_header(self, tmp_path):
+        project = project_from(
+            tmp_path,
+            {
+                "mod.py": (
+                    "_LOG = []\n"
+                    "\n"
+                    "@_LOG.sort()\n"
+                    "def pick(key=_LOG.append(0)) -> _LOG.pop():\n"
+                    "    return key\n"
+                )
+            },
+        )
+        # the decorator, default and annotation run where the `def` runs
+        assert project.dataflow().summaries["mod.pick"].global_mutations == set()
+
     def test_two_builds_summarize_identically(self, tmp_path):
         source = {
             "mod.py": (
