@@ -25,9 +25,9 @@ def _post_merge_imbalance(balance_enabled, seed):
         },
     )
     assert settle_wack(cluster)
-    cluster.faults.partition(cluster.lan, [cluster.hosts[:1], cluster.hosts[1:]])
+    partition = cluster.faults.partition(cluster.lan, [cluster.hosts[:1], cluster.hosts[1:]])
     assert settle_wack(cluster)
-    cluster.faults.heal(cluster.lan)
+    partition.undo()
     assert settle_wack(cluster)
     cluster.sim.run_for(3.0)  # several balance rounds, if enabled
     assert cluster.auditor.check() == []

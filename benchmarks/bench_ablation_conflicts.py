@@ -30,10 +30,10 @@ def _merge_release_latency(eager, seed):
     cluster.lan.latency = 0.002
     cluster.lan.jitter = 0.004
     assert settle_wack(cluster)
-    cluster.faults.partition(cluster.lan, [cluster.hosts[:3], cluster.hosts[3:]])
+    partition = cluster.faults.partition(cluster.lan, [cluster.hosts[:3], cluster.hosts[3:]])
     assert settle_wack(cluster)
     heal_time = cluster.sim.now
-    cluster.faults.heal(cluster.lan)
+    partition.undo()
     assert settle_wack(cluster)
     assert cluster.auditor.check() == []
 

@@ -50,14 +50,14 @@ def main():
     show("healthy cluster: each VIP covered once", wacks, vips)
 
     print("\npartitioning: {node1, node2} | {node3, node4} ...")
-    faults.partition(lan, [hosts[:2], hosts[2:]])
+    partition = faults.partition(lan, [hosts[:2], hosts[2:]])
     sim.run_for(10.0)
     show("partitioned: BOTH components cover the full set", wacks, vips)
     assert auditor.check() == [], "per-component coverage violated"
     conflicts_before = sum(w.conflicts_dropped for w in wacks)
 
     print("\nhealing the partition ...")
-    faults.heal(lan)
+    partition.undo()
     sim.run_for(10.0)
     show("merged: duplicates resolved deterministically", wacks, vips)
     dropped = sum(w.conflicts_dropped for w in wacks) - conflicts_before

@@ -66,7 +66,7 @@ class AvailabilityExperiment:
         )
         start = scenario.sim.now
         for offset in fault_times:
-            scenario.faults.at(
+            scenario.sim.at(
                 start + offset, self._fail_some_server, scenario
             )
         scenario.sim.run_for(self.window)

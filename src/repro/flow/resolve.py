@@ -193,7 +193,7 @@ class DirectResolver:
         compared with the previous tick's read. Compared, not
         versioned: those inputs are written at six sites in three
         packages (``ScaleVipManager.apply_view``, ``Host.crash`` /
-        ``recover`` / ``set_slowdown``, ``Lan.set_link_model`` and the
+        ``recover`` / ``set_slowdown``, ``Lan._set_channel`` and the
         plain attribute ``lan.loss``, ``GilbertElliott.bad``), and a
         missed hook would be a silently wrong request ledger.
         """

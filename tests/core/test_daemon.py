@@ -76,9 +76,9 @@ def test_partition_both_sides_cover_full_set():
 def test_merge_resolves_all_conflicts():
     cluster = build_wack_cluster(4, n_vips=6)
     assert settle_wack(cluster)
-    cluster.faults.partition(cluster.lan, [cluster.hosts[:2], cluster.hosts[2:]])
+    partition = cluster.faults.partition(cluster.lan, [cluster.hosts[:2], cluster.hosts[2:]])
     assert settle_wack(cluster)
-    cluster.faults.heal(cluster.lan)
+    partition.undo()
     assert settle_wack(cluster)
     for vip in cluster.wconfig.slot_ids():
         owners = [w for w in cluster.wacks if w.iface.owns(vip)]
@@ -90,9 +90,9 @@ def test_merge_resolves_all_conflicts():
 def test_conflict_loser_is_earlier_member():
     cluster = build_wack_cluster(2, n_vips=4)
     assert settle_wack(cluster)
-    cluster.faults.partition(cluster.lan, [[cluster.hosts[0]], [cluster.hosts[1]]])
+    partition = cluster.faults.partition(cluster.lan, [[cluster.hosts[0]], [cluster.hosts[1]]])
     assert settle_wack(cluster)
-    cluster.faults.heal(cluster.lan)
+    partition.undo()
     assert settle_wack(cluster)
     # node0 sorts first -> it must have released the contested slots.
     conflict_records = cluster.sim.trace.select(category="wackamole", event="conflict")

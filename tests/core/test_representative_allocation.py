@@ -45,12 +45,12 @@ def test_representative_crash_mid_epoch_recovers():
 def test_partition_and_merge():
     cluster = build_wack_cluster(4, n_vips=8, wack_overrides=REP_OVERRIDES)
     assert settle_wack(cluster)
-    cluster.faults.partition(cluster.lan, [cluster.hosts[:2], cluster.hosts[2:]])
+    partition = cluster.faults.partition(cluster.lan, [cluster.hosts[:2], cluster.hosts[2:]])
     assert settle_wack(cluster)
     for side in (cluster.wacks[:2], cluster.wacks[2:]):
         for vip in cluster.wconfig.slot_ids():
             assert len([w for w in side if w.iface.owns(vip)]) == 1
-    cluster.faults.heal(cluster.lan)
+    partition.undo()
     assert settle_wack(cluster)
     assert cluster.auditor.check() == []
 

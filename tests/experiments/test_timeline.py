@@ -56,10 +56,10 @@ def test_no_dip_on_quiet_cluster():
 def test_duplicates_observed_during_merge():
     cluster = build_wack_cluster(4, n_vips=4)
     assert settle_wack(cluster)
-    cluster.faults.partition(cluster.lan, [cluster.hosts[:2], cluster.hosts[2:]])
+    partition = cluster.faults.partition(cluster.lan, [cluster.hosts[:2], cluster.hosts[2:]])
     assert settle_wack(cluster)
     timeline = watch(cluster)
-    cluster.faults.heal(cluster.lan)
+    partition.undo()
     assert settle_wack(cluster)
     timeline.finish()
     # While the two healed components both still covered everything,

@@ -108,14 +108,16 @@ def run_fault_script(resolver_class, use_numpy):
     sim.run_for(0.5)
     scenario.hosts[20].set_slowdown(1.0)
     sim.run_for(0.5)
-    lan.set_link_model(GilbertElliott(0.05, 0.25, loss_bad=0.5))
+    bursty = GilbertElliott(0.05, 0.25, loss_bad=0.5)
+    lan.add_link_model(bursty)
     sim.run_for(0.5)
     frozen = GilbertElliott(0.0, 0.0, loss_good=0.0, loss_bad=0.4)
-    lan.set_link_model(frozen)
+    lan.add_link_model(frozen)
     sim.run_for(0.3)
     frozen.bad = True
     sim.run_for(0.3)
-    lan.set_link_model(None)
+    lan.remove_link_model(frozen)
+    lan.remove_link_model(bursty)
     sim.run_for(0.3)
     lan.loss = 0.1
     sim.run_for(0.3)
@@ -235,6 +237,7 @@ def arp_view_script(world):
     lan, faults, client = world.lan, world.faults, world.client
     frozen = GilbertElliott(0.0, 0.0, loss_good=0.0, loss_bad=0.4)
     late = []
+    held = {}  # the open partition handle and blocked pairs
 
     def attach_and_rebind():
         late.append(world.servers[0].add_nic(lan, "10.0.0.70"))
@@ -255,13 +258,14 @@ def arp_view_script(world):
         ("recover", recover_and_rebind),
         ("set_slowdown", lambda: world.servers[1].set_slowdown(3.0)),
         ("slowdown cleared", lambda: world.servers[1].set_slowdown(1.0)),
-        ("partition", lambda: faults.partition(lan, [[client]])),
-        ("heal", lambda: faults.heal(lan)),
-        ("block_direction", lambda: lan.block_direction(world.servers[2], client)),
-        ("unblock", lan.clear_blocks),
-        ("link model set", lambda: lan.set_link_model(frozen)),
+        ("partition", lambda: held.update(cut=faults.partition(lan, [[client]]))),
+        ("heal", lambda: held.pop("cut").undo()),
+        ("block_direction",
+         lambda: held.update(pairs=lan.block_direction(world.servers[2], client))),
+        ("unblock", lambda: lan.unblock(held.pop("pairs"))),
+        ("link model set", lambda: lan.add_link_model(frozen)),
         ("link model state flipped", lambda: setattr(frozen, "bad", True)),
-        ("link model removed", lambda: lan.set_link_model(None)),
+        ("link model removed", lambda: lan.remove_link_model(frozen)),
         ("lan.loss", lambda: setattr(lan, "loss", 0.1)),
         ("lan.loss cleared", lambda: setattr(lan, "loss", 0.0)),
         ("client clock skewed", lambda: client.set_clock_skew(1.5)),
@@ -416,13 +420,13 @@ def test_each_input_flips_begin_tick_once():
     seen_once("slowdown cleared")
 
     frozen = GilbertElliott(0.0, 0.0, loss_good=0.0, loss_bad=0.5)
-    lan.set_link_model(frozen)
-    seen_once("set_link_model")  # a new model, even one that loses nothing
+    lan.add_link_model(frozen)
+    seen_once("add_link_model")  # a new model, even one that loses nothing
     assert resolver.resolve(vip) == (1.0, None, heir)
     frozen.bad = True
     seen_once("a frozen chain's bad flag")
     assert resolver.resolve(vip) == (0.25, "degraded", heir)
-    lan.set_link_model(None)
+    lan.remove_link_model(frozen)
     seen_once("link model removed")
 
     lan.loss = 0.5
@@ -499,24 +503,24 @@ def test_each_arp_view_input_flips_begin_tick_once():
     owner.set_slowdown(1.0)
     seen_once("slowdown cleared")
 
-    lan.partition([[client]])
+    cut = lan.partition([[client]])
     seen_once("partition")
     assert resolver.resolve(vip) == (0.0, "partitioned", None)
-    lan.heal()
+    lan.heal(cut)
     seen_once("heal")
-    lan.block_direction(owner, client)
+    pairs = lan.block_direction(owner, client)
     seen_once("block_direction")
     assert resolver.resolve(vip) == (0.0, "partitioned", None)
-    lan.clear_blocks()
-    seen_once("clear_blocks")
+    lan.unblock(pairs)
+    seen_once("unblock")
 
     frozen = GilbertElliott(0.0, 0.0, loss_good=0.0, loss_bad=0.5)
-    lan.set_link_model(frozen)
-    seen_once("set_link_model")
+    lan.add_link_model(frozen)
+    seen_once("add_link_model")
     frozen.bad = True
     seen_once("a frozen chain's bad flag")
     assert resolver.resolve(vip) == (0.25, "degraded", owner)
-    lan.set_link_model(None)
+    lan.remove_link_model(frozen)
     seen_once("link model removed")
     lan.loss = 0.5
     seen_once("lan.loss")

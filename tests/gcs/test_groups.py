@@ -122,10 +122,10 @@ def test_merge_produces_combined_group_view():
         client.join("g")
         clients.append(client)
     cluster.sim.run_for(0.5)
-    cluster.faults.partition(cluster.lan, [cluster.hosts[:2], cluster.hosts[2:]])
+    partition = cluster.faults.partition(cluster.lan, [cluster.hosts[:2], cluster.hosts[2:]])
     settle_gcs(cluster)
     assert len(cluster.daemons[0].groups["g"]) == 2
-    cluster.faults.heal(cluster.lan)
+    partition.undo()
     settle_gcs(cluster)
     assert len(cluster.daemons[0].groups["g"]) == 4
     reference = sorted(cluster.daemons[0].groups["g"])

@@ -85,9 +85,9 @@ def test_partition_forms_two_operational_components():
 
 def test_merge_after_heal_restores_single_view():
     cluster = settle_gcs(build_gcs_cluster(5))
-    cluster.faults.partition(cluster.lan, [cluster.hosts[:2], cluster.hosts[2:]])
+    partition = cluster.faults.partition(cluster.lan, [cluster.hosts[:2], cluster.hosts[2:]])
     settle_gcs(cluster)
-    cluster.faults.heal(cluster.lan)
+    partition.undo()
     settle_gcs(cluster)
     assert_single_view(cluster.daemons, [d.daemon_id for d in cluster.daemons])
 
@@ -106,7 +106,7 @@ def test_cascading_fault_during_gather_converges():
     config = cluster.config
     # Crash one host, then another mid-reconfiguration.
     cluster.faults.crash_host(cluster.hosts[4])
-    cluster.faults.after(
+    cluster.sim.after(
         config.fault_detection_timeout + config.discovery_timeout / 2.0,
         cluster.faults.crash_host,
         cluster.hosts[3],

@@ -48,7 +48,7 @@ def test_messages_in_flight_at_view_change_delivered_consistently():
             cluster.sim.after(0.005, send_burst, index + 1)
 
     send_burst()
-    cluster.faults.after(0.2, cluster.faults.crash_host, cluster.hosts[3])
+    cluster.sim.after(0.2, cluster.faults.crash_host, cluster.hosts[3])
     settle_gcs(cluster)
     cluster.sim.run_for(3.0)
     # The three survivors advanced together: identical logs throughout.
@@ -86,7 +86,7 @@ def test_survivors_of_partition_share_per_view_sets():
     clients, logs = connect_all(cluster)
     for round_index in range(20):
         clients[round_index % 4].multicast("g", round_index)
-    cluster.faults.after(
+    cluster.sim.after(
         0.05, cluster.faults.partition, cluster.lan,
         [cluster.hosts[:2], cluster.hosts[2:]],
     )
@@ -100,12 +100,12 @@ def test_survivors_of_partition_share_per_view_sets():
 def test_agreed_order_holds_across_merges():
     cluster = settle_gcs(build_gcs_cluster(4))
     clients, logs = connect_all(cluster)
-    cluster.faults.partition(cluster.lan, [cluster.hosts[:2], cluster.hosts[2:]])
+    partition = cluster.faults.partition(cluster.lan, [cluster.hosts[:2], cluster.hosts[2:]])
     settle_gcs(cluster)
     clients[0].multicast("g", "side-a")
     clients[2].multicast("g", "side-b")
     cluster.sim.run_for(1.0)
-    cluster.faults.heal(cluster.lan)
+    partition.undo()
     settle_gcs(cluster)
     for index, client in enumerate(clients):
         client.multicast("g", "merged-{}".format(index))
@@ -124,7 +124,7 @@ def test_no_message_delivered_twice():
     clients, logs = connect_all(cluster)
     for index in range(30):
         clients[index % 3].multicast("g", index)
-    cluster.faults.after(0.05, cluster.faults.crash_host, cluster.hosts[2])
+    cluster.sim.after(0.05, cluster.faults.crash_host, cluster.hosts[2])
     settle_gcs(cluster)
     cluster.sim.run_for(2.0)
     for log in logs[:2]:

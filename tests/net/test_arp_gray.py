@@ -81,7 +81,7 @@ def test_announce_campaign_converges_client_cache(loss_bad, seed):
     which the client's cache maps the VIP to the owner's real MAC.
     """
     sim, lan, owner, client, manager, vip = build_segment(seed)
-    lan.set_link_model(GilbertElliott(loss_good=0.0, loss_bad=loss_bad))
+    lan.add_link_model(GilbertElliott(loss_good=0.0, loss_bad=loss_bad))
     manager.acquire(vip)
     for tick in range(1, 11):
         sim.at(float(tick), manager.reannounce_all)
@@ -103,7 +103,7 @@ def test_cache_converges_even_when_loss_persists(loss_bad, seed):
     """
     sim, lan, owner, client, manager, vip = build_segment(seed)
     model = GilbertElliott(loss_good=0.0, loss_bad=loss_bad)
-    lan.set_link_model(model)
+    lan.add_link_model(model)
     manager.acquire(vip)
     for tick in range(1, 16):
         sim.at(float(tick), manager.reannounce_all)
@@ -133,9 +133,9 @@ def test_conflict_resolution_single_owner_after_asym_heal(deaf, duration, seed):
     )
     assert settle_wack(cluster, timeout=30.0)
     injector = FaultInjector(cluster.sim)
-    injector.asym_partition(cluster.lan, [cluster.hosts[deaf]])
+    fault = injector.asym_partition(cluster.lan, [cluster.hosts[deaf]])
     cluster.sim.run_for(duration)
-    injector.asym_heal(cluster.lan)
+    fault.undo()
     assert settle_wack(cluster, timeout=40.0)
     live = [w for w in cluster.wacks if w.alive]
     assert all(w.machine.state == RUN and w.mature for w in live)
@@ -168,11 +168,13 @@ def test_single_owner_after_asym_heal_under_burst_loss(loss_bad, duration, seed)
     )
     assert settle_wack(cluster, timeout=30.0)
     injector = FaultInjector(cluster.sim)
-    injector.burst_loss_on(cluster.lan, GilbertElliott(loss_good=0.0, loss_bad=loss_bad))
-    injector.asym_partition(cluster.lan, [cluster.hosts[0]])
+    burst = injector.burst_loss_on(
+        cluster.lan, GilbertElliott(loss_good=0.0, loss_bad=loss_bad)
+    )
+    deafness = injector.asym_partition(cluster.lan, [cluster.hosts[0]])
     cluster.sim.run_for(duration)
-    injector.asym_heal(cluster.lan)
-    injector.burst_loss_off(cluster.lan)
+    deafness.undo()
+    burst.undo()
     assert settle_wack(cluster, timeout=40.0)
     for group in cluster.wconfig.vip_groups:
         for address in group.addresses:

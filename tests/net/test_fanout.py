@@ -171,7 +171,7 @@ def test_send_udp_is_the_one_destination_fanout():
 
 
 def _gilbert_elliott(world):
-    world.lan.set_link_model(GilbertElliott(p_good_to_bad=0.4, loss_bad=0.8))
+    world.lan.add_link_model(GilbertElliott(p_good_to_bad=0.4, loss_bad=0.8))
 
 
 def _directed_block(world):

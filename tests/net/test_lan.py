@@ -82,8 +82,7 @@ def test_partition_allows_same_group_frames():
 def test_heal_restores_full_connectivity():
     sim, lan, hosts = build()
     received = capture_frames(hosts[1])
-    lan.partition([[hosts[0]], [hosts[1]]])
-    lan.heal()
+    lan.heal(lan.partition([[hosts[0]], [hosts[1]]]))
     frame = EthernetFrame(hosts[0].nics[0].mac, BROADCAST_MAC, TEST_ETHERTYPE, "x")
     hosts[0].nics[0].transmit(frame)
     sim.run_until_idle()
@@ -203,11 +202,11 @@ def test_broadcast_cache_invalidated_by_partition_and_heal():
     src.transmit(frame)  # prime with everyone reachable
     sim.run_until_idle()
     received = [capture_frames(host) for host in hosts]
-    lan.partition([[hosts[0], hosts[1]], [hosts[2]]])
+    cut = lan.partition([[hosts[0], hosts[1]], [hosts[2]]])
     src.transmit(frame)
     sim.run_until_idle()
     assert [len(r) for r in received] == [0, 1, 0]
-    lan.heal()
+    lan.heal(cut)
     src.transmit(frame)
     sim.run_until_idle()
     assert [len(r) for r in received] == [0, 2, 1]

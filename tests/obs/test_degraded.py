@@ -38,17 +38,44 @@ def test_heal_only_closes_its_own_target():
     assert by_target["web1"].duration is None
 
 
-def test_asym_partition_heal_matches_on_lan_prefix():
-    """Onset targets are "<lan>:<deaf hosts>"; the heal names the LAN."""
+def test_asym_partition_span_closes_on_its_own_fault():
+    """Onset targets are "<lan>:<deaf hosts>"; the heal names the LAN,
+    so the undo is matched on the fault identity both records carry."""
     spans = degraded_spans(
         [
-            rec(3.0, "fault", "injector", "asym_partition", target="lan0:h0,h2"),
-            rec(8.5, "fault", "injector", "asym_heal", target="lan0"),
+            rec(3.0, "fault", "injector", "asym_partition", target="lan0:h0,h2", fault=1),
+            rec(8.5, "fault", "injector", "asym_heal", target="lan0", fault=1),
         ]
     )
     assert len(spans) == 1
     assert spans[0].end == 8.5
     assert spans[0].end_cause == "asym_heal"
+
+
+def test_overlapping_asym_partitions_end_at_their_own_undo():
+    from repro.net.fault import FaultInjector
+    from repro.net.host import Host
+    from repro.net.lan import Lan
+    from repro.sim.simulation import Simulation
+
+    sim = Simulation(seed=1)
+    lan = Lan(sim, "lan0", "10.0.0.0/24")
+    hosts = [Host(sim, "h{}".format(i)) for i in range(3)]
+    for index, host in enumerate(hosts):
+        host.add_nic(lan, "10.0.0.{}".format(1 + index))
+    injector = FaultInjector(sim)
+    first = injector.asym_partition(lan, [hosts[0]])
+    sim.run(until=1.0)
+    second = injector.asym_partition(lan, [hosts[1]])
+    sim.run(until=2.0)
+    first.undo()
+    sim.run(until=4.0)
+    second.undo()
+    spans = degraded_spans(sim.trace.records)
+    assert [(span.target, span.start, span.end) for span in spans] == [
+        ("lan0:h0", 0.0, 2.0),
+        ("lan0:h1", 1.0, 4.0),
+    ]
 
 
 def test_crash_closes_host_scoped_spans():

@@ -39,6 +39,7 @@ class ChaosMonkey:
         self.faults = FaultInjector(sim)
         self.rng = sim.rng.stream("chaos")
         self.actions = 0
+        self.partitions = []  # handles of the cuts this monkey opened
 
     def start(self):
         self._schedule_next()
@@ -49,7 +50,7 @@ class ChaosMonkey:
     def _act(self):
         if self.sim.now > SOAK_SECONDS - 60.0:
             # Quiet period at the end: heal everything, stop acting.
-            self.faults.heal(self.lan)
+            self._heal_all()
             for host in self.hosts:
                 if host.alive:
                     for nic in host.nics:
@@ -72,11 +73,17 @@ class ChaosMonkey:
             split = self.rng.randint(1, len(self.hosts) - 1)
             # Split off a server group; the probing client stays
             # connected to the remainder (its component keeps serving).
-            self.faults.partition(self.lan, [self.hosts[:split]])
-            self.sim.after(self.rng.uniform(10.0, 30.0), self.faults.heal, self.lan)
+            fault = self.faults.partition(self.lan, [self.hosts[:split]])
+            self.partitions.append(fault)
+            self.sim.after(self.rng.uniform(10.0, 30.0), fault.undo)
         else:
-            self.faults.heal(self.lan)
+            self._heal_all()
         self._schedule_next()
+
+    def _heal_all(self):
+        for fault in self.partitions:
+            fault.undo()
+        self.partitions = []
 
     def _revive(self, index):
         host = self.hosts[index]

@@ -56,6 +56,7 @@ class CorruptionMonkey:
         self.rng = sim.rng.stream("corruption-chaos")
         self.actions = 0
         self.corruptions = 0
+        self.partitions = []  # handles of the cuts this monkey opened
 
     def start(self):
         self._schedule_next()
@@ -66,7 +67,8 @@ class CorruptionMonkey:
     def _act(self):
         if self.sim.now > SOAK_SECONDS - 60.0:
             # Quiet period: heal everything, stop acting.
-            self.faults.heal(self.lan)
+            for fault in self.partitions:
+                fault.undo()
             for host in self.hosts:
                 if host.alive:
                     for nic in host.nics:
@@ -88,8 +90,9 @@ class CorruptionMonkey:
                 self.sim.after(self.rng.uniform(8.0, 20.0), self.faults.nic_up, nic)
         elif choice < 0.40:
             split = self.rng.randint(1, len(self.hosts) - 1)
-            self.faults.partition(self.lan, [self.hosts[:split]])
-            self.sim.after(self.rng.uniform(8.0, 20.0), self.faults.heal, self.lan)
+            fault = self.faults.partition(self.lan, [self.hosts[:split]])
+            self.partitions.append(fault)
+            self.sim.after(self.rng.uniform(8.0, 20.0), fault.undo)
         elif live:
             self.corruptions += 1
             index = self.rng.choice(live)

@@ -77,11 +77,16 @@ def run_faulted_cluster(seed):
     """A cluster under a scripted FaultInjector schedule; full trace out."""
     cluster = build_wack_cluster(4, seed=seed, n_vips=6)
     nic = cluster.hosts[0].nics[0]
-    cluster.faults.at(3.0, cluster.faults.nic_down, nic)
-    cluster.faults.at(6.0, cluster.faults.nic_up, nic)
-    cluster.faults.at(8.0, cluster.faults.partition, cluster.lan, [cluster.hosts[:2]])
-    cluster.faults.after(11.0, cluster.faults.heal, cluster.lan)
-    cluster.faults.at(14.0, cluster.faults.crash_host, cluster.hosts[3])
+    sim = cluster.sim
+    sim.at(3.0, cluster.faults.nic_down, nic)
+    sim.at(6.0, cluster.faults.nic_up, nic)
+
+    def partition():
+        fault = cluster.faults.partition(cluster.lan, [cluster.hosts[:2]])
+        sim.at(11.0, fault.undo)
+
+    sim.at(8.0, partition)
+    sim.at(14.0, cluster.faults.crash_host, cluster.hosts[3])
     cluster.sim.run_for(20.0)
     return [repr(record) for record in cluster.sim.trace.records]
 

@@ -63,12 +63,12 @@ def test_asym_partition_creates_then_resolves_duplicate_vips():
         if deaf.owns_ip(address)
     ]
     assert held_before  # the allocation gave the victim something to lose
-    cluster.faults.asym_partition(cluster.lan, [deaf])
+    fault = cluster.faults.asym_partition(cluster.lan, [deaf])
     cluster.sim.run_for(4.0)
     # The gray symptom: the deaf host still binds its addresses while
     # the majority, having suspected it, re-acquired them.
     assert any(len(owners_of(cluster, a)) >= 2 for a in held_before)
-    cluster.faults.asym_heal(cluster.lan)
+    fault.undo()
     assert settle_wack(cluster, timeout=40.0)
     assert_single_owner_coverage(cluster)
 
@@ -82,12 +82,12 @@ def test_failover_completes_under_burst_loss():
     the channel clears (retried/periodic announces repair the caches)."""
     cluster = build_gray_cluster(seed=13)
     assert settle_wack(cluster, timeout=30.0)
-    cluster.faults.burst_loss_on(
+    fault = cluster.faults.burst_loss_on(
         cluster.lan, GilbertElliott(loss_good=0.0, loss_bad=0.8)
     )
     cluster.faults.crash_host(cluster.hosts[2])
     cluster.sim.run_for(8.0)
-    cluster.faults.burst_loss_off(cluster.lan)
+    fault.undo()
     assert settle_wack(cluster, timeout=40.0)
     assert_single_owner_coverage(cluster)
     assert cluster.lan.link_model is None
@@ -129,10 +129,10 @@ def test_slow_host_flaps_at_k1_and_rides_out_at_k2():
         )
         assert settle_wack(cluster, timeout=30.0)
         baseline = sum(d.fd.suspicions for d in cluster.spreads)
-        cluster.faults.slow_host(cluster.hosts[0], 3.0)
+        fault = cluster.faults.slow_host(cluster.hosts[0], 3.0)
         cluster.sim.run_for(6.0)
         suspected[misses] = sum(d.fd.suspicions for d in cluster.spreads) - baseline
-        cluster.faults.unslow_host(cluster.hosts[0])
+        fault.undo()
         assert settle_wack(cluster, timeout=40.0)
         assert_single_owner_coverage(cluster)
     assert suspected[1] >= 1
@@ -148,14 +148,16 @@ def test_failover_with_skewed_clock():
     nothing about detection or fail-over — the scenario documents it."""
     cluster = build_gray_cluster(seed=23)
     assert settle_wack(cluster, timeout=30.0)
-    cluster.faults.skew_clock(cluster.hosts[0], 45.0)
-    cluster.faults.skew_clock(cluster.hosts[1], -45.0)
+    skews = [
+        cluster.faults.skew_clock(cluster.hosts[0], 45.0),
+        cluster.faults.skew_clock(cluster.hosts[1], -45.0),
+    ]
     assert cluster.hosts[0].local_time - cluster.hosts[1].local_time == 90.0
     cluster.faults.crash_host(cluster.hosts[2])
     assert settle_wack(cluster, timeout=40.0)
     assert_single_owner_coverage(cluster)
-    cluster.faults.unskew_clock(cluster.hosts[0])
-    cluster.faults.unskew_clock(cluster.hosts[1])
+    for fault in skews:
+        fault.undo()
     assert cluster.hosts[0].local_time == cluster.hosts[1].local_time
 
 

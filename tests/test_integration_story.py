@@ -57,13 +57,13 @@ def test_full_lifecycle_story():
     # 4. A switch failure partitions the cluster; both sides keep
     #    serving their components, then merge cleanly.
     live_hosts = [w.host for w in scenario.wacks if w.alive]
-    scenario.faults.partition(
+    partition = scenario.faults.partition(
         scenario.lan, [live_hosts[:2], live_hosts[2:] + [scenario.client_host,
                                                          scenario.router]]
     )
     checkpoint(scenario, "during partition")
     assert probe_is_alive(scenario)  # the client's side still serves
-    scenario.faults.heal(scenario.lan)
+    partition.undo()
     checkpoint(scenario, "after heal")
     assert probe_is_alive(scenario)
 

@@ -38,7 +38,7 @@ action_strategy = st.one_of(
 schedule_strategy = st.lists(action_strategy, min_size=1, max_size=6)
 
 
-def apply_action(cluster, action, argument):
+def apply_action(cluster, action, argument, partitions):
     alive = [i for i, w in enumerate(cluster.wacks) if w.alive]
     if action == "crash":
         if len(alive) > 1 and cluster.wacks[argument].alive:
@@ -53,14 +53,20 @@ def apply_action(cluster, action, argument):
     elif action == "partition":
         left = cluster.hosts[:argument]
         right = cluster.hosts[argument:]
-        cluster.faults.partition(cluster.lan, [left, right])
+        partitions.append(cluster.faults.partition(cluster.lan, [left, right]))
     elif action == "heal":
-        cluster.faults.heal(cluster.lan)
+        heal(partitions)
 
 
-def quiesce(cluster):
+def heal(partitions):
+    """Undo every open partition handle."""
+    while partitions:
+        partitions.pop().undo()
+
+
+def quiesce(cluster, partitions):
     """End the fault period: reconnect everything that still exists."""
-    cluster.faults.heal(cluster.lan)
+    heal(partitions)
     for host in cluster.hosts:
         if host.alive:
             for nic in host.nics:
@@ -72,10 +78,11 @@ def quiesce(cluster):
 def test_properties_hold_after_arbitrary_fault_schedules(schedule, seed):
     cluster = build_wack_cluster(CLUSTER_SIZE, seed=seed, n_vips=5)
     assert settle_wack(cluster), "cluster never booted"
+    partitions = []
     for action, argument in schedule:
-        apply_action(cluster, action, argument)
+        apply_action(cluster, action, argument, partitions)
         cluster.sim.run_for(1.5)
-    quiesce(cluster)
+    quiesce(cluster, partitions)
     stable = settle_wack(cluster, timeout=40.0)
 
     live = [w for w in cluster.wacks if w.alive]
@@ -102,13 +109,14 @@ def test_view_relative_coverage_never_violated_mid_schedule(schedule, seed):
     """
     cluster = build_wack_cluster(CLUSTER_SIZE, seed=seed, n_vips=4)
     assert settle_wack(cluster)
+    partitions = []
     for action, argument in schedule:
-        apply_action(cluster, action, argument)
+        apply_action(cluster, action, argument, partitions)
         for _ in range(6):
             cluster.sim.run_for(0.5)
             violations = cluster.auditor.check_by_view()
             assert violations == [], "mid-schedule violation: {}".format(violations)
-    quiesce(cluster)
+    quiesce(cluster, partitions)
     assert settle_wack(cluster, timeout=40.0)
     assert cluster.auditor.check() == []
     assert cluster.auditor.check_by_view() == []

@@ -78,18 +78,21 @@ def test_vip_groups_move_atomically(n_groups, per_group, seed, actions):
     )
     sim.run_for(5.0)
     assert_groups_atomic(hosts, config)
+    partitions = []
     for action in actions:
         live = [h for h in hosts if h.alive]
         if action == "crash" and len(live) > 1:
             faults.crash_host(live[0])
         elif action == "partition":
-            faults.partition(lans[0], [live[:1], live[1:]])
+            partitions.append(faults.partition(lans[0], [live[:1], live[1:]]))
         elif action == "heal":
-            faults.heal(lans[0])
+            while partitions:
+                partitions.pop().undo()
         for _ in range(4):
             sim.run_for(1.0)
             assert_groups_atomic(hosts, config)
-    faults.heal(lans[0])
+    for fault in partitions:
+        fault.undo()
     sim.run_for(10.0)
     assert_groups_atomic(hosts, config)
     # Final sanity: all live daemons RUN, no Property 1 violations.

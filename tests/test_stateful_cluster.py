@@ -32,6 +32,7 @@ class WackamoleClusterMachine(RuleBasedStateMachine):
     def __init__(self):
         super().__init__()
         self.cluster = None
+        self.partitions = []  # handles of the open cuts
 
     @initialize(seed=st.integers(0, 2**16))
     def boot(self, seed):
@@ -60,14 +61,18 @@ class WackamoleClusterMachine(RuleBasedStateMachine):
 
     @rule(split=st.integers(1, N - 1))
     def partition_lan(self, split):
-        self.cluster.faults.partition(
-            self.cluster.lan,
-            [self.cluster.hosts[:split], self.cluster.hosts[split:]],
+        self.partitions.append(
+            self.cluster.faults.partition(
+                self.cluster.lan,
+                [self.cluster.hosts[:split], self.cluster.hosts[split:]],
+            )
         )
 
     @rule()
     def heal_lan(self):
-        self.cluster.faults.heal(self.cluster.lan)
+        for fault in self.partitions:
+            fault.undo()
+        self.partitions = []
 
     @rule(index=st.integers(0, N - 1))
     def graceful_drain(self, index):
@@ -93,7 +98,7 @@ class WackamoleClusterMachine(RuleBasedStateMachine):
         if self.cluster is None:
             return
         # End of the episode: repair everything and require quiescence.
-        self.cluster.faults.heal(self.cluster.lan)
+        self.heal_lan()
         for host in self.cluster.hosts:
             if host.alive:
                 for nic in host.nics:
@@ -120,6 +125,7 @@ class StabilizingClusterMachine(RuleBasedStateMachine):
     def __init__(self):
         super().__init__()
         self.cluster = None
+        self.partitions = []  # handles of the open cuts
         self._first_seen = {}
 
     @initialize(seed=st.integers(0, 2**16))
@@ -149,14 +155,18 @@ class StabilizingClusterMachine(RuleBasedStateMachine):
 
     @rule(split=st.integers(1, N - 1))
     def partition_lan(self, split):
-        self.cluster.faults.partition(
-            self.cluster.lan,
-            [self.cluster.hosts[:split], self.cluster.hosts[split:]],
+        self.partitions.append(
+            self.cluster.faults.partition(
+                self.cluster.lan,
+                [self.cluster.hosts[:split], self.cluster.hosts[split:]],
+            )
         )
 
     @rule()
     def heal_lan(self):
-        self.cluster.faults.heal(self.cluster.lan)
+        for fault in self.partitions:
+            fault.undo()
+        self.partitions = []
 
     @rule(seconds=st.floats(0.2, 3.0))
     def let_time_pass(self, seconds):
@@ -222,7 +232,7 @@ class StabilizingClusterMachine(RuleBasedStateMachine):
     def teardown(self):
         if self.cluster is None:
             return
-        self.cluster.faults.heal(self.cluster.lan)
+        self.heal_lan()
         for host in self.cluster.hosts:
             if host.alive:
                 for nic in host.nics:
