@@ -194,8 +194,10 @@ for _repertoire in ("standard", "gray", "corrupt"):
 #: the four pins whose trace holds a ``flow/start`` record re-recorded
 #: when that record stopped naming the numpy/python backend, the twelve
 #: check trials when results gained the coverage engine's ``coverage``,
-#: and the two broken-balance pins again when a violation began to stop
-#: the run at the instant it is known.
+#: the two broken-balance pins again when a violation began to stop
+#: the run at the instant it is known, and the seven trial pins whose
+#: schedules overlap faults of one kind when overlapping faults began to
+#: compose (each undo reverting its own fault only).
 GOLDEN = {
     "router/static-fail-active": {
         "events_fired": 4478,
@@ -219,7 +221,7 @@ GOLDEN = {
     },
     "trial/broken-balance/0": {
         "events_fired": None,
-        "sha256": "62f3ec1804f4fc79abecc2852f264cd037aab44f765bc7d8d278b1b73ecd070a",
+        "sha256": "d3e75ac44c3cd1595075ac207bf8831a408e20cc0e8469b31f122625424e38d9",
         "verdict": "violation",
     },
     "trial/corrupt/0": {
@@ -243,13 +245,13 @@ GOLDEN = {
         "verdict": "violation",
     },
     "trial/gray/0": {
-        "events_fired": 19894,
-        "sha256": "4c4b0133e3bc130c3776a4196169cbcdf79b368abe989c23ec3c256188a9f623",
+        "events_fired": 20853,
+        "sha256": "e3e418ac639ac6a9171280a40f3bfa5ce43fbb6f134320b6ff21839453cbbc7c",
         "verdict": "pass",
     },
     "trial/gray/1": {
-        "events_fired": 22047,
-        "sha256": "3deac7b6cd0260db4a282a70e16a93457fc05a58f21ff3ada855fb2da11e8211",
+        "events_fired": 21312,
+        "sha256": "5e139ca2ca6652fe0b36f909cd30b89a1b675510c508d7adf38c537dccfe60fc",
         "verdict": "pass",
     },
     "trial/gray/2": {
@@ -258,23 +260,23 @@ GOLDEN = {
         "verdict": "pass",
     },
     "trial/standard+flow/0": {
-        "events_fired": 8713,
-        "sha256": "d8616f529e03582d95e394ee72ce6a86d8f40d74abb7ff2e44252d967adb7e0c",
+        "events_fired": 7763,
+        "sha256": "7397cb7dfaca123b3ac393e6045e03aa1d6dcd4323720e941929605540c37aba",
         "verdict": "pass",
     },
     "trial/standard/0": {
-        "events_fired": 7485,
-        "sha256": "2c4f9a4f1a33a12145aafb69768817c5d8a1b901bec57b33b41d7e1ccfc3924b",
+        "events_fired": 6530,
+        "sha256": "0b1e063e28d81c5b76fa2d5c674badc672b2da46d73f3bda0483d13cbe3f416c",
         "verdict": "pass",
     },
     "trial/standard/1": {
-        "events_fired": 10360,
-        "sha256": "eef2353014bfac0a925b09a4208adf875918d5168678f8e78ccaeb19786fb635",
+        "events_fired": 10020,
+        "sha256": "29e4e73d86e8697bca36bab931332932cece4a36fa34710601c16efbece91af8",
         "verdict": "pass",
     },
     "trial/standard/2": {
-        "events_fired": 9865,
-        "sha256": "3dcd40a9ef097a8ed2c0afe25f08b52cbee3078dbcc380da4f0d9f31bc171674",
+        "events_fired": 9706,
+        "sha256": "0819dfa187b9e3b4bc543887af962353e0143fe6cab47c2f20a78ebc04ec23ab",
         "verdict": "pass",
     },
     "web/nic-down": {
