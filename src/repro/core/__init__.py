@@ -20,7 +20,6 @@ after losing the local GCS daemon.
 
 from repro.core.audit import CoverageAuditor, CoverageViolation
 from repro.core.balance import compute_balanced_allocation
-from repro.core.conffile import ConfigError, ParsedConfig, parse_wackamole_conf
 from repro.core.config import VipGroup, WackamoleConfig
 from repro.core.conflict import resolve_claim
 from repro.core.control import AdminConsole, AdminControl
@@ -39,20 +38,17 @@ __all__ = [
     "ArpNotifier",
     "BALANCE",
     "BalanceMsg",
-    "ConfigError",
     "CoverageAuditor",
     "CoverageViolation",
     "GATHER",
     "InterfaceManager",
     "MatureMsg",
-    "ParsedConfig",
     "RUN",
     "StateMsg",
     "VipGroup",
     "WackamoleConfig",
     "WackamoleDaemon",
     "compute_balanced_allocation",
-    "parse_wackamole_conf",
     "reallocate_ips",
     "resolve_claim",
 ]
