@@ -337,7 +337,11 @@ class SegmentNode(Process):
     # transport
 
     def _unicast(self, peer_name, message):
-        self._fanout((peer_name,), message)
+        if self.alive:
+            self.messages_sent += 1
+            self._m_sent.inc()
+            port = self.config.port
+            self.host.send_udp(message, self.fleet.ip_of[peer_name], port, src_port=port)
 
     def _fanout(self, peer_names, message):
         """One ``message`` to each of ``peer_names``, in order, as one burst."""
@@ -377,10 +381,6 @@ class SegmentNode(Process):
             return
         if self.is_leader:
             self._last_heard[message.sender] = self.now
-        elif message.sender == self._leader:
-            # The node we defer to is heartbeating someone else — both
-            # of us believe a lower-index node leads; nothing to do.
-            pass
 
     def _on_beacon(self, message):
         if message.segment != self.segment:
@@ -478,6 +478,11 @@ class SegmentNode(Process):
         if self.is_leader:
             return
         if self.now - self._last_beacon <= self.config.leader_timeout:
+            # ``_last_beacon`` only grows, so the ticks at which the lease
+            # reads fresh now would return here too: skip them.
+            self._leader_watch_timer.skip_while(
+                lambda time: time - self._last_beacon <= self.config.leader_timeout
+            )
             return
         # The leader's lease expired. Every member of the segment holds
         # the same last beacon (same alive set, same suspects after the

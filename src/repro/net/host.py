@@ -114,9 +114,9 @@ class Host(Process):
         factor = float(factor)
         if factor < 1.0:
             raise ValueError("slowdown factor must be >= 1.0, got {}".format(factor))
-        self.time_scale = factor
+        self.set_time_scale(factor)
         for service in self._services:
-            service.time_scale = factor
+            service.set_time_scale(factor)
         self._slow_delivery_lag = 0.001 * (factor - 1.0)
         self.trace("host", "slowdown", factor=factor)
 
@@ -147,7 +147,7 @@ class Host(Process):
         """
         self._services.append(process)
         if self.time_scale != 1.0:
-            process.time_scale = self.time_scale
+            process.set_time_scale(self.time_scale)
 
     def crash(self):
         """Fail-stop: kill services and timers, stop receiving and sending.
@@ -171,7 +171,7 @@ class Host(Process):
         not clock skew — the drifted hardware clock survives a reboot.
         """
         self.restart()
-        self.time_scale = 1.0
+        self.set_time_scale(1.0)
         self._slow_delivery_lag = 0.0
         self.arp.reset()
         for nic in self._nics:
@@ -312,8 +312,13 @@ class Host(Process):
             self._sockets.remove(socket)
 
     def send_udp(self, payload, dst_ip, dst_port, src_port=0, src_ip=None):
-        """Build and route one UDP/IP packet."""
-        self.send_udp_fanout(payload, (dst_ip,), dst_port, src_port, src_ip)
+        """Build, route and transmit one UDP/IP packet: the frame a
+        one-address :meth:`send_udp_fanout` sends, without the list."""
+        if self.alive:
+            datagram = UdpDatagram(src_port, int(dst_port), payload)
+            routed = self._routed(datagram, dst_ip, src_ip)
+            if routed is not None:
+                self._transmit(*routed)
 
     def send_udp_fanout(self, payload, dst_ips, dst_port, src_port=0, src_ip=None):
         """Send one payload to every address in ``dst_ips``, in list order.
@@ -326,23 +331,25 @@ class Host(Process):
         if not self.alive:
             return
         datagram = UdpDatagram(src_port, int(dst_port), payload)
-        routed = []
-        for dst_ip in dst_ips:
-            if type(dst_ip) is not IPAddress:
-                dst_ip = IPAddress(dst_ip)
-            nic, next_hop = self._route(dst_ip)
-            if nic is None:
-                self.packets_dropped += 1
-                self.trace("ip", "no_route", dst=str(dst_ip))
-                continue
-            source = nic.primary_ip if src_ip is None else src_ip
-            if source is None:
-                self.packets_dropped += 1
-                continue
-            if type(source) is not IPAddress:
-                source = IPAddress(source)
-            routed.append((nic, next_hop, IpPacket(source, dst_ip, datagram)))
-        self._transmit_routed(routed)
+        routed = [self._routed(datagram, dst_ip, src_ip) for dst_ip in dst_ips]
+        self._transmit_routed([entry for entry in routed if entry is not None])
+
+    def _routed(self, datagram, dst_ip, src_ip):
+        """``(nic, next_hop, packet)`` taking ``datagram`` to ``dst_ip``, or None (dropped)."""
+        if type(dst_ip) is not IPAddress:
+            dst_ip = IPAddress(dst_ip)
+        nic, next_hop = self._route(dst_ip)
+        if nic is None:
+            self.packets_dropped += 1
+            self.trace("ip", "no_route", dst=str(dst_ip))
+            return None
+        source = nic.primary_ip if src_ip is None else src_ip
+        if source is None:
+            self.packets_dropped += 1
+            return None
+        if type(source) is not IPAddress:
+            source = IPAddress(source)
+        return nic, next_hop, IpPacket(source, dst_ip, datagram)
 
     # ------------------------------------------------------------------
     # IP output routing
@@ -357,7 +364,7 @@ class Host(Process):
             self.packets_dropped += 1
             self.trace("ip", "no_route", dst=str(dst))
             return
-        self._transmit_routed(((nic, next_hop, packet),))
+        self._transmit(nic, next_hop, packet)
 
     def _broadcast_nic(self, dst_ip):
         """The up interface whose subnet broadcast address is ``dst_ip``."""
@@ -365,6 +372,18 @@ class Host(Process):
             if nic.up and dst_ip == nic.lan.subnet.broadcast_address:
                 return nic
         return None
+
+    def _transmit(self, nic, next_hop, packet):
+        """Put one routed packet on the wire (see :meth:`_transmit_routed`)."""
+        out = self._broadcast_nic(packet.dst_ip)
+        if out is not None:
+            out.transmit(EthernetFrame(out.mac, BROADCAST_MAC, IP_ETHERTYPE, packet))
+            return
+        mac = self.arp.cache.lookup(next_hop)
+        if mac is None:
+            self.arp.resolve_and_send(nic, next_hop, packet)
+        else:
+            nic.transmit(EthernetFrame(nic.mac, mac, IP_ETHERTYPE, packet))
 
     def _transmit_routed(self, routed):
         """Put routed packets — ``(nic, next_hop, packet)`` — on the wire, in order.

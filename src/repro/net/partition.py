@@ -29,6 +29,8 @@ Envelope layout (plain tuple, cheap to pickle across worker pipes)::
 
     (deliver_time, src_cell, seq, dst_cell,
      dst_ip, dst_port, src_ip, src_port, payload)
+
+where both addresses are 32-bit integer values.
 """
 
 from repro.net.addresses import IPAddress
@@ -120,7 +122,7 @@ class SegmentUplink:
         self.sim = sim
         self.latency = float(latency)
         self._cell_of_ip = dict(cell_of_ip)
-        self._hosts_by_ip = {}  # IPAddress -> local Host
+        self._hosts_by_ip = {}  # address value -> local Host
         self._seq = {}  # src_cell -> next envelope sequence number
         self.outbound = []
         self.frames_sent = {}  # src_cell -> count
@@ -129,7 +131,7 @@ class SegmentUplink:
 
     def attach_host(self, host, ip):
         """Register a local host as the endpoint for ``ip``."""
-        self._hosts_by_ip[IPAddress(ip)] = host
+        self._hosts_by_ip[IPAddress(ip)._value] = host
 
     def cell_of(self, ip):
         """Cell id owning ``ip``, or None when the uplink has no route."""
@@ -147,9 +149,9 @@ class SegmentUplink:
                 src_cell,
                 seq,
                 dst_cell,
-                str(dst_ip),
+                dst_ip._value,
                 int(dst_port),
-                str(src_ip),
+                src_ip._value,
                 int(src_port),
                 payload,
             )
@@ -174,18 +176,18 @@ class SegmentUplink:
             at(envelope[0], self._deliver, envelope)
 
     def _deliver(self, envelope):
-        _time, _src_cell, _seq, dst_cell, dst_ip, dst_port, src_ip, src_port, payload = (
+        _time, _src_cell, _seq, dst_cell, dst_value, dst_port, src_value, src_port, payload = (
             envelope
         )
-        dst_ip = IPAddress(dst_ip)
-        host = self._hosts_by_ip.get(dst_ip)
+        host = self._hosts_by_ip.get(dst_value)
         if host is None or not host.alive:
             self.frames_dropped[dst_cell] = self.frames_dropped.get(dst_cell, 0) + 1
             return
         self.frames_delivered[dst_cell] = self.frames_delivered.get(dst_cell, 0) + 1
         datagram = UdpDatagram(src_port, dst_port, payload)
         # No NIC on this path: the host takes the datagram as accepted.
-        Host.receive_ip(IpPacket(IPAddress(src_ip), dst_ip, datagram), (), host)
+        packet = IpPacket(IPAddress(src_value), IPAddress(dst_value), datagram)
+        Host.receive_ip(packet, (), host)
 
     def counters(self, cell):
         """JSON-stable per-cell uplink counters (parity artifact field)."""
@@ -210,6 +212,10 @@ class UplinkHost(Host):
         super().__init__(sim, name, arp_cache_lifetime=arp_cache_lifetime)
         self.uplink = uplink
         self.cell = cell
+
+    def send_udp(self, payload, dst_ip, dst_port, src_port=0, src_ip=None):
+        # One address is a fan-out of one: a cross-cell one leaves as an envelope.
+        self.send_udp_fanout(payload, (dst_ip,), dst_port, src_port, src_ip)
 
     def send_udp_fanout(self, payload, dst_ips, dst_port, src_port=0, src_ip=None):
         if not self.alive:

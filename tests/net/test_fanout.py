@@ -166,6 +166,42 @@ def test_send_udp_is_the_one_destination_fanout():
     assert batched.sim.scheduler.events_fired == looped.sim.scheduler.events_fired
 
 
+def _drop_arp_entry(world):
+    world.sender.arp.cache.drop(world.ips[2])
+
+
+def _sender_nic_down(world):
+    world.sender.nics[0].set_up(False)
+
+
+#: send_udp takes its own path, not the fan-out's: each way a single
+#: datagram can leave (or not), with what the sender must show for it.
+ONE_DESTINATION = {
+    "broadcast": ("10.0.0.255", None, lambda world: len(world.log) == 5),
+    # The request at the five others, the reply at the sender, the datagram.
+    "arp-miss": (
+        "10.0.0.4",
+        _drop_arp_entry,
+        lambda world: [entry[2] for entry in world.log] == ["arp"] * 6 + ["udp"],
+    ),
+    "no-route": (
+        "172.16.0.9",
+        None,
+        lambda world: world.sim.trace.last(category="ip", event="no_route") is not None,
+    ),
+    "nic-down": ("10.0.0.3", _sender_nic_down, lambda world: world.sender.packets_dropped == 1),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ONE_DESTINATION))
+def test_one_destination_send_udp_matches_a_fanout_of_one(case):
+    ip, prepare, shown = ONE_DESTINATION[case]
+    batched, looped = twins(prepare=prepare, ips=[ip])
+    assert batched.observed() == looped.observed()
+    assert batched.sim.scheduler.events_fired == looped.sim.scheduler.events_fired
+    assert shown(looped)
+
+
 # ----------------------------------------------------------------------
 # (b) knobs: every RNG draw stays where the loop made it
 
@@ -334,7 +370,7 @@ def test_broadcast_and_unroutable_destinations_mid_list():
 # (f) UplinkHost: cross-cell destinations keep their envelope numbers
 
 
-def _uplink_world(mode):
+def _uplink_world(mode, ips=None):
     sim = Simulation(seed=2)
     lan = Lan(sim, "seg00", "10.32.0.0/16")
     addresses = {}
@@ -356,7 +392,7 @@ def _uplink_world(mode):
         hosts.append(host)
     sender = hosts[0]
     # Intra-cell, cross-cell and intra-cell again, interleaved.
-    ips = [
+    ips = ips or [
         addresses[(0, 1)],
         addresses[(1, 0)],
         addresses[(2, 2)],
@@ -384,3 +420,12 @@ def test_uplink_host_mixed_list_matches_loop():
     assert batched[2].frames_sent == looped[2].frames_sent
     assert batched[2].frames_delivered == looped[2].frames_delivered
     assert batched[3] == looped[3] == {"sent": 9, "delivered": 0, "dropped": 0}
+
+
+def test_uplink_host_single_cross_cell_send_leaves_as_an_envelope():
+    batched = _uplink_world("fanout", ips=["10.32.2.1"])
+    looped = _uplink_world("loop", ips=["10.32.2.1"])
+    assert batched[0] == looped[0]
+    assert [envelope[3] for envelope in looped[0]] == [1, 1, 1]
+    assert looped[2].frames_sent == 0
+    assert batched[3] == looped[3] == {"sent": 3, "delivered": 0, "dropped": 0}

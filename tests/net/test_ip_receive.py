@@ -306,8 +306,10 @@ def test_uplink_entry_skips_the_nic_and_starts_at_the_socket_step():
     uplink = SegmentUplink(sim, latency=0.025, cell_of_ip={IPAddress("10.0.0.1"): 0})
     uplink.attach_host(host, "10.0.0.1")
     nic.set_up(False)  # the uplink has no NIC to be down
-    uplink.inject([(0.025, 1, 0, 0, "10.0.0.1", PORT, "10.9.0.1", 9, "enveloped")])
-    uplink.inject([(0.025, 1, 1, 0, "10.0.0.1", PORT + 1, "10.9.0.1", 9, "no-socket")])
+    # Envelopes carry the 32-bit address values.
+    dst, src = IPAddress("10.0.0.1").value, IPAddress("10.9.0.1").value
+    uplink.inject([(0.025, 1, 0, 0, dst, PORT, src, 9, "enveloped")])
+    uplink.inject([(0.025, 1, 1, 0, dst, PORT + 1, src, 9, "no-socket")])
     sim.run_until_idle()
     assert got == [
         ("enveloped", (IPAddress("10.9.0.1"), 9), (IPAddress("10.0.0.1"), PORT))

@@ -121,8 +121,9 @@ def test_choice_names_match_the_registries():
     reason="argparse words and wraps its help differently before 3.10 and after 3.12",
 )
 def test_help_of_every_subcommand_is_the_recorded_text(monkeypatch, capsys):
-    # Re-recorded when `flow --fault` took FAULT_MODES and `lint` lost
-    # --protocol and --sim-restrict; every choice list is a name.
+    # Re-recorded when `flow --fault` took FAULT_MODES, `lint` lost
+    # --protocol and --sim-restrict, and `observe` gained --cost and
+    # --hosts; every choice list is a name.
     monkeypatch.setenv("COLUMNS", "80")
     with open(os.path.join(TESTS, "golden_cli_help.json")) as handle:
         recorded = json.load(handle)
