@@ -1,5 +1,7 @@
 """Unit tests for one-shot and periodic timers."""
 
+from types import SimpleNamespace
+
 import pytest
 
 from repro.sim.scheduler import Scheduler
@@ -161,3 +163,40 @@ def test_periodic_timer_recycles_one_event_across_ticks():
     assert ticks == [1.0, 2.0, 3.0, 4.0, 5.0]
     # Every tick reused the same Event object.
     assert seen == {id(original)}
+
+
+def _grid(skip, rescale_at=None):
+    """Tick times of a 0.3 s timer at scale 1.7 (0.51 is not exact in
+    binary, so every tick's addition rounds); with ``skip`` its third tick
+    skips all ticks before t = 40, and at ``rescale_at`` the scale becomes 2.3."""
+    scheduler = Scheduler()
+    owner = SimpleNamespace(alive=True, time_scale=1.7)
+    seen = []
+
+    def tick():
+        seen.append(scheduler.now)
+        if skip and len(seen) == 3:
+            timer.skip_while(lambda time: time < 40.0)
+
+    def rescale():
+        owner.time_scale = 2.3
+        timer.rescaled()
+
+    timer = PeriodicTimer(scheduler, tick, 0.3, owner=owner)
+    timer.start()
+    if rescale_at is not None:
+        scheduler.at(rescale_at, rescale)
+    scheduler.run(until=60.0)
+    return seen
+
+
+def test_skip_while_lands_on_the_tick_the_timer_would_have_reached():
+    every = _grid(skip=False)
+    assert _grid(skip=True) == every[:3] + [time for time in every if time >= 40.0]
+
+
+def test_rescaled_files_a_skipped_tick_back_where_the_timer_had_it():
+    every = _grid(skip=False, rescale_at=20.05)
+    skipped = _grid(skip=True, rescale_at=20.05)
+    assert skipped == every[:3] + [time for time in every if time >= 20.05]
+    assert len(skipped) > 3 and skipped[3] < 40.0
