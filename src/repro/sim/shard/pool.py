@@ -17,6 +17,8 @@ bag of independent tasks. Commands:
 * ``("advance", (until, inclusive, envelopes))`` → the worker injects
   the envelopes, runs its scheduler to the barrier, and replies
   ``("ok", (outbound_envelopes, next_event_time))``;
+* ``("sync", None)`` → ``("ok", (outbound_envelopes, next_event_time))``
+  without advancing;
 * ``("collect", None)`` → ``("ok", artifacts_dict)``;
 * ``("close", None)`` → the worker exits.
 
@@ -54,6 +56,7 @@ def _shard_worker_main(conn, factory_ref, params, shard_id):
                 until, inclusive, envelopes = payload
                 world.inject(envelopes)
                 world.advance(until, inclusive)
+            if command in ("advance", "sync"):
                 reply = (world.drain_outbound(), world.next_event_time())
             elif command == "collect":
                 reply = world.artifacts()
@@ -106,6 +109,9 @@ class WorkerPoolRunner:
 
     def start(self):
         return self._exchange([None] * len(self._conns))
+
+    def sync(self):
+        return self._exchange([("sync", None)] * len(self._conns))
 
     def advance_all(self, until, inclusive, batches):
         return self._exchange([("advance", (until, inclusive, batch)) for batch in batches])
