@@ -1,8 +1,7 @@
 """Practical applications of the fail-over infrastructure (§5).
 
-* :mod:`repro.apps.cluster` — the two building blocks every scenario is
-  assembled from: ``ServerGroup`` (Spread + Wackamole pairs on one LAN)
-  and ``ScaleCell`` (segmented membership + rendezvous VIP managers).
+* :mod:`repro.apps.cluster` — the block every faithful scenario is
+  assembled from: ``ServerGroup`` (Spread + Wackamole pairs on one LAN).
 * :mod:`repro.apps.workload` — the §6 measurement workload: a UDP echo
   server answering with its hostname, and a probe client sampling one
   virtual address every 10 ms.
@@ -13,8 +12,9 @@
 * :mod:`repro.apps.routercluster` — the Figure 4 layout: physical
   routers on three networks acting as one virtual router, in both the
   naive and the advertise-all dynamic-routing setups.
-* :mod:`repro.apps.scalecluster` — the 256–1024-host tier, serial and
-  sharded (imported on demand; not re-exported here).
+* :mod:`repro.apps.scalecluster` — the 256–1024-host tier: one cell
+  per segment (segmented membership + rendezvous VIP managers), run
+  live or sharded (imported on demand; not re-exported here).
 """
 
 from repro.apps.routercluster import RouterClusterScenario

@@ -1,10 +1,11 @@
-"""The cluster kit: the two building blocks every scenario is made of.
+"""The cluster kit: the building block every faithful scenario is made of.
 
 The paper describes one thing — N servers on a LAN, each running a GCS
 daemon and a Wackamole daemon over a shared VIP pool — and every
 scenario in the repo is that thing plus extras (a router and a probe,
-RIP speakers, a fault schedule). This module holds the thing itself,
-once per protocol stack:
+RIP speakers, a fault schedule). This module holds the thing itself
+for the faithful stack (the scale stack's cell is
+:class:`repro.apps.scalecluster.ScaleCell`):
 
 * :class:`ServerGroup` — the faithful stack. ``add(host)`` puts a
   Spread + Wackamole pair (and, when the profile asks, a
@@ -15,33 +16,24 @@ once per protocol stack:
   :func:`measure_failover` is the one §6 measurement — break the
   owner, watch, read the client and the trace — and :class:`Failover`
   what it returns.
-* :class:`ScaleCell` — the scale stack. One LAN's hosts, each running
-  a :class:`~repro.gcs.segments.SegmentNode` + :class:`ScaleVipManager`
-  pair over one shared rendezvous map. The serial scale scenario is one
-  cell spanning the fleet; the sharded one is a cell per segment with
-  placement scoped to the cell.
 
 Scenarios own everything that differs between them — the simulation,
 LANs and address plans, the hosts themselves, clients and traffic.
 The faithful scenarios and the check harness subclass
-:class:`ServerGroup`, the serial scale scenario subclasses
-:class:`ScaleCell`, and a shard world holds a dict of cells.
+:class:`ServerGroup`.
 """
 
 import functools
 
-from repro.core.audit import AddressAudit, CoverageAuditor, CoverageEngine
+from repro.core.audit import CoverageAuditor, CoverageEngine
 from repro.core.config import SUPERVISOR_PROFILES
 from repro.core.daemon import WackamoleDaemon
-from repro.core.placement import RendezvousMap
 from repro.core.state import RUN
 from repro.core.supervisor import DaemonSupervisor
-from repro.flow import ArpViewResolver, DirectResolver, FlowEngine
+from repro.flow import ArpViewResolver, FlowEngine
 from repro.gcs.daemon import SpreadDaemon
-from repro.gcs.segments import SegmentNode
 from repro.net.host import Host
 from repro.obs.episodes import extract_episodes, first_complete_episode
-from repro.sim.process import Process
 from repro.sim.rng import RngRegistry
 
 
@@ -274,177 +266,3 @@ def measure_failover(sim, fail, watch, probe=None, owner=None):
     if probe is not None:
         probe.stop_probing()
     return Failover(sim, probe, fault_time, victim, owner() if owner else None)
-
-
-# ----------------------------------------------------------------------
-# the scale stack
-
-
-class ScaleVipManager(Process):
-    """Binds one host's rendezvous share of the VIP pool.
-
-    On every adopted :class:`~repro.gcs.segments.GlobalView` the manager
-    looks up its slot set in the shared placement map and diffs it
-    against the interface: new slots are bound, lost slots released. A
-    node absent from the view (declared dead while actually alive)
-    releases everything — the scale-tier analogue of the paper's rule
-    that a partitioned minority must drop its addresses.
-    """
-
-    def __init__(self, host, lan, placement, member_scope=None):
-        super().__init__(host.sim, "svip@{}".format(host.name))
-        self.host = host
-        self.nic = host.nic_on(lan)
-        self.placement = placement
-        # When set, HRW candidates are the view members inside this
-        # scope only — the sharded tier scopes each placement map to
-        # its segment so a VIP never leaves its cell (membership still
-        # travels the whole fleet; only placement is local).
-        self.member_scope = frozenset(member_scope) if member_scope is not None else None
-        self.bound = set()
-        self.binds = 0
-        self.unbinds = 0
-        self.view = None
-        host.register_service(self)
-
-    def apply_view(self, view):
-        """Rebind to the HRW share implied by ``view``."""
-        if not self.alive:
-            return
-        self.view = view
-        members = view.members
-        if self.member_scope is not None:
-            members = tuple(name for name in members if name in self.member_scope)
-        if self.host.name in members:
-            owned = set(self.placement.owned_index_for(members).get(self.host.name, ()))
-        else:
-            owned = set()
-        for vip in sorted(self.bound - owned):
-            self.nic.unbind_ip(vip)
-            self.unbinds += 1
-        for vip in sorted(owned - self.bound):
-            self.nic.bind_ip(vip)
-            self.binds += 1
-        self.bound = owned
-
-    def reset_counters(self):
-        self.binds = 0
-        self.unbinds = 0
-
-
-class ScaleCell:
-    """One LAN of scale-tier hosts sharing one rendezvous placement.
-
-    Membership is fleet-wide either way (``fleet`` names every host of
-    the cluster and nodes are addressed by fleet index); what a cell
-    owns is a LAN, the hosts on it, and the VIPs placed among them.
-    ``member_scope`` restricts HRW candidates to the cell's own members
-    — set by the sharded tier, where a VIP never leaves its segment.
-    The columns (``hosts``, ``nodes``, ``managers``) are index-aligned
-    in :meth:`add` order and always hold the current generation.
-    """
-
-    def __init__(self, lan, fleet, config, vips, faults, member_scope=None):
-        self.lan = lan
-        self.fleet = fleet
-        self.config = config
-        self.vips = vips
-        self.faults = faults
-        self.member_scope = member_scope
-        self.placement = RendezvousMap(vips)
-        self.address_audit = AddressAudit(lan, vips)
-        self.hosts = []
-        self.nodes = []
-        self.managers = []
-        self.flow_engine = None
-        self._slot = {}
-
-    def add(self, host, index):
-        """Give fleet member ``index`` (``host``, already on the LAN) its pair."""
-        node, manager = self._pair(host, index)
-        self._slot[index] = len(self.hosts)
-        self.hosts.append(host)
-        self.nodes.append(node)
-        self.managers.append(manager)
-
-    def _pair(self, host, index):
-        manager = ScaleVipManager(
-            host, self.lan, self.placement, member_scope=self.member_scope
-        )
-        node = SegmentNode(
-            host,
-            self.lan,
-            index,
-            self.fleet,
-            self.config,
-            on_global_view=manager.apply_view,
-        )
-        return node, manager
-
-    def attach_flow(self, name, users, of, offset, rate, tick):
-        """Aggregate clients over this cell's VIPs (see add_uniform_pools).
-
-        Clients are not modeled at this size, so pools resolve through
-        a DirectResolver over the live managers' bound sets — a VIP
-        serves iff some live manager currently binds it.
-        """
-        self.flow_engine = FlowEngine(
-            self.lan.sim,
-            resolver=DirectResolver(self.live_bindings, lan=self.lan),
-            tick=tick,
-            name=name,
-        )
-        self.flow_engine.add_uniform_pools(
-            self.vips, users, rate=rate, label="pool-{:04d}", offset=offset, of=of
-        )
-        return self.flow_engine
-
-    def start(self):
-        """Boot every node (heartbeat phases are per-node jittered)."""
-        for node in self.nodes:
-            node.start()
-        if self.flow_engine is not None:
-            self.flow_engine.start()
-        return self
-
-    def kill(self, index):
-        """Fail-stop one member's host."""
-        self.faults.crash_host(self.hosts[self._slot[index]])
-
-    def revive(self, index):
-        """Reboot a crashed member and start a fresh daemon pair on it."""
-        slot = self._slot[index]
-        host = self.hosts[slot]
-        self.faults.recover_host(host)
-        self.nodes[slot], self.managers[slot] = self._pair(host, index)
-        self.nodes[slot].start()
-
-    # ------------------------------------------------------------------
-    # inspection
-
-    def live_nodes(self):
-        return [node for node in self.nodes if node.alive]
-
-    def live_bindings(self):
-        """(owner host, bound vips) per live manager, for the resolver."""
-        return [(manager.host, manager.bound) for manager in self.managers if manager.alive]
-
-    def bindings(self):
-        """Sorted (vip, host name) pairs over live managers' bound sets."""
-        return sorted(
-            (vip, host.name) for host, vips in self.live_bindings() for vip in vips
-        )
-
-    def coverage_violations(self):
-        """(uncovered vips, duplicated vips), each sorted: see :class:`AddressAudit`."""
-        uncovered, duplicated = self.address_audit.violations()
-        return sorted(uncovered), sorted(duplicated)
-
-    def watch_coverage(self, grace=0.0):
-        """Attach a :class:`CoverageEngine` over this cell's addresses."""
-        return CoverageEngine(self.lan.sim, self.address_audit, grace)
-
-    def moves(self):
-        """(binds, unbinds) summed over live managers."""
-        live = [manager for manager in self.managers if manager.alive]
-        return sum(m.binds for m in live), sum(m.unbinds for m in live)

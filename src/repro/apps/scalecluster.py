@@ -7,12 +7,24 @@ dozen hosts. This scenario swaps both layers for the scale designs:
 
 * membership comes from :mod:`repro.gcs.segments` (unicast heartbeats
   aggregated by segment leaders, digest exchange, deterministic merge);
-* placement comes from a single shared
-  :class:`repro.core.placement.RendezvousMap` — every node derives its
-  own VIP share from the global view by pure computation, so there is
-  no allocation protocol at all: agreement on the view IS agreement on
-  the allocation (the same Lemma-2 argument as the paper's
-  deterministic Reallocate_IPs, applied to HRW).
+* placement comes from a :class:`repro.core.placement.RendezvousMap`
+  per segment — every node derives its own VIP share from the global
+  view by pure computation, so there is no allocation protocol at all:
+  agreement on the view IS agreement on the allocation (the same
+  Lemma-2 argument as the paper's deterministic Reallocate_IPs, applied
+  to HRW).
+
+The cluster is ``ceil(n / segment_size)`` *cells*, one per fleet
+segment: a cell is its own LAN ``segNN``, its hosts, and a contiguous
+slice of the VIPs placed over its own members only, so a VIP never
+leaves its cell. Leader digests cross cells on the
+:class:`~repro.net.partition.SegmentUplink`, as envelopes delivered at
+the epoch barriers of :class:`repro.sim.shard.ShardedKernel` — the one
+way a scale world advances. A world holding every cell
+(:class:`ScaleClusterScenario` as built by callers) steps a one-world
+kernel from ``sim.run``; :class:`ShardedScaleScenario` runs the same
+worlds, one shard's cells each, N wide and merges their artifacts.
+Serial versus sharded is a choice of runner, never of world.
 
 Each host runs a :class:`ScaleVipManager` that binds exactly its HRW
 share on every adopted view. The manager is deliberately lean — it
@@ -20,14 +32,17 @@ binds interfaces and counts moves; the ARP-spoofing/notification
 machinery stays in the faithful tier where clients are modeled.
 """
 
+import functools
 import hashlib
+import inspect
 
-from repro.apps.cluster import ScaleCell, run_until
+from repro.apps.cluster import run_until
+from repro.core.audit import AddressAudit, CoverageEngine
+from repro.core.placement import RendezvousMap
+from repro.flow import DirectResolver, FlowEngine
 from repro.flow.engine import load_numpy
-from repro.gcs.segments import Fleet, SegmentConfig
-from repro.net.addresses import IPAddress
+from repro.gcs.segments import Fleet, SegmentConfig, SegmentNode
 from repro.net.fault import FaultInjector
-from repro.net.host import Host
 from repro.net.lan import Lan
 from repro.net.partition import (
     DEFAULT_INTER_LATENCY,
@@ -35,9 +50,28 @@ from repro.net.partition import (
     ShardPlan,
     UplinkHost,
 )
+from repro.sim.process import Process
 from repro.sim.shard import ShardedKernel, merge_artifacts
-from repro.sim.shard.merge import view_digest
-from repro.sim.simulation import Simulation
+from repro.sim.shard.kernel import KernelSimulation
+from repro.sim.shard.merge import sum_flow, view_digest
+
+SUBNET = "10.32.0.0/16"
+
+#: Trace categories a scale world keeps. Deliberately excludes
+#: per-frame plumbing (``arp``, ``ip``) whose details mention
+#: world-local identities like MAC numbers; everything kept here names
+#: only cell-local sources, so records attribute cleanly to cells and
+#: the merged trace is grouping-invariant.
+TRACE_CATEGORIES = ("segments", "host", "flow")
+
+
+def _normalized(arguments):
+    """The scenario's parameters, each as its default's type (see PARAMETERS)."""
+    return {name: kind(arguments[name]) for name, kind in PARAMETERS.items()}
+
+
+def _cell_count(params):
+    return -(-params["n_hosts"] // params["segment_size"])
 
 
 def _check_address_plan(n_hosts, n_vips):
@@ -48,14 +82,110 @@ def _check_address_plan(n_hosts, n_vips):
         raise ValueError("n_vips exceeds the /16 VIP-address plan (at most 32000)")
 
 
-class ScaleClusterScenario(ScaleCell):
-    """One segmented scale-tier cluster: a single cell spanning the fleet.
+def _host_ip(index):
+    return "10.32.{}.{}".format(1 + index // 250, 1 + index % 250)
 
-    Every host sits on the one LAN and HRW places VIPs over the whole
-    membership.
+
+def _vip_ip(index):
+    return "10.32.{}.{}".format(128 + index // 250, 1 + index % 250)
+
+
+class ScaleVipManager(Process):
+    """Binds one host's rendezvous share of its cell's VIPs.
+
+    On every adopted :class:`~repro.gcs.segments.GlobalView` the manager
+    looks up its slot set in the cell's placement map — HRW over the
+    view members in the cell — and diffs it against the interface: new
+    slots are bound, lost slots released. A node absent from the view
+    (declared dead while actually alive) releases everything — the
+    scale-tier analogue of the paper's rule that a partitioned minority
+    must drop its addresses.
     """
 
-    SUBNET = "10.32.0.0/16"
+    def __init__(self, host, cell):
+        super().__init__(host.sim, "svip@{}".format(host.name))
+        self.host = host
+        self.nic = host.nic_on(cell.lan)
+        self.cell = cell
+        self.bound = set()
+        self.binds = 0
+        self.unbinds = 0
+        self.view = None
+        host.register_service(self)
+
+    def apply_view(self, view):
+        """Rebind to the HRW share implied by ``view``."""
+        if not self.alive:
+            return
+        self.view = view
+        members = self.cell.placed_members(view.members)
+        if self.host.name in members:
+            owned = set(self.cell.placement.owned_index_for(members).get(self.host.name, ()))
+        else:
+            owned = set()
+        for vip in sorted(self.bound - owned):
+            self.nic.unbind_ip(vip)
+            self.unbinds += 1
+        for vip in sorted(owned - self.bound):
+            self.nic.bind_ip(vip)
+            self.binds += 1
+        self.bound = owned
+
+    def reset_counters(self):
+        self.binds = 0
+        self.unbinds = 0
+
+
+class ScaleCell:
+    """One fleet segment's share of a world.
+
+    A cell is its own LAN ``segNN`` and a contiguous slice of the VIPs,
+    placed over the segment's members only — membership stays
+    fleet-wide (leader digests cross cells on the uplink), placement
+    never does. ``slots`` is the cell's slice of the world's host
+    columns. Clients are not modeled at this size, so the cell's
+    traffic resolves through its live managers' bound sets: a VIP
+    serves iff some live manager of the cell binds it.
+    """
+
+    def __init__(self, sim, cell_id, members, vips, slots, bindings):
+        self.cell_id = cell_id
+        self.lan = Lan(sim, "seg{:02d}".format(cell_id), SUBNET)
+        self.members = frozenset(members)
+        self.vips = vips
+        self.slots = slots
+        self.placement = RendezvousMap(vips)
+        self.resolver = DirectResolver(bindings, self.lan)
+        self.pools = []
+        self._placed = (None, ())
+
+    def placed_members(self, members):
+        """The members of a view this cell places over: its own, in view order."""
+        # Every manager of the cell applies the same view in turn.
+        seen, placed = self._placed
+        if members != seen:
+            placed = tuple(name for name in members if name in self.members)
+            self._placed = (members, placed)
+        return placed
+
+
+#: Every slot of the world's host columns.
+ALL = slice(None)
+
+
+class ScaleClusterScenario:
+    """The segmented scale-tier cluster: one cell per fleet segment.
+
+    Built by callers it holds every cell, and ``sim.run`` / ``run_for``
+    step a one-world :class:`ShardedKernel`; ``cells`` restricts a world
+    to one shard's cells, which only the kernel's factory
+    (:func:`build_scale_world`) asks for. The columns (``hosts``,
+    ``nodes``, ``managers``) are in fleet order from the world's first
+    member and always hold the current generation. Faults are
+    :meth:`kill` and :meth:`revive` of a fleet index.
+    """
+
+    SUBNET = SUBNET
 
     def __init__(
         self,
@@ -63,64 +193,141 @@ class ScaleClusterScenario(ScaleCell):
         n_hosts=256,
         n_vips=2048,
         segment_size=32,
-        segment_config=None,
+        inter_latency=DEFAULT_INTER_LATENCY,
         flow_users=0,
         flow_rate=1.0,
         flow_tick=0.05,
         trace_enabled=False,
-        trace_capacity=None,
         metrics_enabled=False,
-        sim=None,
+        *,
+        cells=None,
     ):
+        #: What the run artifact's meta names.
+        self.params = _normalized(locals())
         _check_address_plan(n_hosts, n_vips)
-        self.sim = sim if sim is not None else Simulation(
+        sim = self.sim = KernelSimulation(
             seed=seed,
             trace_enabled=trace_enabled,
-            trace_capacity=trace_capacity,
+            trace_categories=TRACE_CATEGORIES if trace_enabled else None,
             metrics_enabled=metrics_enabled,
         )
-        self.segment_config = segment_config or SegmentConfig(segment_size=segment_size)
-
         # Address plan: hosts fill 10.32.1.x upward, VIPs fill
         # 10.32.128.x upward; .0 and .255 are never used.
-        entries = [
-            (self._host_name(index), self._host_ip(index)) for index in range(n_hosts)
-        ]
-        super().__init__(
-            Lan(self.sim, "scale", self.SUBNET),
-            Fleet(entries, self.segment_config.segment_size),
-            self.segment_config,
-            [self._vip_ip(index) for index in range(n_vips)],
-            FaultInjector(self.sim),
+        fleet = self.fleet = Fleet(
+            [("node{:04d}".format(index), _host_ip(index)) for index in range(n_hosts)],
+            segment_size,
         )
-        for index, name in enumerate(self.fleet.names):
-            host = Host(self.sim, name)
-            host.add_nic(self.lan, self.fleet.ips[index])
-            self.add(host, index)
-        if flow_users:
-            self.attach_flow("scale", flow_users, n_vips, 0, flow_rate, flow_tick)
+        self.vips = [_vip_ip(index) for index in range(n_vips)]
+        self.uplink = SegmentUplink(
+            sim, inter_latency, {ip: index // segment_size for index, ip in enumerate(fleet.ips)}
+        )
+        self.faults = FaultInjector(sim)
+        self._config = SegmentConfig(segment_size=segment_size)
+        # One engine per world; each pool resolves through its cell.
+        self.flow_engine = FlowEngine(sim, tick=flow_tick, name="scale") if flow_users else None
+        self.hosts, self.nodes, self.managers, self.cells = [], [], [], []
+        self._cell_of_vip = {}
+        base, extra = divmod(n_vips, fleet.n_segments)
+        for cell_id in range(fleet.n_segments) if cells is None else cells:
+            start = cell_id * base + min(cell_id, extra)
+            vips = self.vips[start : start + base + (cell_id < extra)]
+            members = fleet.segment_members(cell_id)
+            slots = slice(len(self.hosts), len(self.hosts) + len(members))
+            cell = ScaleCell(
+                sim, cell_id, members, vips, slots, functools.partial(self.live_bindings, slots)
+            )
+            self.cells.append(cell)
+            self._cell_of_vip.update(dict.fromkeys(vips, cell_id))
+            for name in members:
+                host = UplinkHost(sim, name, self.uplink, cell_id)
+                host.add_nic(cell.lan, fleet.ip_of[name])
+                self.uplink.attach_host(host, fleet.ip_of[name])
+                self.hosts.append(host)
+                node, manager = self._pair(host, cell)
+                self.nodes.append(node)
+                self.managers.append(manager)
+            if self.flow_engine is not None:
+                cell.pools = self.flow_engine.add_uniform_pools(
+                    vips, flow_users, rate=flow_rate, label="pool-{:04d}",
+                    offset=start, of=n_vips, resolver=cell.resolver,
+                )
+        self._first = fleet.index_of[self.hosts[0].name]
+        self.address_audit = AddressAudit([(cell.lan, cell.vips) for cell in self.cells])
+        if cells is None:
+            self.sim.kernel = ShardedKernel(
+                ShardPlan(fleet.n_segments, 1, inter_latency), lambda _params, _id: self, None
+            )
 
-    @staticmethod
-    def _host_name(index):
-        return "node{:04d}".format(index)
+    def _pair(self, host, cell):
+        manager = ScaleVipManager(host, cell)
+        index = self.fleet.index_of[host.name]
+        node = SegmentNode(
+            host, cell.lan, index, self.fleet, self._config, on_global_view=manager.apply_view
+        )
+        return node, manager
 
-    @staticmethod
-    def _host_ip(index):
-        return "10.32.{}.{}".format(1 + index // 250, 1 + index % 250)
+    @property
+    def lan(self):
+        """The first cell's LAN (every cell's has the same latency)."""
+        return self.cells[0].lan
 
-    @staticmethod
-    def _vip_ip(index):
-        return "10.32.{}.{}".format(128 + index // 250, 1 + index % 250)
+    def start(self):
+        """Boot every node (heartbeat phases are per-node jittered), then traffic."""
+        for node in self.nodes:
+            node.start()
+        engine = self.flow_engine
+        if engine is not None and engine.pools:
+            engine.start({cell.cell_id: cell.pools for cell in self.cells if cell.pools})
+        return self
 
-    # ------------------------------------------------------------------
+    def kill(self, index):
+        """Fail-stop fleet member ``index``'s host."""
+        self.faults.crash_host(self.hosts[index - self._first])
+
+    def revive(self, index):
+        """Reboot fleet member ``index`` and start a fresh daemon pair on it."""
+        slot = index - self._first
+        host = self.hosts[slot]
+        self.faults.recover_host(host)
+        cell = self.cells[self.fleet.segment_of_index(index) - self.cells[0].cell_id]
+        self.nodes[slot], self.managers[slot] = self._pair(host, cell)
+        self.nodes[slot].start()
 
     def settle(self, timeout=30.0, step=0.5):
         """Run until :meth:`converged`, or until ``timeout`` elapses."""
         return run_until(self.sim, self.converged, timeout, step)
 
+    # ------------------------------------------------------------------
+    # inspection: the world's columns, or one cell's ``slots`` of them
+
+    def live_nodes(self, slots=ALL):
+        return [node for node in self.nodes[slots] if node.alive]
+
+    def live_bindings(self, slots=ALL):
+        """(owner host, bound vips) per live manager, for the resolvers."""
+        return [(manager.host, manager.bound) for manager in self.managers[slots] if manager.alive]
+
+    def bindings(self, slots=ALL):
+        """Sorted (vip, host name) pairs over live managers' bound sets."""
+        return sorted((vip, host.name) for host, vips in self.live_bindings(slots) for vip in vips)
+
+    def moves(self, slots=ALL):
+        """(binds, unbinds) summed over live managers."""
+        live = [manager for manager in self.managers[slots] if manager.alive]
+        return sum(m.binds for m in live), sum(m.unbinds for m in live)
+
     def live_views(self):
         """The set of distinct global views held by live nodes."""
         return {node.global_view for node in self.live_nodes()}
+
+    def coverage_violations(self):
+        """(uncovered vips, duplicated vips), each sorted: see :class:`AddressAudit`."""
+        uncovered, duplicated = self.address_audit.violations()
+        return sorted(uncovered), sorted(duplicated)
+
+    def watch_coverage(self, grace=0.0):
+        """Attach a :class:`CoverageEngine` over every cell's addresses."""
+        return CoverageEngine(self.sim, self.address_audit, grace)
 
     def converged(self):
         """One shared view naming exactly the live hosts, full single-owner coverage."""
@@ -144,9 +351,7 @@ class ScaleClusterScenario(ScaleCell):
 
     def fingerprint(self):
         """A JSON-stable digest of converged cluster state (for replay tests)."""
-        views = sorted(
-            {(v.version, v.members) for v in self.live_views()},
-        )
+        views = sorted({(v.version, v.members) for v in self.live_views()})
         return {
             "time": round(self.sim.now, 9),
             "views": [
@@ -155,161 +360,6 @@ class ScaleClusterScenario(ScaleCell):
             ],
             "bindings": self.bindings(),
         }
-
-
-# ----------------------------------------------------------------------
-# the sharded tier: the same cluster, partitioned for the parallel kernel
-
-
-#: Parameter defaults for :class:`ScaleShardWorld` /
-#: :class:`ShardedScaleScenario`. Everything is a plain JSON-able
-#: scalar or (time, index) pair list so the dict pickles cheaply to
-#: shard workers and embeds verbatim in artifact metadata.
-SHARD_SCALE_DEFAULTS = {
-    "seed": 0,
-    "n_hosts": 256,
-    "n_vips": 2048,
-    "segment_size": 32,
-    "shards": 1,
-    "inter_latency": DEFAULT_INTER_LATENCY,
-    "horizon": 12.0,
-    "flow_users": 0,
-    "flow_rate": 1.0,
-    "flow_tick": 0.05,
-    "trace_enabled": True,
-    "metrics_enabled": False,
-    "kills": (),
-    "revives": (),
-}
-
-#: Trace categories retained by shard worlds. Deliberately excludes
-#: per-frame plumbing (``arp``, ``ip``) whose details mention
-#: world-local identities like MAC numbers; everything kept here names
-#: only cell-local sources, so records attribute cleanly to cells and
-#: the merged trace is grouping-invariant.
-SHARD_TRACE_CATEGORIES = ("segments", "host", "flow")
-
-
-def _segment_count(n_hosts, segment_size):
-    return (int(n_hosts) + int(segment_size) - 1) // int(segment_size)
-
-
-def _vip_slice(n_vips, n_segments, cell):
-    """(start_index, count) of ``cell``'s contiguous VIP share."""
-    base, extra = divmod(int(n_vips), int(n_segments))
-    start = cell * base + min(cell, extra)
-    return start, base + (1 if cell < extra else 0)
-
-
-def build_scale_shard_world(params, shard_id):
-    """World factory for :class:`repro.sim.shard.ShardedKernel`."""
-    return ScaleShardWorld(params, shard_id)
-
-
-class ScaleShardWorld:
-    """One shard's slice of the partitioned scale cluster.
-
-    Each *cell* is a full LAN segment: its own :class:`Lan` (name
-    ``segNN``), its hosts, their membership daemons, a cell-scoped
-    rendezvous placement over the cell's contiguous VIP share, and —
-    when traffic is on — a cell-local flow engine. Membership is still
-    fleet-wide (leader digests cross cells over the uplink); placement
-    and traffic never leave the cell.
-
-    Everything observable is a pure function of ``params`` and the
-    cell id, never of the shard grouping: RNG streams are keyed by
-    component names, trace categories exclude world-local identities,
-    and all cross-cell frames ride barrier-scheduled envelopes.
-    """
-
-    def __init__(self, params, shard_id):
-        merged = dict(SHARD_SCALE_DEFAULTS)
-        merged.update(params)
-        self.params = merged
-        self.shard_id = int(shard_id)
-        n_hosts = int(merged["n_hosts"])
-        n_vips = int(merged["n_vips"])
-        segment_size = int(merged["segment_size"])
-        n_segments = _segment_count(n_hosts, segment_size)
-        self.plan = ShardPlan(n_segments, merged["shards"], merged["inter_latency"])
-        self.cells = self.plan.cells_of(self.shard_id)
-        trace_enabled = bool(merged["trace_enabled"])
-        self.sim = Simulation(
-            seed=merged["seed"],
-            trace_enabled=trace_enabled,
-            trace_capacity=None,
-            trace_categories=SHARD_TRACE_CATEGORIES if trace_enabled else None,
-            metrics_enabled=bool(merged["metrics_enabled"]),
-        )
-        entries = [
-            (ScaleClusterScenario._host_name(index), ScaleClusterScenario._host_ip(index))
-            for index in range(n_hosts)
-        ]
-        self.fleet = Fleet(entries, segment_size)
-        self.config = SegmentConfig(segment_size=segment_size)
-        self.uplink = SegmentUplink(
-            self.sim,
-            merged["inter_latency"],
-            {
-                IPAddress(ip): self.fleet.segment_of_index(index)
-                for index, (_name, ip) in enumerate(entries)
-            },
-        )
-        all_vips = [ScaleClusterScenario._vip_ip(index) for index in range(n_vips)]
-        faults = FaultInjector(self.sim)
-
-        self._cells = {}
-        self._source_cell = {}
-
-        kills = [(float(t), int(i)) for t, i in merged["kills"]]
-        revives = [(float(t), int(i)) for t, i in merged["revives"]]
-
-        for cell_id in self.cells:
-            lan = Lan(self.sim, "seg{:02d}".format(cell_id), ScaleClusterScenario.SUBNET)
-            members = self.fleet.segment_members(cell_id)
-            start, count = _vip_slice(n_vips, n_segments, cell_id)
-            cell = ScaleCell(
-                lan,
-                self.fleet,
-                self.config,
-                all_vips[start : start + count],
-                faults,
-                member_scope=frozenset(members),
-            )
-            self._cells[cell_id] = cell
-            for name in members:
-                host = UplinkHost(self.sim, name, self.uplink, cell_id)
-                host.add_nic(lan, self.fleet.ip_of[name])
-                self.uplink.attach_host(host, self.fleet.ip_of[name])
-                cell.add(host, self.fleet.index_of[name])
-                self._source_cell[name] = cell_id
-                self._source_cell["seg@" + name] = cell_id
-                self._source_cell["svip@" + name] = cell_id
-
-            if merged["flow_users"]:
-                engine = cell.attach_flow(
-                    lan.name,
-                    merged["flow_users"],
-                    n_vips,
-                    start,
-                    merged["flow_rate"],
-                    merged["flow_tick"],
-                )
-                self._source_cell[engine.name] = cell_id
-
-            # Faults are pre-scheduled at build time (the fixed-horizon
-            # script keeps run control grouping-invariant), per cell in
-            # (time, index) order so sequence numbers are too.
-            for time, index in sorted(k for k in kills if self._cell_of_index(k[1]) == cell_id):
-                self.sim.at(time, cell.kill, index)
-            for time, index in sorted(r for r in revives if self._cell_of_index(r[1]) == cell_id):
-                self.sim.at(time, cell.revive, index)
-
-        for cell_id in self.cells:
-            self._cells[cell_id].start()
-
-    def _cell_of_index(self, index):
-        return self.fleet.segment_of_index(int(index))
 
     # ------------------------------------------------------------------
     # the kernel's world protocol
@@ -327,107 +377,168 @@ class ScaleShardWorld:
         return self.uplink.drain_outbound()
 
     def artifacts(self):
-        """This world's share of the run artifact (see shard.merge)."""
-        cells_out = {}
-        for cell_id in self.cells:
-            cell = self._cells[cell_id]
-            live_nodes = cell.live_nodes()
-            bindings = cell.bindings()
-            binds, unbinds = cell.moves()
-            uncovered, duplicated = cell.coverage_violations()
-            engine = cell.flow_engine
-            cells_out[cell_id] = {
-                "live": sorted(node.node_name for node in live_nodes),
-                "views": [
-                    list(view)
-                    for view in sorted(
-                        {
-                            (node.global_view.version, view_digest(node.global_view.members))
-                            for node in live_nodes
-                        }
-                    )
-                ],
-                "n_vips": len(cell.vips),
-                "uncovered": len(uncovered),
-                "duplicated": len(duplicated),
-                "binds": binds,
-                "unbinds": unbinds,
-                "bindings_sha256": hashlib.sha256(
-                    ";".join("=".join(pair) for pair in bindings).encode("utf-8")
-                ).hexdigest(),
-                "flow": engine.totals() if engine is not None else None,
-                "uplink": self.uplink.counters(cell_id),
-            }
-        trace_out = {cell: [] for cell in self.cells}
+        """This world's share of the run artifact (see :mod:`repro.sim.shard.merge`).
+
+        Every figure is per cell and so the same under any grouping of
+        cells into worlds, but one: the world's single flow engine ticks
+        once for all its cells. A tick is booked once per cell it
+        serves — in ``events_fired`` and in the ``sim.events_fired`` and
+        ``flow.ticks`` counters — as if each cell ticked alone.
+        """
+        engine = self.flow_engine
+        pools = {}
+        for pool in engine.fingerprint()["pools"] if engine is not None else ():
+            pools.setdefault(self._cell_of_vip[pool["vip"]], []).append(pool)
+        uncovered, duplicated = self.address_audit.violations()
+        cells = {}
+        for cell in self.cells:
+            flow = sum_flow(pools.get(cell.cell_id))
+            if flow is not None:
+                flow["ticks"] = engine.ticks
+            cells[cell.cell_id] = self._summary(cell, uncovered, duplicated, flow)
+        shared_ticks = engine.ticks * (len(pools) - 1) if pools else 0
+        trace = {cell.cell_id: [] for cell in self.cells}
         for record in self.sim.trace.records:
-            cell = self._source_cell[record.source]
-            details = ",".join(
-                "{}={!r}".format(key, record.details[key])
-                for key in sorted(record.details)
-            )
-            trace_out[cell].append(
-                (
-                    record.time,
-                    "{!r}|{}|{}|{}|{}".format(
-                        record.time, record.category, record.source, record.event, details
-                    ),
-                )
-            )
+            details = record.details
+            if record.category != "flow":
+                cell_id = self.fleet.segment_of(record.source.rpartition("@")[2])
+            elif "group" in details:
+                cell_id = details["group"]
+            else:
+                cell_id = self._cell_of_vip[details["vip"]]
+            text = ",".join("{}={!r}".format(key, details[key]) for key in sorted(details))
+            trace[cell_id].append((record.time, "{!r}|{}|{}|{}|{}".format(
+                record.time, record.category, record.source, record.event, text
+            )))
         metrics = self.sim.metrics.totals() if self.params["metrics_enabled"] else {}
+        for name in ("sim.events_fired", "flow.ticks"):
+            if name in metrics:
+                metrics[name] += shared_ticks
         return {
-            "events_fired": self.sim.scheduler.events_fired,
+            "events_fired": self.sim.scheduler.events_fired + shared_ticks,
             "now": self.sim.now,
-            "cells": cells_out,
-            "trace": trace_out,
+            "cells": cells,
+            "trace": trace,
             "metrics": metrics,
         }
 
+    def _summary(self, cell, uncovered, duplicated, flow):
+        """One cell's JSON-stable share of the run artifact."""
+        live = self.live_nodes(cell.slots)
+        binds, unbinds = self.moves(cell.slots)
+        pairs = ";".join("=".join(pair) for pair in self.bindings(cell.slots))
+        mine = self._cell_of_vip
+        return {
+            "live": sorted(node.node_name for node in live),
+            "views": [
+                list(view)
+                for view in sorted(
+                    {(n.global_view.version, view_digest(n.global_view.members)) for n in live}
+                )
+            ],
+            "n_vips": len(cell.vips),
+            "uncovered": sum(mine[vip] == cell.cell_id for vip in uncovered),
+            "duplicated": sum(mine[vip] == cell.cell_id for vip in duplicated),
+            "binds": binds,
+            "unbinds": unbinds,
+            "bindings_sha256": hashlib.sha256(pairs.encode("utf-8")).hexdigest(),
+            "flow": flow,
+            "uplink": self.uplink.counters(cell.cell_id),
+        }
+
+    def artifact(self, kills=(), revives=()):
+        """The run artifact at ``sim.now`` of a world holding every cell.
+
+        ``kills`` and ``revives`` name the fault script the caller ran:
+        byte for byte what :class:`ShardedScaleScenario` makes of it.
+        """
+        return run_artifact([self.artifacts()], self.params, self.sim.now, kills, revives)
+
+
+#: :class:`ScaleClusterScenario`'s parameters and their types: what the
+#: run artifact's meta names, read off the one signature.
+PARAMETERS = {
+    name: type(parameter.default)
+    for name, parameter in inspect.signature(ScaleClusterScenario).parameters.items()
+    if parameter.kind is parameter.POSITIONAL_OR_KEYWORD
+}
+
+
+def run_artifact(worlds, params, horizon, kills=(), revives=()):
+    """Merge world artifact shares into the run artifact.
+
+    The meta names ``params``, the horizon and the fault script — all
+    of the run's identity; the shard/worker split deliberately is not
+    part of it, so parity means those knobs cannot show up in the bytes.
+    """
+    meta = dict(params)
+    meta["horizon"] = float(horizon)
+    meta["kills"] = [[float(t), int(i)] for t, i in sorted(kills)]
+    meta["revives"] = [[float(t), int(i)] for t, i in sorted(revives)]
+    return merge_artifacts(worlds, meta=meta)
+
+
+def build_scale_world(spec, shard_id):
+    """World factory for :class:`ShardedKernel`: one shard's cells, booted.
+
+    The shard's kills and revives are scheduled with ``sim.at`` before
+    the boot — kills, then revives, each in (time, index) order — so a
+    cell's sequence numbers are the same in every grouping.
+    """
+    params = _normalized(spec)
+    plan = ShardPlan(_cell_count(params), spec["shards"], params["inter_latency"])
+    world = ScaleClusterScenario(cells=plan.cells_of(shard_id), **params)
+    for fault, script in ((world.kill, spec["kills"]), (world.revive, spec["revives"])):
+        for time, index in script:
+            if world.fleet.segment_of_index(index) in plan.cells_of(shard_id):
+                world.sim.at(time, fault, index)
+    return world.start()
+
 
 class ShardedScaleScenario:
-    """Boot+faults+settle on the partitioned cluster, serial or sharded.
+    """Boot + faults on the cell world, serial or sharded, to a fixed horizon.
 
-    A fixed-horizon script: faults are scheduled up front and the run
-    always ends exactly at ``horizon`` — no adaptive settle polling,
-    so run control never depends on the shard grouping. ``shards``
-    picks the partition width (1 = one world, the serial kernel);
+    Takes :class:`ScaleClusterScenario`'s parameters (``shards`` picks
+    the cells each world holds) plus the script: ``horizon`` and the
+    ``kills`` / ``revives`` as (time, host index) pairs, scheduled up
+    front. The run always ends exactly at ``horizon`` — no adaptive
+    settle polling, so run control never depends on the grouping.
     ``workers`` ≥ 2 forks one warm worker process per shard. The
     returned artifact is byte-identical for every (shards, workers)
-    choice — :meth:`run` of a ``shards=1, workers=0`` scenario is the
-    reference the parity suite compares against.
+    choice, and to a live :class:`ScaleClusterScenario` run through the
+    same script (:meth:`ScaleClusterScenario.artifact`).
     """
 
-    FACTORY = "repro.apps.scalecluster:build_scale_shard_world"
+    FACTORY = "repro.apps.scalecluster:build_scale_world"
 
-    def __init__(self, workers=0, **params):
-        merged = dict(SHARD_SCALE_DEFAULTS)
-        unknown = set(params) - set(SHARD_SCALE_DEFAULTS)
-        if unknown:
-            raise TypeError("unknown parameters: {}".format(sorted(unknown)))
-        merged.update(params)
-        n_hosts = int(merged["n_hosts"])
-        _check_address_plan(n_hosts, int(merged["n_vips"]))
-        n_segments = _segment_count(n_hosts, merged["segment_size"])
-        horizon = float(merged["horizon"])
-        merged["kills"] = sorted((float(t), int(i)) for t, i in merged["kills"])
-        merged["revives"] = sorted((float(t), int(i)) for t, i in merged["revives"])
-        for time, index in merged["kills"] + merged["revives"]:
+    def __init__(self, workers=0, shards=1, horizon=12.0, kills=(), revives=(), **params):
+        if "cells" in params:
+            raise TypeError("cells is not a parameter: shards decides them")
+        bound = inspect.signature(ScaleClusterScenario).bind(**params)
+        bound.apply_defaults()
+        world = _normalized(bound.arguments)
+        _check_address_plan(world["n_hosts"], world["n_vips"])
+        horizon = float(horizon)
+        kills = sorted((float(t), int(i)) for t, i in kills)
+        revives = sorted((float(t), int(i)) for t, i in revives)
+        for time, index in kills + revives:
             if not 0.0 < time < horizon:
                 raise ValueError("fault time {} outside (0, horizon)".format(time))
-            if not 0 <= index < n_hosts:
+            if not 0 <= index < world["n_hosts"]:
                 raise ValueError("fault host index {} out of range".format(index))
-        self.params = merged
+        self.plan = ShardPlan(_cell_count(world), shards, world["inter_latency"])
+        self.spec = dict(world, shards=int(shards), kills=kills, revives=revives)
         self.horizon = horizon
         self.workers = int(workers)
-        self.plan = ShardPlan(n_segments, merged["shards"], merged["inter_latency"])
-        self.artifact = None
         self.epochs = 0
         self.workers_used = 0
 
     def run(self):
         """Execute the script; returns the merged run artifact."""
-        if self.params["flow_users"]:
+        spec = self.spec
+        if spec["flow_users"]:
             load_numpy()  # before the fork: the workers inherit it, not import it
-        kernel = ShardedKernel(self.plan, self.FACTORY, self.params, workers=self.workers)
+        kernel = ShardedKernel(self.plan, self.FACTORY, spec, workers=self.workers)
         try:
             kernel.start()
             kernel.run(self.horizon)
@@ -436,26 +547,6 @@ class ShardedScaleScenario:
             kernel.close()
         self.epochs = kernel.epochs
         self.workers_used = kernel.workers
-        meta = {
-            key: self.params[key]
-            for key in (
-                "seed",
-                "n_hosts",
-                "n_vips",
-                "segment_size",
-                "inter_latency",
-                "horizon",
-                "flow_users",
-                "flow_rate",
-                "flow_tick",
-                "trace_enabled",
-                "metrics_enabled",
-            )
-        }
-        # The fault script is part of the artifact's identity; the
-        # shard/worker split deliberately is not — parity means those
-        # knobs cannot show up in the bytes.
-        meta["kills"] = [list(pair) for pair in self.params["kills"]]
-        meta["revives"] = [list(pair) for pair in self.params["revives"]]
-        self.artifact = merge_artifacts(worlds, meta=meta)
-        return self.artifact
+        return run_artifact(
+            worlds, _normalized(spec), self.horizon, spec["kills"], spec["revives"]
+        )

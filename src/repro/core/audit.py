@@ -268,9 +268,12 @@ class AddressAudit:
     reading where only a duplicate is a violation (an uncovered address is
     the rebind window, judged by convergence)."""
 
-    def __init__(self, lan, vips):
-        # Lan.binders lists live for the segment's life, so hold them.
-        self._binders = [(vip, lan.binders(IPAddress(vip)._value)) for vip in vips]
+    def __init__(self, segments):
+        # ``segments``: (lan, vips) pairs. Lan.binders lists live for the
+        # segment's life, so hold them.
+        self._binders = [
+            (vip, lan.binders(IPAddress(vip)._value)) for lan, vips in segments for vip in vips
+        ]
 
     def violations(self):
         """``(uncovered vips, {duplicated vip: owner names})``, in VIP order."""

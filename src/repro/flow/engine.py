@@ -86,34 +86,42 @@ class FlowEngine(Process):
         self._compiled = False
         return pool
 
-    def add_uniform_pools(self, vips, users, rate=1.0, label="pool-{}", offset=0, of=None):
-        """Spread ``users`` evenly across VIPs, one pool per VIP.
+    def add_uniform_pools(
+        self, vips, users, rate=1.0, label="pool-{}", offset=0, of=None, resolver=None
+    ):
+        """Spread ``users`` evenly across VIPs, one pool per VIP; returns the pools.
 
         The first ``users mod n`` VIPs carry one extra user; VIPs left
         with none get no pool. ``vips`` may be a contiguous slice of a
         larger list — ``of`` is then the whole list's length and
         ``offset`` the slice's position in it — so a partitioned
         cluster names and sizes its pools exactly as the whole would.
+        ``resolver`` overrides the engine's for these pools.
         """
         share, remainder = divmod(int(users), len(vips) if of is None else int(of))
+        pools = []
         for index, vip in enumerate(vips, offset):
             count = share + (1 if index < remainder else 0)
             if count:
-                self.add_pool(FlowPool(label.format(index), vip, count, rate=rate))
+                pool = FlowPool(label.format(index), vip, count, rate=rate, resolver=resolver)
+                pools.append(self.add_pool(pool))
+        return pools
 
     def total_users(self):
         """Sum of users across attached pools."""
         return sum(pool.users for pool in self.pools)
 
-    def start(self):
-        """Begin ticking every ``tick`` simulated seconds."""
-        self.trace(
-            "flow",
-            "start",
-            pools=len(self.pools),
-            users=self.total_users(),
-            tick=self.tick,
-        )
+    def start(self, groups=None):
+        """Begin ticking every ``tick`` simulated seconds.
+
+        The ``start`` trace record states the pools and their users;
+        ``groups`` (``{label: pools}``) states them per label instead,
+        one record each naming its label as ``group``.
+        """
+        for label, pools in (groups or {None: self.pools}).items():
+            named = {} if label is None else {"group": label}
+            users = sum(pool.users for pool in pools)
+            self.trace("flow", "start", pools=len(pools), users=users, tick=self.tick, **named)
         self._timer.start(first_delay=self.tick)
 
     def stop_flow(self):

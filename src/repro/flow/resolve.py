@@ -179,7 +179,7 @@ class DirectResolver:
     previous ``begin_tick()`` call, so one instance serves one engine.
     """
 
-    def __init__(self, bindings, lan=None):
+    def __init__(self, bindings, lan):
         self.bindings = bindings
         self.lan = lan
         self._owners = {}
@@ -198,14 +198,8 @@ class DirectResolver:
         missed hook would be a silently wrong request ledger.
         """
         binders = [(host, host.alive, host.time_scale, vips) for host, vips in self.bindings()]
-        loss_terms = None
-        if self.lan is not None:
-            model = self.lan.link_model
-            loss_terms = (
-                model,
-                model.expected_loss() if model is not None else None,
-                self.lan.loss,
-            )
+        model = self.lan.link_model
+        loss_terms = (model, model.expected_loss() if model is not None else None, self.lan.loss)
         if (binders, loss_terms) == self._read:
             return True
         owners = {}

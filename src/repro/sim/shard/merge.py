@@ -11,7 +11,7 @@ keys — is byte-identical across groupings, which the parity suite and
 the CI ``shard-parity`` job compare with ``cmp``.
 
 World artifact input shape (produced by e.g.
-``repro.apps.scalecluster.ScaleShardWorld.artifacts``)::
+``repro.apps.scalecluster.ScaleClusterScenario.artifacts``)::
 
     {
       "events_fired": int,
@@ -47,27 +47,20 @@ def merge_trace(trace_by_cell):
     return [entry[3] for entry in entries]
 
 
-def _merge_flow(cell_summaries):
-    """Sum per-cell flow totals; None when no cell ran a flow engine."""
-    merged = None
-    for summary in cell_summaries:
-        totals = summary.get("flow")
-        if totals is None:
-            continue
-        if merged is None:
-            merged = {"ticks": 0, "users": 0, "offered": 0, "served": 0,
-                      "lost": 0, "lost_by_reason": {}}
-        for field in ("ticks", "users", "offered", "served", "lost"):
-            merged[field] += totals[field]
-        for reason, count in totals["lost_by_reason"].items():
-            merged["lost_by_reason"][reason] = (
-                merged["lost_by_reason"].get(reason, 0) + count
-            )
-    if merged is not None:
-        merged["lost_by_reason"] = {
-            reason: merged["lost_by_reason"][reason]
-            for reason in sorted(merged["lost_by_reason"])
-        }
+def sum_flow(totals):
+    """Field-wise sum of flow totals dicts, a missing field counting 0;
+    None for none (no cell ran traffic)."""
+    if not totals:
+        return None
+    merged = {
+        field: sum(entry.get(field, 0) for entry in totals)
+        for field in ("ticks", "users", "offered", "served", "lost")
+    }
+    reasons = {}
+    for entry in totals:
+        for reason, count in entry["lost_by_reason"].items():
+            reasons[reason] = reasons.get(reason, 0) + count
+    merged["lost_by_reason"] = {reason: reasons[reason] for reason in sorted(reasons)}
     return merged
 
 
@@ -120,7 +113,7 @@ def merge_artifacts(world_artifacts, meta=None):
         "views": [list(view) for view in views],
         "n_live": len(live),
         "cells": {"{:02d}".format(cell): cells[cell] for cell in sorted(cells)},
-        "flow": _merge_flow(cell_summaries),
+        "flow": sum_flow([summary["flow"] for summary in cell_summaries if summary["flow"]]),
         "metrics": {name: metrics[name] for name in sorted(metrics)},
         "trace": {"records": len(lines), "sha256": trace_sha},
     }

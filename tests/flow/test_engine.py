@@ -201,7 +201,7 @@ def test_direct_resolver_follows_live_bindings():
     second = Host(sim, "s1")
     second.add_nic(lan, "10.0.0.2")
     bindings = [(owner, {"10.0.0.100"})]
-    resolver = DirectResolver(lambda: bindings)
+    resolver = DirectResolver(lambda: bindings, lan)
     engine = FlowEngine(sim, resolver=resolver)
     engine.add_pool(FlowPool("p", "10.0.0.100", users=100, rate=1.0))
     engine.start()

@@ -42,16 +42,29 @@ class ForgetfulArpView(ArpViewResolver):
 
 
 class Recorder:
-    """Counts what the engine asks of a scenario's resolver."""
+    """Counts what the engine asks of a scenario's resolvers.
 
-    def __init__(self, resolver):
+    The engine begins every resolver once a tick, in order; a tick's
+    entry in ``begins`` is false when any of them was (the engine then
+    resolves every VIP).
+    """
+
+    def __init__(self, resolvers):
         self.begins = []
         self.resolves = 0
+        for position, resolver in enumerate(resolvers):
+            self._wrap(resolver, position == 0)
+
+    def _wrap(self, resolver, first):
         begin_tick, resolve = resolver.begin_tick, resolver.resolve
 
         def counted_begin():
-            self.begins.append(begin_tick())
-            return self.begins[-1]
+            unchanged = begin_tick()
+            if first:
+                self.begins.append(unchanged)
+            else:
+                self.begins[-1] = self.begins[-1] and unchanged
+            return unchanged
 
         def counted_resolve(vip):
             self.resolves += 1
@@ -80,9 +93,12 @@ def build(
             flow_users=10_007,
             **kwargs
         )
-    if resolver_class is not None:
-        scenario.flow_engine.resolver = resolver_class(scenario.live_bindings, lan=scenario.lan)
-    recorder = Recorder(scenario.flow_engine.resolver)
+    for cell in scenario.cells:
+        if resolver_class is not None:
+            cell.resolver = resolver_class(cell.resolver.bindings, cell.lan)
+            for pool in cell.pools:
+                pool.resolver = cell.resolver
+    recorder = Recorder([cell.resolver for cell in scenario.cells])
     scenario.start()
     assert scenario.settle()
     return scenario, recorder
@@ -193,7 +209,7 @@ class ArpWorld:
         self.client = Host(self.sim, "client", arp_cache_lifetime=ARP_LIFETIME)
         self.client.add_nic(self.lan, "10.0.0.200")
         self.resolver = resolver_class(self.lan, self.client, self.servers)
-        self.recorder = Recorder(self.resolver)
+        self.recorder = Recorder([self.resolver])
         self.engine = FlowEngine(
             self.sim, resolver=self.resolver, name="twin", use_numpy=use_numpy
         )

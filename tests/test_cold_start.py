@@ -80,14 +80,14 @@ def test_python_leg_engine_first_in_a_fresh_interpreter_loads_no_numpy():
     assert lines[0] == "False" and lines[1].startswith("False ")
 
 
-#: ``build_scale_shard_world`` that first says whether its process — a
+#: ``build_scale_world`` that first says whether its process — a
 #: forked worker, built after the fork — already holds numpy.
 SHARDED = "\n".join([
     "import sys",
     "from repro.apps import scalecluster",
     "def world(params, shard_id):",
     "    assert ('numpy' in sys.modules) == (params['flow_users'] > 0), shard_id",
-    "    return scalecluster.build_scale_shard_world(params, shard_id)",
+    "    return scalecluster.build_scale_world(params, shard_id)",
     "def run(flow_users):",
     "    scenario = scalecluster.ShardedScaleScenario(",
     "        workers=2, shards=2, n_hosts=64, n_vips=128, segment_size=16, horizon=2.0,",
