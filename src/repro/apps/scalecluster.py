@@ -509,7 +509,7 @@ class ShardedScaleScenario:
     same script (:meth:`ScaleClusterScenario.artifact`).
     """
 
-    FACTORY = "repro.apps.scalecluster:build_scale_world"
+    FACTORY = staticmethod(build_scale_world)
 
     def __init__(self, workers=0, shards=1, horizon=12.0, kills=(), revives=(), **params):
         if "cells" in params:
@@ -540,7 +540,6 @@ class ShardedScaleScenario:
             load_numpy()  # before the fork: the workers inherit it, not import it
         kernel = ShardedKernel(self.plan, self.FACTORY, spec, workers=self.workers)
         try:
-            kernel.start()
             kernel.run(self.horizon)
             worlds = kernel.collect()
         finally:

@@ -19,8 +19,6 @@ at every change, as exact intervals:
   serially and sharded, compared byte for byte.
 """
 
-import time
-
 from repro.apps.scalecluster import ScaleClusterScenario, ShardedScaleScenario
 from repro.check.fixtures import daemon_class
 from repro.check.harness import CheckCluster
@@ -326,12 +324,11 @@ def run_shard_parity_trial(spec):
         trace_enabled=spec["trace_enabled"],
         metrics_enabled=spec["metrics_enabled"],
     )
-    serial = ShardedScaleScenario(shards=1, workers=0, **common)
-    serial_artifact, serial_wall = _timed_run(serial)
+    serial_artifact = ShardedScaleScenario(shards=1, workers=0, **common).run()
     sharded = ShardedScaleScenario(
         shards=spec["shards"], workers=spec["workers"], **common
     )
-    sharded_artifact, sharded_wall = _timed_run(sharded)
+    sharded_artifact = sharded.run()
 
     parity = artifact_bytes(serial_artifact) == artifact_bytes(sharded_artifact)
     if not parity:
@@ -350,20 +347,9 @@ def run_shard_parity_trial(spec):
         "epochs": sharded.epochs,
         "horizon": horizon,
         "events_fired": serial_artifact["events_fired"],
-        "serial_wall_s": round(serial_wall, 4),
-        "sharded_wall_s": round(sharded_wall, 4),
-        "speedup": round(serial_wall / sharded_wall, 3) if sharded_wall else None,
         "serial_artifact": serial_artifact,
         "sharded_artifact": sharded_artifact,
     }
-
-
-def _timed_run(scenario):
-    # Wall-clock is fine here: the timings are reported to the operator
-    # only and never feed a verdict or an artifact.
-    started = time.perf_counter()  # repro: allow det001
-    artifact = scenario.run()
-    return artifact, time.perf_counter() - started  # repro: allow det001
 
 
 def _scale_result(spec, scenario, verdict, persistent=()):

@@ -349,11 +349,7 @@ def _run_shard_parity(args, out):
             handle.write(artifact_bytes(result["{}_artifact".format(tag)]))
             handle.write(b"\n")
         out("  wrote {}".format(path))
-    out(
-        "  verdict={verdict} epochs={epochs} events={events_fired} "
-        "serial={serial_wall_s}s sharded={sharded_wall_s}s "
-        "speedup=x{speedup}".format(**result)
-    )
+    out("  verdict={verdict} epochs={epochs} events={events_fired}".format(**result))
     return 0 if result["verdict"] == "pass" else 1
 
 

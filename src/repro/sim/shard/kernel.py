@@ -27,10 +27,10 @@ including the one-world serial run. Combined with envelope sort order
 event ties resolve identically everywhere, which is what the parity
 suite pins down to the byte.
 
-Worlds are built from a picklable ``(params, shard_id)`` spec by a
-factory referenced as ``"module:attribute"`` — workers rebuild their
-world after the fork instead of unpickling live object graphs — and
-must provide the small duck-typed protocol the runners call:
+Worlds are built by a plain callable ``factory(params, shard_id)`` —
+a forked worker inherits it and builds its world after the fork instead
+of unpickling a live object graph — and must provide the small
+duck-typed protocol :class:`InProcessRunner` calls:
 ``next_event_time()``, ``inject(envelopes)``,
 ``advance(until, inclusive)``, ``drain_outbound()``, ``artifacts()``.
 
@@ -41,51 +41,29 @@ world's next event and outbound queue, so what a call sees does not
 depend on where the previous one stopped.
 """
 
-import importlib
-
 from repro.net.partition import envelope_key
 from repro.sim.errors import SchedulerError
 from repro.sim.simulation import Simulation
 
 
-def resolve_factory(factory_ref):
-    """Resolve a ``"module:attribute"`` world-factory reference.
-
-    A callable is its own factory: in-process runs only, since a worker
-    rebuilds its world from the reference after the fork.
-    """
-    if callable(factory_ref):
-        return factory_ref
-    module_name, _, attribute = factory_ref.partition(":")
-    if not module_name or not attribute:
-        raise ValueError(
-            "factory reference must look like 'module:attribute', got {!r}".format(
-                factory_ref
-            )
-        )
-    return getattr(importlib.import_module(module_name), attribute)
-
-
 class InProcessRunner:
-    """Serial execution of every world inside the calling process."""
+    """The per-shard epoch step for every world inside the calling process.
 
-    def __init__(self, factory_ref, params, shard_ids):
-        factory = resolve_factory(factory_ref)
+    A forked worker runs one of these for its own shard, so this is the
+    only code that calls the world protocol.
+    """
+
+    def __init__(self, factory, params, shard_ids):
         self._worlds = [factory(params, shard_id) for shard_id in shard_ids]
-
-    def start(self):
-        return [world.next_event_time() for world in self._worlds]
 
     def sync(self):
         return [(world.drain_outbound(), world.next_event_time()) for world in self._worlds]
 
     def advance_all(self, until, inclusive, batches):
-        replies = []
         for world, batch in zip(self._worlds, batches):
             world.inject(batch)
             world.advance(until, inclusive)
-            replies.append((world.drain_outbound(), world.next_event_time()))
-        return replies
+        return self.sync()
 
     def collect(self):
         return [world.artifacts() for world in self._worlds]
@@ -98,23 +76,21 @@ class ShardedKernel:
     """Drives one sharded run: build, epoch loop, artifact collection.
 
     ``workers`` counts worker *processes*: 0 (or a single-shard plan)
-    runs every world in-process — the transparent serial fallback,
-    byte-identical by construction — while ``workers >= 2`` forks one
-    warm worker per shard (capped at the shard count). Worker processes
-    require the ``fork`` start method; platforms without it fall back
-    to in-process execution rather than risking a divergent spawn path.
+    runs every world in-process — the serial run, byte-identical by
+    construction — while ``workers >= 2`` forks one worker per shard
+    (capped at the shard count), which needs the ``fork`` start method.
     """
 
-    def __init__(self, plan, factory_ref, params, workers=0):
+    def __init__(self, plan, factory, params, workers=0):
         self.plan = plan
-        self.factory_ref = factory_ref
+        self.factory = factory
         self.params = params
         self.workers_requested = int(workers)
         self.workers = 0
         self.now = 0.0
         self.epochs = 0
         self._runner = None
-        self._nexts = None
+        self._nexts = [None] * plan.n_shards
         self._pending = [[] for _ in range(plan.n_shards)]
 
     def start(self):
@@ -122,17 +98,13 @@ class ShardedKernel:
         if self._runner is not None:
             raise RuntimeError("kernel already started")
         shard_ids = list(self.plan.shards())
-        parallel = self.workers_requested >= 2 and self.plan.n_shards >= 2
-        if parallel:
-            from repro.sim.shard.pool import WorkerPoolRunner, fork_available
+        if self.workers_requested >= 2 and self.plan.n_shards >= 2:
+            from repro.sim.shard.pool import WorkerPoolRunner
 
-            if fork_available():
-                self._runner = WorkerPoolRunner(self.factory_ref, self.params, shard_ids)
-                self.workers = len(shard_ids)
-        if self._runner is None:
-            self._runner = InProcessRunner(self.factory_ref, self.params, shard_ids)
-            self.workers = 0
-        self._nexts = self._runner.start()
+            self._runner = WorkerPoolRunner(self.factory, self.params, shard_ids)
+            self.workers = len(shard_ids)
+        else:
+            self._runner = InProcessRunner(self.factory, self.params, shard_ids)
         return self
 
     def _receive(self, replies):

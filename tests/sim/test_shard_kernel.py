@@ -8,12 +8,11 @@ kernel's contract: the merged event log is identical under every shard
 grouping, including the forked worker pool.
 """
 
+import multiprocessing
 import os
 import signal
-import sys
 import threading
 import time
-import types
 
 import pytest
 
@@ -23,7 +22,8 @@ from repro.net.partition import (
     envelope_key,
 )
 from repro.sim.scheduler import Scheduler
-from repro.sim.shard.kernel import InProcessRunner, ShardedKernel, resolve_factory
+from repro.sim.shard.kernel import InProcessRunner, ShardedKernel
+from repro.sim.shard.pool import fork_available
 
 LOOKAHEAD = 0.05
 
@@ -38,6 +38,8 @@ class ToyWorld:
     """
 
     def __init__(self, params, shard_id):
+        if params.get("broken_shard") == shard_id:
+            raise ValueError("no world for shard {}".format(shard_id))
         plan = ShardPlan(params["n_cells"], params["n_shards"], lookahead=LOOKAHEAD)
         self.n_cells = params["n_cells"]
         self.rounds = params["rounds"]
@@ -99,22 +101,6 @@ class ToyWorld:
         return {"log": {cell: list(records) for cell, records in self.log.items()}}
 
 
-def toy_factory_ref():
-    """Register the toy factory under an importable module name.
-
-    ``resolve_factory`` goes through :func:`importlib.import_module`,
-    which consults ``sys.modules`` first — and forked workers inherit
-    the parent's modules — so a synthetic module works for both
-    runners without shipping a test-only module inside ``src``.
-    """
-    module = sys.modules.get("_repro_toyshard")
-    if module is None:
-        module = types.ModuleType("_repro_toyshard")
-        sys.modules["_repro_toyshard"] = module
-    module.make_world = ToyWorld
-    return "_repro_toyshard:make_world"
-
-
 def merged_log(kernel):
     entries = []
     for artifact in kernel.collect():
@@ -129,7 +115,7 @@ def run_toy(n_cells, n_shards, workers=0, rounds=4, horizon=2.0):
     plan = ShardPlan(n_cells, n_shards, lookahead=LOOKAHEAD)
     kernel = ShardedKernel(
         plan,
-        toy_factory_ref(),
+        ToyWorld,
         {"n_cells": n_cells, "n_shards": n_shards, "rounds": rounds},
         workers=workers,
     )
@@ -183,13 +169,6 @@ def test_envelope_key_orders_by_time_then_source_then_seq():
     assert [env[8] for env in ordered] == ["a", "d", "b", "c"]
 
 
-def test_resolve_factory_rejects_malformed_refs():
-    with pytest.raises(ValueError):
-        resolve_factory("no-colon-here")
-    with pytest.raises(ValueError):
-        resolve_factory(":attr_only")
-
-
 # -- the kernel ---------------------------------------------------------
 
 
@@ -212,8 +191,6 @@ def test_groupings_agree_serial_vs_two_vs_four_shards():
 
 
 def test_forked_worker_pool_matches_in_process():
-    from repro.sim.shard.pool import fork_available
-
     if not fork_available():
         pytest.skip("fork start method unavailable")
     in_process, _ = run_toy(n_cells=4, n_shards=2, workers=0)
@@ -225,15 +202,13 @@ def test_forked_worker_pool_matches_in_process():
 @pytest.mark.parametrize("killed", ["before-the-send", "mid-epoch"])
 def test_killed_worker_fails_the_run_naming_its_shard(killed):
     # Was: a bare BrokenPipeError from the send, no shard named.
-    from repro.sim.shard.pool import fork_available
-
     if not fork_available():
         pytest.skip("fork start method unavailable")
     mid_epoch = killed == "mid-epoch"
     params = {"n_cells": 4, "n_shards": 2, "rounds": 4}
     if mid_epoch:
         params["stall_shard"] = 1
-    kernel = ShardedKernel(ShardPlan(4, 2, lookahead=LOOKAHEAD), toy_factory_ref(), params, workers=2)
+    kernel = ShardedKernel(ShardPlan(4, 2, lookahead=LOOKAHEAD), ToyWorld, params, workers=2)
     kernel.start()
     victim = kernel._runner._procs[1]
     kill = threading.Timer(0.3 if mid_epoch else 0.0, os.kill, (victim.pid, signal.SIGKILL))
@@ -253,17 +228,44 @@ def test_killed_worker_fails_the_run_naming_its_shard(killed):
     assert time.monotonic() - started < 5.0
 
 
+def test_a_world_that_fails_to_build_in_a_worker_fails_the_run():
+    if not fork_available():
+        pytest.skip("fork start method unavailable")
+    params = {"n_cells": 4, "n_shards": 2, "rounds": 4, "broken_shard": 1}
+    kernel = ShardedKernel(ShardPlan(4, 2, lookahead=LOOKAHEAD), ToyWorld, params, workers=2)
+    kernel.start()
+    signal.signal(signal.SIGALRM, lambda *_: pytest.fail("the run hung on a failed build"))
+    signal.alarm(20)
+    started = time.monotonic()
+    try:
+        with pytest.raises(RuntimeError, match="shard worker 1 failed") as failure:
+            kernel.run(2.0)
+    finally:
+        kernel.close()  # the worker that built its world exits on "close"
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, signal.SIG_DFL)
+    assert time.monotonic() - started < 5.0
+    # The worker's own traceback rides along, down to the raise.
+    assert "Traceback (most recent call last)" in str(failure.value)
+    assert "ValueError: no world for shard 1" in str(failure.value)
+
+
+def test_workers_without_the_fork_start_method_raise(monkeypatch):
+    monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+    params = {"n_cells": 4, "n_shards": 2, "rounds": 4}
+    kernel = ShardedKernel(ShardPlan(4, 2, lookahead=LOOKAHEAD), ToyWorld, params, workers=2)
+    with pytest.raises(ValueError, match="'fork' start method"):
+        kernel.start()
+
+
 def test_workers_below_two_stay_in_process():
     _, kernel = run_toy(n_cells=4, n_shards=2, workers=1)
     assert kernel.workers == 0
 
 
 def test_in_process_runner_round_trips_envelopes():
-    runner = InProcessRunner(
-        toy_factory_ref(), {"n_cells": 2, "n_shards": 2, "rounds": 1}, [0, 1]
-    )
-    nexts = runner.start()
-    assert nexts == [0.1, 0.2]
+    runner = InProcessRunner(ToyWorld, {"n_cells": 2, "n_shards": 2, "rounds": 1}, [0, 1])
+    assert runner.sync() == [([], 0.1), ([], 0.2)]
     replies = runner.advance_all(0.25, False, [[], []])
     (out0, next0), (out1, next1) = replies
     # Both cells ticked once; each queued one ping for the other.
@@ -275,9 +277,7 @@ def test_in_process_runner_round_trips_envelopes():
 
 def test_kernel_refuses_double_start():
     plan = ShardPlan(2, 1)
-    kernel = ShardedKernel(
-        plan, toy_factory_ref(), {"n_cells": 2, "n_shards": 1, "rounds": 1}
-    )
+    kernel = ShardedKernel(plan, ToyWorld, {"n_cells": 2, "n_shards": 1, "rounds": 1})
     kernel.start()
     with pytest.raises(RuntimeError):
         kernel.start()

@@ -92,7 +92,7 @@ SHARDED = "\n".join([
     "    scenario = scalecluster.ShardedScaleScenario(",
     "        workers=2, shards=2, n_hosts=64, n_vips=128, segment_size=16, horizon=2.0,",
     "        flow_users=flow_users)",
-    "    scenario.FACTORY = '__main__:world'",
+    "    scenario.FACTORY = world",
     "    scenario.run()",
     "    print(scenario.workers_used, 'numpy' in sys.modules)",
     "run(0)",
