@@ -207,6 +207,11 @@ def build_parser():
         "--hosts", type=_sized(2, 4096, "scale cluster's"),
         help="with --cost: cost --duration seconds of a settled N-host scale cluster",
     )
+    observe.add_argument(
+        "--shards", type=_bounded(int, lambda value: value >= 2, "at least 2"), metavar="N",
+        help="with --cost: per shard, the kernel's cost of --duration seconds of a "
+        "--hosts (default 256) cluster from boot on N forked workers",
+    )
 
     bench = sub.add_parser(
         "bench", help="kernel tripwires and the one record of performance"
@@ -444,8 +449,9 @@ def _run_flow(args, out):
 def _run_observe(args, out):
     if args.cost:
         return _run_cost(args, out)
-    if args.hosts is not None:
-        _reject(args, "--hosts", "only costs a scale cluster, with --cost")
+    for flag, value in (("--hosts", args.hosts), ("--shards", args.shards)):
+        if value is not None:
+            _reject(args, flag, "only costs a scale cluster, with --cost")
     from repro.obs.dashboard import jsonl_observation, render_observation
     from repro.obs.observe import run_observation
 
@@ -469,6 +475,17 @@ def _run_observe(args, out):
 def _run_cost(args, out):
     from repro.obs import cost
 
+    if args.shards is not None:
+        hosts = 256 if args.hosts is None else args.hosts
+        cells = -(-hosts // 32)
+        if args.shards > cells:
+            _reject(args, "--shards", "at most {}, one per 32-host cell of {} hosts".format(
+                cells, hosts))
+        rows, wall = cost.shard_costs(hosts, args.shards, args.duration, args.seed)
+        out(cost.render_shards(rows, wall, "kernel cost: {} hosts on {} forked shards, {:g} "
+                               "simulated s from boot (seed {})".format(
+                                   hosts, args.shards, args.duration, args.seed)))
+        return 0
     if args.hosts is None:
         measured = cost.measure(cost.observe_run(
             seed=args.seed, n_servers=args.servers, n_vips=args.vips,

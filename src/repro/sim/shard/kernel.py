@@ -36,9 +36,9 @@ duck-typed protocol :class:`InProcessRunner` calls:
 
 A run may be split into many :meth:`ShardedKernel.run` calls with live
 work scheduled in between: envelopes still in flight at the end of one
-call wait on the kernel, and each call starts by re-reading every
-world's next event and outbound queue, so what a call sees does not
-depend on where the previous one stopped.
+call wait in the inbox of the shard they are bound for, and each call
+starts by re-reading every world's next event and outbound queue, so
+what a call sees does not depend on where the previous one stopped.
 """
 
 from repro.net.partition import envelope_key
@@ -47,23 +47,69 @@ from repro.sim.simulation import Simulation
 
 
 class InProcessRunner:
-    """The per-shard epoch step for every world inside the calling process.
+    """The epoch step for the worlds inside the calling process.
 
-    A forked worker runs one of these for its own shard, so this is the
-    only code that calls the world protocol.
+    The in-process kernel builds one over every shard, and its exchange
+    routes envelopes between their inboxes here. A forked worker builds
+    one over its own shard and passes ``exchange``, the swap with its
+    peers (:class:`repro.sim.shard.pool.PeerExchange`). Either way this
+    is the only code that calls the world protocol, and the only code
+    that computes a barrier.
+
+    ``exchange(inboxes, outbound, bound)`` puts each envelope of
+    ``outbound`` in the inbox of the shard it is bound for and returns
+    the minimum of ``bound`` over every shard, so every process computes
+    the same barriers from the same inputs.
     """
 
-    def __init__(self, factory, params, shard_ids):
+    def __init__(self, factory, params, shard_ids, plan, exchange=None):
         self._worlds = [factory(params, shard_id) for shard_id in shard_ids]
+        #: Per world, the envelopes bound for it not yet injected.
+        self.inboxes = [[] for _ in self._worlds]
+        self._shard_of = plan.shard_of
+        self._lookahead = plan.lookahead
+        self._exchange = self._route if exchange is None else exchange
+        self.now = 0.0
 
-    def sync(self):
-        return [(world.drain_outbound(), world.next_event_time()) for world in self._worlds]
+    def _route(self, inboxes, outbound, bound):
+        shard_of = self._shard_of
+        for envelope in outbound:
+            inboxes[shard_of(envelope[3])].append(envelope)
+        return bound
 
-    def advance_all(self, until, inclusive, batches):
-        for world, batch in zip(self._worlds, batches):
-            world.inject(batch)
-            world.advance(until, inclusive)
-        return self.sync()
+    def run_to(self, until):
+        """Step every world through lookahead epochs to ``until``: ``(now, epochs)``."""
+        worlds, inboxes, exchange = self._worlds, self.inboxes, self._exchange
+        lookahead, now, epochs = self._lookahead, self.now, 0
+        while True:
+            # This shard's lower bound: its next event, and every
+            # delivery it holds or has just sent. Work scheduled since
+            # the last barrier (a live fault, say) moved the first and
+            # may have sent, so both are read afresh.
+            outbound, times = [], []
+            for world, inbox in zip(worlds, inboxes):
+                outbound += world.drain_outbound()
+                next_time = world.next_event_time()
+                if next_time is not None:
+                    times.append(next_time)
+                times += [envelope[0] for envelope in inbox]
+            times += [envelope[0] for envelope in outbound]
+            earliest = exchange(inboxes, outbound, min(times, default=None))
+            if now >= until:
+                break
+            target = until if earliest is None else max(now, earliest) + lookahead
+            inclusive = target >= until
+            if inclusive:
+                target = until
+            for world, inbox in zip(worlds, inboxes):
+                batch = sorted(inbox, key=envelope_key)
+                inbox.clear()
+                world.inject(batch)
+                world.advance(target, inclusive)
+            now = target
+            epochs += 1
+        self.now = now
+        return now, epochs
 
     def collect(self):
         return [world.artifacts() for world in self._worlds]
@@ -90,8 +136,6 @@ class ShardedKernel:
         self.now = 0.0
         self.epochs = 0
         self._runner = None
-        self._nexts = [None] * plan.n_shards
-        self._pending = [[] for _ in range(plan.n_shards)]
 
     def start(self):
         """Build every world (forking workers first when parallel)."""
@@ -101,56 +145,20 @@ class ShardedKernel:
         if self.workers_requested >= 2 and self.plan.n_shards >= 2:
             from repro.sim.shard.pool import WorkerPoolRunner
 
-            self._runner = WorkerPoolRunner(self.factory, self.params, shard_ids)
+            self._runner = WorkerPoolRunner(self.factory, self.params, shard_ids, self.plan)
             self.workers = len(shard_ids)
         else:
-            self._runner = InProcessRunner(self.factory, self.params, shard_ids)
+            self._runner = InProcessRunner(self.factory, self.params, shard_ids, self.plan)
+            #: Each shard's envelopes in flight between calls.
+            self._pending = self._runner.inboxes
         return self
-
-    def _receive(self, replies):
-        """Take each world's ``(outbound, next event time)`` reply."""
-        pending = self._pending
-        shard_of = self.plan.shard_of
-        for shard, (outbound, next_time) in enumerate(replies):
-            self._nexts[shard] = next_time
-            for envelope in outbound:
-                pending[shard_of(envelope[3])].append(envelope)
 
     def run(self, until):
         """Advance every world to ``until`` through lookahead epochs."""
         if self._runner is None:
             self.start()
-        # Work scheduled since the last call (a live fault, say) moved
-        # next-event times and may have sent: read both afresh.
-        self._receive(self._runner.sync())
-        plan = self.plan
-        lookahead = plan.lookahead
-        until = float(until)
-        n_shards = plan.n_shards
-        pending = self._pending
-        while self.now < until:
-            earliest = None
-            for shard in range(n_shards):
-                bound = self._nexts[shard]
-                for envelope in pending[shard]:
-                    if bound is None or envelope[0] < bound:
-                        bound = envelope[0]
-                if bound is not None and (earliest is None or bound < earliest):
-                    earliest = bound
-            if earliest is None:
-                target, inclusive = until, True
-            else:
-                target = max(self.now, earliest) + lookahead
-                if target >= until:
-                    target, inclusive = until, True
-                else:
-                    inclusive = False
-            batches = [sorted(batch, key=envelope_key) for batch in pending]
-            for batch in pending:
-                batch.clear()
-            self._receive(self._runner.advance_all(target, inclusive, batches))
-            self.now = target
-            self.epochs += 1
+        self.now, epochs = self._runner.run_to(float(until))
+        self.epochs += epochs
         return self.now
 
     def collect(self):

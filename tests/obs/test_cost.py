@@ -8,6 +8,7 @@ from repro.apps.scalecluster import ScaleClusterScenario
 from repro.cli import main
 from repro.obs.cost import event_kind, metered
 from repro.sim.events import Event
+from repro.sim.shard.pool import PeerExchange, fork_available
 from repro.sim.simulation import Simulation
 from repro.sim.timers import Timer
 
@@ -63,3 +64,39 @@ def test_hosts_without_cost_is_a_usage_error(capsys):
         main(["observe", "--hosts", "64"])
     assert stop.value.code == 2
     assert "--hosts" in capsys.readouterr().err
+
+
+def test_cli_shard_report_prints_a_row_per_shard_and_the_barrier_share():
+    if not fork_available():
+        pytest.skip("fork start method unavailable")
+    plain = PeerExchange.__call__, PeerExchange._swap
+    lines = []
+    code = main(["observe", "--cost", "--shards", "2", "--hosts", "64", "--duration", "2"],
+                out=lines.append)
+    report = "\n".join(lines).splitlines()
+    assert code == 0
+    assert (PeerExchange.__call__, PeerExchange._swap) == plain
+    assert report[0] == "kernel cost: 64 hosts on 2 forked shards, 2 simulated s from boot (seed 7)"
+    assert report[1].split() == [
+        "shard", "build_s", "epochs", "advance_s", "exchange_s", "out/ep", "in/ep", "bytes/ep",
+        "max_queue",
+    ]
+    rows = [line.split() for line in report[2:-1]]
+    assert [row[0] for row in rows] == ["0", "1"]
+    # Every worker steps the same barriers, and both cells' leaders send.
+    assert rows[0][2] == rows[1][2] and int(rows[0][2]) > 1
+    assert all(float(row[4]) > 0.0 and float(row[7]) > 0.0 for row in rows)
+    assert report[-1].startswith("run wall ") and " exchange " in report[-1]
+
+
+@pytest.mark.parametrize("argv, problem", [
+    (["observe", "--shards", "2"], "with --cost"),
+    (["observe", "--cost", "--shards", "3", "--hosts", "64"], "at most 2"),
+    (["observe", "--cost", "--shards", "1"], "at least 2"),
+])
+def test_shards_outside_the_report_or_the_cells_is_a_usage_error(argv, problem, capsys):
+    with pytest.raises(SystemExit) as stop:
+        main(argv)
+    assert stop.value.code == 2
+    err = capsys.readouterr().err
+    assert "--shards" in err and problem in err
