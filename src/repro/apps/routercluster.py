@@ -90,11 +90,8 @@ class RouterClusterScenario(ServerGroup):
         routing_mode="static",
         spread_config=None,
         wackamole_overrides=None,
-        placement_strategy=None,
         rip_interval=30.0,
         flow_users=0,
-        flow_rate=1.0,
-        flow_tick=0.05,
         trace_enabled=True,
         arp_share=False,
     ):
@@ -131,8 +128,6 @@ class RouterClusterScenario(ServerGroup):
         self.rip_interval = rip_interval
         overrides = dict(wackamole_overrides or {})
         overrides.setdefault("balance_enabled", False)
-        if placement_strategy is not None:
-            overrides["placement_strategy"] = placement_strategy
         if arp_share:
             # §5.2: daemons periodically exchange their ARP caches so a
             # new owner can notify exactly the hosts that resolved the
@@ -168,7 +163,7 @@ class RouterClusterScenario(ServerGroup):
         # as ``no_route`` loss even while the VIP itself is answered).
         self.flow_hosts = []
         if flow_users:
-            self.flow_engine = FlowEngine(self.sim, tick=flow_tick, name="router")
+            self.flow_engine = FlowEngine(self.sim, name="router")
             routable = _routable_gate(self.routing_mode)
             share = int(flow_users) // 2
             for pool_name, lan, address, vip, users in (
@@ -183,14 +178,7 @@ class RouterClusterScenario(ServerGroup):
                 self.flow_hosts.append(client)
                 resolver = ArpViewResolver(lan, client, self.routers)
                 self.flow_engine.add_pool(
-                    FlowPool(
-                        pool_name,
-                        vip,
-                        users,
-                        rate=flow_rate,
-                        require=routable,
-                        resolver=resolver,
-                    )
+                    FlowPool(pool_name, vip, users, require=routable, resolver=resolver)
                 )
 
     # ------------------------------------------------------------------

@@ -280,13 +280,24 @@ class ScaleClusterScenario:
             engine.start({cell.cell_id: cell.pools for cell in self.cells if cell.pools})
         return self
 
+    def _slot(self, index):
+        """Column position of fleet member ``index``; ValueError if not held."""
+        slot = index - self._first
+        if not 0 <= slot < len(self.hosts):
+            raise ValueError(
+                "fleet index {} outside this world's fleet range [{}, {})".format(
+                    index, self._first, self._first + len(self.hosts)
+                )
+            )
+        return slot
+
     def kill(self, index):
         """Fail-stop fleet member ``index``'s host."""
-        self.faults.crash_host(self.hosts[index - self._first])
+        self.faults.crash_host(self.hosts[self._slot(index)])
 
     def revive(self, index):
         """Reboot fleet member ``index`` and start a fresh daemon pair on it."""
-        slot = index - self._first
+        slot = self._slot(index)
         host = self.hosts[slot]
         self.faults.recover_host(host)
         cell = self.cells[self.fleet.segment_of_index(index) - self.cells[0].cell_id]

@@ -31,7 +31,6 @@ class WebClusterScenario(ServerGroup):
         n_vips=10,
         spread_config=None,
         wackamole_overrides=None,
-        placement_strategy=None,
         flow_users=0,
         flow_rate=1.0,
         flow_tick=0.05,
@@ -60,11 +59,6 @@ class WebClusterScenario(ServerGroup):
         self.vips = ["198.51.100.{}".format(150 + i) for i in range(n_vips)]
         overrides = dict(wackamole_overrides or {})
         overrides.setdefault("notify_ips", ("198.51.100.1",))
-        if placement_strategy is not None:
-            # Rendezvous placement makes a membership change remap only
-            # the departed server's VIPs; the default stays the paper's
-            # linear levelling pass.
-            overrides["placement_strategy"] = placement_strategy
         super().__init__(
             self.sim,
             self.lan,

@@ -1,6 +1,10 @@
-"""Wackamole configuration: virtual addresses and behaviour knobs."""
+"""Wackamole configuration: virtual addresses and behaviour knobs.
 
-from repro.core.placement import PLACEMENT_LINEAR, PLACEMENT_STRATEGIES
+Values the daemon cannot run with (a balance or reconnect period that
+is not positive, a negative delay, a preference for an unknown group)
+are rejected when the config is built, not at first use.
+"""
+
 from repro.net.addresses import IPAddress
 from repro.stabilization import STABILIZING, StabilizationConfig, profile_overrides
 
@@ -99,14 +103,6 @@ class WackamoleConfig:
       "load-based reallocation": allocation and balancing target a
       share of the address pool proportional to the weight (travels in
       STATE messages like the preferences).
-    * ``placement_strategy`` — how holes are filled and what the
-      RUN-state balance targets: ``"linear"`` (default) is the paper's
-      least-loaded/levelling pass; ``"rendezvous"`` is HRW hashing
-      (:mod:`repro.core.placement`), whose minimal-disruption property
-      makes a membership change move only the departed member's slots
-      — the scale-tier choice. Must be set uniformly across the
-      cluster (both strategies are deterministic, but they are
-      *different* deterministic functions).
 
     Gray-failure hardening knobs (all default off / historical
     behaviour; see ``docs/FAULTS.md``):
@@ -151,7 +147,6 @@ class WackamoleConfig:
         reconnect_interval=2.0,
         representative_allocation=False,
         weight=1.0,
-        placement_strategy=PLACEMENT_LINEAR,
         arp_announce_retries=0,
         arp_announce_backoff=0.5,
         arp_reannounce_interval=0.0,
@@ -177,13 +172,6 @@ class WackamoleConfig:
         if weight <= 0:
             raise ValueError("weight must be positive, got {}".format(weight))
         self.weight = float(weight)
-        if placement_strategy not in PLACEMENT_STRATEGIES:
-            raise ValueError(
-                "placement_strategy must be one of {}, got {!r}".format(
-                    PLACEMENT_STRATEGIES, placement_strategy
-                )
-            )
-        self.placement_strategy = placement_strategy
         if int(arp_announce_retries) < 0:
             raise ValueError(
                 "arp_announce_retries must be >= 0, got {}".format(arp_announce_retries)
@@ -198,6 +186,19 @@ class WackamoleConfig:
         self.conflict_reannounce = bool(conflict_reannounce)
         self.arp_conflict_resolution = bool(arp_conflict_resolution)
         self.arp_conflict_holddown = float(arp_conflict_holddown)
+        # A zero period re-arms at the same instant for ever (the run
+        # livelocks); a negative delay would fail only at first use.
+        for name, zero_ok in (
+            ("balance_timeout", False),
+            ("reconnect_interval", False),
+            ("maturity_timeout", True),
+            ("arp_conflict_holddown", True),
+        ):
+            value = getattr(self, name)
+            if not (value >= 0 if zero_ok else value > 0):
+                raise ValueError(
+                    "{} must be {}, got {}".format(name, ">= 0" if zero_ok else "positive", value)
+                )
         if stabilization is not None and not isinstance(stabilization, StabilizationConfig):
             raise TypeError("stabilization must be a StabilizationConfig or None")
         self.stabilization = stabilization or StabilizationConfig()

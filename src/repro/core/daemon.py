@@ -31,11 +31,6 @@ from repro.core.messages import (
     StateMsg,
 )
 from repro.core.notify import ArpNotifier
-from repro.core.placement import (
-    PLACEMENT_RENDEZVOUS,
-    compute_rendezvous_allocation,
-    reallocate_ips_rendezvous,
-)
 from repro.core.reallocate import reallocate_ips
 from repro.core.state import GATHER, RUN, StateMachine
 from repro.core.table import AllocationTable
@@ -280,39 +275,6 @@ class WackamoleDaemon(Process):
             self.notifier.integrate_share(payload.entries, self.now)
 
     # ------------------------------------------------------------------
-    # placement strategy dispatch (config.placement_strategy)
-
-    def _fill_holes(self, table):
-        """Run the configured hole-filling procedure on ``table``.
-
-        Both procedures are pure functions of (table, preferences,
-        weights), so every member computes the same grants — the
-        strategy knob changes *which* deterministic function runs, not
-        the Lemma 2 obligation.
-        """
-        if self.config.placement_strategy == PLACEMENT_RENDEZVOUS:
-            return reallocate_ips_rendezvous(table, self._preferences, self._weights)
-        return reallocate_ips(table, self._preferences, self._weights)
-
-    def _balance_target(self):
-        """The configured RUN-state target allocation."""
-        if self.config.placement_strategy == PLACEMENT_RENDEZVOUS:
-            return compute_rendezvous_allocation(
-                self.table.members,
-                self.table.slots,
-                self.table.as_dict(),
-                self._preferences,
-                self._weights,
-            )
-        return compute_balanced_allocation(
-            self.table.members,
-            self.table.slots,
-            self.table.as_dict(),
-            self._preferences,
-            self._weights,
-        )
-
-    # ------------------------------------------------------------------
     # GATHER (Algorithm 2)
 
     def _on_state_msg(self, message):
@@ -325,7 +287,7 @@ class WackamoleDaemon(Process):
         self._state_msgs[message.sender] = message
         self._preferences[message.sender] = message.preferences
         self._matures[message.sender] = message.mature
-        self._weights[message.sender] = getattr(message, "weight", 1.0)
+        self._weights[message.sender] = message.weight
         if message.mature and not self.mature:
             self._become_mature("state message from mature server")
         for slot in message.owned:
@@ -362,13 +324,13 @@ class WackamoleDaemon(Process):
                 # and everyone (itself included) applies on delivery.
                 if self.member_name == self.table.members[0]:
                     decided = self.table.copy()
-                    self._fill_holes(decided)
+                    reallocate_ips(decided, self._preferences, self._weights)
                     self.client.multicast(
                         self.config.group_name,
                         AllocMsg(self.member_name, self.view.view_id, decided.as_dict()),
                     )
                 return
-            self._fill_holes(self.table)
+            reallocate_ips(self.table, self._preferences, self._weights)
             self.reallocations += 1
             self._m_reallocations.inc()
             self._apply_table()
@@ -425,7 +387,13 @@ class WackamoleDaemon(Process):
         # Atomic: compute, broadcast and return to RUN in one step; no
         # event can interleave (the paper's delay-event semantics).
         self.machine.fire("BALANCE_TIMEOUT")
-        allocation = self._balance_target()
+        allocation = compute_balanced_allocation(
+            self.table.members,
+            self.table.slots,
+            self.table.as_dict(),
+            self._preferences,
+            self._weights,
+        )
         if allocation != self.table.as_dict():
             message = BalanceMsg(self.member_name, self.view.view_id, allocation)
             self.client.multicast(self.config.group_name, message)
@@ -471,7 +439,7 @@ class WackamoleDaemon(Process):
             if self.config.representative_allocation:
                 if self.member_name == self.table.members[0]:
                     decided = self.table.copy()
-                    self._fill_holes(decided)
+                    reallocate_ips(decided, self._preferences, self._weights)
                     self.client.multicast(
                         self.config.group_name,
                         AllocMsg(self.member_name, self.view.view_id, decided.as_dict()),
@@ -479,7 +447,7 @@ class WackamoleDaemon(Process):
                 return
             # Deterministic at every member: same table, same message,
             # same order -> same allocation, no extra communication.
-            self._fill_holes(self.table)
+            reallocate_ips(self.table, self._preferences, self._weights)
             self.reallocations += 1
             self._m_reallocations.inc()
             self._apply_table()

@@ -18,17 +18,10 @@ no coordination — so every daemon computes the identical allocation
 from the same membership, exactly the deterministic-procedure
 obligation of the paper's Lemma 2.
 
-Two integration points mirror the linear strategy's entry points:
-
-* :func:`reallocate_ips_rendezvous` — hole-filling at the end of
-  GATHER (counterpart of :func:`repro.core.reallocate.reallocate_ips`);
-* :func:`compute_rendezvous_allocation` — the RUN-state target
-  allocation (counterpart of
-  :func:`repro.core.balance.compute_balanced_allocation`).
-
-Both honour explicit preferences first, like the linear code paths, so
-the two strategies are interchangeable behind
-``WackamoleConfig(placement_strategy=...)``.
+The scale tier places VIPs this way, per cell
+(:class:`repro.apps.scalecluster.ScaleClusterScenario`); the faithful
+daemon keeps the paper's Reallocate_IPs and BALANCE
+(:mod:`repro.core.reallocate`, :mod:`repro.core.balance`).
 
 For large clusters :class:`RendezvousMap` maintains an allocation
 incrementally: a single join or leave costs O(V) score comparisons
@@ -36,19 +29,13 @@ instead of the O(V·N) full recomputation.
 """
 
 import hashlib
-import math
 import struct
 from operator import itemgetter
-
-PLACEMENT_LINEAR = "linear"
-PLACEMENT_RENDEZVOUS = "rendezvous"
-PLACEMENT_STRATEGIES = (PLACEMENT_LINEAR, PLACEMENT_RENDEZVOUS)
 
 _MASK64 = (1 << 64) - 1
 _PHI64 = 0x9E3779B97F4A7C15
 _MIX_A = 0xBF58476D1CE4E5B9
 _MIX_B = 0x94D049BB133111EB
-_U_MAX = math.nextafter(1.0, 0.0)
 
 
 def _key64(name):
@@ -78,116 +65,18 @@ def hrw_score(slot_key, member_key):
     return _mix64(slot_key ^ ((member_key + _PHI64) & _MASK64))
 
 
-def _weighted_score(raw_score, weight):
-    """Weighted-rendezvous transform: ``-w / ln(u)``, u uniform in (0,1).
-
-    Monotone in the raw score, so with equal weights the weighted
-    argmax equals the unweighted one; unequal weights skew each
-    member's expected share proportionally (Wang & Ravishankar).
-    """
-    # The top 1 025 raw scores round to exactly 1.0, whose log is 0:
-    # clamp to the largest double below 1 (still monotone, u > 0 always).
-    u = min((raw_score + 0.5) / 18446744073709551616.0, _U_MAX)
-    return -weight / math.log(u)
-
-
-def rendezvous_owner(slot, members, weights=None):
-    """The member owning ``slot`` under HRW, or None for no members."""
-    members = list(members)
-    if not members:
-        return None
-    slot_key = _key64(slot)
-    if weights and len({weights.get(m, 1.0) for m in members}) > 1:
-        return max(
-            members,
-            key=lambda m: (_weighted_score(hrw_score(slot_key, _key64(m)), weights.get(m, 1.0)), m),
-        )
-    return max(members, key=lambda m: (hrw_score(slot_key, _key64(m)), m))
-
-
-def rendezvous_allocation(members, slots, weights=None):
+def rendezvous_allocation(members, slots):
     """The full {slot: member} HRW allocation (pure function)."""
     members = list(members)
     if not members:
         return {slot: None for slot in slots}
     member_keys = [(m, _key64(m)) for m in members]
-    weighted = bool(weights) and len({weights.get(m, 1.0) for m in members}) > 1
     allocation = {}
     for slot in slots:
         slot_key = _key64(slot)
-        if weighted:
-            best = max(
-                member_keys,
-                key=lambda mk: (
-                    _weighted_score(hrw_score(slot_key, mk[1]), weights.get(mk[0], 1.0)),
-                    mk[0],
-                ),
-            )
-        else:
-            best = max(member_keys, key=lambda mk: (hrw_score(slot_key, mk[1]), mk[0]))
+        best = max(member_keys, key=lambda mk: (hrw_score(slot_key, mk[1]), mk[0]))
         allocation[slot] = best[0]
     return allocation
-
-
-def _preference_pins(members, slots, preferences):
-    """{slot: member} for slots pinned by explicit preferences.
-
-    Same rule as the linear strategy: a slot goes to the first member
-    in membership order that prefers it.
-    """
-    pins = {}
-    if not preferences:
-        return pins
-    for slot in slots:
-        for member in members:
-            if slot in preferences.get(member, ()):
-                pins[slot] = member
-                break
-    return pins
-
-
-def compute_rendezvous_allocation(members, slots, current, preferences=None, weights=None):
-    """The RUN-state target allocation under the rendezvous strategy.
-
-    Every slot belongs to its HRW owner except slots pinned by explicit
-    preferences. ``current`` is accepted for signature compatibility
-    with :func:`repro.core.balance.compute_balanced_allocation`; the
-    target is independent of it — that independence is what makes a
-    membership change move only the departed member's slots.
-    """
-    members = list(members)
-    if not members:
-        return dict(current)
-    allocation = rendezvous_allocation(members, slots, weights)
-    for slot, member in _preference_pins(members, slots, preferences or {}).items():
-        allocation[slot] = member
-    return allocation
-
-
-def reallocate_ips_rendezvous(table, preferences=None, weights=None):
-    """Fill every hole in ``table`` with its HRW owner.
-
-    Counterpart of :func:`repro.core.reallocate.reallocate_ips`:
-    mutates ``table`` and returns {slot: member} for the new grants.
-    Preferring members win their holes first (membership order), the
-    rest go to the rendezvous owner — so after a member death exactly
-    the dead member's slots (the holes) move, each to the survivor
-    that scores highest on it.
-    """
-    preferences = preferences or {}
-    members = list(table.members)
-    assignments = {}
-    holes = list(table.holes())
-    if not holes or not members:
-        return assignments
-    pins = _preference_pins(members, holes, preferences)
-    for slot in holes:
-        chosen = pins.get(slot)
-        if chosen is None:
-            chosen = rendezvous_owner(slot, members, weights)
-        table.set_owner(slot, chosen)
-        assignments[slot] = chosen
-    return assignments
 
 
 class _ScoreLanes:

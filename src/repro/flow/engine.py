@@ -11,15 +11,14 @@ with the exact per-packet prober at 10^5–10^7 users without melting the
 event loop.
 
 The per-tick inner loop (demand accrual, carry propagation, goodput
-scaling) runs over parallel arrays and has two interchangeable
-backends: a numpy-vectorized one and a pure-python fallback. Both
-perform the *same float64 operations in the same element order*, so a
-run's request totals — and therefore its fingerprints, metrics and
-trace — are byte-identical whichever backend executed it (the
+scaling) runs over parallel arrays and has two backends: numpy-vectorized
+where :func:`load_numpy` finds numpy, pure python where it does not.
+Both perform the *same float64 operations in the same element order*,
+so a run's request totals — and therefore its fingerprints, metrics
+and trace — are byte-identical whichever backend executed it (the
 determinism suite asserts exactly that). All tick state hangs off the
-engine instance, and the only randomness (optional per-tick demand
-jitter) draws from the engine's own named stream, so two engines in
-two Simulations never share state or couple their draw sequences.
+engine instance and the engine draws no randomness, so two engines in
+two Simulations never share state.
 """
 
 import functools
@@ -44,17 +43,13 @@ def load_numpy():
 class FlowEngine(Process):
     """Advances client pools in batches on scheduler ticks."""
 
-    def __init__(self, sim, resolver=None, tick=0.05, name="clients",
-                 jitter=0.0, use_numpy=None):
+    def __init__(self, sim, resolver=None, tick=0.05, name="clients"):
         super().__init__(sim, "flow@{}".format(name))
         if tick <= 0.0:
             raise ValueError("tick must be positive, got {}".format(tick))
-        self._numpy = load_numpy() if use_numpy or use_numpy is None else None
-        if use_numpy and self._numpy is None:
-            raise RuntimeError("use_numpy=True but numpy is not importable")
+        self._numpy = load_numpy()
         self.resolver = resolver
         self.tick = float(tick)
-        self.jitter = float(jitter)
         self.use_numpy = self._numpy is not None
         self.pools = []
         self.ticks = 0
@@ -62,7 +57,6 @@ class FlowEngine(Process):
         self.requests_served = 0
         self.requests_lost = 0
         self.lost_by_reason = {}
-        self._jitter_rng = None
         self._compiled = False
         self._timer = self.periodic(self._on_tick, self.tick, name="tick")
         metrics = sim.metrics
@@ -194,11 +188,10 @@ class FlowEngine(Process):
         self.ticks += 1
         self._m_ticks.inc()
         factors, reasons = self._resolve_groups()
-        jitters = self._draw_jitter()
         if self.use_numpy:
-            offered, served = self._advance_numpy(factors, jitters)
+            offered, served = self._advance_numpy(factors)
         else:
-            offered, served = self._advance_python(factors, jitters)
+            offered, served = self._advance_python(factors)
         self._account(offered, served, reasons)
 
     def _resolve_groups(self):
@@ -235,22 +228,9 @@ class FlowEngine(Process):
         self._kept = None if gated else (factors, reasons)
         return factors, reasons
 
-    def _draw_jitter(self):
-        """Per-pool demand multipliers; no draws when jitter is off."""
-        if not self.jitter:
-            return None
-        if self._jitter_rng is None:
-            self._jitter_rng = self.rng("demand")
-        spread = self.jitter
-        rng = self._jitter_rng
-        return [1.0 + spread * (2.0 * rng.random() - 1.0) for _ in self.pools]
-
-    def _advance_numpy(self, factors, jitters):
+    def _advance_numpy(self, factors):
         numpy = self._numpy
-        raw = self._demand * self.tick
-        if jitters is not None:
-            raw = raw * numpy.array(jitters, dtype=numpy.float64)
-        raw = raw + self._carry
+        raw = self._demand * self.tick + self._carry
         offered_f = numpy.floor(raw)
         self._carry = raw - offered_f
         served_f = numpy.floor(offered_f * factors)
@@ -260,10 +240,10 @@ class FlowEngine(Process):
         self._c_served += served
         return offered, served
 
-    def _advance_python(self, factors, jitters):
+    def _advance_python(self, factors):
         # The scalar mirror of _advance_numpy: identical float64 ops in
         # identical element order, so both backends produce bit-equal
-        # carries and counts from the same seed.
+        # carries and counts.
         tick = self.tick
         carry = self._carry
         demand = self._demand
@@ -272,10 +252,7 @@ class FlowEngine(Process):
         offered = [0] * len(self.pools)
         served = [0] * len(self.pools)
         for index in range(len(self.pools)):
-            raw = demand[index] * tick
-            if jitters is not None:
-                raw = raw * jitters[index]
-            raw = raw + carry[index]
+            raw = demand[index] * tick + carry[index]
             offered_i = math.floor(raw)
             carry[index] = raw - offered_i
             served_i = math.floor(offered_i * factors[index])

@@ -177,9 +177,11 @@ class Scheduler:
         """Execute events in order.
 
         Stops when the queue drains, when simulated time would pass
-        ``until`` (the clock is then advanced exactly to ``until``), or
-        after ``max_events`` callbacks. Returns the number of callbacks
-        executed during this call.
+        ``until`` (in both cases the clock is then advanced exactly to
+        ``until``), or after ``max_events`` callbacks with a live event
+        still due by ``until`` (the clock then stays at the last fired
+        event, so the next run never moves it backwards). Returns the
+        number of callbacks executed during this call.
 
         ``inclusive`` controls the boundary: by default an event
         scheduled exactly at ``until`` fires during this call. With
@@ -200,10 +202,9 @@ class Scheduler:
         base = self._events_fired
         fired = 0
         exclusive = not inclusive
+        capped = False
         try:
             while heap:
-                if max_events is not None and fired >= max_events:
-                    break
                 time, seq, event = heap[0]
                 if event.cancelled:
                     pop(heap)
@@ -219,6 +220,9 @@ class Scheduler:
                     time > until or (exclusive and time == until)
                 ):
                     break
+                if max_events is not None and fired >= max_events:
+                    capped = True
+                    break
                 pop(heap)
                 self._now = time
                 event.fire()
@@ -232,7 +236,7 @@ class Scheduler:
                 self._m_events.inc(fired)
         if fired and m_depth is not None:
             m_depth.observe(len(heap) - self._cancelled)
-        if until is not None and self._now < until:
+        if until is not None and not capped and self._now < until:
             self._now = float(until)
         return fired
 

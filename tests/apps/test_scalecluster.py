@@ -57,6 +57,21 @@ def test_more_vips_than_the_address_plan_holds_is_rejected_at_construction():
     assert last == "10.32.255.250" and IPAddress(last) in Subnet(ScaleClusterScenario.SUBNET)
 
 
+@pytest.mark.parametrize("fault", ["kill", "revive"])
+@pytest.mark.parametrize(
+    "cells, index", [(None, -1), (None, 32), ((1,), 15), ((1,), 32)], ids=str
+)
+def test_fault_on_an_index_the_world_does_not_hold_is_rejected(fault, cells, index):
+    # -1 used to crash the last host; a shard world took another
+    # shard's index for one of its own slots.
+    scenario = ScaleClusterScenario(n_hosts=32, n_vips=64, segment_size=16, cells=cells)
+    nodes = list(scenario.nodes)
+    with pytest.raises(ValueError, match=r"fleet index {} .*\[(0|16), 32\)".format(index)):
+        getattr(scenario, fault)(index)
+    assert all(host.alive for host in scenario.hosts)
+    assert scenario.nodes == nodes
+
+
 def test_kill_reconverges_and_moves_only_the_victims_vips():
     scenario = build_small()
     victim = 17

@@ -27,6 +27,29 @@ def test_duplicate_group_ids_rejected():
         WackamoleConfig([VipGroup("x", ["10.0.0.1"]), VipGroup("x", ["10.0.0.2"])])
 
 
+@pytest.mark.parametrize(
+    "name, value",
+    [
+        ("balance_timeout", 0.0),
+        ("balance_timeout", -1.0),
+        ("reconnect_interval", 0.0),
+        ("reconnect_interval", -0.5),
+        ("maturity_timeout", -0.1),
+        ("arp_conflict_holddown", -0.25),
+    ],
+)
+def test_timer_that_cannot_run_is_rejected_at_construction(name, value):
+    # A zero balance or reconnect period used to livelock the run at
+    # one instant; a negative delay failed only at the timer's first use.
+    with pytest.raises(ValueError, match=name):
+        WackamoleConfig.for_vips(["10.0.0.1"], **{name: value})
+
+
+def test_zero_maturity_and_holddown_are_accepted():
+    config = WackamoleConfig.for_vips(["10.0.0.1"], maturity_timeout=0.0, arp_conflict_holddown=0.0)
+    assert (config.maturity_timeout, config.arp_conflict_holddown) == (0.0, 0.0)
+
+
 def test_unknown_preference_rejected():
     with pytest.raises(ValueError):
         WackamoleConfig.for_vips(["10.0.0.1"], prefer=("10.0.0.9",))
@@ -100,7 +123,6 @@ def test_copy_for_round_trips_every_attribute():
         reconnect_interval=0.7,
         representative_allocation=True,
         weight=2.5,
-        placement_strategy="rendezvous",
         arp_announce_retries=3,
         arp_announce_backoff=0.2,
         arp_reannounce_interval=1.5,

@@ -23,14 +23,9 @@ from helpers import assert_allocation_ok
 from repro.core.placement import (
     RendezvousMap,
     _ScoreLanes,
-    _weighted_score,
-    compute_rendezvous_allocation,
     hrw_score,
-    reallocate_ips_rendezvous,
     rendezvous_allocation,
-    rendezvous_owner,
 )
-from repro.core.table import AllocationTable
 
 names = st.text(alphabet="abcdefghij0123456789-", min_size=1, max_size=12)
 member_lists = st.lists(names, min_size=1, max_size=24, unique=True)
@@ -74,13 +69,6 @@ def test_join_moves_slots_only_to_the_joiner(members, slots, joiner):
     after = rendezvous_allocation(members + [joiner], slots)
     moved = {s for s in slots if before[s] != after[s]}
     assert all(after[s] == joiner for s in moved)
-
-
-@given(members=member_lists, slots=slot_lists)
-def test_owner_matches_allocation(members, slots):
-    allocation = rendezvous_allocation(members, slots)
-    for slot in slots:
-        assert rendezvous_owner(slot, members) == allocation[slot]
 
 
 @given(
@@ -158,66 +146,3 @@ def test_rendezvous_map_owned_index_partitions_the_slots(members, slots):
             rebuilt[slot] = member
     assert rebuilt == placement.allocation_for(members)
     assert placement.owned_by(members, members[0]) == index.get(members[0], ())
-
-
-@given(members=member_lists, slots=slot_lists, data=st.data())
-def test_reallocate_fills_exactly_the_holes(members, slots, data):
-    table = AllocationTable(slots, members)
-    pre_owned = {}
-    for slot in slots:
-        if data.draw(st.booleans(), label="preassign {}".format(slot)):
-            owner = data.draw(st.sampled_from(members), label="owner {}".format(slot))
-            table.set_owner(slot, owner)
-            pre_owned[slot] = owner
-    grants = reallocate_ips_rendezvous(table)
-    assert set(grants) == set(slots) - set(pre_owned)
-    current = table.as_dict()
-    for slot, owner in pre_owned.items():
-        assert current[slot] == owner  # existing ownership is never disturbed
-    assert_allocation_ok(current, members, slots)
-    for slot, owner in grants.items():
-        assert owner == rendezvous_owner(slot, members)
-
-
-@given(members=member_lists, slots=slot_lists, data=st.data())
-def test_preferences_pin_slots(members, slots, data):
-    preferring = data.draw(st.sampled_from(members))
-    pinned = data.draw(st.sampled_from(slots))
-    preferences = {preferring: (pinned,)}
-    allocation = compute_rendezvous_allocation(members, slots, {}, preferences)
-    assert allocation[pinned] == preferring
-    assert_allocation_ok(allocation, members, slots)
-
-
-@given(members=member_lists, slots=slot_lists)
-def test_equal_weights_match_unweighted(members, slots):
-    weights = {m: 2.5 for m in members}
-    assert rendezvous_allocation(members, slots, weights) == rendezvous_allocation(
-        members, slots
-    )
-
-
-def test_weighted_share_skews_toward_heavy_member():
-    members = ["heavy", "light-a", "light-b", "light-c"]
-    slots = ["vip-{}".format(i) for i in range(400)]
-    weights = {"heavy": 3.0, "light-a": 1.0, "light-b": 1.0, "light-c": 1.0}
-    allocation = rendezvous_allocation(members, slots, weights)
-    counts = {m: 0 for m in members}
-    for owner in allocation.values():
-        counts[owner] += 1
-    # heavy carries weight 3 of 6 : half the pool in expectation.
-    assert counts["heavy"] > len(slots) // 3
-    assert_allocation_ok(allocation, members, slots)
-
-
-def test_weighted_score_is_finite_and_monotone_at_both_ends():
-    # (raw + 0.5) / 2**64 rounds to 1.0 for the top 1 025 raw scores;
-    # ln(1.0) = 0 used to make the transform divide by zero there.
-    lowest = _weighted_score(0, 1.0)
-    highest = _weighted_score(MAX64, 1.0)
-    assert lowest == pytest.approx(1.0 / (65 * 0.6931471805599453))
-    assert highest == pytest.approx(2.0**53)
-    samples = [0, 1, 2**32, 2**63, MAX64 - 2048, MAX64 - 1024, MAX64 - 1, MAX64]
-    scores = [_weighted_score(raw, 1.0) for raw in samples]
-    assert scores == sorted(scores)
-    assert _weighted_score(MAX64, 3.0) == 3.0 * highest

@@ -2,22 +2,17 @@
 
 Double runs of the same seed must produce byte-identical fingerprints;
 the numpy and pure-python backends must agree bit-for-bit on identical
-seeds (including with demand jitter, which exercises the shared RNG
-path); and a ``repro check`` trial carrying flow totals must replay
+seeds; and a ``repro check`` trial carrying flow totals must replay
 byte-identically through the artifact comparison fields.
 """
 
 import json
 
-import pytest
-
 from repro.apps.webcluster import WebClusterScenario
 from repro.check.replay import ReplayReport
 from repro.check.schedule import CRASH, FaultEvent, FaultSchedule
 from repro.check.trial import make_spec, run_trial
-from repro.flow import FlowEngine, FlowPool
 from repro.gcs.config import SpreadConfig
-from repro.sim.simulation import Simulation
 
 from helpers import flow_backend
 
@@ -60,44 +55,6 @@ def test_numpy_and_pure_python_backends_agree():
     assert [repr(r) for r in auto.sim.trace.records] == [
         repr(r) for r in pure.sim.trace.records
     ]
-
-
-def test_backend_parity_with_demand_jitter():
-    # Jitter draws from the engine's named stream; both backends must
-    # consume the identical draw sequence and produce identical floats.
-    pytest.importorskip("numpy")
-
-    def run(use_numpy):
-        sim = Simulation(seed=21)
-        engine = FlowEngine(
-            sim, resolver=_AlwaysServe(), jitter=0.2, use_numpy=use_numpy
-        )
-        for index in range(17):
-            engine.add_pool(
-                FlowPool("p{}".format(index), "10.0.0.{}".format(1 + index), 1000 + index * 37, rate=0.9)
-            )
-        engine.start()
-        sim.run(until=5.0)
-        return json.dumps(engine.fingerprint(), sort_keys=True)
-
-    assert run(True) == run(False)
-
-
-class _AlwaysServe:
-    def begin_tick(self):
-        pass
-
-    def resolve(self, vip):
-        return 1.0, None, None
-
-
-def test_flow_rng_stream_is_dedicated_and_named():
-    sim = Simulation(seed=3)
-    engine = FlowEngine(sim, resolver=_AlwaysServe(), jitter=0.1, name="web")
-    engine.add_pool(FlowPool("p", "10.0.0.1", users=100))
-    engine.start()
-    sim.run(until=0.1)
-    assert "flow@web/demand" in sim.rng.stream_names()
 
 
 def test_check_trial_with_flow_totals_replays_byte_identically():

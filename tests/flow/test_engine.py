@@ -7,6 +7,8 @@ from repro.net.host import Host
 from repro.net.lan import Lan
 from repro.sim.simulation import Simulation
 
+from helpers import flow_backend
+
 
 class StaticResolver:
     """Test double: serve every VIP at a fixed factor."""
@@ -24,10 +26,11 @@ class StaticResolver:
         return self.factor, self.reason, self.owner
 
 
-def build_engine(factor=1.0, reason=None, owner=None, **kwargs):
+def build_engine(factor=1.0, reason=None, owner=None, use_numpy=True, **kwargs):
     sim = Simulation(seed=1)
     resolver = StaticResolver(factor, reason, owner)
-    engine = FlowEngine(sim, resolver=resolver, **kwargs)
+    with flow_backend(use_numpy):
+        engine = FlowEngine(sim, resolver=resolver, **kwargs)
     return sim, engine, resolver
 
 

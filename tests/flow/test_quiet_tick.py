@@ -210,9 +210,8 @@ class ArpWorld:
         self.client.add_nic(self.lan, "10.0.0.200")
         self.resolver = resolver_class(self.lan, self.client, self.servers)
         self.recorder = Recorder([self.resolver])
-        self.engine = FlowEngine(
-            self.sim, resolver=self.resolver, name="twin", use_numpy=use_numpy
-        )
+        with flow_backend(use_numpy):
+            self.engine = FlowEngine(self.sim, resolver=self.resolver, name="twin")
         for index, vip in enumerate(ARP_VIPS):
             self.engine.add_pool(
                 FlowPool("pool-{}".format(index), vip, 1000 + index, require=require)
@@ -619,7 +618,8 @@ def test_gated_pool_is_resolved_every_tick(use_numpy):
     owner = object()
     resolver = ScriptedResolver({"10.0.0.1": (1.0, None, owner)})
     gate = {"open": True}
-    engine = FlowEngine(sim, resolver=resolver, use_numpy=use_numpy)
+    with flow_backend(use_numpy):
+        engine = FlowEngine(sim, resolver=resolver)
     engine.add_pool(FlowPool("p", "10.0.0.1", users=200, require=lambda host: gate["open"]))
     engine.start()
     sim.run(until=0.051)
@@ -639,7 +639,8 @@ def test_one_changed_resolver_re_resolves_everything(use_numpy):
     # tick (no short-circuit) and be asked again on the changed tick.
     moving = ScriptedResolver({"10.0.0.1": (1.0, None, None)}, unchanged=[False, True, False, True])
     steady = ScriptedResolver({"10.0.0.2": (1.0, None, None)})
-    engine = FlowEngine(sim, resolver=steady, use_numpy=use_numpy)
+    with flow_backend(use_numpy):
+        engine = FlowEngine(sim, resolver=steady)
     engine.add_pool(FlowPool("a", "10.0.0.1", users=100, resolver=moving))
     engine.add_pool(FlowPool("b", "10.0.0.2", users=100))
     engine.start()
@@ -669,7 +670,8 @@ def test_loss_record_sums_every_pool_of_the_vip_in_first_seen_order(use_numpy):
             "10.0.0.4": (0.0, "no_owner", None),
         }
     )
-    engine = FlowEngine(sim, resolver=resolver, use_numpy=use_numpy)
+    with flow_backend(use_numpy):
+        engine = FlowEngine(sim, resolver=resolver)
     engine.add_pool(FlowPool("served", "10.0.0.1", users=60))
     engine.add_pool(FlowPool("stale", "10.0.0.2", users=40))
     engine.add_pool(FlowPool("gated", "10.0.0.1", users=100, require=lambda host: False))

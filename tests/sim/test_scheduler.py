@@ -204,6 +204,30 @@ def test_until_and_max_events_combined_stop_at_first_limit():
     assert scheduler.now == 0.55
 
 
+def test_capped_run_leaves_the_clock_at_the_last_fired_event():
+    scheduler = Scheduler()
+    seen = []
+    for index in range(10):
+        scheduler.after(0.1 * (index + 1), lambda: seen.append(scheduler.now))
+    assert scheduler.run(until=0.55, max_events=2) == 2
+    assert scheduler.now == seen[-1] == pytest.approx(0.2)
+    assert scheduler.next_event_time() == pytest.approx(0.3)
+    # A delay taken between the runs counts from the last fired event.
+    scheduler.after(0.05, lambda: seen.append(scheduler.now))
+    scheduler.run(until=0.55)
+    assert seen == sorted(seen) and len(seen) == 6
+    assert seen[2] == pytest.approx(0.25)
+    assert scheduler.now == 0.55
+
+
+def test_capped_run_with_nothing_left_by_until_still_reaches_until():
+    scheduler = Scheduler()
+    scheduler.after(0.1, lambda: None)
+    scheduler.after(0.9, lambda: None)
+    assert scheduler.run(until=0.5, max_events=1) == 1
+    assert scheduler.now == 0.5
+
+
 def test_event_exactly_at_until_fires():
     scheduler = Scheduler()
     fired = []
