@@ -5,8 +5,8 @@ connected component; Property 2: convergence after stabilization) are
 only as strong as the fault interleavings they were tested under. This
 package *searches* for schedules that break them:
 
-* :mod:`repro.check.schedule` — randomized but fully deterministic
-  fault schedules (NIC flaps, crashes, partitions, graceful leaves),
+* :mod:`repro.check.schedule` — the fault repertoire table and the
+  randomized but fully deterministic schedules drawn from it,
   serialized as replayable JSON.
 * :mod:`repro.check.trial` — one trial: fresh simulation, fresh
   cluster, continuous invariant sampling, end-of-trial convergence;

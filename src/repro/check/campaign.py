@@ -8,9 +8,10 @@ process. Parallel fan-out uses ``concurrent.futures`` with the
 interpreter state (including its hash seed) and verdicts stay
 identical across serial and parallel modes.
 
-Campaign fan-out keeps the workers warm: the campaign parameters are
-shipped once per worker (pool initializer) and each submitted task is
-a bare trial index — the worker reconstructs the spec from
+:func:`run_campaign_trials` is the one fan-out, and it takes only a
+:func:`campaign_params` dict. It keeps the workers warm: the parameters
+are shipped once per worker (pool initializer) and each submitted task
+is a bare trial index — the worker reconstructs the spec from
 ``(base_seed, index)`` itself, since :func:`build_trial_spec` is a
 pure function of the parameters. Chunked submission amortizes the
 remaining IPC. The serial path builds specs through the exact same
@@ -120,16 +121,12 @@ def _pool_context():
 
 
 def run_campaign_trials(params, workers=1):
-    """Run one campaign's trials from compact parameters.
+    """Run one campaign's trials from a :func:`campaign_params` dict.
 
-    ``params`` are the keyword arguments of :func:`build_specs` (or an
-    already-normalized :func:`campaign_params` dict). This is the
-    throughput-critical entry point: parallel mode ships ``params``
-    once per warm worker and submits bare indices in chunks; verdicts
-    are identical to the serial path for any ``workers``.
+    The one fan-out: parallel mode ships ``params`` once per warm worker
+    and submits bare indices in chunks; verdicts are identical to the
+    serial path for any ``workers``.
     """
-    if "spec_overrides" not in params:
-        params = campaign_params(**params)
     trials = params["trials"]
     if workers <= 1:
         return [run_trial(build_trial_spec(params, index)) for index in range(trials)]
@@ -145,24 +142,6 @@ def run_campaign_trials(params, workers=1):
         return list(
             pool.map(_campaign_worker_trial, range(trials), chunksize=chunksize)
         )
-
-
-def run_specs(specs, workers=1):
-    """Run explicit trial specs serially or across worker processes.
-
-    Campaigns prefer :func:`run_campaign_trials` (workers rebuild
-    specs from indices); this entry point remains for replaying or
-    fanning out hand-built spec lists.
-    """
-    if workers <= 1:
-        return [run_trial(spec) for spec in specs]
-    import concurrent.futures
-
-    chunksize = max(1, len(specs) // (workers * 4))
-    with concurrent.futures.ProcessPoolExecutor(
-        max_workers=workers, mp_context=_pool_context()
-    ) as pool:
-        return list(pool.map(run_trial, specs, chunksize=chunksize))
 
 
 class CampaignReport:

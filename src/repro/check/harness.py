@@ -49,10 +49,7 @@ class CheckCluster(ServerGroup):
             raise ValueError("n_servers exceeds the address plan (at most 90)")
         if n_vips > 100:
             raise ValueError("n_vips exceeds the address plan (at most 100)")
-        # Corruption trials need every gray hardening (supervisors catch
-        # wedges, K-miss detection rides out burst loss) plus the
-        # periodic self-stabilization audits that notice corrupted state.
-        profile = "stabilizing" if corrupt else "hardened" if gray else "paper"
+        profile = sched.repertoire(gray, corrupt).profile
         self.vips = ["10.9.0.{}".format(100 + i) for i in range(n_vips)]
         overrides = {"maturity_timeout": 0.5, "balance_timeout": 1.5}
         overrides.update(WackamoleConfig.profile(profile))

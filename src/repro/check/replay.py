@@ -11,7 +11,7 @@ developer's machine today, byte for byte.
 import json
 
 from repro.check.campaign import ARTIFACT_FORMAT
-from repro.check.trial import run_trial
+from repro.check.trial import run_trial, trial_schedule
 
 # Result fields that must match byte-for-byte on replay. sim_time,
 # counters, the per-trial metrics summary, the extracted fail-over
@@ -34,13 +34,14 @@ _COMPARED_FIELDS = (
 
 
 def load_artifact(path):
-    """Read and validate an artifact written by a campaign."""
+    """Read and validate an artifact, down to each event of its schedule."""
     with open(str(path)) as handle:
         artifact = json.load(handle)
     if artifact.get("format") != ARTIFACT_FORMAT:
         raise ValueError(
             "not a repro-check artifact (format={!r})".format(artifact.get("format"))
         )
+    trial_schedule(artifact["spec"])
     return artifact
 
 

@@ -1,4 +1,4 @@
-"""Replayable fault schedules.
+"""Replayable fault schedules, and the one table of what they may hold.
 
 A schedule is a list of self-contained fault events against a cluster
 of ``n`` servers, identified by host *index* so the same schedule can
@@ -8,6 +8,14 @@ host reboots, a partition heals, a leaver rejoins) that reverts only its
 own effect, so removing any subset of events (the shrinker's only
 operation) always leaves a well-formed schedule.
 
+The fault vocabulary is written once, here, in two tables. :data:`SHAPES`
+says what each kind targets (a host index, a split, or nothing), the
+range its ``param`` is drawn from, and whether it heals instantly.
+:data:`REPERTOIRES` gives each campaign (``standard``, ``gray``,
+``corrupt``) its mix of kinds, the hardening profile its cluster runs
+and the grace its coverage audit allows; :func:`repertoire` picks the
+row for a pair of campaign flags.
+
 Schedules serialize to plain JSON dicts; round-tripping through
 :meth:`FaultSchedule.to_dict` / :meth:`FaultSchedule.from_dict` is
 exact (Python floats survive JSON unchanged), which is what makes
@@ -15,6 +23,7 @@ byte-identical replay possible.
 """
 
 import json
+from collections import namedtuple
 
 NIC_FLAP = "nic_flap"
 CRASH = "crash"
@@ -37,43 +46,127 @@ CORRUPT_MEMBERSHIP = "corrupt_membership"
 CORRUPT_SEQUENCE = "corrupt_sequence"
 CORRUPT_EPOCH = "corrupt_epoch"
 
-KINDS = (NIC_FLAP, CRASH, PARTITION, LEAVE)
-GRAY_KINDS = (ASYM_PARTITION, BURST_LOSS, SLOW_HOST, CLOCK_SKEW, DAEMON_WEDGE)
-CORRUPT_KINDS = (
-    CORRUPT_VIP_TABLE,
-    CORRUPT_MEMBERSHIP,
-    CORRUPT_SEQUENCE,
-    CORRUPT_EPOCH,
-)
+#: What a kind targets: one server index, or a split (a set of server
+#: indices breaking off; for ``asym_partition`` the *deaf* side).
+HOST = "host"
+SPLIT = "split"
+
+#: ``target`` is HOST, SPLIT or None (the whole LAN); ``param`` the
+#: (low, high) range a magnitude is drawn from, or None; an ``instant``
+#: kind heals at once (``duration=0.0``), its repair is the cluster's job.
+Shape = namedtuple("Shape", "target param instant", defaults=(None, False))
+
+SHAPES = {
+    NIC_FLAP: Shape(HOST),
+    CRASH: Shape(HOST),
+    PARTITION: Shape(SPLIT),
+    LEAVE: Shape(HOST),
+    ASYM_PARTITION: Shape(SPLIT),
+    BURST_LOSS: Shape(None, (0.5, 0.95)),  # BAD-state loss probability
+    SLOW_HOST: Shape(HOST, (1.5, 3.0)),  # timer stretch factor
+    CLOCK_SKEW: Shape(HOST, (-5.0, 5.0)),  # clock offset, seconds
+    DAEMON_WEDGE: Shape(HOST),
+    CORRUPT_VIP_TABLE: Shape(HOST, instant=True),
+    CORRUPT_MEMBERSHIP: Shape(HOST, instant=True),
+    CORRUPT_SEQUENCE: Shape(HOST, instant=True),
+    CORRUPT_EPOCH: Shape(HOST, instant=True),
+}
+
+#: ``mix`` is ``(bound, kind)`` pairs: a draw of ``choice`` below
+#: ``bound`` (and not below the bound before it) picks ``kind``.
+#: ``profile`` names the cluster's hardening (``repro.stabilization``);
+#: ``grace`` is how long (simulated seconds) a view-relative violation
+#: interval must last before the trial fails.
+Repertoire = namedtuple("Repertoire", "mix profile grace")
+
+REPERTOIRES = {
+    # The chaos soak's mix: interface flaps are the paper's §6 fault and
+    # the most common, crashes exercise reboot-and-restart, partitions
+    # component splits/merges, leaves the voluntary path. Fail-stop
+    # trials fail on any unexcused interval.
+    "standard": Repertoire(
+        ((0.35, NIC_FLAP), (0.60, CRASH), (0.85, PARTITION), (1.0, LEAVE)), "paper", 0.0
+    ),
+    # The gray kinds on a fail-stop backbone, against the hardened
+    # cluster (K-miss detection, ARP retries and conflict resolution,
+    # daemon supervisors). Gray faults legitimately open bounded windows
+    # (a singleton that handed addresses back in ARP conflict repair and
+    # was then isolated needs one detection + regather cycle), so the
+    # grace is twice the worst legitimate reconfiguration of the
+    # hardened fast config (K-miss ~0.7 s plus a regather).
+    "gray": Repertoire(
+        ((0.12, NIC_FLAP), (0.24, CRASH), (0.34, PARTITION), (0.52, ASYM_PARTITION),
+         (0.68, BURST_LOSS), (0.80, SLOW_HOST), (0.90, CLOCK_SKEW), (1.0, DAEMON_WEDGE)),
+        "hardened",
+        1.5,
+    ),
+    # The four corruption kinds on a thinned fail-stop + gray backbone
+    # (~54%), so corruption meets partitions, wedges and restarts rather
+    # than a quiet cluster. The cluster adds periodic self-stabilization
+    # audits to every gray hardening; a corrupted table or view is only
+    # found at the next audit tick (0.5 s) and its repair may need an ARP
+    # round or a regather on top, hence the longer grace.
+    "corrupt": Repertoire(
+        ((0.08, NIC_FLAP), (0.16, CRASH), (0.22, PARTITION), (0.30, ASYM_PARTITION),
+         (0.38, BURST_LOSS), (0.44, SLOW_HOST), (0.48, CLOCK_SKEW), (0.54, DAEMON_WEDGE),
+         (0.66, CORRUPT_VIP_TABLE), (0.78, CORRUPT_MEMBERSHIP), (0.90, CORRUPT_SEQUENCE),
+         (1.0, CORRUPT_EPOCH)),
+        "stabilizing",
+        2.5,
+    ),
+}
+
+
+def repertoire(gray=False, corrupt=False):
+    """The campaign row for a pair of flags: corrupt beats gray beats standard."""
+    return REPERTOIRES["corrupt" if corrupt else "gray" if gray else "standard"]
+
+
+def _first_drawn(name, *earlier):
+    """The kinds row ``name`` mixes in that no ``earlier`` tuple holds."""
+    seen = set().union(*earlier)
+    return tuple(kind for _, kind in REPERTOIRES[name].mix if kind not in seen)
+
+
+KINDS = _first_drawn("standard")
+GRAY_KINDS = _first_drawn("gray", KINDS)
+CORRUPT_KINDS = _first_drawn("corrupt", KINDS, GRAY_KINDS)
 ALL_KINDS = KINDS + GRAY_KINDS + CORRUPT_KINDS
 
 
 class FaultEvent:
     """One self-healing fault: kind, onset time, target, duration.
 
-    ``host`` is a server index (flap / crash / leave / slow / skew /
-    wedge); ``split`` is a sorted tuple of server indices forming the
-    broken-off partition group (for ``asym_partition``: the *deaf*
-    side). ``duration`` is the time until the event's own healing
-    action (nic_up, recover+restart, heal, rejoin, unslow, unskew,
-    unwedge), which reverts this event's effect only. ``param`` is an
-    optional fault magnitude — BAD-state loss probability for
-    ``burst_loss``, timer stretch factor for ``slow_host``, clock offset
-    for ``clock_skew`` — serialised only when set, so pre-gray schedules
-    round-trip unchanged.
+    ``host`` is a server index and ``split`` a sorted tuple of server
+    indices, as the kind's :data:`SHAPES` row says. ``duration`` is the
+    time until the event's own healing action (nic_up, recover+restart,
+    heal, rejoin, unslow, unskew, unwedge), which reverts this event's
+    effect only. ``param`` is an optional fault magnitude, serialised
+    only when set, so pre-gray schedules round-trip unchanged. An event
+    whose shape is wrong raises ``ValueError`` here rather than
+    mid-trial.
     """
 
     __slots__ = ("kind", "time", "host", "duration", "split", "param")
 
     def __init__(self, kind, time, host=None, duration=0.0, split=None, param=None):
-        if kind not in ALL_KINDS:
+        if kind not in SHAPES:
             raise ValueError("unknown fault kind {!r}".format(kind))
+        target = SHAPES[kind].target
+        if target == HOST and not (isinstance(host, int) and host >= 0):
+            raise ValueError("{} needs a host index >= 0, got {!r}".format(kind, host))
+        if target == SPLIT and not (split and min(split) >= 0):
+            raise ValueError("{} needs a non-empty split of indices >= 0, got {!r}".format(
+                kind, split))
         self.kind = kind
         self.time = float(time)
         self.host = None if host is None else int(host)
         self.duration = float(duration)
         self.split = None if split is None else tuple(sorted(int(i) for i in split))
         self.param = None if param is None else float(param)
+        if not (self.time >= 0.0 and self.duration >= 0.0):  # NaN fails too
+            raise ValueError("{} needs time and duration >= 0, got {} and {}".format(
+                kind, self.time, self.duration))
 
     def to_dict(self):
         data = {"kind": self.kind, "time": self.time, "duration": self.duration}
@@ -104,8 +197,6 @@ class FaultEvent:
         return "FaultEvent({} t={:.3f} target={} dur={:.3f})".format(
             self.kind, self.time, target, self.duration
         )
-
-
 class FaultSchedule:
     """An ordered list of fault events plus the observation horizon."""
 
@@ -168,148 +259,35 @@ def generate_schedule(
 ):
     """Draw a random schedule from ``rng`` (a ``random.Random`` stream).
 
-    The mix mirrors the chaos soak's repertoire: interface flaps are
-    the paper's §6 fault and the most common, crashes exercise
-    reboot-and-restart, partitions exercise component splits/merges,
-    and graceful leaves exercise the lightweight voluntary path. All
-    draws come from the single supplied stream, so the schedule is a
-    pure function of the stream's seed.
-
-    With ``gray=True`` the mix shifts toward the gray repertoire
-    (one-way partitions, burst loss, slow hosts, clock skew, wedged
-    daemons) while keeping a fail-stop backbone, so campaigns exercise
-    the interaction of both regimes. ``gray=False`` draws exactly the
-    historical sequence — existing campaign seeds reproduce their
-    schedules bit-for-bit.
-
-    With ``corrupt=True`` the mix adds the four state-corruption kinds
-    on top of a thinned fail-stop + gray backbone. Corruption events
-    are instantaneous (``duration=0.0``) — recovery is the cluster's
-    job, not the schedule's — and carry no param: the concrete mutation
-    is drawn at injection time from the injector's ``fault/corrupt``
-    stream. ``corrupt`` takes precedence over ``gray``.
+    Each event draws its onset, duration and ``choice``; the mix of the
+    flags' :func:`repertoire` row turns ``choice`` into a kind, and the
+    kind's :data:`SHAPES` row says which target and param to draw next.
+    Instant kinds (the corruptions) still draw a duration and drop it:
+    their concrete mutation is drawn at injection time from the
+    injector's ``fault/corrupt`` stream. All draws come from the single
+    supplied stream, so the schedule is a pure function of its seed.
     """
     if n_hosts < 2:
         raise ValueError("schedules need at least 2 hosts")
+    mix = repertoire(gray, corrupt).mix
     events = []
     for _ in range(int(n_events)):
         time = rng.uniform(0.5, max(horizon - max_duration, 1.0))
         duration = rng.uniform(min_duration, max_duration)
         choice = rng.random()
-        if corrupt:
-            events.append(
-                _corrupt_event(rng, n_hosts, time, duration, choice)
-            )
-        elif gray:
-            events.append(
-                _gray_event(rng, n_hosts, time, duration, choice)
-            )
-        elif choice < 0.35:
-            events.append(
-                FaultEvent(NIC_FLAP, time, host=rng.randrange(n_hosts), duration=duration)
-            )
-        elif choice < 0.60:
-            events.append(
-                FaultEvent(CRASH, time, host=rng.randrange(n_hosts), duration=duration)
-            )
-        elif choice < 0.85:
+        kind = next(kind for bound, kind in mix if choice < bound)
+        shape = SHAPES[kind]
+        host = split = param = None
+        if shape.target == HOST:
+            host = rng.randrange(n_hosts)
+        elif shape.target == SPLIT:
             size = rng.randint(1, n_hosts - 1)
             split = rng.sample(range(n_hosts), size)
-            events.append(FaultEvent(PARTITION, time, duration=duration, split=split))
-        else:
-            events.append(
-                FaultEvent(LEAVE, time, host=rng.randrange(n_hosts), duration=duration)
-            )
+        if shape.param is not None:
+            param = rng.uniform(*shape.param)
+        if shape.instant:
+            duration = 0.0
+        events.append(
+            FaultEvent(kind, time, host=host, duration=duration, split=split, param=param)
+        )
     return FaultSchedule(events, horizon)
-
-
-def _gray_event(rng, n_hosts, time, duration, choice):
-    """One event of the gray mix (shared time/duration/choice draws)."""
-    if choice < 0.12:
-        return FaultEvent(NIC_FLAP, time, host=rng.randrange(n_hosts), duration=duration)
-    if choice < 0.24:
-        return FaultEvent(CRASH, time, host=rng.randrange(n_hosts), duration=duration)
-    if choice < 0.34:
-        size = rng.randint(1, n_hosts - 1)
-        split = rng.sample(range(n_hosts), size)
-        return FaultEvent(PARTITION, time, duration=duration, split=split)
-    if choice < 0.52:
-        # One-way partition: the split side goes deaf but keeps talking.
-        size = rng.randint(1, n_hosts - 1)
-        split = rng.sample(range(n_hosts), size)
-        return FaultEvent(ASYM_PARTITION, time, duration=duration, split=split)
-    if choice < 0.68:
-        return FaultEvent(
-            BURST_LOSS, time, duration=duration, param=rng.uniform(0.5, 0.95)
-        )
-    if choice < 0.80:
-        return FaultEvent(
-            SLOW_HOST,
-            time,
-            host=rng.randrange(n_hosts),
-            duration=duration,
-            param=rng.uniform(1.5, 3.0),
-        )
-    if choice < 0.90:
-        return FaultEvent(
-            CLOCK_SKEW,
-            time,
-            host=rng.randrange(n_hosts),
-            duration=duration,
-            param=rng.uniform(-5.0, 5.0),
-        )
-    return FaultEvent(DAEMON_WEDGE, time, host=rng.randrange(n_hosts), duration=duration)
-
-
-def _corrupt_event(rng, n_hosts, time, duration, choice):
-    """One event of the corruption mix (shared time/duration/choice draws).
-
-    Keeps a thinned fail-stop + gray backbone (~54%) so corruption
-    interacts with partitions, wedges and restarts rather than landing
-    on a quiet cluster, then spends the rest on the four corruption
-    kinds. Corruption events target a host index and heal instantly
-    (the repair is the system's job).
-    """
-    if choice < 0.08:
-        return FaultEvent(NIC_FLAP, time, host=rng.randrange(n_hosts), duration=duration)
-    if choice < 0.16:
-        return FaultEvent(CRASH, time, host=rng.randrange(n_hosts), duration=duration)
-    if choice < 0.22:
-        size = rng.randint(1, n_hosts - 1)
-        split = rng.sample(range(n_hosts), size)
-        return FaultEvent(PARTITION, time, duration=duration, split=split)
-    if choice < 0.30:
-        size = rng.randint(1, n_hosts - 1)
-        split = rng.sample(range(n_hosts), size)
-        return FaultEvent(ASYM_PARTITION, time, duration=duration, split=split)
-    if choice < 0.38:
-        return FaultEvent(
-            BURST_LOSS, time, duration=duration, param=rng.uniform(0.5, 0.95)
-        )
-    if choice < 0.44:
-        return FaultEvent(
-            SLOW_HOST,
-            time,
-            host=rng.randrange(n_hosts),
-            duration=duration,
-            param=rng.uniform(1.5, 3.0),
-        )
-    if choice < 0.48:
-        return FaultEvent(
-            CLOCK_SKEW,
-            time,
-            host=rng.randrange(n_hosts),
-            duration=duration,
-            param=rng.uniform(-5.0, 5.0),
-        )
-    if choice < 0.54:
-        return FaultEvent(
-            DAEMON_WEDGE, time, host=rng.randrange(n_hosts), duration=duration
-        )
-    if choice < 0.66:
-        return FaultEvent(CORRUPT_VIP_TABLE, time, host=rng.randrange(n_hosts))
-    if choice < 0.78:
-        return FaultEvent(CORRUPT_MEMBERSHIP, time, host=rng.randrange(n_hosts))
-    if choice < 0.90:
-        return FaultEvent(CORRUPT_SEQUENCE, time, host=rng.randrange(n_hosts))
-    return FaultEvent(CORRUPT_EPOCH, time, host=rng.randrange(n_hosts))

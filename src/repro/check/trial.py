@@ -11,7 +11,8 @@ first two audit Property 1 with a :class:`~repro.core.audit.CoverageEngine`
 at every change, as exact intervals:
 
 * :func:`run_trial` — the faithful 4–8 server cluster under a
-  generated :class:`~repro.check.schedule.FaultSchedule`;
+  generated :class:`~repro.check.schedule.FaultSchedule`, with the
+  profile and grace of its :data:`~repro.check.schedule.REPERTOIRES` row;
 * :func:`run_scale_trial` — the 64–1024-host segmented cluster
   (:mod:`repro.apps.scalecluster`) under seed-derived kill/revive
   pairs, checked for single-owner coverage and convergence;
@@ -22,7 +23,7 @@ at every change, as exact intervals:
 from repro.apps.scalecluster import ScaleClusterScenario, ShardedScaleScenario
 from repro.check.fixtures import daemon_class
 from repro.check.harness import CheckCluster
-from repro.check.schedule import FaultSchedule
+from repro.check.schedule import FaultSchedule, repertoire
 from repro.obs.episodes import episodes_as_dicts
 from repro.obs.spans import degraded_spans_as_dicts, stabilization_spans_as_dicts
 from repro.sim.rng import RngRegistry
@@ -36,30 +37,15 @@ SPEC_DEFAULTS = {
     "settle_timeout": 30.0,
     "trace_tail": 30,
     "trace_capacity": 4096,
-    # Gray mode: hardened cluster (K-miss detection, ARP retries and
-    # conflict resolution, daemon supervisors) against the gray fault
-    # repertoire. Off reproduces the historical cluster exactly.
+    # The campaign's row of schedule.REPERTOIRES (its mix, hardening
+    # profile and grace); both off reproduces the historical cluster.
     "gray": False,
-    # Corruption mode: gray hardening plus periodic self-stabilization
-    # audits against the state-corruption repertoire. Off reproduces
-    # the historical cluster exactly.
     "corrupt": False,
     # Flow plane: aggregate clients spread across the trial VIPs. Zero
     # keeps the historical trials byte-identical (no engine at all).
     "flow_users": 0,
     "flow_rate": 1.0,
 }
-
-# How long (simulated seconds) a view-relative violation interval must
-# last before a *gray* trial fails. Twice the worst legitimate
-# reconfiguration window of the hardened fast config (K-miss detection
-# ~0.7s plus a regather).
-GRAY_VIOLATION_GRACE = 1.5
-
-# Corruption trials get a longer grace: a corrupted table or view is
-# only discovered at the next stabilization audit tick (0.5s), and the
-# repair may itself need an ARP round or a regather on top.
-CORRUPT_VIOLATION_GRACE = 2.5
 
 
 def _merge_spec(defaults, seed, overrides, label="spec"):
@@ -86,6 +72,15 @@ def make_spec(seed, schedule, **overrides):
     return spec
 
 
+def trial_schedule(spec):
+    """The spec's schedule; an event aimed past ``n_servers`` raises ValueError."""
+    schedule = FaultSchedule.from_dict(spec["schedule"])
+    for event in schedule.events:
+        if event.host is not None and event.host >= spec["n_servers"]:
+            raise ValueError("{!r} aims past the {} servers".format(event, spec["n_servers"]))
+    return schedule
+
+
 def run_trial(spec):
     """Run one trial; returns a verdict dict.
 
@@ -100,7 +95,7 @@ def run_trial(spec):
     * ``setup_failed`` — the cluster never stabilized before faults
       (indicates a harness problem, not a protocol bug).
     """
-    schedule = FaultSchedule.from_dict(spec["schedule"])
+    schedule = trial_schedule(spec)
     sim = Simulation(
         seed=spec["seed"], trace_enabled=True, trace_capacity=spec["trace_capacity"]
     )
@@ -120,14 +115,7 @@ def run_trial(spec):
 
     start = sim.now
     cluster.apply_schedule(schedule, start)
-    # Gray faults legitimately open bounded windows (a singleton that
-    # handed addresses back in ARP conflict repair and was then isolated
-    # needs one detection + regather cycle to take them all back), so
-    # gray and corruption trials excuse intervals shorter than a grace.
-    # Fail-stop trials fail on any unexcused interval.
-    grace = GRAY_VIOLATION_GRACE if spec["gray"] else 0.0
-    if spec["corrupt"]:
-        grace = CORRUPT_VIOLATION_GRACE
+    grace = repertoire(spec["gray"], spec["corrupt"]).grace
     engine = cluster.watch_coverage(grace).run(schedule.horizon)
     coverage = engine.summary()
     failures = engine.failures()

@@ -342,6 +342,10 @@ def _run_shard_parity(args, out):
     from repro.sim.shard.merge import artifact_bytes
 
     spec = make_shard_spec(args.seed, shards=args.shards, workers=args.workers)
+    cells = spec["n_hosts"] // spec["segment_size"]
+    if args.shards > cells:
+        _reject(args, "--shards", "at most {}, one per {}-host cell of {} hosts".format(
+            cells, spec["segment_size"], spec["n_hosts"]))
     out(
         "shard parity: n{} scale scenario, serial vs {} shards "
         "({} workers) ...".format(spec["n_hosts"], spec["shards"], spec["workers"])
@@ -359,6 +363,11 @@ def _run_shard_parity(args, out):
 
 
 def _run_check(args, out):
+    mode = "--shards" if args.shards is not None else "--replay" if args.replay else None
+    flags = {"--replay": args.replay, "--gray": args.gray, "--corrupt": args.corrupt}
+    for flag, value in flags.items():
+        if value and mode not in (None, flag):
+            _reject(args, flag, "not with {}, which runs a trial of its own".format(mode))
     if args.shards is not None:
         return _run_shard_parity(args, out)
     if args.replay is not None:

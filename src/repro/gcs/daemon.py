@@ -266,9 +266,9 @@ class SpreadDaemon(Process):
 
         Collects the layer audits (:meth:`ViewOrderer.stabilize_audit`,
         :meth:`MembershipEngine.stabilize_audit`), traces every locally
-        applied repair, and — when configured — escalates findings that
-        only a view change can fix into a membership GATHER, whose
-        recovery digests rebuild the delivery state.
+        applied repair, and escalates findings that only a view change
+        can fix into a membership GATHER, whose recovery digests
+        rebuild the delivery state.
         """
         if not self.alive or not self.started or self.wedged:
             return
@@ -286,7 +286,7 @@ class SpreadDaemon(Process):
         for invariant, was, now in repairs:
             self.stabilize_repairs += 1
             self.trace("stabilize", "repair", invariant=invariant, was=was, now=now)
-        if escalations and self.config.stabilization.escalate:
+        if escalations:
             self.stabilize_repairs += 1
             self.trace("stabilize", "repair", invariant="gather", reason=escalations[0])
             self.membership.trigger_gather("stabilize: {}".format(escalations[0]))

@@ -42,22 +42,19 @@ def profile_overrides(table, name):
 class StabilizationConfig:
     """Periodic local-invariant audit knobs for one protocol layer.
 
-    * ``interval`` — seconds between audits; 0 (the default) disables
-      the audit timer entirely (historical behaviour).
-    * ``escalate`` — whether an audit finding that cannot be repaired
-      locally (delivery skipped past the log, view/detector
-      disagreement) may escalate into the layer's heavyweight recovery
-      path (a membership GATHER). Local counter clamps and binding
-      repairs are always applied when the audit runs.
+    ``interval`` is the seconds between audits; 0 (the default)
+    disables the audit timer entirely (historical behaviour). A finding
+    that cannot be repaired locally (delivery skipped past the log,
+    view/detector disagreement) escalates into the layer's heavyweight
+    recovery path (a membership GATHER).
     """
 
-    __slots__ = ("interval", "escalate")
+    __slots__ = ("interval",)
 
-    def __init__(self, interval=0.0, escalate=True):
+    def __init__(self, interval=0.0):
         if float(interval) < 0:
             raise ValueError("interval must be >= 0, got {}".format(interval))
         self.interval = float(interval)
-        self.escalate = bool(escalate)
 
     @property
     def enabled(self):
@@ -65,9 +62,7 @@ class StabilizationConfig:
         return self.interval > 0
 
     def __repr__(self):
-        return "StabilizationConfig(interval={}, escalate={})".format(
-            self.interval, self.escalate
-        )
+        return "StabilizationConfig(interval={})".format(self.interval)
 
 
 #: The audit the ``stabilizing`` profile runs in every layer: fast

@@ -10,7 +10,6 @@ import json
 import os
 
 from repro.check import build_specs, load_artifact, replay, run_campaign
-from repro.check.campaign import run_specs
 
 
 def test_planted_bug_found_shrunk_and_replayed(tmp_path):
@@ -56,15 +55,6 @@ def test_standard_fixture_campaign_is_clean(tmp_path):
     assert report.passed
     assert report.verdicts == ["pass"] * 3
     assert os.listdir(str(tmp_path)) == []
-
-
-def test_serial_and_parallel_verdicts_identical():
-    specs = build_specs(
-        base_seed=5, trials=4, fixture="standard", horizon=25.0, events_per_trial=5
-    )
-    serial = run_specs(specs, workers=1)
-    parallel = run_specs(specs, workers=2)
-    assert serial == parallel
 
 
 def test_specs_are_order_independent():
@@ -130,22 +120,6 @@ def test_parallel_verdicts_identical_to_serial():
     serial = run_campaign_trials(params, workers=1)
     parallel = run_campaign_trials(params, workers=2)
     assert serial == parallel
-
-
-def test_run_campaign_trials_accepts_raw_kwargs_dict():
-    from repro.check import campaign_params, run_campaign_trials
-
-    raw = {"base_seed": 5, "trials": 2, "horizon": 20.0, "events_per_trial": 4}
-    normalized = campaign_params(**raw)
-    assert run_campaign_trials(raw) == run_campaign_trials(normalized)
-
-
-def test_run_specs_matches_campaign_trials_for_same_specs():
-    from repro.check import build_trial_spec, campaign_params, run_campaign_trials
-
-    params = campaign_params(base_seed=5, trials=2, horizon=20.0, events_per_trial=4)
-    specs = [build_trial_spec(params, index) for index in range(2)]
-    assert run_specs(specs) == run_campaign_trials(params)
 
 
 # ----------------------------------------------------------------------

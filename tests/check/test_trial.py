@@ -41,6 +41,33 @@ def test_single_crash_recovers_cleanly():
     assert result["restarts"] == 1
 
 
+@pytest.mark.parametrize("gray, corrupt", [(False, False), (True, False), (False, True)])
+def test_cluster_profile_and_trial_grace_come_from_the_repertoire_row(gray, corrupt, monkeypatch):
+    from repro.check import schedule
+    from repro.check.harness import CheckCluster
+
+    # Swap the flags' row for another profile and an unused grace: the
+    # trial must follow the row, not restate the flags.
+    name = "corrupt" if corrupt else "gray" if gray else "standard"
+    other = "standard" if corrupt else "corrupt"
+    monkeypatch.setitem(
+        schedule.REPERTOIRES, name, schedule.REPERTOIRES[other]._replace(grace=7.25)
+    )
+    seen = []
+    watch = CheckCluster.watch_coverage
+
+    def spy(cluster, grace):
+        config = cluster.spread_config
+        seen.append((grace, config.stabilization.interval, config.suspicion_misses))
+        return watch(cluster, grace)
+
+    monkeypatch.setattr(CheckCluster, "watch_coverage", spy)
+    spec = make_spec(3, FaultSchedule([], 5.0), n_servers=3, n_vips=4, gray=gray,
+                     corrupt=corrupt)
+    assert run_trial(spec)["verdict"] == "pass"
+    assert seen == ([(7.25, 0.0, 1)] if corrupt else [(7.25, 0.5, 2)])
+
+
 def test_broken_balance_fixture_fails_after_one_crash():
     spec = small_spec(
         fixture="broken-balance",

@@ -1,5 +1,6 @@
 """Tests for the command-line interface."""
 
+import json
 import os
 
 import pytest
@@ -242,6 +243,15 @@ def test_bench_sysbench_appends_a_summary_or_exits_2_naming_the_field(tmp_path):
         # These said "0 file(s), 0 finding(s) — clean" and exited 0.
         (["lint", README], "paths"),
         (["lint", DOCS], "paths"),
+        # These died in a traceback from ShardPlan, or ran one mode and
+        # silently ignored the other flag.
+        (["check", "--shards", "100"], "--shards"),
+        (["check", "--shards", "9"], "--shards"),
+        (["check", "--shards", "4", "--gray"], "--gray"),
+        (["check", "--shards", "4", "--corrupt"], "--corrupt"),
+        (["check", "--shards", "4", "--replay", FOREIGN_JSON], "--replay"),
+        (["check", "--replay", FOREIGN_JSON, "--gray"], "--gray"),
+        (["check", "--replay", FOREIGN_JSON, "--corrupt"], "--corrupt"),
     ],
 )
 def test_bad_count_size_or_duration_exits_2_naming_the_flag(argv, flag, capsys):
@@ -266,6 +276,34 @@ def test_what_only_a_handler_can_reject_is_one_line_naming_the_file(argv, named,
         main(argv, out=lambda line: None)
     (line,) = capsys.readouterr().err.splitlines()
     assert line.startswith("repro {}: error: ".format(argv[0])) and named in line
+
+
+@pytest.mark.parametrize(
+    "event",
+    [
+        {"kind": "crash", "time": 1.0, "duration": 2.0, "host": 9},
+        {"kind": "crash", "time": 1.0, "duration": 2.0},
+        {"kind": "partition", "time": 1.0, "duration": 2.0},
+        {"kind": "crash", "time": -3.0, "duration": 2.0, "host": 0},
+        {"kind": "nic_flap", "time": 1.0, "duration": -2.0, "host": 0},
+    ],
+    ids=["host-past-cluster", "crash-no-host", "partition-no-split", "negative-time",
+         "negative-duration"],
+)
+def test_replay_of_a_malformed_schedule_is_one_line_and_exit_2(event, tmp_path, capsys):
+    # The first of these printed an IndexError traceback and exited 1.
+    from repro.check.campaign import make_artifact
+    from repro.check.trial import make_spec
+
+    spec = make_spec(1, {"horizon": 10.0, "events": [event]})
+    path = tmp_path / "malformed.json"
+    path.write_text(json.dumps(make_artifact(spec, {"verdict": "violation"})))
+    with pytest.raises(SystemExit) as raised:
+        main(["check", "--replay", str(path)], out=lambda line: None)
+    assert raised.value.code == 2
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith("repro check: error: argument --replay: " + str(path))
+    assert event["kind"] in line
 
 
 @pytest.mark.parametrize(

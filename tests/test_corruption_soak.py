@@ -21,6 +21,7 @@ import pytest
 from helpers import settle_wack
 
 from repro.gcs.config import SpreadConfig
+from repro.check.schedule import REPERTOIRES
 from repro.core.audit import CoverageAuditor
 from repro.core.config import WackamoleConfig
 from repro.core.daemon import WackamoleDaemon
@@ -37,8 +38,8 @@ pytestmark = pytest.mark.soak
 SOAK_SECONDS = 600.0
 N_SERVERS = 5
 N_VIPS = 8
-#: Mirrors CORRUPT_VIOLATION_GRACE: audit tick + repair round trip.
-VIOLATION_GRACE = 2.5
+#: The corrupt campaign's grace: audit tick + repair round trip.
+VIOLATION_GRACE = REPERTOIRES["corrupt"].grace
 
 
 class CorruptionMonkey:

@@ -22,7 +22,7 @@ from helpers import build_wack_cluster, settle_wack
 
 from repro.gcs.config import SpreadConfig
 from repro.core.config import WackamoleConfig
-from repro.check.trial import CORRUPT_VIOLATION_GRACE
+from repro.check.schedule import REPERTOIRES
 from repro.core.state import RUN
 
 N = 4
@@ -226,7 +226,7 @@ class StabilizingClusterMachine(RuleBasedStateMachine):
             key = (violation.kind, violation.slot)
             seen[key] = self._first_seen.get(key, now)
             age = now - seen[key]
-            assert age < CORRUPT_VIOLATION_GRACE, "unrepaired: {}".format(violation)
+            assert age < REPERTOIRES["corrupt"].grace, "unrepaired: {}".format(violation)
         self._first_seen = seen
 
     def teardown(self):
