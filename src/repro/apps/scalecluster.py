@@ -193,10 +193,7 @@ class ScaleClusterScenario:
         n_hosts=256,
         n_vips=2048,
         segment_size=32,
-        inter_latency=DEFAULT_INTER_LATENCY,
         flow_users=0,
-        flow_rate=1.0,
-        flow_tick=0.05,
         trace_enabled=False,
         metrics_enabled=False,
         *,
@@ -218,13 +215,12 @@ class ScaleClusterScenario:
             segment_size,
         )
         self.vips = [_vip_ip(index) for index in range(n_vips)]
-        self.uplink = SegmentUplink(
-            sim, inter_latency, {ip: index // segment_size for index, ip in enumerate(fleet.ips)}
-        )
+        cell_of_ip = {ip: index // segment_size for index, ip in enumerate(fleet.ips)}
+        self.uplink = SegmentUplink(sim, DEFAULT_INTER_LATENCY, cell_of_ip)
         self.faults = FaultInjector(sim)
         self._config = SegmentConfig(segment_size=segment_size)
         # One engine per world; each pool resolves through its cell.
-        self.flow_engine = FlowEngine(sim, tick=flow_tick, name="scale") if flow_users else None
+        self.flow_engine = FlowEngine(sim, name="scale") if flow_users else None
         self.hosts, self.nodes, self.managers, self.cells = [], [], [], []
         self._cell_of_vip = {}
         base, extra = divmod(n_vips, fleet.n_segments)
@@ -248,14 +244,14 @@ class ScaleClusterScenario:
                 self.managers.append(manager)
             if self.flow_engine is not None:
                 cell.pools = self.flow_engine.add_uniform_pools(
-                    vips, flow_users, rate=flow_rate, label="pool-{:04d}",
+                    vips, flow_users, label="pool-{:04d}",
                     offset=start, of=n_vips, resolver=cell.resolver,
                 )
         self._first = fleet.index_of[self.hosts[0].name]
         self.address_audit = AddressAudit([(cell.lan, cell.vips) for cell in self.cells])
         if cells is None:
             self.sim.kernel = ShardedKernel(
-                ShardPlan(fleet.n_segments, 1, inter_latency), lambda _params, _id: self, None
+                ShardPlan(fleet.n_segments, 1), lambda _params, _id: self, None
             )
 
     def _pair(self, host, cell):
@@ -497,7 +493,7 @@ def build_scale_world(spec, shard_id):
     cell's sequence numbers are the same in every grouping.
     """
     params = _normalized(spec)
-    plan = ShardPlan(_cell_count(params), spec["shards"], params["inter_latency"])
+    plan = ShardPlan(_cell_count(params), spec["shards"])
     world = ScaleClusterScenario(cells=plan.cells_of(shard_id), **params)
     for fault, script in ((world.kill, spec["kills"]), (world.revive, spec["revives"])):
         for time, index in script:
@@ -537,7 +533,7 @@ class ShardedScaleScenario:
                 raise ValueError("fault time {} outside (0, horizon)".format(time))
             if not 0 <= index < world["n_hosts"]:
                 raise ValueError("fault host index {} out of range".format(index))
-        self.plan = ShardPlan(_cell_count(world), shards, world["inter_latency"])
+        self.plan = ShardPlan(_cell_count(world), shards)
         self.spec = dict(world, shards=int(shards), kills=kills, revives=revives)
         self.horizon = horizon
         self.workers = int(workers)

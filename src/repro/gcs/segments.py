@@ -23,12 +23,12 @@ hierarchical scheme of the "Scalable Group Management" line of work:
 * leaders push the merged view to their members inside the periodic
   ``LeaderBeacon``, which doubles as the leader-liveness signal and
   carries the segment's alive set so every member can compute the
-  same deterministic successor when the leader goes silent.
+  same deterministic successor when the leader goes silent. A segment
+  is its own LAN, so the beacon is one broadcast on it.
 
-Steady-state message load is therefore O(N) unicasts per interval
-(member heartbeats + leader beacons) plus O(S²) digests — at 1024
-hosts in 32 segments, ~2 100 frames per interval instead of the flat
-protocol's ~1 000 000.
+Steady-state load per interval is therefore about N − S heartbeat
+unicasts, S beacon broadcasts and S·(S−1) digests — at 1024 hosts in
+32 segments, ~2 000 frames instead of the flat protocol's ~1 000 000.
 
 The roster is a static :class:`Fleet`: the scale tier models a fixed
 machine population whose *liveness* changes (the data-centre case),
@@ -109,6 +109,13 @@ class Fleet:  # repro: not-wire (static roster shared by reference, never sent)
         self.index_of = {name: index for index, name in enumerate(self.names)}
         self.ip_of = {name: ip for name, ip in entries}
         self.n_segments = (len(self.names) + segment_size - 1) // segment_size
+        # Built once and shared by every node, never copied: the rosters,
+        # the boot digest map and the optimistic boot view it merges to.
+        self._segments = tuple(range(self.n_segments))
+        size = self.segment_size
+        self._members = tuple(self.names[s * size : (s + 1) * size] for s in self._segments)
+        self.boot_digests = {s: (0, members) for s, members in enumerate(self._members)}
+        self.boot_view = merge_digests(self.boot_digests)
 
     def __len__(self):
         return len(self.names)
@@ -121,17 +128,16 @@ class Fleet:  # repro: not-wire (static roster shared by reference, never sent)
         return index // self.segment_size
 
     def segment_members(self, segment):
-        """Index-ordered tuple of node names in ``segment``."""
-        start = segment * self.segment_size
-        return self.names[start : start + self.segment_size]
+        """Index-ordered tuple of node names in ``segment`` (one object per segment)."""
+        return self._members[segment]
 
     def initial_leader(self, segment):
         """The boot-time leader: the segment's lowest-index node."""
         return self.names[segment * self.segment_size]
 
     def segments(self):
-        """All segment ids."""
-        return tuple(range(self.n_segments))
+        """All segment ids (one tuple)."""
+        return self._segments
 
 
 class GlobalView:  # repro: not-wire (carried inside LeaderBeacon fields, not dispatched)
@@ -247,7 +253,6 @@ class SegmentNode(Process):
         self.config = config or SegmentConfig()
         self.segment = fleet.segment_of_index(index)
         self.peers = fleet.segment_members(self.segment)
-        self._members = tuple(name for name in self.peers if name != self.node_name)
         self.on_global_view = on_global_view
         host.register_service(self)
         host.segment_node = self
@@ -267,10 +272,7 @@ class SegmentNode(Process):
         # Leader-side state (used only while leading).
         self.is_leader = False
         self._last_heard = {}
-        self._digests = {
-            segment: (0, fleet.segment_members(segment))
-            for segment in fleet.segments()
-        }
+        self._digests = dict(fleet.boot_digests)
         self._digest_heard = {}
         self._peer_leaders = {
             segment: fleet.initial_leader(segment) for segment in fleet.segments()
@@ -279,7 +281,7 @@ class SegmentNode(Process):
         # its last digest whose merge changed nothing (see _on_digest).
         self._idle_digests = {}
 
-        self.global_view = merge_digests(self._digests)
+        self.global_view = fleet.boot_view
         self.views_adopted = 0
 
         self._heartbeat_timer = self.periodic(
@@ -337,25 +339,15 @@ class SegmentNode(Process):
     # transport
 
     def _unicast(self, peer_name, message):
+        self._send(message, self.fleet.ip_of[peer_name])
+
+    def _send(self, message, address):
+        """One datagram carrying ``message`` to ``address``: a peer, or the LAN's broadcast."""
         if self.alive:
             self.messages_sent += 1
             self._m_sent.inc()
             port = self.config.port
-            self.host.send_udp(message, self.fleet.ip_of[peer_name], port, src_port=port)
-
-    def _fanout(self, peer_names, message):
-        """One ``message`` to each of ``peer_names``, in order, as one burst."""
-        if not self.alive or not peer_names:
-            return
-        self.messages_sent += len(peer_names)
-        self._m_sent.inc(len(peer_names))
-        ip_of = self.fleet.ip_of
-        self.host.send_udp_fanout(
-            message,
-            [ip_of[name] for name in peer_names],
-            self.config.port,
-            src_port=self.config.port,
-        )
+            self.host.send_udp(message, address, port, src_port=port)
 
     def _send_heartbeat(self):
         if self.is_leader:
@@ -596,7 +588,9 @@ class SegmentNode(Process):
             view.version,
             view.members,
         )
-        self._fanout(self._members, beacon)
+        # One frame for the whole segment: a cell's LAN holds exactly it
+        # (a node of another segment on a shared LAN ignores it).
+        self._send(beacon, self.lan.subnet.broadcast_address)
 
     def _gossip_message(self):
         records = tuple(
@@ -617,7 +611,8 @@ class SegmentNode(Process):
             }
             - {self.node_name}
         )
-        self._fanout(targets, digest)
+        for name in targets:
+            self._unicast(name, digest)
 
     # ------------------------------------------------------------------
     # self-stabilization (docs/FAULTS.md, "State corruption")

@@ -41,21 +41,13 @@ class PacketCapture:
         self.dropped = 0
         self._original_transmit = lan.transmit
         lan.transmit = self._tap
-        # While tapped, a burst goes frame by frame through the tap —
-        # order-identical to the batched path (Lan.transmit_fanout).
-        lan.transmit_fanout = self._tap_fanout
         self._running = True
 
     def stop(self):
         """Detach from the LAN (recorded frames are kept)."""
         if self._running:
             self.lan.transmit = self._original_transmit
-            del self.lan.transmit_fanout
             self._running = False
-
-    def _tap_fanout(self, frames, src_nic):
-        for frame in frames:
-            self._tap(frame, src_nic)
 
     def _tap(self, frame, src_nic):
         if self.predicate is None or self.predicate(frame):

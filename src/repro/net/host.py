@@ -312,44 +312,24 @@ class Host(Process):
             self._sockets.remove(socket)
 
     def send_udp(self, payload, dst_ip, dst_port, src_port=0, src_ip=None):
-        """Build, route and transmit one UDP/IP packet: the frame a
-        one-address :meth:`send_udp_fanout` sends, without the list."""
-        if self.alive:
-            datagram = UdpDatagram(src_port, int(dst_port), payload)
-            routed = self._routed(datagram, dst_ip, src_ip)
-            if routed is not None:
-                self._transmit(*routed)
-
-    def send_udp_fanout(self, payload, dst_ips, dst_port, src_port=0, src_ip=None):
-        """Send one payload to every address in ``dst_ips``, in list order.
-
-        Exactly what a loop of :meth:`send_udp` calls would put on the
-        wire, in the same order — but consecutive on-link unicasts
-        leave as one burst the LAN may deliver with a single scheduler
-        event (see :meth:`Lan.transmit_fanout`).
-        """
+        """Build, route and transmit one UDP/IP packet."""
         if not self.alive:
             return
-        datagram = UdpDatagram(src_port, int(dst_port), payload)
-        routed = [self._routed(datagram, dst_ip, src_ip) for dst_ip in dst_ips]
-        self._transmit_routed([entry for entry in routed if entry is not None])
-
-    def _routed(self, datagram, dst_ip, src_ip):
-        """``(nic, next_hop, packet)`` taking ``datagram`` to ``dst_ip``, or None (dropped)."""
         if type(dst_ip) is not IPAddress:
             dst_ip = IPAddress(dst_ip)
         nic, next_hop = self._route(dst_ip)
         if nic is None:
             self.packets_dropped += 1
             self.trace("ip", "no_route", dst=str(dst_ip))
-            return None
+            return
         source = nic.primary_ip if src_ip is None else src_ip
         if source is None:
             self.packets_dropped += 1
-            return None
+            return
         if type(source) is not IPAddress:
             source = IPAddress(source)
-        return nic, next_hop, IpPacket(source, dst_ip, datagram)
+        datagram = UdpDatagram(src_port, int(dst_port), payload)
+        self._transmit(nic, next_hop, IpPacket(source, dst_ip, datagram))
 
     # ------------------------------------------------------------------
     # IP output routing
@@ -374,7 +354,7 @@ class Host(Process):
         return None
 
     def _transmit(self, nic, next_hop, packet):
-        """Put one routed packet on the wire (see :meth:`_transmit_routed`)."""
+        """Put one routed packet on the wire: a subnet broadcast, or a unicast via ARP."""
         out = self._broadcast_nic(packet.dst_ip)
         if out is not None:
             out.transmit(EthernetFrame(out.mac, BROADCAST_MAC, IP_ETHERTYPE, packet))
@@ -384,33 +364,6 @@ class Host(Process):
             self.arp.resolve_and_send(nic, next_hop, packet)
         else:
             nic.transmit(EthernetFrame(nic.mac, mac, IP_ETHERTYPE, packet))
-
-    def _transmit_routed(self, routed):
-        """Put routed packets — ``(nic, next_hop, packet)`` — on the wire, in order.
-
-        Resolved unicasts accumulate into a burst per outgoing NIC. A
-        subnet broadcast or an ARP miss first flushes the burst, then
-        takes the per-packet path, so frames (and the ARP request a
-        miss launches) keep the order a packet-at-a-time loop gives.
-        """
-        lookup = self.arp.cache.lookup
-        burst_nic = None
-        burst = []
-        for nic, next_hop, packet in routed:
-            out = self._broadcast_nic(packet.dst_ip)
-            mac = lookup(next_hop) if out is None else None
-            if burst and (mac is None or nic is not burst_nic):
-                burst_nic.transmit_fanout(burst)
-                burst = []
-            if mac is not None:
-                burst_nic = nic
-                burst.append(EthernetFrame(nic.mac, mac, IP_ETHERTYPE, packet))
-            elif out is not None:
-                out.transmit(EthernetFrame(out.mac, BROADCAST_MAC, IP_ETHERTYPE, packet))
-            else:
-                self.arp.resolve_and_send(nic, next_hop, packet)
-        if burst:
-            burst_nic.transmit_fanout(burst)
 
     def forward_packet(self, packet):
         """Router-style forwarding hook; overridden to consult route tables."""

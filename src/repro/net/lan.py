@@ -378,48 +378,6 @@ class Lan:
             for nic in recipients:
                 nic.deliver(frame)
 
-    def transmit_fanout(self, frames, src_nic):
-        """Deliver unicast ``frames`` from ``src_nic``, in list order.
-
-        Same frames, counters and delivery order as one :meth:`transmit`
-        per frame. With no loss, jitter or gray knob active every frame
-        gets the identical delay and draws nothing, so the per-frame
-        events would hold consecutive sequence numbers at one instant:
-        a single event delivering them in list order at the first one's
-        ``(time, seq)`` slot is indistinguishable (the broadcast batch's
-        argument, DESIGN.md §8). With a knob active each frame takes
-        the per-frame path, which keeps every RNG draw where it was.
-        """
-        if self._gray_active or self.loss or self.jitter:
-            for frame in frames:
-                self.transmit(frame, src_nic)
-            return
-        sent = len(frames)
-        self.frames_sent += sent
-        self._m_sent.inc(sent)
-        index = self._mac_index
-        if index is None:
-            index = self._build_mac_index()
-        groups = self._groups
-        src_group = groups[src_nic]
-        deliveries = [
-            (nic, frame)
-            for frame in frames
-            for nic in index.get(frame.dst_mac, _NO_NICS)
-            if nic is not src_nic and groups[nic] == src_group
-        ]
-        if deliveries:
-            delivered = len(deliveries)
-            self.frames_delivered += delivered
-            self._m_delivered.inc(delivered)
-            self.sim.scheduler.after(self.latency, self._deliver_fanout, deliveries)
-
-    @staticmethod
-    def _deliver_fanout(deliveries):
-        """Deliver a burst's ``(nic, frame)`` pairs in order (batched event)."""
-        for nic, frame in deliveries:
-            nic.deliver(frame)
-
     def _transmit_gray(self, frame, src_nic, recipients, after, loss, jitter, latency, rng):
         """Delivery loop with the gray knobs consulted per recipient.
 

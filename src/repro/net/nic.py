@@ -112,18 +112,6 @@ class Nic:
         self._m_tx.inc()
         self.lan.transmit(frame, self)
 
-    def transmit_fanout(self, frames):
-        """Send ``frames`` (unicasts, in order) as one burst; all dropped if down."""
-        if len(frames) == 1:
-            # A burst of one is a plain transmit: same event as ever.
-            self.transmit(frames[0])
-            return
-        if not self.up:
-            self._m_dropped.inc(len(frames))
-            return
-        self._m_tx.inc(len(frames))
-        self.lan.transmit_fanout(frames, self)
-
     def deliver(self, frame):
         """Called by the LAN when a frame arrives for this NIC."""
         ethertype = frame.ethertype

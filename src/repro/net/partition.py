@@ -239,25 +239,6 @@ class UplinkHost(Host):
         else:
             self._envelope(payload, dst_ip, dst_port, src_port, src_ip)
 
-    def send_udp_fanout(self, payload, dst_ips, dst_port, src_port=0, src_ip=None):
-        if not self.alive:
-            return
-        cell_of = self.uplink.cell_of
-        local = []
-        for dst_ip in dst_ips:
-            if type(dst_ip) is not IPAddress:
-                dst_ip = IPAddress(dst_ip)
-            dst_cell = cell_of(dst_ip)
-            if dst_cell is None or dst_cell == self.cell:
-                local.append(dst_ip)
-            else:
-                self._envelope(payload, dst_ip, dst_port, src_port, src_ip)
-        # Envelopes never touch the scheduler (they are injected at the
-        # next barrier in key order), so sending them ahead of the
-        # intra-cell remainder reorders nothing observable.
-        if local:
-            super().send_udp_fanout(payload, local, dst_port, src_port, src_ip)
-
     def _envelope(self, payload, dst_ip, dst_port, src_port, src_ip):
         """Send another cell's copy through the uplink."""
         source = src_ip

@@ -41,8 +41,6 @@ def event_kind(callback, args):
         return owner.name.split(":")[0]
     if getattr(callback, "__func__", None) is Nic.deliver or callback is Lan._deliver_batch:
         return _received(args[0])
-    if callback is Lan._deliver_fanout:
-        return _received(args[0][0][1])
     return callback.__qualname__
 
 

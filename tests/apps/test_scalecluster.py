@@ -19,7 +19,9 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.apps.scalecluster import ScaleClusterScenario
+from repro.gcs.segments import LeaderBeacon
 from repro.net.addresses import IPAddress, Subnet
+from repro.net.capture import PacketCapture
 from repro.sim.shard.merge import merge_trace
 
 N_HOSTS = 256
@@ -117,6 +119,37 @@ def test_leader_kill_and_revive_reconverges():
     assert not uncovered and not duplicated
 
 
+def _is_beacon(frame):
+    datagram = getattr(frame.payload, "payload", None)
+    return type(getattr(datagram, "payload", None)) is LeaderBeacon
+
+
+def test_n64_cell_lan_carries_one_beacon_frame_per_interval():
+    """A leader's beacon is one broadcast on its cell's LAN.
+
+    Over a quiet simulated second each cell LAN carries one
+    ``LeaderBeacon`` frame per ``beacon_interval``, to the broadcast
+    MAC, and it refreshes every live member's leader lease.
+    """
+    scenario = ScaleClusterScenario(seed=5, n_hosts=64, n_vips=512, segment_size=16).start()
+    assert scenario.settle()
+    sim = scenario.sim
+    sim.run_for(0.25)  # off the beacon grid
+    captures = [PacketCapture(cell.lan, predicate=_is_beacon) for cell in scenario.cells]
+    members = [node for node in scenario.live_nodes() if not node.is_leader]
+    leases = [node._last_beacon for node in members]
+    views = scenario.live_views()
+    sim.run_for(1.0)
+    assert scenario.live_views() == views  # quiet: no view change pushed a beacon
+    per_second = round(1.0 / scenario.nodes[0].config.beacon_interval)
+    assert len(captures) == 4
+    for capture in captures:
+        assert len(capture.frames) == per_second
+        assert all(frame.dst_mac.is_broadcast for frame in capture.frames)
+    assert len(members) == 60
+    assert all(node._last_beacon > lease for node, lease in zip(members, leases))
+
+
 # ----------------------------------------------------------------------
 # acceptance tier: 256 hosts / 2048 VIPs (CI scale job)
 
@@ -181,10 +214,12 @@ def test_n256_cluster_is_deterministic():
 def test_n1024_arp_storms_share_entries_and_fire_the_recorded_events():
     """A count budget for the n1024 boot and its t = 60 s expiry storm.
 
-    Counts only, no wall clock. Each segment is its own LAN, so a
-    leader's ARP request is overheard by its 32 members and no one
-    else: each member caches its 31 peers. One frame's receivers share
-    one entry object, so a segment's distinct objects are its
+    Counts only, no wall clock. Each segment is its own LAN and its
+    leader beacons by broadcast, which needs no ARP, so the ARP
+    requests are the members' own: each resolves its leader once.
+    Every request is overheard by the whole segment and no one else,
+    so each host caches its 31 peers. One frame's receivers share one
+    entry object, so a segment's distinct objects are its ARP
     broadcasts. ``events_fired`` at settle is recorded on the cell
     world (seed 1).
     """
@@ -192,7 +227,7 @@ def test_n1024_arp_storms_share_entries_and_fire_the_recorded_events():
         seed=1, n_hosts=1024, n_vips=4096, segment_size=32, metrics_enabled=True
     ).start()
     assert scenario.settle()
-    assert scenario.sim.scheduler.events_fired == 5184
+    assert scenario.sim.scheduler.events_fired == 4224
     scenario.sim.run(until=61.0)
     assert scenario.converged()
     broadcasts = {
@@ -202,21 +237,25 @@ def test_n1024_arp_storms_share_entries_and_fire_the_recorded_events():
     }
     assert len(scenario.cells) == len(broadcasts) == 32
     for cell in scenario.cells:
-        # 31 leader requests at boot, again at expiry.
-        assert broadcasts[cell.lan.name] == 62
         hosts = scenario.hosts[cell.slots]
+        # 31 member requests for the leader at boot, again at expiry;
+        # the rest of the LAN's broadcasts are beacons.
+        arp_broadcasts = sum(host.arp.requests_sent for host in hosts)
+        assert arp_broadcasts == 62
+        assert broadcasts[cell.lan.name] > arp_broadcasts
         entries = [entry for host in hosts for entry in host.arp.cache._entries.values()]
         assert len(entries) == 32 * 31
-        assert len(set(map(id, entries))) == broadcasts[cell.lan.name]
+        assert len(set(map(id, entries))) == arp_broadcasts
 
 
 #: Recorded with the uplink delivering one event per envelope (the form
-#: before same-instant envelopes for one cell shared one event).
+#: before same-instant envelopes for one cell shared one event), and
+#: recorded again so when beacons became one broadcast per segment.
 PRE_BATCHING_N64 = {
-    "trace_lines": 278,
-    "trace_sha256": "84e7d9df1294ed81bdfed8e3df7113705c616e0e46cebcebf58c9995820016f4",
+    "trace_lines": 277,
+    "trace_sha256": "9ae03d9cedc4717c18414b0c49cf3ea58b5f648babc644cd74e31dbe676a1eba",
     "fingerprint_sha256": "7f4c105dcad51198c881d1d194dd30d2912e16df9ddfcb882f3b687410bb9972",
-    "totals_sha256": "e39a8ca9b5b2adeca3d58db08fd0a96958682475575b32cf1565e9a8db8f63b9",
+    "totals_sha256": "d178801fb05a9541a93c5c8233b7f0f0949c5a1c6771dfd17e0b8dacf322b43e",
 }
 
 

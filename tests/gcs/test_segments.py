@@ -88,6 +88,24 @@ def test_fleet_segmentation():
     assert fleet.segment_of("n7") == 1
 
 
+def test_rosters_and_the_boot_view_are_built_once_per_fleet():
+    # Every node shares its fleet's immutable roster objects, so a
+    # 1 024-host boot holds one copy of each, not one per node.
+    _sim, _lan, fleet, _config, _hosts, nodes = build_segment_cluster(12, 4)
+    assert fleet.segments() is fleet.segments()
+    for segment in fleet.segments():
+        assert fleet.segment_members(segment) is fleet.segment_members(segment)
+    for node in nodes:
+        assert node.peers is fleet.segment_members(node.segment)
+        assert node.global_view is fleet.boot_view
+        for segment in fleet.segments():
+            # (A leader re-mints its own segment's record as it starts.)
+            if segment != node.segment:
+                assert node._digests[segment][1] is fleet.segment_members(segment)
+    assert fleet.boot_view == merge_digests(fleet.boot_digests)
+    assert fleet.boot_view.members == tuple(sorted(fleet.names))
+
+
 def test_fleet_parses_addresses_once():
     fleet = Fleet([("n0", "10.9.0.1"), ("n1", IPAddress("10.9.0.2"))], segment_size=2)
     assert all(type(ip) is IPAddress for ip in fleet.ips)
@@ -219,11 +237,11 @@ def scripted_leader(remember):
         node._idle_digests = Forgetful()
     sent = []
 
-    def record(peer_names, message):
+    def record(message, address):
         fields = [getattr(message, name) for name in type(message).__slots__]
-        sent.append((tuple(peer_names), type(message).__name__, fields))
+        sent.append((str(address), type(message).__name__, fields))
 
-    node._fanout = record
+    node._send = record
     return node, sent
 
 
@@ -275,6 +293,11 @@ def test_idle_digest_skip_changes_nothing_but_the_work():
     (states, sent, leaders, walks), (ref_states, ref_sent, ref_leaders, ref_walks) = outcomes
     assert states == ref_states
     assert sent == ref_sent
+    # Digests go to peer leaders, a beacon to the segment's broadcast.
+    assert {(kind, address == "10.40.255.255") for address, kind, _ in sent} == {
+        ("SegmentDigest", False),
+        ("LeaderBeacon", True),
+    }
     assert leaders == ref_leaders
     # Boot gossip x3, then three steps that each change something once
     # and are idle twice: the memo walks 1 + 2 x 3 of the 12 digests

@@ -206,27 +206,30 @@ for _repertoire in ("standard", "gray", "corrupt"):
 #: four scale/sharded pins when the cell world became the one scale
 #: topology (placement scoped to each segment's cell, cross-cell frames
 #: on a 25 ms uplink; one flow engine per world, the sharded artifact
-#: traced).
+#: traced), and the four again when a leader's beacon became one
+#: broadcast on its cell's LAN (scale: counts only; sharded: frame
+#: counters, a fresh leader's beacon one ARP exchange sooner, and the
+#: meta without the dropped flow_rate, flow_tick and inter_latency).
 GOLDEN = {
     "router/static-fail-active": {
         "events_fired": 4478,
         "sha256": "8e2df23090f1c267d398e45806f5a0faba061018df2c1cd80d70df498ac30a6c",
     },
     "scale/kill-revive": {
-        "events_fired": 1310,
+        "events_fired": 1154,
         "sha256": "ce03076d78f4920a688cc44e208cc719a2590b37a993931d67de7178b3f13938",
     },
     "scale/kill-revive+flow": {
-        "events_fired": 1370,
+        "events_fired": 1214,
         "sha256": "b83ada9476638d666474ac398ef73b93c3de57e033f71b9b714764790dbacfe3",
     },
     "sharded/shards=1": {
-        "events_fired": 5253,
-        "sha256": "e1f89b053cf981471a8ee1cdff09a0c122b87744d777c8b0c4cc6c43ddcb0d22",
+        "events_fired": 5068,
+        "sha256": "65ca680be3f6ace2599d79b097a614a13c6b75791d0c3d0631bbc6518695d762",
     },
     "sharded/shards=2": {
-        "events_fired": 5253,
-        "sha256": "e1f89b053cf981471a8ee1cdff09a0c122b87744d777c8b0c4cc6c43ddcb0d22",
+        "events_fired": 5068,
+        "sha256": "65ca680be3f6ace2599d79b097a614a13c6b75791d0c3d0631bbc6518695d762",
     },
     "trial/broken-balance/0": {
         "events_fired": None,
