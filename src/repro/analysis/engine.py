@@ -43,8 +43,8 @@ DEFAULT_SIM_EDGE = (
     (
         "repro/sim/shard/pool.py",
         "sharded-kernel worker pool: forks whole interpreter processes "
-        "around per-shard Simulations and exchanges only picklable "
-        "envelopes/artifacts over pipes; no simulated state crosses the "
+        "around per-shard Simulations and returns only picklable "
+        "artifacts over pipes; no simulated state crosses the "
         "boundary (DESIGN.md §10)",
     ),
 )

@@ -405,10 +405,9 @@ class FaultInjector:
         """Regress an epoch-like counter (scale tier or flat tier).
 
         For a :class:`repro.gcs.segments.SegmentNode` the segment epoch
-        (and, on a leader, its own digest record) is rewound — peer
-        leaders' gossip echoes the higher epoch back and the node
-        re-mints past it; the leader's stabilization audit covers the
-        single-segment case. For a flat-tier :class:`SpreadDaemon` the
+        is rewound — on a leader, its members' heartbeats carry the
+        higher epoch back and it re-mints past it; on a member, the next
+        beacon overwrites it. For a flat-tier :class:`SpreadDaemon` the
         membership ``highest_counter`` is rewound below the installed
         view's counter, which would make the next gather mint a ViewId
         every peer rejects — the stabilization audit clamps it back.
@@ -426,8 +425,6 @@ class FaultInjector:
                 "now": node._seg_epoch,
             }
             self._record("corrupt_epoch", node.name, param=param)
-            if node.is_leader:
-                node._digests[node.segment] = (node._seg_epoch, node._seg_alive)
         else:
             engine = node.membership
             was = engine.highest_counter

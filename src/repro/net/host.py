@@ -190,7 +190,7 @@ class Host(Process):
         """
 
     @staticmethod
-    def receive_ip(packet, nics, accepted=None):
+    def receive_ip(packet, nics):
         """Receive one IP packet on each of ``nics``, in order.
 
         The whole IP receive path — NIC-level checks and counters,
@@ -206,10 +206,6 @@ class Host(Process):
         *recipient* says (NIC and host up, bound addresses, forwarding,
         sockets, load and slowdown) is read at its turn, because a
         handler earlier in the batch may have changed it (DESIGN.md §8).
-
-        ``accepted`` is the entry of a link that has no NIC (the
-        segment uplink): that host takes the packet as addressed to it
-        and ``nics`` is not consulted.
         """
         dst = packet.dst_ip
         dst_value = (dst if type(dst) is IPAddress else IPAddress(dst))._value
@@ -221,31 +217,28 @@ class Host(Process):
             src_pair = (packet.src_ip, datagram.src_port)
             dst_pair = (dst, dst_port)
         lan = None
-        for nic in nics if accepted is None else (None,):
-            if nic is None:
-                host = accepted
-            else:
-                host = nic.host
-                if not nic.up or not host.alive:
-                    nic._m_dropped.inc()
+        for nic in nics:
+            host = nic.host
+            if not nic.up or not host.alive:
+                nic._m_dropped.inc()
+                continue
+            nic._m_rx.inc()
+            if nic.lan is not lan:
+                lan = nic.lan
+                broadcast = None  # not asked yet on this LAN
+            # Once a recipient has found the destination to be its
+            # LAN's broadcast address the rest of the batch take it
+            # without hashing an address; a unicast to an address
+            # the receiving NIC has bound never asks.
+            if not broadcast and dst_value not in nic._bound:
+                if broadcast is None:
+                    broadcast = dst == lan.subnet.broadcast_address
+                if not (broadcast or host.owns_ip(dst)):
+                    if host.ip_forwarding:
+                        host.forward_packet(packet)
+                    else:
+                        host.packets_dropped += 1
                     continue
-                nic._m_rx.inc()
-                if nic.lan is not lan:
-                    lan = nic.lan
-                    broadcast = None  # not asked yet on this LAN
-                # Once a recipient has found the destination to be its
-                # LAN's broadcast address the rest of the batch take it
-                # without hashing an address; a unicast to an address
-                # the receiving NIC has bound never asks.
-                if not broadcast and dst_value not in nic._bound:
-                    if broadcast is None:
-                        broadcast = dst == lan.subnet.broadcast_address
-                    if not (broadcast or host.owns_ip(dst)):
-                        if host.ip_forwarding:
-                            host.forward_packet(packet)
-                        else:
-                            host.packets_dropped += 1
-                        continue
             if not udp:
                 host.packets_dropped += 1
                 continue

@@ -10,11 +10,11 @@ metered over plain wall of the same simulated seconds.
 
 ``--cost --shards N`` is the kernel's report: a cell world on N forked
 workers, one row per shard. The meter wraps each world as the factory
-builds it and :class:`~repro.sim.shard.pool.PeerExchange` before the
-fork, so the kernel has no statement for it either; each worker's row
-comes back in place of its artifacts.
+builds it, so the kernel has no statement for it either; each worker's
+row comes back in place of its artifacts.
 """
 
+import pickle
 import time
 from contextlib import contextmanager, nullcontext
 
@@ -129,11 +129,9 @@ def observe_run(**options):
     return run
 
 
-#: A shard's row: wall building its world, its epochs, wall in
-#: ``advance`` and in the barrier swap, envelopes drained from and
-#: injected into its world, bytes it pickled for its peers, and the
-#: deepest event queue it entered an epoch with.
-SHARD_COLUMNS = ("build_s", "epochs", "advance_s", "exchange_s", "out", "in", "bytes", "queue")
+#: A shard's row: wall building its world and advancing it, the events
+#: it fired, and the bytes its artifacts take pickled for the parent.
+SHARD_COLUMNS = ("build_s", "advance_s", "events", "bytes")
 
 
 class MeteredWorld:
@@ -143,52 +141,17 @@ class MeteredWorld:
         self._world = world
         self._row = row
 
-    def next_event_time(self):
-        return self._world.next_event_time()
-
-    def inject(self, envelopes):
-        self._row["in"] += len(envelopes)
-        self._world.inject(envelopes)
-
-    def advance(self, until, inclusive):
-        row = self._row
-        row["epochs"] += 1
-        row["queue"] = max(row["queue"], self._world.sim.scheduler.pending_count)
+    def advance(self, until):
+        scheduler = self._world.sim.scheduler
+        fired = scheduler.events_fired
         started = clock()
-        self._world.advance(until, inclusive)
-        row["advance_s"] += clock() - started
-
-    def drain_outbound(self):
-        out = self._world.drain_outbound()
-        self._row["out"] += len(out)
-        return out
+        self._world.advance(until)
+        self._row["advance_s"] += clock() - started
+        self._row["events"] += scheduler.events_fired - fired
 
     def artifacts(self):
+        self._row["bytes"] = len(pickle.dumps(self._world.artifacts(), pickle.HIGHEST_PROTOCOL))
         return self._row
-
-
-@contextmanager
-def metered_exchange(rows):
-    """Add each worker's barrier wall and pickled bytes to ``rows[its shard]``."""
-    from repro.sim.shard.pool import PeerExchange
-
-    call, swap = PeerExchange.__call__, PeerExchange._swap
-
-    def timed(exchange, inboxes, outbound, bound):
-        started = clock()
-        earliest = call(exchange, inboxes, outbound, bound)
-        rows[exchange.shard]["exchange_s"] += clock() - started
-        return earliest
-
-    def counted(exchange, payloads):
-        rows[exchange.shard]["bytes"] += sum(map(len, payloads.values()))
-        return swap(exchange, payloads)
-
-    PeerExchange.__call__, PeerExchange._swap = timed, counted
-    try:
-        yield rows
-    finally:
-        PeerExchange.__call__, PeerExchange._swap = call, swap
 
 
 def shard_costs(hosts, shards, seconds, seed):
@@ -209,30 +172,25 @@ def shard_costs(hosts, shards, seconds, seed):
         return MeteredWorld(world, row)
 
     kernel = ShardedKernel(scenario.plan, factory, scenario.spec, workers=shards)
-    with metered_exchange(rows):
-        try:
-            kernel.start()
-            started = clock()
-            kernel.run(seconds)
-            wall = clock() - started
-            return kernel.collect(), wall
-        finally:
-            kernel.close()
+    try:
+        kernel.start()
+        started = clock()
+        kernel.run(seconds)
+        wall = clock() - started
+        return kernel.collect(), wall
+    finally:
+        kernel.close()
 
 
 def render_shards(rows, wall, title):
     """One row per shard, then each timed column's share of the run's wall."""
-    lines = [title, "{:>5} {:>8} {:>7} {:>10} {:>11} {:>7} {:>7} {:>9} {:>9}".format(
-        "shard", "build_s", "epochs", "advance_s", "exchange_s", "out/ep", "in/ep", "bytes/ep",
-        "max_queue")]
+    lines = [title, "{:>5} {:>8} {:>10} {:>10} {:>10}".format(
+        "shard", "build_s", "advance_s", "events", "bytes")]
     for shard, row in enumerate(rows):
-        epochs = max(row["epochs"], 1)
-        lines.append(
-            "{:>5} {:>8.3f} {:>7} {:>10.3f} {:>11.3f} {:>7.2f} {:>7.2f} {:>9.1f} {:>9}".format(
-                shard, row["build_s"], row["epochs"], row["advance_s"], row["exchange_s"],
-                row["out"] / epochs, row["in"] / epochs, row["bytes"] / epochs, row["queue"]))
+        lines.append("{:>5} {:>8.3f} {:>10.3f} {:>10} {:>10}".format(
+            shard, row["build_s"], row["advance_s"], row["events"], row["bytes"]))
     shares = [sum(row[column] for row in rows) / len(rows) / wall
-              for column in ("build_s", "advance_s", "exchange_s")]
-    lines.append("run wall {:.3f} s: build {:.1%}, advance {:.1%}, exchange {:.1%}, "
+              for column in ("build_s", "advance_s")]
+    lines.append("run wall {:.3f} s: build {:.1%}, advance {:.1%}, "
                  "the rest {:.1%} (mean over shards)".format(wall, *shares, 1.0 - sum(shares)))
     return "\n".join(lines)

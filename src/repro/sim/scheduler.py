@@ -188,9 +188,8 @@ class Scheduler:
         ``inclusive=False`` the run covers the half-open interval
         ``[now, until)`` — events at exactly ``until`` stay queued (and
         :meth:`next_event_time` reports them) while the clock still
-        advances to ``until``. Barrier-stepped shard kernels rely on
-        this: a frame injected for delivery exactly at an epoch
-        boundary must fire in the epoch that *starts* there.
+        advances to ``until``, so a stepper can fire an event due
+        exactly at a step boundary in the step that *starts* there.
         """
         if self._running:
             raise SchedulerError("scheduler is already running (reentrant run call)")

@@ -1,12 +1,11 @@
 """The multi-core sharded simulation kernel.
 
-A conservative-lookahead parallel discrete-event kernel: the topology
-is partitioned into LAN-segment cells grouped onto shards, each shard
-runs its own :class:`~repro.sim.simulation.Simulation` (on a worker
-process when parallel), and cross-shard frames are exchanged at epoch
-barriers bounded by the inter-segment link latency. The merge rule —
-``(time, cell, per-cell order)`` — makes every observable artifact
-byte-identical to the one-world serial run. See DESIGN.md §10.
+The topology is partitioned into LAN-segment cells grouped onto
+shards; each shard runs its own :class:`~repro.sim.simulation.Simulation`
+(on a worker process when parallel) straight to the horizon, because
+cells share nothing. The merge rule — ``(time, cell, per-cell order)``
+— makes every observable artifact byte-identical to the one-world
+serial run. See DESIGN.md §10.
 """
 
 from repro.sim.shard.kernel import ShardedKernel

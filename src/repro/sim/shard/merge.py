@@ -91,18 +91,17 @@ def merge_artifacts(world_artifacts, meta=None):
     lines = merge_trace(trace_by_cell)
     trace_sha = hashlib.sha256("\n".join(lines).encode("utf-8")).hexdigest()
 
-    live = sorted(name for summary in cell_summaries for name in summary["live"])
-    views = sorted({tuple(view) for summary in cell_summaries
-                    for view in summary["views"]})
-    coverage_clean = all(
-        summary["uncovered"] == 0 and summary["duplicated"] == 0
+    # Each cell is judged against its own live hosts: one view among
+    # them, naming exactly them, and its VIPs each held once.
+    converged = all(
+        summary["uncovered"] == 0
+        and summary["duplicated"] == 0
+        and [view[1] for view in summary["views"]]
+        == ([view_digest(tuple(summary["live"]))] if summary["live"] else [])
         for summary in cell_summaries
     )
-    converged = (
-        coverage_clean
-        and len(views) == 1
-        and views[0][1] == view_digest(tuple(live))
-    )
+    views = [[cell] + list(view) for cell in sorted(cells) for view in cells[cell]["views"]]
+    live = sum(len(summary["live"]) for summary in cell_summaries)
 
     return {
         "format": ARTIFACT_FORMAT,
@@ -110,8 +109,8 @@ def merge_artifacts(world_artifacts, meta=None):
         "sim_time": repr(sim_time),
         "events_fired": events_fired,
         "converged": bool(converged),
-        "views": [list(view) for view in views],
-        "n_live": len(live),
+        "views": views,
+        "n_live": live,
         "cells": {"{:02d}".format(cell): cells[cell] for cell in sorted(cells)},
         "flow": sum_flow([summary["flow"] for summary in cell_summaries if summary["flow"]]),
         "metrics": {name: metrics[name] for name in sorted(metrics)},

@@ -119,6 +119,46 @@ def test_leader_kill_and_revive_reconverges():
     assert not uncovered and not duplicated
 
 
+def test_revived_leader_whose_hand_off_is_dropped_rejoins_its_cell():
+    """A revived leader must not stay behind its cell's epoch.
+
+    Cell 1's leader dies and its successor leads for longer than ARP's
+    4 s give-up. The old leader comes back at epoch 0 and the successor
+    abdicates, but its last unicast to the revived host — the heartbeat
+    that hands over the cell's epoch — is lost, as when a pending ARP
+    resolution gives up. Every member repeats its epoch in each
+    heartbeat, so the cell converges to one view and single-owner
+    coverage within one leader timeout plus two heartbeat intervals.
+    """
+    scenario = ScaleClusterScenario(seed=3, n_hosts=64, n_vips=512, segment_size=16).start()
+    assert scenario.settle()
+    scenario.kill(16)
+    scenario.sim.run_for(8.0)
+    successor = scenario.nodes[17]
+    epoch = successor.view.version
+    assert successor.is_leader and epoch >= 1
+    revived_ip = scenario.fleet.ip_of["node0016"]
+    send, dropped = successor._send, []
+
+    def drop_the_first_unicast_to_the_revived_host(message, address):
+        if address == revived_ip and not dropped:
+            dropped.append(message)
+        else:
+            send(message, address)
+
+    successor._send = drop_the_first_unicast_to_the_revived_host
+    scenario.revive(16)
+    config = successor.config
+    scenario.sim.run_for(config.leader_timeout + 2 * config.heartbeat_interval)
+    assert [(type(message).__name__, message.epoch) for message in dropped] == [
+        ("SegHeartbeat", epoch)
+    ]
+    revived = scenario.nodes[16]
+    assert revived.is_leader and not successor.is_leader
+    assert revived.view.version > epoch
+    assert scenario.converged()
+
+
 def _is_beacon(frame):
     datagram = getattr(frame.payload, "payload", None)
     return type(getattr(datagram, "payload", None)) is LeaderBeacon
@@ -221,13 +261,13 @@ def test_n1024_arp_storms_share_entries_and_fire_the_recorded_events():
     so each host caches its 31 peers. One frame's receivers share one
     entry object, so a segment's distinct objects are its ARP
     broadcasts. ``events_fired`` at settle is recorded on the cell
-    world (seed 1).
+    world (seed 1), again when leaders stopped sending digests.
     """
     scenario = ScaleClusterScenario(
         seed=1, n_hosts=1024, n_vips=4096, segment_size=32, metrics_enabled=True
     ).start()
     assert scenario.settle()
-    assert scenario.sim.scheduler.events_fired == 4224
+    assert scenario.sim.scheduler.events_fired == 4128
     scenario.sim.run(until=61.0)
     assert scenario.converged()
     broadcasts = {
@@ -249,18 +289,21 @@ def test_n1024_arp_storms_share_entries_and_fire_the_recorded_events():
 
 
 #: Recorded with the uplink delivering one event per envelope (the form
-#: before same-instant envelopes for one cell shared one event), and
-#: recorded again so when beacons became one broadcast per segment.
+#: before same-instant envelopes for one cell shared one event), again
+#: when beacons became one broadcast per segment, and again when cells
+#: stopped exchanging leader digests: a view change is adopted by its
+#: own cell only, so the trace holds fewer view records and the counters
+#: no digests, while the fingerprint held.
 PRE_BATCHING_N64 = {
-    "trace_lines": 277,
-    "trace_sha256": "9ae03d9cedc4717c18414b0c49cf3ea58b5f648babc644cd74e31dbe676a1eba",
+    "trace_lines": 134,
+    "trace_sha256": "c2ce512409f449ab9c6b754cfa859f66ca32c549a6fdca796fd6bf4d4b71bae1",
     "fingerprint_sha256": "7f4c105dcad51198c881d1d194dd30d2912e16df9ddfcb882f3b687410bb9972",
-    "totals_sha256": "d178801fb05a9541a93c5c8233b7f0f0949c5a1c6771dfd17e0b8dacf322b43e",
+    "totals_sha256": "c9b70ed3a1f90089b307e44783500a3594b95ea04c93ed93f9dfbb7eb50558ba",
 }
 
 
 def test_n64_run_across_arp_expiry_matches_the_unbatched_recording():
-    """Uplink batching moves ``events_fired`` and nothing else.
+    """A recorded n64 run across ARP expiry: trace, fingerprint, counters.
 
     Trace and metrics on; a leader kill, a member kill and a revival;
     then past t = 60 s, where every ARP entry filled by the boot storm

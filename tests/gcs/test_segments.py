@@ -1,12 +1,13 @@
 """Segmented membership: merge properties and protocol behaviour.
 
-Property layer — :func:`merge_digests` is the deterministic heart of
-the design: agreement (same digests, same view, regardless of how the
-dict was assembled), monotonic view versions under epoch bumps, and no
-phantom members. Protocol layer — small SegmentNode clusters exercise
-boot convergence, member death, leader succession, epoch handoff on a
-revived leader, and whole-segment silence; a differential test holds
-the skipped leader-lease ticks to an always-ticking watch.
+Property layer — :func:`merge_digests`, how an observer folds the
+segments' records into one fleet view: agreement (same records, same
+view, regardless of how the dict was assembled), monotonic view
+versions under epoch bumps, and no phantom members. Protocol layer —
+small SegmentNode clusters exercise boot convergence, member death,
+leader succession, epoch hand-off to a revived leader and whole-segment
+death; a differential test holds the skipped leader-lease ticks to an
+always-ticking watch.
 """
 
 import pytest
@@ -17,7 +18,6 @@ from repro.gcs.segments import (
     Fleet,
     GlobalView,
     SegmentConfig,
-    SegmentDigest,
     SegmentNode,
     merge_digests,
 )
@@ -95,15 +95,11 @@ def test_rosters_and_the_boot_view_are_built_once_per_fleet():
     assert fleet.segments() is fleet.segments()
     for segment in fleet.segments():
         assert fleet.segment_members(segment) is fleet.segment_members(segment)
+        assert fleet.boot_views[segment].members is fleet.segment_members(segment)
+        assert fleet.boot_views[segment].version == 0
     for node in nodes:
         assert node.peers is fleet.segment_members(node.segment)
-        assert node.global_view is fleet.boot_view
-        for segment in fleet.segments():
-            # (A leader re-mints its own segment's record as it starts.)
-            if segment != node.segment:
-                assert node._digests[segment][1] is fleet.segment_members(segment)
-    assert fleet.boot_view == merge_digests(fleet.boot_digests)
-    assert fleet.boot_view.members == tuple(sorted(fleet.names))
+        assert node.view is fleet.boot_views[node.segment]
 
 
 def test_fleet_parses_addresses_once():
@@ -134,16 +130,28 @@ def build_segment_cluster(n, segment_size, seed=7, trace=False):
     return sim, lan, fleet, config, hosts, nodes
 
 
-def live_views(nodes):
-    return {node.global_view for node in nodes if node.alive}
+def fleet_view(nodes):
+    """Each segment's one view among its live nodes, merged as an observer does.
+
+    Fails unless every segment's live nodes agree on one view naming
+    exactly them.
+    """
+    records = {}
+    for node in nodes:
+        if node.alive:
+            records.setdefault(node.segment, set()).add(node.view)
+    for segment, views in records.items():
+        (view,) = views
+        live = tuple(node.node_name for node in nodes if node.alive and node.segment == segment)
+        assert view.members == live
+        records[segment] = (view.version, view.members)
+    return merge_digests(records)
 
 
 def test_boot_converges_to_one_full_view():
     sim, _lan, _fleet, _config, _hosts, nodes = build_segment_cluster(12, 4)
     sim.run_for(5.0)
-    views = live_views(nodes)
-    assert len(views) == 1
-    assert len(next(iter(views)).members) == 12
+    assert fleet_view(nodes) == GlobalView(0, [node.node_name for node in nodes])
 
 
 def test_member_death_propagates_to_every_node():
@@ -151,9 +159,7 @@ def test_member_death_propagates_to_every_node():
     sim.run_for(5.0)
     hosts[5].crash()
     sim.run_for(8.0)
-    views = live_views(nodes)
-    assert len(views) == 1
-    members = next(iter(views)).members
+    members = fleet_view(nodes).members
     assert "n005" not in members and len(members) == 11
 
 
@@ -162,9 +168,7 @@ def test_leader_death_elects_deterministic_successor():
     sim.run_for(5.0)
     hosts[0].crash()  # initial leader of segment 0
     sim.run_for(8.0)
-    views = live_views(nodes)
-    assert len(views) == 1
-    assert "n000" not in next(iter(views)).members
+    assert "n000" not in fleet_view(nodes).members
     leaders = sorted(n.node_name for n in nodes if n.alive and n.is_leader)
     assert leaders == ["n001", "n004", "n008"]
 
@@ -174,19 +178,20 @@ def test_revived_leader_fast_forwards_epoch():
     sim.run_for(5.0)
     hosts[0].crash()
     sim.run_for(8.0)
+    successor_epoch = nodes[1].view.version
+    assert successor_epoch >= 1
     hosts[0].recover()
     nodes[0] = SegmentNode(hosts[0], lan, 0, fleet, config)
     nodes[0].start()
     sim.run_for(8.0)
-    views = live_views(nodes)
-    assert len(views) == 1
-    assert len(next(iter(views)).members) == 12
-    # The original leader resumed duty and deaths still propagate.
-    assert nodes[0].is_leader
+    assert len(fleet_view(nodes).members) == 12
+    # The original leader resumed duty past its successor's epoch, and
+    # deaths still propagate.
+    assert nodes[0].is_leader and not nodes[1].is_leader
+    assert nodes[0].view.version > successor_epoch
     hosts[2].crash()
     sim.run_for(8.0)
-    views = live_views(nodes)
-    assert len(views) == 1 and "n002" not in next(iter(views)).members
+    assert "n002" not in fleet_view(nodes).members
 
 
 def test_whole_segment_death_and_revival():
@@ -195,140 +200,33 @@ def test_whole_segment_death_and_revival():
     for index in (8, 9, 10, 11):
         hosts[index].crash()
     sim.run_for(10.0)
-    views = live_views(nodes)
-    assert len(views) == 1
-    assert len(next(iter(views)).members) == 8
+    # The other segments never notice: nothing crosses segments.
+    assert fleet_view(nodes) == GlobalView(0, [node.node_name for node in nodes[:8]])
     for index in (8, 9, 10, 11):
         hosts[index].recover()
         nodes[index] = SegmentNode(hosts[index], lan, index, fleet, config)
         nodes[index].start()
     sim.run_for(10.0)
-    views = live_views(nodes)
-    assert len(views) == 1
-    assert len(next(iter(views)).members) == 12
+    assert len(fleet_view(nodes).members) == 12
 
 
-# ----------------------------------------------------------------------
-# the idle-digest skip: a merge that provably does nothing is not redone
-
-
-class CountedRecords(tuple):
-    """A ``records`` tuple that counts the merges that walked it."""
-
-    walks = 0
-
-    def __iter__(self):
-        CountedRecords.walks += 1
-        return super().__iter__()
-
-
-class Forgetful(dict):
-    """An ``_idle_digests`` that remembers nothing: the skip never hits."""
-
-    def __setitem__(self, sender, value):
-        pass
-
-
-def scripted_leader(remember):
-    """n000 leading segment 0 of 12 nodes, its outbound messages recorded."""
-    sim, _lan, _fleet, _config, _hosts, nodes = build_segment_cluster(12, 4)
-    node = nodes[0]
-    if not remember:
-        node._idle_digests = Forgetful()
-    sent = []
-
-    def record(message, address):
-        fields = [getattr(message, name) for name in type(message).__slots__]
-        sent.append((str(address), type(message).__name__, fields))
-
-    node._send = record
-    return node, sent
-
-
-def digest_script(node):
-    """Digests crossing an epoch handoff and an equal-epoch conflict.
-
-    Every digest arrives three times, as a peer's unchanged gossip does
-    interval after interval; the last step rewinds the node's epoch
-    behind its back and replays a digest it had already found idle.
-    """
-    seg0, seg1, seg2 = (node.fleet.segment_members(s) for s in range(3))
-
-    def digest(sender, epoch0, alive0, epoch1, alive1):
-        return SegmentDigest(
-            sender,
-            CountedRecords(
-                [(0, "n000", epoch0, alive0), (1, "n004", epoch1, alive1), (2, "n008", 0, seg2)]
-            ),
-        )
-
-    script = [
-        digest("n004", 0, seg0, 0, seg1),  # boot gossip: nothing to do
-        digest("n004", 0, seg0, 1, seg1[:3]),  # segment 1 lost a member
-        digest("n001", 5, seg0[:2], 1, seg1[:3]),  # handoff: our segment at epoch 5
-        digest("n008", 6, seg0[1:], 1, seg1[:3]),  # equal epoch, different story
-    ]
-    for message in script:
-        for _ in range(3):
-            node._on_digest(message)
-            yield
-    # Corruption (FaultInjector.corrupt_epoch on a leader): the peer's
-    # unchanged record now carries a higher epoch than ours.
-    node._seg_epoch -= 3
-    node._digests[node.segment] = (node._seg_epoch, node._seg_alive)
-    node._on_digest(script[-1])
-    yield
-
-
-def test_idle_digest_skip_changes_nothing_but_the_work():
-    outcomes = []
-    for remember in (True, False):
-        node, sent = scripted_leader(remember)
-        CountedRecords.walks = 0
-        states = [
-            (node._seg_epoch, node._seg_alive, dict(node._digests), node.global_view, len(sent))
-            for _ in digest_script(node)
-        ]
-        outcomes.append((states, sent, dict(node._peer_leaders), CountedRecords.walks))
-    (states, sent, leaders, walks), (ref_states, ref_sent, ref_leaders, ref_walks) = outcomes
-    assert states == ref_states
-    assert sent == ref_sent
-    # Digests go to peer leaders, a beacon to the segment's broadcast.
-    assert {(kind, address == "10.40.255.255") for address, kind, _ in sent} == {
-        ("SegmentDigest", False),
-        ("LeaderBeacon", True),
-    }
-    assert leaders == ref_leaders
-    # Boot gossip x3, then three steps that each change something once
-    # and are idle twice: the memo walks 1 + 2 x 3 of the 12 digests
-    # (a changing merge and the one after it), the reference all of
-    # them — and both walk the replay after the rewind.
-    assert (walks, ref_walks) == (8, 13)
-    epochs = [state[0] for state in states]
-    assert epochs == [0] * 6 + [6] * 3 + [7] * 3 + [7]
-    assert states[-1][3].version == 7 + 1 + 0
-
-
-def test_corrupted_epoch_is_reminted_from_gossip_that_has_long_been_idle():
+def test_corrupted_leader_epoch_is_reminted_from_member_heartbeats():
     sim, _lan, _fleet, config, hosts, nodes = build_segment_cluster(12, 4)
     sim.run_for(5.0)
     hosts[5].crash()  # segment 1 moves past epoch 0, so there is something to rewind
-    sim.run_for(8.0 + 10 * config.digest_interval)
+    sim.run_for(8.0)
     leader = nodes[4]
     was = leader._seg_epoch
-    assert was >= 1 and leader._idle_digests
-    version = leader.global_view.version
+    assert was >= 1
     FaultInjector(sim).corrupt_epoch(leader, amount=1)
     assert leader._seg_epoch == was - 1
-    # The peers' records have not changed for ten intervals; the very
-    # next one must still be merged, because *our* state changed.
-    sim.run_for(config.digest_interval + 0.01)
+    # The members still hold epoch ``was``; the first heartbeat carries
+    # it back and the leader re-mints past it.
+    sim.run_for(config.heartbeat_interval + 0.01)
     assert leader._seg_epoch == was + 1
-    assert leader._digests[leader.segment] == (was + 1, leader._seg_alive)
     sim.run_for(2.0)
-    views = live_views(nodes)
-    assert len(views) == 1
-    assert next(iter(views)).version > version
+    assert {node.view for node in nodes[4:8] if node.alive} == {leader.view}
+    assert leader.view.version == was + 1
 
 
 def test_segment_config_validation():
@@ -412,7 +310,7 @@ def _lease_story(story, skipping, monkeypatch):
         (record.time, record.source, record.event, sorted(record.details.items()))
         for record in sim.trace.records
     ]
-    views = [(node.node_name, node.global_view, node.is_leader) for node in nodes]
+    views = [(node.node_name, node.view, node.is_leader) for node in nodes]
     return records, views, sim.scheduler.events_fired, shown
 
 

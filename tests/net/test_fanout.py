@@ -10,9 +10,8 @@ and the next draw of every RNG stream. Only the frame count (one
 instead of one per receiver), the events it takes and the destination
 the handlers are shown may differ.
 
-The rest hold ``send_udp`` itself: ARP misses keep frame order, a dead
-host or a host with no up NIC sends nothing, and an uplink host's
-cross-cell datagram leaves as an envelope.
+The rest hold ``send_udp`` itself: ARP misses keep frame order, and a
+dead host or a host with no up NIC sends nothing.
 """
 
 import pytest
@@ -22,7 +21,6 @@ from repro.net.arp import ArpService
 from repro.net.host import Host
 from repro.net.lan import Lan
 from repro.net.linkfault import GilbertElliott
-from repro.net.partition import SegmentUplink, UplinkHost
 from repro.sim.simulation import Simulation
 
 PORT = 100
@@ -361,54 +359,3 @@ def test_broadcast_and_unroutable_destinations_mid_list():
     ]
     assert world.sender.packets_dropped == 1
     assert world.sim.trace.last(category="ip", event="no_route") is not None
-
-
-# ----------------------------------------------------------------------
-# (e) UplinkHost: a cross-cell datagram is an envelope
-
-
-def _uplink_world(ips):
-    sim = Simulation(seed=2)
-    lan = Lan(sim, "seg00", "10.32.0.0/16")
-    addresses = {}
-    for cell in range(3):
-        for slot in range(3):
-            ip = "10.32.{}.{}".format(1 + cell, 1 + slot)
-            addresses[(cell, slot)] = ip
-    cell_of_ip = {IPAddress(ip): cell for (cell, _slot), ip in addresses.items()}
-    uplink = SegmentUplink(sim, 0.025, cell_of_ip)
-    log = []
-    hosts = []
-    for slot in range(3):
-        host = UplinkHost(sim, "n{}".format(slot), uplink, 0)
-        host.add_nic(lan, addresses[(0, slot)])
-        uplink.attach_host(host, addresses[(0, slot)])
-        host.open_udp(
-            PORT, lambda p, s, d, name=host.name: log.append((sim.now, name, p))
-        )
-        hosts.append(host)
-    sender = hosts[0]
-    for round_payload in ("warm", "x", "y"):
-        for ip in ips:
-            sender.send_udp(round_payload, ip, PORT, src_port=9)
-        sim.run_until_idle()
-    return uplink.outbound, log, lan, uplink.counters(0)
-
-
-def test_uplink_host_envelopes_only_its_cross_cell_sends():
-    # Intra-cell, cross-cell and intra-cell again, interleaved.
-    ips = ["10.32.1.2", "10.32.2.1", "10.32.3.3", "10.32.1.3", "10.32.2.2"]
-    outbound, log, lan, counters = _uplink_world(ips)
-    assert [envelope[2] for envelope in outbound] == list(range(9))
-    assert [envelope[3] for envelope in outbound] == [1, 2, 1] * 3
-    assert [entry[1:] for entry in log[-2:]] == [("n1", "y"), ("n2", "y")]
-    assert lan.frames_delivered >= 6
-    assert counters == {"sent": 9, "delivered": 0, "dropped": 0}
-
-
-def test_uplink_host_single_cross_cell_send_leaves_as_an_envelope():
-    outbound, log, lan, counters = _uplink_world(["10.32.2.1"])
-    assert [envelope[3] for envelope in outbound] == [1, 1, 1]
-    assert lan.frames_sent == 0
-    assert log == []
-    assert counters == {"sent": 3, "delivered": 0, "dropped": 0}

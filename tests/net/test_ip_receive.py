@@ -13,7 +13,6 @@ from repro.net.addresses import BROADCAST_MAC, IPAddress
 from repro.net.host import Host
 from repro.net.lan import Lan
 from repro.net.packet import IP_ETHERTYPE, EthernetFrame, IpPacket, UdpDatagram
-from repro.net.partition import SegmentUplink
 from repro.net.router import Router
 from repro.sim.simulation import Simulation
 
@@ -294,30 +293,6 @@ def test_recipients_on_two_lans_each_get_their_own_broadcast_answer():
     Host.receive_ip(packet, (near_nic, far_nic, world.hosts["wild2"].nics[0]))
     assert names(world, "x") == ["wild", "wild2"]
     assert world.far_host.packets_dropped == 1
-
-
-def test_uplink_entry_skips_the_nic_and_starts_at_the_socket_step():
-    sim = Simulation(seed=1)
-    lan = Lan(sim, "lan0", "10.0.0.0/24")
-    host = Host(sim, "h")
-    nic = host.add_nic(lan, "10.0.0.1")
-    got = []
-    host.open_udp(PORT, lambda payload, src, dst: got.append((payload, src, dst)))
-    uplink = SegmentUplink(sim, latency=0.025, cell_of_ip={IPAddress("10.0.0.1"): 0})
-    uplink.attach_host(host, "10.0.0.1")
-    nic.set_up(False)  # the uplink has no NIC to be down
-    # Envelopes carry the 32-bit address values.
-    dst, src = IPAddress("10.0.0.1").value, IPAddress("10.9.0.1").value
-    uplink.inject([(0.025, 1, 0, 0, dst, PORT, src, 9, "enveloped")])
-    uplink.inject([(0.025, 1, 1, 0, dst, PORT + 1, src, 9, "no-socket")])
-    sim.run_until_idle()
-    assert got == [
-        ("enveloped", (IPAddress("10.9.0.1"), 9), (IPAddress("10.0.0.1"), PORT))
-    ]
-    assert host.packets_dropped == 1
-    totals = sim.metrics.totals()
-    assert totals.get("net.nic_rx_frames", 0) == 0
-    assert totals.get("net.nic_dropped_frames", 0) == 0
 
 
 def test_deferred_delivery_to_a_socket_closed_meanwhile_is_dropped():

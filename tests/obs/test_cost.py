@@ -8,7 +8,7 @@ from repro.apps.scalecluster import ScaleClusterScenario
 from repro.cli import main
 from repro.obs.cost import event_kind, metered
 from repro.sim.events import Event
-from repro.sim.shard.pool import PeerExchange, fork_available
+from repro.sim.shard.pool import fork_available
 from repro.sim.simulation import Simulation
 from repro.sim.timers import Timer
 
@@ -66,27 +66,21 @@ def test_hosts_without_cost_is_a_usage_error(capsys):
     assert "--hosts" in capsys.readouterr().err
 
 
-def test_cli_shard_report_prints_a_row_per_shard_and_the_barrier_share():
+def test_cli_shard_report_prints_a_row_per_shard_and_the_advance_share():
     if not fork_available():
         pytest.skip("fork start method unavailable")
-    plain = PeerExchange.__call__, PeerExchange._swap
     lines = []
     code = main(["observe", "--cost", "--shards", "2", "--hosts", "64", "--duration", "2"],
                 out=lines.append)
     report = "\n".join(lines).splitlines()
     assert code == 0
-    assert (PeerExchange.__call__, PeerExchange._swap) == plain
     assert report[0] == "kernel cost: 64 hosts on 2 forked shards, 2 simulated s from boot (seed 7)"
-    assert report[1].split() == [
-        "shard", "build_s", "epochs", "advance_s", "exchange_s", "out/ep", "in/ep", "bytes/ep",
-        "max_queue",
-    ]
+    assert report[1].split() == ["shard", "build_s", "advance_s", "events", "bytes"]
     rows = [line.split() for line in report[2:-1]]
     assert [row[0] for row in rows] == ["0", "1"]
-    # Every worker steps the same barriers, and both cells' leaders send.
-    assert rows[0][2] == rows[1][2] and int(rows[0][2]) > 1
-    assert all(float(row[4]) > 0.0 and float(row[7]) > 0.0 for row in rows)
-    assert report[-1].startswith("run wall ") and " exchange " in report[-1]
+    # Both worlds ran their two cells, and both sent their artifacts back.
+    assert all(float(row[2]) > 0.0 and int(row[3]) > 0 and int(row[4]) > 0 for row in rows)
+    assert report[-1].startswith("run wall ") and " advance " in report[-1]
 
 
 @pytest.mark.parametrize("argv, problem", [
