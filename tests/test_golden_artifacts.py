@@ -209,27 +209,30 @@ for _repertoire in ("standard", "gray", "corrupt"):
 #: traced), and the four again when a leader's beacon became one
 #: broadcast on its cell's LAN (scale: counts only; sharded: frame
 #: counters, a fresh leader's beacon one ARP exchange sooner, and the
-#: meta without the dropped flow_rate, flow_tick and inter_latency).
+#: meta without the dropped flow_rate, flow_tick and inter_latency),
+#: and the four again when cells stopped exchanging leader digests
+#: (scale: counts only, the digest timers and deliveries gone; sharded:
+#: views per cell, no uplink counters, fewer frames and view records).
 GOLDEN = {
     "router/static-fail-active": {
         "events_fired": 4478,
         "sha256": "8e2df23090f1c267d398e45806f5a0faba061018df2c1cd80d70df498ac30a6c",
     },
     "scale/kill-revive": {
-        "events_fired": 1154,
+        "events_fired": 1086,
         "sha256": "ce03076d78f4920a688cc44e208cc719a2590b37a993931d67de7178b3f13938",
     },
     "scale/kill-revive+flow": {
-        "events_fired": 1214,
+        "events_fired": 1146,
         "sha256": "b83ada9476638d666474ac398ef73b93c3de57e033f71b9b714764790dbacfe3",
     },
     "sharded/shards=1": {
-        "events_fired": 5068,
-        "sha256": "65ca680be3f6ace2599d79b097a614a13c6b75791d0c3d0631bbc6518695d762",
+        "events_fired": 4840,
+        "sha256": "518efea8af879305c3d150bb2fdf86bea682785fc13ccb4f12d69ef5fff464a2",
     },
     "sharded/shards=2": {
-        "events_fired": 5068,
-        "sha256": "65ca680be3f6ace2599d79b097a614a13c6b75791d0c3d0631bbc6518695d762",
+        "events_fired": 4840,
+        "sha256": "518efea8af879305c3d150bb2fdf86bea682785fc13ccb4f12d69ef5fff464a2",
     },
     "trial/broken-balance/0": {
         "events_fired": None,
