@@ -182,7 +182,7 @@ def result_signature(result):
 #
 # Checked: single-owner coverage (no VIP bound by two live hosts for
 # ``duplicate_grace`` seconds or longer), then convergence (after the
-# last fault heals, one global view naming exactly the live hosts and
+# last fault heals, in every cell one view naming exactly its live hosts and
 # every VIP bound exactly once). The seed picks ``n_faults`` kill/revive
 # pairs against distinct victims, never more than half of any segment
 # at once, so the leader-succession chain always has a survivor.
