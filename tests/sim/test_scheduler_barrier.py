@@ -1,10 +1,9 @@
 """Barrier-stepping semantics of ``Scheduler.run(until=, inclusive=)``.
 
-The sharded kernel advances worlds through half-open epochs
-``[B_k, B_{k+1})``: an event exactly at the barrier must fire in the
-epoch that *starts* there, in every world, or shard groupings diverge.
-These tests pin the boundary behaviour the kernel leans on, plus the
-adaptive heap-compaction threshold the same PR tuned.
+A caller that steps a scheduler through half-open intervals
+``[B_k, B_{k+1})`` needs an event exactly at a boundary to fire in the
+interval that *starts* there. These tests pin that boundary behaviour,
+plus the adaptive heap-compaction threshold.
 """
 
 from repro.sim.scheduler import Scheduler
@@ -21,7 +20,7 @@ def test_exclusive_run_defers_event_exactly_at_barrier():
     scheduler.run(until=2.0, inclusive=False)
     assert fired == []
     # The clock still reaches the barrier and the deferred event is
-    # what next_event_time reports — the kernel's E_k computation.
+    # what next_event_time reports.
     assert scheduler.now == 2.0
     assert scheduler.next_event_time() == 2.0
     assert scheduler.pending_count == 1
