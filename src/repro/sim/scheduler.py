@@ -173,23 +173,16 @@ class Scheduler:
             heapq.heapify(heap)
             self._cancelled = 0
 
-    def run(self, until=None, max_events=None, inclusive=True):
+    def run(self, until=None, max_events=None):
         """Execute events in order.
 
         Stops when the queue drains, when simulated time would pass
         ``until`` (in both cases the clock is then advanced exactly to
-        ``until``), or after ``max_events`` callbacks with a live event
-        still due by ``until`` (the clock then stays at the last fired
-        event, so the next run never moves it backwards). Returns the
-        number of callbacks executed during this call.
-
-        ``inclusive`` controls the boundary: by default an event
-        scheduled exactly at ``until`` fires during this call. With
-        ``inclusive=False`` the run covers the half-open interval
-        ``[now, until)`` — events at exactly ``until`` stay queued (and
-        :meth:`next_event_time` reports them) while the clock still
-        advances to ``until``, so a stepper can fire an event due
-        exactly at a step boundary in the step that *starts* there.
+        ``until``; an event exactly at ``until`` fires), or after
+        ``max_events`` callbacks with a live event still due by
+        ``until`` (the clock then stays at the last fired event, so the
+        next run never moves it backwards). Returns the number of
+        callbacks executed during this call.
         """
         if self._running:
             raise SchedulerError("scheduler is already running (reentrant run call)")
@@ -200,7 +193,6 @@ class Scheduler:
         m_depth = self._m_depth
         base = self._events_fired
         fired = 0
-        exclusive = not inclusive
         capped = False
         try:
             while heap:
@@ -215,9 +207,7 @@ class Scheduler:
                     # live, so it is re-filed under its current key.
                     replace(heap, (event.time, event.seq, event))
                     continue
-                if until is not None and (
-                    time > until or (exclusive and time == until)
-                ):
+                if until is not None and time > until:
                     break
                 if max_events is not None and fired >= max_events:
                     capped = True
@@ -242,15 +232,11 @@ class Scheduler:
     def run_until_idle(self, max_events=10_000_000):
         """Run until no events remain; guard against runaway loops."""
         fired = self.run(max_events=max_events)
-        if self._live_events_remain():
+        if self.pending_count:
             raise SchedulerError(
                 "run_until_idle exceeded max_events={} with events pending".format(max_events)
             )
         return fired
-
-    def _live_events_remain(self):
-        # O(1): the cancelled count makes the live size arithmetic.
-        return len(self._heap) > self._cancelled
 
     def next_event_time(self):
         """Time of the next live event, or None if the queue is idle."""

@@ -1,9 +1,6 @@
-"""Barrier-stepping semantics of ``Scheduler.run(until=, inclusive=)``.
+"""``Scheduler.run(until=)`` at its boundary, and the adaptive heap compaction.
 
-A caller that steps a scheduler through half-open intervals
-``[B_k, B_{k+1})`` needs an event exactly at a boundary to fire in the
-interval that *starts* there. These tests pin that boundary behaviour,
-plus the adaptive heap-compaction threshold.
+An event exactly at ``until`` fires during the run that ends there.
 """
 
 from repro.sim.scheduler import Scheduler
@@ -13,61 +10,12 @@ def _noop():
     return None
 
 
-def test_exclusive_run_defers_event_exactly_at_barrier():
-    scheduler = Scheduler()
-    fired = []
-    scheduler.after(2.0, fired.append, "at-barrier")
-    scheduler.run(until=2.0, inclusive=False)
-    assert fired == []
-    # The clock still reaches the barrier and the deferred event is
-    # what next_event_time reports.
-    assert scheduler.now == 2.0
-    assert scheduler.next_event_time() == 2.0
-    assert scheduler.pending_count == 1
-
-
-def test_deferred_barrier_event_fires_exactly_once_next_epoch():
-    scheduler = Scheduler()
-    fired = []
-    scheduler.after(2.0, fired.append, "a")
-    scheduler.run(until=2.0, inclusive=False)
-    scheduler.run(until=3.0, inclusive=False)
-    assert fired == ["a"]
-    assert scheduler.next_event_time() is None
-
-
-def test_exclusive_epochs_partition_the_timeline():
-    scheduler = Scheduler()
-    fired = []
-    for time in (0.5, 1.0, 1.5, 2.0):
-        scheduler.after(time, fired.append, time)
-    scheduler.run(until=1.0, inclusive=False)
-    assert fired == [0.5]
-    scheduler.run(until=2.0, inclusive=False)
-    assert fired == [0.5, 1.0, 1.5]
-    # The final (inclusive) epoch closes the horizon like a plain run.
-    scheduler.run(until=2.0)
-    assert fired == [0.5, 1.0, 1.5, 2.0]
-    assert scheduler.now == 2.0
-
-
 def test_inclusive_default_still_fires_barrier_event():
     scheduler = Scheduler()
     fired = []
     scheduler.after(2.0, fired.append, "a")
     scheduler.run(until=2.0)
     assert fired == ["a"]
-
-
-def test_event_scheduled_at_barrier_during_epoch_is_deferred():
-    # An event that, while running, schedules work exactly at the
-    # epoch's own barrier: the new event belongs to the next epoch.
-    scheduler = Scheduler()
-    fired = []
-    scheduler.after(1.0, lambda: scheduler.at(2.0, fired.append, "late"))
-    scheduler.run(until=2.0, inclusive=False)
-    assert fired == []
-    assert scheduler.next_event_time() == 2.0
 
 
 def test_compaction_holds_off_while_live_heap_dominates():
