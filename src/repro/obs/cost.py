@@ -35,13 +35,13 @@ def _received(frame):
 
 
 def event_kind(callback, args):
-    """The report row of an event that calls ``callback(*args)``."""
+    """The report row of an event that calls ``callback(*args)`` (a partial: its function's)."""
     owner = getattr(callback, "__self__", None)
     if type(owner) in (Timer, PeriodicTimer) and owner.name:
         return owner.name.split(":")[0]
     if getattr(callback, "__func__", None) is Nic.deliver or callback is Lan._deliver_batch:
         return _received(args[0])
-    return callback.__qualname__
+    return getattr(callback, "func", callback).__qualname__
 
 
 @contextmanager

@@ -48,6 +48,21 @@ def test_timer_names_fold_at_the_colon():
     )
 
 
+def test_a_metered_check_trial_folds_partials_to_their_function():
+    # The harness schedules a revive as ``partial(self._revive, host)``.
+    from repro.check.schedule import FaultEvent, FaultSchedule
+    from repro.check.trial import make_spec, run_trial
+
+    spec = make_spec(5, FaultSchedule([FaultEvent("crash", 1.0, host=0, duration=2.0)], 8.0),
+                     n_servers=3, n_vips=4)
+    table = {}
+    with metered(table):
+        metered_result = run_trial(spec)
+    assert metered_result == run_trial(spec)
+    assert metered_result["restarts"] == 1
+    assert table["CheckCluster._revive"][0] == 1
+
+
 def test_cli_cost_report_prints_rows_and_the_meter_overhead():
     lines = []
     code = main(["observe", "--cost", "--hosts", "64", "--duration", "3"], out=lines.append)
