@@ -5,8 +5,8 @@ State machine (one instance per daemon):
 * **OPERATIONAL** — a view is installed; agreed delivery runs; the
   failure detector watches every other member.
 * **GATHER** — triggered by a suspicion, a foreign daemon's traffic, a
-  peer's JOIN, or a voluntary leave. The daemon broadcasts JOIN
-  messages and collects the set of daemons it can currently hear.
+  peer's JOIN, or a voluntary leave. The daemon collects the daemons it
+  hears, calling with JOIN until each has echoed its set (Totem's rule).
   The *discovery timeout* (Table 1) bounds this phase; it restarts
   whenever a new daemon is discovered, so the phase lasts one quiet
   discovery interval.
@@ -43,6 +43,7 @@ class MembershipEngine:
         self.view = DaemonView(ViewId(0, daemon.daemon_id), [daemon.daemon_id])
         self.highest_counter = 0
         self.alive = set()
+        self._heard = {}  # this gather: sender -> the set its last JOIN named
         self._proposal = None
         self._acks = {}
         self._acked_view_id = None
@@ -89,12 +90,16 @@ class MembershipEngine:
         self._acks = {}
         self._acked_view_id = None
         self.alive = {self.daemon.daemon_id}
+        self._heard = {}
         self.daemon.trace("membership", "gather", reason=reason)
         self._join_timer.start(first_delay=0.0)
         self._discovery_timer.start(self.config.discovery_timeout)
 
     def _broadcast_join(self):
-        self.daemon.broadcast(JoinMsg(self.daemon.daemon_id, self.alive))
+        me, alive = self.daemon.daemon_id, self.alive
+        self.daemon.broadcast(JoinMsg(me, alive))
+        if len(alive) > 1 and all(self._heard.get(peer) == alive for peer in alive - {me}):
+            self._join_timer.stop()  # every member echoed this set: agreed
 
     # ------------------------------------------------------------------
     # message handlers (wired up by the daemon's dispatcher)
@@ -106,6 +111,9 @@ class MembershipEngine:
             return
         if self.state == OPERATIONAL:
             self.trigger_gather("join from {}".format(sender))
+        self._heard[sender] = message.alive
+        if message.alive != self.alive and self.state == GATHER and not self._join_timer.running:
+            self._join_timer.start(first_delay=0.0)  # disagreement, or a new daemon: call again
         if sender not in self.alive:
             self.alive.add(sender)
             if self.state in (FORM_SENT, ACK_SENT):
@@ -134,11 +142,8 @@ class MembershipEngine:
         self._proposal = None
         self._acks = {}
         self._acked_view_id = None
-        self._form_wait_timer.cancel()
-        self._ack_wait_timer.cancel()
-        self._install_wait_timer.cancel()
-        if not self._join_timer.running:
-            self._join_timer.start(first_delay=0.0)
+        self._cancel_all_timers()  # JOIN and discovery are off in FORM_SENT and ACK_SENT
+        self._join_timer.start(first_delay=0.0)
         self.daemon.trace("membership", "revert_gather", reason=reason)
 
     # ------------------------------------------------------------------
@@ -189,10 +194,7 @@ class MembershipEngine:
             self.alive = set(message.members)
         if self._acked_view_id is not None and not self._acked_view_id < message.view_id:
             return
-        self._join_timer.stop()
-        self._discovery_timer.cancel()
-        self._form_wait_timer.cancel()
-        self._ack_wait_timer.cancel()
+        self._cancel_all_timers()
         self._proposal = None
         self._acked_view_id = message.view_id
         self.state = ACK_SENT

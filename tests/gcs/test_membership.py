@@ -177,3 +177,19 @@ def test_double_start_rejected():
     cluster.sim.run_for(1.0)
     with pytest.raises(RuntimeError):
         cluster.daemons[0].start()
+
+
+def test_triggered_gather_on_a_lossy_lan_still_finds_every_daemon():
+    # A JOIN stops once echoed; a peer that missed one keeps naming another
+    # set, which calls the silent daemon back, so no member goes unheard.
+    cluster = settle_gcs(build_gcs_cluster(8, seed=3))
+    cluster.lan.loss = 0.2
+    since = cluster.sim.now
+    cluster.daemons[0].membership.trigger_gather("test")
+    cluster.sim.run_for(cluster.config.discovery_timeout * 3)
+    forms = cluster.sim.trace.select(category="membership", event="form", since=since)
+    assert forms
+    assert all(len(form.details["members"]) == 8 for form in forms)
+    cluster.lan.loss = 0.0
+    settle_gcs(cluster)
+    assert_single_view(cluster.daemons, [d.daemon_id for d in cluster.daemons])

@@ -82,6 +82,55 @@ def test_join_broadcasts_are_periodic_during_gather():
     assert len(joins) >= 3
 
 
+def joins_sent(harness):
+    return [m for m in harness.broadcasts if isinstance(m, JoinMsg)]
+
+
+def agreed_engine():
+    """'bbb' gathering with 'aaa', both JOINs already naming {aaa, bbb}."""
+    sim, harness, engine = make_engine()
+    engine.on_join(JoinMsg("aaa", {"aaa"}))
+    drain(sim, harness.config.join_interval)
+    engine.on_join(JoinMsg("aaa", {"aaa", "bbb"}))
+    drain(sim, harness.config.join_interval * 3)
+    return sim, harness, engine
+
+
+def test_joins_stop_once_every_member_echoed_the_set():
+    sim, harness, engine = agreed_engine()
+    sent = len(joins_sent(harness))
+    assert joins_sent(harness)[-1].alive == {"aaa", "bbb"}
+    drain(sim, harness.config.discovery_timeout / 2)
+    assert engine.state == GATHER  # the discovery timer still runs
+    assert len(joins_sent(harness)) == sent
+
+
+def test_joins_resume_at_once_on_a_new_daemon():
+    sim, harness, engine = agreed_engine()
+    sent = len(joins_sent(harness))
+    engine.on_join(JoinMsg("ccc", {"ccc"}))
+    drain(sim, 0.0)
+    assert len(joins_sent(harness)) == sent + 1
+    assert joins_sent(harness)[-1].alive == {"aaa", "bbb", "ccc"}
+    drain(sim, harness.config.join_interval * 3)
+    assert len(joins_sent(harness)) > sent + 1  # 'ccc' has not echoed it yet
+
+
+def test_joins_resume_at_once_on_a_join_naming_another_set():
+    # 'aaa' missed our JOIN: its set differs, so we call again.
+    sim, harness, engine = agreed_engine()
+    sent = len(joins_sent(harness))
+    engine.on_join(JoinMsg("aaa", {"aaa"}))
+    drain(sim, 0.0)
+    assert len(joins_sent(harness)) == sent + 1
+    assert engine.alive == {"aaa", "bbb"}
+    engine.on_join(JoinMsg("aaa", {"aaa", "bbb"}))
+    drain(sim, harness.config.join_interval * 3)
+    stopped = len(joins_sent(harness))
+    drain(sim, harness.config.join_interval * 3)
+    assert len(joins_sent(harness)) == stopped
+
+
 def test_new_join_restarts_discovery():
     sim, harness, engine = make_engine()
     drain(sim, harness.config.discovery_timeout * 0.8)
