@@ -311,8 +311,8 @@ class CoverageEngine:
     a LAN cut, a daemon's view, maturity or applied message) first calls
     :meth:`touch`. The first touch at a later instant audits the state
     the previous changed instant left — it held until now — so intervals
-    are exact and a same-instant hand-off is none. Nothing is scheduled:
-    a run fires the same events with or without an engine.
+    are exact and a same-instant hand-off is none. Only :meth:`run` ever
+    schedules: a plain run fires the same events with or without an engine.
 
     ``audit`` is :meth:`CoverageAuditor.audit` or an :class:`AddressAudit`.
     Unexcused intervals shorter than ``grace`` are excused as ``grace``.
@@ -331,7 +331,8 @@ class CoverageEngine:
         self._open = {}
         self._pending = sim.now
         self._gap_since = None
-        self._failed = self._stopping = False
+        self._stopping = False
+        self._wake = None  # while run may stop: an audit one grace after a touch
         metrics = sim.metrics
         self._series = [
             metrics.timeseries(name, node="cluster")
@@ -346,22 +347,32 @@ class CoverageEngine:
         if now != self._pending:
             self._record(self._pending)
             self._pending = now
-            # Failure known: an unexcused interval closed, or held ``grace``.
-            if self._stopping and (self._failed or any(
+            # Failure known: an unexcused interval held ``grace`` (a shorter one is excused).
+            if self._stopping and any(
                 v.excuse is None and now - v.start >= self.grace - 1e-9
                 for v in self._open.values()
-            )):
+            ):
                 self._stopping = False
                 self.sim.at(now, _stop)
+            elif self._stopping and self.grace:
+                if not (self._wake and self.sim.scheduler.defer(self._wake, now + self.grace)):
+                    self._wake = self.sim.at(now + self.grace, self._woken)
+
+    def _woken(self):
+        self.touch()  # a grace without a change: audit as a change would
+        if not self._stopping:  # the failure is known with no traced change
+            self.sim.trace.emit("coverage", "engine", "failure_known", grace=self.grace)
 
     def run(self, duration):
-        """Advance ``duration`` seconds, but stop at the first change once a
-        failure is known, so the clock and the trace end there; :meth:`finish`."""
+        """Advance ``duration`` seconds, but stop once a failure is known, at a change or a
+        grace without one, so the clock and the trace end there; :meth:`finish`."""
         self._stopping = True
         try:
             self.sim.run_for(duration)
         except _FailureKnown:
             pass
+        if self._wake:
+            self._wake.cancel()
         return self.finish()
 
     def finish(self):
@@ -395,7 +406,6 @@ class CoverageEngine:
             violation.end = at
             if violation.excuse is None and violation.length < self.grace - 1e-9:
                 violation.excuse = "grace"
-            self._failed = self._failed or violation.excuse is None
             self.intervals.append(violation)
         for key, violation in current.items():
             if key not in self._open:

@@ -109,6 +109,25 @@ def test_violation_stops_the_run_where_it_is_known(gray, grace, monkeypatch):
     assert result["sim_time"] < spec["schedule"]["horizon"]
 
 
+def test_a_duplicate_opened_by_the_last_change_ends_the_run_one_grace_later():
+    # Gray broken-balance trial 1 opens its duplicate at the last coverage
+    # change (34.4075 s). No later change audits that instant, so the
+    # engine's own wake-up, one grace after it, ends the run there and
+    # says so, instead of the run going on to the horizon.
+    from repro.check import build_trial_spec, campaign_params
+
+    params = campaign_params(
+        base_seed=2004, trials=3, n_servers=5, n_vips=10, horizon=60.0,
+        events_per_trial=12, fixture="broken-balance", gray=True,
+    )
+    result = run_trial(build_trial_spec(params, 1))
+    assert result["verdict"] == "violation"
+    first = result["coverage"]["failures"][0]
+    assert (first["kind"], first["start"]) == ("duplicate", 34.407506)
+    assert result["sim_time"] == pytest.approx(first["start"] + 1.5, abs=1e-6)
+    assert "coverage   engine             failure_known" in result["trace_tail"][-1]
+
+
 def test_failure_results_carry_signature():
     spec = small_spec(
         fixture="broken-balance",
