@@ -161,7 +161,8 @@ class ScaleClusterScenario:
     (:func:`build_scale_world`) asks for. The columns (``hosts``,
     ``nodes``, ``managers``) are in fleet order from the world's first
     member and always hold the current generation. Faults are
-    :meth:`kill` and :meth:`revive` of a fleet index.
+    :meth:`kill` and :meth:`revive` of a fleet index, or a schedule's
+    crashes (:meth:`apply_schedule`).
     """
 
     SUBNET = SUBNET
@@ -270,6 +271,18 @@ class ScaleClusterScenario:
         cell = self.cells[self.fleet.segment_of_index(index) - self.cells[0].cell_id]
         self.nodes[slot], self.managers[slot] = self._pair(host, cell)
         self.nodes[slot].start()
+
+    def apply_schedule(self, schedule, start):
+        """Schedule every event of a :class:`~repro.check.schedule.FaultSchedule`
+        relative to ``start``: a crash kills a live host and revives it
+        ``duration`` later, the one kind this stack knows yet."""
+        for event in schedule.events:
+            self.sim.at(start + event.time, self._crash, event.host, event.duration)
+
+    def _crash(self, index, duration):
+        if self.hosts[self._slot(index)].alive:
+            self.kill(index)
+            self.sim.after(duration, self.revive, index)
 
     def settle(self, timeout=30.0, step=0.5):
         """Run until :meth:`converged`, or until ``timeout`` elapses."""

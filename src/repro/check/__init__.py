@@ -8,9 +8,10 @@ package *searches* for schedules that break them:
 * :mod:`repro.check.schedule` — the fault repertoire table and the
   randomized but fully deterministic schedules drawn from it,
   serialized as replayable JSON.
-* :mod:`repro.check.trial` — one trial: fresh simulation, fresh
-  cluster, continuous invariant sampling, end-of-trial convergence;
-  also the scale-tier and shard-parity trial shapes.
+* :mod:`repro.check.trial` — one trial on either stack (faithful or
+  scale): fresh simulation, fresh cluster, Property 1 audited at every
+  change, end-of-trial convergence; or a scale spec's serial-vs-sharded
+  parity check.
 * :mod:`repro.check.campaign` — fan trials across worker processes
   with per-trial forked RNG seeds; shrink and archive failures.
 * :mod:`repro.check.shrink` — delta-debugging minimization of a

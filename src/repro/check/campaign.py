@@ -26,9 +26,9 @@ import json
 import os
 import time
 
-from repro.check.schedule import generate_schedule
+from repro.check.schedule import generate_schedule, scale_schedule
 from repro.check.shrink import shrink_spec
-from repro.check.trial import make_spec, run_trial
+from repro.check.trial import SPEC_DEFAULTS, make_spec, run_trial
 from repro.sim.rng import RngRegistry
 
 ARTIFACT_FORMAT = "repro-check/1"
@@ -48,7 +48,9 @@ def campaign_params(
 
     The dict is small, JSON-compatible, and crosses the process
     boundary once per worker; everything a trial needs is derived from
-    it plus a trial index.
+    it plus a trial index. With ``stack="scale"`` among the overrides a
+    trial's ``events_per_trial`` are the crash/revive pairs of
+    :func:`~repro.check.schedule.scale_schedule`.
     """
     return {
         "base_seed": int(base_seed),
@@ -71,14 +73,25 @@ def build_trial_spec(params, index):
     nothing but the campaign parameters and their assigned indices.
     """
     forked = RngRegistry(params["base_seed"]).fork("trial/{}".format(index))
-    schedule = generate_schedule(
-        forked.stream("schedule"),
-        n_hosts=params["n_servers"],
-        horizon=params["horizon"],
-        n_events=params["events_per_trial"],
-        gray=bool(params["spec_overrides"].get("gray", False)),
-        corrupt=bool(params["spec_overrides"].get("corrupt", False)),
-    )
+    overrides = params["spec_overrides"]
+    if overrides.get("stack") == "scale":
+        segment_size = overrides.get("segment_size", SPEC_DEFAULTS["segment_size"])
+        schedule = scale_schedule(
+            forked.seed,
+            params["n_servers"],
+            segment_size,
+            params["events_per_trial"],
+            horizon=params["horizon"],
+        )
+    else:
+        schedule = generate_schedule(
+            forked.stream("schedule"),
+            n_hosts=params["n_servers"],
+            horizon=params["horizon"],
+            n_events=params["events_per_trial"],
+            gray=bool(overrides.get("gray", False)),
+            corrupt=bool(overrides.get("corrupt", False)),
+        )
     return make_spec(
         forked.seed,
         schedule,

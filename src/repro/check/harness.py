@@ -96,8 +96,8 @@ class CheckCluster(ServerGroup):
     def _inject(self, event):
         """Apply one event; returns the callable that ends it, or None."""
         if event.kind in (sched.PARTITION, sched.ASYM_PARTITION):
-            group = [self.hosts[i] for i in event.split if i < len(self.hosts)]
-            if not group or len(group) == len(self.hosts):
+            group = [self.hosts[i] for i in event.split]
+            if len(group) == len(self.hosts):
                 return None
             if event.kind == sched.PARTITION:
                 return self.faults.partition(self.lan, [group]).undo

@@ -12,9 +12,11 @@ The fault vocabulary is written once, here, in two tables. :data:`SHAPES`
 says what each kind targets (a host index, a split, or nothing), the
 range its ``param`` is drawn from, and whether it heals instantly.
 :data:`REPERTOIRES` gives each campaign (``standard``, ``gray``,
-``corrupt``) its mix of kinds, the hardening profile its cluster runs
-and the grace its coverage audit allows; :func:`repertoire` picks the
-row for a pair of campaign flags.
+``corrupt`` on the faithful stack, ``scale`` on the scale stack) its
+mix of kinds, the hardening profile its cluster runs and the grace its
+coverage audit allows; :func:`repertoire` picks the row for a stack and
+a pair of campaign flags. :func:`generate_schedule` draws a faithful
+schedule, :func:`scale_schedule` a scale one.
 
 Schedules serialize to plain JSON dicts; round-tripping through
 :meth:`FaultSchedule.to_dict` / :meth:`FaultSchedule.from_dict` is
@@ -23,7 +25,9 @@ byte-identical replay possible.
 """
 
 import json
-from collections import namedtuple
+from collections import Counter, namedtuple
+
+from repro.sim.rng import RngRegistry
 
 NIC_FLAP = "nic_flap"
 CRASH = "crash"
@@ -114,11 +118,17 @@ REPERTOIRES = {
         "stabilizing",
         2.5,
     ),
+    # The scale stack knows fail-stop only: crash/revive pairs drawn by
+    # scale_schedule. A duplicate binding while a view propagates through
+    # a segment is legitimate; one that outlasts the grace is a bug.
+    "scale": Repertoire(((1.0, CRASH),), "paper", 3.0),
 }
 
 
-def repertoire(gray=False, corrupt=False):
-    """The campaign row for a pair of flags: corrupt beats gray beats standard."""
+def repertoire(gray=False, corrupt=False, stack="faithful"):
+    """The row for a stack and a pair of flags: corrupt beats gray beats standard."""
+    if stack == "scale":
+        return REPERTOIRES["scale"]
     return REPERTOIRES["corrupt" if corrupt else "gray" if gray else "standard"]
 
 
@@ -290,4 +300,33 @@ def generate_schedule(
         events.append(
             FaultEvent(kind, time, host=host, duration=duration, split=split, param=param)
         )
+    return FaultSchedule(events, horizon)
+
+
+def scale_schedule(seed, n_hosts, segment_size, n_faults, spacing=4.0, revive_after=6.0,
+                   horizon=None):
+    """The ``scale`` row's schedule: ``n_faults`` crashes ``spacing`` apart.
+
+    Crash ``k`` strikes at ``spacing * (k + 1)`` and its host revives
+    ``revive_after`` later; ``horizon`` defaults to the last revive.
+    Victims are distinct and at most half of any segment, so the
+    segment's leader succession always has a survivor. They come from
+    ``seed``'s ``scale-victims`` stream, so the schedule is a pure
+    function of its arguments.
+    """
+    rng = RngRegistry(seed).stream("scale-victims")
+    cap = max(1, segment_size // 2)
+    victims, per_segment = [], Counter()
+    candidates = list(range(n_hosts))
+    while len(victims) < n_faults and candidates:
+        index = candidates.pop(rng.randrange(len(candidates)))
+        if per_segment[index // segment_size] < cap:
+            per_segment[index // segment_size] += 1
+            victims.append(index)
+    events = [
+        FaultEvent(CRASH, spacing * (order + 1), host=index, duration=revive_after)
+        for order, index in enumerate(victims)
+    ]
+    if horizon is None:
+        horizon = spacing * len(victims) + revive_after
     return FaultSchedule(events, horizon)

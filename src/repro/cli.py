@@ -154,8 +154,8 @@ def build_parser():
         "--repeat", type=_positive_int, default=1, help="replay the artifact N times"
     )
     check.add_argument(
-        "--shards", type=_positive_int, default=None, metavar="N",
-        help="serial-vs-sharded parity trial instead of a campaign: run one "
+        "--shards", type=_bounded(int, lambda value: value >= 2, "at least 2"), default=None,
+        metavar="N", help="serial-vs-sharded parity trial instead of a campaign: run one "
         "n256 scale scenario on the serial kernel and again partitioned "
         "across N shard worker processes (pair with --workers N), write "
         "both merged artifacts into --artifacts, and exit nonzero unless "
@@ -335,22 +335,35 @@ def _run_availability(args, out):
     out(experiment.format(trials=args.trials))
 
 
+#: The ``check`` flags a trial mode reads besides its own: any other set
+#: away from its default exits 2 rather than being ignored.
+_MODE_FLAGS = {"--shards": ("--workers", "--seed", "--artifacts"), "--replay": ("--repeat",)}
+
+
 def _run_shard_parity(args, out):
     import os
 
-    from repro.check.trial import make_shard_spec, run_shard_parity_trial
+    from repro.check.schedule import FaultSchedule, scale_schedule
+    from repro.check.trial import make_spec, run_trial
     from repro.sim.shard.merge import artifact_bytes
 
-    spec = make_shard_spec(args.seed, shards=args.shards, workers=args.workers)
-    cells = spec["n_hosts"] // spec["segment_size"]
-    if args.shards > cells:
+    hosts, cell = 256, 32
+    if args.shards > hosts // cell:
         _reject(args, "--shards", "at most {}, one per {}-host cell of {} hosts".format(
-            cells, spec["segment_size"], spec["n_hosts"]))
+            hosts // cell, cell, hosts))
+    # Two kill/revive pairs 3 s apart, each revived after 4 s; the
+    # horizon lets the last revive settle for 8 s.
+    drawn = scale_schedule(args.seed, hosts, cell, 2, spacing=3.0, revive_after=4.0)
+    spec = make_spec(
+        args.seed, FaultSchedule(drawn.events, drawn.tail_time() + 8.0), stack="scale",
+        n_servers=hosts, n_vips=2048, segment_size=cell, flow_users=100000,
+        shards=args.shards, workers=args.workers,
+    )
     out(
         "shard parity: n{} scale scenario, serial vs {} shards "
-        "({} workers) ...".format(spec["n_hosts"], spec["shards"], spec["workers"])
+        "({} workers) ...".format(hosts, args.shards, args.workers)
     )
-    result = run_shard_parity_trial(spec)
+    result = run_trial(spec)
     os.makedirs(args.artifacts, exist_ok=True)
     for tag in ("serial", "sharded"):
         path = os.path.join(args.artifacts, "shard-parity-{}.json".format(tag))
@@ -358,16 +371,18 @@ def _run_shard_parity(args, out):
             handle.write(artifact_bytes(result["{}_artifact".format(tag)]))
             handle.write(b"\n")
         out("  wrote {}".format(path))
-    out("  verdict={verdict} epochs={epochs} events={events_fired}".format(**result))
+    out("  verdict={verdict} events={events_fired}".format(**result))
     return 0 if result["verdict"] == "pass" else 1
 
 
 def _run_check(args, out):
     mode = "--shards" if args.shards is not None else "--replay" if args.replay else None
-    flags = {"--replay": args.replay, "--gray": args.gray, "--corrupt": args.corrupt}
-    for flag, value in flags.items():
-        if value and mode not in (None, flag):
-            _reject(args, flag, "not with {}, which runs a trial of its own".format(mode))
+    if mode is not None:
+        defaults = vars(build_parser().parse_args(["check"]))
+        for dest, value in vars(args).items():
+            flag = "--" + dest.replace("_", "-")
+            if value != defaults[dest] and flag not in (mode,) + _MODE_FLAGS[mode]:
+                _reject(args, flag, "not with {}, which runs a trial of its own".format(mode))
     if args.shards is not None:
         return _run_shard_parity(args, out)
     if args.replay is not None:

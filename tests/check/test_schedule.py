@@ -226,8 +226,10 @@ def test_corrupt_beats_gray_beats_standard():
     assert repertoire(gray=True) is REPERTOIRES["gray"]
     assert repertoire(corrupt=True) is REPERTOIRES["corrupt"]
     assert repertoire(gray=True, corrupt=True) is REPERTOIRES["corrupt"]
-    assert [row.profile for row in REPERTOIRES.values()] == ["paper", "hardened", "stabilizing"]
-    assert [row.grace for row in REPERTOIRES.values()] == [0.0, 1.5, 2.5]
+    assert repertoire(gray=True, stack="scale") is REPERTOIRES["scale"]
+    assert [row.profile for row in REPERTOIRES.values()] == [
+        "paper", "hardened", "stabilizing", "paper"]
+    assert [row.grace for row in REPERTOIRES.values()] == [0.0, 1.5, 2.5, 3.0]
 
 
 # The three mix functions as they stood before the table, verbatim: the

@@ -89,9 +89,19 @@ def test_check_command_planted_bug_fails_and_replays(tmp_path):
     assert code == 1
     assert "FAILURE" in output
     artifact = output.split("artifact: ")[1].splitlines()[0].strip()
-    code, output = run_cli(["check", "--replay", artifact, "--repeat", "2"])
-    assert code == 0
-    assert output.count("identical reproduction") == 2
+    # The same failure saved without the spec fields the scale stack
+    # brought, as every artifact before it was, replays as faithful.
+    with open(artifact) as handle:
+        saved = json.load(handle)
+    for field in ("stack", "segment_size", "shards", "workers"):
+        del saved["spec"][field]
+    legacy = str(tmp_path / "legacy.json")
+    with open(legacy, "w") as handle:
+        json.dump(saved, handle)
+    for path in (artifact, legacy):
+        code, output = run_cli(["check", "--replay", path, "--repeat", "2"])
+        assert code == 0
+        assert output.count("identical reproduction") == 2
 
 
 def test_unknown_command_rejected():
@@ -252,6 +262,27 @@ def test_bench_sysbench_appends_a_summary_or_exits_2_naming_the_field(tmp_path):
         (["check", "--shards", "4", "--replay", FOREIGN_JSON], "--replay"),
         (["check", "--replay", FOREIGN_JSON, "--gray"], "--gray"),
         (["check", "--replay", FOREIGN_JSON, "--corrupt"], "--corrupt"),
+        # These ran their one trial, ignored the flag and exited 0.
+        (["check", "--shards", "2", "--servers", "8"], "--servers"),
+        (["check", "--shards", "2", "--vips", "3"], "--vips"),
+        (["check", "--shards", "2", "--trials", "9"], "--trials"),
+        (["check", "--shards", "2", "--horizon", "5"], "--horizon"),
+        (["check", "--shards", "2", "--events", "2"], "--events"),
+        (["check", "--shards", "2", "--fixture", "broken-balance"], "--fixture"),
+        (["check", "--shards", "2", "--no-shrink"], "--no-shrink"),
+        (["check", "--shards", "2", "--repeat", "2"], "--repeat"),
+        (["check", "--replay", FOREIGN_JSON, "--servers", "9"], "--servers"),
+        (["check", "--replay", FOREIGN_JSON, "--vips", "50"], "--vips"),
+        (["check", "--replay", FOREIGN_JSON, "--trials", "7"], "--trials"),
+        (["check", "--replay", FOREIGN_JSON, "--horizon", "3"], "--horizon"),
+        (["check", "--replay", FOREIGN_JSON, "--events", "2"], "--events"),
+        (["check", "--replay", FOREIGN_JSON, "--fixture", "broken-balance"], "--fixture"),
+        (["check", "--replay", FOREIGN_JSON, "--no-shrink"], "--no-shrink"),
+        (["check", "--replay", FOREIGN_JSON, "--artifacts", "D"], "--artifacts"),
+        (["check", "--replay", FOREIGN_JSON, "--workers", "2"], "--workers"),
+        (["check", "--replay", FOREIGN_JSON, "--seed", "5"], "--seed"),
+        # A parity check of one shard compared the serial run with itself.
+        (["check", "--shards", "1"], "--shards"),
     ],
 )
 def test_bad_count_size_or_duration_exits_2_naming_the_flag(argv, flag, capsys):
@@ -286,9 +317,10 @@ def test_what_only_a_handler_can_reject_is_one_line_naming_the_file(argv, named,
         {"kind": "partition", "time": 1.0, "duration": 2.0},
         {"kind": "crash", "time": -3.0, "duration": 2.0, "host": 0},
         {"kind": "nic_flap", "time": 1.0, "duration": -2.0, "host": 0},
+        {"kind": "partition", "time": 1.0, "duration": 2.0, "split": [7, 9]},
     ],
     ids=["host-past-cluster", "crash-no-host", "partition-no-split", "negative-time",
-         "negative-duration"],
+         "negative-duration", "split-past-cluster"],
 )
 def test_replay_of_a_malformed_schedule_is_one_line_and_exit_2(event, tmp_path, capsys):
     # The first of these printed an IndexError traceback and exited 1.
