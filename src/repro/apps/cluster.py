@@ -167,7 +167,7 @@ class ServerGroup:
         """
         self.flow_host = Host(self.sim, "flowclients")
         self.flow_host.add_nic(self.lan, address)
-        resolver = ArpViewResolver(self.lan, self.flow_host, self.hosts)
+        resolver = ArpViewResolver(self.lan, self.flow_host)
         self.flow_engine = FlowEngine(self.sim, resolver=resolver, tick=tick, name=name)
         self.flow_engine.add_uniform_pools(vips, users, rate=rate)
 

@@ -176,7 +176,7 @@ class RouterClusterScenario(ServerGroup):
                 client.add_nic(lan, address)
                 client.set_default_gateway(vip)
                 self.flow_hosts.append(client)
-                resolver = ArpViewResolver(lan, client, self.routers)
+                resolver = ArpViewResolver(lan, client)
                 self.flow_engine.add_pool(
                     FlowPool(pool_name, vip, users, require=routable, resolver=resolver)
                 )

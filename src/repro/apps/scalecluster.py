@@ -32,7 +32,6 @@ binds interfaces and counts moves; the ARP-spoofing/notification
 machinery stays in the faithful tier where clients are modeled.
 """
 
-import functools
 import hashlib
 import inspect
 
@@ -135,17 +134,17 @@ class ScaleCell:
     placed over the segment's members only, by the segment's own
     views. ``slots`` is the cell's slice of the world's host columns.
     Clients are not modeled at this size, so the cell's traffic
-    resolves through its live managers' bound sets: a VIP serves iff
-    some live manager of the cell binds it.
+    resolves off its LAN: a VIP serves iff a live host of the cell
+    binds it.
     """
 
-    def __init__(self, sim, cell_id, vips, slots, bindings):
+    def __init__(self, sim, cell_id, vips, slots):
         self.cell_id = cell_id
         self.lan = Lan(sim, "seg{:02d}".format(cell_id), SUBNET)
         self.vips = vips
         self.slots = slots
         self.placement = RendezvousMap(vips)
-        self.resolver = DirectResolver(bindings, self.lan)
+        self.resolver = DirectResolver(self.lan)
         self.pools = []
 
 
@@ -207,8 +206,7 @@ class ScaleClusterScenario:
             vips = self.vips[start : start + base + (cell_id < extra)]
             members = fleet.segment_members(cell_id)
             slots = slice(len(self.hosts), len(self.hosts) + len(members))
-            bindings = functools.partial(self.live_bindings, slots)
-            cell = ScaleCell(sim, cell_id, vips, slots, bindings)
+            cell = ScaleCell(sim, cell_id, vips, slots)
             self.cells.append(cell)
             self._cell_of_vip.update(dict.fromkeys(vips, cell_id))
             for name in members:
@@ -294,13 +292,10 @@ class ScaleClusterScenario:
     def live_nodes(self, slots=ALL):
         return [node for node in self.nodes[slots] if node.alive]
 
-    def live_bindings(self, slots=ALL):
-        """(owner host, bound vips) per live manager, for the resolvers."""
-        return [(manager.host, manager.bound) for manager in self.managers[slots] if manager.alive]
-
     def bindings(self, slots=ALL):
         """Sorted (vip, host name) pairs over live managers' bound sets."""
-        return sorted((vip, host.name) for host, vips in self.live_bindings(slots) for vip in vips)
+        live = [manager for manager in self.managers[slots] if manager.alive]
+        return sorted((vip, manager.host.name) for manager in live for vip in manager.bound)
 
     def moves(self, slots=ALL):
         """(binds, unbinds) summed over live managers."""

@@ -46,7 +46,8 @@ class ArpCache:
     and every routed datagram lands here, and going through the
     property chain costs four calls per reading. Entries are keyed by
     the address's 32-bit value, which hashes in C; callers pass and get
-    back :class:`IPAddress`.
+    back :class:`IPAddress`. ``updates`` counts every write: a store,
+    a drop, an expired entry deleted, a reboot's clear.
     """
 
     def __init__(self, host, lifetime=60.0):
@@ -66,6 +67,7 @@ class ArpCache:
         now = self._scheduler._now + self._host.clock_skew
         if now - entry.updated_at > self.lifetime:
             del self._entries[ip._value]
+            self.updates += 1
             return None
         return entry.mac
 
@@ -96,6 +98,7 @@ class ArpCache:
     def drop(self, ip):
         """Remove the entry for ``ip`` if present."""
         self._entries.pop(IPAddress(ip)._value, None)
+        self.updates += 1
 
     def snapshot(self):
         """Dict copy {ip: mac} of non-expired entries."""
@@ -149,7 +152,8 @@ class ArpService:
         :meth:`resolve_and_send` for that address would join it instead
         of sending a request, blackholing the peer after recovery.
         """
-        self.cache = ArpCache(self.host, lifetime=self.cache.lifetime)
+        self.cache._entries.clear()
+        self.cache.updates += 1
         self._pending.clear()
 
     @staticmethod

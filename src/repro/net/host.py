@@ -58,6 +58,11 @@ class Host(Process):
                 return nic
         return None
 
+    def _changed(self):
+        # Liveness and slowdown are read off every LAN the host is on.
+        for nic in self._nics:
+            nic.lan.changes += 1
+
     def local_ips(self):
         """Every IP bound to an up interface."""
         addresses = set()
@@ -118,6 +123,7 @@ class Host(Process):
         for service in self._services:
             service.set_time_scale(factor)
         self._slow_delivery_lag = 0.001 * (factor - 1.0)
+        self._changed()
         self.trace("host", "slowdown", factor=factor)
 
     def set_load(self, mean_delay):
@@ -163,6 +169,7 @@ class Host(Process):
             socket.closed = True
         self._sockets = []
         self.stop()
+        self._changed()
 
     def recover(self):
         """Reboot: fresh ARP cache, interfaces reset to primaries only.

@@ -21,8 +21,11 @@ flows), a Gilbert–Elliott burst-loss channel, and frame duplication /
 reordering knobs. All gray draws come from a dedicated RNG stream
 (``lan/<name>/gray``) consulted only while a gray knob is active, so
 runs that never enable one replay the exact historical draw sequence.
+``changes`` counts every write to what a flow resolver reads off the
+segment, here and in the NIC and host modules (DESIGN.md §8).
 """
 
+import math
 from collections import Counter
 
 from repro.net.addresses import Subnet
@@ -33,6 +36,14 @@ from repro.net.packet import ARP_ETHERTYPE, IP_ETHERTYPE
 _NO_NICS = ()
 
 
+def _knob(name, value, most=math.inf):
+    """``value`` as a float, finite and in [0, most]; else ValueError naming the knob."""
+    value = float(value)
+    if not 0.0 <= value <= most or math.isinf(value):
+        raise ValueError("{} must be finite and in [0, {}], got {}".format(name, most, value))
+    return value
+
+
 class Lan:
     """One simulated broadcast domain."""
 
@@ -40,9 +51,10 @@ class Lan:
         self.sim = sim
         self.name = name
         self.subnet = Subnet(subnet)
-        self.latency = float(latency)
-        self.jitter = float(jitter)
-        self.loss = float(loss)
+        self.latency = _knob("latency", latency)
+        self.jitter = _knob("jitter", jitter)
+        self.changes = 0
+        self.loss = loss
         self._nics = []
         self._groups = {}
         self._cuts = []  # the cuts in force: nic -> side, oldest first
@@ -91,6 +103,16 @@ class Lan:
             self._nics.remove(nic)
             del self._groups[nic]
             self._invalidate()
+
+    @property
+    def loss(self):
+        """Independent per-delivery loss probability of the base channel."""
+        return self._loss
+
+    @loss.setter
+    def loss(self, value):
+        self._loss = _knob("loss", value, 1.0)
+        self.changes += 1
 
     def binders(self, value):
         """This segment's interfaces that bind the address of 32-bit ``value``.
@@ -150,6 +172,7 @@ class Lan:
     def _invalidate(self):
         # Any attach/detach/partition/heal drops the cached recipient
         # lists; they are rebuilt lazily on the next frame.
+        self.changes += 1
         self._bcast_cache.clear()
         self._mac_index = None
 
@@ -174,6 +197,8 @@ class Lan:
     # gray link faults (see docs/FAULTS.md)
 
     def _refresh_gray(self):
+        # Every gray write lands here; blocks and the channel are resolver inputs.
+        self.changes += 1
         self._gray_active = bool(
             self._blocked
             or self._models
@@ -242,7 +267,7 @@ class Lan:
 
     def set_duplication(self, probability):
         """Per-delivery probability that a frame arrives twice."""
-        self.duplicate_prob = float(probability)
+        self.duplicate_prob = _knob("duplication probability", probability, 1.0)
         self._refresh_gray()
 
     def set_reordering(self, probability, window=None):
@@ -250,9 +275,9 @@ class Lan:
 
         A delayed frame is overtaken by later frames — UDP reordering.
         """
-        self.reorder_prob = float(probability)
+        self.reorder_prob = _knob("reordering probability", probability, 1.0)
         if window is not None:
-            self.reorder_window = float(window)
+            self.reorder_window = _knob("reordering window", window)
         self._refresh_gray()
 
     def connected(self, nic_a, nic_b):
@@ -304,7 +329,7 @@ class Lan:
                 return
             groups = self._groups
             src_group = groups[src_nic]
-            if len(owners) == 1 and not (self._gray_active or self.loss or self.jitter):
+            if len(owners) == 1 and not (self._gray_active or self._loss or self.jitter):
                 # The per-datagram case — one owner, no knob to consult:
                 # straight to the delivery event, no recipient list.
                 nic = owners[0]
@@ -321,7 +346,7 @@ class Lan:
         if not recipients:
             return
         after = self.sim.scheduler.after
-        loss = self.loss
+        loss = self._loss
         jitter = self.jitter
         latency = self.latency
         rng = self._rng

@@ -74,6 +74,7 @@ class Nic:
             )
         if address._value not in self._bound:
             self.lan.sim.coverage_changing()
+            self.lan.changes += 1
             self._bound[address._value] = address
             self.lan.binders(address._value).append(self)
 
@@ -84,6 +85,7 @@ class Nic:
             raise ValueError("cannot unbind the primary address {}".format(address))
         if address._value in self._bound:
             self.lan.sim.coverage_changing()
+            self.lan.changes += 1
             del self._bound[address._value]
             self.lan.binders(address._value).remove(self)
 
@@ -96,12 +98,14 @@ class Nic:
     def set_up(self, up):
         """Administratively raise or lower the interface."""
         self.lan.sim.coverage_changing()
+        self.lan.changes += 1
         self.up = bool(up)
 
     def reset(self):
         """Reboot semantics: drop every virtual address, come back up."""
         for address in self.virtual_ips:
             self.unbind_ip(address)
+        self.lan.changes += 1
         self.up = True
 
     def transmit(self, frame):

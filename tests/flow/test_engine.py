@@ -196,15 +196,14 @@ def test_metrics_counters_land_in_totals():
     assert "flow.requests_served" not in totals or totals["flow.requests_served"] == 0
 
 
-def test_direct_resolver_follows_live_bindings():
+def test_direct_resolver_follows_the_lans_bindings():
     sim = Simulation(seed=2)
     lan = Lan(sim, "lan", "10.0.0.0/24")
     owner = Host(sim, "s0")
-    owner.add_nic(lan, "10.0.0.1")
+    owner.add_nic(lan, "10.0.0.1").bind_ip("10.0.0.100")
     second = Host(sim, "s1")
     second.add_nic(lan, "10.0.0.2")
-    bindings = [(owner, {"10.0.0.100"})]
-    resolver = DirectResolver(lambda: bindings, lan)
+    resolver = DirectResolver(lan)
     engine = FlowEngine(sim, resolver=resolver)
     engine.add_pool(FlowPool("p", "10.0.0.100", users=100, rate=1.0))
     engine.start()
@@ -216,7 +215,7 @@ def test_direct_resolver_follows_live_bindings():
     assert totals["lost_by_reason"] == {"no_owner": totals["lost"]}
     assert totals["lost"] > 0
     # Rebinding the VIP to a live host ends the loss.
-    bindings[:] = [(second, {"10.0.0.100"})]
+    second.nics[0].bind_ip("10.0.0.100")
     sim.run(until=3.0)
     assert engine.totals()["lost"] == totals["lost"]
     assert engine.totals()["served"] > totals["served"]

@@ -1,12 +1,14 @@
-"""A quiet flow tick costs a state compare, not a walk over every pool.
+"""A quiet flow tick costs one counter compare, not a walk over every pool.
 
 ``DirectResolver`` and ``ArpViewResolver`` keep their tables while the
-state they read is unchanged, ``FlowEngine`` keeps its factors while
-every resolver says so, and accounting visits only lossy pools. These
-tests hold that to *counts* (``resolve`` calls, false ``begin_tick``
-returns, address parses), never to wall clock, and to bit-identity with
-a resolver that forgets its last read — i.e. with resolving everything
-on every tick.
+LAN's change counter stands still, ``FlowEngine`` keeps its factors
+while every resolver says so, and accounting visits only lossy pools.
+These tests hold that to *counts* (``resolve`` calls, false
+``begin_tick`` returns, address parses), never to wall clock, and to
+bit-identity with two references: a resolver that forgets its last read
+— i.e. resolves everything on every tick — and the compare-based quiet
+test the counter replaced, kept here as the oracle for the write sites
+(every tick the compare saw a change, the counter must see one too).
 """
 
 import json
@@ -29,7 +31,7 @@ class Forgetful(DirectResolver):
     """The reference: forgets its last read, so every tick rebuilds."""
 
     def begin_tick(self):
-        self._read = None
+        self._changes = None
         return super().begin_tick()
 
 
@@ -37,8 +39,95 @@ class ForgetfulArpView(ArpViewResolver):
     """The ARP-view reference: every tick rebuilds and resolves."""
 
     def begin_tick(self):
-        self._read = None
+        self._changes = None
         return super().begin_tick()
+
+
+def loss_terms(lan):
+    model = lan.link_model
+    return (model, model.expected_loss() if model is not None else None, lan.loss)
+
+
+class ComparedDirect(DirectResolver):
+    """The oracle: the compare-based quiet test the counter replaced.
+
+    Everything a resolution depends on — who binds what, NIC and owner
+    state, the LAN's loss terms — is read and compared by value with the
+    last resolving tick's read; a difference rebuilds the owner table.
+    """
+
+    _compared = None
+
+    def begin_tick(self):
+        read = (
+            [
+                (nic, nic.up, nic.host.alive, nic.host.time_scale, nic.bound_values)
+                for nic in self.lan.nics
+            ],
+            loss_terms(self.lan),
+        )
+        if read == self._compared:
+            return True
+        self._compared = read
+        self._changes = None
+        return super().begin_tick()
+
+
+class ComparedArpView(ArpViewResolver):
+    """The ARP-view oracle: the compare-based quiet test it replaced.
+
+    The read covers every NIC of the LAN, the client's cache and the
+    entries of the addresses asked since the last resolving tick (as
+    stored, never aged) and the loss terms; with an unchanged read, the
+    oldest of those entries must still be inside its lifetime on the
+    client's clock. The baseline is taken before the tick's resolves.
+    """
+
+    _compared = None
+
+    def __init__(self, lan, client_host):
+        super().__init__(lan, client_host)
+        self._asked = {}
+
+    def begin_tick(self):
+        lan, client_nic = self.lan, self._client_nic
+        cache = self.client_host.arp.cache
+        entries = [(ip, cache.peek(ip)) for ip in self._asked]
+        read = (
+            lan.nics,
+            [
+                (
+                    nic.up,
+                    nic.host.alive,
+                    nic.host.time_scale,
+                    nic.bound_values,
+                    lan.connected(client_nic, nic),
+                )
+                for nic in lan.nics
+            ],
+            cache,
+            entries,
+            loss_terms(lan),
+        )
+        if read == self._compared:
+            refreshed = [entry.updated_at for _ip, entry in entries if entry is not None]
+            now = self._scheduler._now + self.client_host.clock_skew
+            if not refreshed or now - min(refreshed) <= cache.lifetime:
+                return True
+        self._compared = read
+        self._asked = {}
+        self._changes = None
+        return super().begin_tick()
+
+    def resolve(self, vip):
+        self._asked[IPAddress(vip)] = None
+        return super().resolve(vip)
+
+
+def covers(counted, compared):
+    """True when every tick the oracle resolved, the counter resolved too."""
+    assert len(counted) == len(compared)
+    return all(not quiet for quiet, seen in zip(counted, compared) if not seen)
 
 
 class Recorder:
@@ -95,7 +184,7 @@ def build(
         )
     for cell in scenario.cells:
         if resolver_class is not None:
-            cell.resolver = resolver_class(cell.resolver.bindings, cell.lan)
+            cell.resolver = resolver_class(cell.lan)
             for pool in cell.pools:
                 pool.resolver = cell.resolver
     recorder = Recorder([cell.resolver for cell in scenario.cells])
@@ -104,57 +193,78 @@ def build(
     return scenario, recorder
 
 
+def flow_snapshot(sim, engine):
+    return {
+        "fingerprint": json.dumps(engine.fingerprint(), sort_keys=True),
+        "flow_records": [
+            (record.time, record.source, record.event, record.details)
+            for record in sim.trace.records
+            if record.category == "flow"
+        ],
+        "metrics": sim.metrics.totals(),
+    }
+
+
 # ----------------------------------------------------------------------
 # (a) the twin: kept state vs. a resolver that forgets, both backends
 
 
-def run_fault_script(resolver_class, use_numpy):
+def fault_script(scenario):
     """Every input a DirectResolver reads, written at least once."""
+    lan = scenario.lan
+    bursty = GilbertElliott(0.05, 0.25, loss_bad=0.5)
+    frozen = GilbertElliott(0.0, 0.0, loss_good=0.0, loss_bad=0.4)
+    held = {}
+
+    def binder_nic():
+        # A live binder of the first cell and the lowest address it binds.
+        manager = next(m for m in scenario.managers if m.alive and m.bound)
+        return manager.nic, min(manager.bound)
+
+    def unbind_through_the_nic():
+        nic, vip = held["binding"] = binder_nic()
+        nic.unbind_ip(vip)
+
+    return [
+        ("settled", lambda: None),
+        ("kill", lambda: scenario.kill(9)),
+        ("rebound", lambda: scenario.sim.run_for(1.0)),
+        ("set_slowdown", lambda: scenario.hosts[20].set_slowdown(3.0)),
+        ("slowdown cleared", lambda: scenario.hosts[20].set_slowdown(1.0)),
+        ("bursty channel", lambda: lan.add_link_model(bursty)),
+        ("frozen channel", lambda: lan.add_link_model(frozen)),
+        ("a frozen chain's bad flag", lambda: setattr(frozen, "bad", True)),
+        ("channels removed",
+         lambda: (lan.remove_link_model(frozen), lan.remove_link_model(bursty))),
+        ("lan.loss", lambda: setattr(lan, "loss", 0.1)),
+        ("lan.loss cleared", lambda: setattr(lan, "loss", 0.0)),
+        ("revive", lambda: scenario.revive(9)),
+        ("rebalanced", lambda: scenario.sim.run_for(2.7)),
+        ("unbound through the NIC", unbind_through_the_nic),
+        ("bound again", lambda: held["binding"][0].bind_ip(held["binding"][1])),
+        ("binder's NIC down", lambda: held["binding"][0].set_up(False)),
+        ("binder's NIC reset", lambda: held["binding"][0].reset()),
+    ]
+
+
+def run_fault_script(resolver_class, use_numpy):
     scenario, recorder = build(
         resolver_class=resolver_class,
         use_numpy=use_numpy,
         trace_enabled=True,
         metrics_enabled=True,
     )
-    sim, lan = scenario.sim, scenario.lan
-    sim.run_for(0.5)
-    scenario.kill(9)
-    sim.run_for(1.5)
-    scenario.hosts[20].set_slowdown(3.0)
-    sim.run_for(0.5)
-    scenario.hosts[20].set_slowdown(1.0)
-    sim.run_for(0.5)
-    bursty = GilbertElliott(0.05, 0.25, loss_bad=0.5)
-    lan.add_link_model(bursty)
-    sim.run_for(0.5)
-    frozen = GilbertElliott(0.0, 0.0, loss_good=0.0, loss_bad=0.4)
-    lan.add_link_model(frozen)
-    sim.run_for(0.3)
-    frozen.bad = True
-    sim.run_for(0.3)
-    lan.remove_link_model(frozen)
-    lan.remove_link_model(bursty)
-    sim.run_for(0.3)
-    lan.loss = 0.1
-    sim.run_for(0.3)
-    lan.loss = 0.0
-    sim.run_for(0.3)
-    scenario.revive(9)
-    sim.run_for(3.0)
-    binder = next(m for m in scenario.managers if m.alive and m.bound)
-    binder.bound.discard(min(binder.bound))
-    sim.run_for(0.3)
-    flow_records = [
-        (record.time, record.source, record.event, record.details)
-        for record in sim.trace.records
-        if record.category == "flow"
-    ]
+    steps = []
+    for label, write in fault_script(scenario):
+        write()
+        scenario.sim.run_for(0.3)
+        steps.append((label, flow_snapshot(scenario.sim, scenario.flow_engine)))
     return {
-        "fingerprint": json.dumps(scenario.flow_engine.fingerprint(), sort_keys=True),
-        "flow_records": flow_records,
-        "metrics": sim.metrics.totals(),
+        "steps": steps,
         "ticks": scenario.flow_engine.ticks,
         "resolves": recorder.resolves,
+        "begins": recorder.begins,
+        "reasons": sorted(scenario.flow_engine.lost_by_reason),
     }
 
 
@@ -163,22 +273,31 @@ def reference_run():
     return run_fault_script(Forgetful, use_numpy=False)
 
 
+@pytest.fixture(scope="module")
+def oracle_run():
+    return run_fault_script(ComparedDirect, use_numpy=False)
+
+
 def test_forgetful_reference_resolves_every_vip_every_tick(reference_run):
     assert reference_run["resolves"] == 256 * reference_run["ticks"]
-    lost = reference_run["metrics"]["flow.requests_lost"]
-    assert 0 < lost < reference_run["metrics"]["flow.requests_offered"]
-    assert len(reference_run["flow_records"]) > 100
+    metrics = reference_run["steps"][-1][1]["metrics"]
+    assert 0 < metrics["flow.requests_lost"] < metrics["flow.requests_offered"]
+    assert len(reference_run["steps"][-1][1]["flow_records"]) > 100
+    assert reference_run["reasons"] == ["degraded", "no_owner"]
 
 
-@pytest.mark.parametrize("resolver_class", [DirectResolver, Forgetful])
+@pytest.mark.parametrize("resolver_class", [DirectResolver, Forgetful, ComparedDirect])
 def test_kept_state_is_bit_identical_to_resolving_every_tick(
-    reference_run, resolver_class, use_numpy
+    reference_run, oracle_run, resolver_class, use_numpy
 ):
     run = run_fault_script(resolver_class, use_numpy)
-    for key in ("fingerprint", "flow_records", "metrics", "ticks"):
-        assert run[key] == reference_run[key], key
+    assert run["ticks"] == reference_run["ticks"]
+    for (label, got), (_label, want) in zip(run["steps"], reference_run["steps"]):
+        for key in ("fingerprint", "flow_records", "metrics"):
+            assert got[key] == want[key], (label, key)
     if resolver_class is DirectResolver:
         assert run["resolves"] * 10 < reference_run["resolves"]
+        assert covers(run["begins"], oracle_run["begins"])
 
 
 # ----------------------------------------------------------------------
@@ -203,12 +322,12 @@ class ArpWorld:
             self.servers.append(host)
         for index, vip in enumerate(ARP_VIPS):
             self.nic(index % 4).bind_ip(vip)
-        # On the segment but not in the resolver's server list.
+        # A bystander on the segment: it serves nothing until it binds.
         self.printer = Host(self.sim, "printer")
         self.printer.add_nic(self.lan, "10.0.0.50")
         self.client = Host(self.sim, "client", arp_cache_lifetime=ARP_LIFETIME)
         self.client.add_nic(self.lan, "10.0.0.200")
-        self.resolver = resolver_class(self.lan, self.client, self.servers)
+        self.resolver = resolver_class(self.lan, self.client)
         self.recorder = Recorder([self.resolver])
         with flow_backend(use_numpy):
             self.engine = FlowEngine(self.sim, resolver=self.resolver, name="twin")
@@ -248,7 +367,7 @@ class ArpWorld:
 
 
 def arp_view_script(world):
-    """Every input an ArpViewResolver reads, written at least once."""
+    """Every input an ArpViewResolver reads, at every site that writes it."""
     lan, faults, client = world.lan, world.faults, world.client
     frozen = GilbertElliott(0.0, 0.0, loss_good=0.0, loss_bad=0.4)
     late = []
@@ -287,11 +406,16 @@ def arp_view_script(world):
         ("client clock restored", lambda: client.set_clock_skew(0.0)),
         ("arp.reset()", client.arp.reset),
         ("NIC attached mid-run", attach_and_rebind),
-        ("spoof at a non-server NIC",
+        ("the NIC detached", lambda: lan.detach(late[0])),
+        ("a cache entry dropped", lambda: client.arp.cache.drop(ARP_VIPS[4])),
+        ("bystander NIC down", lambda: world.printer.nics[0].set_up(False)),
+        ("bystander NIC reset", world.printer.nics[0].reset),
+        ("spoof at the bystander",
          lambda: world.printer.arp.announce(world.printer.nics[0], ARP_VIPS[2])),
-        ("the non-server NIC binds it", lambda: world.printer.nics[0].bind_ip(ARP_VIPS[2])),
+        ("the bystander binds it", lambda: world.printer.nics[0].bind_ip(ARP_VIPS[2])),
         ("the owner's announcement", lambda: world.nic(2).host.arp.announce(world.nic(2), ARP_VIPS[2])),
-        ("entries ageing out", lambda: world.sim.run_for(2 * ARP_LIFETIME)),
+        ("an owner crashed", lambda: faults.crash_host(world.servers[3])),
+        ("entries ageing out, one with no owner", lambda: world.sim.run_for(2 * ARP_LIFETIME)),
     ]
 
 
@@ -306,6 +430,7 @@ def run_arp_view_script(resolver_class, use_numpy):
         "steps": steps,
         "ticks": world.engine.ticks,
         "resolves": world.recorder.resolves,
+        "begins": world.recorder.begins,
         "reasons": sorted(world.engine.lost_by_reason),
     }
 
@@ -313,6 +438,11 @@ def run_arp_view_script(resolver_class, use_numpy):
 @pytest.fixture(scope="module")
 def arp_reference_run():
     return run_arp_view_script(ForgetfulArpView, use_numpy=False)
+
+
+@pytest.fixture(scope="module")
+def arp_oracle_run():
+    return run_arp_view_script(ComparedArpView, use_numpy=False)
 
 
 def test_forgetful_arp_view_resolves_every_vip_every_tick(arp_reference_run):
@@ -326,9 +456,9 @@ def test_forgetful_arp_view_resolves_every_vip_every_tick(arp_reference_run):
     assert final["arp_cache"][2] > 3 * len(ARP_VIPS)
 
 
-@pytest.mark.parametrize("resolver_class", [ArpViewResolver, ForgetfulArpView])
+@pytest.mark.parametrize("resolver_class", [ArpViewResolver, ForgetfulArpView, ComparedArpView])
 def test_kept_arp_view_is_bit_identical_to_resolving_every_tick(
-    arp_reference_run, resolver_class, use_numpy
+    arp_reference_run, arp_oracle_run, resolver_class, use_numpy
 ):
     run = run_arp_view_script(resolver_class, use_numpy)
     assert run["ticks"] == arp_reference_run["ticks"]
@@ -337,11 +467,13 @@ def test_kept_arp_view_is_bit_identical_to_resolving_every_tick(
             assert got[key] == want[key], (label, key)
     if resolver_class is ArpViewResolver:
         assert run["resolves"] * 2 < arp_reference_run["resolves"]
+        assert covers(run["begins"], arp_oracle_run["begins"])
 
 
-def test_gated_engine_keeps_asked_at_the_distinct_vips(use_numpy):
+def test_gated_engine_resolves_every_tick_and_stays_quiet(use_numpy):
     # A require gate makes the engine resolve on quiet ticks as well
-    # (RouterClusterScenario): the addresses asked must not pile up.
+    # (RouterClusterScenario): warm lookups write nothing, so the view
+    # stays quiet, and the resolver keeps no state per address asked.
     world = ArpWorld(ArpViewResolver, use_numpy, require=lambda host: True)
     world.client.arp.cache.lifetime = 3600.0
     world.sim.run_for(0.5)
@@ -350,7 +482,6 @@ def test_gated_engine_keeps_asked_at_the_distinct_vips(use_numpy):
     assert len(world.recorder.begins) == 1000
     assert world.recorder.false_ticks() == 0
     assert world.recorder.resolves == 1000 * len(ARP_VIPS)
-    assert len(world.resolver._asked) == len(ARP_VIPS)
     assert world.engine.totals()["lost"] == 0
 
 
@@ -407,7 +538,7 @@ def test_each_input_flips_begin_tick_once():
     scenario.start()
     assert scenario.settle()
     lan = scenario.lan
-    resolver = DirectResolver(scenario.live_bindings, lan=lan)
+    resolver = DirectResolver(lan)
     assert resolver.begin_tick() is False  # nothing read yet
     assert resolver.begin_tick() is True
 
@@ -450,12 +581,17 @@ def test_each_input_flips_begin_tick_once():
     lan.loss = 0.0
     seen_once("lan.loss cleared")
 
-    binder = next(m for m in scenario.managers if m.host is heir)
-    binder.bound.discard(vip)
-    seen_once("in-place bound.discard")
+    nic = heir.nic_on(lan)
+    nic.unbind_ip(vip)
+    seen_once("unbound through the NIC")
     assert resolver.resolve(vip) == (0.0, "no_owner", None)
-    binder.bound.add(vip)
-    seen_once("in-place bound.add")
+    nic.bind_ip(vip)
+    seen_once("bound again")
+    nic.set_up(False)
+    seen_once("the owner's NIC down")
+    assert resolver.resolve(vip) == (0.0, "no_owner", None)
+    nic.set_up(True)
+    seen_once("and up")
 
     scenario.revive(4)
     seen_once("a revived host's new manager")
@@ -589,6 +725,19 @@ def test_each_arp_view_input_flips_begin_tick_once():
     seen_twice("arp.reset(): a new cache object, then cold stores")
     sim.run_for(10.0)
     assert tick() is True
+
+    client.arp.cache.drop(vip)
+    seen_twice("a cache entry dropped, then its cold store")
+    bystander = world.printer.nics[0]
+    bystander.set_up(False)
+    seen_once("a bystander's NIC down")
+    bystander.reset()
+    seen_once("its reset: up again, nothing to unbind")
+    for server in world.servers:
+        faults.crash_host(server)
+    seen_once("every owner crashed")
+    sim.run_for(60.0)
+    seen_twice("entries with no owner aged out: deleted, nothing stored")
 
 
 # ----------------------------------------------------------------------

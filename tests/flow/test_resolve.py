@@ -20,7 +20,7 @@ def build(n_servers=2):
         servers.append(host)
     client = Host(sim, "client")
     client.add_nic(lan, "10.0.0.200")
-    resolver = ArpViewResolver(lan, client, servers)
+    resolver = ArpViewResolver(lan, client)
     return sim, lan, servers, client, resolver
 
 
@@ -31,7 +31,7 @@ def test_client_needs_a_nic_on_the_lan():
     client = Host(sim, "client")
     client.add_nic(other, "10.1.0.2")
     with pytest.raises(ValueError):
-        ArpViewResolver(lan, client, [])
+        ArpViewResolver(lan, client)
 
 
 def test_unbound_vip_is_no_owner():

@@ -1,8 +1,13 @@
 """Unit tests for the LAN segment: delivery, partitions, loss."""
 
+from types import SimpleNamespace
+
+import pytest
+
 from repro.net.addresses import BROADCAST_MAC
 from repro.net.host import Host
 from repro.net.lan import Lan
+from repro.net.linkfault import GilbertElliott
 from repro.net.packet import EthernetFrame
 from repro.sim.simulation import Simulation
 
@@ -246,3 +251,109 @@ def test_cached_fanout_preserves_loss_rng_draw_order():
         return [len(r) for r in received]
 
     assert run(warmup=False) == run(warmup=True)
+
+
+@pytest.mark.parametrize(
+    "knob, make",
+    [
+        ("loss", lambda sim: Lan(sim, "bad", "10.0.0.0/24", loss=1.5)),
+        ("loss", lambda sim: Lan(sim, "bad", "10.0.0.0/24", loss=-0.2)),
+        ("loss", lambda sim: Lan(sim, "bad", "10.0.0.0/24", loss=float("nan"))),
+        ("jitter", lambda sim: Lan(sim, "bad", "10.0.0.0/24", jitter=-0.01)),
+        ("latency", lambda sim: Lan(sim, "bad", "10.0.0.0/24", latency=-0.001)),
+        ("latency", lambda sim: Lan(sim, "bad", "10.0.0.0/24", latency=float("inf"))),
+        ("loss", lambda sim: setattr(Lan(sim, "ok", "10.0.0.0/24"), "loss", 1.5)),
+        ("duplication", lambda sim: Lan(sim, "ok", "10.0.0.0/24").set_duplication(2.0)),
+        ("duplication", lambda sim: Lan(sim, "ok", "10.0.0.0/24").set_duplication(-1)),
+        ("reordering probability",
+         lambda sim: Lan(sim, "ok", "10.0.0.0/24").set_reordering(1.5)),
+        ("reordering window",
+         lambda sim: Lan(sim, "ok", "10.0.0.0/24").set_reordering(0.5, -0.1)),
+    ],
+)
+def test_nonsense_knobs_are_rejected_naming_the_knob(knob, make):
+    with pytest.raises(ValueError, match=knob):
+        make(Simulation(seed=1))
+
+
+def test_a_rejected_loss_write_changes_nothing():
+    sim, lan, hosts = build(loss=0.25)
+    changes = lan.changes
+    with pytest.raises(ValueError):
+        lan.loss = 2.0
+    assert (lan.loss, lan.changes) == (0.25, changes)
+
+
+VIP, PEER = "10.0.0.100", "10.0.0.1"
+
+
+def _nothing(world):
+    return None
+
+
+def _aged_entry(world):
+    cache = world.multi.arp.cache
+    cache.store(PEER, world.nic.mac)
+    world.sim.run_for(cache.lifetime + 1.0)
+
+
+def _announce(world, _held):
+    world.hosts[0].arp.announce(world.nic, PEER)
+    world.sim.run_for(0.01)
+
+
+#: Every site that writes what a flow resolver reads off a segment:
+#: (name, set-up, the write given the set-up's result, what counts it —
+#: the LAN, both LANs of ``multi`` (a host with a second NIC), or
+#: ``multi``'s ARP cache, which counts its own writes).
+WRITE_SITES = [
+    ("bind_ip", _nothing, lambda w, _: w.nic.bind_ip(VIP), "lan"),
+    ("unbind_ip", lambda w: w.nic.bind_ip(VIP), lambda w, _: w.nic.unbind_ip(VIP), "lan"),
+    ("set_up", _nothing, lambda w, _: w.nic.set_up(False), "lan"),
+    ("nic reset", lambda w: w.nic.set_up(False), lambda w, _: w.nic.reset(), "lan"),
+    ("attach", _nothing, lambda w, _: w.hosts[0].add_nic(w.lan, "10.0.0.70"), "lan"),
+    ("detach", _nothing, lambda w, _: w.lan.detach(w.nic), "lan"),
+    ("partition", _nothing, lambda w, _: w.lan.partition([[w.hosts[0]]]), "lan"),
+    ("heal", lambda w: w.lan.partition([[w.hosts[0]]]), lambda w, cut: w.lan.heal(cut), "lan"),
+    ("block_direction", _nothing,
+     lambda w, _: w.lan.block_direction(w.hosts[0], w.hosts[1]), "lan"),
+    ("unblock", lambda w: w.lan.block_direction(w.hosts[0], w.hosts[1]),
+     lambda w, pairs: w.lan.unblock(pairs), "lan"),
+    ("link model", _nothing, lambda w, _: w.lan.add_link_model(GilbertElliott()), "lan"),
+    ("loss", _nothing, lambda w, _: setattr(w.lan, "loss", 0.1), "lan"),
+    ("crash", _nothing, lambda w, _: w.multi.crash(), "host"),
+    ("recover", lambda w: w.multi.crash(), lambda w, _: w.multi.recover(), "host"),
+    ("set_slowdown", _nothing, lambda w, _: w.multi.set_slowdown(2.0), "host"),
+    ("arp store", _nothing, lambda w, _: w.multi.arp.cache.store(PEER, w.nic.mac), "cache"),
+    ("arp drop", _nothing, lambda w, _: w.multi.arp.cache.drop(PEER), "cache"),
+    ("arp expiry", _aged_entry, lambda w, _: w.multi.arp.cache.lookup(PEER), "cache"),
+    ("arp reset", _nothing, lambda w, _: w.multi.arp.reset(), "cache"),
+    ("arp frame", _nothing, _announce, "cache"),
+]
+
+
+@pytest.mark.parametrize(
+    "setup, write, counter",
+    [site[1:] for site in WRITE_SITES],
+    ids=[site[0] for site in WRITE_SITES],
+)
+def test_every_resolver_input_write_counts_as_a_change(setup, write, counter):
+    sim, lan, hosts = build()
+    other = Lan(sim, "lan1", "10.1.0.0/24")
+    hosts[2].add_nic(other, "10.1.0.3")
+    world = SimpleNamespace(sim=sim, lan=lan, hosts=hosts, nic=hosts[0].nics[0], multi=hosts[2])
+    held = setup(world)
+
+    def counts():
+        cache = world.multi.arp.cache
+        return lan.changes, other.changes, (cache, cache.updates)
+
+    before = counts()
+    write(world, held)
+    after = counts()
+    moved = [now != then for now, then in zip(after, before)]
+    assert moved == {
+        "lan": [True, False, False],
+        "host": [True, True, moved[2]],
+        "cache": [False, False, True],
+    }[counter]

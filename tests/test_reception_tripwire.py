@@ -19,7 +19,10 @@ mechanisms keep that cheap, and none may come back quietly:
   (``ArpViewResolver.begin_tick``) and resolves nothing.
 
 Counts only — no timings — on an 8-server web cluster over five
-fault-free simulated seconds.
+fault-free simulated seconds. Over the same kind of window a quiet
+``begin_tick`` of either resolver makes no Python-level call into
+``repro/net`` at all: it compares the LAN's change counter, it does
+not read the segment.
 
 The scale tier's boot is an ARP storm — every leader's request is
 overheard by every host of its segment — and a second tripwire counts
@@ -33,7 +36,9 @@ import sys
 
 from repro.apps.scalecluster import ScaleClusterScenario
 from repro.apps.webcluster import WebClusterScenario
-from repro.flow import ArpViewResolver
+import pytest
+
+from repro.flow import ArpViewResolver, DirectResolver
 from repro.gcs.config import SpreadConfig
 from repro.gcs.daemon import SpreadDaemon
 from repro.gcs.failure import FailureDetector
@@ -55,6 +60,7 @@ CORPSE_ALLOWANCE = 8
 #: ``_on_datagram`` itself included.
 GCS_CALLS_PER_HEARTBEAT = 6
 GCS_DIR = os.path.join("repro", "gcs") + os.sep
+NET_DIR = os.path.join("repro", "net") + os.sep
 
 
 def test_heard_heartbeat_costs_one_receive_per_frame_and_no_allocation(monkeypatch):
@@ -246,3 +252,58 @@ def test_overheard_arp_costs_no_address_hash_and_no_ownership_call(monkeypatch):
     assert second_nic_visits[0] >= 31
     assert hashes[0] == 0
     assert ownership_calls[0] == second_nic_visits[0]
+
+
+def _settled_web_cluster():
+    scenario = WebClusterScenario(
+        seed=3, n_servers=N_SERVERS, n_vips=8, spread_config=SpreadConfig.tuned(), flow_users=10_000
+    )
+    scenario.start()
+    scenario.run_until_stable()
+    return scenario
+
+
+def _settled_scale_cell():
+    scenario = ScaleClusterScenario(
+        seed=3, n_hosts=32, n_vips=128, segment_size=32, flow_users=10_000
+    )
+    assert len(scenario.cells) == 1
+    scenario.start()
+    assert scenario.settle()
+    return scenario
+
+
+@pytest.mark.parametrize(
+    "build, resolver_class",
+    [(_settled_web_cluster, ArpViewResolver), (_settled_scale_cell, DirectResolver)],
+    ids=["web", "scale"],
+)
+def test_quiet_begin_tick_makes_no_call_into_the_network(monkeypatch, build, resolver_class):
+    scenario = build()
+    quiet = [0]
+    net_calls = [0]
+    begin_tick = resolver_class.begin_tick
+
+    def profiled_begin_tick(self):
+        calls = [0]
+
+        def profile(frame, event, arg):
+            if event == "call" and NET_DIR in frame.f_code.co_filename:
+                calls[0] += 1
+
+        sys.setprofile(profile)
+        try:
+            unchanged = begin_tick(self)
+        finally:
+            sys.setprofile(None)
+        if unchanged:
+            quiet[0] += 1
+            net_calls[0] += calls[0]
+        return unchanged
+
+    monkeypatch.setattr(resolver_class, "begin_tick", profiled_begin_tick)
+    ticks_before = scenario.flow_engine.ticks
+    scenario.sim.run_for(WINDOW)
+    assert scenario.flow_engine.ticks - ticks_before >= 99
+    assert quiet[0] >= 90
+    assert net_calls[0] == 0
