@@ -8,6 +8,7 @@ from repro.apps.cluster import ServerGroup, run_until, servers_settled
 from repro.core.config import WackamoleConfig
 from repro.gcs.config import SpreadConfig
 from repro.gcs.daemon import SpreadDaemon
+from repro.gcs.membership import OPERATIONAL
 from repro.net.fault import FaultInjector
 from repro.net.host import Host
 from repro.net.lan import Lan
@@ -131,6 +132,32 @@ def settle_wack(cluster, timeout=20.0):
     return run_until(
         cluster.sim,
         lambda: servers_settled(cluster.wacks, cluster.auditor),
+        timeout,
+        step=0.2,
+        extra=0.2,
+    )
+
+
+def gcs_quiet(spreads):
+    """Every running GCS daemon OPERATIONAL, and all in one installed view."""
+    running = [s for s in spreads if s.started and s.alive and s.host.alive]
+    return all(s.membership.state == OPERATIONAL for s in running) and (
+        len({s.membership.view.view_id for s in running}) <= 1
+    )
+
+
+def settle_quiet(cluster, timeout=20.0):
+    """:func:`settle_wack`, also waiting out any GCS reconfiguration.
+
+    A Wackamole daemon stays RUN while its GCS daemon gathers — it
+    learns of the change only when the next view is installed — so a
+    cluster can look settled one stride before that view demotes some
+    daemon to GATHER again.
+    """
+    return run_until(
+        cluster.sim,
+        lambda: servers_settled(cluster.wacks, cluster.auditor)
+        and gcs_quiet(cluster.spreads),
         timeout,
         step=0.2,
         extra=0.2,

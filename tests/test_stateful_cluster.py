@@ -18,7 +18,7 @@ from hypothesis import settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, rule
 
-from helpers import build_wack_cluster, settle_wack
+from helpers import build_wack_cluster, settle_quiet, settle_wack
 
 from repro.gcs.config import SpreadConfig
 from repro.core.config import WackamoleConfig
@@ -106,7 +106,7 @@ class WackamoleClusterMachine(RuleBasedStateMachine):
         live = [w for w in self.cluster.wacks if w.alive]
         if not live:
             return
-        assert settle_wack(self.cluster, timeout=40.0)
+        assert settle_quiet(self.cluster, timeout=40.0)
         for wack in live:
             assert wack.machine.state == RUN and wack.mature
         assert self.cluster.auditor.check() == []
@@ -242,7 +242,7 @@ class StabilizingClusterMachine(RuleBasedStateMachine):
             return
         # Properties 1+2 from an arbitrary corrupted state: the audits
         # must still converge the cluster back to exactly-once coverage.
-        assert settle_wack(self.cluster, timeout=40.0)
+        assert settle_quiet(self.cluster, timeout=40.0)
         for wack in live:
             assert wack.machine.state == RUN and wack.mature
         assert self.cluster.auditor.check() == []
@@ -253,3 +253,18 @@ StabilizingClusterMachine.TestCase.settings = settings(
 )
 
 TestStabilizingCluster = StabilizingClusterMachine.TestCase
+
+
+def test_stabilizing_teardown_waits_out_the_gcs_reconfiguration():
+    """A phantom view member and a bounced NIC: every Wackamole daemon
+    is RUN while the GCS still gathers, and the view it then installs
+    demotes one of them to GATHER — teardown must wait that out."""
+    machine = StabilizingClusterMachine()
+    machine.boot(seed=0)
+    machine.corrupt_membership(index=0)
+    machine.coverage_violations_never_persist()
+    machine.drop_an_interface(index=1)
+    machine.coverage_violations_never_persist()
+    machine.let_time_pass(seconds=0.375)
+    machine.coverage_violations_never_persist()
+    machine.teardown()
