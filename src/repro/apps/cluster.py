@@ -33,7 +33,7 @@ from repro.core.supervisor import DaemonSupervisor
 from repro.flow import ArpViewResolver, FlowEngine
 from repro.gcs.daemon import SpreadDaemon
 from repro.net.host import Host
-from repro.obs.episodes import extract_episodes, first_complete_episode
+from repro.obs.episodes import EpisodeFold, first_complete_episode
 from repro.sim.rng import RngRegistry
 
 
@@ -109,6 +109,7 @@ class ServerGroup:
         self.auditor = CoverageAuditor(())
         self.flow_engine = None
         self.flow_host = None
+        sim.trace.fold(EpisodeFold)  # episodes outlive the trace window
 
     def add(self, host):
         """Give ``host`` (already on the LAN) its daemon pair."""
@@ -243,9 +244,8 @@ class Failover:
 
     @functools.cached_property
     def episodes(self):
-        """The trace's fail-over episodes, stitched once; ``()`` untraced."""
-        trace = self.sim.trace
-        return extract_episodes(trace.records) if trace.enabled else ()
+        """The episodes the trace's :class:`EpisodeFold` holds when first read."""
+        return tuple(self.sim.trace.fold(EpisodeFold).episodes)
 
     def failover_episode(self):
         """The complete episode caused by the injected fault, or None."""

@@ -17,6 +17,7 @@ from repro.net.host import Host
 from repro.net.lan import Lan
 from repro.net.router import Router
 from repro.sim.simulation import Simulation
+from repro.sim.trace import TRACE_WINDOW
 
 
 class WebClusterScenario(ServerGroup):
@@ -35,7 +36,7 @@ class WebClusterScenario(ServerGroup):
         flow_rate=1.0,
         flow_tick=0.05,
         trace_enabled=True,
-        trace_capacity=None,
+        trace_capacity=TRACE_WINDOW,
         metrics_enabled=True,
         sim=None,
     ):

@@ -31,10 +31,11 @@ from repro.apps.scalecluster import ScaleClusterScenario, ShardedScaleScenario
 from repro.check.fixtures import daemon_class
 from repro.check.harness import CheckCluster
 from repro.check.schedule import FaultSchedule, repertoire
-from repro.obs.episodes import episodes_as_dicts
-from repro.obs.spans import degraded_spans_as_dicts, stabilization_spans_as_dicts
+from repro.obs.episodes import EpisodeFold
+from repro.obs.spans import DegradedFold, StabilizationFold
 from repro.sim.shard.merge import artifact_bytes
 from repro.sim.simulation import Simulation
+from repro.sim.trace import TRACE_WINDOW, trace_window
 
 STACKS = ("faithful", "scale")
 
@@ -47,7 +48,7 @@ SPEC_DEFAULTS = {
     "fixture": "standard",
     "settle_timeout": 30.0,
     "trace_tail": 30,
-    "trace_capacity": 4096,
+    "trace_capacity": TRACE_WINDOW,
     # The campaign's row of schedule.REPERTOIRES (its mix, hardening
     # profile and grace); both off reproduces the historical cluster.
     "gray": False,
@@ -77,6 +78,7 @@ def make_spec(seed, schedule, **overrides):
         schedule = schedule.to_dict()
     spec = dict(SPEC_DEFAULTS)
     spec.update(overrides)
+    trace_window(spec["trace_capacity"])
     spec["seed"] = int(seed)
     spec["schedule"] = schedule
     return spec
@@ -151,6 +153,9 @@ def run_trial(spec):
         )
         if spec.get("flow_users"):
             cluster.attach_flow(spec["flow_users"], spec.get("flow_rate", 1.0))
+    # The artifact's episodes and spans cover the whole run, whatever the window.
+    for fold in (EpisodeFold, DegradedFold) + ((StabilizationFold,) if spec["corrupt"] else ()):
+        sim.trace.fold(fold)
     cluster.start()
     if not cluster.settle(timeout=spec["settle_timeout"]):
         return _failure(spec, sim, cluster, "setup_failed", [])
@@ -179,20 +184,20 @@ def run_trial(spec):
 
 def _result(spec, sim, cluster, verdict, **specifics):
     """The dict every outcome shares, ``specifics`` after the header."""
-    records = sim.trace.records
+    trace = sim.trace
     result = {"verdict": verdict, "seed": spec["seed"], "sim_time": round(sim.now, 6)}
     result.update(specifics)
     result["metrics"] = sim.metrics.totals()
-    result["episodes"] = episodes_as_dicts(records)
+    result["episodes"] = trace.fold(EpisodeFold).as_dicts()
     result["fault_log"] = cluster.faults.log_as_dicts()
-    result["degraded"] = degraded_spans_as_dicts(records)
+    result["degraded"] = trace.fold(DegradedFold).as_dicts()
     # Only trials that ran a flow plane carry its key, and only corrupt
     # trials carry time-to-stabilize spans, so historical artifacts
     # (neither key on either side) still replay-compare clean.
     if cluster.flow_engine is not None:
         result["flow"] = cluster.flow_engine.fingerprint()
     if spec.get("corrupt"):
-        result["stabilization"] = stabilization_spans_as_dicts(records)
+        result["stabilization"] = trace.fold(StabilizationFold).as_dicts()
     if spec.get("stack") == "scale":
         uncovered, duplicated = cluster.coverage_violations()
         result["uncovered"] = len(uncovered)

@@ -2,8 +2,8 @@
 
 One *episode* is the cluster's complete reaction to a disturbance — a
 crash, an interface disconnect, a voluntary leave, a partition heal, or
-the boot-time formation churn. The extractor scans the structured trace
-once, in record order, and stitches the causally related events
+the boot-time formation churn. :class:`EpisodeFold` reads the trace once,
+in record order, as it is written, and stitches the causally related events
 
     fault → failure suspicion → membership install → Wackamole GATHER
           → reallocation (VIP acquires) → ARP spoofs
@@ -18,6 +18,8 @@ Milestones are optional: a graceful leave skips failure detection and
 membership reconfiguration entirely (the lightweight group-leave path),
 so those phases report ``None`` rather than fabricating a number.
 """
+
+from repro.sim.trace import TraceFold
 
 #: membership-gather reasons that open an episode (vs. boot-time joins).
 _TRIGGER_REASONS = ("suspected", "foreign daemon", "voluntary leave", "excluded")
@@ -52,29 +54,11 @@ def _victim_of(record):
 class FailoverEpisode:
     """One stitched span; every ``*_time`` is absolute simulated time."""
 
-    __slots__ = (
-        "index",
-        "trigger_time",
-        "trigger_kind",
-        "trigger_target",
-        "victim",
-        "extra_triggers",
-        "detection_time",
-        "install_time",
-        "view",
-        "members",
-        "view_change_time",
-        "run_complete_time",
-        "first_acquire_time",
-        "last_acquire_time",
-        "acquired",
-        "first_arp_time",
-        "last_arp_time",
-        "arp_announcements",
-        "client_recovery_time",
-        "flow_offered",
-        "flow_served",
-    )
+    # Milestones not reached yet (``absorb`` sets them on the instance).
+    detection_time = install_time = view = members = view_change_time = None
+    run_complete_time = first_acquire_time = last_acquire_time = None
+    first_arp_time = last_arp_time = client_recovery_time = None
+    arp_announcements = flow_offered = flow_served = 0
 
     def __init__(self, index, trigger):
         self.index = index
@@ -83,21 +67,7 @@ class FailoverEpisode:
         self.trigger_target = trigger.details.get("target") or trigger.source
         self.victim = _victim_of(trigger)
         self.extra_triggers = []
-        self.detection_time = None
-        self.install_time = None
-        self.view = None
-        self.members = None
-        self.view_change_time = None
-        self.run_complete_time = None
-        self.first_acquire_time = None
-        self.last_acquire_time = None
         self.acquired = []
-        self.first_arp_time = None
-        self.last_arp_time = None
-        self.arp_announcements = 0
-        self.client_recovery_time = None
-        self.flow_offered = 0
-        self.flow_served = 0
 
     # ------------------------------------------------------------------
 
@@ -276,8 +246,8 @@ def _is_trigger(record):
     return False
 
 
-def extract_episodes(records):
-    """Stitch a trace into a list of :class:`FailoverEpisode`.
+class EpisodeFold(TraceFold):
+    """The episode extractor: stitches records into :class:`FailoverEpisode` s.
 
     A trigger opens an episode; later triggers extend it while the
     cluster is still converging (cascading faults are one episode) and
@@ -285,34 +255,54 @@ def extract_episodes(records):
     consumed strictly in log order, so the result is a pure function of
     the trace.
     """
-    episodes = []
-    current = None
-    for record in records:
+
+    KEYS = frozenset(
+        tuple(kind.split(":"))
+        for kind in "fault:nic_down fault:crash fault:partition fault:heal daemon:shutdown"
+        " membership:gather membership:install wackamole:shutdown wackamole:view_change"
+        " wackamole:run wackamole:acquire arp:announce workload:server_change flow:loss".split()
+    )
+
+    def __init__(self):
+        self.closed = []
+        self.current = None
+
+    @property
+    def episodes(self):
+        """Every episode so far, the open one last."""
+        return self.closed + ([] if self.current is None else [self.current])
+
+    def as_dicts(self):
+        """The episodes serialised — the replayable artifact form."""
+        return [episode.to_dict() for episode in self.episodes]
+
+    def feed(self, record):
+        current = self.current
         if _is_trigger(record):
             # A suspicion-driven gather is the *detection* of the open
             # episode, not a new disturbance.
             gather = record.category == "membership"
-            if current is None:
-                current = FailoverEpisode(len(episodes), record)
+            if current is None or (not gather and current.converged):
+                if current is not None:
+                    self.closed.append(current)
+                self.current = FailoverEpisode(len(self.closed), record)
                 if gather:
-                    current.absorb(record)
-                continue
-            if not gather and current.converged:
-                episodes.append(current)
-                current = FailoverEpisode(len(episodes), record)
-                continue
+                    self.current.absorb(record)
+                return
             if not gather:
                 current.extra_triggers.append(record)
         if current is not None:
             current.absorb(record)
-    if current is not None:
-        episodes.append(current)
-    return episodes
+
+
+def extract_episodes(records):
+    """Stitch a trace into a list of :class:`FailoverEpisode`."""
+    return EpisodeFold.over(records).episodes
 
 
 def episodes_as_dicts(records):
     """``extract_episodes`` serialised — the replayable artifact form."""
-    return [episode.to_dict() for episode in extract_episodes(records)]
+    return EpisodeFold.over(records).as_dicts()
 
 
 def first_complete_episode(episodes, after=None):

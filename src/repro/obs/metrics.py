@@ -168,14 +168,6 @@ class MetricsRegistry:
         self.enabled = bool(enabled)
         self._instruments = {}
 
-    def bind_clock(self, clock):
-        """Attach the callable returning current simulated time.
-
-        Instruments created before the bind keep the old clock, so bind
-        before instrumenting (Simulation does this in its constructor).
-        """
-        self._clock = clock
-
     # ------------------------------------------------------------------
     # instrument access (get-or-create)
 

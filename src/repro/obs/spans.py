@@ -3,7 +3,7 @@
 Fail-stop faults produce :mod:`repro.obs.episodes` — the cluster's
 *reaction*. Gray and corruption faults additionally have a *window*
 that opens at the injector's onset record and closes at the first later
-record that ends it. One pairing loop (:func:`pair_spans`) stitches
+record that ends it. One pairing fold (:class:`SpanFold`) stitches
 both families out of the trace, each described by a rule table — the
 onset events that open a span, and the (record pattern → ``end_cause``)
 rules that close one:
@@ -40,7 +40,7 @@ span lists ride along in check artifacts and must replay
 byte-identically (``repro check --replay`` compares them).
 """
 
-import collections
+from repro.sim.trace import TraceFold
 
 
 def _round(value):
@@ -73,9 +73,7 @@ class Span:
 
     @property
     def duration(self):
-        if self.end is None:
-            return None
-        return self.end - self.start
+        return None if self.end is None else self.end - self.start
 
     def close(self, time, cause, details):
         """End the span; ``details`` are the closing record's."""
@@ -121,47 +119,56 @@ class StabilizationSpan(Span):
     CLOSING = ("invariant",)
 
 
-#: What opens and what closes one family of spans. ``onset`` maps an
-#: opening record to the span's ``ONSET`` fields, or to None when the
-#: record opens nothing. ``close`` rows are ``(category, event,
-#: end_cause, matches)``: a record of that category (and event, unless
-#: None) closes every open span for which ``matches(span, record)``;
-#: ``end_cause=None`` means the closing event's own name.
-SpanRules = collections.namedtuple("SpanRules", "span_cls open_events onset close")
+class SpanFold(TraceFold):
+    """The pairing loop over one rule table, a fold of the trace.
 
-
-def pair_spans(records, rules):
-    """Stitch the trace into ``rules.span_cls`` spans, in onset order.
-
-    Spans open on injector fault records only; ``fault``-category close
-    rules likewise see injector records only. Spans still open at the
-    end of the trace keep ``end=None``.
+    A subclass's table says what opens a span and what closes one:
+    ``OPEN`` names the injector events that can open one, and
+    :meth:`onset` maps such a record to the span's ``ONSET`` fields, or
+    to None when it opens nothing. ``CLOSE`` rows are ``(category,
+    event, end_cause, matches)``: such a record closes every open span
+    for which ``matches(span, record)``; ``end_cause=None`` means the
+    closing event's own name. Spans open on injector fault records
+    only, and ``fault`` close rows likewise see injector records only.
+    Spans still open when the trace ends keep ``end=None``.
     """
-    spans = []
-    open_spans = []
-    for record in records:
+
+    SPAN = Span
+    OPEN = ()
+    CLOSE = ()
+
+    def __init_subclass__(cls):
+        opening = [("fault", event) for event in cls.OPEN]
+        cls.KEYS = frozenset(opening + [row[:2] for row in cls.CLOSE])
+
+    def __init__(self):
+        self.spans = []
+        self._open = []
+
+    def as_dicts(self):
+        """The spans serialised, in onset order — the replayable artifact form."""
+        return [span.to_dict() for span in self.spans]
+
+    def feed(self, record):
         category = record.category
         if category == "fault":
             if record.source != "injector":
-                continue
-            if record.event in rules.open_events:
-                onset = rules.onset(record)
+                return
+            if record.event in self.OPEN:
+                onset = self.onset(record)
                 if onset is not None:
-                    span = rules.span_cls(
+                    span = self.SPAN(
                         record.event, record.details.get("target"), record.time, **onset
                     )
-                    spans.append(span)
-                    open_spans.append(span)
+                    self.spans.append(span)
+                    self._open.append(span)
+                return
+        for rule_category, event, cause, matches in self.CLOSE:
+            if (category, record.event) != (rule_category, event):
                 continue
-        for rule_category, event, cause, matches in rules.close:
-            if category != rule_category or event not in (None, record.event):
-                continue
-            closed = [span for span in open_spans if matches(span, record)]
-            if closed:
-                for span in closed:
-                    span.close(record.time, cause or record.event, record.details)
-                open_spans = [span for span in open_spans if span not in closed]
-    return spans
+            for span in [span for span in self._open if matches(span, record)]:
+                span.close(record.time, cause or record.event, record.details)
+                self._open.remove(span)
 
 
 # ----------------------------------------------------------------------
@@ -201,16 +208,20 @@ def _degraded_host_died(span, record):
     return span.kind == "daemon_wedge" and _host_of(span.target) == target
 
 
-DEGRADED_RULES = SpanRules(
-    DegradedSpan,
-    open_events=_HEAL_OF,
-    onset=lambda record: {key: record.details.get(key) for key in ("param", "fault")},
-    close=(
-        ("fault", None, None, _healed),
+class DegradedFold(SpanFold):
+    """The gray-fault exposure windows (:class:`DegradedSpan`)."""
+
+    SPAN = DegradedSpan
+    OPEN = _HEAL_OF
+    CLOSE = tuple(("fault", heal, None, _healed) for heal in _HEAL_OF.values()) + (
         ("fault", "crash", "crash", _degraded_host_died),
         ("supervisor", "restart_spread", "supervisor_restart", _daemon_replaced),
-    ),
-)
+    )
+
+    @staticmethod
+    def onset(record):
+        return {key: record.details.get(key) for key in ("param", "fault")}
+
 
 CORRUPTION_EVENTS = (
     "corrupt_vip_table",
@@ -223,16 +234,12 @@ CORRUPTION_EVENTS = (
 _VIEW_SCOPED = ("corrupt_membership", "corrupt_sequence", "corrupt_epoch")
 
 
-def _mutation(record):
-    mutation = (record.details.get("param") or {}).get("mutation")
-    return None if mutation == "noop" else {"mutation": mutation}
+class StabilizationFold(SpanFold):
+    """The corruption repair windows (:class:`StabilizationSpan`)."""
 
-
-STABILIZATION_RULES = SpanRules(
-    StabilizationSpan,
-    open_events=CORRUPTION_EVENTS,
-    onset=_mutation,
-    close=(
+    SPAN = StabilizationSpan
+    OPEN = CORRUPTION_EVENTS
+    CLOSE = (
         ("fault", "crash", "crash",
          lambda span, record: _host_of(span.target) == record.details.get("target")),
         ("stabilize", "repair", "repair",
@@ -240,25 +247,29 @@ STABILIZATION_RULES = SpanRules(
         ("membership", "install", "view_change",
          lambda span, record: span.kind in _VIEW_SCOPED and span.target == record.source),
         ("supervisor", "restart_spread", "supervisor_restart", _daemon_replaced),
-    ),
-)
+    )
+
+    @staticmethod
+    def onset(record):
+        mutation = (record.details.get("param") or {}).get("mutation")
+        return None if mutation == "noop" else {"mutation": mutation}
 
 
 def degraded_spans(records):
     """The trace's gray-fault exposure windows (:class:`DegradedSpan`)."""
-    return pair_spans(records, DEGRADED_RULES)
+    return DegradedFold.over(records).spans
 
 
 def degraded_spans_as_dicts(records):
     """``degraded_spans`` serialised — the replayable artifact form."""
-    return [span.to_dict() for span in degraded_spans(records)]
+    return DegradedFold.over(records).as_dicts()
 
 
 def stabilization_spans(records):
     """The trace's corruption repair windows (:class:`StabilizationSpan`)."""
-    return pair_spans(records, STABILIZATION_RULES)
+    return StabilizationFold.over(records).spans
 
 
 def stabilization_spans_as_dicts(records):
     """``stabilization_spans`` serialised — the replayable artifact form."""
-    return [span.to_dict() for span in stabilization_spans(records)]
+    return StabilizationFold.over(records).as_dicts()

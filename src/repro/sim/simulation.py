@@ -24,14 +24,15 @@ class Simulation:
     ):
         self.scheduler = Scheduler()
         self.rng = RngRegistry(seed)
+        self.metrics = MetricsRegistry(
+            clock=lambda: self.scheduler.now, enabled=metrics_enabled
+        )
         self.trace = TraceLog(
+            clock=lambda: self.scheduler.now,
             enabled=trace_enabled,
             capacity=trace_capacity,
             categories=trace_categories,
-        )
-        self.trace.bind_clock(lambda: self.scheduler.now)
-        self.metrics = MetricsRegistry(
-            clock=lambda: self.scheduler.now, enabled=metrics_enabled
+            metrics=self.metrics,
         )
         if metrics_enabled:
             self.scheduler.bind_metrics(self.metrics)

@@ -3,7 +3,24 @@
 Protocols append records instead of printing; tests and the experiment
 harness query the log to reconstruct timelines (e.g. "when did daemon 3
 install view 7", "when did the client first hear from the new owner").
+Readers that need the whole run (fail-over episodes, fault spans) are
+:class:`TraceFold` s fed as records are written, so a run can keep a
+bounded window (:data:`TRACE_WINDOW`) of the records themselves.
 """
+
+from repro.obs.metrics import MetricsRegistry
+
+#: The default retained window of a faithful scenario or a check trial.
+TRACE_WINDOW = 4096
+
+
+def trace_window(capacity):
+    """``capacity`` if it is None or a positive integer, else ValueError."""
+    if capacity is None or (type(capacity) is int and capacity > 0):
+        return capacity
+    raise ValueError(
+        "trace_capacity must be None or a positive integer, not {!r}".format(capacity)
+    )
 
 
 class TraceRecord:
@@ -24,42 +41,63 @@ class TraceRecord:
         )
 
 
+class TraceFold:
+    """A reducer over the trace, fed one record at a time in log order.
+
+    ``KEYS`` names the ``(category, event)`` pairs :meth:`feed` reads;
+    no other record reaches it, live (:meth:`TraceLog.fold`) or offline
+    (:meth:`over`), so both forms are one computation.
+    """
+
+    KEYS = frozenset()
+
+    @classmethod
+    def over(cls, records):
+        """A fresh fold fed every record of ``records`` it reads."""
+        fold = cls()
+        for record in records:
+            if (record.category, record.event) in cls.KEYS:
+                fold.feed(record)
+        return fold
+
+
 class TraceLog:
     """Append-only event log with simple filtering helpers.
 
-    Three bounded-resource behaviours are intended semantics (tests pin
+    Four bounded-resource behaviours are intended semantics (tests pin
     them):
 
-    * ``capacity`` — when set, only the most recent ``capacity``
-      records are retained, oldest trimmed first; per-(category, event)
+    * ``capacity`` — when set (a positive integer), only the most
+      recent ``capacity`` records are retained, oldest trimmed first,
+      and ``metrics`` counts the trimmed ones as ``sim.trace_dropped``
+      (the counter appears at the first drop). Per-(category, event)
       counters keep counting every emit, so :meth:`count` reports
-      totals over the whole run even after trimming. Trimming is
-      amortized: internally the backing list keeps a dead prefix and
-      compacts it in bulk, so ``emit`` stays O(1) instead of shifting
-      ``capacity`` records on every append. :attr:`records` always
-      shows exactly the retained window.
+      whole-run totals. Trimming is amortized: the backing list keeps a
+      dead prefix and compacts it in bulk, so ``emit`` stays O(1).
+    * :meth:`fold` — attached folds see every stored record they read,
+      trimmed or not.
     * ``enabled=False`` — records are dropped entirely (``emit``
-      returns None) but the counters still increment: cheap soak runs
-      keep aggregate statistics without storing per-event records.
+      returns None) but the counters still increment.
     * ``categories`` — when set (an iterable of category names), only
       records in those categories are stored; everything else is
-      dropped after counting, exactly like the disabled path. This is
-      the fast path for runs that only care about, say, ``episode``
-      and ``gcs`` records.
+      dropped after counting, exactly like the disabled path.
     """
 
-    def __init__(self, clock=None, enabled=True, capacity=None, categories=None):
+    def __init__(
+        self, clock=None, enabled=True, capacity=None, categories=None, metrics=None
+    ):
         self._clock = clock
         self.enabled = enabled
-        self.capacity = capacity
+        self.capacity = trace_window(capacity)
+        self._metrics = metrics if metrics is not None else MetricsRegistry(enabled=False)
         self._records = []
         self._start = 0  # dead-prefix length of _records (amortized trim)
+        self._drops = None  # the sim.trace_dropped counter, made at the first drop
         self._counts = {}
-        self._categories = frozenset(categories) if categories is not None else None
-
-    def bind_clock(self, clock):
-        """Attach the callable returning current simulated time."""
-        self._clock = clock
+        self._folds = {}
+        self._feeds = {}  # (category, event) -> feed methods of the folds reading it
+        # The category filter (frozenset), or None when unfiltered.
+        self.categories = frozenset(categories) if categories is not None else None
 
     @property
     def records(self):
@@ -68,14 +106,18 @@ class TraceLog:
             return self._records[self._start:]
         return self._records
 
-    @property
-    def categories(self):
-        """The category filter (frozenset), or None when unfiltered."""
-        return self._categories
+    def fold(self, cls):
+        """This log's one ``cls`` fold, attached at the first call.
 
-    def filter_categories(self, categories):
-        """Store only these categories from now on (None clears the filter)."""
-        self._categories = frozenset(categories) if categories is not None else None
+        It starts as ``cls.over(records)`` — the whole trace, while
+        nothing has been trimmed yet — and ``emit`` feeds it from then on.
+        """
+        fold = self._folds.get(cls)
+        if fold is None:
+            fold = self._folds[cls] = cls.over(self.records)
+            for key in cls.KEYS:
+                self._feeds.setdefault(key, []).append(fold.feed)
+        return fold
 
     def emit(self, category, source, event, **details):
         """Record one event; drops silently when tracing is disabled."""
@@ -84,7 +126,7 @@ class TraceLog:
         counts[key] = counts.get(key, 0) + 1
         if not self.enabled:
             return None
-        categories = self._categories
+        categories = self.categories
         if categories is not None and category not in categories:
             return None
         clock = self._clock
@@ -100,6 +142,13 @@ class TraceLog:
                 del records[:start]
                 start = 0
             self._start = start
+            if self._drops is None:
+                self._drops = self._metrics.counter("sim.trace_dropped", node="trace")
+            self._drops.inc()
+        feeds = self._feeds.get(key)
+        if feeds is not None:
+            for feed in feeds:
+                feed(record)
         return record
 
     def count(self, category, event=None):
@@ -110,18 +159,14 @@ class TraceLog:
 
     def select(self, category=None, source=None, event=None, since=None):
         """Return records matching all supplied filters, in time order."""
-        out = []
-        for record in self.records:
-            if category is not None and record.category != category:
-                continue
-            if source is not None and record.source != source:
-                continue
-            if event is not None and record.event != event:
-                continue
-            if since is not None and record.time < since:
-                continue
-            out.append(record)
-        return out
+        return [
+            record
+            for record in self.records
+            if (category is None or record.category == category)
+            and (source is None or record.source == source)
+            and (event is None or record.event == event)
+            and (since is None or record.time >= since)
+        ]
 
     def tail(self, n):
         """The most recent ``n`` records, oldest first."""
@@ -141,8 +186,3 @@ class TraceLog:
         self._records = []
         self._start = 0
         self._counts.clear()
-
-    def format(self, category=None, source=None, event=None):
-        """Human-readable dump of matching records (for debugging)."""
-        lines = [repr(r) for r in self.select(category=category, source=source, event=event)]
-        return "\n".join(lines)

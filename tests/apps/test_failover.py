@@ -5,12 +5,12 @@ The hand-rolled reference it is held to lives in
 ``_router_fail_active``); these tests pin the routine's own contract.
 """
 
-from repro.apps import cluster
 from repro.apps.cluster import fault_phase, measure_failover
 from repro.apps.routercluster import RouterClusterScenario
 from repro.apps.webcluster import WebClusterScenario
 from repro.experiments import runner, table1
 from repro.gcs.config import SpreadConfig
+from repro.obs.episodes import EpisodeFold, episodes_as_dicts
 
 
 def settled_web(**kwargs):
@@ -53,21 +53,23 @@ def test_web_measurement_fields_match_the_hand_rolled_reads():
 
 
 def test_episodes_are_extracted_once(monkeypatch):
+    """The group's fold stitched the episodes as the trace was written."""
     scenario = settled_web()
     failover = scenario.measure_failover("crash", 5.0)
+    offline = episodes_as_dicts(scenario.sim.trace.records)
     calls = []
-    extract = cluster.extract_episodes
+    over = EpisodeFold.over
 
     def counting(records):
         calls.append(len(records))
-        return extract(records)
+        return over(records)
 
-    monkeypatch.setattr(cluster, "extract_episodes", counting)
-    assert calls == []  # nothing is stitched until somebody asks
+    monkeypatch.setattr(EpisodeFold, "over", counting)
     first = failover.episodes
     assert failover.episodes is first
     assert failover.failover_episode() in first
-    assert len(calls) == 1
+    assert calls == []  # reading them re-stitches nothing
+    assert [episode.to_dict() for episode in first] == offline
 
 
 def test_untraced_run_has_no_episodes_and_unprobed_run_no_interruption():

@@ -1,6 +1,9 @@
 """Unit tests for the structured trace log."""
 
-from repro.sim.trace import TraceLog
+import pytest
+
+from repro.sim.simulation import Simulation
+from repro.sim.trace import TraceFold, TraceLog
 
 
 def make_log(time=0.0):
@@ -106,22 +109,49 @@ def test_disabled_emit_returns_none_but_counts():
     assert len(log.records) == 1
 
 
-def test_capacity_zero_retains_nothing_but_still_counts():
-    """capacity=0 is a legal degenerate bound: pure counting mode.
+@pytest.mark.parametrize("capacity", [-1, 0, 2.5])
+@pytest.mark.parametrize("build", [TraceLog, Simulation], ids=["TraceLog", "Simulation"])
+def test_bad_trace_capacity_fails_loudly(build, capacity):
+    """A window that keeps nothing, or rounds, is a mistake, not a mode."""
+    key = "capacity" if build is TraceLog else "trace_capacity"
+    with pytest.raises(ValueError, match="trace_capacity"):
+        build(**{key: capacity})
 
-    Every emit still returns the freshly built record (callers may log
-    it), but the retained window is empty, so select/tail/last all see
-    nothing while count() reports whole-run totals.
-    """
-    log = TraceLog(clock=lambda: 0.0, capacity=0)
-    for index in range(5):
-        record = log.emit("a", "x", "e", i=index)
-        assert record is not None
-    assert log.records == []
-    assert log.tail(5) == []
-    assert log.last(category="a") is None
-    assert log.select(category="a") == []
-    assert log.count("a", "e") == 5
+
+def test_trimmed_records_are_counted_from_the_first_drop():
+    sim = Simulation(trace_capacity=3)
+    for index in range(3):
+        sim.trace.emit("a", "x", "e", i=index)
+    # A run that drops nothing keeps its metric catalog unchanged.
+    assert "sim.trace_dropped" not in sim.metrics.totals()
+    for index in range(3, 10):
+        sim.trace.emit("a", "x", "e", i=index)
+    assert sim.metrics.totals()["sim.trace_dropped"] == 7
+    assert len(sim.trace.records) == 3
+
+
+class _Sum(TraceFold):
+    KEYS = frozenset({("a", "e")})
+
+    def __init__(self):
+        self.seen = []
+
+    def feed(self, record):
+        self.seen.append(record.details["i"])
+
+
+def test_a_fold_sees_every_record_it_reads_past_the_window():
+    log = TraceLog(clock=lambda: 0.0, capacity=2)
+    log.emit("a", "e", "x", i=-1)  # key ("a", "x"): not read
+    log.emit("a", "x", "e", i=0)
+    fold = log.fold(_Sum)
+    assert fold.seen == [0]  # caught up on the retained window
+    for index in range(1, 6):
+        log.emit("a", "x", "e", i=index)
+        log.emit("b", "x", "e", i=index)
+    assert log.fold(_Sum) is fold
+    assert fold.seen == [0, 1, 2, 3, 4, 5]
+    assert _Sum.over(log.records).seen == [5]  # the offline fold sees the window
 
 
 def test_reenabling_applies_capacity_to_new_records():
@@ -145,13 +175,6 @@ def test_clear_resets_everything():
     log.clear()
     assert log.records == []
     assert log.count("a") == 0
-
-
-def test_format_renders_lines():
-    log, _ = make_log()
-    log.emit("a", "x", "e", k=1)
-    text = log.format(category="a")
-    assert "a" in text and "x" in text and "e" in text
 
 
 # ----------------------------------------------------------------------
@@ -193,24 +216,13 @@ def test_clear_resets_ring_buffer_state():
 
 
 def test_category_filter_stores_only_selected_categories():
-    log, _ = make_log()
-    log.filter_categories({"keep"})
+    log = TraceLog(clock=lambda: 0.0, categories={"keep"})
     kept = log.emit("keep", "x", "e1")
     dropped = log.emit("drop", "x", "e2")
     assert kept is not None and dropped is None
     assert [r.category for r in log.records] == ["keep"]
     # Counters still see every emit, filtered or not.
     assert log.count("drop", "e2") == 1
-
-
-def test_category_filter_can_be_cleared():
-    log, _ = make_log()
-    log.filter_categories({"keep"})
-    log.emit("drop", "x", "e")
-    log.filter_categories(None)
-    log.emit("drop", "x", "e")
-    assert len(log.records) == 1
-    assert log.categories is None
 
 
 def test_constructor_accepts_categories():
