@@ -1,48 +1,45 @@
 """Deterministic replay of saved failure artifacts.
 
 An artifact embeds the exact trial spec (seed + schedule) and the
-failure it produced. Replaying re-runs the spec and demands an
-*identical* result — same verdict, same violation list, same trace
-tail — which is the whole point of keeping trials pure functions of
-their specs: a failure found by a campaign last week reproduces on a
-developer's machine today, byte for byte.
+result it produced. Replaying re-runs the spec and demands an
+*identical* result — every key either side has, compared in JSON form,
+so a key a result gains is compared without being listed — which is
+the whole point of keeping trials pure functions of their specs: a
+failure found by a campaign last week reproduces on a developer's
+machine today, byte for byte. A spec saved before a knob existed gets
+the knob's default from :func:`~repro.check.trial.make_spec`.
 """
 
 import json
 
 from repro.check.campaign import ARTIFACT_FORMAT
-from repro.check.trial import run_trial, trial_schedule
-
-# Result fields that must match byte-for-byte on replay. sim_time,
-# counters, the per-trial metrics summary, the extracted fail-over
-# episode records, the injector's fault log and the degraded-mode
-# spans and the coverage intervals are all included: a divergence there
-# means nondeterminism even if the violation happens to look the same.
-_COMPARED_FIELDS = (
-    "verdict",
-    "sim_time",
-    "violations",
-    "violation_kinds",
-    "trace_tail",
-    "metrics",
-    "episodes",
-    "fault_log",
-    "degraded",
-    "flow",
-    "coverage",
-)
+from repro.check.trial import make_spec, run_trial, trial_schedule
 
 
 def load_artifact(path):
-    """Read and validate an artifact, down to each event of its schedule."""
+    """Read an artifact file and check it as :func:`checked_artifact` does."""
     with open(str(path)) as handle:
-        artifact = json.load(handle)
+        return checked_artifact(json.load(handle))
+
+
+def checked_artifact(artifact):
+    """``artifact`` with its spec completed, checked down to each event of its schedule.
+
+    Raises ValueError for anything but an artifact object with a spec
+    and a result, for an unknown spec field and for a schedule its stack
+    cannot run.
+    """
+    if not isinstance(artifact, dict):
+        raise ValueError("not a repro-check artifact (a JSON {}, not an object)".format(
+            type(artifact).__name__))
     if artifact.get("format") != ARTIFACT_FORMAT:
-        raise ValueError(
-            "not a repro-check artifact (format={!r})".format(artifact.get("format"))
-        )
-    trial_schedule(artifact["spec"])
-    return artifact
+        raise ValueError("not a repro-check artifact (format={!r})".format(artifact.get("format")))
+    for key in ("spec", "result"):
+        if key not in artifact:
+            raise ValueError("artifact has no {}".format(key))
+    spec = make_spec(**artifact["spec"])
+    trial_schedule(spec)
+    return dict(artifact, spec=spec)
 
 
 class ReplayReport:
@@ -51,11 +48,13 @@ class ReplayReport:
     def __init__(self, artifact, result):
         self.artifact = artifact
         self.result = result
-        self.diffs = []
-        saved = artifact["result"]
-        for field in _COMPARED_FIELDS:
-            if saved.get(field) != result.get(field):
-                self.diffs.append(field)
+        # JSON form on both sides: a saved result has lists where a
+        # fresh one may hold tuples.
+        saved, fresh = (json.loads(json.dumps(r)) for r in (artifact["result"], result))
+        self.diffs = sorted(
+            key for key in set(saved) | set(fresh)
+            if key not in saved or key not in fresh or saved[key] != fresh[key]
+        )
 
     @property
     def match(self):
@@ -65,11 +64,11 @@ class ReplayReport:
         saved = self.artifact["result"]
         lines = [
             "replay: saved verdict={} fresh verdict={}".format(
-                saved["verdict"], self.result["verdict"]
+                saved.get("verdict"), self.result["verdict"]
             )
         ]
         if self.match:
-            lines.append("  identical reproduction (all compared fields match)")
+            lines.append("  identical reproduction (every result key matches)")
         else:
             lines.append("  DIVERGED on: {}".format(", ".join(self.diffs)))
             if "episodes" in self.diffs:
@@ -87,9 +86,8 @@ class ReplayReport:
 def replay(artifact_or_path):
     """Re-run an artifact's spec and compare against its saved result."""
     artifact = (
-        artifact_or_path
+        checked_artifact(artifact_or_path)
         if isinstance(artifact_or_path, dict)
         else load_artifact(artifact_or_path)
     )
-    result = run_trial(artifact["spec"])
-    return ReplayReport(artifact, result)
+    return ReplayReport(artifact, run_trial(artifact["spec"]))

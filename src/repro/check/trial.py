@@ -92,7 +92,7 @@ def trial_schedule(spec):
     or a variant (gray, corrupt, a fixture) it does not have yet.
     """
     schedule = FaultSchedule.from_dict(spec["schedule"])
-    stack = spec.get("stack", "faithful")
+    stack = spec["stack"]
     if stack not in STACKS:
         raise ValueError("unknown stack {!r}, not one of {}".format(stack, STACKS))
     scale = stack == "scale"
@@ -127,7 +127,7 @@ def run_trial(spec):
       artifacts differ.
     """
     schedule = trial_schedule(spec)
-    scale = spec.get("stack") == "scale"
+    scale = spec["stack"] == "scale"
     if scale and spec["shards"] >= 2:
         return _parity_trial(spec, schedule)
     if scale:
@@ -151,8 +151,8 @@ def run_trial(spec):
             gray=spec["gray"],
             corrupt=spec["corrupt"],
         )
-        if spec.get("flow_users"):
-            cluster.attach_flow(spec["flow_users"], spec.get("flow_rate", 1.0))
+        if spec["flow_users"]:
+            cluster.attach_flow(spec["flow_users"], spec["flow_rate"])
     # The artifact's episodes and spans cover the whole run, whatever the window.
     for fold in (EpisodeFold, DegradedFold) + ((StabilizationFold,) if spec["corrupt"] else ()):
         sim.trace.fold(fold)
@@ -162,7 +162,7 @@ def run_trial(spec):
 
     start = sim.now
     cluster.apply_schedule(schedule, start)
-    grace = repertoire(spec["gray"], spec["corrupt"], spec.get("stack")).grace
+    grace = repertoire(spec["gray"], spec["corrupt"], spec["stack"]).grace
     engine = cluster.watch_coverage(grace).run(schedule.horizon)
     coverage = engine.summary()
     failures = engine.failures()
@@ -191,14 +191,11 @@ def _result(spec, sim, cluster, verdict, **specifics):
     result["episodes"] = trace.fold(EpisodeFold).as_dicts()
     result["fault_log"] = cluster.faults.log_as_dicts()
     result["degraded"] = trace.fold(DegradedFold).as_dicts()
-    # Only trials that ran a flow plane carry its key, and only corrupt
-    # trials carry time-to-stabilize spans, so historical artifacts
-    # (neither key on either side) still replay-compare clean.
     if cluster.flow_engine is not None:
         result["flow"] = cluster.flow_engine.fingerprint()
-    if spec.get("corrupt"):
+    if spec["corrupt"]:
         result["stabilization"] = trace.fold(StabilizationFold).as_dicts()
-    if spec.get("stack") == "scale":
+    if spec["stack"] == "scale":
         uncovered, duplicated = cluster.coverage_violations()
         result["uncovered"] = len(uncovered)
         result["duplicated"] = len(duplicated)

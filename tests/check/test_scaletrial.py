@@ -31,15 +31,6 @@ def replay_identical(spec):
     return first == second
 
 
-def test_small_trial_passes_and_replays():
-    spec = scale_spec(3, n_faults=2)
-    result = run_trial(spec)
-    assert result["verdict"] == "pass", result
-    assert result["uncovered"] == 0 and result["duplicated"] == 0
-    assert len(result["fault_log"]) >= len(spec["schedule"]["events"]) == 2
-    assert replay_identical(spec)
-
-
 def test_spec_defaults_are_complete():
     spec = make_spec(9, FaultSchedule([], 5.0), stack="scale")
     assert set(spec) == set(SPEC_DEFAULTS) | {"seed", "schedule"}

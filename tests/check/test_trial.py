@@ -174,14 +174,6 @@ def gray_spec(seed=42, horizon=25.0, events=6):
     return make_spec(seed, schedule, n_servers=4, n_vips=6, gray=True)
 
 
-def test_gray_trial_passes_and_is_deterministic():
-    spec = gray_spec(seed=404)
-    first = run_trial(spec)
-    second = run_trial(spec)
-    assert first["verdict"] == "pass"
-    assert first == second
-
-
 def test_gray_trial_records_fault_log_and_degraded_spans():
     result = run_trial(gray_spec(seed=404))
     assert result["verdict"] == "pass"

@@ -3,7 +3,7 @@
 Double runs of the same seed must produce byte-identical fingerprints;
 the numpy and pure-python backends must agree bit-for-bit on identical
 seeds; and a ``repro check`` trial carrying flow totals must replay
-byte-identically through the artifact comparison fields.
+byte-identically, every result key alike.
 """
 
 import json

@@ -5,6 +5,8 @@ import os
 
 import pytest
 
+from repro.check.campaign import make_artifact
+from repro.check.trial import make_spec
 from repro.cli import CHECK_PLAN, WEB_PLAN, build_parser, main
 
 #: A JSON file that no campaign wrote.
@@ -89,11 +91,13 @@ def test_check_command_planted_bug_fails_and_replays(tmp_path):
     assert code == 1
     assert "FAILURE" in output
     artifact = output.split("artifact: ")[1].splitlines()[0].strip()
-    # The same failure saved without the spec fields the scale stack
-    # brought, as every artifact before it was, replays as faithful.
+    # The same failure saved without the spec fields the scale stack,
+    # the trace window and the flow plane brought, as every artifact
+    # before them was, replays as it was saved.
     with open(artifact) as handle:
         saved = json.load(handle)
-    for field in ("stack", "segment_size", "shards", "workers"):
+    for field in ("stack", "segment_size", "shards", "workers", "trace_capacity",
+                  "flow_users", "flow_rate"):
         del saved["spec"][field]
     legacy = str(tmp_path / "legacy.json")
     with open(legacy, "w") as handle:
@@ -309,33 +313,49 @@ def test_what_only_a_handler_can_reject_is_one_line_naming_the_file(argv, named,
     assert line.startswith("repro {}: error: ".format(argv[0])) and named in line
 
 
+def _artifact(*events, **spec_fields):
+    spec = make_spec(1, {"horizon": 10.0, "events": list(events)})
+    spec.update(spec_fields)
+    return make_artifact(spec, {"verdict": "violation"})
+
+
+def _without(artifact, key):
+    return {k: v for k, v in artifact.items() if k != key}
+
+
+CRASH_0 = {"kind": "crash", "time": 1.0, "duration": 2.0, "host": 0}
+
+
 @pytest.mark.parametrize(
-    "event",
+    "artifact, named",
     [
-        {"kind": "crash", "time": 1.0, "duration": 2.0, "host": 9},
-        {"kind": "crash", "time": 1.0, "duration": 2.0},
-        {"kind": "partition", "time": 1.0, "duration": 2.0},
-        {"kind": "crash", "time": -3.0, "duration": 2.0, "host": 0},
-        {"kind": "nic_flap", "time": 1.0, "duration": -2.0, "host": 0},
-        {"kind": "partition", "time": 1.0, "duration": 2.0, "split": [7, 9]},
+        (_artifact({"kind": "crash", "time": 1.0, "duration": 2.0, "host": 9}), "crash"),
+        (_artifact({"kind": "crash", "time": 1.0, "duration": 2.0}), "crash"),
+        (_artifact({"kind": "partition", "time": 1.0, "duration": 2.0}), "partition"),
+        (_artifact({"kind": "crash", "time": -3.0, "duration": 2.0, "host": 0}), "crash"),
+        (_artifact({"kind": "nic_flap", "time": 1.0, "duration": -2.0, "host": 0}), "nic_flap"),
+        (_artifact({"kind": "partition", "time": 1.0, "duration": 2.0, "split": [7, 9]}),
+         "partition"),
+        # These died in a traceback: AttributeError, KeyError, KeyError.
+        ([_artifact(CRASH_0)], "not a repro-check artifact (a JSON list, not an object)"),
+        (_without(_artifact(CRASH_0), "spec"), "artifact has no spec"),
+        (_without(_artifact(CRASH_0), "result"), "artifact has no result"),
+        (_artifact(CRASH_0, bogus_field=1), "unknown spec fields: ['bogus_field']"),
     ],
     ids=["host-past-cluster", "crash-no-host", "partition-no-split", "negative-time",
-         "negative-duration", "split-past-cluster"],
+         "negative-duration", "split-past-cluster", "not-an-object", "no-spec", "no-result",
+         "unknown-spec-field"],
 )
-def test_replay_of_a_malformed_schedule_is_one_line_and_exit_2(event, tmp_path, capsys):
+def test_replay_of_a_malformed_schedule_is_one_line_and_exit_2(artifact, named, tmp_path, capsys):
     # The first of these printed an IndexError traceback and exited 1.
-    from repro.check.campaign import make_artifact
-    from repro.check.trial import make_spec
-
-    spec = make_spec(1, {"horizon": 10.0, "events": [event]})
     path = tmp_path / "malformed.json"
-    path.write_text(json.dumps(make_artifact(spec, {"verdict": "violation"})))
+    path.write_text(json.dumps(artifact))
     with pytest.raises(SystemExit) as raised:
         main(["check", "--replay", str(path)], out=lambda line: None)
     assert raised.value.code == 2
     (line,) = capsys.readouterr().err.splitlines()
     assert line.startswith("repro check: error: argument --replay: " + str(path))
-    assert event["kind"] in line
+    assert named in line
 
 
 @pytest.mark.parametrize(
