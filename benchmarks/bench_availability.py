@@ -13,11 +13,11 @@ from repro.gcs.config import SpreadConfig
 def bench_pool_availability_under_one_fault(benchmark, paper_report):
     def run():
         tuned = AvailabilityExperiment(
-            window=120.0, faults=1, spread_config=SpreadConfig.tuned()
-        ).run(trials=1)
+            window=120.0, faults=1, trials=1, spread_config=SpreadConfig.tuned()
+        ).run()
         default = AvailabilityExperiment(
-            window=120.0, faults=1, spread_config=SpreadConfig.default()
-        ).run(trials=1)
+            window=120.0, faults=1, trials=1, spread_config=SpreadConfig.default()
+        ).run()
         return tuned, default
 
     tuned, default = benchmark.pedantic(run, rounds=1, iterations=1)

@@ -10,7 +10,7 @@ from repro.experiments.baselines_experiment import BaselineComparison
 
 
 def bench_baseline_protocol_comparison(benchmark, paper_report):
-    comparison = BaselineComparison(trials=3)
+    comparison = BaselineComparison()
     results = benchmark.pedantic(comparison.run, rounds=1, iterations=1)
 
     tuned = results["wackamole-tuned"]["mean"]

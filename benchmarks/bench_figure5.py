@@ -10,7 +10,7 @@ from repro.experiments.figure5 import Figure5Experiment
 
 
 def bench_figure5_cluster_size_sweep(benchmark, paper_report):
-    experiment = Figure5Experiment(cluster_sizes=(2, 4, 6, 8, 10, 12), trials=3)
+    experiment = Figure5Experiment(trials=3)
     series = benchmark.pedantic(experiment.run, rounds=1, iterations=1)
 
     for size in experiment.cluster_sizes:

@@ -9,9 +9,7 @@ from repro.experiments.load import LoadedClusterExperiment
 
 
 def bench_realtime_priority_on_loaded_machines(benchmark, paper_report):
-    experiment = LoadedClusterExperiment(
-        load_delays=(0.0, 0.1, 0.3), duration=120.0, trials=2
-    )
+    experiment = LoadedClusterExperiment()
     results = benchmark.pedantic(experiment.run, rounds=1, iterations=1)
     for load in experiment.load_delays:
         assert results["real-time priority"][load] == 0

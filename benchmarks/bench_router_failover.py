@@ -11,9 +11,7 @@ from repro.gcs.config import SpreadConfig
 
 
 def bench_router_failover_routing_modes(benchmark, paper_report):
-    experiment = RouterFailoverExperiment(
-        trials=2, rip_interval=30.0, spread_config=SpreadConfig.tuned()
-    )
+    experiment = RouterFailoverExperiment(trials=2)
     results = benchmark.pedantic(experiment.run, rounds=1, iterations=1)
 
     static = results["static"]["mean"]

@@ -8,7 +8,7 @@ from repro.experiments.table1 import Table1Experiment
 
 
 def bench_table1_notification_windows(benchmark, paper_report):
-    experiment = Table1Experiment(trials=5, cluster_size=4)
+    experiment = Table1Experiment()
     results = benchmark.pedantic(experiment.run, rounds=1, iterations=1)
 
     for name, measured in results["measured"].items():

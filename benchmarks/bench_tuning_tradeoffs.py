@@ -15,9 +15,7 @@ from repro.experiments.tuning import FalsePositiveExperiment, SensitivityExperim
 
 
 def bench_false_positives_under_loss(benchmark, paper_report):
-    experiment = FalsePositiveExperiment(
-        loss_rates=(0.0, 0.05, 0.10), duration=120.0, trials=2
-    )
+    experiment = FalsePositiveExperiment()
     results = benchmark.pedantic(experiment.run, rounds=1, iterations=1)
     assert results["Default Spread"][0.0] == 0
     assert results["Tuned Spread"][0.0] == 0
@@ -29,7 +27,7 @@ def bench_false_positives_under_loss(benchmark, paper_report):
 
 
 def bench_interruption_vs_timeout_scale(benchmark, paper_report):
-    experiment = SensitivityExperiment(fd_timeouts=(1.0, 2.0, 3.0, 5.0), trials=3)
+    experiment = SensitivityExperiment()
     points = benchmark.pedantic(experiment.run, rounds=1, iterations=1)
     values = [value for _, value in points]
     assert values == sorted(values)

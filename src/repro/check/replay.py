@@ -26,20 +26,35 @@ def checked_artifact(artifact):
     """``artifact`` with its spec completed, checked down to each event of its schedule.
 
     Raises ValueError for anything but an artifact object with a spec
-    and a result, for an unknown spec field and for a schedule its stack
-    cannot run.
+    and a result, for a spec, schedule or event that is not an object,
+    lacks a field it needs or holds a value of the wrong type, for an
+    unknown spec field and for a schedule its stack cannot run.
     """
     if not isinstance(artifact, dict):
         raise ValueError("not a repro-check artifact (a JSON {}, not an object)".format(
             type(artifact).__name__))
     if artifact.get("format") != ARTIFACT_FORMAT:
         raise ValueError("not a repro-check artifact (format={!r})".format(artifact.get("format")))
-    for key in ("spec", "result"):
-        if key not in artifact:
-            raise ValueError("artifact has no {}".format(key))
-    spec = make_spec(**artifact["spec"])
-    trial_schedule(spec)
+    _fields(artifact, "artifact", "spec", "result")
+    try:
+        schedule = _fields(artifact["spec"], "artifact spec", "seed", "schedule")["schedule"]
+        for event in _fields(schedule, "spec schedule", "events", "horizon")["events"]:
+            _fields(event, "schedule event", "kind", "time")
+        spec = make_spec(**artifact["spec"])
+        trial_schedule(spec)
+    except TypeError as problem:  # a value of the wrong JSON type, such as a null time
+        raise ValueError("artifact spec: {}".format(problem)) from None
     return dict(artifact, spec=spec)
+
+
+def _fields(value, name, *fields):
+    """``value``, if it is a JSON object holding ``fields``; else ValueError naming them."""
+    if not isinstance(value, dict):
+        raise ValueError("{} is a JSON {}, not an object".format(name, type(value).__name__))
+    for field in fields:
+        if field not in value:
+            raise ValueError("{} has no {}".format(name, field))
+    return value
 
 
 class ReplayReport:

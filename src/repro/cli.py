@@ -14,7 +14,8 @@
     python -m repro all
 
 Each experiment subcommand prints the paper-style table(s) produced by
-the corresponding experiment class in :mod:`repro.experiments`;
+the corresponding experiment class in :mod:`repro.experiments`, whose
+constructor keywords its flags set and whose defaults it keeps;
 ``check`` runs a :mod:`repro.check` fault-schedule campaign (or
 replays a saved failure artifact) and exits nonzero on violations.
 """
@@ -70,6 +71,43 @@ _event_count = _bounded(int, lambda value: value >= 0, "at least 0")
 #: A threshold of zero fails on any slowdown at all.
 _fraction = _bounded(float, lambda value: value >= 0.0, "at least 0")
 
+_TRIALS = ("--trials", {"type": _positive_int})
+_DURATION = ("--duration", {"type": _positive_float})
+_SERVERS = ("--servers", {"type": _web_servers, "dest": "cluster_size", "metavar": "SERVERS"})
+
+#: The paper's experiments, in the order ``all`` runs them: subcommand ->
+#: (help, classes in repro.experiments, flags). A flag's ``dest`` is a
+#: constructor keyword and its default the constructor's own, so a flag
+#: not given stays out of the namespace.
+EXPERIMENTS = {
+    "table1": ("Table 1 and the notification windows", ("table1.Table1Experiment",),
+               (_TRIALS, _SERVERS)),
+    "figure5": ("Figure 5 cluster-size sweep", ("figure5.Figure5Experiment",), (
+        ("--sizes", {"type": _web_servers, "nargs": "+", "dest": "cluster_sizes",
+                     "metavar": "SIZES"}),
+        _TRIALS,
+        ("--vips", {"type": _web_vips, "dest": "n_vips", "metavar": "VIPS"}),
+        ("--chart", {"action": "store_true", "help": "also print an ASCII chart"}),
+    )),
+    "graceful": ("voluntary-leave interruption", ("graceful.GracefulLeaveExperiment",),
+                 (_TRIALS, _SERVERS)),
+    "router": ("virtual-router fail-over (section 5.2)",
+               ("router_experiment.RouterFailoverExperiment",),
+               (_TRIALS, ("--rip-interval", {"type": _positive_float}))),
+    "baselines": ("VRRP / HSRP / Fake comparison (section 7)",
+                  ("baselines_experiment.BaselineComparison",), ()),
+    "tuning": ("false positives + sensitivity sweeps",
+               ("tuning.FalsePositiveExperiment", "tuning.SensitivityExperiment"),
+               (_DURATION, _TRIALS)),
+    "load": ("daemon priority on loaded machines", ("load.LoadedClusterExperiment",),
+             (_DURATION, _TRIALS)),
+    "availability": ("pool-wide availability under faults",
+                     ("availability.AvailabilityExperiment",),
+                     (("--window", {"type": _positive_float}),
+                      ("--faults", {"type": _positive_int}),
+                      _TRIALS)),
+}
+
 
 def build_parser():
     """The argparse tree for all subcommands."""
@@ -80,42 +118,10 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    table1 = sub.add_parser("table1", help="Table 1 and the notification windows")
-    table1.add_argument("--trials", type=_positive_int, default=5)
-    table1.add_argument("--servers", type=_web_servers, default=4)
-
-    figure5 = sub.add_parser("figure5", help="Figure 5 cluster-size sweep")
-    figure5.add_argument(
-        "--sizes", type=_web_servers, nargs="+", default=[2, 4, 6, 8, 10, 12]
-    )
-    figure5.add_argument("--trials", type=_positive_int, default=3)
-    figure5.add_argument("--vips", type=_web_vips, default=10)
-    figure5.add_argument("--chart", action="store_true", help="also print an ASCII chart")
-
-    graceful = sub.add_parser("graceful", help="voluntary-leave interruption")
-    graceful.add_argument("--trials", type=_positive_int, default=10)
-    graceful.add_argument("--servers", type=_web_servers, default=4)
-
-    router = sub.add_parser("router", help="virtual-router fail-over (section 5.2)")
-    router.add_argument("--trials", type=_positive_int, default=2)
-    router.add_argument("--rip-interval", type=_positive_float, default=30.0)
-
-    sub.add_parser("baselines", help="VRRP / HSRP / Fake comparison (section 7)")
-
-    tuning = sub.add_parser("tuning", help="false positives + sensitivity sweeps")
-    tuning.add_argument("--duration", type=_positive_float, default=120.0)
-    tuning.add_argument("--trials", type=_positive_int, default=2)
-
-    load = sub.add_parser("load", help="daemon priority on loaded machines")
-    load.add_argument("--duration", type=_positive_float, default=120.0)
-    load.add_argument("--trials", type=_positive_int, default=2)
-
-    availability = sub.add_parser(
-        "availability", help="pool-wide availability under faults"
-    )
-    availability.add_argument("--window", type=_positive_float, default=120.0)
-    availability.add_argument("--faults", type=_positive_int, default=1)
-    availability.add_argument("--trials", type=_positive_int, default=2)
+    for command, (text, _classes, flags) in EXPERIMENTS.items():
+        experiment = sub.add_parser(command, help=text)
+        for option, settings in flags:
+            experiment.add_argument(option, default=argparse.SUPPRESS, **settings)
 
     check = sub.add_parser(
         "check", help="fault-schedule exploration campaign (repro.check)"
@@ -272,67 +278,31 @@ def _reject(args, argument, problem):
     raise SystemExit(2)
 
 
-def _run_table1(args, out):
-    from repro.experiments.table1 import Table1Experiment
+def _run_experiment(args, out):
+    """Run a subcommand of :data:`EXPERIMENTS`: each class gets the keywords it takes."""
+    import importlib
+    import inspect
 
-    experiment = Table1Experiment(trials=args.trials, cluster_size=args.servers)
-    out(experiment.format())
+    given = vars(args)
+    for index, path in enumerate(EXPERIMENTS[args.command][1]):
+        module, name = path.rsplit(".", 1)
+        factory = getattr(importlib.import_module("repro.experiments." + module), name)
+        takes = inspect.signature(factory).parameters
+        experiment = factory(**{key: value for key, value in given.items() if key in takes})
+        results = experiment.run()
+        if index:
+            out("")
+        out(experiment.format(results))
+        if given.get("chart"):
+            out("")
+            out(experiment.format_chart(results))
 
 
-def _run_figure5(args, out):
-    from repro.experiments.figure5 import Figure5Experiment
-
-    experiment = Figure5Experiment(
-        cluster_sizes=tuple(args.sizes), trials=args.trials, n_vips=args.vips
-    )
-    series = experiment.run()
-    out(experiment.format(series))
-    if args.chart:
+def _run_all(args, out):
+    for command in EXPERIMENTS:
+        out("=" * 72)
+        _run_experiment(argparse.Namespace(command=command), out)
         out("")
-        out(experiment.format_chart(series))
-
-
-def _run_graceful(args, out):
-    from repro.experiments.graceful import GracefulLeaveExperiment
-
-    experiment = GracefulLeaveExperiment(trials=args.trials, cluster_size=args.servers)
-    out(experiment.format())
-
-
-def _run_router(args, out):
-    from repro.experiments.router_experiment import RouterFailoverExperiment
-
-    experiment = RouterFailoverExperiment(
-        trials=args.trials, rip_interval=args.rip_interval
-    )
-    out(experiment.format())
-
-
-def _run_baselines(args, out):
-    from repro.experiments.baselines_experiment import BaselineComparison
-
-    out(BaselineComparison(trials=3).format())
-
-
-def _run_tuning(args, out):
-    from repro.experiments.tuning import FalsePositiveExperiment, SensitivityExperiment
-
-    out(FalsePositiveExperiment(duration=args.duration, trials=args.trials).format())
-    out("")
-    out(SensitivityExperiment(trials=args.trials).format())
-
-
-def _run_load(args, out):
-    from repro.experiments.load import LoadedClusterExperiment
-
-    out(LoadedClusterExperiment(duration=args.duration, trials=args.trials).format())
-
-
-def _run_availability(args, out):
-    from repro.experiments.availability import AvailabilityExperiment
-
-    experiment = AvailabilityExperiment(window=args.window, faults=args.faults)
-    out(experiment.format(trials=args.trials))
 
 
 #: The ``check`` flags a trial mode reads besides its own: any other set
@@ -629,33 +599,16 @@ def _run_lint(args, out):
 def main(argv=None, out=print):
     """Entry point; returns a process exit code."""
     args = build_parser().parse_args(argv)
-    handlers = {
-        "table1": _run_table1,
-        "figure5": _run_figure5,
-        "graceful": _run_graceful,
-        "router": _run_router,
-        "baselines": _run_baselines,
-        "tuning": _run_tuning,
-        "load": _run_load,
-        "availability": _run_availability,
-        "check": _run_check,
-        "flow": _run_flow,
-        "observe": _run_observe,
-        "bench": _run_bench,
-        "lint": _run_lint,
-    }
-    if args.command == "all":
-        defaults = build_parser()
-        for command in (
-            "table1", "figure5", "graceful", "router", "baselines", "tuning",
-            "load", "availability",
-        ):
-            out("=" * 72)
-            handlers[command](defaults.parse_args([command]), out)
-            out("")
-        return 0
-    code = handlers[args.command](args, out)
-    return int(code or 0)
+    handlers = dict.fromkeys(EXPERIMENTS, _run_experiment)
+    handlers.update(all=_run_all, check=_run_check, flow=_run_flow, observe=_run_observe,
+                    bench=_run_bench, lint=_run_lint)
+    try:
+        return int(handlers[args.command](args, out) or 0)
+    except BrokenPipeError:
+        # The reader left early (``repro ... | head``): stop quietly, and
+        # leave the exit's flush of stdout nothing to fail on.
+        sys.stdout = None
+        return 1
 
 
 if __name__ == "__main__":

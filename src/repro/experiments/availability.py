@@ -24,6 +24,7 @@ class AvailabilityExperiment:
         n_servers=4,
         n_vips=10,
         faults=1,
+        trials=2,
         spread_config=None,
         probe_interval=0.010,
         base_seed=8800,
@@ -32,6 +33,7 @@ class AvailabilityExperiment:
         self.n_servers = n_servers
         self.n_vips = n_vips
         self.faults = faults
+        self.trials = trials
         self.spread_config = spread_config or SpreadConfig.tuned()
         self.probe_interval = probe_interval
         self.base_seed = base_seed
@@ -86,12 +88,12 @@ class AvailabilityExperiment:
         if len(live) > 1:
             scenario.faults.nic_down(live[0].host.nic_on(scenario.lan))
 
-    def run(self, trials=2):
+    def run(self):
         """Mean pool availability and the worst single-VIP rate."""
         pool_rates = []
         worst_vip_rates = []
         self._gap_seconds = []
-        for trial in range(trials):
+        for trial in range(self.trials):
             pool, per_vip, _ = self.run_trial(self.base_seed + trial)
             pool_rates.append(pool)
             worst_vip_rates.append(min(per_vip.values()))
@@ -102,8 +104,8 @@ class AvailabilityExperiment:
             "mean_coverage_gap": mean(self._gap_seconds) if self._gap_seconds else 0.0,
         }
 
-    def format(self, results=None, trials=2):
-        results = results or self.run(trials=trials)
+    def format(self, results=None):
+        results = results or self.run()
         rows = [
             ["window (s)", self.window],
             ["faults injected", self.faults],

@@ -45,33 +45,3 @@ def _cell(value):
     if isinstance(value, float):
         return "{:.3f}".format(value)
     return str(value)
-
-
-def to_csv(headers, rows):
-    """Render a result table as CSV text (for downstream plotting).
-
-    Floats keep full precision here, unlike the display tables.
-    """
-    import csv
-    import io
-
-    buffer = io.StringIO()
-    writer = csv.writer(buffer)
-    writer.writerow([str(h) for h in headers])
-    for row in rows:
-        writer.writerow(row)
-    return buffer.getvalue()
-
-
-def series_to_rows(series, x_name="x"):
-    """Flatten {label: [(x, y)]} into (headers, rows) for to_csv."""
-    labels = list(series)
-    xs = sorted({x for points in series.values() for x, _ in points})
-    lookup = {
-        label: {x: y for x, y in points} for label, points in series.items()
-    }
-    rows = [
-        [x] + [lookup[label].get(x) for label in labels]
-        for x in xs
-    ]
-    return [x_name] + labels, rows

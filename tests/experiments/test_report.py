@@ -38,23 +38,3 @@ def test_format_table_aligns_columns():
 def test_format_table_without_title():
     text = format_table(["x"], [[1]])
     assert text.splitlines()[0] == "x"
-
-
-def test_to_csv_full_precision():
-    from repro.experiments.report import to_csv
-
-    text = to_csv(["a", "b"], [[1, 2.123456789], ["x,y", 3]])
-    lines = text.strip().splitlines()
-    assert lines[0] == "a,b"
-    assert "2.123456789" in lines[1]
-    assert '"x,y"' in lines[2]  # quoting preserved
-
-
-def test_series_to_rows_aligns_on_x():
-    from repro.experiments.report import series_to_rows
-
-    headers, rows = series_to_rows(
-        {"s1": [(1, 10.0), (2, 20.0)], "s2": [(2, 5.0), (3, 6.0)]}, x_name="size"
-    )
-    assert headers == ["size", "s1", "s2"]
-    assert rows == [[1, 10.0, None], [2, 20.0, 5.0], [3, None, 6.0]]

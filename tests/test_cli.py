@@ -2,12 +2,14 @@
 
 import json
 import os
+import sys
 
 import pytest
 
+from repro import cli
 from repro.check.campaign import make_artifact
 from repro.check.trial import make_spec
-from repro.cli import CHECK_PLAN, WEB_PLAN, build_parser, main
+from repro.cli import CHECK_PLAN, EXPERIMENTS, WEB_PLAN, build_parser, main
 
 #: A JSON file that no campaign wrote.
 FOREIGN_JSON = os.path.join(os.path.dirname(__file__), "golden_cli_help.json")
@@ -123,6 +125,36 @@ def test_parser_help_lists_subcommands():
     help_text = parser.format_help()
     for command in ("table1", "figure5", "graceful", "router", "baselines", "tuning", "all"):
         assert command in help_text
+
+
+def test_experiment_defaults_are_the_constructors_and_all_runs_the_table(monkeypatch):
+    import importlib
+    import inspect
+
+    for command, (_text, classes, flags) in EXPERIMENTS.items():
+        assert vars(build_parser().parse_args([command])) == {"command": command}
+        takes = set()
+        for path in classes:
+            module, name = path.rsplit(".", 1)
+            factory = getattr(importlib.import_module("repro.experiments." + module), name)
+            takes.update(inspect.signature(factory).parameters)
+        for option, settings in flags:
+            if option != "--chart":  # figure5's one flag that is no keyword
+                assert settings.get("dest", option[2:].replace("-", "_")) in takes, option
+    ran = []
+    monkeypatch.setattr(cli, "_run_experiment", lambda args, out: ran.append(args.command))
+    assert main(["all"], out=lambda line: None) == 0
+    assert ran == list(EXPERIMENTS)
+
+
+def test_a_reader_that_leaves_early_ends_the_command_quietly(monkeypatch):
+    # `repro graceful | head -1` ended in a BrokenPipeError traceback.
+    def closed(line):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    monkeypatch.setattr(sys, "stdout", sys.stdout)
+    assert main(["lint", "--list-rules"], out=closed) == 1
+    assert sys.stdout is None  # so the flush at exit has nothing to fail on
 
 
 def test_bench_writes_trajectory_and_gates_on_regression(tmp_path):
@@ -326,6 +358,10 @@ def _without(artifact, key):
 CRASH_0 = {"kind": "crash", "time": 1.0, "duration": 2.0, "host": 0}
 
 
+def _with_spec(spec):
+    return dict(_artifact(CRASH_0), spec=spec)
+
+
 @pytest.mark.parametrize(
     "artifact, named",
     [
@@ -341,10 +377,18 @@ CRASH_0 = {"kind": "crash", "time": 1.0, "duration": 2.0, "host": 0}
         (_without(_artifact(CRASH_0), "spec"), "artifact has no spec"),
         (_without(_artifact(CRASH_0), "result"), "artifact has no result"),
         (_artifact(CRASH_0, bogus_field=1), "unknown spec fields: ['bogus_field']"),
+        # These died in a traceback: TypeError, TypeError, TypeError, KeyError, TypeError.
+        (_with_spec([CRASH_0]), "artifact spec is a JSON list, not an object"),
+        (_with_spec(_without(_artifact(CRASH_0)["spec"], "seed")), "artifact spec has no seed"),
+        (_with_spec(dict(_artifact()["spec"], schedule=[CRASH_0])),
+         "spec schedule is a JSON list, not an object"),
+        (_artifact({"kind": "crash", "duration": 2.0, "host": 0}), "schedule event has no time"),
+        (_artifact(dict(CRASH_0, time=None)), "artifact spec: float() argument"),
     ],
     ids=["host-past-cluster", "crash-no-host", "partition-no-split", "negative-time",
          "negative-duration", "split-past-cluster", "not-an-object", "no-spec", "no-result",
-         "unknown-spec-field"],
+         "unknown-spec-field", "spec-a-list", "spec-no-seed", "schedule-a-list",
+         "event-no-time", "event-time-null"],
 )
 def test_replay_of_a_malformed_schedule_is_one_line_and_exit_2(artifact, named, tmp_path, capsys):
     # The first of these printed an IndexError traceback and exited 1.
