@@ -25,6 +25,7 @@ byte-identical replay possible.
 """
 
 import json
+import math
 from collections import Counter, namedtuple
 
 from repro.sim.rng import RngRegistry
@@ -174,8 +175,8 @@ class FaultEvent:
         self.duration = float(duration)
         self.split = None if split is None else tuple(sorted(int(i) for i in split))
         self.param = None if param is None else float(param)
-        if not (self.time >= 0.0 and self.duration >= 0.0):  # NaN fails too
-            raise ValueError("{} needs time and duration >= 0, got {} and {}".format(
+        if not (0.0 <= self.time < math.inf and 0.0 <= self.duration < math.inf):  # NaN fails too
+            raise ValueError("{} needs finite time and duration >= 0, got {} and {}".format(
                 kind, self.time, self.duration))
 
     def to_dict(self):
@@ -213,10 +214,10 @@ class FaultSchedule:
     __slots__ = ("events", "horizon")
 
     def __init__(self, events, horizon):
-        self.events = sorted(
-            (e for e in events), key=lambda e: (e.time, e.kind, e.host or -1)
-        )
+        self.events = sorted(events, key=lambda e: (e.time, e.kind, e.host or -1))
         self.horizon = float(horizon)
+        if not 0.0 <= self.horizon < math.inf:  # NaN fails too
+            raise ValueError("a schedule needs a finite horizon >= 0, got {}".format(horizon))
 
     def tail_time(self):
         """Simulated time by which every healing action has fired."""
@@ -234,9 +235,7 @@ class FaultSchedule:
 
     @classmethod
     def from_dict(cls, data):
-        return cls(
-            [FaultEvent.from_dict(e) for e in data["events"]], data["horizon"]
-        )
+        return cls([FaultEvent.from_dict(e) for e in data["events"]], data["horizon"])
 
     def to_json(self):
         return json.dumps(self.to_dict(), indent=2, sort_keys=True)

@@ -46,7 +46,7 @@ def _bounded(kind, accepts, requirement):
 
 
 _positive_int = _bounded(int, lambda value: value >= 1, "at least 1")
-_positive_float = _bounded(float, lambda value: value > 0.0, "positive")  # NaN is not
+_positive_float = _bounded(float, lambda value: 0.0 < value < float("inf"), "positive and finite")
 
 
 def _sized(least, most, plan):
@@ -69,7 +69,7 @@ _check_vips = _sized(1, CHECK_PLAN["vips"], "check cluster's")
 #: Zero events is a fault-free trial.
 _event_count = _bounded(int, lambda value: value >= 0, "at least 0")
 #: A threshold of zero fails on any slowdown at all.
-_fraction = _bounded(float, lambda value: value >= 0.0, "at least 0")
+_fraction = _bounded(float, lambda value: 0.0 <= value < float("inf"), "at least 0 and finite")
 
 _TRIALS = ("--trials", {"type": _positive_int})
 _DURATION = ("--duration", {"type": _positive_float})

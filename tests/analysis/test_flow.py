@@ -3,14 +3,14 @@
 import json
 import os
 
-from repro.analysis import LintConfig, load_project, render_state_machines
+import pytest
+
+from repro.analysis import LintConfig, load_project
 from repro.analysis.callgraph import module_dotted_name
 
-REPO_ROOT = os.path.normpath(
-    os.path.join(os.path.dirname(__file__), os.pardir, os.pardir)
+GOLDEN = os.path.join(
+    os.path.dirname(__file__), os.pardir, os.pardir, "docs", "state-machines.json"
 )
-SRC = os.path.join(REPO_ROOT, "src", "repro")
-GOLDEN = os.path.join(REPO_ROOT, "docs", "state-machines.json")
 
 
 def project_from(tmp_path, files):
@@ -236,23 +236,20 @@ class TestDataflow:
 
 
 class TestStateMachineArtifact:
-    def render(self):
-        config = LintConfig()
-        project = load_project([SRC], config)
-        return render_state_machines(project, config)
+    @pytest.fixture
+    def machines(self, state_machines):
+        return {m["name"]: m for m in json.loads(state_machines)["machines"]}
 
-    def test_double_render_is_byte_identical(self):
-        first = json.dumps(self.render(), indent=2, sort_keys=True)
-        second = json.dumps(self.render(), indent=2, sort_keys=True)
-        assert first == second
+    def test_double_render_is_byte_identical(self, state_machines, cli_state_machines):
+        # The CLI's render is the session's second one.
+        assert cli_state_machines[1] == state_machines
 
-    def test_committed_golden_file_matches_regeneration(self):
+    def test_committed_golden_file_matches_regeneration(self, state_machines):
         with open(GOLDEN, encoding="utf-8") as handle:
             committed = json.load(handle)
-        assert committed == self.render()
+        assert committed == json.loads(state_machines)
 
-    def test_daemon_machine_golden_shape(self):
-        machines = {m["name"]: m for m in self.render()["machines"]}
+    def test_daemon_machine_golden_shape(self, machines):
         daemon = machines["gcs.daemon"]
         assert daemon["kind"] == "dispatch"
         assert daemon["class"] == "SpreadDaemon"
@@ -264,8 +261,7 @@ class TestStateMachineArtifact:
         assert daemon["arms"]["OrderedMsg"] == ["self._on_ordered"]
         assert "self.membership.on_join" in daemon["arms"]["JoinMsg"]
 
-    def test_membership_machine_states_and_guards(self):
-        machines = {m["name"]: m for m in self.render()["machines"]}
+    def test_membership_machine_states_and_guards(self, machines):
         membership = machines["gcs.membership"]
         assert membership["kind"] == "states"
         assert membership["states"] == [
@@ -277,8 +273,7 @@ class TestStateMachineArtifact:
         on_ack = membership["handlers"]["on_ack"]
         assert on_ack["guards"] == ["form_sent"]
 
-    def test_declared_machine_lists_all_transitions(self):
-        machines = {m["name"]: m for m in self.render()["machines"]}
+    def test_declared_machine_lists_all_transitions(self, machines):
         wackamole = machines["core.wackamole"]
         assert wackamole["kind"] == "declared"
         assert wackamole["states"] == ["BALANCE", "GATHER", "RUN"]

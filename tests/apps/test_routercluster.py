@@ -19,6 +19,18 @@ def scenario(mode="static", **kwargs):
     return RouterClusterScenario(**defaults)
 
 
+def fail_over(mode, fault, run_for):
+    """Probe a settled cluster for a second, fail its active router, run on."""
+    sc = scenario(mode).start()
+    assert sc.run_until_stable(timeout=60.0)
+    probe = sc.start_probe()
+    sc.sim.run_for(1.0)
+    fault_time = sc.sim.now
+    sc.fail_active(mode=fault)
+    sc.sim.run_for(run_for)
+    return sc, probe, fault_time, probe.longest_gap(after=fault_time)
+
+
 def test_one_router_holds_the_whole_virtual_set():
     sc = scenario().start()
     assert sc.run_until_stable(timeout=60.0)
@@ -63,26 +75,12 @@ def test_crash_moves_the_indivisible_set_atomically():
 
 
 def test_static_mode_failover_within_tuned_window():
-    sc = scenario("static").start()
-    assert sc.run_until_stable(timeout=60.0)
-    probe = sc.start_probe()
-    sc.sim.run_for(1.0)
-    fault_time = sc.sim.now
-    sc.fail_active(mode="crash")
-    sc.sim.run_for(20.0)
-    gap = probe.longest_gap(after=fault_time)
+    _sc, _probe, _fault_time, gap = fail_over("static", "crash", 20.0)
     assert gap <= SpreadConfig.tuned().notification_window()[1] + 1.0
 
 
 def test_naive_mode_pays_routing_convergence():
-    sc = scenario("naive").start()
-    assert sc.run_until_stable(timeout=60.0)
-    probe = sc.start_probe()
-    sc.sim.run_for(1.0)
-    fault_time = sc.sim.now
-    sc.fail_active(mode="crash")
-    sc.sim.run_for(40.0)
-    gap = probe.longest_gap(after=fault_time)
+    sc, probe, fault_time, gap = fail_over("naive", "crash", 40.0)
     # Interruption includes waiting for the next advertisement round.
     _, failover_hi = SpreadConfig.tuned().notification_window()
     assert gap > failover_hi + 1.0
@@ -92,14 +90,7 @@ def test_naive_mode_pays_routing_convergence():
 
 
 def test_advertise_all_mode_avoids_convergence_delay():
-    sc = scenario("advertise_all").start()
-    assert sc.run_until_stable(timeout=60.0)
-    probe = sc.start_probe()
-    sc.sim.run_for(1.0)
-    fault_time = sc.sim.now
-    sc.fail_active(mode="crash")
-    sc.sim.run_for(40.0)
-    gap = probe.longest_gap(after=fault_time)
+    _sc, _probe, _fault_time, gap = fail_over("advertise_all", "crash", 40.0)
     assert gap <= SpreadConfig.tuned().notification_window()[1] + 1.0
 
 
@@ -109,14 +100,7 @@ def test_unknown_routing_mode_rejected():
 
 
 def test_graceful_shutdown_hands_off_quickly():
-    sc = scenario().start()
-    assert sc.run_until_stable(timeout=60.0)
-    probe = sc.start_probe()
-    sc.sim.run_for(1.0)
-    fault_time = sc.sim.now
-    sc.fail_active(mode="shutdown")
-    sc.sim.run_for(5.0)
-    gap = probe.longest_gap(after=fault_time)
+    sc, _probe, _fault_time, gap = fail_over("static", "shutdown", 5.0)
     assert gap <= 0.5
     assert sc.active_router() is not None
 

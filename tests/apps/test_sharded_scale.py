@@ -11,6 +11,8 @@ the n256 acceptance size.
 
 import pytest
 
+from helpers import shared
+
 from repro.apps.scalecluster import ScaleClusterScenario, ShardedScaleScenario
 from repro.sim.shard.kernel import ShardedKernel
 from repro.sim.shard.merge import artifact_bytes
@@ -65,18 +67,22 @@ def assert_sharded_and_forked_match(params, expected):
     assert scenario.workers_used == 4
 
 
-def test_parity_serial_vs_sharded_vs_forked_n64():
-    serial = ShardedScaleScenario(shards=1, **N64).run()
-    assert_sharded_and_forked_match(N64, artifact_bytes(serial))
-    assert serial["converged"] is True
-    assert serial["n_live"] == 64  # victim revived before the horizon
-    assert serial["flow"]["offered"] > 0
-    assert serial["trace"]["records"] > 0
+@pytest.fixture(scope="module")
+def serial_n64():
+    """The serial kernel's n64 artifact, the one every parity test compares with."""
+    yield from shared(ShardedScaleScenario(shards=1, **N64).run())
 
 
-def test_parity_live_vs_serial_n64():
-    serial = ShardedScaleScenario(shards=1, **N64).run()
-    assert artifact_bytes(run_live(N64)) == artifact_bytes(serial)
+def test_parity_serial_vs_sharded_vs_forked_n64(serial_n64):
+    assert_sharded_and_forked_match(N64, artifact_bytes(serial_n64))
+    assert serial_n64["converged"] is True
+    assert serial_n64["n_live"] == 64  # victim revived before the horizon
+    assert serial_n64["flow"]["offered"] > 0
+    assert serial_n64["trace"]["records"] > 0
+
+
+def test_parity_live_vs_serial_n64(serial_n64):
+    assert artifact_bytes(run_live(N64)) == artifact_bytes(serial_n64)
 
 
 def one_world_kernel():
@@ -94,14 +100,20 @@ def ten_seconds_in(calls):
     return world
 
 
+@pytest.fixture(scope="module")
+def one_call():
+    """Ten simulated seconds in one call, which every split run must equal."""
+    yield from shared(ten_seconds_in(1))
+
+
 @pytest.mark.parametrize("calls", [1, 10, 100])
-def test_a_run_split_into_calls_delivers_every_frame(calls):
+def test_a_run_split_into_calls_delivers_every_frame(calls, one_call):
     # A call only stops the world's clock: frames, trace and counters
     # are those of one call to the same time.
     world = ten_seconds_in(calls)
     assert world["now"] == 10.0
     assert world["metrics"]["net.frames_delivered"] > 0
-    assert world == ten_seconds_in(1)
+    assert world == one_call
 
 
 def test_live_faults_between_calls_run_clean():
@@ -116,12 +128,11 @@ def test_live_faults_between_calls_run_clean():
     assert scenario.settle()
 
 
-def test_artifact_is_a_pure_function_of_params():
-    first, _ = run_n64(shards=1)
+def test_artifact_is_a_pure_function_of_params(serial_n64):
     second, _ = run_n64(shards=1)
-    assert artifact_bytes(first) == artifact_bytes(second)
+    assert artifact_bytes(serial_n64) == artifact_bytes(second)
     different_seed, _ = run_n64(shards=1, seed=8)
-    assert artifact_bytes(first) != artifact_bytes(different_seed)
+    assert artifact_bytes(serial_n64) != artifact_bytes(different_seed)
 
 
 def test_artifact_meta_never_names_the_grouping():

@@ -9,6 +9,10 @@ the saved artifact must replay byte-identically — twice.
 import json
 import os
 
+import pytest
+
+from helpers import shared
+
 from repro.check import build_specs, load_artifact, replay, run_campaign
 
 
@@ -65,33 +69,29 @@ def test_specs_are_order_independent():
     assert len({spec["seed"] for spec in specs}) == len(specs)
 
 
-def test_artifact_is_valid_json_on_disk(tmp_path):
-    report = run_campaign(
+@pytest.fixture(scope="module")
+def broken_trial(tmp_path_factory):
+    """One failing trial, shrunk and saved, which the tests below only read."""
+    yield from shared(run_campaign(
         base_seed=1,
         trials=1,
         workers=1,
         fixture="broken-balance",
         horizon=30.0,
         events_per_trial=6,
-        artifacts_dir=tmp_path,
-    )
-    with open(report.artifacts[0]) as handle:
+        artifacts_dir=tmp_path_factory.mktemp("artifacts"),
+    ))
+
+
+def test_artifact_is_valid_json_on_disk(broken_trial):
+    with open(broken_trial.artifacts[0]) as handle:
         raw = json.load(handle)
     assert raw["format"] == "repro-check/1"
     assert raw["spec"]["fixture"] == "broken-balance"
 
 
-def test_report_format_mentions_failures(tmp_path):
-    report = run_campaign(
-        base_seed=1,
-        trials=1,
-        workers=1,
-        fixture="broken-balance",
-        horizon=30.0,
-        events_per_trial=6,
-        artifacts_dir=tmp_path,
-    )
-    text = report.format()
+def test_report_format_mentions_failures(broken_trial):
+    text = broken_trial.format()
     assert "FAILURE" in text
     assert "shrunk to" in text
 

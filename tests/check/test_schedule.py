@@ -404,6 +404,8 @@ def test_table_draws_what_the_hand_written_mixes_drew(gray, corrupt):
         (CRASH, {"host": 0, "time": -3.0}),
         (NIC_FLAP, {"host": 0, "duration": -2.0}),
         (BURST_LOSS, {"time": float("nan")}),
+        (CRASH, {"host": 0, "time": float("inf")}),
+        (NIC_FLAP, {"host": 0, "duration": float("inf")}),
     ],
 )
 def test_malformed_event_raises_value_error(kind, fields):

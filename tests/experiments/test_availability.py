@@ -1,5 +1,9 @@
 """Tests for the pool-wide availability experiment (reduced sizes)."""
 
+import pytest
+
+from helpers import shared
+
 from repro.experiments.availability import AvailabilityExperiment
 from repro.gcs.config import SpreadConfig
 
@@ -18,29 +22,41 @@ def small(**kwargs):
     return AvailabilityExperiment(**defaults)
 
 
-def test_no_faults_means_full_availability():
-    results = small(faults=0).run()
+@pytest.fixture(scope="module")
+def fault_free():
+    """One fault-free run, which every test here only reads."""
+    experiment = small(faults=0)
+    yield from shared((experiment, experiment.run()))
+
+
+@pytest.fixture(scope="module")
+def one_fault():
+    """One run with a single fault, which every test here only reads."""
+    yield from shared(small().run())
+
+
+def test_no_faults_means_full_availability(fault_free):
+    _experiment, results = fault_free
     assert results["pool_availability"] > 0.999
     assert results["worst_vip_availability"] > 0.999
 
 
-def test_one_fault_costs_roughly_the_interruption_window():
-    experiment = small()
-    results = experiment.run()
+def test_one_fault_costs_roughly_the_interruption_window(one_fault):
+    results = one_fault
     # The victim's VIPs lose ~2.2s out of 30; the pool average less.
     assert 0.80 < results["worst_vip_availability"] < 1.0
     assert results["pool_availability"] > results["worst_vip_availability"]
 
 
-def test_tuned_beats_default_availability():
-    tuned = small().run()
+def test_tuned_beats_default_availability(one_fault):
+    tuned = one_fault
     default = small(spread_config=SpreadConfig.default(), window=40.0).run()
     assert tuned["pool_availability"] > default["pool_availability"]
 
 
-def test_format_renders_percentages():
-    experiment = small(faults=0)
-    text = experiment.format()
+def test_format_renders_percentages(fault_free):
+    experiment, results = fault_free
+    text = experiment.format(results)
     assert "Pool-wide availability" in text
     assert "%" in text
 

@@ -1,11 +1,21 @@
 """Tests for the §7 protocol comparison (reduced sizes)."""
 
+import pytest
+
+from helpers import shared
+
 from repro.experiments.baselines_experiment import BaselineComparison
 
 
-def test_wackamole_tuned_beats_default_and_hsrp():
+@pytest.fixture(scope="module")
+def comparison_run():
+    """One run of the comparison, which every test here only reads."""
     comparison = BaselineComparison(trials=1)
-    results = comparison.run()
+    yield from shared((comparison, comparison.run()))
+
+
+def test_wackamole_tuned_beats_default_and_hsrp(comparison_run):
+    _comparison, results = comparison_run
     tuned = results["wackamole-tuned"]["mean"]
     default = results["wackamole-default"]["mean"]
     hsrp = results["hsrp"]["mean"]
@@ -25,14 +35,12 @@ def test_fake_detection_bounded_by_probe_budget():
 
 
 def test_unknown_protocol_rejected():
-    import pytest
-
     with pytest.raises(ValueError):
         BaselineComparison(trials=1)._one_trial("carrier-pigeon", 1)
 
 
-def test_format_lists_all_protocols():
-    comparison = BaselineComparison(trials=1)
-    text = comparison.format()
+def test_format_lists_all_protocols(comparison_run):
+    comparison, results = comparison_run
+    text = comparison.format(results)
     for protocol in comparison.PROTOCOLS:
         assert protocol in text

@@ -1,5 +1,9 @@
 """Tests for the Figure 5 reproduction (reduced size for speed)."""
 
+import pytest
+
+from helpers import shared
+
 from repro.experiments.figure5 import Figure5Experiment
 
 
@@ -7,9 +11,15 @@ def small_experiment():
     return Figure5Experiment(cluster_sizes=(2, 4), trials=2)
 
 
-def test_series_shapes_match_the_paper():
+@pytest.fixture(scope="module")
+def figure():
+    """One run of the small figure, which every test here only reads."""
     experiment = small_experiment()
-    series = experiment.run()
+    yield from shared((experiment, experiment.run()))
+
+
+def test_series_shapes_match_the_paper(figure):
+    experiment, series = figure
     for size in experiment.cluster_sizes:
         default = series["Default Spread"][size]["mean"]
         tuned = series["Fine-tuned Spread"][size]["mean"]
@@ -19,17 +29,16 @@ def test_series_shapes_match_the_paper():
         assert default / tuned > 3.0
 
 
-def test_roughly_flat_across_cluster_sizes():
-    experiment = small_experiment()
-    series = experiment.run()
+def test_roughly_flat_across_cluster_sizes(figure):
+    experiment, series = figure
     for config_name in experiment.configs:
         means = [series[config_name][s]["mean"] for s in experiment.cluster_sizes]
         assert max(means) - min(means) < 2.5
 
 
-def test_format_contains_figure_title_and_sizes():
-    experiment = small_experiment()
-    text = experiment.format()
+def test_format_contains_figure_title_and_sizes(figure):
+    experiment, series = figure
+    text = experiment.format(series)
     assert "Figure 5" in text
     assert "Cluster Size" in text
     for size in experiment.cluster_sizes:
@@ -45,9 +54,8 @@ def test_run_point_returns_requested_trials():
     assert all(s > 0 for s in samples)
 
 
-def test_format_chart_renders_both_series():
-    experiment = Figure5Experiment(cluster_sizes=(2, 4), trials=1)
-    series = experiment.run()
+def test_format_chart_renders_both_series(figure):
+    experiment, series = figure
     chart = experiment.format_chart(series)
     assert "Default Spread" in chart
     assert "Fine-tuned Spread" in chart

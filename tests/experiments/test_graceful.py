@@ -1,20 +1,27 @@
 """Tests for the voluntary-leave experiment (§6 text)."""
 
+import pytest
+
+from helpers import shared
+
 from repro.experiments.graceful import GracefulLeaveExperiment
 
 
-def test_all_samples_within_paper_bound():
-    experiment = GracefulLeaveExperiment(trials=3, cluster_size=3)
-    results = experiment.run()
+@pytest.fixture(scope="module")
+def leaves():
+    """One run of three leaves, which every test here only reads."""
+    yield from shared(GracefulLeaveExperiment(trials=3, cluster_size=3).run())
+
+
+def test_all_samples_within_paper_bound(leaves):
+    results = leaves
     assert results["samples"]
     assert results["within_bound"]
     assert results["max"] <= GracefulLeaveExperiment.UPPER_BOUND
 
 
-def test_typical_sample_is_about_10ms():
-    experiment = GracefulLeaveExperiment(trials=3, cluster_size=3)
-    results = experiment.run()
-    assert results["mean"] <= 0.05
+def test_typical_sample_is_about_10ms(leaves):
+    assert leaves["mean"] <= 0.05
 
 
 def test_format_mentions_bound():

@@ -1,14 +1,24 @@
 """Tests for the §5.2 router-failover experiment (reduced sizes)."""
 
+import pytest
+
+from helpers import shared
+
 from repro.experiments.router_experiment import RouterFailoverExperiment
 from repro.gcs.config import SpreadConfig
 
 
-def test_naive_pays_convergence_and_advertise_all_does_not():
+@pytest.fixture(scope="module")
+def router_run():
+    """One run of the experiment, which every test here only reads."""
     experiment = RouterFailoverExperiment(
         trials=1, rip_interval=10.0, spread_config=SpreadConfig.tuned()
     )
-    results = experiment.run()
+    yield from shared((experiment, experiment.run()))
+
+
+def test_naive_pays_convergence_and_advertise_all_does_not(router_run):
+    experiment, results = router_run
     static = results["static"]["mean"]
     naive = results["naive"]["mean"]
     advertise_all = results["advertise_all"]["mean"]
@@ -17,10 +27,8 @@ def test_naive_pays_convergence_and_advertise_all_does_not():
     assert naive <= static + experiment.rip_interval + 2.0
 
 
-def test_format_lists_all_modes():
-    experiment = RouterFailoverExperiment(
-        trials=1, rip_interval=10.0, spread_config=SpreadConfig.tuned()
-    )
-    text = experiment.format()
+def test_format_lists_all_modes(router_run):
+    experiment, results = router_run
+    text = experiment.format(results)
     for mode in experiment.MODES:
         assert mode in text

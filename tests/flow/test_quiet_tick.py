@@ -24,7 +24,7 @@ from repro.net.lan import Lan
 from repro.net.linkfault import GilbertElliott
 from repro.sim.simulation import Simulation
 
-from helpers import flow_backend
+from helpers import flow_backend, shared
 
 
 class Forgetful(DirectResolver):
@@ -270,12 +270,12 @@ def run_fault_script(resolver_class, use_numpy):
 
 @pytest.fixture(scope="module")
 def reference_run():
-    return run_fault_script(Forgetful, use_numpy=False)
+    yield from shared(run_fault_script(Forgetful, use_numpy=False))
 
 
 @pytest.fixture(scope="module")
 def oracle_run():
-    return run_fault_script(ComparedDirect, use_numpy=False)
+    yield from shared(run_fault_script(ComparedDirect, use_numpy=False))
 
 
 def test_forgetful_reference_resolves_every_vip_every_tick(reference_run):
@@ -437,12 +437,12 @@ def run_arp_view_script(resolver_class, use_numpy):
 
 @pytest.fixture(scope="module")
 def arp_reference_run():
-    return run_arp_view_script(ForgetfulArpView, use_numpy=False)
+    yield from shared(run_arp_view_script(ForgetfulArpView, use_numpy=False))
 
 
 @pytest.fixture(scope="module")
 def arp_oracle_run():
-    return run_arp_view_script(ComparedArpView, use_numpy=False)
+    yield from shared(run_arp_view_script(ComparedArpView, use_numpy=False))
 
 
 def test_forgetful_arp_view_resolves_every_vip_every_tick(arp_reference_run):

@@ -6,11 +6,6 @@ from repro.gcs.config import SpreadConfig
 from repro.gcs.membership import OPERATIONAL
 
 
-def all_views(cluster, live_only=True):
-    daemons = [d for d in cluster.daemons if d.alive or not live_only]
-    return [(d.daemon_id, d.current_view) for d in daemons]
-
-
 def assert_single_view(daemons, expected_members):
     views = {d.current_view for d in daemons}
     assert len(views) == 1, "divergent views: {}".format(views)

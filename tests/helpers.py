@@ -2,6 +2,7 @@
 
 import collections
 import contextlib
+import pickle
 from unittest import mock
 
 from repro.apps.cluster import ServerGroup, run_until, servers_settled
@@ -17,6 +18,15 @@ from repro.sim.simulation import Simulation
 GcsCluster = collections.namedtuple(
     "GcsCluster", "sim lan hosts daemons faults config"
 )
+
+
+def shared(value, snapshot=pickle.dumps):
+    """Body of a module or session fixture: yields ``value`` to its tests,
+    then asserts at teardown that none of them changed it (as far as
+    ``snapshot`` sees)."""
+    before = snapshot(value)
+    yield value
+    assert snapshot(value) == before, "a test changed a shared fixture's value"
 
 
 def numpy_absent():

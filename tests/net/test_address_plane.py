@@ -31,6 +31,10 @@ FORMS = {
     "ip": IPAddress,
     "int-built": lambda text: IPAddress(IPAddress(text).value),
 }
+# Every pool address parsed once, in every form: the reads after every
+# step are most of this file's run time.
+ADDRESS = {ip: IPAddress(ip) for ip in POOL}
+POOL_FORMS = [(ip, [convert(ip) for convert in FORMS.values()]) for ip in POOL]
 
 
 class World:
@@ -89,28 +93,28 @@ class World:
         for host in self.hosts:
             for nic in host.nics:
                 bound = self.model[nic]
-                assert nic.bound_ips == frozenset(IPAddress(ip) for ip in bound)
+                assert nic.bound_ips == frozenset(ADDRESS[ip] for ip in bound)
                 assert type(nic.bound_ips) is frozenset
-                assert sorted(nic.bound_values) == sorted(IPAddress(ip).value for ip in bound)
+                assert sorted(nic.bound_values) == sorted(ADDRESS[ip].value for ip in bound)
                 assert {str(ip) for ip in nic.virtual_ips} == bound - {str(nic.primary_ip)}
-                for ip in POOL:
-                    for convert in FORMS.values():
-                        assert nic.owns_ip(convert(ip)) == (ip in bound)
+                for ip, forms in POOL_FORMS:
+                    for form in forms:
+                        assert nic.owns_ip(form) == (ip in bound)
             local = set().union(*(self.model[nic] for nic in host.nics if nic.up))
-            assert host.local_ips() == {IPAddress(ip) for ip in local}
-            for ip in POOL:
-                for convert in FORMS.values():
-                    assert host.owns_ip(convert(ip)) == (ip in local)
+            assert host.local_ips() == {ADDRESS[ip] for ip in local}
+            for ip, forms in POOL_FORMS:
+                for form in forms:
+                    assert host.owns_ip(form) == (ip in local)
         # The kept lists, re-derived: per LAN and address, exactly the
         # interfaces built on that LAN whose own bound set holds it.
         for lan in self.lans:
             nics = [nic for host in self.hosts for nic in host.nics if nic.lan is lan]
             for ip in POOL:
-                listed = lan.binders(IPAddress(ip).value)
+                listed = lan.binders(ADDRESS[ip].value)
                 assert sorted(nic.name for nic in listed) == sorted(
                     nic.name for nic in nics if ip in self.model[nic]
                 )
-            assert set(lan._binders) <= {IPAddress(ip).value for ip in POOL}
+            assert set(lan._binders) <= {address.value for address in ADDRESS.values()}
 
 
 steps = st.tuples(

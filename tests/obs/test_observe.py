@@ -2,6 +2,8 @@
 
 import pytest
 
+from helpers import shared
+
 from repro.cli import main
 from repro.obs.dashboard import jsonl_observation
 from repro.obs.observe import run_observation
@@ -15,7 +17,12 @@ def run_cli(argv):
 
 @pytest.fixture(scope="module")
 def observed():
-    return run_observation(seed=7, fault="crash", settle=8.0, observe_for=8.0)
+    yield from shared(
+        run_observation(seed=7, fault="crash", settle=8.0, observe_for=8.0),
+        # A live world: unchanged means not run on and its record not edited.
+        snapshot=lambda pair: (pair[0].sim.now, pair[0].sim.metrics.totals(),
+                               pair[1].series("covered")),
+    )
 
 
 @pytest.fixture(scope="module")

@@ -319,6 +319,10 @@ def test_bench_sysbench_appends_a_summary_or_exits_2_naming_the_field(tmp_path):
         (["check", "--replay", FOREIGN_JSON, "--seed", "5"], "--seed"),
         # A parity check of one shard compared the serial run with itself.
         (["check", "--shards", "1"], "--shards"),
+        # These ran for ever; the last rewrote BENCH_kernel.json first.
+        (["check", "--horizon", "inf"], "--horizon"),
+        (["observe", "--duration", "inf"], "--duration"),
+        (["bench", "--threshold", "inf"], "--threshold"),
     ],
 )
 def test_bad_count_size_or_duration_exits_2_naming_the_flag(argv, flag, capsys):
@@ -384,11 +388,21 @@ def _with_spec(spec):
          "spec schedule is a JSON list, not an object"),
         (_artifact({"kind": "crash", "duration": 2.0, "host": 0}), "schedule event has no time"),
         (_artifact(dict(CRASH_0, time=None)), "artifact spec: float() argument"),
+        # These ran on, never ending, or ran a trial of no time at all.
+        (_artifact(dict(CRASH_0, time=1e999)), "crash needs finite time"),
+        (_artifact(dict(CRASH_0, duration=1e999)), "crash needs finite time"),
+        (_with_spec(dict(_artifact()["spec"], schedule={"horizon": 1e999, "events": []})),
+         "a schedule needs a finite horizon >= 0, got inf"),
+        (_with_spec(dict(_artifact()["spec"], schedule={"horizon": -1.0, "events": []})),
+         "a schedule needs a finite horizon >= 0, got -1.0"),
+        (_with_spec(dict(_artifact()["spec"], schedule={"horizon": float("nan"), "events": []})),
+         "a schedule needs a finite horizon >= 0, got nan"),
     ],
     ids=["host-past-cluster", "crash-no-host", "partition-no-split", "negative-time",
          "negative-duration", "split-past-cluster", "not-an-object", "no-spec", "no-result",
          "unknown-spec-field", "spec-a-list", "spec-no-seed", "schedule-a-list",
-         "event-no-time", "event-time-null"],
+         "event-no-time", "event-time-null", "event-time-inf", "event-duration-inf",
+         "horizon-inf", "horizon-negative", "horizon-nan"],
 )
 def test_replay_of_a_malformed_schedule_is_one_line_and_exit_2(artifact, named, tmp_path, capsys):
     # The first of these printed an IndexError traceback and exited 1.

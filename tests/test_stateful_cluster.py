@@ -28,26 +28,13 @@ from repro.core.state import RUN
 N = 4
 
 
-class WackamoleClusterMachine(RuleBasedStateMachine):
+class FaultMachine(RuleBasedStateMachine):
+    """The fail-stop rules and the teardown both machines share."""
+
     def __init__(self):
         super().__init__()
         self.cluster = None
         self.partitions = []  # handles of the open cuts
-
-    @initialize(seed=st.integers(0, 2**16))
-    def boot(self, seed):
-        self.cluster = build_wack_cluster(N, seed=seed, n_vips=5)
-        assert settle_wack(self.cluster)
-
-    # ------------------------------------------------------------------
-    # fault rules
-
-    @rule(index=st.integers(0, N - 1))
-    def crash_a_host(self, index):
-        live = [w for w in self.cluster.wacks if w.alive]
-        victim = self.cluster.wacks[index]
-        if victim.alive and len(live) > 1:
-            self.cluster.faults.crash_host(victim.host)
 
     @rule(index=st.integers(0, N - 1))
     def drop_an_interface(self, index):
@@ -74,30 +61,15 @@ class WackamoleClusterMachine(RuleBasedStateMachine):
             fault.undo()
         self.partitions = []
 
-    @rule(index=st.integers(0, N - 1))
-    def graceful_drain(self, index):
-        live = [w for w in self.cluster.wacks if w.alive]
-        target = self.cluster.wacks[index]
-        if target.alive and len(live) > 1:
-            target.shutdown()
-
     @rule(seconds=st.floats(0.2, 3.0))
     def let_time_pass(self, seconds):
         self.cluster.sim.run_for(seconds)
 
-    # ------------------------------------------------------------------
-
-    @invariant()
-    def agreed_membership_coverage_exact(self):
-        if self.cluster is None:
-            return
-        violations = self.cluster.auditor.check_by_view()
-        assert violations == [], violations
-
     def teardown(self):
         if self.cluster is None:
             return
-        # End of the episode: repair everything and require quiescence.
+        # End of the episode: repair everything and require quiescence,
+        # from whatever state (corrupted included) the rules left.
         self.heal_lan()
         for host in self.cluster.hosts:
             if host.alive:
@@ -112,6 +84,34 @@ class WackamoleClusterMachine(RuleBasedStateMachine):
         assert self.cluster.auditor.check() == []
 
 
+class WackamoleClusterMachine(FaultMachine):
+    @initialize(seed=st.integers(0, 2**16))
+    def boot(self, seed):
+        self.cluster = build_wack_cluster(N, seed=seed, n_vips=5)
+        assert settle_wack(self.cluster)
+
+    @rule(index=st.integers(0, N - 1))
+    def crash_a_host(self, index):
+        live = [w for w in self.cluster.wacks if w.alive]
+        victim = self.cluster.wacks[index]
+        if victim.alive and len(live) > 1:
+            self.cluster.faults.crash_host(victim.host)
+
+    @rule(index=st.integers(0, N - 1))
+    def graceful_drain(self, index):
+        live = [w for w in self.cluster.wacks if w.alive]
+        target = self.cluster.wacks[index]
+        if target.alive and len(live) > 1:
+            target.shutdown()
+
+    @invariant()
+    def agreed_membership_coverage_exact(self):
+        if self.cluster is None:
+            return
+        violations = self.cluster.auditor.check_by_view()
+        assert violations == [], violations
+
+
 WackamoleClusterMachine.TestCase.settings = settings(
     max_examples=12, stateful_step_count=12, deadline=None
 )
@@ -119,13 +119,12 @@ WackamoleClusterMachine.TestCase.settings = settings(
 TestWackamoleCluster = WackamoleClusterMachine.TestCase
 
 
-class StabilizingClusterMachine(RuleBasedStateMachine):
-    """Fault + state-corruption rules against a self-stabilizing cluster."""
+class StabilizingClusterMachine(FaultMachine):
+    """The fail-stop rules (a backbone the corruption mix keeps) plus
+    state corruption, against a self-stabilizing cluster."""
 
     def __init__(self):
         super().__init__()
-        self.cluster = None
-        self.partitions = []  # handles of the open cuts
         self._first_seen = {}
 
     @initialize(seed=st.integers(0, 2**16))
@@ -139,41 +138,6 @@ class StabilizingClusterMachine(RuleBasedStateMachine):
             wack_overrides=overrides,
         )
         assert settle_wack(self.cluster)
-
-    # ------------------------------------------------------------------
-    # fail-stop rules (the corruption mix keeps a fail-stop backbone)
-
-    @rule(index=st.integers(0, N - 1))
-    def drop_an_interface(self, index):
-        self.cluster.faults.nic_down(self.cluster.hosts[index].nics[0])
-
-    @rule(index=st.integers(0, N - 1))
-    def restore_an_interface(self, index):
-        host = self.cluster.hosts[index]
-        if host.alive:
-            self.cluster.faults.nic_up(host.nics[0])
-
-    @rule(split=st.integers(1, N - 1))
-    def partition_lan(self, split):
-        self.partitions.append(
-            self.cluster.faults.partition(
-                self.cluster.lan,
-                [self.cluster.hosts[:split], self.cluster.hosts[split:]],
-            )
-        )
-
-    @rule()
-    def heal_lan(self):
-        for fault in self.partitions:
-            fault.undo()
-        self.partitions = []
-
-    @rule(seconds=st.floats(0.2, 3.0))
-    def let_time_pass(self, seconds):
-        self.cluster.sim.run_for(seconds)
-
-    # ------------------------------------------------------------------
-    # corruption rules
 
     def _live_wack(self, index):
         wack = self.cluster.wacks[index]
@@ -212,8 +176,6 @@ class StabilizingClusterMachine(RuleBasedStateMachine):
         if spread is not None:
             self.cluster.faults.corrupt_epoch(spread)
 
-    # ------------------------------------------------------------------
-
     @invariant()
     def coverage_violations_never_persist(self):
         """Debounced Property 1: corruption windows close within grace."""
@@ -228,24 +190,6 @@ class StabilizingClusterMachine(RuleBasedStateMachine):
             age = now - seen[key]
             assert age < REPERTOIRES["corrupt"].grace, "unrepaired: {}".format(violation)
         self._first_seen = seen
-
-    def teardown(self):
-        if self.cluster is None:
-            return
-        self.heal_lan()
-        for host in self.cluster.hosts:
-            if host.alive:
-                for nic in host.nics:
-                    self.cluster.faults.nic_up(nic)
-        live = [w for w in self.cluster.wacks if w.alive]
-        if not live:
-            return
-        # Properties 1+2 from an arbitrary corrupted state: the audits
-        # must still converge the cluster back to exactly-once coverage.
-        assert settle_quiet(self.cluster, timeout=40.0)
-        for wack in live:
-            assert wack.machine.state == RUN and wack.mature
-        assert self.cluster.auditor.check() == []
 
 
 StabilizingClusterMachine.TestCase.settings = settings(
