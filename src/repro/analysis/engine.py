@@ -42,10 +42,10 @@ RNG_OWNER = "repro/sim/rng.py"
 DEFAULT_SIM_EDGE = (
     (
         "repro/sim/shard/pool.py",
-        "sharded-kernel worker pool: forks whole interpreter processes "
-        "around per-shard Simulations and returns only picklable "
-        "artifacts over pipes; no simulated state crosses the "
-        "boundary (DESIGN.md §10)",
+        "sharded-run worker pool: forks one interpreter process per "
+        "shard, which builds and runs its own Simulation and sends back "
+        "one reply of picklable artifacts; no simulated state crosses "
+        "the boundary (DESIGN.md §10)",
     ),
 )
 

@@ -167,7 +167,7 @@ class SharedShardStateRule(Rule):
 
 def _in_shard_scope(path, config):
     # Declared edge infrastructure (config.sim_edge) — e.g. the
-    # sharded-kernel worker pool, whose per-process state is the
+    # sharded-run worker pool, whose per-process state is the
     # mechanism, not a determinism leak.
     return config.edge_reason(path) is None and path_in_scope(path, config.shard_scope)
 

@@ -46,7 +46,7 @@ from repro.net.host import Host
 from repro.net.lan import Lan
 from repro.net.partition import ShardPlan
 from repro.sim.process import Process
-from repro.sim.shard import ShardedKernel, merge_artifacts
+from repro.sim.shard import merge_artifacts, run_shards
 from repro.sim.shard.merge import sum_flow, view_digest
 from repro.sim.simulation import Simulation
 
@@ -383,7 +383,24 @@ class ScaleClusterScenario:
                 flow["ticks"] = engine.ticks
             cells[cell.cell_id] = self._summary(cell, uncovered, duplicated, flow)
         shared_ticks = engine.ticks * (len(pools) - 1) if pools else 0
-        trace = {cell.cell_id: [] for cell in self.cells}
+        trace = {cell.cell_id: [0, hashlib.sha256()] for cell in self.cells}
+        for cell_id, line in self.trace_lines():
+            trace[cell_id][0] += 1
+            trace[cell_id][1].update(line.encode("utf-8") + b"\n")
+        metrics = self.sim.metrics.totals() if self.params["metrics_enabled"] else {}
+        for name in ("sim.events_fired", "flow.ticks"):
+            if name in metrics:
+                metrics[name] += shared_ticks
+        return {
+            "events_fired": self.sim.scheduler.events_fired + shared_ticks,
+            "now": self.sim.now,
+            "cells": cells,
+            "trace": {cell: [count, digest.hexdigest()] for cell, (count, digest) in trace.items()},
+            "metrics": metrics,
+        }
+
+    def trace_lines(self):
+        """``(cell, line)`` per trace record, in append order: what a cell's digest hashes."""
         for record in self.sim.trace.records:
             details = record.details
             if record.category != "flow":
@@ -393,20 +410,9 @@ class ScaleClusterScenario:
             else:
                 cell_id = self._cell_of_vip[details["vip"]]
             text = ",".join("{}={!r}".format(key, details[key]) for key in sorted(details))
-            trace[cell_id].append((record.time, "{!r}|{}|{}|{}|{}".format(
+            yield cell_id, "{!r}|{}|{}|{}|{}".format(
                 record.time, record.category, record.source, record.event, text
-            )))
-        metrics = self.sim.metrics.totals() if self.params["metrics_enabled"] else {}
-        for name in ("sim.events_fired", "flow.ticks"):
-            if name in metrics:
-                metrics[name] += shared_ticks
-        return {
-            "events_fired": self.sim.scheduler.events_fired + shared_ticks,
-            "now": self.sim.now,
-            "cells": cells,
-            "trace": trace,
-            "metrics": metrics,
-        }
+            )
 
     def _summary(self, cell, uncovered, duplicated, flow):
         """One cell's JSON-stable share of the run artifact."""
@@ -462,7 +468,7 @@ def run_artifact(worlds, params, horizon, kills=(), revives=()):
 
 
 def build_scale_world(spec, shard_id):
-    """World factory for :class:`ShardedKernel`: one shard's cells, booted.
+    """World factory for :func:`~repro.sim.shard.run_shards`: one shard's cells, booted.
 
     The shard's kills and revives are scheduled with ``sim.at`` before
     the boot — kills, then revives, each in (time, index) order — so a
@@ -493,6 +499,8 @@ class ShardedScaleScenario:
     """
 
     FACTORY = staticmethod(build_scale_world)
+    #: One step, every world straight to the horizon; sysbench reads it.
+    epochs = 1
 
     def __init__(self, workers=0, shards=1, horizon=12.0, kills=(), revives=(), **params):
         if "cells" in params:
@@ -513,8 +521,6 @@ class ShardedScaleScenario:
         self.spec = dict(world, shards=int(shards), kills=kills, revives=revives)
         self.horizon = horizon
         self.workers = int(workers)
-        #: Kernel steps: one, every world straight to the horizon.
-        self.epochs = 0
         self.workers_used = 0
 
     def run(self):
@@ -522,14 +528,9 @@ class ShardedScaleScenario:
         spec = self.spec
         if spec["flow_users"]:
             load_numpy()  # before the fork: the workers inherit it, not import it
-        kernel = ShardedKernel(self.plan, self.FACTORY, spec, workers=self.workers)
-        try:
-            kernel.run(self.horizon)
-            worlds = kernel.collect()
-        finally:
-            kernel.close()
-        self.epochs = kernel.epochs
-        self.workers_used = kernel.workers
+        worlds, self.workers_used = run_shards(
+            self.plan, self.FACTORY, spec, self.horizon, self.workers
+        )
         return run_artifact(
             worlds, _normalized(spec), self.horizon, spec["kills"], spec["revives"]
         )

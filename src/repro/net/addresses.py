@@ -66,6 +66,10 @@ class IPAddress:
     def __le__(self, other):
         return self._value <= IPAddress(other)._value
 
+    def __reduce__(self):
+        # ``__new__`` takes the address, so copy and pickle rebuild from it.
+        return IPAddress, (self._value,)
+
     def __hash__(self):
         # The frame path does not come here: the ARP caches and the NICs'
         # bound addresses are keyed by ``_value``. No tuple wrapper, so no
@@ -133,6 +137,9 @@ class MACAddress:
 
     def __lt__(self, other):
         return self._value < MACAddress(other)._value
+
+    def __reduce__(self):
+        return MACAddress, (self._value,)
 
     def __hash__(self):
         return hash(self._value ^ 0x4D410000)

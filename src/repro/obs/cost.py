@@ -157,29 +157,22 @@ class MeteredWorld:
 def shard_costs(hosts, shards, seconds, seed):
     """``(rows, run wall)``: ``seconds`` from boot of an n-host cell world on ``shards`` workers."""
     from repro.apps.scalecluster import ShardedScaleScenario
-    from repro.sim.shard.kernel import ShardedKernel
+    from repro.sim.shard import run_shards
 
     scenario = ShardedScaleScenario(
         shards=shards, seed=seed, n_hosts=hosts, n_vips=4 * hosts, horizon=seconds
     )
-    rows = {}
 
     def factory(spec, shard):
-        row = rows[shard] = dict.fromkeys(SHARD_COLUMNS, 0)
+        row = dict.fromkeys(SHARD_COLUMNS, 0)
         started = clock()
         world = scenario.FACTORY(spec, shard)
         row["build_s"] = clock() - started
         return MeteredWorld(world, row)
 
-    kernel = ShardedKernel(scenario.plan, factory, scenario.spec, workers=shards)
-    try:
-        kernel.start()
-        started = clock()
-        kernel.run(seconds)
-        wall = clock() - started
-        return kernel.collect(), wall
-    finally:
-        kernel.close()
+    started = clock()
+    rows, _ = run_shards(scenario.plan, factory, scenario.spec, seconds, workers=shards)
+    return rows, clock() - started
 
 
 def render_shards(rows, wall, title):

@@ -1,14 +1,11 @@
 """Deterministic merge of per-shard artifacts into one run artifact.
 
-The merge rule is ``(time, cell, per-cell appearance order)``: each
-cell's trace is an ordered stream (its world appended records in fire
-order), and because a cell's event timeline is identical under every
-shard grouping, sorting the union by that key yields the same sequence
-whether the run used one world or eight. Counters merge by summation
-in sorted key order; both reductions are exact (integer or
-repr-preserved float), so the merged artifact — serialized with sorted
-keys — is byte-identical across groupings, which the parity suite and
-the CI ``shard-parity`` job compare with ``cmp``.
+Every figure a world reports is per cell, and a cell's event timeline
+is identical under every shard grouping, so the merge is exact: cell
+summaries and trace digests are taken in cell order, counters summed in
+sorted key order. The merged artifact — serialized with sorted keys —
+is byte-identical across groupings, which the parity suite and the CI
+``shard-parity`` job compare with ``cmp``.
 
 World artifact input shape (produced by e.g.
 ``repro.apps.scalecluster.ScaleClusterScenario.artifacts``)::
@@ -17,7 +14,7 @@ World artifact input shape (produced by e.g.
       "events_fired": int,
       "now": float,
       "cells": {cell_id: {...json-stable cell summary...}},
-      "trace": {cell_id: [(time, line), ...]},
+      "trace": {cell_id: [records, sha256 of the cell's lines in append order]},
       "metrics": {counter_name: int},     # counter totals, {} if disabled
     }
 """
@@ -31,20 +28,6 @@ ARTIFACT_FORMAT = "repro-shard/1"
 def view_digest(members):
     """Short stable digest of a sorted member tuple (view identity)."""
     return hashlib.sha256(",".join(members).encode("utf-8")).hexdigest()[:16]
-
-
-def merge_trace(trace_by_cell):
-    """Flatten per-cell ``(time, line)`` streams into one ordered list.
-
-    Ties on ``time`` break by cell id, then by each cell's own append
-    order — all three components are grouping-invariant.
-    """
-    entries = []
-    for cell in sorted(trace_by_cell):
-        for index, (time, line) in enumerate(trace_by_cell[cell]):
-            entries.append((time, cell, index, line))
-    entries.sort(key=lambda entry: entry[:3])
-    return [entry[3] for entry in entries]
 
 
 def sum_flow(totals):
@@ -73,7 +56,7 @@ def merge_artifacts(world_artifacts, meta=None):
     produce identical bytes.
     """
     cells = {}
-    trace_by_cell = {}
+    traces = {}
     metrics = {}
     events_fired = 0
     sim_time = 0.0
@@ -82,14 +65,16 @@ def merge_artifacts(world_artifacts, meta=None):
         sim_time = max(sim_time, artifact["now"])
         for cell, summary in artifact["cells"].items():
             cells[int(cell)] = summary
-        for cell, records in artifact["trace"].items():
-            trace_by_cell[int(cell)] = records
+        for cell, pair in artifact["trace"].items():
+            traces[int(cell)] = pair
         for name, value in artifact["metrics"].items():
             metrics[name] = metrics.get(name, 0) + value
 
     cell_summaries = [cells[cell] for cell in sorted(cells)]
-    lines = merge_trace(trace_by_cell)
-    trace_sha = hashlib.sha256("\n".join(lines).encode("utf-8")).hexdigest()
+    records = sum(count for count, _ in traces.values())
+    trace = hashlib.sha256()
+    for cell in sorted(traces):
+        trace.update("{}|{}|{}\n".format(cell, *traces[cell]).encode("utf-8"))
 
     # Each cell is judged against its own live hosts: one view among
     # them, naming exactly them, and its VIPs each held once.
@@ -114,7 +99,7 @@ def merge_artifacts(world_artifacts, meta=None):
         "cells": {"{:02d}".format(cell): cells[cell] for cell in sorted(cells)},
         "flow": sum_flow([summary["flow"] for summary in cell_summaries if summary["flow"]]),
         "metrics": {name: metrics[name] for name in sorted(metrics)},
-        "trace": {"records": len(lines), "sha256": trace_sha},
+        "trace": {"records": records, "sha256": trace.hexdigest()},
     }
 
 

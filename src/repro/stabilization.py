@@ -1,4 +1,4 @@
-"""Self-stabilization knobs (shared by core, gcs, and segments).
+"""Self-stabilization knobs (shared by core and gcs).
 
 "Practically-Self-Stabilizing Virtual Synchrony" (Dolev et al.) argues
 that a membership/ordering stack should converge from *any* reachable
@@ -12,8 +12,10 @@ existing re-announcement and membership paths.
 
 One :class:`StabilizationConfig` instance rides on each layer's config
 (:class:`repro.core.config.WackamoleConfig`,
-:class:`repro.gcs.config.SpreadConfig`,
-:class:`repro.gcs.segments.SegmentConfig`). The default —
+:class:`repro.gcs.config.SpreadConfig`). The segmented plane's
+:class:`repro.gcs.segments.SegmentConfig` carries none: a corrupted
+segment epoch is repaired by the heartbeats' epoch fast-forward. The
+default —
 ``interval=0`` — disables the audit entirely, reproducing historical
 behaviour byte-for-byte; the ``stabilizing`` profile (what ``--corrupt``
 campaigns run) switches it on.

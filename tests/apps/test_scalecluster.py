@@ -22,7 +22,6 @@ from repro.apps.scalecluster import ScaleClusterScenario
 from repro.gcs.segments import LeaderBeacon
 from repro.net.addresses import IPAddress, Subnet
 from repro.net.capture import PacketCapture
-from repro.sim.shard.merge import merge_trace
 
 N_HOSTS = 256
 N_VIPS = 2048
@@ -333,7 +332,12 @@ def test_n64_run_across_arp_expiry_matches_the_unbatched_recording():
         text = json.dumps(value, sort_keys=True)
         return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
-    lines = merge_trace(scenario.artifacts()["trace"])
+    # (time, cell, each cell's own order): the sort is stable.
+    entries = [
+        (record.time, cell, line)
+        for record, (cell, line) in zip(scenario.sim.trace.records, scenario.trace_lines())
+    ]
+    lines = [line for _, _, line in sorted(entries, key=lambda entry: entry[:2])]
     totals = scenario.sim.metrics.totals()
     del totals["sim.events_fired"]
     assert totals["net.broadcasts"] > 64  # the expiry storm happened

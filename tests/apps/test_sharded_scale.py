@@ -4,7 +4,7 @@ The merged run artifact — trace fingerprint, metrics totals, per-cell
 summaries, convergence verdict — must be byte-identical for every
 (shards, workers) choice, and to a live :class:`ScaleClusterScenario`
 driven through the same script with ``sim.run``. Tier-1 pins it at n64
-across the live world, the serial kernel, an in-process multi-world run
+across the live world, the one-world serial run, an in-process multi-world run
 and the forked worker pool; the ``scale``-marked test re-proves it at
 the n256 acceptance size.
 """
@@ -14,7 +14,6 @@ import pytest
 from helpers import shared
 
 from repro.apps.scalecluster import ScaleClusterScenario, ShardedScaleScenario
-from repro.sim.shard.kernel import ShardedKernel
 from repro.sim.shard.merge import artifact_bytes
 
 N64 = dict(
@@ -69,7 +68,7 @@ def assert_sharded_and_forked_match(params, expected):
 
 @pytest.fixture(scope="module")
 def serial_n64():
-    """The serial kernel's n64 artifact, the one every parity test compares with."""
+    """The serial n64 artifact, the one every parity test compares with."""
     yield from shared(ShardedScaleScenario(shards=1, **N64).run())
 
 
@@ -85,19 +84,14 @@ def test_parity_live_vs_serial_n64(serial_n64):
     assert artifact_bytes(run_live(N64)) == artifact_bytes(serial_n64)
 
 
-def one_world_kernel():
+def ten_seconds_in(calls):
     scenario = ShardedScaleScenario(
         n_hosts=64, n_vips=256, segment_size=16, trace_enabled=True, metrics_enabled=True
     )
-    return ShardedKernel(scenario.plan, scenario.FACTORY, scenario.spec).start()
-
-
-def ten_seconds_in(calls):
-    kernel = one_world_kernel()
+    world = scenario.FACTORY(scenario.spec, 0)
     for k in range(1, calls + 1):
-        kernel.run(10.0 * k / calls)
-    (world,) = kernel.collect()
-    return world
+        world.advance(10.0 * k / calls)
+    return world.artifacts()
 
 
 @pytest.fixture(scope="module")

@@ -1,5 +1,8 @@
 """Unit tests for IP/MAC address and subnet value types."""
 
+import copy
+import pickle
+
 import pytest
 
 from repro.net.addresses import BROADCAST_MAC, IPAddress, MACAddress, Subnet
@@ -111,3 +114,21 @@ class TestSubnet:
 
     def test_str(self):
         assert str(Subnet("10.0.0.0/16")) == "10.0.0.0/16"
+
+
+@pytest.mark.parametrize("how", ["copy", "deepcopy", "pickle"])
+@pytest.mark.parametrize(
+    "value",
+    [IPAddress("10.1.2.3"), MACAddress("02:00:00:00:00:2a"), Subnet("10.32.0.0/16")],
+    ids=["IPAddress", "MACAddress", "Subnet"],
+)
+def test_copy_and_pickle_round_trip_to_an_equal_value(value, how):
+    # Was: TypeError, ``__new__`` called with no address.
+    copied = {
+        "copy": copy.copy,
+        "deepcopy": copy.deepcopy,
+        "pickle": lambda item: pickle.loads(pickle.dumps(item)),
+    }[how](value)
+    assert type(copied) is type(value)
+    assert copied == value
+    assert hash(copied) == hash(value)

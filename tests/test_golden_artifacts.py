@@ -219,7 +219,9 @@ for _repertoire in ("standard", "gray", "corrupt"):
 #: grace after its last change, and trial/standard+flow/0 (5 908
 #: records, past the 4 096-record window) when episodes began to be
 #: folded as records are written: it gains the five early episodes the
-#: window had cut off and the ``sim.trace_dropped`` metric.
+#: window had cut off and the ``sim.trace_dropped`` metric, and the two
+#: sharded hashes (counts unmoved) when the trace sha became a hash of
+#: per-cell digests in cell order instead of the time-sorted lines.
 GOLDEN = {
     "router/static-fail-active": {
         "events_fired": 4374,
@@ -235,11 +237,11 @@ GOLDEN = {
     },
     "sharded/shards=1": {
         "events_fired": 4840,
-        "sha256": "518efea8af879305c3d150bb2fdf86bea682785fc13ccb4f12d69ef5fff464a2",
+        "sha256": "d536de447ffc6f1ffe5aa00bbb4d6f7c3f291c0225b09bcf1b8be7a1cb448931",
     },
     "sharded/shards=2": {
         "events_fired": 4840,
-        "sha256": "518efea8af879305c3d150bb2fdf86bea682785fc13ccb4f12d69ef5fff464a2",
+        "sha256": "d536de447ffc6f1ffe5aa00bbb4d6f7c3f291c0225b09bcf1b8be7a1cb448931",
     },
     "trial/broken-balance/0": {
         "events_fired": None,
