@@ -39,7 +39,6 @@ from repro.apps.cluster import run_until
 from repro.core.audit import AddressAudit, CoverageEngine
 from repro.core.placement import RendezvousMap
 from repro.flow import DirectResolver, FlowEngine
-from repro.flow.engine import load_numpy
 from repro.gcs.segments import Fleet, SegmentConfig, SegmentNode, merge_digests
 from repro.net.fault import FaultInjector
 from repro.net.host import Host
@@ -526,8 +525,6 @@ class ShardedScaleScenario:
     def run(self):
         """Execute the script; returns the merged run artifact."""
         spec = self.spec
-        if spec["flow_users"]:
-            load_numpy()  # before the fork: the workers inherit it, not import it
         worlds, self.workers_used = run_shards(
             self.plan, self.FACTORY, spec, self.horizon, self.workers
         )

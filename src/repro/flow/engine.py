@@ -2,42 +2,29 @@
 
 One :class:`FlowEngine` advances every attached
 :class:`~repro.flow.pool.FlowPool` on a coarse periodic tick. A tick is
-one vector pass over the pools, never O(users) — a million simulated
-clients cost exactly as much as their pool count — and its Python-level
-work is proportional to what changed: VIPs are resolved again only when
-a resolver reports that its inputs moved, and accounting visits only
-the pools that lost something. That is what lets the flow plane coexist
+never O(users) — a million simulated clients cost exactly as much as
+their demand classes — and its Python-level work is proportional to
+what changed: VIPs are resolved again only when a resolver reports
+that its inputs moved, and accounting visits only the pools whose
+goodput factor is not 1.0. That is what lets the flow plane coexist
 with the exact per-packet prober at 10^5–10^7 users without melting the
 event loop.
 
-The per-tick inner loop (demand accrual, carry propagation, goodput
-scaling) runs over parallel arrays and has two backends: numpy-vectorized
-where :func:`load_numpy` finds numpy, pure python where it does not.
-Both perform the *same float64 operations in the same element order*,
-so a run's request totals — and therefore its fingerprints, metrics
-and trace — are byte-identical whichever backend executed it (the
-determinism suite asserts exactly that). All tick state hangs off the
-engine instance and the engine draws no randomness, so two engines in
-two Simulations never share state.
+A pool's offered requests per tick (``raw = demand * tick + carry``,
+``offered = floor(raw)``, ``carry = raw - offered``) never read its
+goodput factor, so pools that share ``(users * rate, carry)`` offer
+bit-identical counts forever: they form one *demand class*, and a tick
+does one floor/carry step per class (``add_uniform_pools`` makes at
+most two). A pool's ledger is its class's offered count minus its own
+losses. All tick state hangs off the engine instance and the engine
+draws no randomness, so two engines in two Simulations never share
+state.
 """
 
-import functools
 import math
 
 from repro.flow.pool import FlowPool
 from repro.sim.process import Process
-
-
-@functools.lru_cache(maxsize=None)
-def load_numpy():
-    """numpy, or None where it is absent; imported at the first call, so a
-    command that builds no engine never pays for it, and a parent calls this
-    before it forks engine-building workers, which then inherit the module."""
-    try:
-        import numpy
-    except ImportError:
-        return None
-    return numpy
 
 
 class FlowEngine(Process):
@@ -45,12 +32,10 @@ class FlowEngine(Process):
 
     def __init__(self, sim, resolver=None, tick=0.05, name="clients"):
         super().__init__(sim, "flow@{}".format(name))
-        if tick <= 0.0:
-            raise ValueError("tick must be positive, got {}".format(tick))
-        self._numpy = load_numpy()
+        if not 0.0 < tick < math.inf:
+            raise ValueError("tick must be positive and finite, got {}".format(tick))
         self.resolver = resolver
         self.tick = float(tick)
-        self.use_numpy = self._numpy is not None
         self.pools = []
         self.ticks = 0
         self.requests_offered = 0
@@ -72,7 +57,7 @@ class FlowEngine(Process):
         """Attach a pool; takes effect from the next tick."""
         if pool.resolver is None and self.resolver is None:
             raise ValueError("pool {} has no resolver and the engine has no default".format(pool.name))
-        # Flush before invalidating: the arrays hold every attached
+        # Flush before invalidating: the classes hold every attached
         # pool's carry and its counts since the last flush, and the
         # recompile reads them back from the pool objects.
         self._flush_carry()
@@ -123,59 +108,66 @@ class FlowEngine(Process):
         self._timer.stop()
 
     # ------------------------------------------------------------------
-    # compiled per-pool arrays
+    # demand classes and resolution groups
 
     def _compile(self):
-        """(Re)build the parallel arrays and resolution groups."""
-        n = len(self.pools)
-        demand = [pool.users * pool.rate for pool in self.pools]
-        carry = [pool.carry for pool in self.pools]
+        """(Re)build the demand classes and resolution groups."""
+        # Demand classes: one per distinct (users * rate, carry).
+        class_index = {}
+        self._class_demand = []
+        self._class_carry = []
+        self._class_size = []
+        self._pool_class = []
+        for pool in self.pools:
+            demand = pool.users * pool.rate
+            key = (demand, pool.carry)
+            index = class_index.get(key)
+            if index is None:
+                index = class_index[key] = len(self._class_demand)
+                self._class_demand.append(demand)
+                self._class_carry.append(pool.carry)
+                self._class_size.append(0)
+            self._class_size[index] += 1
+            self._pool_class.append(index)
+        # Offered per class since the last flush, and lost per pool.
+        self._class_offered = [0] * len(self._class_demand)
+        self._pool_lost = {}
         # Resolution groups: one resolver.resolve call per distinct
         # (resolver, vip) pair per tick, shared by every pool aimed at it.
         self._resolvers = []
         self._group_keys = []
         self._group_pools = []
         group_index = {}
-        pool_group = []
-        for pool in self.pools:
+        self._pool_group = []
+        for index, pool in enumerate(self.pools):
             resolver = pool.resolver if pool.resolver is not None else self.resolver
             key = (id(resolver), pool.vip)
-            index = group_index.get(key)
-            if index is None:
-                index = len(self._group_keys)
-                group_index[key] = index
+            group = group_index.get(key)
+            if group is None:
+                group = group_index[key] = len(self._group_keys)
                 self._group_keys.append((resolver, pool.vip))
                 self._group_pools.append([])
                 if resolver not in self._resolvers:
                     self._resolvers.append(resolver)
-            self._group_pools[index].append(len(pool_group))
-            pool_group.append(index)
-        self._pool_group = pool_group
+            self._group_pools[group].append(index)
+            self._pool_group.append(group)
+        self._gated = [index for index, pool in enumerate(self.pools) if pool.require is not None]
         self._kept = None
-        if self.use_numpy:
-            numpy = self._numpy
-            self._demand = numpy.array(demand, dtype=numpy.float64)
-            self._carry = numpy.array(carry, dtype=numpy.float64)
-            self._c_offered = numpy.zeros(n, dtype=numpy.int64)
-            self._c_served = numpy.zeros(n, dtype=numpy.int64)
-        else:
-            self._demand = demand
-            self._carry = list(carry)
-            self._c_offered = [0] * n
-            self._c_served = [0] * n
-        self._base_offered = [pool.offered for pool in self.pools]
-        self._base_served = [pool.served for pool in self.pools]
         self._compiled = True
 
     def _flush_carry(self):
-        """Write array state back into the pool objects."""
+        """Write the classes' carries and counts back into the pool objects."""
         if not self._compiled:
             return
+        lost = self._pool_lost
         for index, pool in enumerate(self.pools):
-            pool.carry = float(self._carry[index])
-            pool.offered = self._base_offered[index] + int(self._c_offered[index])
-            pool.served = self._base_served[index] + int(self._c_served[index])
-            pool.lost = pool.offered - pool.served
+            cls = self._pool_class[index]
+            pool.carry = self._class_carry[cls]
+            pool.offered += self._class_offered[cls]
+            pool.lost += lost.get(index, 0)
+            pool.served = pool.offered - pool.lost
+        self._class_offered = [0] * len(self._class_offered)
+        self._pool_lost = {}
 
     # ------------------------------------------------------------------
     # the tick
@@ -187,101 +179,67 @@ class FlowEngine(Process):
             self._compile()
         self.ticks += 1
         self._m_ticks.inc()
-        factors, reasons = self._resolve_groups()
-        if self.use_numpy:
-            offered, served = self._advance_numpy(factors)
-        else:
-            offered, served = self._advance_python(factors)
-        self._account(offered, served, reasons)
+        degraded = self._resolve_groups()
+        tick = self.tick
+        carry = self._class_carry
+        cumulative = self._class_offered
+        sizes = self._class_size
+        offered_now = []
+        offered_total = 0
+        for cls, demand in enumerate(self._class_demand):
+            raw = demand * tick + carry[cls]
+            offered = math.floor(raw)
+            carry[cls] = raw - offered
+            offered_now.append(offered)
+            cumulative[cls] += offered
+            offered_total += offered * sizes[cls]
+        self._account(offered_now, offered_total, degraded)
 
     def _resolve_groups(self):
-        """Per-pool (factors, reasons) via one resolve per distinct VIP.
+        """``[(pool index, (factor, reason))]`` for every pool whose factor
+        is not 1.0, in ascending pool order, via one resolve per distinct VIP.
 
-        Last tick's pair — factors already in the backend's vector
-        type — is kept while every resolver's ``begin_tick()`` returns
-        true, its promise that each ``resolve`` would answer as before.
-        ``None`` (a resolver that makes no such promise) means resolve
-        again; the list makes every resolver begin its tick either way.
+        Last tick's list is kept while every resolver's ``begin_tick()``
+        returns true, its promise that each ``resolve`` would answer as
+        before. ``None`` (a resolver that makes no such promise) means
+        resolve again; the list makes every resolver begin its tick
+        either way.
         """
         unchanged = all([resolver.begin_tick() for resolver in self._resolvers])
         if unchanged and self._kept is not None:
             return self._kept
-        group_results = []
-        for resolver, vip in self._group_keys:
-            factor, reason, owner = resolver.resolve(vip)
-            group_results.append((factor, reason, owner))
-        factors = []
-        reasons = []
-        gated = False
-        for pool, group in zip(self.pools, self._pool_group):
-            factor, reason, owner = group_results[group]
-            if pool.require is not None:
-                gated = True
-                if factor > 0.0 and (owner is None or not pool.require(owner)):
-                    factor, reason = 0.0, "no_route"
-            factors.append(factor)
-            reasons.append(reason)
-        if self.use_numpy:
-            factors = self._numpy.array(factors, dtype=self._numpy.float64)
+        results = [resolver.resolve(vip) for resolver, vip in self._group_keys]
+        degraded = {}
+        for group, (factor, reason, _owner) in enumerate(results):
+            if factor != 1.0:
+                for index in self._group_pools[group]:
+                    degraded[index] = (factor, reason)
+        for index in self._gated:
+            factor, _reason, owner = results[self._pool_group[index]]
+            if factor > 0.0 and (owner is None or not self.pools[index].require(owner)):
+                degraded[index] = (0.0, "no_route")
+        degraded = sorted(degraded.items())
         # A require gate reads state no resolver vouches for, so a
         # gated pool set is resolved afresh every tick.
-        self._kept = None if gated else (factors, reasons)
-        return factors, reasons
+        self._kept = None if self._gated else degraded
+        return degraded
 
-    def _advance_numpy(self, factors):
-        numpy = self._numpy
-        raw = self._demand * self.tick + self._carry
-        offered_f = numpy.floor(raw)
-        self._carry = raw - offered_f
-        served_f = numpy.floor(offered_f * factors)
-        offered = offered_f.astype(numpy.int64)
-        served = served_f.astype(numpy.int64)
-        self._c_offered += offered
-        self._c_served += served
-        return offered, served
-
-    def _advance_python(self, factors):
-        # The scalar mirror of _advance_numpy: identical float64 ops in
-        # identical element order, so both backends produce bit-equal
-        # carries and counts.
-        tick = self.tick
-        carry = self._carry
-        demand = self._demand
-        c_offered = self._c_offered
-        c_served = self._c_served
-        offered = [0] * len(self.pools)
-        served = [0] * len(self.pools)
-        for index in range(len(self.pools)):
-            raw = demand[index] * tick + carry[index]
-            offered_i = math.floor(raw)
-            carry[index] = raw - offered_i
-            served_i = math.floor(offered_i * factors[index])
-            offered[index] = offered_i
-            served[index] = served_i
-            c_offered[index] += offered_i
-            c_served[index] += served_i
-        return offered, served
-
-    def _account(self, offered, served, reasons):
+    def _account(self, offered_now, offered_total, degraded):
         """Totals, per-reason metrics, and per-VIP loss trace records.
 
-        Only pools that lost something are visited, in ascending pool
+        Only pools whose factor is not 1.0 are visited, in ascending pool
         order — the first-seen order of reasons and metric counters.
         """
-        if self.use_numpy:
-            offered_total = int(offered.sum())
-            served_total = int(served.sum())
-            lossy = self._numpy.flatnonzero(offered != served).tolist()
-            if lossy:
-                offered, served = offered.tolist(), served.tolist()
-        else:
-            offered_total = sum(offered)
-            served_total = sum(served)
-            lossy = [index for index, count in enumerate(offered) if count != served[index]]
+        pool_class = self._pool_class
+        lost_total = 0
         lost_groups = {}
-        for index in lossy:
-            lost_i = offered[index] - served[index]
-            reason = reasons[index]
+        for index, (factor, reason) in degraded:
+            offered = offered_now[pool_class[index]]
+            lost_i = offered - math.floor(offered * factor)
+            if not lost_i:
+                continue
+            lost_total += lost_i
+            self._pool_lost[index] = self._pool_lost.get(index, 0) + lost_i
             if reason is None:
                 reason = "degraded"
             self.lost_by_reason[reason] = self.lost_by_reason.get(reason, 0) + lost_i
@@ -294,28 +252,32 @@ class FlowEngine(Process):
                 )
                 self._m_lost[reason] = counter
             counter.inc(lost_i)
-            lost_groups.setdefault(self._pool_group[index], reason)
+            group = self._pool_group[index]
+            if group in lost_groups:
+                lost_groups[group][1] += lost_i
+            else:
+                lost_groups[group] = [reason, lost_i]
+        served_total = offered_total - lost_total
         self.requests_offered += offered_total
         self.requests_served += served_total
-        self.requests_lost += offered_total - served_total
+        self.requests_lost += lost_total
         if offered_total:
             self._m_offered.inc(offered_total)
         if served_total:
             self._m_served.inc(served_total)
         for group in sorted(lost_groups):
             # The record covers every pool aimed at the VIP, lossy or not.
-            pools = self._group_pools[group]
-            group_offered = sum(offered[index] for index in pools)
-            group_served = sum(served[index] for index in pools)
+            reason, lost = lost_groups[group]
+            offered = sum(offered_now[pool_class[index]] for index in self._group_pools[group])
             _resolver, vip = self._group_keys[group]
             self.trace(
                 "flow",
                 "loss",
                 vip=str(vip),
-                offered=group_offered,
-                served=group_served,
-                lost=group_offered - group_served,
-                reason=lost_groups[group],
+                offered=offered,
+                served=offered - lost,
+                lost=lost,
+                reason=reason,
             )
 
     # ------------------------------------------------------------------
@@ -336,16 +298,6 @@ class FlowEngine(Process):
         self.lost_by_reason = {}
         for pool in self.pools:
             pool.reset_counters()
-        if self._compiled:
-            n = len(self.pools)
-            if self.use_numpy:
-                self._c_offered = self._numpy.zeros(n, dtype=self._numpy.int64)
-                self._c_served = self._numpy.zeros(n, dtype=self._numpy.int64)
-            else:
-                self._c_offered = [0] * n
-                self._c_served = [0] * n
-            self._base_offered = [0] * n
-            self._base_served = [0] * n
 
     def goodput_pct(self):
         """Served fraction of offered requests so far, in percent."""

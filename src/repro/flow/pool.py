@@ -10,6 +10,8 @@ over T seconds a pool offers ``floor``-accurate ``users * rate * T``
 requests regardless of the tick size.
 """
 
+import math
+
 from repro.net.addresses import IPAddress
 
 #: Loss-attribution reasons a resolution can produce (docs/TRAFFIC.md).
@@ -41,10 +43,10 @@ class FlowPool:
     )
 
     def __init__(self, name, vip, users, rate=1.0, require=None, resolver=None):
-        if users < 0:
-            raise ValueError("users must be >= 0, got {}".format(users))
-        if rate < 0:
-            raise ValueError("rate must be >= 0, got {}".format(rate))
+        if users < 0 or not float(users).is_integer():
+            raise ValueError("users must be a whole number >= 0, got {}".format(users))
+        if not 0.0 <= rate < math.inf:
+            raise ValueError("rate must be finite and >= 0, got {}".format(rate))
         self.name = name
         self.vip = IPAddress(vip)
         self.users = int(users)

@@ -2,10 +2,13 @@
 
 import pytest
 
+from repro.flow import FlowEngine
+from tests.flow.reference import ReferenceEngine
 
-@pytest.fixture(params=[True, False], ids=["numpy", "python"])
-def use_numpy(request):
-    """Both engine backends; the numpy leg skips where numpy is missing."""
-    if request.param:
-        pytest.importorskip("numpy")
+
+@pytest.fixture(params=[FlowEngine, ReferenceEngine], ids=["numpy", "python"])
+def engine_class(request):
+    """Both ticks: the engine's demand-class tick and the per-pool scalar
+    loop it replaced. The ids are the names these legs have always run
+    under: ``numpy`` was the vectorised fast tick, ``python`` the loop."""
     return request.param

@@ -1,8 +1,7 @@
 """The flow plane's determinism contract.
 
-Double runs of the same seed must produce byte-identical fingerprints;
-the numpy and pure-python backends must agree bit-for-bit on identical
-seeds; and a ``repro check`` trial carrying flow totals must replay
+Double runs of the same seed must produce byte-identical fingerprints,
+and a ``repro check`` trial carrying flow totals must replay
 byte-identically, every result key alike.
 """
 
@@ -14,18 +13,15 @@ from repro.check.schedule import CRASH, FaultEvent, FaultSchedule
 from repro.check.trial import make_spec, run_trial
 from repro.gcs.config import SpreadConfig
 
-from helpers import flow_backend
 
-
-def run_web_failover(seed, use_numpy=True, users=50_000):
-    with flow_backend(use_numpy):
-        scenario = WebClusterScenario(
-            seed=seed,
-            n_servers=3,
-            n_vips=6,
-            spread_config=SpreadConfig.tuned(),
-            flow_users=users,
-        )
+def run_web_failover(seed, users=50_000):
+    scenario = WebClusterScenario(
+        seed=seed,
+        n_servers=3,
+        n_vips=6,
+        spread_config=SpreadConfig.tuned(),
+        flow_users=users,
+    )
     scenario.start()
     assert scenario.run_until_stable()
     scenario.kill_owner_of(scenario.vips[0], mode="nic_down")
@@ -41,20 +37,6 @@ def test_double_run_fingerprints_byte_identical():
     first = fingerprint_bytes(run_web_failover(11))
     second = fingerprint_bytes(run_web_failover(11))
     assert first == second
-
-
-def test_numpy_and_pure_python_backends_agree():
-    auto = run_web_failover(13)
-    pure = run_web_failover(13, use_numpy=False)
-    assert not pure.flow_engine.use_numpy
-    assert fingerprint_bytes(auto) == fingerprint_bytes(pure)
-    # The whole simulation, not just the engine, must agree: metrics
-    # totals include every layer the flow plane touched, and no trace
-    # record says which backend ran.
-    assert auto.sim.metrics.totals() == pure.sim.metrics.totals()
-    assert [repr(r) for r in auto.sim.trace.records] == [
-        repr(r) for r in pure.sim.trace.records
-    ]
 
 
 def test_check_trial_with_flow_totals_replays_byte_identically():

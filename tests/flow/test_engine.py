@@ -1,13 +1,13 @@
 """Unit tests for FlowPool and the FlowEngine tick machinery."""
 
+import math
+
 import pytest
 
 from repro.flow import DirectResolver, FlowEngine, FlowPool
 from repro.net.host import Host
 from repro.net.lan import Lan
 from repro.sim.simulation import Simulation
-
-from helpers import flow_backend
 
 
 class StaticResolver:
@@ -26,11 +26,10 @@ class StaticResolver:
         return self.factor, self.reason, self.owner
 
 
-def build_engine(factor=1.0, reason=None, owner=None, use_numpy=True, **kwargs):
+def build_engine(factor=1.0, reason=None, owner=None, engine_class=FlowEngine, **kwargs):
     sim = Simulation(seed=1)
     resolver = StaticResolver(factor, reason, owner)
-    with flow_backend(use_numpy):
-        engine = FlowEngine(sim, resolver=resolver, **kwargs)
+    engine = engine_class(sim, resolver=resolver, **kwargs)
     return sim, engine, resolver
 
 
@@ -39,6 +38,23 @@ def test_pool_validates_inputs():
         FlowPool("p", "10.0.0.1", users=-1)
     with pytest.raises(ValueError):
         FlowPool("p", "10.0.0.1", users=10, rate=-0.5)
+
+
+@pytest.mark.parametrize(
+    "users, rate",
+    [(2.5, 1.0), (math.inf, 1.0), (10, math.nan), (10, math.inf)],
+    ids=["users=2.5", "users=inf", "rate=nan", "rate=inf"],
+)
+def test_pool_rejects_what_it_cannot_count(users, rate):
+    # Counted, a nan rate floors to garbage and 2.5 users truncate to 2.
+    with pytest.raises(ValueError):
+        FlowPool("p", "10.0.0.1", users=users, rate=rate)
+
+
+@pytest.mark.parametrize("tick", [math.nan, math.inf], ids=["nan", "inf"])
+def test_non_finite_tick_is_rejected(tick):
+    with pytest.raises(ValueError):
+        FlowEngine(Simulation(seed=1), resolver=StaticResolver(), tick=tick)
 
 
 def test_pool_without_any_resolver_is_rejected():
@@ -79,10 +95,10 @@ def test_fractional_demand_carries_between_ticks():
     assert pool.offered == 140
 
 
-def test_add_pool_mid_run_keeps_ledgers_and_carries(use_numpy):
-    # The arrays hold each pool's carry and its counts since the last
+def test_add_pool_mid_run_keeps_ledgers_and_carries(engine_class):
+    # The classes hold each pool's carry and its counts since the last
     # flush; adding a pool must flush them before it invalidates them.
-    sim, engine, _ = build_engine(tick=0.05, use_numpy=use_numpy)
+    sim, engine, _ = build_engine(tick=0.05, engine_class=engine_class)
     first = engine.add_pool(FlowPool("a", "10.0.0.1", users=103))
     small = engine.add_pool(FlowPool("s", "10.0.0.2", users=7))
     engine.start()

@@ -12,6 +12,7 @@ test the counter replaced, kept here as the oracle for the write sites
 """
 
 import json
+from unittest import mock
 
 import pytest
 
@@ -24,7 +25,7 @@ from repro.net.lan import Lan
 from repro.net.linkfault import GilbertElliott
 from repro.sim.simulation import Simulation
 
-from helpers import flow_backend, shared
+from helpers import shared
 
 
 class Forgetful(DirectResolver):
@@ -171,9 +172,9 @@ class Recorder:
 
 
 def build(
-    n_hosts=64, n_vips=256, segment_size=16, resolver_class=None, use_numpy=True, **kwargs
+    n_hosts=64, n_vips=256, segment_size=16, resolver_class=None, engine_class=FlowEngine, **kwargs
 ):
-    with flow_backend(use_numpy):
+    with mock.patch("repro.apps.scalecluster.FlowEngine", engine_class):
         scenario = ScaleClusterScenario(
             seed=5,
             n_hosts=n_hosts,
@@ -206,7 +207,7 @@ def flow_snapshot(sim, engine):
 
 
 # ----------------------------------------------------------------------
-# (a) the twin: kept state vs. a resolver that forgets, both backends
+# (a) the twin: kept state vs. a resolver that forgets
 
 
 def fault_script(scenario):
@@ -247,10 +248,10 @@ def fault_script(scenario):
     ]
 
 
-def run_fault_script(resolver_class, use_numpy):
+def run_fault_script(resolver_class, engine_class=FlowEngine):
     scenario, recorder = build(
         resolver_class=resolver_class,
-        use_numpy=use_numpy,
+        engine_class=engine_class,
         trace_enabled=True,
         metrics_enabled=True,
     )
@@ -270,12 +271,12 @@ def run_fault_script(resolver_class, use_numpy):
 
 @pytest.fixture(scope="module")
 def reference_run():
-    yield from shared(run_fault_script(Forgetful, use_numpy=False))
+    yield from shared(run_fault_script(Forgetful))
 
 
 @pytest.fixture(scope="module")
 def oracle_run():
-    yield from shared(run_fault_script(ComparedDirect, use_numpy=False))
+    yield from shared(run_fault_script(ComparedDirect))
 
 
 def test_forgetful_reference_resolves_every_vip_every_tick(reference_run):
@@ -288,9 +289,9 @@ def test_forgetful_reference_resolves_every_vip_every_tick(reference_run):
 
 @pytest.mark.parametrize("resolver_class", [DirectResolver, Forgetful, ComparedDirect])
 def test_kept_state_is_bit_identical_to_resolving_every_tick(
-    reference_run, oracle_run, resolver_class, use_numpy
+    reference_run, oracle_run, resolver_class, engine_class
 ):
-    run = run_fault_script(resolver_class, use_numpy)
+    run = run_fault_script(resolver_class, engine_class)
     assert run["ticks"] == reference_run["ticks"]
     for (label, got), (_label, want) in zip(run["steps"], reference_run["steps"]):
         for key in ("fingerprint", "flow_records", "metrics"):
@@ -311,7 +312,7 @@ ARP_LIFETIME = 2.0
 class ArpWorld:
     """Four servers binding six VIPs by hand, a bystander, a flow client."""
 
-    def __init__(self, resolver_class, use_numpy, require=None):
+    def __init__(self, resolver_class, engine_class=FlowEngine, require=None):
         self.sim = Simulation(seed=11, trace_enabled=True, metrics_enabled=True)
         self.lan = Lan(self.sim, "lan", "10.0.0.0/24")
         self.faults = FaultInjector(self.sim)
@@ -329,8 +330,7 @@ class ArpWorld:
         self.client.add_nic(self.lan, "10.0.0.200")
         self.resolver = resolver_class(self.lan, self.client)
         self.recorder = Recorder([self.resolver])
-        with flow_backend(use_numpy):
-            self.engine = FlowEngine(self.sim, resolver=self.resolver, name="twin")
+        self.engine = engine_class(self.sim, resolver=self.resolver, name="twin")
         for index, vip in enumerate(ARP_VIPS):
             self.engine.add_pool(
                 FlowPool("pool-{}".format(index), vip, 1000 + index, require=require)
@@ -419,8 +419,8 @@ def arp_view_script(world):
     ]
 
 
-def run_arp_view_script(resolver_class, use_numpy):
-    world = ArpWorld(resolver_class, use_numpy)
+def run_arp_view_script(resolver_class, engine_class=FlowEngine):
+    world = ArpWorld(resolver_class, engine_class)
     steps = []
     for label, write in arp_view_script(world):
         write()
@@ -437,12 +437,12 @@ def run_arp_view_script(resolver_class, use_numpy):
 
 @pytest.fixture(scope="module")
 def arp_reference_run():
-    yield from shared(run_arp_view_script(ForgetfulArpView, use_numpy=False))
+    yield from shared(run_arp_view_script(ForgetfulArpView))
 
 
 @pytest.fixture(scope="module")
 def arp_oracle_run():
-    yield from shared(run_arp_view_script(ComparedArpView, use_numpy=False))
+    yield from shared(run_arp_view_script(ComparedArpView))
 
 
 def test_forgetful_arp_view_resolves_every_vip_every_tick(arp_reference_run):
@@ -458,9 +458,9 @@ def test_forgetful_arp_view_resolves_every_vip_every_tick(arp_reference_run):
 
 @pytest.mark.parametrize("resolver_class", [ArpViewResolver, ForgetfulArpView, ComparedArpView])
 def test_kept_arp_view_is_bit_identical_to_resolving_every_tick(
-    arp_reference_run, arp_oracle_run, resolver_class, use_numpy
+    arp_reference_run, arp_oracle_run, resolver_class, engine_class
 ):
-    run = run_arp_view_script(resolver_class, use_numpy)
+    run = run_arp_view_script(resolver_class, engine_class)
     assert run["ticks"] == arp_reference_run["ticks"]
     for (label, got), (_label, want) in zip(run["steps"], arp_reference_run["steps"]):
         for key in ("fingerprint", "flow_records", "metrics", "arp_cache"):
@@ -470,11 +470,11 @@ def test_kept_arp_view_is_bit_identical_to_resolving_every_tick(
         assert covers(run["begins"], arp_oracle_run["begins"])
 
 
-def test_gated_engine_resolves_every_tick_and_stays_quiet(use_numpy):
+def test_gated_engine_resolves_every_tick_and_stays_quiet(engine_class):
     # A require gate makes the engine resolve on quiet ticks as well
     # (RouterClusterScenario): warm lookups write nothing, so the view
     # stays quiet, and the resolver keeps no state per address asked.
-    world = ArpWorld(ArpViewResolver, use_numpy, require=lambda host: True)
+    world = ArpWorld(ArpViewResolver, engine_class, require=lambda host: True)
     world.client.arp.cache.lifetime = 3600.0
     world.sim.run_for(0.5)
     world.recorder.reset()
@@ -602,7 +602,7 @@ def test_each_input_flips_begin_tick_once():
 
 
 def test_each_arp_view_input_flips_begin_tick_once():
-    world = ArpWorld(ArpViewResolver, use_numpy=False)
+    world = ArpWorld(ArpViewResolver)
     world.engine.stop_flow()  # the test is the engine: it begins the ticks
     sim, lan, client, resolver = world.sim, world.lan, world.client, world.resolver
     client.arp.cache.lifetime = 60.0
@@ -762,13 +762,12 @@ class ScriptedResolver:
         return self.answers[vip]
 
 
-def test_gated_pool_is_resolved_every_tick(use_numpy):
+def test_gated_pool_is_resolved_every_tick(engine_class):
     sim = Simulation(seed=1)
     owner = object()
     resolver = ScriptedResolver({"10.0.0.1": (1.0, None, owner)})
     gate = {"open": True}
-    with flow_backend(use_numpy):
-        engine = FlowEngine(sim, resolver=resolver)
+    engine = engine_class(sim, resolver=resolver)
     engine.add_pool(FlowPool("p", "10.0.0.1", users=200, require=lambda host: gate["open"]))
     engine.start()
     sim.run(until=0.051)
@@ -782,14 +781,13 @@ def test_gated_pool_is_resolved_every_tick(use_numpy):
     assert (resolver.begins, resolver.resolves) == (3, 3)
 
 
-def test_one_changed_resolver_re_resolves_everything(use_numpy):
+def test_one_changed_resolver_re_resolves_everything(engine_class):
     sim = Simulation(seed=1)
     # The changing resolver comes first: the other must still begin its
     # tick (no short-circuit) and be asked again on the changed tick.
     moving = ScriptedResolver({"10.0.0.1": (1.0, None, None)}, unchanged=[False, True, False, True])
     steady = ScriptedResolver({"10.0.0.2": (1.0, None, None)})
-    with flow_backend(use_numpy):
-        engine = FlowEngine(sim, resolver=steady)
+    engine = engine_class(sim, resolver=steady)
     engine.add_pool(FlowPool("a", "10.0.0.1", users=100, resolver=moving))
     engine.add_pool(FlowPool("b", "10.0.0.2", users=100))
     engine.start()
@@ -808,7 +806,7 @@ def test_one_changed_resolver_re_resolves_everything(use_numpy):
 # (e) accounting over lossy pools only
 
 
-def test_loss_record_sums_every_pool_of_the_vip_in_first_seen_order(use_numpy):
+def test_loss_record_sums_every_pool_of_the_vip_in_first_seen_order(engine_class):
     sim = Simulation(seed=1, metrics_enabled=True)
     owner = object()
     resolver = ScriptedResolver(
@@ -819,8 +817,7 @@ def test_loss_record_sums_every_pool_of_the_vip_in_first_seen_order(use_numpy):
             "10.0.0.4": (0.0, "no_owner", None),
         }
     )
-    with flow_backend(use_numpy):
-        engine = FlowEngine(sim, resolver=resolver)
+    engine = engine_class(sim, resolver=resolver)
     engine.add_pool(FlowPool("served", "10.0.0.1", users=60))
     engine.add_pool(FlowPool("stale", "10.0.0.2", users=40))
     engine.add_pool(FlowPool("gated", "10.0.0.1", users=100, require=lambda host: False))

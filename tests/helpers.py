@@ -1,9 +1,7 @@
 """Cluster-building helpers shared across the test suite."""
 
 import collections
-import contextlib
 import pickle
-from unittest import mock
 
 from repro.apps.cluster import ServerGroup, run_until, servers_settled
 from repro.core.config import WackamoleConfig
@@ -27,18 +25,6 @@ def shared(value, snapshot=pickle.dumps):
     before = snapshot(value)
     yield value
     assert snapshot(value) == before, "a test changed a shared fixture's value"
-
-
-def numpy_absent():
-    """Engines built inside find no numpy, loaded before or not: the one
-    loader they all ask, ``repro.flow.engine.load_numpy``, answers None."""
-    return mock.patch("repro.flow.engine.load_numpy", return_value=None)
-
-
-def flow_backend(use_numpy):
-    """Engines built inside get this flow backend, chosen the way the
-    code chooses it: by what the loader finds."""
-    return contextlib.nullcontext() if use_numpy else numpy_absent()
 
 
 def build_gcs_cluster(n, seed=0, config=None, subnet="10.0.0.0/24", stagger=0.02):

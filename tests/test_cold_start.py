@@ -1,13 +1,11 @@
 """A command pays for what it uses: what a cold ``repro`` imports, and when.
 
-numpy loads at the first :class:`~repro.flow.engine.FlowEngine` (or in
-the parent of a sharded run that will build engines in its workers),
-``repro.cli`` imports nothing of ``repro`` until a handler runs, and the
-parser is built from names alone. Everything about *what is loaded* is
-asked of a fresh interpreter — this process has imported most of it.
+No command loads numpy, ``repro.cli`` imports nothing of ``repro``
+until a handler runs, and the parser is built from names alone.
+Everything about *what is loaded* is asked of a fresh interpreter —
+this process has imported most of it.
 """
 
-import importlib.util
 import json
 import os
 import subprocess
@@ -21,8 +19,6 @@ from repro.obs import observe
 
 ROOT = os.path.normpath(os.path.join(os.path.dirname(os.path.abspath(__file__)), ".."))
 TESTS = os.path.join(ROOT, "tests")
-#: What the children will find, asked without importing it here.
-HAVE_NUMPY = importlib.util.find_spec("numpy") is not None
 
 #: Prints what a script left loaded: numpy or not, then the repro modules.
 REPORT = (
@@ -46,7 +42,7 @@ def test_importing_the_cli_imports_nothing_else_of_repro():
     assert fresh("import repro.cli\n" + REPORT) == ["False repro repro.cli"]
 
 
-def test_commands_that_build_no_engine_never_load_numpy(tmp_path):
+def test_no_command_loads_numpy(tmp_path):
     script = "\n".join([
         "import repro.cli as cli, sys",
         "def run(argv):",
@@ -58,53 +54,13 @@ def test_commands_that_build_no_engine_never_load_numpy(tmp_path):
         "run(['check', '--help'])",
         "run(['lint', '--list-rules'])",
         "run(['check', '--trials', '2', '--workers', '1', '--horizon', '10',",
-        "     '--events', '2', '--artifacts', {!r}])".format(str(tmp_path)),
+        "     '--events', '2', '--artifacts', {!r}])".format(str(tmp_path / "trials")),
         "run(['flow', '--users', '1000', '--observe', '1'])",
+        "run(['check', '--shards', '2', '--workers', '2', '--artifacts', {!r}])".format(
+            str(tmp_path / "shards")
+        ),
     ])
-    lines = fresh(script)
-    assert lines[-4:] == ["0 False", "0 False", "0 False", "0 {}".format(HAVE_NUMPY)]
-
-
-def test_python_leg_engine_first_in_a_fresh_interpreter_loads_no_numpy():
-    # The order-independence pin: nothing has asked the loader yet, so a
-    # helper that only un-set what an earlier load had bound proves nothing.
-    lines = fresh("\n".join([
-        "from helpers import numpy_absent",
-        "from repro.flow import FlowEngine",
-        "from repro.sim.simulation import Simulation",
-        "with numpy_absent():",
-        "    engine = FlowEngine(Simulation(seed=0), resolver=object())",
-        "print(engine.use_numpy)",
-        REPORT,
-    ]))
-    assert lines[0] == "False" and lines[1].startswith("False ")
-
-
-#: ``build_scale_world`` that first says whether its process — a
-#: forked worker, built after the fork — already holds numpy.
-SHARDED = "\n".join([
-    "import sys",
-    "from repro.apps import scalecluster",
-    "def world(params, shard_id):",
-    "    assert ('numpy' in sys.modules) == (params['flow_users'] > 0), shard_id",
-    "    return scalecluster.build_scale_world(params, shard_id)",
-    "def run(flow_users):",
-    "    scenario = scalecluster.ShardedScaleScenario(",
-    "        workers=2, shards=2, n_hosts=64, n_vips=128, segment_size=16, horizon=2.0,",
-    "        flow_users=flow_users)",
-    "    scenario.FACTORY = world",
-    "    scenario.run()",
-    "    print(scenario.workers_used, 'numpy' in sys.modules)",
-    "run(0)",
-    "run(50_000)",
-])
-
-
-@pytest.mark.skipif(not HAVE_NUMPY, reason="numpy not installed: nothing to inherit")
-def test_sharded_run_loads_numpy_once_in_the_parent_before_the_fork():
-    # A worker that had to import numpy itself fails its first reply; a
-    # run without flow users leaves even the parent without it.
-    assert fresh(SHARDED) == ["2 False", "2 True"]
+    assert fresh(script)[-5:] == ["0 False"] * 5
 
 
 # ----------------------------------------------------------------------
