@@ -68,8 +68,8 @@ class LintConfig:
     @property
     def shard_scope(self):
         """Where SHARD001 and DET005 look: the substrate plus the campaign
-        runner, whose worker pool is the multi-core template ROADMAP item
-        5 generalizes.
+        runner, whose worker pool is the template a multi-core kernel
+        generalizes.
         """
         return self.sim_restricted + ("repro/check",)
 

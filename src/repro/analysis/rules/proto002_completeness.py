@@ -33,7 +33,7 @@ class StateMachineCompletenessRule(Rule):
         "transition to an undeclared state"
     )
     rationale = (
-        "Convergence from arbitrary state (ROADMAP item 3) requires "
+        "Convergence from arbitrary state (self-stabilization) requires "
         "every handler to decide every input in every state — handle "
         "it or drop it explicitly. A dispatch chain missing a kind, or "
         "a multi-arm state chain missing a state, is an *accidental* "

@@ -44,8 +44,8 @@ class ProtocolFieldWriteRule(Rule):
         "methods maintain. A write from outside — another object "
         "poking the field, or a computed state value — lands without "
         "the guards and bookkeeping, and the resulting states are "
-        "exactly the arbitrary-state corruptions ROADMAP item 3 "
-        "injects on purpose. Route the write through a method the "
+        "exactly the arbitrary-state corruptions the corrupt faults "
+        "inject on purpose. Route the write through a method the "
         "owner declares."
     )
     example_bad = (

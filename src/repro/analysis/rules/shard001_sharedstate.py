@@ -1,6 +1,6 @@
 """SHARD001 — mutable state shared across simulation contexts.
 
-ROADMAP item 5 splits the kernel across cores: independent LAN
+A multi-core kernel splits the world across cores: independent LAN
 segments / cluster shards run in separate workers and their event
 streams merge deterministically. Any module-level or class-level
 mutable object that more than one component mutates is exactly the
@@ -46,7 +46,7 @@ class SharedShardStateRule(Rule):
         "mutable container; breaks replay and deterministic shard merge"
     )
     rationale = (
-        "The multi-core kernel (ROADMAP item 5) runs cluster shards in "
+        "A multi-core kernel runs cluster shards in "
         "separate workers and merges their event streams. State shared "
         "through a module global or class attribute diverges between "
         "workers: each process mutates its own copy, so replay is no "

@@ -75,7 +75,7 @@ def build_trial_spec(params, index):
     forked = RngRegistry(params["base_seed"]).fork("trial/{}".format(index))
     overrides = params["spec_overrides"]
     if overrides.get("stack") == "scale":
-        segment_size = overrides.get("segment_size", SPEC_DEFAULTS["segment_size"])
+        segment_size = overrides.get("segment_size", SPEC_DEFAULTS["segment_size"][0])
         schedule = scale_schedule(
             forked.seed,
             params["n_servers"],

@@ -120,8 +120,8 @@ REPERTOIRES = {
         2.5,
     ),
     # The scale stack knows fail-stop only: crash/revive pairs drawn by
-    # scale_schedule. A duplicate binding while a view propagates through
-    # a segment is legitimate; one that outlasts the grace is a bug.
+    # scale_schedule. Inside a view every member holds, a hole or a
+    # duplicate that outlasts the grace is a bug.
     "scale": Repertoire(((1.0, CRASH),), "paper", 3.0),
 }
 

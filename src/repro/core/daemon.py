@@ -459,6 +459,11 @@ class WackamoleDaemon(Process):
         """True once an applied message of this view says a member is mature."""
         return any(self._matures.values())
 
+    # What the Property-1 judge reads besides (core/audit.py).
+    state = property(lambda self: self.machine.state)
+    lan = property(lambda self: self.spread.lan)
+    slot_table = property(lambda self: self.config.slot_table)
+
     def _become_mature(self, reason):
         self.sim.coverage_changing()
         self.mature = True

