@@ -25,8 +25,10 @@ makes every result, so :mod:`~repro.check.shrink` and
 with ``shards`` ≥ 2 is a parity check instead: its schedule runs from
 boot to the horizon through :class:`ShardedScaleScenario` serially and
 at the spec's split, and the two artifacts must match byte for byte.
+Either way a trial frees its world, a web of reference cycles, when it returns.
 """
 
+import gc
 import math
 
 from repro.apps.scalecluster import ScaleClusterScenario, ShardedScaleScenario
@@ -146,24 +148,34 @@ def run_trial(spec):
       (indicates a harness problem, not a protocol bug).
     * ``parity_mismatch`` — a parity check's serial and sharded
       artifacts differ.
+
+    The collector is paused for the trial, so its world stays young and
+    one generation-0 pass frees it without walking the caller's heap.
     """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return _trial(spec)
+    finally:
+        if enabled:
+            gc.enable()
+        gc.collect(0)
+
+
+def _trial(spec):
     schedule = trial_schedule(spec)
     scale = spec["stack"] == "scale"
     if scale and spec["shards"] >= 2:
         return _parity_trial(spec, schedule)
     if scale:
         cluster = ScaleClusterScenario(
-            seed=spec["seed"],
-            n_hosts=spec["n_servers"],
-            n_vips=spec["n_vips"],
-            segment_size=spec["segment_size"],
-            flow_users=spec["flow_users"],
+            seed=spec["seed"], n_hosts=spec["n_servers"], n_vips=spec["n_vips"],
+            segment_size=spec["segment_size"], flow_users=spec["flow_users"],
         )
         sim = cluster.sim
     else:
-        sim = Simulation(
-            seed=spec["seed"], trace_enabled=True, trace_capacity=spec["trace_capacity"]
-        )
+        sim = Simulation(seed=spec["seed"], trace_enabled=True,
+                         trace_capacity=spec["trace_capacity"])
         cluster = CheckCluster(
             sim,
             spec["n_servers"],
@@ -227,10 +239,7 @@ def _result(spec, sim, cluster, verdict, **specifics):
 
 def _failure(spec, sim, cluster, verdict, violations, **specifics):
     return _result(
-        spec,
-        sim,
-        cluster,
-        verdict,
+        spec, sim, cluster, verdict,
         violations=sorted({repr(v) for v in violations}),
         violation_kinds=sorted({v.kind for v in violations}),
         trace_tail=[repr(r) for r in sim.trace.tail(spec["trace_tail"])],

@@ -8,6 +8,8 @@ Readers that need the whole run (fail-over episodes, fault spans) are
 bounded window (:data:`TRACE_WINDOW`) of the records themselves.
 """
 
+from collections import deque
+
 from repro.obs.metrics import MetricsRegistry
 
 #: The default retained window of a faithful scenario or a check trial.
@@ -72,8 +74,7 @@ class TraceLog:
       and ``metrics`` counts the trimmed ones as ``sim.trace_dropped``
       (the counter appears at the first drop). Per-(category, event)
       counters keep counting every emit, so :meth:`count` reports
-      whole-run totals. Trimming is amortized: the backing list keeps a
-      dead prefix and compacts it in bulk, so ``emit`` stays O(1).
+      whole-run totals. It is fixed at construction.
     * :meth:`fold` — attached folds see every stored record they read,
       trimmed or not.
     * ``enabled=False`` — records are dropped entirely (``emit``
@@ -83,15 +84,11 @@ class TraceLog:
       dropped after counting, exactly like the disabled path.
     """
 
-    def __init__(
-        self, clock=None, enabled=True, capacity=None, categories=None, metrics=None
-    ):
+    def __init__(self, clock=None, enabled=True, capacity=None, categories=None, metrics=None):
         self._clock = clock
         self.enabled = enabled
-        self.capacity = trace_window(capacity)
         self._metrics = metrics if metrics is not None else MetricsRegistry(enabled=False)
-        self._records = []
-        self._start = 0  # dead-prefix length of _records (amortized trim)
+        self._records = deque(maxlen=trace_window(capacity))
         self._drops = None  # the sim.trace_dropped counter, made at the first drop
         self._counts = {}
         self._folds = {}
@@ -100,11 +97,14 @@ class TraceLog:
         self.categories = frozenset(categories) if categories is not None else None
 
     @property
+    def capacity(self):
+        """The retained window's length; None keeps the whole trace."""
+        return self._records.maxlen
+
+    @property
     def records(self):
         """The retained records, oldest first."""
-        if self._start:
-            return self._records[self._start:]
-        return self._records
+        return list(self._records)
 
     def fold(self, cls):
         """This log's one ``cls`` fold, attached at the first call.
@@ -114,7 +114,7 @@ class TraceLog:
         """
         fold = self._folds.get(cls)
         if fold is None:
-            fold = self._folds[cls] = cls.over(self.records)
+            fold = self._folds[cls] = cls.over(self._records)
             for key in cls.KEYS:
                 self._feeds.setdefault(key, []).append(fold.feed)
         return fold
@@ -134,17 +134,11 @@ class TraceLog:
             clock() if clock is not None else 0.0, category, source, event, details
         )
         records = self._records
-        records.append(record)
-        capacity = self.capacity
-        if capacity is not None and len(records) - self._start > capacity:
-            start = self._start + 1
-            if start >= capacity:
-                del records[:start]
-                start = 0
-            self._start = start
+        if len(records) == records.maxlen:
             if self._drops is None:
                 self._drops = self._metrics.counter("sim.trace_dropped", node="trace")
             self._drops.inc()
+        records.append(record)
         feeds = self._feeds.get(key)
         if feeds is not None:
             for feed in feeds:
@@ -161,7 +155,7 @@ class TraceLog:
         """Return records matching all supplied filters, in time order."""
         return [
             record
-            for record in self.records
+            for record in self._records
             if (category is None or record.category == category)
             and (source is None or record.source == source)
             and (event is None or record.event == event)
@@ -170,11 +164,7 @@ class TraceLog:
 
     def tail(self, n):
         """The most recent ``n`` records, oldest first."""
-        if n <= 0:
-            return []
-        records = self._records
-        start = max(self._start, len(records) - n)
-        return records[start:]
+        return list(self._records)[-n:] if n > 0 else []
 
     def last(self, category=None, source=None, event=None):
         """Most recent matching record, or None."""
@@ -183,6 +173,5 @@ class TraceLog:
 
     def clear(self):
         """Drop all records and counters."""
-        self._records = []
-        self._start = 0
+        self._records.clear()
         self._counts.clear()

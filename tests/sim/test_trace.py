@@ -1,5 +1,7 @@
 """Unit tests for the structured trace log."""
 
+import weakref
+
 import pytest
 
 from repro.sim.simulation import Simulation
@@ -59,8 +61,7 @@ def test_count_by_category_sums_events():
 
 
 def test_capacity_bounds_memory():
-    log, _ = make_log()
-    log.capacity = 3
+    log = TraceLog(clock=lambda: 0.0, capacity=3)
     for index in range(10):
         log.emit("a", "x", "e", i=index)
     assert len(log.records) == 3
@@ -178,24 +179,21 @@ def test_clear_resets_everything():
 
 
 # ----------------------------------------------------------------------
-# amortized ring buffer and category filtering
+# bounded window and category filtering
 
 
 def test_capacity_window_is_exact_under_sustained_emits():
-    log, _ = make_log()
-    log.capacity = 5
+    log = TraceLog(clock=lambda: 0.0, capacity=5)
     for index in range(137):
         log.emit("a", "x", "e", i=index)
-        # The retained window never exceeds capacity, even mid-stream
-        # while the backing list carries a dead prefix.
+        # The retained window never exceeds capacity, even mid-stream.
         assert len(log.records) == min(index + 1, 5)
     assert [r.details["i"] for r in log.records] == [132, 133, 134, 135, 136]
     assert log.count("a", "e") == 137
 
 
 def test_tail_spans_the_trimmed_window():
-    log, _ = make_log()
-    log.capacity = 4
+    log = TraceLog(clock=lambda: 0.0, capacity=4)
     for index in range(10):
         log.emit("a", "x", "e", i=index)
     assert [r.details["i"] for r in log.tail(2)] == [8, 9]
@@ -204,8 +202,7 @@ def test_tail_spans_the_trimmed_window():
 
 
 def test_clear_resets_ring_buffer_state():
-    log, _ = make_log()
-    log.capacity = 3
+    log = TraceLog(clock=lambda: 0.0, capacity=3)
     for index in range(8):
         log.emit("a", "x", "e", i=index)
     log.clear()
@@ -233,3 +230,32 @@ def test_constructor_accepts_categories():
     log.emit("c", "x", "e")
     log.emit("a", "x", "e")
     assert [r.category for r in log.records] == ["a"]
+
+
+class _Token:
+    """A weak-referenceable marker: alive exactly as long as its record."""
+
+
+def test_a_full_window_keeps_no_trimmed_record_alive():
+    capacity = 8
+    log = TraceLog(clock=lambda: 0.0, capacity=capacity)
+    alive = weakref.WeakSet()
+    most = 0
+    for _ in range(3 * capacity):
+        token = _Token()
+        alive.add(token)
+        log.emit("a", "x", "e", token=token)
+        del token
+        most = max(most, len(alive))
+    # A window trimmed in bulk, behind a dead prefix, keeps up to 2 * capacity - 1.
+    assert most == capacity
+    assert {record.details["token"] for record in log.records} == set(alive)
+
+
+def test_capacity_is_fixed_at_construction():
+    log = TraceLog(clock=lambda: 0.0, capacity=3)
+    with pytest.raises(AttributeError):
+        log.capacity = 5
+    for index in range(6):
+        log.emit("a", "x", "e", i=index)
+    assert [r.details["i"] for r in log.records] == [3, 4, 5]
