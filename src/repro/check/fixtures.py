@@ -27,12 +27,9 @@ class BrokenBalanceDaemon(WackamoleDaemon):
         if self.view is None or message.view_id != self.view.view_id:
             return
         self.machine.fire("BALANCE_MSG")
-        for slot, owner in message.allocation.items():
-            if slot in self.table.slots and (owner is None or owner in self.table.members):
-                self.table.set_owner(slot, owner)
-        for slot in self.table.slots:
-            if self.table.owner(slot) == self.member_name:
-                self.iface.acquire(slot)
+        self.table.adopt(message.allocation)
+        for slot in self.table.owned_by(self.member_name):
+            self.iface.acquire(slot)
         self.balances_applied += 1
 
 

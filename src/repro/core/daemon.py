@@ -291,7 +291,7 @@ class WackamoleDaemon(Process):
         if message.mature and not self.mature:
             self._become_mature("state message from mature server")
         for slot in message.owned:
-            if slot not in self.table.slots:
+            if slot not in self.table:
                 continue
             winner, loser = resolve_claim(self.table, slot, message.sender)
             if loser is not None:
@@ -313,27 +313,13 @@ class WackamoleDaemon(Process):
                     # binding we never dropped) — repair them now.
                     self.trace("wackamole", "conflict_reannounce", slot=slot)
                     self.iface.reannounce(slot)
-        if set(self._state_msgs) >= set(self.table.members):
+        # One entry per member, keyed by sender: every member has sent.
+        if len(self._state_msgs) == len(self.table.members):
             self._complete_gather()
 
     def _complete_gather(self):
-        if any(self._matures.values()):
-            if self.config.representative_allocation:
-                # §4.2 variant: only the representative decides; it
-                # imposes the allocation via an agreed-ordered message
-                # and everyone (itself included) applies on delivery.
-                if self.member_name == self.table.members[0]:
-                    decided = self.table.copy()
-                    reallocate_ips(decided, self._preferences, self._weights)
-                    self.client.multicast(
-                        self.config.group_name,
-                        AllocMsg(self.member_name, self.view.view_id, decided.as_dict()),
-                    )
-                return
-            reallocate_ips(self.table, self._preferences, self._weights)
-            self.reallocations += 1
-            self._m_reallocations.inc()
-            self._apply_table()
+        if any(self._matures.values()) and not self._reallocate():
+            return
         self.machine.fire("REALLOCATION_COMPLETE")
         self.trace("wackamole", "run", allocation=self.table.as_dict())
         self._maybe_start_balance_timer()
@@ -344,9 +330,7 @@ class WackamoleDaemon(Process):
         if self.machine.state not in (GATHER, RUN):
             return
         completing_gather = self.machine.state == GATHER
-        for slot, owner in message.allocation.items():
-            if slot in self.table.slots and (owner is None or owner in self.table.members):
-                self.table.set_owner(slot, owner)
+        self.table.adopt(message.allocation)
         self.reallocations += 1
         self._m_reallocations.inc()
         self._apply_table()
@@ -358,6 +342,27 @@ class WackamoleDaemon(Process):
             # In RUN an imposed allocation is a Change_IPs application,
             # exactly like a BALANCE message (Figure 2 stays intact).
             self.machine.fire("BALANCE_MSG")
+
+    def _reallocate(self):
+        """Cover the holes (Reallocate_IPs); false when left to an AllocMsg: under
+        §4.2's variant the representative imposes it via an agreed-ordered
+        message and everyone (itself included) applies it on delivery."""
+        if self.config.representative_allocation:
+            if self.member_name == self.table.members[0]:
+                decided = self.table.copy()
+                reallocate_ips(decided, self._preferences, self._weights)
+                self.client.multicast(
+                    self.config.group_name,
+                    AllocMsg(self.member_name, self.view.view_id, decided.as_dict()),
+                )
+            return False
+        # Deterministic at every member: same table, same messages, same
+        # order -> same allocation, no extra communication.
+        reallocate_ips(self.table, self._preferences, self._weights)
+        self.reallocations += 1
+        self._m_reallocations.inc()
+        self._apply_table()
+        return True
 
     def _apply_table(self):
         """Make local bindings match the (complete, agreed) table."""
@@ -410,9 +415,7 @@ class WackamoleDaemon(Process):
         if self.view is None or message.view_id != self.view.view_id:
             return
         self.machine.fire("BALANCE_MSG")
-        for slot, owner in message.allocation.items():
-            if slot in self.table.slots and (owner is None or owner in self.table.members):
-                self.table.set_owner(slot, owner)
+        self.table.adopt(message.allocation)
         self._apply_table()
         self.balances_applied += 1
         self._m_balances_applied.inc()
@@ -435,22 +438,7 @@ class WackamoleDaemon(Process):
         self._matures[message.sender] = True
         if not self.mature:
             self._become_mature("mature notification")
-        if self.machine.state == RUN and not self.table.is_complete():
-            if self.config.representative_allocation:
-                if self.member_name == self.table.members[0]:
-                    decided = self.table.copy()
-                    reallocate_ips(decided, self._preferences, self._weights)
-                    self.client.multicast(
-                        self.config.group_name,
-                        AllocMsg(self.member_name, self.view.view_id, decided.as_dict()),
-                    )
-                return
-            # Deterministic at every member: same table, same message,
-            # same order -> same allocation, no extra communication.
-            reallocate_ips(self.table, self._preferences, self._weights)
-            self.reallocations += 1
-            self._m_reallocations.inc()
-            self._apply_table()
+        if self.machine.state == RUN and not self.table.is_complete() and self._reallocate():
             self.trace("wackamole", "mature_reallocation", allocation=self.table.as_dict())
             self._maybe_start_balance_timer()
 

@@ -13,6 +13,10 @@ class AllocationTable:
     def __init__(self, slot_ids, members=()):
         self._owners = {slot: None for slot in slot_ids}
         self.members = tuple(members)
+        self._positions = {member: index for index, member in enumerate(self.members)}
+
+    def __contains__(self, slot):
+        return slot in self._owners
 
     @property
     def slots(self):
@@ -27,9 +31,15 @@ class AllocationTable:
         """Assign ``slot`` to ``owner`` (or None to clear)."""
         if slot not in self._owners:
             raise KeyError("unknown slot {!r}".format(slot))
-        if owner is not None and owner not in self.members:
+        if owner is not None and owner not in self._positions:
             raise ValueError("owner {!r} not in membership".format(owner))
         self._owners[slot] = owner
+
+    def adopt(self, allocation):
+        """Take the entries of ``allocation`` naming a known slot and a member or None."""
+        for slot, owner in allocation.items():
+            if slot in self._owners and (owner is None or owner in self._positions):
+                self._owners[slot] = owner
 
     def release(self, slot):
         """Clear the owner of ``slot``."""
@@ -53,7 +63,9 @@ class AllocationTable:
 
     def position(self, member):
         """Index of ``member`` in the uniquely ordered membership list."""
-        return self.members.index(member)
+        if member not in self._positions:
+            raise ValueError("{!r} not in membership".format(member))
+        return self._positions[member]
 
     def as_dict(self):
         """Plain dict copy of the allocation."""

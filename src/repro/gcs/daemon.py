@@ -29,6 +29,7 @@ from repro.gcs.messages import (
 from repro.gcs.ordering import ViewOrderer
 from repro.gcs.views import DaemonView
 from repro.sim.process import Process
+from repro.sim.timers import Timer
 
 
 class SpreadDaemon(Process):
@@ -58,6 +59,8 @@ class SpreadDaemon(Process):
         self.groups = {}
         self._group_intra = {}
         self.orderer = None
+        self.resubmit_timer = Timer(self.sim.scheduler, lambda: self.orderer.resubmit(), "resubmit")
+        self.nack_timer = Timer(self.sim.scheduler, lambda: self.orderer.send_nack(), "nack")
         self.fd = FailureDetector(self, self._on_suspect)
         self.membership = MembershipEngine(self)
         self._heartbeat_timer = self.periodic(

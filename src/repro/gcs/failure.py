@@ -20,8 +20,11 @@ times.
 
 Lifecycle contract: :meth:`heard_from` is a safe no-op for a peer that
 is not watched — including after :meth:`stop` — and never creates or
-resurrects a timer. Only :meth:`watch` arms timers.
+resurrects a timer. Only :meth:`watch` arms timers: a peer's one timer,
+made at its first watch, lives as long as the detector.
 """
+
+from functools import partial
 
 from repro.sim.timers import Timer
 
@@ -32,7 +35,8 @@ class FailureDetector:
     def __init__(self, daemon, on_suspect):
         self._daemon = daemon
         self._on_suspect = on_suspect
-        self._timers = {}
+        self._timers = {}  # peer -> its Timer, from its first watch on
+        self._watched = {}  # the subset of _timers now armed for this view
         self._misses = {}
         self.suspicions = 0
         self.misses_ridden_out = 0
@@ -40,7 +44,7 @@ class FailureDetector:
     @property
     def watched(self):
         """The peers currently being monitored."""
-        return frozenset(self._timers)
+        return frozenset(self._watched)
 
     def watch(self, peers):
         """Monitor exactly ``peers``; timers start fresh from now."""
@@ -49,13 +53,13 @@ class FailureDetector:
         for peer in peers:
             if peer == self._daemon.daemon_id:
                 continue
-            timer = Timer(
-                self._daemon.sim.scheduler,
-                self._make_suspect(peer),
-                name="fd:{}".format(peer),
-            )
+            timer = self._timers.get(peer)
+            if timer is None:
+                timer = self._timers[peer] = Timer(
+                    self._daemon.sim.scheduler, partial(self._suspect, peer), name="fd"
+                )
             timer.start(timeout)
-            self._timers[peer] = timer
+            self._watched[peer] = timer
 
     def heard_from(self, peer):
         """Any traffic from a watched peer refreshes its timer.
@@ -65,7 +69,7 @@ class FailureDetector:
         not re-create a timer that suspicion or reconfiguration tore
         down, which would leave an orphan firing into a stale view.
         """
-        timer = self._timers.get(peer)
+        timer = self._watched.get(peer)
         if timer is None:
             return
         if self._misses and self._misses.pop(peer, None) is not None:
@@ -74,25 +78,20 @@ class FailureDetector:
 
     def stop(self):
         """Cancel all suspicion timers (during reconfiguration)."""
-        for timer in self._timers.values():
+        for timer in self._watched.values():
             timer.cancel()
-        self._timers.clear()
+        self._watched.clear()
         self._misses.clear()
 
-    def _make_suspect(self, peer):
-        def suspect():
-            misses = self._misses.get(peer, 0) + 1
-            if misses < self._daemon.config.suspicion_misses:
-                # Grace miss: extend the deadline one heartbeat and keep
-                # listening — any traffic in that window clears the count.
-                self._misses[peer] = misses
-                timer = self._timers.get(peer)
-                if timer is not None:
-                    timer.start(self._daemon.config.heartbeat_timeout)
-                return
-            self.suspicions += 1
-            self._timers.pop(peer, None)
-            self._misses.pop(peer, None)
-            self._on_suspect(peer)
-
-        return suspect
+    def _suspect(self, peer):
+        misses = self._misses.get(peer, 0) + 1
+        if misses < self._daemon.config.suspicion_misses:
+            # Grace miss: extend the deadline one heartbeat and keep
+            # listening — any traffic in that window clears the count.
+            self._misses[peer] = misses
+            self._watched[peer].start(self._daemon.config.heartbeat_timeout)
+            return
+        self.suspicions += 1
+        del self._watched[peer]
+        self._misses.pop(peer, None)
+        self._on_suspect(peer)

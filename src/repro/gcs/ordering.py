@@ -9,7 +9,6 @@ across view changes possible.
 """
 
 from repro.gcs.messages import AruMsg, NackMsg, OrderedMsg, SubmitMsg
-from repro.sim.timers import Timer
 
 
 class PendingSubmission:
@@ -49,10 +48,9 @@ class ViewOrderer:
         self.recv_aru = 0
         self._member_arus = {member: 0 for member in view.members}
         self._announced_aru = 0
-        self._resubmit_timer = Timer(
-            daemon.sim.scheduler, self._resubmit_pending, name="resubmit"
-        )
-        self._nack_timer = Timer(daemon.sim.scheduler, self._send_nack, name="nack")
+        # The daemon's, fired into its current orderer: nothing keeps a retired one.
+        self._resubmit_timer = daemon.resubmit_timer
+        self._nack_timer = daemon.nack_timer
 
     @property
     def is_sequencer(self):
@@ -84,7 +82,8 @@ class ViewOrderer:
         )
         self._daemon.unicast(self.sequencer, message)
 
-    def _resubmit_pending(self):
+    def resubmit(self):
+        """Resubmit timer: unicast every pending submission again."""
         if self.frozen or not self._daemon.alive or not self._pending:
             return
         for msg_id in sorted(self._pending):
@@ -235,7 +234,8 @@ class ViewOrderer:
         delivered = self.delivered_aru
         return self._log_top > delivered or self.advertised_top > delivered
 
-    def _send_nack(self):
+    def send_nack(self):
+        """NACK timer: ask the sequencer for the gap's sequences."""
         if self.frozen or not self._daemon.alive or not self._has_gap():
             return
         missing = [

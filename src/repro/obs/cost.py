@@ -1,7 +1,7 @@
 """``repro observe --cost``: what a simulated second costs, by kind of event.
 
 A run is made plain, then again from the same seed with every event
-timed. A row is a timer by name (``fd:<peer>`` folds to ``fd``), a frame
+timed. A row is a timer by name (up to any ``:``), a frame
 arrival as ``recv <payload class>`` (read from its UDP datagram), or a
 callback's qualified name. The table is printed, never put in an
 artifact; the meter wraps :meth:`Event.fire` from outside, so

@@ -12,8 +12,11 @@ import gc
 import pytest
 
 from repro.check import trial as trial_module
+from repro.check.campaign import build_trial_spec, campaign_params
 from repro.check.schedule import FaultEvent, FaultSchedule, scale_schedule
 from repro.check.trial import make_spec, run_trial
+from repro.gcs.daemon import SpreadDaemon
+from repro.gcs.ordering import ViewOrderer
 from repro.sim.simulation import Simulation
 
 
@@ -72,3 +75,32 @@ def test_a_trial_that_raises_restores_the_collector(collector_seen):
         run_trial(make_spec(1, FaultSchedule(past, 5.0), n_servers=3, n_vips=4))
     assert gc.isenabled()
     assert collector_seen == [False]
+
+
+def tracked(cls):
+    return sum(1 for obj in gc.get_objects() if isinstance(obj, cls))
+
+
+# A long corrupt trial reconfigures hundreds of times; at 2 s it runs in the soak job.
+@pytest.mark.slow
+def test_a_long_trial_keeps_one_orderer_per_daemon_until_it_returns(monkeypatch):
+    """Base seed 2026, trial 1: 531 retired orderers were still tracked when
+    the trial returned, each in a cycle with its own timers, until the
+    closing collection. Now only each daemon's current one is."""
+    params = campaign_params(
+        base_seed=2026, trials=2, n_servers=8, n_vips=16, horizon=600.0,
+        events_per_trial=60, corrupt=True,
+    )
+    counted = {}
+    inner = trial_module._trial
+
+    def counting(spec):
+        result = inner(spec)
+        counted.update(orderers=tracked(ViewOrderer), daemons=tracked(SpreadDaemon))
+        return result
+
+    monkeypatch.setattr(trial_module, "_trial", counting)
+    result = run_trial(build_trial_spec(params, 1))
+    assert (result["verdict"], result["events_fired"]) == ("pass", 154_718)
+    assert counted["daemons"] >= 8  # the live daemons and every restart
+    assert counted["orderers"] <= counted["daemons"]

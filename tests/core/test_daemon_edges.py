@@ -93,6 +93,27 @@ def test_state_msg_claim_for_unknown_slot_skipped():
     assert "wack@node1" in wack._state_msgs
 
 
+def test_a_state_msg_sent_twice_by_one_member_does_not_end_gather():
+    cluster = stable_cluster()
+    wack = cluster.wacks[0]
+    from repro.core.state import GATHER
+    from repro.gcs.messages import GroupView
+
+    synthetic = GroupView(
+        wack.config.group_name, ("synthetic", "view", 2), wack.view.members, "network"
+    )
+    wack._on_group_view(synthetic)
+    first, second, third = (
+        StateMsg(member, synthetic.view_id, (), (), True) for member in synthetic.members
+    )
+    wack._on_state_msg(second)
+    wack._on_state_msg(second)
+    wack._on_state_msg(first)
+    assert wack.machine.state == GATHER  # three messages, two senders of three
+    wack._on_state_msg(third)
+    assert wack.machine.state == RUN
+
+
 def test_messages_have_informative_reprs():
     state = StateMsg("m", (1, "a", 0), ("v1",), (), True)
     assert "m" in repr(state) and "v1" in repr(state)

@@ -82,3 +82,29 @@ def test_equality(table):
     assert table == other
     other.set_owner("v1", "a")
     assert table != other
+
+
+def test_contains_answers_for_known_and_unknown_slots(table):
+    assert "v1" in table and "v3" in table
+    assert "nope" not in table and None not in table
+
+
+def test_position_of_a_non_member_raises_value_error(table):
+    with pytest.raises(ValueError):
+        table.position("stranger")
+    with pytest.raises(ValueError):
+        table.copy().position("stranger")
+
+
+def test_unknown_slot_or_owner_rejected_on_a_copy(table):
+    clone = table.copy()
+    with pytest.raises(KeyError):
+        clone.set_owner("nope", "a")
+    with pytest.raises(ValueError):
+        clone.set_owner("v1", "stranger")
+
+
+def test_adopt_takes_only_known_slots_and_members(table):
+    table.set_owner("v2", "a")
+    table.adopt({"v1": "b", "v2": "stranger", "v3": None, "nope": "a"})
+    assert table.as_dict() == {"v1": "b", "v2": "a", "v3": None}

@@ -11,6 +11,7 @@ from repro.gcs.views import DaemonView, ViewId
 from repro.net.fault import FaultInjector
 from repro.sim.process import Process
 from repro.sim.simulation import Simulation
+from repro.sim.timers import Timer
 
 
 class OrdererHarness(Process):
@@ -24,6 +25,11 @@ class OrdererHarness(Process):
         self.unicasts = []
         self.applied = []
         self._counter = 0
+        # A daemon owns its orderer's two timers; they fire into ``orderer``,
+        # which corrupt_sequence also reaches through.
+        self.orderer = None
+        self.resubmit_timer = Timer(sim.scheduler, lambda: self.orderer.resubmit())
+        self.nack_timer = Timer(sim.scheduler, lambda: self.orderer.send_nack())
 
     def broadcast(self, message):
         self.broadcasts.append(message)
@@ -43,7 +49,8 @@ def make_orderer(daemon_id="aaa", members=("aaa", "bbb"), orderer_class=ViewOrde
     sim = Simulation(seed=0)
     harness = OrdererHarness(sim, daemon_id)
     view = DaemonView(ViewId(1, sorted(members)[0]), members)
-    return sim, harness, orderer_class(harness, view)
+    harness.orderer = orderer_class(harness, view)
+    return sim, harness, harness.orderer
 
 
 def ordered(view_id, seq, origin="bbb", payload=None, msg_id=None):
@@ -262,7 +269,6 @@ class OrdererUnderTest:
         self.sim, self.harness, self.orderer = make_orderer(
             daemon_id, MEMBERS, orderer_class
         )
-        self.harness.orderer = self.orderer  # what corrupt_sequence reaches through
         self.injector = FaultInjector(self.sim)
 
     def view(self, which):
