@@ -1,13 +1,13 @@
-"""Static analysis for determinism and protocol invariants.
+"""Static analysis for the protocol invariants the dynamic oracles miss.
 
-The whole reproduction rests on byte-identical deterministic replay
-(:mod:`repro.check`), so nondeterminism sources — wall clocks, unseeded
-randomness, unordered iteration that escapes into traces or messages,
-id()/hash() tie-breaks, real threads — must be caught at lint time,
-not after thousands of fault-schedule trials. ``repro lint`` runs the
-rule set in :mod:`repro.analysis.rules` over the tree, honouring
-per-line ``# repro: allow <rule>`` suppressions — the one way to
-accept a finding.
+Nondeterminism (clocks, global randomness, escaping set order, RNG
+streams crossing components, state outliving one simulation) is caught
+by the golden pins, replay and shard parity, so no rule looks for it.
+What they miss is a write that lands in the same place by another
+route: ``repro lint`` runs the rule set in :mod:`repro.analysis.rules`
+over the tree, honouring per-line ``# repro: allow <rule>``
+suppressions — the one way to accept a finding — and extracts the
+protocol state machines behind ``repro lint --state-machines``.
 """
 
 from repro.analysis.engine import LintConfig, Linter, LintResult, load_project

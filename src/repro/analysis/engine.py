@@ -9,81 +9,19 @@ replay guarantee the linted code itself must uphold.
 import ast
 import os
 
-from repro.analysis.callgraph import CallGraph, SymbolTable
-from repro.analysis.dataflow import ProjectDataflow
 from repro.analysis.findings import Finding
 from repro.analysis.registry import all_rules
 from repro.analysis.statemachine import DEFAULT_STATE_MACHINES, extract_machines
 from repro.analysis.suppress import is_suppressed, parse_suppressions
 
 
-# The simulated substrate: everything here must stay single-threaded
-# and virtual-time, so DET001 forbids real concurrency and sockets.
-DEFAULT_SIM_RESTRICTED = (
-    "repro/core",
-    "repro/gcs",
-    "repro/sim",
-    "repro/net",
-    "repro/obs",
-    "repro/flow",
-    "repro/bench",
-)
-
-# The one module that owns the randomness primitives: DET001 lets it
-# import `random`, DET005 lets it hand streams out.
-RNG_OWNER = "repro/sim/rng.py"
-
-# Edge infrastructure inside the substrate tree: modules that sit on
-# the process boundary by design and therefore carry a *scoped*
-# DET001/SHARD001 allowance, each with its reason on record. Scoped
-# means the whole allowance names one file; everything else under
-# repro/sim stays fully restricted, so a stray `import threading` two
-# files over still fails the lint gate.
-DEFAULT_SIM_EDGE = (
-    (
-        "repro/sim/shard/pool.py",
-        "sharded-run worker pool: forks one interpreter process per "
-        "shard, which builds and runs its own Simulation and sends back "
-        "one reply of picklable artifacts; no simulated state crosses "
-        "the boundary (DESIGN.md §10)",
-    ),
-)
-
-
 class LintConfig:
-    """Per-run knobs; defaults encode this repository's layout."""
+    """Per-run knobs; the default names this repository's state machines."""
 
-    __slots__ = ("sim_restricted", "sim_edge", "state_machines")
+    __slots__ = ("state_machines",)
 
-    def __init__(
-        self,
-        sim_restricted=DEFAULT_SIM_RESTRICTED,
-        sim_edge=DEFAULT_SIM_EDGE,
-        state_machines=DEFAULT_STATE_MACHINES,
-    ):
-        self.sim_restricted = tuple(sim_restricted)
-        self.sim_edge = tuple((suffix, reason) for suffix, reason in sim_edge)
+    def __init__(self, state_machines=DEFAULT_STATE_MACHINES):
         self.state_machines = tuple(state_machines)
-
-    @property
-    def shard_scope(self):
-        """Where SHARD001 and DET005 look: the substrate plus the campaign
-        runner, whose worker pool is the template a multi-core kernel
-        generalizes.
-        """
-        return self.sim_restricted + ("repro/check",)
-
-    def edge_reason(self, path):
-        """The recorded allowance reason for an edge module, or None.
-
-        DET001 and SHARD001 consult this before scanning: a path listed
-        in ``sim_edge`` is process-boundary infrastructure whose real
-        concurrency is the point, not a leak.
-        """
-        for suffix, reason in self.sim_edge:
-            if path_matches(path, suffix):
-                return reason
-        return None
 
 
 def path_matches(path, suffix):
@@ -93,60 +31,29 @@ def path_matches(path, suffix):
     return path == suffix or path.endswith("/" + suffix)
 
 
-def path_in_dir(path, prefix):
-    """True when ``path`` lies under a directory ending in ``prefix``."""
-    path = path.replace(os.sep, "/")
-    prefix = prefix.strip("/")
-    return path.startswith(prefix + "/") or "/{}/".format(prefix) in path
-
-
-def path_in_scope(path, prefixes):
-    """True when ``path`` is, or lies under, one of ``prefixes``."""
-    return any(path_in_dir(path, p) or path_matches(path, p) for p in prefixes)
-
-
-FUNCTION_DEFS = (ast.FunctionDef, ast.AsyncFunctionDef)
-SCOPE_DEFS = FUNCTION_DEFS + (ast.ClassDef,)
-
-
 class ModuleIndex:
     """One breadth-first traversal of a module, read by every rule.
 
-    ``nodes`` is every node in ``ast.walk`` order and ``parents`` maps a
-    node to its parent. A subtree's nodes at each depth are one
-    contiguous run of ``nodes``, so :meth:`walk` slices out any subtree
-    in that order: the tree is traversed once per run, however many
-    rules read it.
+    ``nodes`` is every node in ``ast.walk`` order. A subtree's nodes at
+    each depth are one contiguous run of ``nodes``, so :meth:`walk`
+    slices out any subtree in that order: the tree is traversed once per
+    run, however many rules read it.
     """
 
-    __slots__ = ("nodes", "parents", "_position", "_first_child", "_own")
+    __slots__ = ("nodes", "_position", "_first_child")
 
     def __init__(self, tree):
         iter_children = ast.iter_child_nodes
         nodes = [tree]
         position = {tree: 0}
-        parents = {}
         first_child = []
-        # Scope node -> its own nodes; a class body belongs to no scope.
-        own: dict = {tree: []}
-        bucket_of: list = [own[tree]]
-        for index, node in enumerate(nodes):
+        for node in nodes:
             first_child.append(len(nodes))
-            if isinstance(node, FUNCTION_DEFS):
-                own[node] = []
-                bucket = own[node]
-            else:
-                bucket = None if isinstance(node, ast.ClassDef) else bucket_of[index]
             for child in iter_children(node):
                 position[child] = len(nodes)
-                parents[child] = node
                 nodes.append(child)
-                bucket_of.append(bucket)
-                if bucket is not None and not isinstance(child, SCOPE_DEFS):
-                    bucket.append(child)
         first_child.append(len(nodes))
-        self.nodes, self.parents, self._own = nodes, parents, own
-        self._position, self._first_child = position, first_child
+        self.nodes, self._position, self._first_child = nodes, position, first_child
 
     def walk(self, node):
         """``list(ast.walk(node))`` for any node of this module."""
@@ -158,31 +65,14 @@ class ModuleIndex:
             low, high = self._first_child[low], self._first_child[high]
         return out
 
-    def scopes(self):
-        """``(scope, innermost enclosing class or None)`` for the module
-        and every function, in ``ast.walk`` order."""
-        out = []
-        for scope in self._own:
-            owner = self.parents.get(scope)
-            while owner is not None and not isinstance(owner, ast.ClassDef):
-                owner = self.parents.get(owner)
-            out.append((scope, owner))
-        return out
-
-    def scope_nodes(self, scope):
-        """A scope's own nodes in ``ast.walk`` order: its header and body,
-        not descending into nested function or class definitions."""
-        return self._own[scope]
-
 
 class ModuleContext:
     """One parsed source file plus its suppression table."""
 
-    __slots__ = ("path", "source", "lines", "tree", "suppressions", "_index")
+    __slots__ = ("path", "lines", "tree", "suppressions", "_index")
 
     def __init__(self, path, source, tree):
         self.path = path
-        self.source = source
         self.lines = source.splitlines()
         self.tree = tree
         self.suppressions = parse_suppressions(self.lines)
@@ -214,20 +104,16 @@ class ModuleContext:
 class ProjectContext:
     """All modules of one run, for cross-file rules.
 
-    The flow analyses (symbol table, call graph, dataflow summaries,
-    state-machine extraction) are built lazily on first use and shared
-    by every rule in the run — each is a pure function of the parsed
-    module set, so caching cannot leak state between runs.
+    The state-machine extraction is built lazily on first use and shared
+    by every rule in the run; it is a pure function of the parsed module
+    set, so caching cannot leak state between runs.
     """
 
-    __slots__ = ("modules", "config", "_symbols", "_callgraph", "_dataflow", "_machines")
+    __slots__ = ("modules", "config", "_machines")
 
     def __init__(self, modules, config=None):
         self.modules = list(modules)
         self.config = config or LintConfig()
-        self._symbols = None
-        self._callgraph = None
-        self._dataflow = None
         self._machines = None
 
     def find(self, suffix):
@@ -236,24 +122,6 @@ class ProjectContext:
             if path_matches(module.path, suffix):
                 return module
         return None
-
-    def symbols(self):
-        """The project-wide :class:`~repro.analysis.callgraph.SymbolTable`."""
-        if self._symbols is None:
-            self._symbols = SymbolTable(self.modules)
-        return self._symbols
-
-    def callgraph(self):
-        """The project-wide :class:`~repro.analysis.callgraph.CallGraph`."""
-        if self._callgraph is None:
-            self._callgraph = CallGraph(self.symbols())
-        return self._callgraph
-
-    def dataflow(self):
-        """Per-function mutation/escape summaries with escape closure."""
-        if self._dataflow is None:
-            self._dataflow = ProjectDataflow(self.symbols(), self.callgraph())
-        return self._dataflow
 
     def machines(self):
         """The extracted protocol state machines of this run."""
@@ -364,8 +232,6 @@ class Linter:
         raw = []
         project = ProjectContext(modules, self.config)
         for rule in self.rules:
-            for module in modules:
-                raw.extend(rule.check_module(module, self.config))
             raw.extend(rule.check_project(project, self.config))
 
         by_path = {module.path: module for module in modules}

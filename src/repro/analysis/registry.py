@@ -1,18 +1,14 @@
 """Rule registry: rules self-register at import time.
 
 A rule is a class with ``code``/``name``/``description`` attributes and
-either hook:
-
-* ``check_module(module, config)`` — yielded once per linted file;
-* ``check_project(project, config)`` — yielded once per run, for
-  cross-file invariants (e.g. handler exhaustiveness).
+a ``check_project(project, config)`` hook, yielded once per run.
 """
 
 _RULES = {}
 
 
 class Rule:
-    """Base class; subclasses override one of the check hooks.
+    """Base class; subclasses override the check hook.
 
     ``rationale`` and the ``example_bad``/``example_good`` pair feed
     ``repro lint --explain CODE``; keep the examples minimal (a few
@@ -25,9 +21,6 @@ class Rule:
     rationale = ""
     example_bad = ""
     example_good = ""
-
-    def check_module(self, module, config):
-        return iter(())
 
     def check_project(self, project, config):
         return iter(())

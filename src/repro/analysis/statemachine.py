@@ -21,7 +21,7 @@ Three machine shapes exist in the tree and each gets an extractor:
   parsed directly, so the artifact mirrors Figure 2 of the paper.
 
 ``extract_machines`` returns rich :class:`ExtractedMachine` objects
-(AST nodes attached, for the PROTO002/PROTO003 rules);
+(AST nodes attached, for the PROTO003 rule);
 ``render_state_machines`` reduces them to the deterministic JSON
 artifact behind ``repro lint --state-machines`` (format
 ``repro-state-machines/1``, committed as ``docs/state-machines.json``).
@@ -119,25 +119,12 @@ DEFAULT_STATE_MACHINES = (
 class ExtractedMachine:
     """One extracted machine: the JSON-able ``data`` plus AST anchors."""
 
-    __slots__ = (
-        "spec",
-        "module",
-        "messages_module",
-        "class_node",
-        "dispatcher_node",
-        "handler_nodes",
-        "state_constants",
-        "data",
-    )
+    __slots__ = ("spec", "module", "class_node", "state_constants", "data")
 
     def __init__(self, spec, module):
         self.spec = spec
         self.module = module
-        self.messages_module = None
         self.class_node = None
-        self.dispatcher_node = None
-        # method name -> FunctionDef, for the rules to re-walk
-        self.handler_nodes = {}
         # constant name -> state value (module-level string constants)
         self.state_constants = {}
         self.data = {}
@@ -199,12 +186,10 @@ def _extract_dispatch(extracted, project):
     has_default = False
     if dispatcher is not None:
         index = extracted.module.index
-        extracted.dispatcher_node = dispatcher
         subjects = _subjects(index, dispatcher)
         aliases = _type_aliases(index, dispatcher, subjects)
         arms, has_default = _dispatch_arms(index, dispatcher.body, subjects, aliases)
     messages_module = project.find(spec.messages) if spec.messages else None
-    extracted.messages_module = messages_module
     kinds = []
     if messages_module is not None:
         kinds = sorted(c.name for c in _wire_classes(messages_module))
@@ -378,7 +363,6 @@ def _extract_states(extracted):
         guards, assigns = _state_usage(module.index, item, spec.state_attr, constants)
         if not guards and not assigns:
             continue
-        extracted.handler_nodes[item.name] = item
         used_states.update(guards)
         used_states.update(assigns)
         handlers[item.name] = {"guards": sorted(guards), "assigns": sorted(assigns)}
@@ -448,53 +432,6 @@ def state_assign_targets(index, func_node, state_attr, constants):
         ):
             out.append((node, _state_values(node.value, constants)))
     return out
-
-
-def eq_chain_shape(func_node, state_attr, constants):
-    """Shape of a handler whose whole body is a ``self.state ==`` chain.
-
-    Returns ``(arms, covered, has_else)`` when the method body is
-    exactly one if/elif chain of pure equality tests on the state
-    attribute, else None. Used by PROTO002: a multi-arm chain with no
-    else and incomplete coverage silently drops the missing states.
-    """
-    body = [s for s in func_node.body if not _is_docstring(s)]
-    if len(body) != 1 or not isinstance(body[0], ast.If):
-        return None
-    arms = 0
-    covered = set()
-    node = body[0]
-    while True:
-        values = _pure_eq_values(node.test, state_attr, constants)
-        if values is None:
-            return None
-        arms += 1
-        covered.update(values)
-        orelse = node.orelse
-        if len(orelse) == 1 and isinstance(orelse[0], ast.If):
-            node = orelse[0]
-            continue
-        return arms, covered, bool(orelse)
-
-
-def _pure_eq_values(test, state_attr, constants):
-    """Values of a ``self.state == CONST`` / ``self.state in (…)`` test."""
-    if not isinstance(test, ast.Compare) or len(test.ops) != 1:
-        return None
-    if not isinstance(test.ops[0], (ast.Eq, ast.In)):
-        return None
-    if not _is_self_attr(test.left, state_attr):
-        return None
-    values = _state_values(test.comparators[0], constants)
-    return values or None
-
-
-def _is_docstring(statement):
-    return (
-        isinstance(statement, ast.Expr)
-        and isinstance(statement.value, ast.Constant)
-        and isinstance(statement.value.value, str)
-    )
 
 
 # ----------------------------------------------------------------------

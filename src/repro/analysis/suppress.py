@@ -5,10 +5,9 @@ suppressed (reported in the summary but not counted against the exit
 code). ``# repro: allow *`` suppresses every rule on that line, and a
 justification may follow after ``--``::
 
-    # repro: allow SHARD001 -- read-only per-worker params
+    # repro: allow PROTO003 -- a fault injector corrupts the field on purpose
 
-The comment documents an *acknowledged* exception — e.g. the campaign
-runner's wall-clock elapsed-time report, which never feeds a verdict.
+The comment documents an *acknowledged* exception.
 """
 
 import re
@@ -45,5 +44,5 @@ def is_suppressed(suppressions, line, rule):
 
 
 def is_not_wire(line_text):
-    """True when a class-def line opts out of PROTO002 (client-facing)."""
+    """True when a class-def line opts out of the wire kinds (client-facing)."""
     return _NOT_WIRE.search(line_text) is not None

@@ -69,12 +69,17 @@ def _cell_count(params):
     return -(-params["n_hosts"] // params["segment_size"])
 
 
+#: The most hosts and VIPs 10.32.0.0/16 numbers: hosts from 10.32.1.x,
+#: VIPs from 10.32.128.x, 250 per octet.
+ADDRESS_PLAN = {"servers": 4096, "vips": 32000}
+
+
 def _check_address_plan(n_hosts, n_vips):
-    # 10.32.0.0/16: hosts from 10.32.1.x, VIPs from 10.32.128.x, 250 per octet.
-    if n_hosts > 4096:
+    if n_hosts > ADDRESS_PLAN["servers"]:
         raise ValueError("n_hosts exceeds the /16 host-address plan")
-    if n_vips > 32000:
-        raise ValueError("n_vips exceeds the /16 VIP-address plan (at most 32000)")
+    if n_vips > ADDRESS_PLAN["vips"]:
+        raise ValueError("n_vips exceeds the /16 VIP-address plan (at most {})".format(
+            ADDRESS_PLAN["vips"]))
 
 
 def _host_ip(index):

@@ -117,7 +117,7 @@ def _campaign_worker_init(params):
     # Deliberate per-worker-process state: the pool initializer installs
     # the campaign parameters exactly once per worker, and trials read
     # them immutably — the warm-pool design.
-    global _WORKER_PARAMS  # repro: allow SHARD001 -- read-only per-worker params installed once by the pool initializer
+    global _WORKER_PARAMS
     _WORKER_PARAMS = params
 
 
@@ -248,9 +248,9 @@ def run_campaign(
     specs = [build_trial_spec(params, index) for index in range(params["trials"])]
     # Wall-clock is fine here: elapsed time is reported to the operator
     # only and never feeds a trial verdict or an artifact.
-    started = time.perf_counter()  # repro: allow det001
+    started = time.perf_counter()
     results = run_campaign_trials(params, workers=workers)
-    elapsed = time.perf_counter() - started  # repro: allow det001
+    elapsed = time.perf_counter() - started
 
     failures = []
     artifacts = []

@@ -28,6 +28,10 @@ _GCS_CORRUPTIONS = {
     sched.CORRUPT_EPOCH: FaultInjector.corrupt_epoch,
 }
 
+#: The most servers and VIPs one trial LAN numbers: servers .10 up, VIPs
+#: .100 up, flow clients .200.
+ADDRESS_PLAN = {"servers": 90, "vips": 100}
+
 
 class CheckCluster(ServerGroup):
     """One LAN of ``n`` fail-over servers, built for a single trial."""
@@ -44,11 +48,10 @@ class CheckCluster(ServerGroup):
         gray=False,
         corrupt=False,
     ):
-        # Address plan: servers .10 up, VIPs .100 up, flow clients .200.
-        if n_servers > 90:
-            raise ValueError("n_servers exceeds the address plan (at most 90)")
-        if n_vips > 100:
-            raise ValueError("n_vips exceeds the address plan (at most 100)")
+        for field, size in (("servers", n_servers), ("vips", n_vips)):
+            if size > ADDRESS_PLAN[field]:
+                raise ValueError("n_{} exceeds the address plan (at most {})".format(
+                    field, ADDRESS_PLAN[field]))
         profile = sched.repertoire(gray, corrupt).profile
         self.vips = ["10.9.0.{}".format(100 + i) for i in range(n_vips)]
         overrides = {"maturity_timeout": 0.5, "balance_timeout": 1.5}

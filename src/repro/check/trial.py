@@ -31,8 +31,10 @@ Either way a trial frees its world, a web of reference cycles, when it returns.
 import gc
 import math
 
+from repro.apps.scalecluster import ADDRESS_PLAN as SCALE_PLAN
 from repro.apps.scalecluster import ScaleClusterScenario, ShardedScaleScenario
 from repro.check.fixtures import FIXTURES, daemon_class
+from repro.check.harness import ADDRESS_PLAN as FAITHFUL_PLAN
 from repro.check.harness import CheckCluster
 from repro.check.schedule import FaultSchedule, repertoire
 from repro.obs.episodes import EpisodeFold
@@ -112,13 +114,19 @@ def make_spec(seed, schedule, **overrides):
 def trial_schedule(spec):
     """The spec's schedule, checked against its stack before anything is built.
 
-    Raises ValueError for an event aimed past ``n_servers``, and on the
-    scale stack a kind its row does not mix or a variant (gray, corrupt,
-    a fixture) it does not have yet.
+    Raises ValueError for a cluster its stack's address plan cannot
+    number, an event aimed past ``n_servers``, and on the scale stack a
+    kind its row does not mix or a variant (gray, corrupt, a fixture) it
+    does not have yet.
     """
     schedule = FaultSchedule.from_dict(spec["schedule"])
     stack = spec["stack"]
     scale = stack == "scale"
+    plan = SCALE_PLAN if scale else FAITHFUL_PLAN
+    for field in ("servers", "vips"):
+        if spec["n_" + field] > plan[field]:
+            raise ValueError("spec field n_{} exceeds the {} stack's address plan (at most {})"
+                             .format(field, stack, plan[field]))
     if scale and (spec["gray"] or spec["corrupt"] or spec["fixture"] != "standard"):
         raise ValueError("the scale stack has no gray, corrupt or fixture variant yet")
     kinds = {kind for _, kind in repertoire(stack=stack).mix}

@@ -435,7 +435,7 @@ class Lan:
             # of its own: it draws from the LAN's dedicated gray stream
             # by design (see linkfault.py), so burst-loss decisions stay
             # attributable to this LAN's (seed, "lan/<name>/gray") pair.
-            if model is not None and model.drops(gray_rng):  # repro: allow DET005 -- model draws from the owning LAN's gray stream by design
+            if model is not None and model.drops(gray_rng):
                 self.frames_burst_lost += 1
                 counters["burst_lost"].inc()
                 lost += 1

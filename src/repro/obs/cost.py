@@ -24,7 +24,7 @@ from repro.net.packet import IpPacket, UdpDatagram
 from repro.sim.events import Event
 from repro.sim.timers import PeriodicTimer, Timer
 
-clock = time.perf_counter  # repro: allow det001 -- a wall-side meter, never in an artifact
+clock = time.perf_counter  # a wall-side meter, never in an artifact
 
 
 def _received(frame):

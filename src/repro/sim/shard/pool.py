@@ -1,9 +1,8 @@
 """Forked worker processes for a sharded run: a transport only.
 
 Edge infrastructure, deliberately outside the deterministic substrate:
-this is the only module under ``repro.sim`` allowed to touch real
-processes and pipes (a scoped DET001 allowance — see
-``repro.analysis.engine.DEFAULT_SIM_EDGE``). Each worker makes the
+this is the only module under ``repro.sim`` that touches real
+processes and pipes. Each worker makes the
 kernel's own :func:`~repro.sim.shard.kernel.run_world` call for its one
 shard and sends one reply, its world's artifacts or
 ``("error", traceback_text)``. The parent waits on every pipe and

@@ -24,23 +24,15 @@ def run_cli(argv):
 
 @pytest.fixture
 def fixture_layout(monkeypatch):
-    """`repro lint` reads the fixture tree as its substrate and machines."""
+    """`repro lint` reads its state machines from the fixture tree."""
     monkeypatch.setattr(analysis, "LintConfig", fixture_config)
 
 
 BAD_FIXTURE_ARGS = [
-    ("DET001", fixture("det001_bad.py")),
-    ("DET001", fixture("det002_bad.py")),
-    ("DET003", fixture("det003_bad.py")),
-    ("DET003", fixture("det004_bad.py")),
-    ("PROTO002", fixture("proto001_bad")),
-    ("DET005", fixture("det005_bad.py")),
-    ("SHARD001", fixture("det006_bad.py")),
-    ("SHARD001", fixture("shard001_bad.py")),
-    ("DET001", fixture("sim001_bad.py")),
+    ("PROTO003", fixture("proto003_bad.py")),
 ]
 
-ALL_CODES = ("DET001", "DET003", "DET005", "PROTO002", "PROTO003", "SHARD001")
+ALL_CODES = ("PROTO003",)
 
 
 @pytest.mark.parametrize(
@@ -55,28 +47,18 @@ def test_cli_exits_nonzero_on_each_bad_fixture(code, path, fixture_layout):
 
 
 def test_cli_exits_zero_on_good_fixtures(fixture_layout):
-    exit_code, output = run_cli(
-        [
-            "lint",
-            fixture("det001_good.py"),
-            fixture("det002_good.py"),
-            fixture("det003_good.py"),
-            fixture("det004_good.py"),
-            fixture("sim001_good.py"),
-            fixture("proto001_good"),
-        ]
-    )
+    exit_code, output = run_cli(["lint", fixture("proto003_good.py")])
     assert exit_code == 0, output
 
 
-def test_cli_json_format(tmp_path):
+def test_cli_json_format(fixture_layout):
     exit_code, output = run_cli(
-        ["lint", "--format", "json", fixture("det002_bad.py")]
+        ["lint", "--format", "json", fixture("proto003_bad.py")]
     )
     assert exit_code == 1
     payload = json.loads(output)
     assert payload["format"] == "repro-lint/1"
-    assert all(f["rule"] == "DET001" for f in payload["findings"])
+    assert payload["findings"] and all(f["rule"] == "PROTO003" for f in payload["findings"])
 
 
 def test_cli_list_rules():
@@ -95,14 +77,14 @@ def test_cli_explain_every_rule(code):
 
 
 def test_cli_explain_is_case_insensitive():
-    exit_code, output = run_cli(["lint", "--explain", "det005"])
+    exit_code, output = run_cli(["lint", "--explain", "proto003"])
     assert exit_code == 0
-    assert output.startswith("DET005")
+    assert output.startswith("PROTO003")
 
 
 def test_cli_explain_unknown_code_fails():
-    # SIM001 lives on inside DET001; its code is not an alias.
-    for code in ("NOPE999", "sim001"):
+    # A deleted rule's code is not an alias of the one that is left.
+    for code in ("NOPE999", "det001"):
         exit_code, output = run_cli(["lint", "--explain", code])
         assert exit_code == 1
         assert "unknown rule" in output

@@ -4,37 +4,41 @@ import ast
 import json
 import os
 
-from repro.analysis import LintConfig, Linter, get_rule
+from repro.analysis import LintConfig, Linter
 from repro.analysis.engine import ModuleIndex, collect_files
 from repro.analysis.report import render_json, render_text
+from repro.analysis.statemachine import StateMachineSpec
 from repro.analysis.suppress import is_suppressed, parse_suppressions
 
+#: A PROTO003 finding on the last line of a snippet: a foreign write.
+MACHINE = "class Machine:\n    def poke(self, peer):\n"
+WRITE = "        peer.state = 1"
 
-def _lint_source(tmp_path, source, code="DET001"):
+
+def _lint_source(tmp_path, *lines):
+    """Lint a machine whose method body is ``lines`` (each a foreign write)."""
     path = tmp_path / "snippet.py"
-    path.write_text(source)
-    linter = Linter(LintConfig(), rules=[get_rule(code)])
-    return linter.run([str(path)])
+    path.write_text(MACHINE + "".join(line + "\n" for line in lines))
+    spec = StateMachineSpec("snippet", "states", "snippet.py", "Machine")
+    return Linter(LintConfig(state_machines=[spec])).run([str(path)])
 
 
 class TestSuppressions:
     def test_allow_comment_suppresses_the_named_rule(self, tmp_path):
-        result = _lint_source(
-            tmp_path, "import random  # repro: allow det001\n"
-        )
+        result = _lint_source(tmp_path, WRITE + "  # repro: allow proto003")
         assert result.findings == []
         assert len(result.suppressed) == 1
         assert result.ok
 
     def test_allow_comment_is_rule_specific(self, tmp_path):
-        result = _lint_source(
-            tmp_path, "import random  # repro: allow det003\n"
-        )
+        table = parse_suppressions([WRITE + "  # repro: allow det003"])
+        assert not is_suppressed(table, 1, "PROTO003")
+        result = _lint_source(tmp_path, WRITE + "  # repro: allow nope999")
         assert len(result.findings) == 1
         assert not result.ok
 
     def test_allow_star_suppresses_everything(self, tmp_path):
-        result = _lint_source(tmp_path, "import random  # repro: allow *\n")
+        result = _lint_source(tmp_path, WRITE + "  # repro: allow *")
         assert result.findings == []
 
     def test_allow_comment_covers_multiple_rules(self):
@@ -46,9 +50,7 @@ class TestSuppressions:
 
     def test_allow_comment_accepts_a_reason_suffix(self, tmp_path):
         result = _lint_source(
-            tmp_path,
-            "import random  # repro: allow DET001 -- vendored demo, "
-            "never replayed\n",
+            tmp_path, WRITE + "  # repro: allow PROTO003 -- a fault injector, on purpose"
         )
         assert result.findings == []
         assert len(result.suppressed) == 1
@@ -63,7 +65,7 @@ class TestSuppressions:
 
 class TestReporters:
     def test_json_report_is_valid_and_sorted(self, tmp_path):
-        result = _lint_source(tmp_path, "import random\nimport random\n")
+        result = _lint_source(tmp_path, WRITE, WRITE)
         payload = json.loads(render_json(result))
         assert payload["format"] == "repro-lint/1"
         assert payload["summary"]["findings"] == 2
@@ -71,14 +73,14 @@ class TestReporters:
         assert locations == sorted(locations)
 
     def test_text_report_names_rule_and_location(self, tmp_path):
-        result = _lint_source(tmp_path, "import random\n")
+        result = _lint_source(tmp_path, WRITE)
         text = render_text(result)
-        assert "DET001" in text
-        assert "snippet.py:1:" in text
+        assert "PROTO003" in text
+        assert "snippet.py:3:" in text
         assert "FAILED" in text
 
     def test_clean_text_report(self, tmp_path):
-        result = _lint_source(tmp_path, "VALUE = 1\n")
+        result = _lint_source(tmp_path, "        pass")
         assert "clean" in render_text(result)
 
 
@@ -92,12 +94,12 @@ class TestParseErrors:
         assert not result.ok
 
     def test_allow_naming_no_rule_is_reported_like_a_syntax_error(self, tmp_path):
-        # DET002 was folded into DET001: its allowance would suppress nothing.
-        result = _lint_source(tmp_path, "import random  # repro: allow det002, det001\n")
+        # DET001 was deleted: its allowance would suppress nothing.
+        result = _lint_source(tmp_path, WRITE + "  # repro: allow det001, proto003")
         assert result.findings == [] and len(result.suppressed) == 1
         (error,) = result.parse_errors
-        assert (error.rule, error.line) == ("PARSE", 1)
-        assert "det002" in error.message and "det001" not in error.message
+        assert (error.rule, error.line) == ("PARSE", 3)
+        assert "det001" in error.message and "proto003" not in error.message
         assert not result.ok
 
 
@@ -123,9 +125,6 @@ def test_index_walks_any_subtree_in_ast_walk_order():
     for node in ast.walk(tree):
         if isinstance(node, (ast.stmt, ast.expr)):
             assert index.walk(node) == list(ast.walk(node))
-            for child in ast.iter_child_nodes(node):
-                if isinstance(child, (ast.stmt, ast.expr)):
-                    assert index.parents[child] is node
 
 
 def test_lint_traverses_each_module_once(monkeypatch):

@@ -1,4 +1,4 @@
-"""Per-simulation monotonic counters (the SHARD001-safe id source)."""
+"""Per-simulation monotonic counters (the id source no module global replaces)."""
 
 from repro.sim.simulation import Simulation
 

@@ -406,6 +406,11 @@ SPEC_VALUES = [
          "a schedule needs a finite horizon >= 0, got -1.0"),
         (_with_spec(dict(_artifact()["spec"], schedule={"horizon": float("nan"), "events": []})),
          "a schedule needs a finite horizon >= 0, got nan"),
+        # These passed make_spec, then died in a CheckCluster traceback.
+        (_artifact(CRASH_0, n_vips=500),
+         "spec field n_vips exceeds the faithful stack's address plan (at most 100)"),
+        (_artifact(CRASH_0, n_servers=95),
+         "spec field n_servers exceeds the faithful stack's address plan (at most 90)"),
     ] + [
         # One bad value per knob. Before make_spec checked values, the
         # NaN flow_rate died in a FlowPool traceback, the negative n_vips
@@ -417,7 +422,8 @@ SPEC_VALUES = [
          "negative-duration", "split-past-cluster", "not-an-object", "no-spec", "no-result",
          "unknown-spec-field", "spec-a-list", "spec-no-seed", "schedule-a-list",
          "event-no-time", "event-time-null", "event-time-inf", "event-duration-inf",
-         "horizon-inf", "horizon-negative", "horizon-nan"]
+         "horizon-inf", "horizon-negative", "horizon-nan", "vips-past-plan",
+         "servers-past-plan"]
     + ["spec-{}".format(knob) for knob, _bad in SPEC_VALUES],
 )
 def test_replay_of_a_malformed_schedule_is_one_line_and_exit_2(artifact, named, tmp_path, capsys):
@@ -455,8 +461,10 @@ def test_a_cluster_beyond_its_address_plan_is_one_line_naming_the_limit(argv, li
 def test_the_parsers_size_limits_are_the_constructors():
     from repro.apps.webcluster import WebClusterScenario
     from repro.check.fixtures import daemon_class
-    from repro.check.harness import CheckCluster
+    from repro.check.harness import ADDRESS_PLAN, CheckCluster
     from repro.sim.simulation import Simulation
+
+    assert CHECK_PLAN == ADDRESS_PLAN  # what trial_schedule holds a replayed spec to
 
     def web(servers, vips):
         return WebClusterScenario(n_servers=servers, n_vips=vips)
