@@ -25,7 +25,7 @@ from repro.analysis.statemachine import state_assign_targets
 # Attribute names treated as protocol-owned: only the owning object's
 # declared transition code may write them.
 _PROTECTED_FIELDS = frozenset(
-    {"delivered_aru", "epoch", "highest_counter", "recv_aru", "state", "view", "view_id"}
+    {"delivered_aru", "epoch", "highest_counter", "state", "view", "view_id"}
 )
 
 

@@ -46,17 +46,10 @@ class SpreadClient:
         self._require_connected()
         self.daemon.client_leave(self, group, cause="leave")
 
-    def multicast(self, group, payload, service="agreed"):
-        """Send ``payload`` to ``group``.
-
-        ``service`` selects the delivery guarantee: ``"agreed"``
-        (default, totally ordered) or ``"safe"`` (additionally
-        withheld until every view member holds the message).
-        """
+    def multicast(self, group, payload):
+        """Send ``payload`` to ``group`` with agreed (totally ordered) delivery."""
         self._require_connected()
-        if service not in ("agreed", "safe"):
-            raise ValueError("unknown service level {!r}".format(service))
-        self.daemon.client_multicast(self, group, payload, service=service)
+        self.daemon.client_multicast(self, group, payload)
 
     def disconnect(self):
         """Gracefully close the session, leaving all groups."""

@@ -13,7 +13,6 @@ from repro.gcs.failure import FailureDetector
 from repro.gcs.membership import MembershipEngine
 from repro.gcs.messages import (
     AckMsg,
-    AruMsg,
     FormMsg,
     GroupView,
     Heartbeat,
@@ -176,13 +175,12 @@ class SpreadDaemon(Process):
         self.host.send_udp(message, address, self.config.port, src_port=self.config.port)
 
     def _send_heartbeat(self):
-        view_id, top_seq, aru = None, 0, 0
+        view_id, top_seq = None, 0
         if self.orderer is not None and not self.orderer.frozen:
             view_id = self.orderer.view_id
             top_seq = self.orderer.top_seq()
-            aru = self.orderer.recv_aru
         self._m_heartbeats.inc()
-        self.broadcast(Heartbeat(self.daemon_id, view_id, top_seq, aru))
+        self.broadcast(Heartbeat(self.daemon_id, view_id, top_seq))
 
     def next_msg_id(self):
         """Globally unique message id for originated submissions."""
@@ -211,7 +209,7 @@ class SpreadDaemon(Process):
             self.membership.on_foreign_traffic(sender)
             if message.view_id is not None:
                 self.orderer.on_heartbeat(
-                    message.view_id, sender, message.top_seq, message.aru
+                    message.view_id, message.top_seq
                 )
             return
         if kind is not OrderedMsg:
@@ -221,9 +219,7 @@ class SpreadDaemon(Process):
             if sender is not None and sender != self.daemon_id:
                 self._addr_book[sender] = src[0]
                 self.fd.heard_from(sender)
-        if kind is AruMsg:
-            self.orderer.on_aru(message.view_id, message.sender, message.aru)
-        elif kind is JoinMsg:
+        if kind is JoinMsg:
             self.membership.on_join(message)
         elif kind is FormMsg:
             self.membership.on_form(message)
@@ -452,9 +448,9 @@ class SpreadDaemon(Process):
         self._local_joins[client.private_name].discard(group)
         self.orderer.submit(OrderedMsg.LEAVE_GROUP, group, (client.private_name, cause))
 
-    def client_multicast(self, client, group, payload, service=OrderedMsg.AGREED):
+    def client_multicast(self, client, group, payload):
         self.orderer.submit(
-            OrderedMsg.DATA, group, (client.private_name, payload), service=service
+            OrderedMsg.DATA, group, (client.private_name, payload)
         )
 
     def client_disconnected(self, client, cause):

@@ -19,16 +19,15 @@ class Heartbeat:
     message, invisible to ordinary gap detection) and NACK it.
     """
 
-    __slots__ = ("sender", "view_id", "top_seq", "aru")
+    __slots__ = ("sender", "view_id", "top_seq")
 
-    def __init__(self, sender, view_id=None, top_seq=0, aru=0):
+    def __init__(self, sender, view_id=None, top_seq=0):
         self.sender = sender
         self.view_id = view_id
         self.top_seq = top_seq
-        self.aru = aru
 
     def __repr__(self):
-        return "Heartbeat({}, top={}, aru={})".format(self.sender, self.top_seq, self.aru)
+        return "Heartbeat({}, top={})".format(self.sender, self.top_seq)
 
 
 class JoinMsg:
@@ -127,38 +126,18 @@ class LeaveNotice:
         return "LeaveNotice({})".format(self.sender)
 
 
-class AruMsg:
-    """Receipt acknowledgement: 'I hold everything up to aru'.
-
-    Broadcast whenever a member's contiguous-receipt point advances
-    past a pending SAFE message, so stability (receipt at *all*
-    members) can be established quickly.
-    """
-
-    __slots__ = ("sender", "view_id", "aru")
-
-    def __init__(self, sender, view_id, aru):
-        self.sender = sender
-        self.view_id = view_id
-        self.aru = aru
-
-    def __repr__(self):
-        return "AruMsg({}, aru={})".format(self.sender, self.aru)
-
-
 class SubmitMsg:
     """A member's request that the sequencer order one payload."""
 
-    __slots__ = ("sender", "view_id", "msg_id", "kind", "group", "payload", "service")
+    __slots__ = ("sender", "view_id", "msg_id", "kind", "group", "payload")
 
-    def __init__(self, sender, view_id, msg_id, kind, group, payload, service="agreed"):
+    def __init__(self, sender, view_id, msg_id, kind, group, payload):
         self.sender = sender
         self.view_id = view_id
         self.msg_id = msg_id
         self.kind = kind
         self.group = group
         self.payload = payload
-        self.service = service
 
     def __repr__(self):
         return "SubmitMsg({} #{} {} to {})".format(
@@ -171,26 +150,18 @@ class OrderedMsg:
 
     ``kind`` distinguishes application data from lightweight group
     join/leave events, which travel in the same total order so that all
-    daemons apply group changes identically. ``service`` selects the
-    delivery guarantee: ``agreed`` (default) delivers in total order;
-    ``safe`` additionally withholds delivery until every view member
-    is known to have received the message (and, because delivery is in
-    sequence order, everything ordered after it waits too).
+    daemons apply group changes identically.
     """
 
     __slots__ = (
-        "view_id", "seq", "origin", "msg_id", "kind", "group", "payload", "service",
+        "view_id", "seq", "origin", "msg_id", "kind", "group", "payload",
     )
 
     DATA = "data"
     JOIN_GROUP = "join_group"
     LEAVE_GROUP = "leave_group"
 
-    AGREED = "agreed"
-    SAFE = "safe"
-
-    def __init__(self, view_id, seq, origin, msg_id, kind, group, payload,
-                 service=AGREED):
+    def __init__(self, view_id, seq, origin, msg_id, kind, group, payload):
         self.view_id = view_id
         self.seq = seq
         self.origin = origin
@@ -198,7 +169,6 @@ class OrderedMsg:
         self.kind = kind
         self.group = group
         self.payload = payload
-        self.service = service
 
     def __repr__(self):
         return "OrderedMsg({} seq={} {} from {})".format(

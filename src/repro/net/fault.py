@@ -372,8 +372,6 @@ class FaultInjector:
     def corrupt_sequence(self, daemon, mutation=None):
         """Skew a GCS daemon's ordering counters.
 
-        * ``recv_ahead`` / ``recv_behind`` — push the contiguous-receipt
-          point off the log's true prefix (repaired by re-derivation);
         * ``delivered_ahead`` — skip the delivery point past messages
           never applied (only a view change can repair: escalated);
         * ``assign_regress`` — rewind the sequencer's next assignment
@@ -384,7 +382,7 @@ class FaultInjector:
         if orderer is None or orderer.frozen:
             self._record("corrupt_sequence", daemon.name, param={"mutation": "noop"})
             return
-        candidates = ["recv_ahead", "recv_behind", "delivered_ahead"]
+        candidates = ["delivered_ahead"]
         if orderer.is_sequencer:
             candidates.append("assign_regress")
         if mutation is None:
@@ -392,11 +390,7 @@ class FaultInjector:
         amount = rng.randrange(1, 5)
         param = {"mutation": mutation, "amount": amount}
         self._record("corrupt_sequence", daemon.name, param=param)
-        if mutation == "recv_ahead":
-            orderer.recv_aru += amount
-        elif mutation == "recv_behind":
-            orderer.recv_aru = max(0, orderer.recv_aru - amount)
-        elif mutation == "delivered_ahead":
+        if mutation == "delivered_ahead":
             orderer.delivered_aru += amount
         elif mutation == "assign_regress":
             orderer._next_assign = max(1, orderer._next_assign - amount)

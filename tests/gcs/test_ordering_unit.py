@@ -128,7 +128,7 @@ def test_sequencer_retransmits_on_nack():
 
 def test_advertised_top_seq_exposes_tail_loss():
     sim, harness, orderer = make_orderer("bbb")
-    orderer.on_heartbeat(orderer.view_id, "aaa", 4, 0)
+    orderer.on_heartbeat(orderer.view_id, 4)
     sim.run_for(harness.config.gap_nack_delay * 2)
     nacks = [m for _, m in harness.unicasts if isinstance(m, NackMsg)]
     assert nacks
@@ -137,7 +137,7 @@ def test_advertised_top_seq_exposes_tail_loss():
 
 def test_top_seq_for_other_view_ignored():
     sim, harness, orderer = make_orderer("bbb")
-    orderer.on_heartbeat(ViewId(9, "zzz"), "aaa", 10, 0)
+    orderer.on_heartbeat(ViewId(9, "zzz"), 10)
     assert orderer.top_seq() == 0
 
 
@@ -208,9 +208,9 @@ def test_audit_rederives_a_wrong_log_top():
 class ParentOrderer(ViewOrderer):
     """The oracle: the methods ``on_heartbeat`` and ``_log_top`` replaced.
 
-    ``top_seq`` scanning the log, ``_has_gap`` through it, and the two
-    calls a heartbeat used to make — each with its own ``frozen`` /
-    view test — kept here as they stood, not in ``src/``.
+    ``top_seq`` scanning the log, ``_has_gap`` through it, and the call
+    a heartbeat used to make (``on_top_seq``, with its own ``frozen`` /
+    view test), kept here as they stood, not in ``src/``.
     """
 
     def top_seq(self):
@@ -228,32 +228,18 @@ class ParentOrderer(ViewOrderer):
         if self._has_gap() and not self._nack_timer.armed:
             self._nack_timer.start(self._daemon.config.gap_nack_delay)
 
-    def on_aru(self, view_id, member, aru):
-        if self.frozen or view_id != self.view_id or member not in self._member_arus:
-            return
-        if aru > self._member_arus[member]:
-            self._member_arus[member] = aru
-            self._deliver_ready()
-
 
 MEMBERS = ("aaa", "bbb", "ccc")
 FOREIGN_VIEW = ViewId(9, "zzz")
 seqs = st.integers(min_value=0, max_value=12)
 views = st.sampled_from(["same", "equal", "foreign"])
 senders = st.sampled_from(MEMBERS + ("stranger",))
-services = st.sampled_from([OrderedMsg.AGREED, OrderedMsg.SAFE])
 orderer_steps = st.lists(
     st.one_of(
-        st.tuples(st.just("submit"), services),
-        st.tuples(st.just("ordered"), views, seqs.filter(bool), senders, services),
-        st.tuples(st.just("heartbeat"), views, senders, seqs, seqs),
-        st.tuples(st.just("aru"), views, senders, seqs),
-        st.tuples(
-            st.just("corrupt"),
-            st.sampled_from(
-                ["recv_ahead", "recv_behind", "delivered_ahead", "assign_regress"]
-            ),
-        ),
+        st.tuples(st.just("submit")),
+        st.tuples(st.just("ordered"), views, seqs.filter(bool), senders),
+        st.tuples(st.just("heartbeat"), views, seqs),
+        st.tuples(st.just("corrupt"), st.sampled_from(["delivered_ahead", "assign_regress"])),
         st.tuples(st.just("audit")),
         st.tuples(st.just("advance"), st.sampled_from([0.01, 0.3, 2.0])),
         st.tuples(st.just("freeze")),
@@ -279,23 +265,20 @@ class OrdererUnderTest:
         orderer = self.orderer
         kind = step[0]
         if kind == "submit":
-            return orderer.submit(OrderedMsg.DATA, "g", "payload", service=step[1])
+            return orderer.submit(OrderedMsg.DATA, "g", "payload")
         if kind == "ordered":
-            _kind, which, seq, origin, service = step
+            _kind, which, seq, origin = step
             return orderer.on_ordered(
                 OrderedMsg(
                     self.view(which), seq, origin, (origin, seq), OrderedMsg.DATA,
-                    "g", None, service,
+                    "g", None,
                 )
             )
         if kind == "heartbeat":
-            _kind, which, sender, top, aru = step
+            _kind, which, top = step
             if isinstance(orderer, ParentOrderer):
-                orderer.on_top_seq(self.view(which), top)
-                return orderer.on_aru(self.view(which), sender, aru)
-            return orderer.on_heartbeat(self.view(which), sender, top, aru)
-        if kind == "aru":
-            return orderer.on_aru(self.view(step[1]), step[2], step[3])
+                return orderer.on_top_seq(self.view(which), top)
+            return orderer.on_heartbeat(self.view(which), top)
         if kind == "corrupt":
             return self.injector.corrupt_sequence(self.harness, mutation=step[1])
         if kind == "audit":
@@ -308,9 +291,7 @@ class OrdererUnderTest:
         orderer, harness = self.orderer, self.harness
         return {
             "advertised_top": orderer.advertised_top,
-            "member_arus": dict(orderer._member_arus),
             "delivered_aru": orderer.delivered_aru,
-            "recv_aru": orderer.recv_aru,
             "next_assign": orderer._next_assign,
             "log": sorted(orderer.log),
             "top_seq": orderer.top_seq(),

@@ -32,9 +32,9 @@ def test_span_pairs_corruption_with_repair():
 def test_repair_only_closes_its_own_source():
     spans = stabilization_spans(
         [
-            corrupt(1.0, "corrupt_sequence", "spread@s0", mutation="recv_ahead"),
-            corrupt(2.0, "corrupt_sequence", "spread@s1", mutation="recv_behind"),
-            rec(2.5, "stabilize", "spread@s1", "repair", invariant="recv_aru"),
+            corrupt(1.0, "corrupt_sequence", "spread@s0", mutation="delivered_ahead"),
+            corrupt(2.0, "corrupt_sequence", "spread@s1", mutation="assign_regress"),
+            rec(2.5, "stabilize", "spread@s1", "repair", invariant="next_assign"),
         ]
     )
     by_target = {span.target: span for span in spans}
