@@ -154,19 +154,22 @@ class MembershipEngine:
             return
         members = sorted(self.alive)
         self._join_timer.stop()
-        view_id = ViewId(self.highest_counter + 1, members[0])
         if members[0] == self.daemon.daemon_id:
-            proposal = FormMsg(self.daemon.daemon_id, view_id, members)
-            self._proposal = proposal
-            self._acks = {self.daemon.daemon_id: self.daemon.make_digest()}
-            self._acked_view_id = view_id
-            self.state = FORM_SENT
-            self.daemon.trace("membership", "form", view=repr(view_id), members=members)
-            self.daemon.broadcast(proposal)
-            self._ack_wait_timer.start(self.config.form_timeout)
-            self._maybe_complete()
+            self._propose(members)
         else:
             self._form_wait_timer.start(self.config.form_timeout)
+
+    def _propose(self, members):
+        view_id = ViewId(self.highest_counter + 1, self.daemon.daemon_id)
+        proposal = FormMsg(self.daemon.daemon_id, view_id, members)
+        self._proposal = proposal
+        self._acks = {self.daemon.daemon_id: self.daemon.make_digest()}
+        self._acked_view_id = view_id
+        self.state = FORM_SENT
+        self.daemon.trace("membership", "form", view=repr(view_id), members=members)
+        self.daemon.broadcast(proposal)
+        self._ack_wait_timer.start(self.config.form_timeout)
+        self._maybe_complete()
 
     def _on_form_wait_timeout(self):
         self.trigger_gather("no FORM from expected representative")
@@ -210,6 +213,14 @@ class MembershipEngine:
             return
         if message.sender not in self._proposal.members:
             return
+        member_view_id = message.digest.old_view_id
+        if not member_view_id < self._proposal.view_id:
+            # A revived representative's counter restarted low: a member
+            # is already at or past the proposal, so its INSTALL would be
+            # dropped. Learn the member's counter and propose past it.
+            self.highest_counter = max(self.highest_counter, member_view_id.counter)
+            self._propose(list(self._proposal.members))
+            return
         self._acks[message.sender] = message.digest
         self._maybe_complete()
 
@@ -249,6 +260,10 @@ class MembershipEngine:
                 self.trigger_gather("excluded from INSTALL by {}".format(message.rep))
             return
         if not self.view.view_id < message.view_id:
+            self.daemon.trace(
+                "membership", "stale_install",
+                view=repr(message.view_id), current=repr(self.view.view_id),
+            )
             return
         if self._acked_view_id != message.view_id:
             # Our digest is not part of this view; rejoin cleanly instead.

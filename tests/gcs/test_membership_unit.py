@@ -206,6 +206,29 @@ def test_stale_install_ignored():
     stale = InstallMsg("bbb", ViewId(0, "bbb"), ["bbb"], {}, {})
     engine.on_install(stale)
     assert engine.view.view_id == current
+    dropped = [r for r in sim.trace.records if r.event == "stale_install"]
+    assert [(r.details["view"], r.details["current"]) for r in dropped] == [
+        (repr(stale.view_id), repr(current))
+    ]
+
+
+def test_an_ack_from_a_newer_view_makes_the_representative_propose_past_it():
+    """A revived representative's counter restarts low; a member already
+    past its proposal ACKs it (its digest names that view), so the
+    representative learns the counter and proposes again at once."""
+    sim, harness, engine = make_engine("aaa")
+    engine.on_join(JoinMsg("bbb", {"bbb"}))
+    drain(sim, harness.config.discovery_timeout + 0.1)
+    first = next(m for m in harness.broadcasts if isinstance(m, FormMsg))
+    ahead = RecoveryDigest(ViewId(first.view_id.counter + 6, "bbb"), {}, 0, {})
+    engine.on_ack(AckMsg("bbb", first.view_id, ahead))
+    assert engine.state == FORM_SENT
+    second = [m for m in harness.broadcasts if isinstance(m, FormMsg)][-1]
+    assert second.view_id == ViewId(first.view_id.counter + 7, "aaa")
+    assert second.members == first.members
+    engine.on_ack(AckMsg("bbb", second.view_id, ahead))
+    assert engine.state == OPERATIONAL
+    assert engine.view.view_id == second.view_id
 
 
 def test_form_excluding_me_while_operational_triggers_gather():
