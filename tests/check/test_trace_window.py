@@ -29,14 +29,14 @@ def pool_spec(index, **repertoire):
 
 
 def test_an_overflowing_trial_keeps_its_early_episodes_and_spans():
-    # 11 003 records against the 4 096-record window: a result built
-    # from the retained records alone reports 0, 0 and 0.
-    result = run_trial(pool_spec(39, corrupt=True))
+    # 4 893 records against the 4 096-record window: a result built
+    # from the retained records alone reports 5, 4 and 1.
+    result = run_trial(pool_spec(9, corrupt=True))
     assert result["verdict"] == "pass"
-    assert result["metrics"]["sim.trace_dropped"] == 11003 - 4096
-    assert len(result["episodes"]) == 6
-    assert len(result["degraded"]) == 2
-    assert len(result["stabilization"]) == 5
+    assert result["metrics"]["sim.trace_dropped"] == 4893 - 4096
+    assert len(result["episodes"]) == 5
+    assert len(result["degraded"]) == 5
+    assert len(result["stabilization"]) == 2
 
 
 def test_a_trial_that_drops_nothing_has_no_drop_metric():
