@@ -22,7 +22,7 @@ from repro.net.lan import Lan
 from repro.net.nic import Nic
 from repro.net.packet import IpPacket, UdpDatagram
 from repro.sim.events import Event
-from repro.sim.timers import PeriodicTimer, Timer
+from repro.sim.timers import Timer
 
 clock = time.perf_counter  # a wall-side meter, never in an artifact
 
@@ -37,7 +37,7 @@ def _received(frame):
 def event_kind(callback, args):
     """The report row of an event that calls ``callback(*args)`` (a partial: its function's)."""
     owner = getattr(callback, "__self__", None)
-    if type(owner) in (Timer, PeriodicTimer) and owner.name:
+    if isinstance(owner, Timer) and owner.name:
         return owner.name.split(":")[0]
     if getattr(callback, "__func__", None) is Nic.deliver or callback is Lan._deliver_batch:
         return _received(args[0])

@@ -1,9 +1,11 @@
 """Scheduled events.
 
 An :class:`Event` is the handle returned by the scheduler for every
-scheduled callback. Holders can cancel it; the scheduler skips cancelled
-events cheaply instead of removing them from the heap, and compacts the
-heap in bulk once dead entries dominate (see ``Scheduler._note_cancel``).
+scheduled callback. Holders can cancel it; a cancelled event keeps its
+heap entry until the entry surfaces, and until then
+``Scheduler.defer`` may revive it. An event is *dead* once it has fired
+or its cancelled entry has been popped (``callback is None``), and
+``Scheduler.reschedule`` may then reuse it.
 """
 
 
@@ -23,14 +25,13 @@ class Event:
     def cancel(self):
         """Prevent the callback from running; safe to call repeatedly.
 
-        Cancelling a live (not yet fired) event tells the owning
-        scheduler, which tracks the dead-entry count for O(1) idle
-        checks and periodic heap compaction.
+        Cancelling a queued event tells the owning scheduler, which
+        counts the corpses in its heap for O(1) idle checks.
         """
         if not self.cancelled:
             self.cancelled = True
             if self.callback is not None and self.owner is not None:
-                self.owner._note_cancel()
+                self.owner._cancelled += 1
 
     @property
     def pending(self):

@@ -60,18 +60,14 @@ class Process:
         (re-filing skipped periodic ticks: :meth:`PeriodicTimer.rescaled`)."""
         self.time_scale = factor
         for timer in self._timers:
-            if type(timer) is PeriodicTimer:
-                timer.rescaled()
+            timer.rescaled()
 
     def stop(self):
         """Kill the process: cancel every managed timer, drop callbacks."""
         self.sim.coverage_changing()
         self.alive = False
         for timer in self._timers:
-            if isinstance(timer, Timer):
-                timer.cancel()
-            else:
-                timer.stop()
+            timer.cancel()
 
     def restart(self):
         """Mark the process alive again (timers must be re-armed by caller)."""

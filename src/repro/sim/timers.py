@@ -4,16 +4,17 @@ Protocol code (heartbeats, fault-detection timeouts, balance timers)
 uses these instead of raw scheduler events so that restarting or
 cancelling a timeout is a one-line operation.
 
-Neither timer class allocates in steady state. A periodic timer reuses
-the event that just ticked for the next tick and a one-shot timer keeps
-its last fired event as a spare for the next ``start``
-(:meth:`Scheduler.reschedule`); a one-shot timer refreshed while still
-pending — the failure detector's timeout, pushed back by every
-heartbeat heard — postpones its pending event in place
-(:meth:`Scheduler.defer`), which touches neither the allocator nor the
-heap. Only a refresh to an *earlier* deadline cancels the pending event
-(it stays lazily in the scheduler's heap, so it cannot be recycled) and
-arms a new one.
+A timer owns one event for life and re-arms it in every state. While
+the event is queued — pending, or cancelled with its heap entry not yet
+surfaced — a ``start`` postpones it in place (:meth:`Scheduler.defer`),
+which touches neither the allocator nor the heap: the failure
+detector's timeout, pushed back by every heartbeat heard and cancelled
+and re-armed at every view change, is one event. Once the event is dead
+— fired, or a corpse the run loop has popped — ``start`` reuses it
+(:meth:`Scheduler.reschedule`). Only a ``start`` to an *earlier*
+deadline than a queued event's cancels it and arms a new one. A
+:class:`PeriodicTimer` is a timer whose firing re-arms it one interval
+later.
 
 A :class:`~repro.sim.process.Process`'s timer reads its ``owner``
 directly: delays are stretched by ``owner.time_scale``, and a callback
@@ -39,7 +40,6 @@ class Timer:
         self._scheduler = scheduler
         self._callback = callback
         self._event = None
-        self._spare = None
         self._owner = owner
         self.name = name
 
@@ -58,32 +58,30 @@ class Timer:
     def start(self, delay):
         """Arm (or re-arm) the timer to fire after ``delay`` seconds."""
         delay *= self._owner.time_scale
+        scheduler = self._scheduler
         event = self._event
-        if event is not None:
-            if self._scheduler.defer(event, self._scheduler._now + delay):
-                return
+        if event is None:
+            self._event = scheduler.after(delay, self._fire)
+        elif event.callback is None:
+            scheduler.reschedule(event, delay, self._fire)
+        elif not scheduler.defer(event, scheduler._now + delay):
             event.cancel()
-        spare = self._spare
-        if spare is None:
-            self._event = self._scheduler.after(delay, self._fire)
-        else:
-            self._spare = None
-            self._event = self._scheduler.reschedule(spare, delay, self._fire)
+            self._event = scheduler.after(delay, self._fire)
 
     def cancel(self):
         """Disarm the timer if it is pending."""
         if self._event is not None:
             self._event.cancel()
-            self._event = None
+
+    def rescaled(self):
+        """The owner's ``time_scale`` changed: a started deadline keeps its scale."""
 
     def _fire(self):
-        self._spare = self._event
-        self._event = None
         if self._owner.alive:
             self._callback()
 
 
-class PeriodicTimer:
+class PeriodicTimer(Timer):
     """A repeating timer; fires every ``interval`` seconds until stopped.
 
     Its *grid*: tick ``k + 1`` is due at tick ``k`` plus ``interval`` times
@@ -92,31 +90,23 @@ class PeriodicTimer:
     def __init__(self, scheduler, callback, interval, name="", owner=_UNOWNED):
         if interval <= 0:
             raise ValueError("interval must be positive, got {}".format(interval))
-        self._scheduler = scheduler
-        self._callback = callback
+        super().__init__(scheduler, callback, name=name, owner=owner)
         self.interval = float(interval)
-        self._event = None
-        self._owner = owner
         self._skipped = None  # (time skipped to, first tick skipped, step)
-        self.name = name
 
-    @property
-    def running(self):
-        """True while ticks are being scheduled."""
-        return self._event is not None and self._event.pending
+    running = Timer.armed
 
     def start(self, first_delay=None):
         """Begin ticking; first tick after ``first_delay`` (default: interval)."""
-        self.stop()
-        delay = self.interval if first_delay is None else first_delay
-        self._event = self._scheduler.after(delay * self._owner.time_scale, self._tick)
+        self._skipped = None
+        super().start(self.interval if first_delay is None else first_delay)
 
-    def stop(self):
+    def cancel(self):
         """Stop ticking; safe to call when not running."""
         self._skipped = None
-        if self._event is not None:
-            self._event.cancel()
-            self._event = None
+        super().cancel()
+
+    stop = cancel
 
     def skip_while(self, idle):
         """Move the pending tick past the ticks of its grid where ``idle(time)`` holds.
@@ -154,14 +144,11 @@ class PeriodicTimer:
             time += step
         if time != target:
             self._event.cancel()
-            self._event = self._scheduler.at(time, self._tick)
+            self._event = self._scheduler.at(time, self._fire)
 
-    def _tick(self):
-        # The event that just fired is dead; recycle it for the next
-        # tick instead of allocating one per interval.
+    def _fire(self):
+        # The event that just fired is dead: re-arm it for the next tick.
         owner = self._owner
-        self._event = self._scheduler.reschedule(
-            self._event, self.interval * owner.time_scale, self._tick
-        )
+        self._scheduler.reschedule(self._event, self.interval * owner.time_scale, self._fire)
         if owner.alive:
             self._callback()

@@ -1,12 +1,13 @@
 """``Scheduler.defer``: a refreshed timeout fires where its replacement would.
 
-A pending event postponed in place takes the ``(time, seq)`` key that
-cancel-and-reschedule would have given a fresh event, and its heap
-entry — left under the old key — is re-filed when it surfaces. The
-differential test runs random timer programs on the real ``Timer`` and
-on a reference that always cancels and reschedules and requires the two
-to be indistinguishable after every step; the unit cases pin the edges.
-Counts and orders only, no wall clock.
+A queued event postponed in place — or revived after a cancel — takes
+the ``(time, seq)`` key that cancel-and-reschedule would have given a
+fresh event, and its heap entry — left under the old key — is re-filed
+when it surfaces. The differential test runs random timer programs on
+the real ``Timer`` and ``PeriodicTimer`` and on references that always
+cancel and reschedule, and requires the two to be indistinguishable
+after every step; the unit cases pin the edges. Counts and orders only,
+no wall clock.
 """
 
 import pytest
@@ -49,16 +50,37 @@ class CancelAndRescheduleTimer:
         self._callback()
 
 
-class World:
-    """A scheduler, a few timers and a firing log, driven by a program."""
+class CancelAndReschedulePeriodic(CancelAndRescheduleTimer):
+    """The periodic reference: a new event per tick and per ``start``."""
 
-    def __init__(self, timer_class, chains):
+    def __init__(self, scheduler, callback, interval):
+        super().__init__(scheduler, callback)
+        self.interval = interval
+
+    def start(self, first_delay=None):
+        super().start(self.interval if first_delay is None else first_delay)
+
+    stop = CancelAndRescheduleTimer.cancel
+
+    def _fire(self):
+        self._event = self._scheduler.after(self.interval, self._fire)
+        self._callback()
+
+
+class World:
+    """A scheduler, a few timers, a periodic one and a firing log, driven by a program."""
+
+    def __init__(self, timer_class, periodic_class, chains):
         self.scheduler = Scheduler()
         self.log = []
+        self.plain = []
         self.timers = [
             timer_class(self.scheduler, self._on_fire(index, chains[index]))
             for index in range(N_TIMERS)
         ]
+        self.periodic = periodic_class(
+            self.scheduler, lambda: self.log.append((self.scheduler.now, "tick")), 0.75
+        )
 
     def _on_fire(self, index, chain):
         def fire():
@@ -80,7 +102,20 @@ class World:
             self.timers[step[1]].cancel()
         elif kind == "after":
             label = "plain{}".format(len(self.log))
-            scheduler.after(step[1], lambda: self.log.append((scheduler.now, label)))
+            self.plain.append(
+                scheduler.after(step[1], lambda: self.log.append((scheduler.now, label)))
+            )
+        elif kind == "cancel_plain":
+            if self.plain:
+                self.plain[step[1] % len(self.plain)].cancel()
+        elif kind == "periodic_start":
+            self.periodic.start(step[1])
+        elif kind == "periodic_stop":
+            self.periodic.stop()
+        elif kind == "peek":
+            # A step of its own: it drops corpses off the head, and a
+            # corpse left in the heap is what a later start revives.
+            self.log.append(("next", scheduler.next_event_time()))
         elif kind == "run_until":
             scheduler.run(until=scheduler.now + step[1])
         else:
@@ -93,8 +128,8 @@ class World:
             "events_fired": scheduler.events_fired,
             "pending_count": scheduler.pending_count,
             "now": scheduler.now,
-            "next_event_time": scheduler.next_event_time(),
             "timers": [(timer.armed, timer.deadline) for timer in self.timers],
+            "periodic": self.periodic.deadline,
         }
 
 
@@ -106,6 +141,10 @@ steps = st.one_of(
     st.tuples(st.just("start"), timer_index, delays),
     st.tuples(st.just("cancel"), timer_index),
     st.tuples(st.just("after"), delays),
+    st.tuples(st.just("cancel_plain"), st.integers(0, 7)),
+    st.tuples(st.just("periodic_start"), st.one_of(st.none(), delays)),
+    st.tuples(st.just("periodic_stop")),
+    st.tuples(st.just("peek")),
     st.tuples(st.just("run_until"), delays),
     st.tuples(st.just("run_events"), st.integers(0, 3)),
 )
@@ -122,8 +161,8 @@ chains = st.lists(
 @settings(max_examples=300, deadline=None)
 @given(chains, st.lists(steps, max_size=40))
 def test_deferred_timers_fire_exactly_where_rescheduled_ones_would(chains, program):
-    real = World(Timer, chains)
-    reference = World(CancelAndRescheduleTimer, chains)
+    real = World(Timer, PeriodicTimer, chains)
+    reference = World(CancelAndRescheduleTimer, CancelAndReschedulePeriodic, chains)
     for step in program:
         real.apply(step)
         reference.apply(step)

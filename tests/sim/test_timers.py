@@ -113,19 +113,60 @@ def test_periodic_timer_restart_resets_phase():
 # event recycling (Scheduler.reschedule fast path)
 
 
-def test_timer_restart_after_fire_reuses_event_object():
+def test_cancel_then_start_revives_the_same_event_which_fires_once():
     scheduler = Scheduler()
     fired = []
     timer = Timer(scheduler, lambda: fired.append(scheduler.now))
     timer.start(1.0)
+    event = timer._event
+    timer.cancel()
+    assert not timer.armed
+    timer.start(1.5)
+    # Revived in place: its one heap entry, no corpse and no new event.
+    assert timer._event is event
+    assert timer.deadline == 1.5
+    assert len(scheduler._heap) == 1
+    assert scheduler.pending_count == 1
     scheduler.run()
-    first_event = timer._spare
-    assert first_event is not None
+    assert fired == [1.5]
+    assert scheduler.events_fired == 1
+
+
+def test_an_earlier_deadline_after_a_cancel_fires_only_at_the_earlier_time():
+    scheduler = Scheduler()
+    fired = []
+    timer = Timer(scheduler, lambda: fired.append(scheduler.now))
+    timer.start(2.0)
+    first = timer._event
+    timer.cancel()
     timer.start(1.0)
-    # The fired event was recycled as the new deadline's handle.
-    assert timer._event is first_event
+    assert timer._event is not first
+    assert first.cancelled
     scheduler.run()
-    assert fired == [1.0, 2.0]
+    assert fired == [1.0]
+    assert scheduler.events_fired == 1
+    assert scheduler.now == 1.0  # the corpse at 2.0 neither fired nor moved the clock
+
+
+def test_a_popped_corpse_is_reused():
+    scheduler = Scheduler()
+    fired = []
+    timer = Timer(scheduler, lambda: fired.append(scheduler.now))
+    timer.start(1.0)
+    event = timer._event
+    timer.cancel()
+    scheduler.run(until=1.0)  # the corpse surfaces, and dies
+    assert event.callback is None
+    assert len(scheduler._heap) == 0
+    timer.start(1.0)
+    assert timer._event is event
+    scheduler.run()
+    assert fired == [2.0]
+    # After it fires, the same event serves the next start too.
+    timer.start(1.0)
+    assert timer._event is event
+    scheduler.run()
+    assert fired == [2.0, 3.0]
 
 
 def test_timer_refresh_before_fire_defers_the_pending_event():

@@ -6,7 +6,8 @@ that outlives the view, and neither may come back quietly:
 
 * a ``FailureDetector`` makes one suspicion ``Timer`` per peer, the
   first time it watches that peer, and re-arms it at every later
-  ``watch``;
+  ``watch``; the timer's one ``Event`` is revived, so a later ``watch``
+  builds no event either;
 * a retired ``ViewOrderer`` is referenced by nothing it made: its
   resubmit and NACK timers are the daemon's, which fire into the current
   orderer, so reference counting frees it once the install returns.
@@ -22,7 +23,7 @@ from repro.apps.webcluster import WebClusterScenario
 from repro.gcs.config import SpreadConfig
 from repro.gcs.daemon import SpreadDaemon
 from repro.gcs.failure import FailureDetector
-from repro.sim import timers
+from repro.sim import events, timers
 
 N_SERVERS = 8
 
@@ -49,9 +50,11 @@ def test_later_view_changes_construct_no_suspicion_timer(monkeypatch):
     scenario = settled_cluster()
     peers_watched = [0]
     constructed_inside = [0]
+    events_inside = [0]
     inside = [False]
     watch = FailureDetector.watch
     timer_init = timers.Timer.__init__
+    event_init = events.Event.__init__
 
     def counting_watch(self, peers):
         peers_watched[0] += sum(1 for peer in peers if peer != self._daemon.daemon_id)
@@ -66,14 +69,23 @@ def test_later_view_changes_construct_no_suspicion_timer(monkeypatch):
             constructed_inside[0] += 1
         timer_init(self, *args, **kwargs)
 
+    def counting_event_init(self, *args, **kwargs):
+        if inside[0]:
+            events_inside[0] += 1
+        event_init(self, *args, **kwargs)
+
     monkeypatch.setattr(FailureDetector, "watch", counting_watch)
     monkeypatch.setattr(timers.Timer, "__init__", counting_timer_init)
+    monkeypatch.setattr(events.Event, "__init__", counting_event_init)
     nic_down_and_up(scenario)
 
     # The window held two installs at every survivor: N - 2 peers each,
     # then N - 1 peers at all N servers once the NIC is back.
     assert peers_watched[0] >= (N_SERVERS - 1) * (N_SERVERS - 2) + N_SERVERS * (N_SERVERS - 1)
     assert constructed_inside[0] == 0
+    # Nor an Event: each re-arm revives or reuses the timer's own (timers
+    # that could not revive a cancelled event built 90 here).
+    assert events_inside[0] == 0
 
 
 def test_the_orderer_a_view_change_retires_dies_when_the_install_returns(monkeypatch):
