@@ -11,9 +11,10 @@ frames reach everyone in the group.
 Recipient sets are precomputed and cached — broadcast fan-out lists
 per source NIC and a MAC index for unicast — and invalidated whenever
 topology or partition groups change. The cached lists preserve attach
-order (the order the old per-frame scan used), so the loss/jitter RNG
-draw sequence, and with it every trace and verdict, is byte-identical
-to the uncached path.
+order, the order in which each recipient's fate (lost, blocked, delayed,
+duplicated) is decided and its draws are made. A frame takes one
+scheduler event per delivery instant, whatever knob is in force: with
+none, all its recipients share one.
 
 Beyond fail-stop partitions the segment supports *gray* link faults
 (see ``docs/FAULTS.md``): directed blocks (A→B dropped while B→A
@@ -345,80 +346,33 @@ class Lan:
             ]
         if not recipients:
             return
-        after = self.sim.scheduler.after
+        scheduler = self.sim.scheduler
+        latency = self.latency
         loss = self._loss
         jitter = self.jitter
-        latency = self.latency
+        if not (self._gray_active or loss or jitter):
+            # Every recipient is due one latency from now and no draw is
+            # made: one event delivers to all of them, in attach order.
+            # At N recipients a broadcast is one scheduler event, not N:
+            # the O(N²) cost of a segment-wide ARP storm becomes O(N).
+            self.frames_delivered += len(recipients)
+            self._m_delivered.inc(len(recipients))
+            scheduler.after(latency, self._deliver_batch, frame, recipients)
+            return
+        # Each recipient's fate in attach order: base loss and jitter
+        # from the LAN's stream, every gray decision from the gray stream
+        # (so enabling a gray knob never perturbs the base sequence). The
+        # link model has no stream of its own: it draws from the gray
+        # stream by design (see linkfault.py).
         rng = self._rng
-        delivered = 0
-        lost = 0
-        if self._gray_active:
-            delivered, lost = self._transmit_gray(
-                frame, src_nic, recipients, after, loss, jitter, latency, rng
-            )
-        elif not (loss or jitter):
-            # Every recipient gets the identical delay and no RNG draw
-            # is consumed, so the per-recipient events can collapse into
-            # one batched event. The batch fires at the same (time, seq)
-            # slot the first per-recipient event would have held and
-            # delivers in the same attach order, so the global delivery
-            # sequence — and every downstream draw and trace — is
-            # byte-identical to the unbatched path. At N recipients this
-            # turns a broadcast from N scheduler events into one: the
-            # O(N²) cost of a segment-wide ARP storm becomes O(N).
-            delivered = len(recipients)
-            if delivered == 1:
-                after(latency, recipients[0].deliver, frame)
-            else:
-                after(latency, self._deliver_batch, frame, recipients)
-        else:
-            for nic in recipients:
-                if loss and rng.random() < loss:
-                    lost += 1
-                    continue
-                delay = latency
-                if jitter:
-                    delay += rng.uniform(0.0, jitter)
-                delivered += 1
-                after(delay, nic.deliver, frame)
-        if lost:
-            self.frames_lost += lost
-            self._m_lost.inc(lost)
-        if delivered:
-            self.frames_delivered += delivered
-            self._m_delivered.inc(delivered)
-
-    @staticmethod
-    def _deliver_batch(frame, recipients):
-        """Deliver one frame to a frozen recipient list (batched event)."""
-        # A broadcast reaches every host on the segment (heartbeats,
-        # the O(N²) ARP boot and cache-expiry storms): received once
-        # for the whole recipient list, not once per recipient.
-        ethertype = frame.ethertype
-        if ethertype == IP_ETHERTYPE:
-            Host.receive_ip(frame.payload, recipients)
-        elif ethertype == ARP_ETHERTYPE:
-            ArpService.receive(frame.payload, recipients)
-        else:
-            for nic in recipients:
-                nic.deliver(frame)
-
-    def _transmit_gray(self, frame, src_nic, recipients, after, loss, jitter, latency, rng):
-        """Delivery loop with the gray knobs consulted per recipient.
-
-        The base loss/jitter draws keep their historical order (one
-        pair per non-blocked recipient, from the base stream); every
-        gray decision draws from the dedicated gray stream, so enabling
-        a knob mid-run never perturbs the base sequence for frames that
-        are delivered normally.
-        """
+        gray_rng = self._gray_rng
         blocked = self._blocked
         model = self.link_model
-        gray_rng = self._gray_rng
-        counters = self._m_gray
         duplicate_prob = self.duplicate_prob
         reorder_prob = self.reorder_prob
-        delivered = 0
+        counters = self._m_gray
+        now = scheduler.now
+        due = {}  # delivery instant -> its recipients, in decision order
         lost = 0
         for nic in recipients:
             if blocked and (src_nic, nic) in blocked:
@@ -431,10 +385,6 @@ class Lan:
             delay = latency
             if jitter:
                 delay += rng.uniform(0.0, jitter)
-            # The link model is a pure transition function with no stream
-            # of its own: it draws from the LAN's dedicated gray stream
-            # by design (see linkfault.py), so burst-loss decisions stay
-            # attributable to this LAN's (seed, "lan/<name>/gray") pair.
             if model is not None and model.drops(gray_rng):
                 self.frames_burst_lost += 1
                 counters["burst_lost"].inc()
@@ -444,14 +394,39 @@ class Lan:
                 delay += gray_rng.uniform(0.0, self.reorder_window)
                 self.frames_reordered += 1
                 counters["reordered"].inc()
-            delivered += 1
-            after(delay, nic.deliver, frame)
+            due.setdefault(now + delay, []).append(nic)
             if duplicate_prob and gray_rng.random() < duplicate_prob:
                 self.frames_duplicated += 1
                 counters["duplicated"].inc()
-                delivered += 1
-                after(delay + gray_rng.uniform(0.0, latency), nic.deliver, frame)
-        return delivered, lost
+                due.setdefault(now + (delay + gray_rng.uniform(0.0, latency)), []).append(nic)
+        # One event per delivery instant, scheduled in the order of each
+        # instant's first delivery: nothing else is scheduled in between,
+        # so the deliveries run in the order one event per delivery would.
+        delivered = 0
+        for time, nics in due.items():
+            delivered += len(nics)
+            scheduler.at(time, self._deliver_batch, frame, nics)
+        if lost:
+            self.frames_lost += lost
+            self._m_lost.inc(lost)
+        if delivered:
+            self.frames_delivered += delivered
+            self._m_delivered.inc(delivered)
+
+    @staticmethod
+    def _deliver_batch(frame, recipients):
+        """Deliver one frame to the recipients due at one instant, in order."""
+        # A broadcast reaches every host on the segment (heartbeats,
+        # the O(N²) ARP boot and cache-expiry storms): received once
+        # for the whole recipient list, not once per recipient.
+        ethertype = frame.ethertype
+        if ethertype == IP_ETHERTYPE:
+            Host.receive_ip(frame.payload, recipients)
+        elif ethertype == ARP_ETHERTYPE:
+            ArpService.receive(frame.payload, recipients)
+        else:
+            for nic in recipients:
+                nic.deliver(frame)
 
     def __repr__(self):
         return "Lan({}, {}, {} nics)".format(self.name, self.subnet, len(self._nics))

@@ -90,6 +90,7 @@ class World:
         del self.log[:]
         del self.shown[:]
         self.warm_frames = (self.lan.frames_sent, self.lan.frames_delivered)
+        self.warm_events = self.sim.scheduler.events_fired
 
     def send(self, mode, payload, ips=None):
         if mode == "broadcast":
@@ -219,8 +220,11 @@ def test_fanout_under_a_knob_draws_what_the_loop_drew(knob):
     batched, looped = worlds
     assert batched.observed() == looped.observed()
     assert batched.next_draws == looped.next_draws
-    # With a knob on, each receiver's delivery is its own event either way.
-    assert batched.sim.scheduler.events_fired == looped.sim.scheduler.events_fired
+    # One event per frame and delivery instant: the broadcast's receivers
+    # due at one instant share an event, each unicast frame has its own.
+    fired = [world.sim.scheduler.events_fired - world.warm_events for world in worlds]
+    assert fired[0] == len({(entry[0], entry[3]) for entry in batched.log})
+    assert fired[1] == len({(entry[0], entry[1], entry[3]) for entry in looped.log})
     if knob == "directed-block":
         assert batched.lan.frames_blocked == 3
         assert "h3" not in {entry[1] for entry in batched.log}
