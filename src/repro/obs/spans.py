@@ -25,9 +25,14 @@ rules that close one:
   view — a dropped member's own heartbeats trigger a gather through
   ``on_foreign_traffic`` before any audit tick fires — so those spans
   also close on the daemon's next ``membership/install`` record
-  (``end_cause="view_change"``). A supervisor restart replaces the
-  daemon, corrupted state and all (``"supervisor_restart"``), and a
-  host crash does the same the hard way (``"crash"``).
+  (``end_cause="view_change"``). Likewise a ``drop`` or ``duplicate``
+  of a VIP binding closes on the daemon's next ``wackamole/run``
+  (``"reallocation"``): the daemon enters RUN only after it has made
+  every binding match its agreed table, which is the audit's repair for
+  every slot at once, whichever member the new table names. A
+  supervisor restart replaces the daemon, corrupted state and all
+  (``"supervisor_restart"``), and a host crash does the same the hard
+  way (``"crash"``).
 
 Spans can legitimately stay open (``end=None``): the trace ended
 first; a ``poison_arp`` mutation is repaired on the *client* side by
@@ -246,6 +251,9 @@ class StabilizationFold(SpanFold):
          lambda span, record: span.target == record.source),
         ("membership", "install", "view_change",
          lambda span, record: span.kind in _VIEW_SCOPED and span.target == record.source),
+        ("wackamole", "run", "reallocation",
+         lambda span, record: span.kind == "corrupt_vip_table"
+         and span.mutation != "poison_arp" and span.target == record.source),
         ("supervisor", "restart_spread", "supervisor_restart", _daemon_replaced),
     )
 

@@ -1,5 +1,6 @@
 """Unit tests for time-to-stabilize span extraction from trace records."""
 
+from repro.check import build_trial_spec, campaign_params, run_trial
 from repro.obs.spans import stabilization_spans, stabilization_spans_as_dicts
 from repro.sim.trace import TraceRecord
 
@@ -66,6 +67,44 @@ def test_view_install_closes_view_scoped_spans():
     assert by_kind["corrupt_membership"].end_cause == "view_change"
     # vip-table corruption is not view-scoped: the install leaves it open.
     assert by_kind["corrupt_vip_table"].end is None
+
+
+def test_entering_run_closes_the_daemons_binding_corruptions():
+    """RUN follows ``_apply_table``, which makes every binding match the
+    agreed table: a dropped or duplicated binding is gone, whichever
+    member the new table names. A poisoned client cache is not."""
+    spans = stabilization_spans(
+        [
+            corrupt(1.0, "corrupt_vip_table", "wack@s2", mutation="drop", slot="v1"),
+            corrupt(1.1, "corrupt_vip_table", "wack@s2", mutation="duplicate", slot="v2"),
+            corrupt(1.2, "corrupt_vip_table", "wack@s2", mutation="poison_arp", slot="v3"),
+            corrupt(1.3, "corrupt_vip_table", "wack@s1", mutation="drop", slot="v4"),
+            rec(2.0, "wackamole", "wack@s2", "run", allocation={}),
+        ]
+    )
+    assert [(span.mutation, span.end, span.end_cause) for span in spans] == [
+        ("drop", 2.0, "reallocation"),
+        ("duplicate", 2.0, "reallocation"),
+        ("poison_arp", None, None),
+        ("drop", None, None),
+    ]
+
+
+def test_a_drop_the_singleton_view_rebinds_closes_there():
+    # The CI corruption campaign's trial 2: a drop on wack@s0 at 21.1 s,
+    # inside an asymmetric partition. No audit repair answers it: s0's
+    # singleton view re-binds the slot at 21.435 s, and RUN closes it.
+    params = campaign_params(
+        base_seed=20260806, trials=24, n_servers=4, n_vips=8,
+        horizon=60, events_per_trial=10, corrupt=True,
+    )
+    result = run_trial(build_trial_spec(params, 2))
+    assert result["verdict"] == "pass"
+    (span,) = [span for span in result["stabilization"] if span["start"] == 21.109326104]
+    assert (span["kind"], span["mutation"], span["target"]) == (
+        "corrupt_vip_table", "drop", "wack@s0"
+    )
+    assert (span["end"], span["end_cause"]) == (21.435424402, "reallocation")
 
 
 def test_crash_closes_spans_of_the_dead_host():
