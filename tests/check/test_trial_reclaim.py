@@ -101,6 +101,6 @@ def test_a_long_trial_keeps_one_orderer_per_daemon_until_it_returns(monkeypatch)
 
     monkeypatch.setattr(trial_module, "_trial", counting)
     result = run_trial(build_trial_spec(params, 1))
-    assert (result["verdict"], result["events_fired"]) == ("pass", 156_315)
+    assert (result["verdict"], result["events_fired"]) == ("pass", 125_614)
     assert counted["daemons"] >= 8  # the live daemons and every restart
     assert counted["orderers"] <= counted["daemons"]
