@@ -23,10 +23,10 @@ The faithful scenarios and the check harness subclass
 :class:`ServerGroup`.
 """
 
+import copy
 import functools
 
 from repro.core.audit import CoverageAuditor, CoverageEngine
-from repro.core.config import SUPERVISOR_PROFILES
 from repro.core.daemon import WackamoleDaemon
 from repro.core.state import RUN
 from repro.core.supervisor import DaemonSupervisor
@@ -35,6 +35,7 @@ from repro.gcs.daemon import SpreadDaemon
 from repro.net.host import Host
 from repro.obs.episodes import EpisodeFold, first_complete_episode
 from repro.sim.rng import RngRegistry
+from repro.stabilization import lookup
 
 
 def run_until(sim, predicate, timeout, step, extra=0.0):
@@ -72,6 +73,13 @@ def servers_settled(wacks, auditor):
 # the faithful stack
 
 
+def _running(config, profile):
+    """A copy of a layer's config that runs ``profile``."""
+    config = copy.copy(config)
+    config.profile = lookup(profile)
+    return config
+
+
 class ServerGroup:
     """N servers of one LAN running Spread + Wackamole over one VIP pool.
 
@@ -82,6 +90,11 @@ class ServerGroup:
     unsupervised ``paper`` profile. The auditor holds its own copy of
     the daemon column; :meth:`refresh_auditor` (which :meth:`settled`
     calls) re-points it after replacements.
+
+    ``profile`` (a name of :data:`repro.stabilization.PROFILES` or a
+    row) is the cluster's hardening, stamped on copies of both configs;
+    None runs the row the configs already carry. The supervisors follow
+    the Wackamole config's row.
     """
 
     def __init__(
@@ -91,15 +104,18 @@ class ServerGroup:
         spread_config,
         wackamole_config,
         daemon_cls=WackamoleDaemon,
-        profile="paper",
+        profile=None,
         realtime=False,
     ):
+        if profile is not None:
+            spread_config = _running(spread_config, profile)
+            wackamole_config = _running(wackamole_config, profile)
         self.sim = sim
         self.lan = lan
         self.spread_config = spread_config
         self.wackamole_config = wackamole_config
         self.daemon_cls = daemon_cls
-        self.supervision = SUPERVISOR_PROFILES[profile]
+        self.supervision = wackamole_config.profile.supervisor
         self.realtime = realtime
         self.hosts = []
         self.spreads = []
@@ -136,8 +152,8 @@ class ServerGroup:
     def _supervisor(self, index, wack):
         supervisor = DaemonSupervisor(
             self.hosts[index],
+            self.supervision,
             on_restart=functools.partial(self._on_restart, index),
-            **self.supervision
         )
         supervisor.watch_wackamole(wack)
         return supervisor

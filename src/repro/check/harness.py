@@ -44,7 +44,6 @@ class CheckCluster(ServerGroup):
         n_servers,
         n_vips,
         daemon_cls,
-        wack_overrides=None,
         gray=False,
         corrupt=False,
     ):
@@ -52,18 +51,14 @@ class CheckCluster(ServerGroup):
             if size > ADDRESS_PLAN[field]:
                 raise ValueError("n_{} exceeds the address plan (at most {})".format(
                     field, ADDRESS_PLAN[field]))
-        profile = sched.repertoire(gray, corrupt).profile
         self.vips = ["10.9.0.{}".format(100 + i) for i in range(n_vips)]
-        overrides = {"maturity_timeout": 0.5, "balance_timeout": 1.5}
-        overrides.update(WackamoleConfig.profile(profile))
-        overrides.update(wack_overrides or {})
         super().__init__(
             sim,
             Lan(sim, "check", self.SUBNET),
-            SpreadConfig.fast(**SpreadConfig.profile(profile)),
-            WackamoleConfig.for_vips(self.vips, **overrides),
+            SpreadConfig.fast(),
+            WackamoleConfig.for_vips(self.vips, maturity_timeout=0.5, balance_timeout=1.5),
             daemon_cls,
-            profile,
+            sched.repertoire(gray, corrupt).profile,
         )
         self.faults = FaultInjector(sim)
         for index in range(n_servers):

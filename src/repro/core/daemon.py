@@ -80,17 +80,17 @@ class WackamoleDaemon(Process):
                 self._share_arp_cache, config.arp_share_interval, name="arp_share"
             )
         self._reannounce_timer = None
-        if config.arp_reannounce_interval > 0:
+        if config.profile.arp_reannounce_interval > 0:
             self._reannounce_timer = self.periodic(
                 self._reannounce_vips,
-                config.arp_reannounce_interval,
+                config.profile.arp_reannounce_interval,
                 name="arp_reannounce",
             )
         self._stabilize_timer = None
-        if config.stabilization.enabled:
+        if config.profile.audit_interval > 0:
             self._stabilize_timer = self.periodic(
                 self._stabilize_audit,
-                config.stabilization.interval,
+                config.profile.audit_interval,
                 name="stabilize",
             )
         self.stabilize_repairs = 0
@@ -177,7 +177,7 @@ class WackamoleDaemon(Process):
         try:
             client = self.spread.connect(self.client_name)
         except SpreadConnectionError:
-            self._reconnect_timer.start(self.config.reconnect_interval)
+            self._reconnect_timer.start(self.config.profile.reconnect_interval)
             return
         self.sim.coverage_changing()
         self.client = client
@@ -219,7 +219,7 @@ class WackamoleDaemon(Process):
             self._reannounce_timer.stop()
         if self._stabilize_timer is not None:
             self._stabilize_timer.stop()
-        self._reconnect_timer.start(self.config.reconnect_interval)
+        self._reconnect_timer.start(self.config.profile.reconnect_interval)
 
     # ------------------------------------------------------------------
     # VIEW_CHANGE (Algorithm 1 lines 1-4 / Algorithm 2 lines 7-9)
@@ -304,7 +304,7 @@ class WackamoleDaemon(Process):
                     self.iface.release(slot)
                 elif (
                     winner == self.member_name
-                    and self.config.conflict_reannounce
+                    and self.config.profile.conflict_reannounce
                     and self.iface.owns(slot)
                 ):
                     # We keep the address, but the loser's earlier
@@ -474,8 +474,8 @@ class WackamoleDaemon(Process):
         asymmetric partition heals: two members each believe they own
         the address, and the group-level GATHER may be unable to notice
         (each side is in its own view). Detection always counts and
-        traces; with ``arp_conflict_resolution`` a holddown is armed
-        and the conflict is re-examined once it expires (see
+        traces; with the profile's ``arp_conflict_resolution`` a holddown
+        is armed and the conflict is re-examined once it expires (see
         :meth:`_resolve_arp_conflict` for who backs off).
         """
         if not self.alive:
@@ -492,13 +492,13 @@ class WackamoleDaemon(Process):
             )
         self._m_vip_conflicts.inc()
         self.trace("wackamole", "vip_conflict", slot=slot)
-        if not self.config.arp_conflict_resolution:
+        if not self.config.profile.arp_conflict_resolution:
             return
         if slot in self._conflict_holddowns:
             return
         self._conflict_holddowns.add(slot)
         self.after(
-            self.config.arp_conflict_holddown,
+            self.config.profile.arp_conflict_holddown,
             self._resolve_arp_conflict,
             slot,
             claimant_mac,

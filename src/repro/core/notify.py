@@ -30,7 +30,7 @@ class ArpNotifier:
         # The retry instrument only exists when retries are configured,
         # so historical runs keep their exact metric catalog.
         self._m_retries = None
-        if config.arp_announce_retries > 0:
+        if config.profile.arp_announce_retries > 0:
             self._m_retries = host.sim.metrics.counter(
                 "core.arp_retries", node=host.name
             )
@@ -38,16 +38,16 @@ class ArpNotifier:
     def announce(self, nic, address):
         """Spoof ARP for ``address`` now owned by ``nic``.
 
-        With ``arp_announce_retries`` > 0 the announcement is re-sent
-        up to that many extra times with exponential backoff
+        With the profile's ``arp_announce_retries`` > 0 the announcement
+        is re-sent up to that many extra times with exponential backoff
         (``arp_announce_backoff`` doubling each round), abandoning the
         series as soon as the address is no longer bound here — a
         burst-lossy segment gets repointed by whichever copy survives.
         """
         self._announce_once(nic, address)
-        if self.config.arp_announce_retries > 0:
+        if self.config.profile.arp_announce_retries > 0:
             self.host.after(
-                self.config.arp_announce_backoff,
+                self.config.profile.arp_announce_backoff,
                 self._retry_announce,
                 nic,
                 address,
@@ -69,9 +69,9 @@ class ArpNotifier:
         self.retries_sent += 1
         self._m_retries.inc()
         self._announce_once(nic, address)
-        if attempt < self.config.arp_announce_retries:
+        if attempt < self.config.profile.arp_announce_retries:
             self.host.after(
-                self.config.arp_announce_backoff * (2 ** attempt),
+                self.config.profile.arp_announce_backoff * (2 ** attempt),
                 self._retry_announce,
                 nic,
                 address,

@@ -26,34 +26,23 @@ from repro.sim.process import Process
 
 
 class DaemonSupervisor(Process):
-    """Local watchdog for one host's protocol daemons."""
+    """Local watchdog for one host's protocol daemons.
 
-    def __init__(
-        self,
-        host,
-        check_interval=0.5,
-        stall_checks=3,
-        restart_backoff=1.0,
-        backoff_cap=8.0,
-        stable_after=10.0,
-        on_restart=None,
-    ):
+    ``settings`` is a profile row's
+    :class:`~repro.stabilization.Supervision`.
+    """
+
+    def __init__(self, host, settings, on_restart=None):
         super().__init__(host.sim, "supervisor@{}".format(host.name))
-        if stall_checks < 1:
-            raise ValueError("stall_checks must be >= 1, got {}".format(stall_checks))
         self.host = host
-        self.check_interval = float(check_interval)
-        self.stall_checks = int(stall_checks)
-        self.restart_backoff = float(restart_backoff)
-        self.backoff_cap = float(backoff_cap)
-        self.stable_after = float(stable_after)
+        self.settings = settings
         self.on_restart = on_restart
         host.register_service(self)
         self._wack = None
-        self._timer = self.periodic(self._check, self.check_interval, name="supervise")
+        self._timer = self.periodic(self._check, settings.check_interval, name="supervise")
         self._last_progress = None  # (daemon, messages_sent)
         self._stalled_for = 0
-        self._backoff = self.restart_backoff
+        self._backoff = settings.restart_backoff
         self._next_restart_at = 0.0
         self._last_restart_at = None
         self.restarts = 0
@@ -81,8 +70,7 @@ class DaemonSupervisor(Process):
     def _check(self):
         if not self.host.alive:
             return
-        if self._maybe_reset_backoff():
-            pass
+        self._maybe_reset_backoff()
         daemon = getattr(self.host, "spread_daemon", None)
         if daemon is None:
             return
@@ -96,7 +84,7 @@ class DaemonSupervisor(Process):
             self._restart_wackamole()
 
     def _stalled(self, daemon):
-        """True after ``stall_checks`` checks with no traffic sent."""
+        """True after the settings' ``stall_checks`` checks with no traffic sent."""
         sent = daemon.messages_sent
         last = self._last_progress
         self._last_progress = (daemon, sent)
@@ -104,17 +92,15 @@ class DaemonSupervisor(Process):
             self._stalled_for = 0
             return False
         self._stalled_for += 1
-        return self._stalled_for >= self.stall_checks
+        return self._stalled_for >= self.settings.stall_checks
 
     def _maybe_reset_backoff(self):
         if (
             self._last_restart_at is not None
-            and self.now - self._last_restart_at >= self.stable_after
+            and self.now - self._last_restart_at >= self.settings.stable_after
         ):
-            self._backoff = self.restart_backoff
+            self._backoff = self.settings.restart_backoff
             self._last_restart_at = None
-            return True
-        return False
 
     def _restart_spread(self, old, cause):
         if self.now < self._next_restart_at:
@@ -174,7 +160,7 @@ class DaemonSupervisor(Process):
     def _arm_backoff(self):
         self._last_restart_at = self.now
         self._next_restart_at = self.now + self._backoff
-        self._backoff = min(self._backoff * 2.0, self.backoff_cap)
+        self._backoff = min(self._backoff * 2.0, self.settings.backoff_cap)
 
     def __repr__(self):
         return "DaemonSupervisor({}, restarts={})".format(self.host.name, self.restarts)

@@ -13,20 +13,16 @@ client IPC latency) that the paper folds into the "minor overhead of
 Spread's group membership procedure".
 """
 
-from repro.stabilization import STABILIZING, StabilizationConfig, profile_overrides
-
-#: What each named profile (:data:`repro.stabilization.PROFILES`)
-#: changes in the GCS layer: hardened clusters ride out burst loss and
-#: slowed-but-alive hosts with a two-miss detector.
-_PROFILES = {
-    "paper": {},
-    "hardened": {"suspicion_misses": 2},
-    "stabilizing": {"suspicion_misses": 2, "stabilization": STABILIZING},
-}
+from repro.stabilization import lookup
 
 
 class SpreadConfig:
-    """Timeouts and ports for a cluster of Spread-like daemons."""
+    """Timeouts and ports for a cluster of Spread-like daemons.
+
+    ``profile`` is the hardening row the daemons run (a name of
+    :data:`repro.stabilization.PROFILES` or a row): the failure detector
+    reads its K-miss count, the daemon its audit interval.
+    """
 
     def __init__(
         self,
@@ -40,18 +36,13 @@ class SpreadConfig:
         gap_nack_delay=0.05,
         client_ipc_latency=0.0001,
         port=4803,
-        suspicion_misses=1,
-        stabilization=None,
+        profile="paper",
     ):
         if heartbeat_timeout >= fault_detection_timeout:
             raise ValueError(
                 "heartbeat timeout ({}) must be below fault detection timeout ({})".format(
                     heartbeat_timeout, fault_detection_timeout
                 )
-            )
-        if int(suspicion_misses) < 1:
-            raise ValueError(
-                "suspicion_misses must be >= 1, got {}".format(suspicion_misses)
             )
         self.fault_detection_timeout = float(fault_detection_timeout)
         self.heartbeat_timeout = float(heartbeat_timeout)
@@ -63,23 +54,7 @@ class SpreadConfig:
         self.gap_nack_delay = float(gap_nack_delay)
         self.client_ipc_latency = float(client_ipc_latency)
         self.port = int(port)
-        # Gray-failure hardening: a peer is suspected only after this
-        # many consecutive detection-timer expiries without traffic.
-        # Each miss beyond the first extends the deadline by one
-        # heartbeat interval, so the total suspicion latency is
-        # fault_detection + (K - 1) * heartbeat. K = 1 is the paper's
-        # single-miss detector (byte-identical to the historical code);
-        # K >= 2 rides out burst loss and slowed-but-alive hosts at the
-        # cost of a wider detection window.
-        self.suspicion_misses = int(suspicion_misses)
-        # Self-stabilization: periodic local invariant audit over the
-        # ordering counters and the installed membership view, repairing
-        # corrupted state locally (counter clamps) or escalating to a
-        # GATHER. interval 0 — the default — disables the audit timer
-        # entirely (byte-identical to the historical daemon).
-        if stabilization is not None and not isinstance(stabilization, StabilizationConfig):
-            raise TypeError("stabilization must be a StabilizationConfig or None")
-        self.stabilization = stabilization or StabilizationConfig()
+        self.profile = lookup(profile)
 
     @classmethod
     def default(cls):
@@ -113,18 +88,13 @@ class SpreadConfig:
         settings.update(overrides)
         return cls(**settings)
 
-    @staticmethod
-    def profile(name):
-        """Keyword overrides for a named hardening profile."""
-        return profile_overrides(_PROFILES, name)
-
     def detection_window(self):
         """(min, max) delay from failure to start of reconfiguration.
 
-        With K-miss suspicion (``suspicion_misses`` > 1) each extra miss
-        adds one heartbeat interval to both bounds.
+        With K-miss suspicion (the profile's ``suspicion_misses`` > 1)
+        each extra miss adds one heartbeat interval to both bounds.
         """
-        extension = (self.suspicion_misses - 1) * self.heartbeat_timeout
+        extension = (self.profile.suspicion_misses - 1) * self.heartbeat_timeout
         return (
             self.fault_detection_timeout - self.heartbeat_timeout + extension,
             self.fault_detection_timeout + extension,

@@ -66,10 +66,10 @@ class SpreadDaemon(Process):
             self._send_heartbeat, self.config.heartbeat_timeout, name="heartbeat"
         )
         self._stabilize_timer = None
-        if self.config.stabilization.enabled:
+        if self.config.profile.audit_interval > 0:
             self._stabilize_timer = self.periodic(
                 self._stabilize_audit,
-                self.config.stabilization.interval,
+                self.config.profile.audit_interval,
                 name="stabilize",
             )
         self.stabilize_repairs = 0
@@ -98,7 +98,7 @@ class SpreadDaemon(Process):
         self._heartbeat_timer.start(first_delay=first_beat)
         if self._stabilize_timer is not None:
             self._stabilize_timer.start(
-                first_delay=self.config.stabilization.interval + first_beat
+                first_delay=self.config.profile.audit_interval + first_beat
             )
         self.membership.start()
         self.trace("daemon", "start")

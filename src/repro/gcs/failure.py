@@ -8,12 +8,12 @@ failure to suspicion falls in
 ``[fault_detection - heartbeat, fault_detection]`` — the paper's
 detection window.
 
-Gray-failure hardening (``suspicion_misses`` = K > 1): the first timer
-expiry is a *miss*, not a suspicion. Each miss extends the deadline by
-one heartbeat interval; only K consecutive expiries with no traffic in
-between raise the suspicion, so a burst-lossy link or a slowed host
-that still gets the occasional heartbeat through never flaps the
-membership. Total suspicion latency becomes
+Gray-failure hardening (the profile's ``suspicion_misses`` = K > 1):
+the first timer expiry is a *miss*, not a suspicion. Each miss extends
+the deadline by one heartbeat interval; only K consecutive expiries
+with no traffic in between raise the suspicion, so a burst-lossy link
+or a slowed host that still gets the occasional heartbeat through
+never flaps the membership. Total suspicion latency becomes
 ``fault_detection + (K - 1) * heartbeat``. K = 1 reproduces the
 historical single-miss detector exactly — same timers, same firing
 times.
@@ -85,7 +85,7 @@ class FailureDetector:
 
     def _suspect(self, peer):
         misses = self._misses.get(peer, 0) + 1
-        if misses < self._daemon.config.suspicion_misses:
+        if misses < self._daemon.config.profile.suspicion_misses:
             # Grace miss: extend the deadline one heartbeat and keep
             # listening — any traffic in that window clears the count.
             self._misses[peer] = misses

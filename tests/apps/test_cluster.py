@@ -9,17 +9,15 @@ from repro.net.fault import FaultInjector
 from repro.net.host import Host
 from repro.net.lan import Lan
 from repro.sim.simulation import Simulation
+from repro.stabilization import PROFILES
 
 
 def build_group(profile, n=3):
     sim = Simulation(seed=5)
     lan = Lan(sim, "lan0", "10.0.0.0/24")
     vips = ["10.0.0.{}".format(100 + i) for i in range(4)]
-    wconfig = WackamoleConfig.for_vips(
-        vips, maturity_timeout=0.5, **WackamoleConfig.profile(profile)
-    )
-    spread_config = SpreadConfig.fast(**SpreadConfig.profile(profile))
-    group = ServerGroup(sim, lan, spread_config, wconfig, profile=profile)
+    wconfig = WackamoleConfig.for_vips(vips, maturity_timeout=0.5)
+    group = ServerGroup(sim, lan, SpreadConfig.fast(), wconfig, profile=profile)
     for index in range(n):
         host = Host(sim, "node{}".format(index))
         host.add_nic(lan, "10.0.0.{}".format(10 + index))
@@ -64,3 +62,19 @@ def test_supervisor_restart_updates_the_columns():
     group.sim.run_for(6.0)
     assert group.spreads[0] is not wedged and group.spreads[0].alive
     assert run_until(group.sim, group.settled, 20.0, 0.2)
+
+
+def test_a_named_profile_is_stamped_on_copies_of_both_configs():
+    group = build_group("stabilizing", n=1)
+    row = PROFILES["stabilizing"]
+    assert group.spread_config.profile is row and group.wackamole_config.profile is row
+    assert [s.settings for s in group.supervisors] == [row.supervisor]
+
+
+def test_without_a_profile_the_group_runs_the_row_its_configs_carry():
+    sim = Simulation(seed=5)
+    spread_config = SpreadConfig.fast()
+    wconfig = WackamoleConfig.for_vips(["10.0.0.100"], profile="hardened")
+    group = ServerGroup(sim, Lan(sim, "lan0", "10.0.0.0/24"), spread_config, wconfig)
+    assert group.spread_config is spread_config and group.wackamole_config is wconfig
+    assert group.supervision == PROFILES["hardened"].supervisor

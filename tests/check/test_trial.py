@@ -5,6 +5,7 @@ import pytest
 from repro.check.schedule import FaultEvent, FaultSchedule, generate_schedule
 from repro.check.trial import make_spec, result_signature, run_trial
 from repro.sim.rng import RngRegistry
+from repro.stabilization import PROFILES
 
 
 def small_spec(seed=42, fixture="standard", events=None, horizon=20.0):
@@ -57,15 +58,35 @@ def test_cluster_profile_and_trial_grace_come_from_the_repertoire_row(gray, corr
     watch = CheckCluster.watch_coverage
 
     def spy(cluster, grace):
-        config = cluster.spread_config
-        seen.append((grace, config.stabilization.interval, config.suspicion_misses))
+        seen.append((grace,) + layers(cluster))
         return watch(cluster, grace)
 
     monkeypatch.setattr(CheckCluster, "watch_coverage", spy)
     spec = make_spec(3, FaultSchedule([], 5.0), n_servers=3, n_vips=4, gray=gray,
                      corrupt=corrupt)
     assert run_trial(spec)["verdict"] == "pass"
-    assert seen == ([(7.25, 0.0, 1)] if corrupt else [(7.25, 0.5, 2)])
+    row = PROFILES[schedule.REPERTOIRES[other].profile]
+    supervisors = set() if row.supervisor is None else {row.supervisor}
+    assert seen == [(7.25, {row}, {row.audit_interval}, {row.arp_reannounce_interval},
+                     3 * len(supervisors), supervisors)]
+
+
+def layers(cluster):
+    """What every layer of a trial cluster runs, read off its daemons.
+
+    The row each config carries (the notifier's included), the audit
+    and re-announce timers the daemons armed (0.0 for none), and how
+    many supervisors with which settings.
+    """
+    daemons = cluster.spreads + cluster.wacks
+    rows = {d.config.profile for d in daemons} | {w.notifier.config.profile for w in cluster.wacks}
+    return (
+        rows,
+        {getattr(d._stabilize_timer, "interval", 0.0) for d in daemons},
+        {getattr(w._reannounce_timer, "interval", 0.0) for w in cluster.wacks},
+        len(cluster.supervisors),
+        {s.settings for s in cluster.supervisors},
+    )
 
 
 def test_broken_balance_fixture_fails_after_one_crash():

@@ -4,6 +4,7 @@ import pytest
 
 from repro.core.config import VipGroup, WackamoleConfig
 from repro.net.addresses import IPAddress
+from repro.stabilization import PROFILES
 
 
 def test_for_vips_builds_single_address_groups():
@@ -32,22 +33,21 @@ def test_duplicate_group_ids_rejected():
     [
         ("balance_timeout", 0.0),
         ("balance_timeout", -1.0),
-        ("reconnect_interval", 0.0),
-        ("reconnect_interval", -0.5),
         ("maturity_timeout", -0.1),
-        ("arp_conflict_holddown", -0.25),
     ],
 )
 def test_timer_that_cannot_run_is_rejected_at_construction(name, value):
-    # A zero balance or reconnect period used to livelock the run at
-    # one instant; a negative delay failed only at the timer's first use.
+    # A zero balance period used to livelock the run at one instant; a
+    # negative delay failed only at the timer's first use.
     with pytest.raises(ValueError, match=name):
         WackamoleConfig.for_vips(["10.0.0.1"], **{name: value})
 
 
 def test_zero_maturity_and_holddown_are_accepted():
-    config = WackamoleConfig.for_vips(["10.0.0.1"], maturity_timeout=0.0, arp_conflict_holddown=0.0)
-    assert (config.maturity_timeout, config.arp_conflict_holddown) == (0.0, 0.0)
+    # The holddown is a profile row's: an ablation's variant row may zero it.
+    row = PROFILES["hardened"]._replace(arp_conflict_holddown=0.0)
+    config = WackamoleConfig.for_vips(["10.0.0.1"], maturity_timeout=0.0, profile=row)
+    assert (config.maturity_timeout, config.profile.arp_conflict_holddown) == (0.0, 0.0)
 
 
 def test_unknown_preference_rejected():
@@ -87,28 +87,18 @@ def test_notify_ips_parsed():
 
 
 def test_stabilization_defaults_off_and_rides_copy_for():
-    from repro.stabilization import StabilizationConfig
-
     config = WackamoleConfig.for_vips(["10.0.0.1"])
-    assert not config.stabilization.enabled
-    assert config.stabilization.interval == 0.0
-    audited = WackamoleConfig.for_vips(
-        ["10.0.0.1"], stabilization=StabilizationConfig(interval=0.5)
-    )
-    assert audited.stabilization.enabled
+    assert config.profile is PROFILES["paper"]
+    assert config.profile.audit_interval == 0.0
+    audited = WackamoleConfig.for_vips(["10.0.0.1"], profile="stabilizing")
+    assert audited.profile.audit_interval == 0.5
     clone = audited.copy_for(balance_timeout=9.0)
-    assert clone.stabilization is audited.stabilization
-    with pytest.raises(ValueError):
-        StabilizationConfig(interval=-1.0)
-    with pytest.raises(TypeError):
-        WackamoleConfig.for_vips(["10.0.0.1"], stabilization=0.5)
+    assert clone.profile is audited.profile
 
 
 def test_copy_for_round_trips_every_attribute():
     # A field added to __init__ but forgotten by copy_for would revert
     # to its default here; every value below is a non-default.
-    from repro.stabilization import StabilizationConfig
-
     config = WackamoleConfig(
         [VipGroup("g1", ["10.0.0.1", "10.0.1.1"]), VipGroup("g2", ["10.0.0.2"])],
         group_name="pool",
@@ -120,16 +110,9 @@ def test_copy_for_round_trips_every_attribute():
         arp_share_interval=4.0,
         arp_share_ttl=60.0,
         eager_conflict_resolution=False,
-        reconnect_interval=0.7,
         representative_allocation=True,
         weight=2.5,
-        arp_announce_retries=3,
-        arp_announce_backoff=0.2,
-        arp_reannounce_interval=1.5,
-        conflict_reannounce=True,
-        arp_conflict_resolution=True,
-        arp_conflict_holddown=0.25,
-        stabilization=StabilizationConfig(interval=0.5),
+        profile="stabilizing",
     )
     defaults = vars(WackamoleConfig(config.vip_groups))
     fields = vars(config)
@@ -139,16 +122,19 @@ def test_copy_for_round_trips_every_attribute():
 
 @pytest.mark.parametrize("name", ["paper", "hardened", "stabilizing"])
 def test_named_profiles_build_valid_configs(name):
-    from repro.core.config import SUPERVISOR_PROFILES
+    config = WackamoleConfig.for_vips(["10.0.0.1"], profile=name)
+    assert config.profile is PROFILES[name]
+    assert (config.profile.audit_interval > 0) == (name == "stabilizing")
+    assert (config.profile.arp_announce_retries > 0) == (name != "paper")
+    assert (config.profile.supervisor is None) == (name == "paper")
 
-    config = WackamoleConfig.for_vips(["10.0.0.1"], **WackamoleConfig.profile(name))
-    assert config.stabilization.enabled == (name == "stabilizing")
-    assert (config.arp_announce_retries > 0) == (name != "paper")
-    assert (SUPERVISOR_PROFILES[name] is None) == (name == "paper")
 
-
-def test_profile_returns_a_private_copy_and_rejects_unknown_names():
-    WackamoleConfig.profile("hardened")["arp_announce_retries"] = 99
-    assert WackamoleConfig.profile("hardened")["arp_announce_retries"] == 2
+def test_profile_rows_are_immutable_and_unknown_names_rejected():
+    hardened = PROFILES["hardened"]
+    with pytest.raises(AttributeError):
+        hardened.arp_announce_retries = 99
+    variant = hardened._replace(arp_reannounce_interval=1.0)
+    assert WackamoleConfig.for_vips(["10.0.0.1"], profile=variant).profile is variant
+    assert PROFILES["hardened"].arp_reannounce_interval == 2.0
     with pytest.raises(ValueError, match="paper"):
-        WackamoleConfig.profile("gray")
+        WackamoleConfig.for_vips(["10.0.0.1"], profile="gray")

@@ -143,7 +143,7 @@ def test_gcs_disconnect_drops_all_vips_and_reconnects():
         cluster.hosts[0], cluster.lan, cluster.config, daemon_id="node0b"
     )
     replacement.start()
-    cluster.sim.run_for(wack.config.reconnect_interval * 3)
+    cluster.sim.run_for(wack.config.profile.reconnect_interval * 3)
     assert settle_wack(cluster)
     assert wack.client is not None and wack.client.connected
     assert cluster.auditor.check() == []

@@ -130,7 +130,7 @@ def test_reconnect_attempts_counted_when_daemon_down():
     assert settle_wack(cluster)
     wack = cluster.wacks[0]
     cluster.spreads[0].crash()
-    cluster.sim.run_for(wack.config.reconnect_interval * 3.5)
+    cluster.sim.run_for(wack.config.profile.reconnect_interval * 3.5)
     # No replacement daemon: the reconnect cycle keeps retrying.
     assert wack.reconnect_attempts >= 3
     assert wack.client is None

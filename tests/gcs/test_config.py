@@ -3,6 +3,7 @@
 import pytest
 
 from repro.gcs.config import SpreadConfig
+from repro.stabilization import PROFILES
 
 
 def test_default_preset_matches_table1():
@@ -56,15 +57,15 @@ def test_fast_preset_keeps_table1_ratios_and_takes_overrides():
     fast = SpreadConfig.fast()
     assert (fast.fault_detection_timeout, fast.heartbeat_timeout) == (0.5, 0.2)
     assert fast.discovery_timeout == 0.5
-    assert fast.suspicion_misses == 1
+    assert fast.profile is PROFILES["paper"]
     assert SpreadConfig.fast(discovery_timeout=0.6).discovery_timeout == 0.6
 
 
 def test_named_profiles():
-    assert SpreadConfig.profile("paper") == {}
-    hardened = SpreadConfig.fast(**SpreadConfig.profile("hardened"))
-    assert hardened.suspicion_misses == 2 and not hardened.stabilization.enabled
-    stabilizing = SpreadConfig.fast(**SpreadConfig.profile("stabilizing"))
-    assert stabilizing.suspicion_misses == 2 and stabilizing.stabilization.enabled
+    assert SpreadConfig.fast().profile.suspicion_misses == 1
+    hardened = SpreadConfig.fast(profile="hardened").profile
+    assert hardened.suspicion_misses == 2 and hardened.audit_interval == 0.0
+    stabilizing = SpreadConfig.fast(profile="stabilizing").profile
+    assert stabilizing.suspicion_misses == 2 and stabilizing.audit_interval == 0.5
     with pytest.raises(ValueError, match="stabilizing"):
-        SpreadConfig.profile("corrupt")
+        SpreadConfig.fast(profile="corrupt")

@@ -12,13 +12,13 @@ class StubDaemon:
         self.daemon_id = "me"
 
 
-def build(fd=1.0, hb=0.4, misses=1):
+def build(fd=1.0, hb=0.4, profile="paper"):
     sim = Simulation(seed=0)
     config = SpreadConfig(
         fault_detection_timeout=fd,
         heartbeat_timeout=hb,
         discovery_timeout=1.0,
-        suspicion_misses=misses,
+        profile=profile,
     )
     daemon = StubDaemon(sim, config)
     suspected = []
@@ -137,12 +137,13 @@ def test_heard_from_never_watched_peer_creates_no_timer():
 
 
 # ----------------------------------------------------------------------
-# K-miss suspicion hardening (docs/FAULTS.md)
+# K-miss suspicion hardening (docs/FAULTS.md): K = 1 in the paper
+# profile, 2 in the hardened ones
 
 
 def test_k_miss_extends_detection_by_heartbeats():
     """With K=2 a silent peer is suspected at fd + (K-1)*hb, not fd."""
-    sim, detector, suspected = build(fd=1.0, hb=0.4, misses=2)
+    sim, detector, suspected = build(fd=1.0, hb=0.4, profile="hardened")
     detector.watch(["peer"])
     sim.run(until=1.3)
     assert suspected == []  # first expiry at 1.0 was only a miss
@@ -151,13 +152,12 @@ def test_k_miss_extends_detection_by_heartbeats():
 
 
 def test_k1_matches_the_historical_detector_timing():
-    for misses in (1,):
-        sim, detector, suspected = build(fd=1.0, hb=0.4, misses=misses)
-        detector.watch(["peer"])
-        sim.run(until=0.99)
-        assert suspected == []
-        sim.run(until=1.01)
-        assert suspected == ["peer"]
+    sim, detector, suspected = build(fd=1.0, hb=0.4, profile="paper")
+    detector.watch(["peer"])
+    sim.run(until=0.99)
+    assert suspected == []
+    sim.run(until=1.01)
+    assert suspected == ["peer"]
 
 
 def test_occasional_traffic_rides_out_misses():
@@ -167,7 +167,7 @@ def test_occasional_traffic_rides_out_misses():
     but always inside the one-heartbeat grace window, so K=2 rides out
     every miss while K=1 would have flapped at t=1.0.
     """
-    sim, detector, suspected = build(fd=1.0, hb=0.4, misses=2)
+    sim, detector, suspected = build(fd=1.0, hb=0.4, profile="hardened")
     detector.watch(["peer"])
     for k in range(1, 8):
         sim.at(1.2 * k, detector.heard_from, "peer")
@@ -178,7 +178,7 @@ def test_occasional_traffic_rides_out_misses():
 
 def test_traffic_resets_the_miss_count():
     """After ridden-out misses the full K expiries are needed again."""
-    sim, detector, suspected = build(fd=1.0, hb=0.4, misses=2)
+    sim, detector, suspected = build(fd=1.0, hb=0.4, profile="hardened")
     detector.watch(["peer"])
     sim.at(1.2, detector.heard_from, "peer")  # clears the t=1.0 miss
     # Fresh fd window from 1.2: miss at 2.2, suspicion at 2.6.

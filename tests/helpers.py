@@ -51,7 +51,7 @@ def settle_gcs(cluster, duration=None):
 
 
 WackCluster = collections.namedtuple(
-    "WackCluster", "sim lan hosts spreads wacks faults auditor config wconfig"
+    "WackCluster", "sim lan hosts spreads wacks faults auditor config wconfig supervisors"
 )
 
 
@@ -63,8 +63,12 @@ def build_wack_cluster(
     wack_overrides=None,
     subnet="10.0.0.0/24",
     stagger=0.02,
+    profile=None,
 ):
-    """A LAN of n hosts each running GCS + Wackamole daemons (started)."""
+    """A LAN of n hosts each running GCS + Wackamole daemons (started).
+
+    ``profile`` names the cluster's hardening row (``ServerGroup``'s).
+    """
     sim = Simulation(seed=seed)
     lan = Lan(sim, "lan0", subnet)
     config = config or SpreadConfig.fast()
@@ -72,7 +76,7 @@ def build_wack_cluster(
     overrides = {"maturity_timeout": 0.5, "balance_timeout": 1.0}
     overrides.update(wack_overrides or {})
     wconfig = WackamoleConfig.for_vips(vips, **overrides)
-    group = ServerGroup(sim, lan, config, wconfig)
+    group = ServerGroup(sim, lan, config, wconfig, profile=profile)
     for index in range(n):
         host = Host(sim, "node{}".format(index))
         host.add_nic(lan, "10.0.0.{}".format(10 + index))
@@ -86,8 +90,9 @@ def build_wack_cluster(
         group.wacks,
         FaultInjector(sim),
         group.auditor,
-        config,
-        wconfig,
+        group.spread_config,
+        group.wackamole_config,
+        group.supervisors,
     )
 
 

@@ -32,25 +32,9 @@ from repro.net.lan import Lan
 from repro.net.linkfault import GilbertElliott
 from repro.sim.simulation import Simulation
 
-#: Lenient detection relative to the loss level, K=2 suspicion so a
-#: single burst never flaps membership (the hardened check harness uses
-#: the same shape).
-GRAY_SPREAD = dict(
-    fault_detection_timeout=1.5,
-    heartbeat_timeout=0.2,
-    discovery_timeout=0.6,
-    suspicion_misses=2,
-)
-
-#: The check harness's hardening knobs (docs/FAULTS.md).
-GRAY_WACK = {
-    "arp_announce_retries": 2,
-    "arp_announce_backoff": 0.3,
-    "arp_reannounce_interval": 1.0,
-    "conflict_reannounce": True,
-    "arp_conflict_resolution": True,
-    "arp_conflict_holddown": 0.5,
-}
+#: Detection lenient relative to the loss level; with the hardened
+#: row's K=2 suspicion a single burst never flaps membership.
+GRAY_SPREAD = SpreadConfig.fast(fault_detection_timeout=1.5, discovery_timeout=0.6)
 
 
 def build_segment(seed, vip="10.0.0.100"):
@@ -61,10 +45,7 @@ def build_segment(seed, vip="10.0.0.100"):
     owner.add_nic(lan, "10.0.0.1")
     client = Host(sim, "client")
     client.add_nic(lan, "10.0.0.2")
-    config = WackamoleConfig.for_vips([vip], **{
-        k: GRAY_WACK[k]
-        for k in ("arp_announce_retries", "arp_announce_backoff")
-    })
+    config = WackamoleConfig.for_vips([vip], profile="hardened")
     notifier = ArpNotifier(owner, config)
     manager = InterfaceManager(owner, config, notifier)
     return sim, lan, owner, client, manager, vip
@@ -128,8 +109,8 @@ def test_conflict_resolution_single_owner_after_asym_heal(deaf, duration, seed):
         3,
         seed=seed,
         n_vips=4,
-        config=SpreadConfig.fast(**GRAY_SPREAD),
-        wack_overrides=dict(GRAY_WACK, maturity_timeout=0.5),
+        config=GRAY_SPREAD,
+        profile="hardened",
     )
     assert settle_wack(cluster, timeout=30.0)
     injector = FaultInjector(cluster.sim)
@@ -163,8 +144,8 @@ def test_single_owner_after_asym_heal_under_burst_loss(loss_bad, duration, seed)
         3,
         seed=seed,
         n_vips=4,
-        config=SpreadConfig.fast(**GRAY_SPREAD),
-        wack_overrides=dict(GRAY_WACK, maturity_timeout=0.5),
+        config=GRAY_SPREAD,
+        profile="hardened",
     )
     assert settle_wack(cluster, timeout=30.0)
     injector = FaultInjector(cluster.sim)

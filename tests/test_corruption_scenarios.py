@@ -10,21 +10,10 @@ executable documentation for the repertoire.
 
 from helpers import build_wack_cluster, settle_wack
 
-from repro.gcs.config import SpreadConfig
-from repro.core.config import WackamoleConfig
 
-
-def build_stabilizing_cluster(n=3, seed=7, n_vips=6, **wack_overrides):
+def build_stabilizing_cluster(n=3, seed=7, n_vips=6):
     """The gray-hardened shape plus periodic self-stabilization audits."""
-    overrides = dict(WackamoleConfig.profile("stabilizing"), maturity_timeout=0.5)
-    overrides.update(wack_overrides)
-    return build_wack_cluster(
-        n,
-        seed=seed,
-        n_vips=n_vips,
-        config=SpreadConfig.fast(**SpreadConfig.profile("stabilizing")),
-        wack_overrides=overrides,
-    )
+    return build_wack_cluster(n, seed=seed, n_vips=n_vips, profile="stabilizing")
 
 
 def owners_of(cluster, address):
@@ -107,8 +96,8 @@ def test_poisoned_arp_entry_is_overwritten_by_reannouncement():
     address = cluster.wconfig.group(record.param["slot"]).addresses[0]
     poisoned = victim.host.arp.cache.lookup(address)
     assert poisoned is not None and str(poisoned) == record.param["mac"]
-    # One re-announce interval (2.0s in the hardened overrides) + slack.
-    cluster.sim.run_for(cluster.wconfig.arp_reannounce_interval + 1.0)
+    # One re-announce interval (2.0s in the stabilizing row) + slack.
+    cluster.sim.run_for(cluster.wconfig.profile.arp_reannounce_interval + 1.0)
     owner = next(h for h in cluster.hosts if h.owns_ip(address))
     healed = victim.host.arp.cache.lookup(address)
     assert healed == owner.nics[0].mac

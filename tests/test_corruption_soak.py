@@ -31,7 +31,6 @@ from repro.net.host import Host
 from repro.net.lan import Lan
 from repro.obs.spans import stabilization_spans
 from repro.sim.simulation import Simulation
-from repro.stabilization import StabilizationConfig
 
 pytestmark = pytest.mark.soak
 
@@ -130,7 +129,6 @@ class CorruptionMonkey:
 
 
 def test_ten_minute_corruption_soak():
-    stabilization = StabilizationConfig(interval=0.5)
     sim = Simulation(
         seed=20260808,
         trace_enabled=True,
@@ -141,16 +139,14 @@ def test_ten_minute_corruption_soak():
         fault_detection_timeout=1.0,
         heartbeat_timeout=0.4,
         discovery_timeout=1.4,
-        suspicion_misses=2,
-        stabilization=stabilization,
+        profile="stabilizing",
     )
     vips = ["10.0.0.{}".format(100 + i) for i in range(N_VIPS)]
     wconfig = WackamoleConfig.for_vips(
         vips,
         maturity_timeout=1.0,
         balance_timeout=3.0,
-        stabilization=stabilization,
-        **WackamoleConfig.profile("hardened")
+        profile="stabilizing",
     )
     hosts, spreads, wacks = [], [], []
     for index in range(N_SERVERS):

@@ -9,28 +9,12 @@ documentation for the repertoire.
 
 from helpers import build_wack_cluster, settle_wack
 
-from repro.gcs.config import SpreadConfig
-from repro.core.config import WackamoleConfig
-from repro.core.supervisor import DaemonSupervisor
 from repro.net.linkfault import GilbertElliott
 
-#: The hardened shape the gray check harness runs: lenient detection
-#: relative to the induced faults, two-miss suspicion.
-GRAY_SPREAD = SpreadConfig.profile("hardened")
 
-
-def build_gray_cluster(n=3, seed=7, n_vips=6, spread_overrides=None, **wack_overrides):
-    overrides = dict(WackamoleConfig.profile("hardened"), maturity_timeout=0.5)
-    overrides.update(wack_overrides)
-    spread = dict(GRAY_SPREAD)
-    spread.update(spread_overrides or {})
-    return build_wack_cluster(
-        n,
-        seed=seed,
-        n_vips=n_vips,
-        config=SpreadConfig.fast(**spread),
-        wack_overrides=overrides,
-    )
+def build_gray_cluster(n=3, seed=7, n_vips=6, profile="hardened"):
+    """The cluster the gray check harness runs: the hardened row."""
+    return build_wack_cluster(n, seed=seed, n_vips=n_vips, profile=profile)
 
 
 def owners_of(cluster, address):
@@ -119,24 +103,22 @@ def test_slow_host_flaps_at_k1_and_rides_out_at_k2():
     """A factor-3 slowdown stretches heartbeats to 0.6s effective.
 
     With fd=0.5/hb=0.2 that is past the K=1 deadline (0.5s), so the
-    historical detector evicts the laggard; the K=2 deadline is
-    fd + hb = 0.7s, so the hardened detector absorbs every miss.
+    paper profile's detector evicts the laggard; the hardened K=2
+    deadline is fd + hb = 0.7s, so its detector absorbs every miss.
     """
     suspected = {}
-    for misses in (1, 2):
-        cluster = build_gray_cluster(
-            seed=19, spread_overrides={"suspicion_misses": misses}
-        )
+    for profile in ("paper", "hardened"):
+        cluster = build_gray_cluster(seed=19, profile=profile)
         assert settle_wack(cluster, timeout=30.0)
         baseline = sum(d.fd.suspicions for d in cluster.spreads)
         fault = cluster.faults.slow_host(cluster.hosts[0], 3.0)
         cluster.sim.run_for(6.0)
-        suspected[misses] = sum(d.fd.suspicions for d in cluster.spreads) - baseline
+        suspected[profile] = sum(d.fd.suspicions for d in cluster.spreads) - baseline
         fault.undo()
         assert settle_wack(cluster, timeout=40.0)
         assert_single_owner_coverage(cluster)
-    assert suspected[1] >= 1
-    assert suspected[2] == 0
+    assert suspected["paper"] >= 1
+    assert suspected["hardened"] == 0
 
 
 # ----------------------------------------------------------------------
@@ -167,14 +149,7 @@ def test_failover_with_skewed_clock():
 
 def test_supervisor_restarts_wedged_spread_daemon():
     cluster = build_gray_cluster(seed=29)
-    supervisor = DaemonSupervisor(
-        cluster.hosts[0],
-        check_interval=0.5,
-        stall_checks=3,
-        restart_backoff=0.5,
-        stable_after=5.0,
-    )
-    supervisor.start()
+    supervisor = cluster.supervisors[0]
     assert settle_wack(cluster, timeout=30.0)
     victim = cluster.hosts[0].spread_daemon
     cluster.faults.wedge_daemon(victim)
@@ -191,23 +166,17 @@ def test_supervisor_restarts_wedged_spread_daemon():
 
 def test_supervisor_restarts_killed_wackamole_daemon():
     cluster = build_gray_cluster(seed=31)
-    supervisor = DaemonSupervisor(
-        cluster.hosts[0],
-        check_interval=0.5,
-        stall_checks=3,
-        restart_backoff=0.5,
-        stable_after=5.0,
-    )
-    supervisor.watch_wackamole(cluster.wacks[0])
-    supervisor.start()
+    supervisor = cluster.supervisors[0]
     assert settle_wack(cluster, timeout=30.0)
-    cluster.faults.kill_daemon(cluster.wacks[0])
+    victim = cluster.wacks[0]
+    cluster.faults.kill_daemon(victim)
     cluster.sim.run_for(6.0)
     replacement = supervisor.wackamole
-    assert replacement is not None and replacement.alive
+    assert replacement is not victim and replacement.alive
     assert supervisor.wack_restarts >= 1
-    # Point the shared helpers at the current generation before judging.
-    cluster.wacks[0] = replacement
+    # The group put the replacement in its column; point the auditor
+    # at the current generation before judging.
+    assert cluster.wacks[0] is replacement
     cluster.auditor.daemons = list(cluster.wacks)
     assert settle_wack(cluster, timeout=40.0)
     assert_single_owner_coverage(cluster)

@@ -20,8 +20,6 @@ from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, ru
 
 from helpers import build_wack_cluster, settle_quiet, settle_wack
 
-from repro.gcs.config import SpreadConfig
-from repro.core.config import WackamoleConfig
 from repro.check.schedule import REPERTOIRES
 from repro.core.state import RUN
 
@@ -129,14 +127,7 @@ class StabilizingClusterMachine(FaultMachine):
 
     @initialize(seed=st.integers(0, 2**16))
     def boot(self, seed):
-        overrides = dict(WackamoleConfig.profile("stabilizing"), maturity_timeout=0.5)
-        self.cluster = build_wack_cluster(
-            N,
-            seed=seed,
-            n_vips=5,
-            config=SpreadConfig.fast(**SpreadConfig.profile("stabilizing")),
-            wack_overrides=overrides,
-        )
+        self.cluster = build_wack_cluster(N, seed=seed, n_vips=5, profile="stabilizing")
         assert settle_wack(self.cluster)
 
     def _live_wack(self, index):
