@@ -19,7 +19,8 @@ rules that close one:
   (``docs/FAULTS.md``, "State corruption"), which has no healing action
   of its own: the cluster is expected to *notice* the corrupted state
   through its periodic audits. A span closes on the first
-  ``stabilize/repair`` record emitted by the corrupted process. The
+  ``stabilize/repair`` record emitted by the corrupted process; for a
+  VIP-table ``drop`` or ``duplicate``, the repair of its own slot. The
   audit is not the only repair path: a corrupted view, counter or
   epoch is also rewritten wholesale when the daemon installs a fresh
   view — a dropped member's own heartbeats trigger a gather through
@@ -37,7 +38,7 @@ rules that close one:
 Spans can legitimately stay open (``end=None``): the trace ended
 first; a ``poison_arp`` mutation is repaired on the *client* side by
 the owner's periodic gratuitous re-announcement, which emits no
-stabilization record. A ``noop`` mutation found nothing to corrupt and
+stabilization record, so no audit repair closes it. A ``noop`` mutation found nothing to corrupt and
 opens no span at all.
 
 Like episode extraction this is a pure function of the trace, so the
@@ -117,9 +118,9 @@ class DegradedSpan(Span):
 
 
 class StabilizationSpan(Span):
-    """One corruption's detect-and-repair window."""
+    """One corruption's detect-and-repair window (``slot``: a VIP-table one's)."""
 
-    __slots__ = ("mutation", "invariant")
+    __slots__ = ("mutation", "slot", "invariant")
     ONSET = ("mutation",)
     CLOSING = ("invariant",)
 
@@ -239,6 +240,16 @@ CORRUPTION_EVENTS = (
 _VIEW_SCOPED = ("corrupt_membership", "corrupt_sequence", "corrupt_epoch")
 
 
+def _repaired(span, record):
+    # A binding repair names its slot: it answers the drop or duplicate
+    # of that slot, and never a poisoned client cache.
+    if span.target != record.source:
+        return False
+    return span.kind != "corrupt_vip_table" or (
+        span.mutation != "poison_arp" and span.slot == record.details.get("slot")
+    )
+
+
 class StabilizationFold(SpanFold):
     """The corruption repair windows (:class:`StabilizationSpan`)."""
 
@@ -247,8 +258,7 @@ class StabilizationFold(SpanFold):
     CLOSE = (
         ("fault", "crash", "crash",
          lambda span, record: _host_of(span.target) == record.details.get("target")),
-        ("stabilize", "repair", "repair",
-         lambda span, record: span.target == record.source),
+        ("stabilize", "repair", "repair", _repaired),
         ("membership", "install", "view_change",
          lambda span, record: span.kind in _VIEW_SCOPED and span.target == record.source),
         ("wackamole", "run", "reallocation",
@@ -259,8 +269,9 @@ class StabilizationFold(SpanFold):
 
     @staticmethod
     def onset(record):
-        mutation = (record.details.get("param") or {}).get("mutation")
-        return None if mutation == "noop" else {"mutation": mutation}
+        param = record.details.get("param") or {}
+        mutation = param.get("mutation")
+        return None if mutation == "noop" else {"mutation": mutation, "slot": param.get("slot")}
 
 
 def degraded_spans(records):

@@ -148,3 +148,37 @@ def test_dict_form_is_json_ready_and_rounded():
             "invariant": "highest_counter",
         }
     ]
+
+
+def test_a_binding_repair_closes_only_the_span_of_its_own_slot():
+    # No audit answers a poisoned client cache, and a repair of one
+    # slot leaves a drop on another slot open.
+    spans = stabilization_spans(
+        [
+            corrupt(1.0, "corrupt_vip_table", "wack@s3", mutation="poison_arp", slot="v1"),
+            corrupt(1.1, "corrupt_vip_table", "wack@s3", mutation="drop", slot="v2"),
+            corrupt(1.2, "corrupt_vip_table", "wack@s3", mutation="duplicate", slot="v3"),
+            rec(1.5, "stabilize", "wack@s3", "repair", invariant="binding_foreign", slot="v3"),
+            rec(1.6, "stabilize", "wack@s3", "repair", invariant="binding_lost", slot="v1"),
+        ]
+    )
+    assert [(span.mutation, span.end, span.invariant) for span in spans] == [
+        ("poison_arp", None, None),
+        ("drop", None, None),
+        ("duplicate", 1.5, "binding_foreign"),
+    ]
+
+
+def test_a_poisoned_cache_stays_open_past_a_later_binding_repair():
+    # The CI corruption campaign's trial 1: a poison_arp on wack@s3 at
+    # 14.09 s used to close on that daemon's binding_foreign repair of
+    # another slot at 35.6 s.
+    params = campaign_params(
+        base_seed=20260806, trials=24, n_servers=4, n_vips=8,
+        horizon=60, events_per_trial=10, corrupt=True,
+    )
+    result = run_trial(build_trial_spec(params, 1))
+    assert result["verdict"] == "pass"
+    (span,) = [span for span in result["stabilization"] if span["mutation"] == "poison_arp"
+               and span["target"] == "wack@s3" and 14.0 < span["start"] < 14.2]
+    assert (span["end"], span["end_cause"]) == (None, None)
