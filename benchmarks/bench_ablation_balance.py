@@ -1,3 +1,4 @@
+from repro.obs.dashboard import format_table
 """Ablation: the RUN-state re-balancing procedure (§3.4).
 
 "After several partitions/merges, the system may end up with a very
@@ -10,7 +11,6 @@ imbalance with balancing on and off.
 
 from helpers import build_wack_cluster, settle_wack
 
-from repro.experiments.report import format_table
 
 
 def _post_merge_imbalance(balance_enabled, seed):

@@ -13,7 +13,8 @@ their conflicting addresses — with the eager drop on and off.
 
 from helpers import build_wack_cluster, settle_wack
 
-from repro.experiments.report import format_table, mean
+from repro.experiments.report import mean
+from repro.obs.dashboard import format_table
 
 
 def _merge_release_latency(eager, seed):

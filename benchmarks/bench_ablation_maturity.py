@@ -1,3 +1,4 @@
+from repro.obs.dashboard import format_table
 """Ablation: the maturity bootstrap (§3.4).
 
 "The reason for this optimization is to avoid quick IP reallocations
@@ -10,7 +11,6 @@ total address movements during boot.
 
 from helpers import build_wack_cluster, settle_wack
 
-from repro.experiments.report import format_table
 
 
 def _boot_churn(maturity_timeout, seed):

@@ -11,7 +11,8 @@ slightly longer reconfiguration for the representative mode.
 
 from helpers import build_wack_cluster, settle_wack
 
-from repro.experiments.report import format_table, mean
+from repro.experiments.report import mean
+from repro.obs.dashboard import format_table
 
 
 def _reconfiguration_tail(representative, seed):

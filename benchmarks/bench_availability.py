@@ -6,8 +6,8 @@ both Table 1 configurations.
 """
 
 from repro.experiments.availability import AvailabilityExperiment
-from repro.experiments.report import format_table
 from repro.gcs.config import SpreadConfig
+from repro.obs.dashboard import format_table
 
 
 def bench_pool_availability_under_one_fault(benchmark, paper_report):

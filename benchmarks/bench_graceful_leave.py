@@ -9,8 +9,9 @@ instead) to show the fallback cost is timeout-scale.
 
 from repro.experiments.graceful import GracefulLeaveExperiment
 from repro.apps.cluster import measure_failover
-from repro.experiments.report import format_table, mean
+from repro.experiments.report import mean
 from repro.gcs.config import SpreadConfig
+from repro.obs.dashboard import format_table
 
 
 def bench_graceful_leave_lightweight(benchmark, paper_report):

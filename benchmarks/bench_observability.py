@@ -22,8 +22,8 @@ perturb the measured system.
 """
 
 from repro.apps.webcluster import WebClusterScenario
-from repro.experiments.report import format_table
 from repro.gcs.config import SpreadConfig
+from repro.obs.dashboard import format_table
 
 #: Engineering budget (quiet hardware) vs. CI guard (noisy runners).
 OVERHEAD_BUDGET = 0.05

@@ -23,11 +23,12 @@ from repro.experiments.figure5 import Figure5Experiment
 from repro.experiments.graceful import GracefulLeaveExperiment
 from repro.experiments.load import LoadedClusterExperiment
 from repro.experiments.plotting import render_series
-from repro.experiments.report import format_table, mean, stdev
+from repro.experiments.report import mean, stdev
 from repro.experiments.router_experiment import RouterFailoverExperiment
 from repro.experiments.runner import run_failover_trial
 from repro.experiments.table1 import Table1Experiment
 from repro.experiments.tuning import FalsePositiveExperiment, SensitivityExperiment
+from repro.obs.dashboard import format_table
 
 __all__ = [
     "AvailabilityExperiment",

@@ -10,8 +10,9 @@ availability.
 
 from repro.apps.webcluster import WebClusterScenario
 from repro.apps.workload import ProbeClient
-from repro.experiments.report import format_table, mean
+from repro.experiments.report import mean
 from repro.gcs.config import SpreadConfig
+from repro.obs.dashboard import format_table
 from repro.sim.rng import RngRegistry
 
 

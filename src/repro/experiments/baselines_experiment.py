@@ -12,12 +12,13 @@ from repro.apps.workload import ProbeClient, UdpEchoServer
 from repro.baselines.fake import FakeFailover
 from repro.baselines.hsrp import HsrpRouter
 from repro.baselines.vrrp import VrrpRouter
-from repro.experiments.report import format_table, mean
+from repro.experiments.report import mean
 from repro.experiments.runner import run_failover_trial
 from repro.gcs.config import SpreadConfig
 from repro.net.fault import FaultInjector
 from repro.net.host import Host
 from repro.net.lan import Lan
+from repro.obs.dashboard import format_table
 from repro.sim.simulation import Simulation
 
 SUBNET = "198.51.100.0/24"

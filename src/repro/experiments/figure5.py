@@ -9,9 +9,10 @@ Spread configurations.
 """
 
 from repro.experiments.plotting import render_series
-from repro.experiments.report import format_table, mean, stdev
+from repro.experiments.report import mean, stdev
 from repro.experiments.runner import run_failover_trial
 from repro.gcs.config import SpreadConfig
+from repro.obs.dashboard import format_table
 
 
 class Figure5Experiment:

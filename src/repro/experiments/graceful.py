@@ -11,9 +11,10 @@ failure detection, no discovery — the remaining members see a group
 membership change within the message-ordering latency.
 """
 
-from repro.experiments.report import format_table, mean
+from repro.experiments.report import mean
 from repro.experiments.runner import run_failover_trial
 from repro.gcs.config import SpreadConfig
+from repro.obs.dashboard import format_table
 
 
 class GracefulLeaveExperiment:

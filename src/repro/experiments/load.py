@@ -15,10 +15,11 @@ with and without real-time priority for the GCS daemons.
 
 from repro.apps.cluster import ServerGroup
 from repro.core.config import WackamoleConfig
-from repro.experiments.report import format_table, mean
+from repro.experiments.report import mean
 from repro.gcs.config import SpreadConfig
 from repro.net.host import Host
 from repro.net.lan import Lan
+from repro.obs.dashboard import format_table
 from repro.sim.simulation import Simulation
 
 

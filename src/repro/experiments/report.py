@@ -1,4 +1,4 @@
-"""Small reporting helpers: statistics and paper-style ASCII tables."""
+"""Small reporting helpers: statistics (the tables are ``repro.obs.dashboard``'s)."""
 
 import math
 
@@ -18,30 +18,3 @@ def stdev(values):
         return 0.0
     centre = mean(values)
     return math.sqrt(sum((v - centre) ** 2 for v in values) / (len(values) - 1))
-
-
-def format_table(headers, rows, title=None):
-    """Render a fixed-width table like the ones in the paper."""
-    columns = [str(h) for h in headers]
-    text_rows = [[_cell(value) for value in row] for row in rows]
-    widths = [len(column) for column in columns]
-    for row in text_rows:
-        for index, cell in enumerate(row):
-            widths[index] = max(widths[index], len(cell))
-
-    def line(cells):
-        return "  ".join(cell.ljust(width) for cell, width in zip(cells, widths)).rstrip()
-
-    parts = []
-    if title:
-        parts.append(title)
-    parts.append(line(columns))
-    parts.append("  ".join("-" * width for width in widths))
-    parts.extend(line(row) for row in text_rows)
-    return "\n".join(parts)
-
-
-def _cell(value):
-    if isinstance(value, float):
-        return "{:.3f}".format(value)
-    return str(value)

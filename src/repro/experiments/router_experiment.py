@@ -14,8 +14,9 @@ router crashes, under the three routing setups:
 
 from repro.apps.cluster import fault_phase
 from repro.apps.routercluster import RouterClusterScenario
-from repro.experiments.report import format_table, mean
+from repro.experiments.report import mean
 from repro.gcs.config import SpreadConfig
+from repro.obs.dashboard import format_table
 
 
 class RouterFailoverExperiment:

@@ -10,9 +10,10 @@ verify it falls in the derived window.
 """
 
 from repro.apps.cluster import fault_phase
-from repro.experiments.report import format_table, mean
+from repro.experiments.report import mean
 from repro.experiments.runner import settled_cluster
 from repro.gcs.config import SpreadConfig
+from repro.obs.dashboard import format_table
 
 
 class Table1Experiment:

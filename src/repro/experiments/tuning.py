@@ -20,9 +20,10 @@ qualitatively:
 
 from repro.apps.webcluster import WebClusterScenario
 from repro.experiments.plotting import render_series
-from repro.experiments.report import format_table, mean
+from repro.experiments.report import mean
 from repro.experiments.runner import run_failover_trial
 from repro.gcs.config import SpreadConfig
+from repro.obs.dashboard import format_table
 
 
 class FalsePositiveExperiment:

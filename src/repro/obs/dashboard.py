@@ -1,6 +1,8 @@
 """Render observability state: text dashboard and JSON-lines export.
 
-Both renderers are pure functions of (registry, episodes): deterministic
+:func:`format_table` is the one fixed-width table layout, shared with
+the paper-style experiment reports (which import it from here, so
+``repro observe`` loads no experiment). Both renderers are pure functions of (registry, episodes): deterministic
 input produces byte-identical output, which makes the exports diffable
 across replays. The JSON-lines form is one self-describing object per
 line (``header`` / ``metric`` / ``episode``), dumped with sorted keys
@@ -10,11 +12,14 @@ and compact separators so the bytes are stable.
 import json
 
 
-def _format_table(headers, rows):
-    """Minimal fixed-width table (no external formatting deps)."""
-    table = [list(headers)] + [[str(cell) for cell in row] for row in rows]
+def format_table(headers, rows, title=None):
+    """A fixed-width table like the paper's; a float cell shows three decimals."""
+    table = [[str(cell) for cell in headers]] + [
+        ["{:.3f}".format(cell) if isinstance(cell, float) else str(cell) for cell in row]
+        for row in rows
+    ]
     widths = [max(len(row[col]) for row in table) for col in range(len(headers))]
-    lines = []
+    lines = [title] if title else []
     for index, row in enumerate(table):
         lines.append("  ".join(cell.ljust(width) for cell, width in zip(row, widths)).rstrip())
         if index == 0:
@@ -78,7 +83,7 @@ def render_dashboard(registry, episodes=(), title="observability dashboard"):
         label_text = ",".join("{}={}".format(k, v) for k, v in labels)
         rows.append((name, node, label_text or "-", _format_value(instrument)))
     if rows:
-        lines.append(_format_table(("metric", "node", "labels", "value"), rows))
+        lines.append(format_table(("metric", "node", "labels", "value"), rows))
         lines.append("")
 
     lines.append(render_episodes(episodes).rstrip("\n"))
@@ -114,7 +119,7 @@ def render_episodes(episodes):
             )
         )
     lines.append(
-        _format_table(
+        format_table(
             ("#", "trigger", "t", "victim", "complete", "detect", "membership",
              "gather", "arp", "client", "total"),
             rows,

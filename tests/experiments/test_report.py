@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.experiments.report import format_table, mean, stdev
+from repro.experiments.report import mean, stdev
+from repro.obs.dashboard import format_table
 
 
 def test_mean_of_values():
