@@ -8,6 +8,8 @@ byte-identical (asserted by tests/analysis).
 
 import json
 
+from repro.analysis.proto003 import CODE
+
 
 def summarize(result):
     """Per-rule counts and totals as a plain dict."""
@@ -30,7 +32,7 @@ def render_json(result):
         "summary": summarize(result),
         "findings": [f.to_dict() for f in result.findings],
         "parse_errors": [f.to_dict() for f in result.parse_errors],
-        "rules": sorted(result.rules),
+        "rules": [CODE],
     }
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 

@@ -1,5 +1,6 @@
 """The `repro lint` subcommand end to end."""
 
+import functools
 import json
 import os
 
@@ -8,7 +9,7 @@ import pytest
 from repro import analysis
 from repro.analysis.report import render_text
 from repro.cli import main
-from tests.analysis.test_rules import fixture, fixture_config
+from tests.analysis.test_rules import FIXTURE_MACHINES, fixture
 
 REPO_ROOT = os.path.normpath(
     os.path.join(os.path.dirname(__file__), os.pardir, os.pardir)
@@ -25,14 +26,14 @@ def run_cli(argv):
 @pytest.fixture
 def fixture_layout(monkeypatch):
     """`repro lint` reads its state machines from the fixture tree."""
-    monkeypatch.setattr(analysis, "LintConfig", fixture_config)
+    monkeypatch.setattr(
+        analysis, "lint", functools.partial(analysis.lint, state_machines=FIXTURE_MACHINES)
+    )
 
 
 BAD_FIXTURE_ARGS = [
     ("PROTO003", fixture("proto003_bad.py")),
 ]
-
-ALL_CODES = ("PROTO003",)
 
 
 @pytest.mark.parametrize(
@@ -59,35 +60,6 @@ def test_cli_json_format(fixture_layout):
     payload = json.loads(output)
     assert payload["format"] == "repro-lint/1"
     assert payload["findings"] and all(f["rule"] == "PROTO003" for f in payload["findings"])
-
-
-def test_cli_list_rules():
-    exit_code, output = run_cli(["lint", "--list-rules"])
-    assert exit_code == 0
-    assert [line.split()[0] for line in output.splitlines()] == list(ALL_CODES)
-
-
-@pytest.mark.parametrize("code", ALL_CODES)
-def test_cli_explain_every_rule(code):
-    exit_code, output = run_cli(["lint", "--explain", code])
-    assert exit_code == 0
-    assert output.startswith(code)
-    assert "bad:" in output
-    assert "good:" in output
-
-
-def test_cli_explain_is_case_insensitive():
-    exit_code, output = run_cli(["lint", "--explain", "proto003"])
-    assert exit_code == 0
-    assert output.startswith("PROTO003")
-
-
-def test_cli_explain_unknown_code_fails():
-    # A deleted rule's code is not an alias of the one that is left.
-    for code in ("NOPE999", "det001"):
-        exit_code, output = run_cli(["lint", "--explain", code])
-        assert exit_code == 1
-        assert "unknown rule" in output
 
 
 def test_cli_state_machines_json(cli_state_machines):

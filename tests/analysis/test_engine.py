@@ -4,7 +4,7 @@ import ast
 import json
 import os
 
-from repro.analysis import LintConfig, Linter
+from repro.analysis import lint
 from repro.analysis.engine import ModuleIndex, collect_files
 from repro.analysis.report import render_json, render_text
 from repro.analysis.statemachine import StateMachineSpec
@@ -20,7 +20,7 @@ def _lint_source(tmp_path, *lines):
     path = tmp_path / "snippet.py"
     path.write_text(MACHINE + "".join(line + "\n" for line in lines))
     spec = StateMachineSpec("snippet", "states", "snippet.py", "Machine")
-    return Linter(LintConfig(state_machines=[spec])).run([str(path)])
+    return lint([str(path)], [spec])
 
 
 class TestSuppressions:
@@ -88,7 +88,7 @@ class TestParseErrors:
     def test_syntax_error_is_reported_not_raised(self, tmp_path):
         path = tmp_path / "broken.py"
         path.write_text("def broken(:\n")
-        result = Linter(LintConfig()).run([str(path)])
+        result = lint([str(path)])
         assert len(result.parse_errors) == 1
         assert result.parse_errors[0].rule == "PARSE"
         assert not result.ok
@@ -128,7 +128,7 @@ def test_index_walks_any_subtree_in_ast_walk_order():
 
 
 def test_lint_traverses_each_module_once(monkeypatch):
-    """Rules read the module index instead of walking the tree: linting
+    """PROTO003 reads the module index instead of walking the tree: linting
     src/repro/gcs enters ast.iter_child_nodes at most twice per node."""
     nodes = 0
     for path in collect_files([GCS]):
@@ -142,5 +142,5 @@ def test_lint_traverses_each_module_once(monkeypatch):
         return iter_child_nodes(node)
 
     monkeypatch.setattr(ast, "iter_child_nodes", counting)
-    Linter(LintConfig()).run([GCS])
+    lint([GCS])
     assert entered[0] <= 2 * nodes, (entered[0], nodes)

@@ -10,7 +10,7 @@ import os
 import subprocess
 import sys
 
-from repro.analysis import LintConfig, Linter
+from repro.analysis import lint
 from repro.analysis.report import render_json
 
 REPO_ROOT = os.path.normpath(
@@ -20,7 +20,7 @@ SRC = os.path.join(REPO_ROOT, "src", "repro")
 
 
 def test_two_in_process_runs_are_byte_identical(repo_lint):
-    second = Linter(LintConfig()).run([SRC])
+    second = lint([SRC])
     assert render_json(repo_lint) == render_json(second)
 
 

@@ -52,7 +52,7 @@ def test_no_command_loads_numpy(tmp_path):
         "        code = stop.code",
         "    print(code, 'numpy' in sys.modules)",
         "run(['check', '--help'])",
-        "run(['lint', '--list-rules'])",
+        "run(['lint', 'src/repro/analysis'])",
         "run(['check', '--trials', '2', '--workers', '1', '--horizon', '10',",
         "     '--events', '2', '--artifacts', {!r}])".format(str(tmp_path / "trials")),
         "run(['flow', '--users', '1000', '--observe', '1'])",
@@ -78,8 +78,9 @@ def test_choice_names_match_the_registries():
 )
 def test_help_of_every_subcommand_is_the_recorded_text(monkeypatch, capsys):
     # Re-recorded when `flow --fault` took FAULT_MODES, `lint` lost
-    # --protocol and --sim-restrict, and `observe` gained --cost and
-    # --hosts; every choice list is a name.
+    # --protocol and --sim-restrict (and later --list-rules and
+    # --explain), and `observe` gained --cost and --hosts; every choice
+    # list is a name.
     monkeypatch.setenv("COLUMNS", "80")
     with open(os.path.join(TESTS, "golden_cli_help.json")) as handle:
         recorded = json.load(handle)
