@@ -220,31 +220,12 @@ def make_artifact(spec, result, original_spec=None, original_result=None):
     }
 
 
-def run_campaign(
-    base_seed=0,
-    trials=16,
-    workers=1,
-    n_servers=4,
-    n_vips=8,
-    horizon=40.0,
-    events_per_trial=8,
-    fixture="standard",
-    shrink=True,
-    shrink_budget=80,
-    artifacts_dir=None,
-    **spec_overrides,
-):
-    """Generate, run, and post-process one campaign; returns a report."""
-    params = campaign_params(
-        base_seed=base_seed,
-        trials=trials,
-        n_servers=n_servers,
-        n_vips=n_vips,
-        horizon=horizon,
-        events_per_trial=events_per_trial,
-        fixture=fixture,
-        **spec_overrides,
-    )
+def run_campaign(workers=1, shrink=True, shrink_budget=80, artifacts_dir=None, **campaign):
+    """Generate, run, and post-process one campaign; returns a report.
+
+    ``campaign`` holds :func:`campaign_params`' keywords, with its defaults.
+    """
+    params = campaign_params(**campaign)
     specs = [build_trial_spec(params, index) for index in range(params["trials"])]
     # Wall-clock is fine here: elapsed time is reported to the operator
     # only and never feeds a trial verdict or an artifact.
