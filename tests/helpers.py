@@ -5,6 +5,8 @@ import pickle
 
 from repro.apps.cluster import ServerGroup, run_until, servers_settled
 from repro.core.config import WackamoleConfig
+from repro.core.iface import InterfaceManager
+from repro.core.notify import ArpNotifier
 from repro.gcs.config import SpreadConfig
 from repro.gcs.daemon import SpreadDaemon
 from repro.gcs.membership import OPERATIONAL
@@ -48,6 +50,24 @@ def settle_gcs(cluster, duration=None):
     duration = duration or (cluster.config.discovery_timeout * 4 + 2.0)
     cluster.sim.run_for(duration)
     return cluster
+
+
+def build_arp_segment(seed, vip="10.0.0.100", profile="hardened"):
+    """One owner and one client host, plus the owner's notifier stack.
+
+    No daemon runs: the caller acquires ``vip`` through the returned
+    interface manager and drives any re-announcement itself.
+    """
+    sim = Simulation(seed=seed)
+    lan = Lan(sim, "lan0", "10.0.0.0/24")
+    owner = Host(sim, "owner")
+    owner.add_nic(lan, "10.0.0.1")
+    client = Host(sim, "client")
+    client.add_nic(lan, "10.0.0.2")
+    config = WackamoleConfig.for_vips([vip], profile=profile)
+    notifier = ArpNotifier(owner, config)
+    manager = InterfaceManager(owner, config, notifier)
+    return sim, lan, owner, client, manager, vip
 
 
 WackCluster = collections.namedtuple(

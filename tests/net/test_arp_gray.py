@@ -19,36 +19,16 @@ is a real protocol bug, reproducible from (loss, seed).
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import build_wack_cluster, settle_wack
+from helpers import build_arp_segment, build_wack_cluster, settle_wack
 
 from repro.gcs.config import SpreadConfig
-from repro.core.config import WackamoleConfig
-from repro.core.iface import InterfaceManager
-from repro.core.notify import ArpNotifier
 from repro.core.state import RUN
 from repro.net.fault import FaultInjector
-from repro.net.host import Host
-from repro.net.lan import Lan
 from repro.net.linkfault import GilbertElliott
-from repro.sim.simulation import Simulation
 
 #: Detection lenient relative to the loss level; with the hardened
 #: row's K=2 suspicion a single burst never flaps membership.
 GRAY_SPREAD = SpreadConfig.fast(fault_detection_timeout=1.5, discovery_timeout=0.6)
-
-
-def build_segment(seed, vip="10.0.0.100"):
-    """One owner and one client host, plus a hardened notifier stack."""
-    sim = Simulation(seed=seed)
-    lan = Lan(sim, "lan0", "10.0.0.0/24")
-    owner = Host(sim, "owner")
-    owner.add_nic(lan, "10.0.0.1")
-    client = Host(sim, "client")
-    client.add_nic(lan, "10.0.0.2")
-    config = WackamoleConfig.for_vips([vip], profile="hardened")
-    notifier = ArpNotifier(owner, config)
-    manager = InterfaceManager(owner, config, notifier)
-    return sim, lan, owner, client, manager, vip
 
 
 @given(st.floats(0.5, 0.95), st.integers(0, 2**16))
@@ -61,7 +41,7 @@ def test_announce_campaign_converges_client_cache(loss_bad, seed):
     every second for ten seconds) must land at least one copy, after
     which the client's cache maps the VIP to the owner's real MAC.
     """
-    sim, lan, owner, client, manager, vip = build_segment(seed)
+    sim, lan, owner, client, manager, vip = build_arp_segment(seed)
     lan.add_link_model(GilbertElliott(loss_good=0.0, loss_bad=loss_bad))
     manager.acquire(vip)
     for tick in range(1, 11):
@@ -82,7 +62,7 @@ def test_cache_converges_even_when_loss_persists(loss_bad, seed):
     because the campaign offers enough independent deliveries, not
     because the test quietly heals the network first.
     """
-    sim, lan, owner, client, manager, vip = build_segment(seed)
+    sim, lan, owner, client, manager, vip = build_arp_segment(seed)
     model = GilbertElliott(loss_good=0.0, loss_bad=loss_bad)
     lan.add_link_model(model)
     manager.acquire(vip)
