@@ -4,11 +4,11 @@ One :class:`FlowEngine` advances every attached
 :class:`~repro.flow.pool.FlowPool` on a coarse periodic tick. A tick is
 never O(users) — a million simulated clients cost exactly as much as
 their demand classes — and its Python-level work is proportional to
-what changed: VIPs are resolved again only when a resolver reports
-that its inputs moved, and accounting visits only the pools whose
-goodput factor is not 1.0. That is what lets the flow plane coexist
-with the exact per-packet prober at 10^5–10^7 users without melting the
-event loop.
+what changed: only a resolver that reports its inputs moved resolves
+its own VIPs again, and accounting visits only the pools whose goodput
+factor is not 1.0. That is what lets the flow plane coexist with the
+exact per-packet prober at 10^5–10^7 users without melting the event
+loop.
 
 A pool's offered requests per tick (``raw = demand * tick + carry``,
 ``offered = floor(raw)``, ``carry = raw - offered``) never read its
@@ -132,27 +132,30 @@ class FlowEngine(Process):
         # Offered per class since the last flush, and lost per pool.
         self._class_offered = [0] * len(self._class_demand)
         self._pool_lost = {}
-        # Resolution groups: one resolver.resolve call per distinct
-        # (resolver, vip) pair per tick, shared by every pool aimed at it.
-        self._resolvers = []
-        self._group_keys = []
+        # Resolution groups: one resolve call per distinct (resolver,
+        # vip) pair, shared by every pool aimed at it; ``_cells`` pairs
+        # each resolver with its groups, in first-seen order.
+        self._group_vips = []
         self._group_pools = []
-        group_index = {}
         self._pool_group = []
+        group_index = {}
+        self._cells = {}
         for index, pool in enumerate(self.pools):
             resolver = pool.resolver if pool.resolver is not None else self.resolver
             key = (id(resolver), pool.vip)
             group = group_index.get(key)
             if group is None:
-                group = group_index[key] = len(self._group_keys)
-                self._group_keys.append((resolver, pool.vip))
+                group = group_index[key] = len(self._group_vips)
+                self._group_vips.append(pool.vip)
                 self._group_pools.append([])
-                if resolver not in self._resolvers:
-                    self._resolvers.append(resolver)
+                self._cells.setdefault(id(resolver), (resolver, []))[1].append(group)
             self._group_pools[group].append(index)
             self._pool_group.append(group)
-        self._gated = [index for index, pool in enumerate(self.pools) if pool.require is not None]
-        self._kept = None
+        # Kept answers: lossy pools' (factor, reason), their sorted list
+        # (None until a first resolve), and gated pools' (factor, owner).
+        self._gates = {i: None for i, pool in enumerate(self.pools) if pool.require is not None}
+        self._lossy = {}
+        self._degraded = None
         self._compiled = True
 
     def _flush_carry(self):
@@ -199,30 +202,32 @@ class FlowEngine(Process):
         """``[(pool index, (factor, reason))]`` for every pool whose factor
         is not 1.0, in ascending pool order, via one resolve per distinct VIP.
 
-        Last tick's list is kept while every resolver's ``begin_tick()``
-        returns true, its promise that each ``resolve`` would answer as
-        before. ``None`` (a resolver that makes no such promise) means
-        resolve again; the list makes every resolver begin its tick
-        either way.
+        Every resolver begins its tick; one whose ``begin_tick()`` returns
+        true (its promise that each ``resolve`` answers as before) keeps
+        its answers, any other (``None`` promises nothing) resolves its
+        own VIPs again. A recompile resolves every VIP once. A ``require``
+        gate reads state no resolver vouches for, so it runs every tick.
         """
-        unchanged = all([resolver.begin_tick() for resolver in self._resolvers])
-        if unchanged and self._kept is not None:
-            return self._kept
-        results = [resolver.resolve(vip) for resolver, vip in self._group_keys]
-        degraded = {}
-        for group, (factor, reason, _owner) in enumerate(results):
-            if factor != 1.0:
+        fresh = self._degraded is None
+        moved = [cell for cell in self._cells.values() if not cell[0].begin_tick() or fresh]
+        lossy, gates = self._lossy, self._gates
+        for resolver, groups in moved:
+            for group in groups:
+                factor, reason, owner = resolver.resolve(self._group_vips[group])
                 for index in self._group_pools[group]:
-                    degraded[index] = (factor, reason)
-        for index in self._gated:
-            factor, _reason, owner = results[self._pool_group[index]]
+                    if index in gates:
+                        gates[index] = (factor, owner)
+                    if factor != 1.0:
+                        lossy[index] = (factor, reason)
+                    else:
+                        lossy.pop(index, None)
+        if moved:
+            self._degraded = sorted(lossy.items())
+        closed = {}
+        for index, (factor, owner) in gates.items():
             if factor > 0.0 and (owner is None or not self.pools[index].require(owner)):
-                degraded[index] = (0.0, "no_route")
-        degraded = sorted(degraded.items())
-        # A require gate reads state no resolver vouches for, so a
-        # gated pool set is resolved afresh every tick.
-        self._kept = None if self._gated else degraded
-        return degraded
+                closed[index] = (0.0, "no_route")
+        return sorted({**lossy, **closed}.items()) if closed else self._degraded
 
     def _account(self, offered_now, offered_total, degraded):
         """Totals, per-reason metrics, and per-VIP loss trace records.
@@ -269,11 +274,10 @@ class FlowEngine(Process):
             # The record covers every pool aimed at the VIP, lossy or not.
             reason, lost = lost_groups[group]
             offered = sum(offered_now[pool_class[index]] for index in self._group_pools[group])
-            _resolver, vip = self._group_keys[group]
             self.trace(
                 "flow",
                 "loss",
-                vip=str(vip),
+                vip=str(self._group_vips[group]),
                 offered=offered,
                 served=offered - lost,
                 lost=lost,

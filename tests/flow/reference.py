@@ -6,6 +6,8 @@ goodput product per pool, then accounting over the pools that lost
 something. It is the pure-python loop the engine ran before pools were
 grouped into demand classes, so a run through it is what the engine's
 fingerprint, metrics and ``flow/loss`` records must equal bit for bit.
+Its resolution is the obvious one too: every VIP again once any resolver
+moved, and every tick while a pool is gated.
 """
 
 import math

@@ -1,8 +1,9 @@
 """A quiet flow tick costs one counter compare, not a walk over every pool.
 
 ``DirectResolver`` and ``ArpViewResolver`` keep their tables while the
-LAN's change counter stands still, ``FlowEngine`` keeps its factors
-while every resolver says so, and accounting visits only lossy pools.
+LAN's change counter stands still, ``FlowEngine`` keeps each resolver's
+answers while that resolver says so (a fault in one cell resolves that
+cell's VIPs alone), and accounting visits only lossy pools.
 These tests hold that to *counts* (``resolve`` calls, false
 ``begin_tick`` returns, address parses), never to wall clock, and to
 bit-identity with two references: a resolver that forgets its last read
@@ -136,7 +137,7 @@ class Recorder:
 
     The engine begins every resolver once a tick, in order; a tick's
     entry in ``begins`` is false when any of them was (the engine then
-    resolves every VIP).
+    resolves that resolver's VIPs again, and only those).
     """
 
     def __init__(self, resolvers):
@@ -471,9 +472,10 @@ def test_kept_arp_view_is_bit_identical_to_resolving_every_tick(
 
 
 def test_gated_engine_resolves_every_tick_and_stays_quiet(engine_class):
-    # A require gate makes the engine resolve on quiet ticks as well
-    # (RouterClusterScenario): warm lookups write nothing, so the view
-    # stays quiet, and the resolver keeps no state per address asked.
+    # A require gate (RouterClusterScenario) runs every tick on the kept
+    # owners, so the engine resolves nothing on quiet ticks; the
+    # reference still resolves every VIP every tick, and its warm
+    # lookups write nothing, so the view stays quiet for it too.
     world = ArpWorld(ArpViewResolver, engine_class, require=lambda host: True)
     world.client.arp.cache.lifetime = 3600.0
     world.sim.run_for(0.5)
@@ -481,7 +483,8 @@ def test_gated_engine_resolves_every_tick_and_stays_quiet(engine_class):
     world.sim.run_for(50.0)
     assert len(world.recorder.begins) == 1000
     assert world.recorder.false_ticks() == 0
-    assert world.recorder.resolves == 1000 * len(ARP_VIPS)
+    per_tick = 0 if engine_class is FlowEngine else len(ARP_VIPS)
+    assert world.recorder.resolves == 1000 * per_tick
     assert world.engine.totals()["lost"] == 0
 
 
@@ -489,8 +492,11 @@ def test_gated_engine_resolves_every_tick_and_stays_quiet(engine_class):
 # (b) the budget: quiet ticks resolve nothing, a fault costs a few ticks
 
 
-def check_budget(scenario, recorder):
+def check_budget(scenario, recorder, cell_pools):
     engine = scenario.flow_engine
+    # Host 9's cell: the one whose resolver a kill or revive moves.
+    faulted = next(cell for cell in scenario.cells if cell.slots.start <= 9 < cell.slots.stop)
+    assert len(faulted.pools) == cell_pools < len(engine.pools)
 
     def ticks_during(seconds):
         recorder.reset()
@@ -508,11 +514,12 @@ def check_budget(scenario, recorder):
         assert ticks_during(5.0) >= 99
         assert scenario.converged()
         assert 1 <= recorder.false_ticks() <= 6
-        assert recorder.resolves == recorder.false_ticks() * len(engine.pools)
+        # A resolving tick re-resolves the faulted cell's VIPs alone.
+        assert recorder.resolves == recorder.false_ticks() * cell_pools
 
 
 def test_quiet_ticks_resolve_nothing_and_a_fault_costs_a_few_ticks():
-    check_budget(*build())
+    check_budget(*build(), cell_pools=64)
 
 
 @pytest.mark.scale
@@ -526,7 +533,7 @@ def test_quiet_ticks_resolve_nothing_at_n256(monkeypatch):
         )
         scenario.sim.run_for(10.0)
     assert parses == []
-    check_budget(scenario, recorder)
+    check_budget(scenario, recorder, cell_pools=256)
 
 
 # ----------------------------------------------------------------------
@@ -610,7 +617,7 @@ def test_each_arp_view_input_flips_begin_tick_once():
     owner = world.servers[0]
 
     def tick():
-        # What FlowEngine does: resolve everything unless "unchanged".
+        # What FlowEngine does per resolver: resolve its VIPs unless "unchanged".
         unchanged = resolver.begin_tick()
         if not unchanged:
             for address in ARP_VIPS:
@@ -763,6 +770,8 @@ class ScriptedResolver:
 
 
 def test_gated_pool_is_resolved_every_tick(engine_class):
+    # The gate runs every tick on the kept owner; only the reference
+    # resolves a gated pool every tick.
     sim = Simulation(seed=1)
     owner = object()
     resolver = ScriptedResolver({"10.0.0.1": (1.0, None, owner)})
@@ -778,13 +787,14 @@ def test_gated_pool_is_resolved_every_tick(engine_class):
     gate["open"] = True
     sim.run(until=0.151)
     assert engine.totals()["lost"] == 10 and engine.totals()["served"] == 20
-    assert (resolver.begins, resolver.resolves) == (3, 3)
+    assert (resolver.begins, resolver.resolves) == (3, 1 if engine_class is FlowEngine else 3)
 
 
 def test_one_changed_resolver_re_resolves_everything(engine_class):
     sim = Simulation(seed=1)
     # The changing resolver comes first: the other must still begin its
-    # tick (no short-circuit) and be asked again on the changed tick.
+    # tick (no short-circuit). The engine asks only the changed one
+    # again; the reference re-resolves everything.
     moving = ScriptedResolver({"10.0.0.1": (1.0, None, None)}, unchanged=[False, True, False, True])
     steady = ScriptedResolver({"10.0.0.2": (1.0, None, None)})
     engine = engine_class(sim, resolver=steady)
@@ -795,11 +805,15 @@ def test_one_changed_resolver_re_resolves_everything(engine_class):
     for tick in range(1, 5):
         sim.run(until=0.05 * tick + 0.001)
         seen.append((moving.begins, steady.begins, moving.resolves, steady.resolves))
-    assert seen == [(1, 1, 1, 1), (2, 2, 1, 1), (3, 3, 2, 2), (4, 4, 2, 2)]
-    # A double whose begin_tick returns nothing promises nothing.
+    if engine_class is FlowEngine:
+        assert seen == [(1, 1, 1, 1), (2, 2, 1, 1), (3, 3, 2, 1), (4, 4, 2, 1)]
+    else:
+        assert seen == [(1, 1, 1, 1), (2, 2, 1, 1), (3, 3, 2, 2), (4, 4, 2, 2)]
+    # A double whose begin_tick returns nothing promises nothing: it
+    # re-resolves its own VIPs every tick.
     moving.unchanged = [None, None]
     sim.run(until=0.301)
-    assert (moving.resolves, steady.resolves) == (4, 4)
+    assert (moving.resolves, steady.resolves) == (4, 1 if engine_class is FlowEngine else 4)
 
 
 # ----------------------------------------------------------------------
