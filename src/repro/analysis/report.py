@@ -8,31 +8,24 @@ byte-identical (asserted by tests/analysis).
 
 import json
 
-from repro.analysis.proto003 import CODE
-
 
 def summarize(result):
-    """Per-rule counts and totals as a plain dict."""
-    per_rule = {}
-    for finding in result.findings:
-        per_rule[finding.rule] = per_rule.get(finding.rule, 0) + 1
+    """The run's totals as a plain dict."""
     return {
         "files": len(result.files),
         "findings": len(result.findings),
         "suppressed": len(result.suppressed),
         "parse_errors": len(result.parse_errors),
-        "by_rule": per_rule,
     }
 
 
 def render_json(result):
     """The machine-readable report (one trailing newline, sorted keys)."""
     payload = {
-        "format": "repro-lint/1",
+        "format": "repro-lint/2",
         "summary": summarize(result),
         "findings": [f.to_dict() for f in result.findings],
         "parse_errors": [f.to_dict() for f in result.parse_errors],
-        "rules": [CODE],
     }
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 

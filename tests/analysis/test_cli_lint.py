@@ -58,7 +58,7 @@ def test_cli_json_format(fixture_layout):
     )
     assert exit_code == 1
     payload = json.loads(output)
-    assert payload["format"] == "repro-lint/1"
+    assert payload["format"] == "repro-lint/2"
     assert payload["findings"] and all(f["rule"] == "PROTO003" for f in payload["findings"])
 
 

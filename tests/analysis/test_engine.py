@@ -67,7 +67,7 @@ class TestReporters:
     def test_json_report_is_valid_and_sorted(self, tmp_path):
         result = _lint_source(tmp_path, WRITE, WRITE)
         payload = json.loads(render_json(result))
-        assert payload["format"] == "repro-lint/1"
+        assert payload["format"] == "repro-lint/2"
         assert payload["summary"]["findings"] == 2
         locations = [(f["path"], f["line"]) for f in payload["findings"]]
         assert locations == sorted(locations)
